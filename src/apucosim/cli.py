@@ -19,6 +19,7 @@ from . import scenario as sc
 from .control import AvrState
 from .cosim import run_generator, run_joint
 from .gasgen import (
+    AltitudeOutOfRange,
     BetaOutOfRange,
     CalibrationFailed,
     GasGenDesignSpec,
@@ -34,8 +35,14 @@ from .gasgen import (
 )
 from .gasgen.engine import SpeedOutOfRange
 from .gasgen.engine import trim_fuel
-from .numerics import NonConvergence
-from .wrsg import FaultParams, LoadModel, NoiseConfig
+from .numerics import (
+    NonConvergence,
+    NonFiniteDerivative,
+    NonFiniteResidual,
+    SingularJacobian,
+    StepUnderflow,
+)
+from .wrsg import FaultParams, LoadModel, NoiseConfig, SingularSystem
 
 # steady operating points exercised by `steady --preset-index`
 OFF_DESIGN_PRESETS = (
@@ -236,6 +243,12 @@ def cmd_joint(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, found {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="apu-cosim",
@@ -290,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--k-rf", type=float, default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
-    p.add_argument("--decimation", type=int, default=2)
+    p.add_argument("--decimation", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--json", action="store_true")
@@ -327,12 +340,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (sc.SchemaError, sc.UnknownField, FileNotFoundError, ValueError) as exc:
+    except (sc.SchemaError, sc.UnknownField, FileNotFoundError, ValueError,
+            AltitudeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CalibrationFailed, NonConvergence, NewtonNonConvergence,
             NoSteadyState, TemperatureOutOfRange, T4OutOfRange,
-            BetaOutOfRange, PressureRatioBelowUnity, SpeedOutOfRange) as exc:
+            BetaOutOfRange, PressureRatioBelowUnity, SpeedOutOfRange,
+            StepUnderflow, NonFiniteDerivative, SingularJacobian,
+            NonFiniteResidual, SingularSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

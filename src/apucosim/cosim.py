@@ -1,6 +1,8 @@
-"""Multi-rate orchestrator: continuous variable-step machine integration
-inside each fixed gas-generator macro step, with power/speed coupling rules,
-an externally pluggable state-process hook, and per-step energy bookkeeping.
+"""Multi-rate orchestrator: continuous machine integration inside each fixed
+gas-generator macro step (the exact propagator of the affine flux equations
+on healthy segments, the variable-step implicit stepper on faulted ones),
+with power/speed coupling rules, an externally pluggable state-process hook,
+and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update, accumulating its
@@ -29,7 +31,13 @@ from .gasgen import (
     off_design_solve,
 )
 from .gasgen.engine import OUTPUT_CHANNELS, trim_fuel
-from .numerics import IntegralAccumulator, StepperOptions, accumulate, integrate_adaptive
+from .numerics import (
+    IntegralAccumulator,
+    StepperOptions,
+    accumulate,
+    expm,
+    integrate_adaptive,
+)
 from .wrsg import (
     ElectricalSystem,
     FaultParams,
@@ -44,6 +52,7 @@ from .wrsg import (
     seed_fault_flux,
     steady_state,
 )
+from .wrsg.machine import IDX_LAM_F, IDX_THETA
 
 
 class EmptyWindow(Exception):
@@ -134,57 +143,71 @@ SLOW_EXTRA = (
 )
 
 
+def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float):
+    """Exact solution of a healthy segment on the uniform grid ta + k h, the
+    last step clipped to end on tb: (times, states), the start excluded.
+
+    Speed, field voltage, load and equation noise are held, so the fluxes
+    obey d lam/dt = A lam + b and each step is one product with
+    exp([[A, b], [0, 0]] h); lam_f is constant and theta = theta0 + w_e t.
+    """
+    n = max(1, math.ceil((tb - ta) / h - 1e-9))
+    times = ta + h * np.arange(1, n + 1)
+    times[-1] = tb
+    a, b = sys_.affine()
+    gen = np.zeros((7, 7))
+    gen[:6, :6] = a
+    gen[:6, 6] = b
+    h_last = tb - (times[-2] if n > 1 else ta)
+    step = expm(gen * h)
+    last = step if h_last == h else expm(gen * h_last)
+    # the exponential's last row is exactly (0, ..., 0, 1); pin it so the
+    # solve's rounding cannot drift the constant that carries b
+    step[6] = last[6] = np.eye(7)[6]
+    z = np.append(y[:6], 1.0)
+    out = np.empty((n, 7))
+    for k in range(n - 1):
+        z = step @ z
+        out[k] = z
+    out[-1] = last @ z
+    states = np.empty((n, 8))
+    states[:, :6] = out[:, :6]
+    states[:, IDX_LAM_F] = y[IDX_LAM_F]
+    states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
+    return times, states
+
+
 class _MachineTrack:
     """Owns the electrical state, fault schedule, recorder and rms buffers."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
                  decimation: int, rng):
+        if decimation < 1:
+            raise ValueError("decimation must be an integer >= 1")
+        if not math.isfinite(stepper.max_step):
+            raise ValueError("max_step must be finite: it is the healthy "
+                             "segments' sample period")
         self.params = params
         self.load = load
         self.schedule = sorted(fault_schedule, key=lambda s: s[0])
         self.noise = noise
         self.stepper = stepper
-        self.decimation = max(1, decimation)
+        self.decimation = decimation
         self.rng = rng
         self.fault = HEALTHY_FAULT
         self.state = None          # WrsgState array to be set by caller
         self.h_next = stepper.initial_step
-        self.times, self.rows = [], []
+        self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
-        self._seg = None           # per-macro-step sample buffer for rms
+        self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
         self.V_fd = 0.0
         self.w_e = 0.0
 
     def _switch_points(self, t0, t1):
         return [s for s in self.schedule if t0 < s[0] <= t1]
 
-    def _observer(self, sys_, rec_fast):
-        measured = bool(self.noise.std_vi or self.noise.std_vv)
-
-        def obs(t, y):
-            i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(y)
-            accumulate(self.acc, t, p_tot)
-            self._seg.append((t, i_abc, v_abc))
-            if rec_fast:
-                self._count += 1
-                if self._count % self.decimation == 0:
-                    if measured:
-                        # recorded channels carry the measurement-noise model
-                        v_meas, i_meas = measure(
-                            np.append(v_abc, self.V_fd), i_abc, self.noise,
-                            rng=self.rng)
-                        i_rec, v_rec = i_meas, v_meas[:3]
-                    else:
-                        i_rec, v_rec = i_abc, v_abc
-                    self.times.append(t)
-                    self.rows.append((i_rec[0], i_rec[1], i_rec[2],
-                                      v_rec[0], v_rec[1], v_rec[2],
-                                      i_f, i6[3], p_tot, p_loss, self.V_fd))
-        return obs
-
-    def advance(self, t0: float, t1: float, w_e: float, V_fd: float,
-                record=True) -> float:
+    def advance(self, t0: float, t1: float, w_e: float, V_fd: float) -> float:
         """Integrate the machine over [t0, t1]; returns accumulated energy kJ."""
         self.w_e = w_e
         self.V_fd = V_fd
@@ -199,16 +222,16 @@ class _MachineTrack:
         t_cur = t0
         sys_ = self._system(t_cur, noise_w)
         self.acc = IntegralAccumulator(last_time=t0,
-                                       last_sample=sys_.terminal(y)[4])
+                                       last_sample=float(sys_.terminal(y)[4]))
         for t_sw, fault_new in pieces:
             if t_sw > t_cur:
-                y = self._run(sys_, y, t_cur, t_sw, record)
+                y = self._run(sys_, y, t_cur, t_sw)
                 t_cur = t_sw
             y = self._apply_fault(y, fault_new)
             sys_ = self._system(t_cur, noise_w)
             self.h_next = self.stepper.initial_step   # restart after the jump
         if t1 > t_cur:
-            y = self._run(sys_, y, t_cur, t1, record)
+            y = self._run(sys_, y, t_cur, t1)
         self.state = y
         return self.acc.value
 
@@ -226,33 +249,64 @@ class _MachineTrack:
         return ElectricalSystem(self.params, self.load, self.fault,
                                 self.w_e, self.V_fd, r, noise_w=noise_w)
 
-    def _run(self, sys_, y, ta, tb, record):
-        opts = replace(self.stepper, initial_step=min(
-            max(self.h_next, self.stepper.min_step), self.stepper.max_step,
-            (tb - ta)))
-        res = integrate_adaptive(sys_.derivatives, y, (ta, tb), opts,
-                                 observers=[self._observer(sys_, record)],
-                                 record=False)
-        self.h_next = res.last_step
+    def _run(self, sys_, y, ta, tb):
+        if self.fault.active:
+            opts = replace(self.stepper, initial_step=min(
+                max(self.h_next, self.stepper.min_step), self.stepper.max_step,
+                (tb - ta)))
+            res = integrate_adaptive(sys_.derivatives, y, (ta, tb), opts,
+                                     record=True)
+            self.h_next = res.last_step
+            times, states = res.times[1:], res.states[1:]
+        else:
+            times, states = propagate_healthy(sys_, y, ta, tb,
+                                              self.stepper.max_step)
+        self._record(sys_, times, states)
+        y = states[-1].copy()
         # wrap the electrical angle to keep trig arguments small
-        res.state[7] = math.fmod(res.state[7], 2.0 * math.pi)
-        return res.state
+        y[IDX_THETA] = math.fmod(y[IDX_THETA], 2.0 * math.pi)
+        return y
+
+    def _record(self, sys_, times, states):
+        """Fast-track pass over one segment's samples: shaft energy, the rms
+        buffers and every decimation-th row of the recorded channels."""
+        i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(states)
+        accumulate(self.acc, times, p_tot)
+        self._seg.append((times, i_abc, v_abc))
+        index = np.arange(self._count + 1, self._count + times.size + 1)
+        keep = index % self.decimation == 0
+        self._count += times.size
+        i_rec, v_rec = i_abc[keep], v_abc[keep]
+        v_fd = np.full(i_rec.shape[0], self.V_fd)
+        if self.noise.std_vi or self.noise.std_vv:
+            # recorded channels carry the measurement-noise model
+            v_meas, i_rec = measure(np.column_stack([v_rec, v_fd]), i_rec,
+                                    self.noise, rng=self.rng)
+            v_rec = v_meas[:, :3]
+        self._times.append(times[keep])
+        self._rows.append(np.column_stack([
+            i_rec, v_rec, i_f[keep],
+            i6[keep, 3], p_tot[keep], p_loss[keep], v_fd]))
+
+    def segment(self):
+        """This macro step's samples: times, phase currents, phase voltages."""
+        return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
     def phase_rms(self, window: float):
         """Trailing rms of phase voltages and currents over the last window."""
-        ts = np.array([s[0] for s in self._seg])
-        i_rms, v_rms = [], []
-        for k in range(3):
-            i_rms.append(rms_window(ts, [s[1][k] for s in self._seg], window))
-            v_rms.append(rms_window(ts, [s[2][k] for s in self._seg], window))
+        ts, i_abc, v_abc = self.segment()
+        i_rms = [rms_window(ts, i_abc[:, k], window) for k in range(3)]
+        v_rms = [rms_window(ts, v_abc[:, k], window) for k in range(3)]
         return np.array(v_rms), np.array(i_rms)
 
     def fast_series(self) -> TimeSeries:
         names = tuple(n for n, _ in FAST_CHANNELS)
         units = tuple(u for _, u in FAST_CHANNELS)
-        data = np.array(self.rows) if self.rows else np.empty((0, len(names)))
-        return TimeSeries(names=names, units=units,
-                          time=np.array(self.times), data=data)
+        if self._rows:
+            time, data = np.concatenate(self._times), np.concatenate(self._rows)
+        else:
+            time, data = np.empty(0), np.empty((0, len(names)))
+        return TimeSeries(names=names, units=units, time=time, data=data)
 
 
 @dataclass
@@ -368,7 +422,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         pe_gt = coupling_power(track.acc, dt, coupling.eta_gtTsg)
         # (c) health swap at the boundary, then spool update
         for t_sw, hp in health_sched:
-            if t0 <= t_sw < t1 or (k == 1 and t_sw <= 0.0):
+            if t0 <= t_sw < t1:
                 health = hp
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
         x = state_update(gg, x, u, health, pe_gt, dt=dt, guess=guess)
@@ -441,10 +495,8 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
         v_rms, _ = track.phase_rms(period)
         v_fd, avr = avr_step(avr, float(np.mean(v_rms)), control_dt)
     v_rms, i_rms = track.phase_rms(period)
-    ts = np.array([s[0] for s in track._seg])
-    vab = [s[2][0] - s[2][1] for s in track._seg]
-    vbc = [s[2][1] - s[2][2] for s in track._seg]
-    vca = [s[2][2] - s[2][0] for s in track._seg]
+    ts, _, v_abc = track.segment()
+    vab, vbc, vca = (v_abc - np.roll(v_abc, -1, axis=1)).T
     rms_table = {
         "Phase A Voltage": v_rms[0], "Phase B Voltage": v_rms[1],
         "Phase C Voltage": v_rms[2],

@@ -24,11 +24,13 @@ _ISA_LAPSE = 0.0065
 _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 
 NewtonNonConvergence = NonConvergence
+ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 
 
 class AltitudeOutOfRange(Exception):
     def __init__(self, alt):
-        super().__init__(f"altitude {alt:.0f} m outside [0, 15000] m")
+        lo, hi = ALTITUDE_RANGE_M
+        super().__init__(f"altitude {alt:.0f} m outside [{lo:.0f}, {hi:.0f}] m")
 
 
 class T4OutOfRange(Exception):
@@ -139,7 +141,7 @@ class CycleSolution:
 def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
                        recovery: float = 0.99):
     """ISA atmosphere + ram recovery: states at stations 0 (static), 1, 2."""
-    if not 0.0 <= altitude <= 15000.0:
+    if not ALTITUDE_RANGE_M[0] <= altitude <= ALTITUDE_RANGE_M[1]:
         raise AltitudeOutOfRange(altitude)
     if not 0.0 <= mach < 1.0:
         raise ValueError(f"mach {mach} outside [0, 1)")

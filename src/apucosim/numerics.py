@@ -1,5 +1,6 @@
 """Shared numerical kernels: damped Newton, adaptive implicit ODE stepper,
-small dense linear solver, running time-integral accumulator.
+small dense linear solver, matrix exponential, running time-integral
+accumulator.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -333,34 +334,39 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
         last_step=h, accepted=accepted, rejected=rejected)
 
 
-def _lu_factor(m):
-    """Partial-pivot LU; returns (lu, piv) for _lu_solve."""
-    a = m.copy()
-    n = a.shape[0]
-    piv = np.arange(n)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise SingularMatrix(k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-    if a[n - 1, n - 1] == 0.0:
-        raise SingularMatrix(n - 1)
-    return a, piv
+# degree-13 Pade coefficients and the 1-norm bound up to which that
+# approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
-def _lu_solve(lu, b):
-    a, piv = lu
-    n = a.shape[0]
-    x = b[piv].astype(float)
-    for i in range(1, n):
-        x[i] -= a[i, :i] @ x[:i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+def expm(a):
+    """Matrix exponential by scaling and squaring with a degree-13 Pade
+    approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4))."""
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    norm = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 @dataclass
@@ -376,11 +382,21 @@ class IntegralAccumulator:
         self.value = 0.0
 
 
-def accumulate(acc: IntegralAccumulator, t: float, sample: float) -> IntegralAccumulator:
-    """Advance the accumulator to time t with the new sample (trapezoid rule)."""
-    if t < acc.last_time:
-        raise TimeReversal(f"t={t} precedes accumulator time {acc.last_time}")
-    acc.value += 0.5 * (sample + acc.last_sample) * (t - acc.last_time)
-    acc.last_time = t
-    acc.last_sample = sample
+def accumulate(acc: IntegralAccumulator, t, sample) -> IntegralAccumulator:
+    """Advance the accumulator to time t with the new sample (trapezoid rule).
+
+    t and sample may also be equal-length 1-D arrays of successive samples.
+    """
+    tt = np.concatenate(([acc.last_time], np.atleast_1d(np.asarray(t, dtype=float))))
+    ss = np.concatenate(([acc.last_sample],
+                         np.atleast_1d(np.asarray(sample, dtype=float))))
+    if tt.size != ss.size:
+        raise ValueError("times and samples differ in length")
+    dt = np.diff(tt)
+    if np.any(dt < 0):
+        k = int(np.argmax(dt < 0))
+        raise TimeReversal(f"t={tt[k + 1]} precedes accumulator time {tt[k]}")
+    acc.value += float(np.sum(0.5 * (ss[1:] + ss[:-1]) * dt))
+    acc.last_time = float(tt[-1])
+    acc.last_sample = float(ss[-1])
     return acc

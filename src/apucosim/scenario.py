@@ -23,6 +23,7 @@ from .cosim import (
     make_speed_noise_hook,
 )
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
+from .gasgen.cycle import ALTITUDE_RANGE_M
 from .gasgen.engine import OUTPUT_CHANNELS
 from .numerics import StepperOptions
 from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
@@ -140,6 +141,8 @@ def _merge(defaults, given, path):
     if isinstance(defaults, (int, float)):
         if isinstance(given, bool) or not isinstance(given, (int, float)):
             raise SchemaError(path, "number", given)
+        if isinstance(defaults, int) and not float(given).is_integer():
+            raise SchemaError(path, "integer", given)
         return type(defaults)(given)
     if isinstance(defaults, str):
         if not isinstance(given, str):
@@ -170,6 +173,24 @@ def _validate(doc):
                           doc["hook"]["kind"])
     if doc["load"]["kind"] not in ("resistive-bank", "series-RL", "cubic-speed-law"):
         raise SchemaError("load.kind", "a known load kind", doc["load"]["kind"])
+    alt = doc["ambient"]["altitude"]
+    if not ALTITUDE_RANGE_M[0] <= alt <= ALTITUDE_RANGE_M[1]:
+        raise SchemaError("ambient.altitude",
+                          "altitude within [{:g}, {:g}] m".format(*ALTITUDE_RANGE_M), alt)
+    if doc["record"]["decimation"] < 1:
+        raise SchemaError("record.decimation", "integer >= 1",
+                          doc["record"]["decimation"])
+    f_hz = doc["machine"]["f_hz"]
+    if f_hz <= 0:
+        raise SchemaError("machine.f_hz", "positive frequency", f_hz)
+    # healthy segments are sampled at max_step and the regulator's rms
+    # window spans one electrical period, so a period needs >= 10 samples
+    limit = 0.1 / f_hz
+    max_step = doc["stepper"]["max_step_s"]
+    if not 0.0 < max_step <= limit:
+        raise SchemaError("stepper.max_step_s",
+                          f"step within (0, {limit:.6g}] s, a tenth of the "
+                          "machine period", max_step)
 
 
 @dataclass(frozen=True)
@@ -237,7 +258,7 @@ PRESETS = {
 
 def load_preset(name: str) -> Scenario:
     if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; have {sorted(PRESETS)}")
+        raise SchemaError("preset", f"one of {sorted(PRESETS)}", name)
     return parse_scenario(json.dumps(PRESETS[name]))
 
 
@@ -339,7 +360,8 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     stepper = StepperOptions(
         relative_tolerance=st["relative_tolerance"],
         absolute_tolerance=np.full(8, st["absolute_tolerance"]),
-        initial_step=1e-6, min_step=1e-13, max_step=st["max_step_s"])
+        initial_step=min(1e-6, st["max_step_s"]), min_step=1e-13,
+        max_step=st["max_step_s"])
     amb = doc["ambient"]
     return JointSetup(
         gg_params=gg_params, machine=machine, load=load,

@@ -3,8 +3,9 @@ mechanical-power bookkeeping and the healthy steady-state solver.
 
 An ElectricalSystem freezes everything constant over an integration segment
 (speed, field voltage, load resistance, fault descriptor, held equation
-noise) and exposes a fast derivative closure for the stepper plus terminal
-evaluation for observers.
+noise) and exposes a fast derivative closure for the stepper, the affine
+form of the healthy flux equations for the exact propagator, and terminal
+evaluation over whole recorded segments.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .loads import LoadModel
 from .machine import (
     FaultParams,
     HEALTHY_FAULT,
+    IDX_LAM_F,
     IDX_THETA,
     InductanceModel,
     WrsgParams,
@@ -23,22 +25,25 @@ from .machine import (
     build_L,
     currents_fast,
 )
-from .park import inverse_park_matrix
 
 _SHIFT = 2.0 * math.pi / 3.0
+_TWO_THIRDS = 2.0 / 3.0
+# phases a, b, c sit at theta, theta - 2 pi/3 and theta + 2 pi/3
+_PHASE_SHIFTS = np.array([0.0, _SHIFT, -_SHIFT])
 
 
-def mech_power(v_abc, i_abc, i_f: float, fault: FaultParams,
-               params: WrsgParams) -> tuple[float, float]:
+def mech_power(v_abc, i_abc, i_f, fault: FaultParams, params: WrsgParams):
     """Total mechanical power drawn from the shaft (both machines) and the
-    fault-branch extra loss, kW.
+    fault-branch extra loss, kW; row-wise over leading axes of the inputs.
 
     P_total = 2 (v.i + i_f^2 r_f + (i_a - i_f)^2 r_saf - i_a^2 r_saf) / eta_sg
     """
+    v_abc = np.asarray(v_abc, dtype=float)
+    i_abc = np.asarray(i_abc, dtype=float)
     r_f = fault.r_f(params.r_s)
     r_saf = fault.r_sa_f(params.r_s)
-    i_a = float(i_abc[0])
-    p_elec = float(np.dot(v_abc, i_abc))
+    i_a = i_abc[..., 0]
+    p_elec = np.sum(v_abc * i_abc, axis=-1)
     p_fault = i_f * i_f * r_f + (i_a - i_f) ** 2 * r_saf - i_a * i_a * r_saf
     p_total = params.two_machine_factor * (p_elec + p_fault) / params.eta_sg
     p_loss = params.two_machine_factor * p_fault / params.eta_sg
@@ -46,7 +51,11 @@ def mech_power(v_abc, i_abc, i_f: float, fault: FaultParams,
 
 
 class ElectricalSystem:
-    """Constant-coefficient wrapper for one integration segment."""
+    """Constant-coefficient wrapper for one integration segment.
+
+    The state-evaluation methods take one state or a stack of states along
+    the last axis.
+    """
 
     def __init__(self, params: WrsgParams, load: LoadModel, fault: FaultParams,
                  w_e: float, V_fd: float, R_load: float,
@@ -58,75 +67,83 @@ class ElectricalSystem:
         self.V_fd = V_fd
         self.R_load = R_load
         self.model: InductanceModel = build_L(params, load.L_phase)
-        self.machine_model: InductanceModel = (
-            self.model if load.L_phase == 0.0 else build_L(params))
         self.noise_w = np.zeros(6) if noise_w is None else np.asarray(noise_w, float)
-        self._has_noise = bool(np.any(self.noise_w))
         p = params
-        self._r_stator = R_load + p.r_s
-        self._r_rotor = np.array([p.r_fd, p.r_kd, p.r_kq])
-        self._mu_rs = fault.mu * p.r_s
-        self._r_f = fault.r_f(p.r_s)
+        # healthy flux equations d lam/dt = A lam + b: winding resistance
+        # times current (L^-1 lam), the speed voltage coupling lam_q and
+        # lam_d, the field voltage and the held equation noise
+        r6 = np.array([R_load + p.r_s] * 3 + [-p.r_fd, -p.r_kd, -p.r_kq])
+        self._A = r6[:, None] * self.model.L_inv
+        self._A[0, 1] -= w_e
+        self._A[1, 0] += w_e
+        self._b = np.array([0.0, 0.0, 0.0, V_fd, 0.0, 0.0]) + self.noise_w
+        # one product yields A lam and the stator currents the fault rows need
+        self._AL_T = np.vstack([self._A, self.model.L_inv[:3]]).T
         self._active = fault.active
         if self._active:
+            self._mu_rs = fault.mu * p.r_s
+            self._r_f = fault.r_f(p.r_s)
             self._if_den = fault.mu * (1.0 - fault.mu) * p.L_ls
+
+    def affine(self):
+        """(A, b) with d lam/dt = A lam + b for the six winding fluxes.
+
+        Only an open fault branch leaves the system affine and time-invariant
+        over a segment; lam_f is then constant and theta advances at w_e.
+        """
+        if self._active:
+            raise ValueError("a shorted stator turn makes the flux equations "
+                             "depend on the rotor angle")
+        return self._A, self._b
 
     def currents(self, y):
         return currents_fast(y, self.fault, self.model)
 
     def derivatives(self, t, y):
         """d/dt of [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f, theta]."""
-        p = self.params
-        i6 = self.model.L_inv @ y[:6]
-        dy = np.empty(8)
-        rs = self._r_stator
-        if self._active:
-            theta = y[IDX_THETA]
-            cs, sn = math.cos(theta), math.sin(theta)
-            lam_a = cs * y[0] + sn * y[1] + y[2]
-            i_f = (y[6] - self.fault.mu * lam_a) / self._if_den
-            mu_if = self.fault.mu * i_f
-            iq = i6[0] + mu_if * (2.0 / 3.0) * cs
-            id_ = i6[1] + mu_if * (2.0 / 3.0) * sn
-            i0 = i6[2] + mu_if / 3.0
-            mu_rs_if = self._mu_rs * i_f
-            dy[0] = rs * iq - self.w_e * y[1] - mu_rs_if * (2.0 / 3.0) * cs
-            dy[1] = rs * id_ + self.w_e * y[0] - mu_rs_if * (2.0 / 3.0) * sn
-            dy[2] = rs * i0 - mu_rs_if / 3.0
-            i_a = cs * iq + sn * id_ + i0
-            dy[6] = self._mu_rs * (i_a - i_f) - self._r_f * i_f
-        else:
-            dy[0] = rs * i6[0] - self.w_e * y[1]
-            dy[1] = rs * i6[1] + self.w_e * y[0]
-            dy[2] = rs * i6[2]
-            dy[6] = 0.0
-        dy[3] = self.V_fd - p.r_fd * i6[3]
-        dy[4] = -p.r_kd * i6[4]
-        dy[5] = -p.r_kq * i6[5]
-        if self._has_noise:
-            dy[:6] += self.noise_w
-        dy[IDX_THETA] = self.w_e
+        y = np.asarray(y, dtype=float)
+        z = y[..., :6] @ self._AL_T
+        dy = np.empty(y.shape)
+        dy[..., :6] = z[..., :6] + self._b
+        yt, dt, zt = y.T, dy.T, z.T
+        dt[IDX_THETA] = self.w_e
+        if not self._active:
+            dt[IDX_LAM_F] = 0.0
+            return dy
+        # the fault MMF adds mu i_f (2/3 cos, 2/3 sin, 1/3) to the stator
+        # currents; through R_load + r_s less the shorted turns' own mu r_s
+        # drop that leaves R_load on the stator rows
+        mu = self.fault.mu
+        cs, sn = np.cos(yt[IDX_THETA]), np.sin(yt[IDX_THETA])
+        i_f = (yt[IDX_LAM_F] - mu * (cs * yt[0] + sn * yt[1] + yt[2])) / self._if_den
+        k = self.R_load * mu * i_f
+        dt[0] += _TWO_THIRDS * k * cs
+        dt[1] += _TWO_THIRDS * k * sn
+        dt[2] += k / 3.0
+        # phase-a current: healthy part plus the full fault MMF (cos^2 + sin^2 = 1)
+        i_a = cs * zt[6] + sn * zt[7] + zt[8] + mu * i_f
+        dt[IDX_LAM_F] = self._mu_rs * (i_a - i_f) - self._r_f * i_f
         return dy
 
     def terminal(self, y):
         """Phase currents/voltages, fault current and powers at a state."""
-        theta = y[IDX_THETA]
+        y = np.asarray(y, dtype=float)
         i6, i_f = currents_fast(y, self.fault, self.model)
-        cs0, sn0 = math.cos(theta), math.sin(theta)
-        cs1, sn1 = math.cos(theta - _SHIFT), math.sin(theta - _SHIFT)
-        cs2, sn2 = math.cos(theta + _SHIFT), math.sin(theta + _SHIFT)
-        iq, id_, i0 = i6[0], i6[1], i6[2]
-        i_abc = np.array([cs0 * iq + sn0 * id_ + i0,
-                          cs1 * iq + sn1 * id_ + i0,
-                          cs2 * iq + sn2 * id_ + i0])
+        angle = y[..., IDX_THETA, None] - _PHASE_SHIFTS
+        cs, sn = np.cos(angle), np.sin(angle)
+
+        def to_abc(qd0):
+            return cs * qd0[..., 0:1] + sn * qd0[..., 1:2] + qd0[..., 2:3]
+
+        i_abc = to_abc(i6)
         v_abc = self.R_load * i_abc
         if self.load.L_phase:
             dy = self.derivatives(0.0, y)
-            di3 = (self.model.L_inv @ dy[:6])[:3]
-            w = self.w_e
-            vl = self.load.L_phase * (di3 + np.array([w * i6[1], -w * i6[0], 0.0]))
-            tinv = inverse_park_matrix(theta)
-            v_abc = v_abc + tinv @ vl
+            di3 = dy[..., :6] @ self.model.L_inv[:3].T
+            # speed voltage of the series inductance: w (i_d, -i_q, 0)
+            vl = self.load.L_phase * (di3 + self.w_e * i6[..., [1, 0, 2]]
+                                      * np.array([1.0, -1.0, 0.0]))
+            v_abc = v_abc + to_abc(vl)
         p_total, p_loss = mech_power(v_abc, i_abc, i_f, self.fault, self.params)
         return i_abc, v_abc, i_f, i6, p_total, p_loss
 

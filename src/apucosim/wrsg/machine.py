@@ -33,6 +33,7 @@ OPEN_BRANCH_KRF = 1e6
 IDX_LAM_Q, IDX_LAM_D, IDX_LAM_0 = 0, 1, 2
 IDX_LAM_FD, IDX_LAM_KD, IDX_LAM_KQ = 3, 4, 5
 IDX_LAM_F, IDX_THETA = 6, 7
+_TWO_THIRDS = 2.0 / 3.0
 STATE_NAMES = ("lam_q", "lam_d", "lam_0", "lam_fd", "lam_kd", "lam_kq",
                "lam_f", "theta_e")
 
@@ -130,10 +131,6 @@ class InductanceModel:
     L_ls: float
     params: WrsgParams
 
-    @staticmethod
-    def selector_k1() -> np.ndarray:
-        return np.vstack([np.eye(3), np.zeros((3, 3))])
-
     def fault_column(self, theta: float) -> np.ndarray:
         """K_1 T_(c,1): qd0 image of a unit phase-a fault current."""
         col = np.zeros(6)
@@ -167,13 +164,19 @@ def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> Inducta
                            params=params)
 
 
-def fault_current_from_state(y, fault: FaultParams, model: InductanceModel) -> float:
-    """Closed-form i_f from the sub-winding flux closure (0 when inactive)."""
+def fault_current_from_state(y, fault: FaultParams, model: InductanceModel):
+    """Closed-form i_f from the sub-winding flux closure (0 when inactive).
+
+    y is a state or a stack of states along the last axis.
+    """
+    y = np.asarray(y, dtype=float)
     if not fault.active:
-        return 0.0
-    lam_a = float(phase_a_row(y[IDX_THETA]) @ y[:3])
+        return np.zeros(y.shape[:-1])[()]
+    theta = y[..., IDX_THETA]
+    lam_a = np.cos(theta) * y[..., IDX_LAM_Q] + np.sin(theta) * y[..., IDX_LAM_D] \
+        + y[..., IDX_LAM_0]
     mu = fault.mu
-    return (y[IDX_LAM_F] - mu * lam_a) / (mu * (1.0 - mu) * model.L_ls)
+    return (y[..., IDX_LAM_F] - mu * lam_a) / (mu * (1.0 - mu) * model.L_ls)
 
 
 def currents_from_flux(state: WrsgState, fault: FaultParams,
@@ -206,13 +209,19 @@ def currents_from_flux(state: WrsgState, fault: FaultParams,
 
 
 def currents_fast(y, fault: FaultParams, model: InductanceModel):
-    """Hot-path equivalent of currents_from_flux on a raw state array.
+    """Hot-path equivalent of currents_from_flux on a raw state array, or
+    row-wise on a stack of states.
 
     Uses i = L^-1 lam + mu * [T_c1; 0] * i_f, which is the exact closed-form
     reduction of the 7x7 system (pinned by test against solve_dense).
     """
+    y = np.asarray(y, dtype=float)
     i_f = fault_current_from_state(y, fault, model)
-    i6 = model.L_inv @ y[:6]
-    if i_f != 0.0:
-        i6 = i6 + (fault.mu * i_f) * model.fault_column(y[IDX_THETA])
+    i6 = y[..., :6] @ model.L_inv.T
+    if fault.active:
+        theta = y[..., IDX_THETA]
+        k = fault.mu * i_f
+        i6[..., 0] += _TWO_THIRDS * k * np.cos(theta)
+        i6[..., 1] += _TWO_THIRDS * k * np.sin(theta)
+        i6[..., 2] += k / 3.0
     return i6, i_f

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
+from apucosim import cli
 from apucosim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from apucosim.numerics import (
+    NonFiniteDerivative,
+    NonFiniteResidual,
+    SingularJacobian,
+    StepUnderflow,
+)
+from apucosim.wrsg import SingularSystem
 
 
 def test_design_default(capsys):
@@ -166,3 +174,65 @@ def test_design_with_power_override(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["values"]["PWSD"] == pytest.approx(400.0, abs=1e-3)
     assert doc["values"]["XNHPC"] == 36050.0
+
+
+# ------------------------------------------------------------ error contract
+
+def test_unknown_preset_is_usage_error(tmp_path, capsys):
+    assert main(["joint", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "preset" in capsys.readouterr().err
+
+
+def test_altitude_outside_atmosphere_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"ambient": {"altitude": 20000}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "ambient.altitude" in capsys.readouterr().err
+    assert main(["steady", "--altitude", "20000"]) == EXIT_USAGE
+    assert "altitude" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("record.decimation", 0), ("record.decimation", -3),
+    ("record.decimation", 2.5), ("stepper.max_step_s", 0.0),
+    ("stepper.max_step_s", -1e-4), ("stepper.max_step_s", 3e-4),
+])
+def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
+    block, key = field.split(".")
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, block: {key: value}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
+def test_max_step_at_a_tenth_of_the_period_accepted(tmp_path):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "edge", "duration": 0.04,
+                             "stepper": {"max_step_s": 2.5e-4},
+                             "record": {"decimation": 1}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_OK
+    body = (tmp_path / "joint_edge_fast.csv").read_text().strip().split("\n")
+    assert len(body) == 1 + 160      # 0.04 s at 2.5e-4 s, every sample
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+def test_genrun_decimation_must_be_positive_integer(tmp_path, capsys, value):
+    assert main(["genrun", "--decimation", value, "--duration", "0.02",
+                 "--out", str(tmp_path), "--no-svg"]) == EXIT_USAGE
+    assert "--decimation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [
+    StepUnderflow(0.1, 1e-14, 1e-13), NonFiniteDerivative(0.1, 3),
+    SingularJacobian(2), NonFiniteResidual("residual not finite"),
+    SingularSystem("fault-loop system is singular"),
+], ids=lambda e: type(e).__name__)
+def test_machine_stepper_failures_exit_2(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "run_generator", fail)
+    assert main(["genrun", "--duration", "0.02", "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err

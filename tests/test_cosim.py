@@ -1,6 +1,6 @@
 import json
 import math
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +11,27 @@ from apucosim.cosim import (
     coupling_power,
     coupling_speed,
     energy_audit,
+    propagate_healthy,
     run_joint,
 )
-from apucosim.numerics import IntegralAccumulator, accumulate
+from apucosim.numerics import (
+    IntegralAccumulator,
+    StepperOptions,
+    accumulate,
+    integrate_adaptive,
+)
 from apucosim.scenario import build_joint_setup, parse_scenario
+from apucosim.wrsg import (
+    ElectricalSystem,
+    HEALTHY_FAULT,
+    LoadModel,
+    WrsgParams,
+    field_voltage_for_terminal,
+    steady_state,
+)
+
+W_E = 2.0 * math.pi * 400.0
+R_225 = 3.0 * 230.0 ** 2 / 225e3
 
 
 def _mini_scenario(extra=None, duration=0.3):
@@ -91,6 +108,47 @@ def test_energy_audit_recompute_and_sensitivity(mini_result):
     wrong = energy_audit(mini_result.slow, 0.9, 0.02)
     expected = abs(1.0 - 0.9)
     assert wrong.max_relative_residual == pytest.approx(expected / 0.9, rel=1e-6)
+
+
+def test_healthy_fast_track_is_uniform_grid(mini_result):
+    # healthy segments are sampled every max_step (1e-4 s), every 2nd kept
+    dt = np.diff(mini_result.fast.time)
+    assert np.allclose(dt, 2e-4, rtol=1e-9, atol=0.0)
+    assert mini_result.fast.n_samples == 1500
+
+
+@pytest.mark.parametrize("case", ["load-step", "equation-noise", "series-RL",
+                                  "cubic-speed"])
+def test_healthy_propagator_matches_tight_stepper(case):
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    w_e, r, load, noise = W_E, R_225, LoadModel(R_phase=R_225), None
+    if case == "load-step":
+        r = 3.0 * 230.0 ** 2 / 150e3
+        load = LoadModel(R_phase=r)
+    elif case == "equation-noise":
+        noise = [0.5, -0.3, 0.2, 0.1, -0.2, 0.05]
+    elif case == "series-RL":
+        load = LoadModel(kind="series-RL", R_phase=r, L_phase=5e-5)
+    else:
+        load = LoadModel.from_power(225.0, kind="cubic-speed-law")
+        w_e = 0.9 * W_E
+        r = load.resistance_at(0.0, speed_rpm=0.9 * 12000.0)
+    sysm = ElectricalSystem(p, load, HEALTHY_FAULT, w_e, v_fd, r, noise_w=noise)
+    # 200 full steps and a clipped 3e-5 s last step
+    times, states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
+    assert times.size == 201 and times[-1] == 0.02003
+    opts = StepperOptions(relative_tolerance=1e-11, absolute_tolerance=1e-14,
+                          initial_step=1e-8, max_step=1e-5)
+    y, ta, h, worst = y0, 0.0, 1e-8, 0.0
+    for tb, got in zip(times, states):
+        res = integrate_adaptive(sysm.derivatives, y, (ta, tb),
+                                 replace(opts, initial_step=min(h, tb - ta)),
+                                 record=False)
+        y, ta, h = res.state, tb, res.last_step
+        worst = max(worst, float(np.max(np.abs(got - y)) / np.max(np.abs(y[:6]))))
+    assert worst < 1e-9
 
 
 def test_hook_identity_transparent():

@@ -14,6 +14,7 @@ from apucosim.numerics import (
     StepUnderflow,
     TimeReversal,
     accumulate,
+    expm,
     integrate_adaptive,
     newton_solve,
     solve_dense,
@@ -209,6 +210,24 @@ def test_accumulate_time_reversal():
         accumulate(acc, 0.5, 1.0)
 
 
+def test_accumulate_arrays_match_sequential_samples():
+    rng = np.random.default_rng(4)
+    t = np.cumsum(rng.uniform(1e-5, 1e-4, 200))
+    s = rng.normal(size=200)
+    one = IntegralAccumulator(last_time=0.0, last_sample=1.0)
+    for tk, sk in zip(t, s):
+        accumulate(one, tk, sk)
+    many = accumulate(IntegralAccumulator(last_time=0.0, last_sample=1.0), t, s)
+    assert many.value == pytest.approx(one.value, rel=1e-12)
+    assert (many.last_time, many.last_sample) == (t[-1], s[-1])
+
+
+def test_accumulate_array_time_reversal():
+    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
+    with pytest.raises(TimeReversal):
+        accumulate(acc, [0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
+
+
 def test_accumulator_reset():
     acc = IntegralAccumulator(last_time=0.0, last_sample=1.0, value=3.0)
     acc.reset(2.0, 5.0)
@@ -235,3 +254,46 @@ def test_newton_non_finite_residual_at_guess():
 
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteResidual):
         newton_solve(lambda v: np.sqrt(np.array([v[0]])), np.array([-1.0]))
+
+
+# ----------------------------------------------------------------------- expm
+
+def test_expm_diagonal_and_zero():
+    d = np.diag([-3.0, 0.5, 0.0])
+    assert np.allclose(expm(d), np.diag(np.exp([-3.0, 0.5, 0.0])),
+                       rtol=1e-14, atol=0.0)
+    assert np.allclose(expm(np.zeros((4, 4))), np.eye(4), rtol=0.0, atol=1e-15)
+
+
+def test_expm_rotation_needs_squaring():
+    th = 40.0    # 1-norm far above the Pade bound
+    r = expm(np.array([[0.0, -th], [th, 0.0]]))
+    c, s = math.cos(th), math.sin(th)
+    assert np.max(np.abs(r - np.array([[c, -s], [s, c]]))) < 1e-12
+
+
+def test_expm_augmented_affine_step():
+    # exp([[a, b], [0, 0]] h) carries the exact affine update y -> e^{ah} y
+    # + b (e^{ah} - 1) / a in its last column
+    a, b, h = -2.5e4, 3.0e3, 1e-4
+    r = expm(np.array([[a, b], [0.0, 0.0]]) * h)
+    assert r[0, 0] == pytest.approx(math.exp(a * h), rel=1e-13)
+    assert r[0, 1] == pytest.approx(b * math.expm1(a * h) / a, rel=1e-13)
+    assert r[1, 0] == 0.0 and r[1, 1] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_expm_matches_taylor_series_and_inverse():
+    rng = np.random.default_rng(9)
+    small = rng.normal(size=(7, 7)) * 0.1
+    series, term = np.eye(7), np.eye(7)
+    for k in range(1, 30):
+        term = term @ small / k
+        series = series + term
+    assert np.max(np.abs(expm(small) - series)) < 1e-14
+    big = rng.normal(size=(7, 7)) * 3.0
+    assert np.max(np.abs(expm(big) @ expm(-big) - np.eye(7))) < 1e-9
+
+
+def test_expm_rejects_non_square():
+    with pytest.raises(ValueError):
+        expm(np.zeros((2, 3)))

@@ -315,3 +315,77 @@ def test_mech_power_loss_terms_non_negative(mu, k_rf, i_a, i_f):
     assert fault.r_f(p.r_s) >= 0.0
     assert i_f * i_f * fault.r_f(p.r_s) >= 0.0
     assert (i_a - i_f) ** 2 * fault.r_sa_f(p.r_s) >= 0.0
+
+
+# ------------------------------------------------------- batched evaluation
+
+def _segment_states(p, fault, n=40, seed=7):
+    """Perturbed steady states at spread rotor angles, fault flux seeded."""
+    vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    st0 = steady_state(p, R_225, vfd, W_E)
+    if fault.active:
+        st0 = seed_fault_flux(st0, fault, p)
+    rng = np.random.default_rng(seed)
+    states = st0.as_array() * (1.0 + 0.05 * rng.normal(size=(n, 8)))
+    states[:, 6] += 0.01 * rng.normal(size=n)     # nonzero fault current
+    states[:, 7] = rng.uniform(0.0, 2.0 * math.pi, n)
+    return vfd, states
+
+
+@pytest.mark.parametrize("fault", [HEALTHY_FAULT, FaultParams(mu=0.05, k_rf=1.0)],
+                         ids=["healthy", "faulted"])
+@pytest.mark.parametrize("l_phase", [0.0, 5e-5], ids=["resistive", "series-RL"])
+def test_terminal_and_derivatives_batched_match_per_row(fault, l_phase):
+    p = WrsgParams()
+    vfd, states = _segment_states(p, fault)
+    load = LoadModel(kind="series-RL" if l_phase else "resistive-bank",
+                     R_phase=R_225, L_phase=l_phase)
+    sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
+                            noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    batch = sysm.terminal(states) + (sysm.derivatives(0.0, states),)
+    for k, y in enumerate(states):
+        row = sysm.terminal(y) + (sysm.derivatives(0.0, y),)
+        for got, want in zip(batch, row):
+            want = np.asarray(want)
+            scale = float(np.max(np.abs(want)))
+            assert np.all(np.abs(np.asarray(got)[k] - want) <= 1e-12 * scale)
+
+
+def test_faulted_derivatives_match_current_form():
+    # the flux equations written through the 7x7 current solve: stator rows
+    # see (R_load + r_s) i less the shorted turns' mu r_s i_f drop
+    p = WrsgParams()
+    fault = FaultParams(mu=0.07, k_rf=2.0)
+    vfd, states = _segment_states(p, fault, n=10, seed=3)
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
+    rs = R_225 + p.r_s
+    for y in states:
+        iq, id_, i0, ifd, ikd, ikq, i_f = currents_from_flux(
+            WrsgState.from_array(y), fault, sysm.model)
+        cs, sn = math.cos(y[7]), math.sin(y[7])
+        mu_rs_if = fault.mu * p.r_s * i_f
+        want = np.array([
+            rs * iq - W_E * y[1] - mu_rs_if * 2.0 / 3.0 * cs,
+            rs * id_ + W_E * y[0] - mu_rs_if * 2.0 / 3.0 * sn,
+            rs * i0 - mu_rs_if / 3.0,
+            vfd - p.r_fd * ifd, -p.r_kd * ikd, -p.r_kq * ikq,
+            fault.mu * p.r_s * (cs * iq + sn * id_ + i0 - i_f)
+            - fault.r_f(p.r_s) * i_f,
+            W_E])
+        got = sysm.derivatives(0.0, y)
+        assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
+
+
+def test_affine_form_reproduces_healthy_derivatives():
+    p = WrsgParams()
+    vfd, states = _segment_states(p, HEALTHY_FAULT, n=5)
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
+                            vfd, R_225, noise_w=[0.1] * 6)
+    a, b = sysm.affine()
+    dy = sysm.derivatives(0.0, states)
+    assert np.allclose(dy[:, :6], states[:, :6] @ a.T + b, rtol=1e-12, atol=1e-9)
+    assert np.all(dy[:, 6] == 0.0) and np.all(dy[:, 7] == W_E)
+    faulted = ElectricalSystem(p, LoadModel(R_phase=R_225),
+                               FaultParams(mu=0.05, k_rf=1.0), W_E, vfd, R_225)
+    with pytest.raises(ValueError):
+        faulted.affine()
