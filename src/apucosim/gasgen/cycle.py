@@ -10,6 +10,7 @@ is reported as free-stream static, matching the reference deck convention.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 
 NewtonNonConvergence = NonConvergence
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
+STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
 
 
 class AltitudeOutOfRange(Exception):
@@ -171,42 +173,73 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
 
 
 def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0.0):
-    """Subsonic static state from continuity: returns (Ts, Ps, mach, choked)."""
-    def flow_at(m):
-        ts = Tt
-        for _ in range(12):
-            cps = gas.cp(ts, far)
-            gamma = cps / (cps - gas.R_GAS)
-            ts_new = Tt / (1.0 + 0.5 * (gamma - 1.0) * m * m)
-            if abs(ts_new - ts) < 1e-10:
-                ts = ts_new
-                break
-            ts = ts_new
-        v = math.sqrt(max(0.0, 2000.0 * (gas.enthalpy(Tt, far) - gas.enthalpy(ts, far))))
-        ps = Pt * math.exp((gas.phi(ts, far) - gas.phi(Tt, far)) / gas.R_GAS)
-        rho = ps / (gas.R_GAS * ts)
-        return rho * v * area, ts, ps
+    """Subsonic static state from continuity: returns (Ts, Ps, mach, choked).
 
-    w_choke, ts_c, ps_c = flow_at(1.0)
+    Below the choke flow, W(Ts) = rho v A, with v = sqrt(2 (h(Tt) - h(Ts)))
+    and Ps from the entropy function, is solved for Ts by Newton on ln W
+    with the analytic slope d ln W/dTs = cp/(R Ts) - 1/Ts - 1000 cp/v^2,
+    bracketed by the choke point and Tt, until the flow meets its tolerance
+    or, near Mach 0, Ts stops moving by more than rounding. Mach follows from
+    Ts and gamma(Ts). Raises NonConvergence rather than return an unconverged
+    state.
+    """
+    h_t = gas.enthalpy(Tt, far)
+    phi_t = gas.phi(Tt, far)
+
+    def flow_at(ts):
+        v = math.sqrt(max(0.0, 2000.0 * (h_t - gas.enthalpy(ts, far))))
+        ps = Pt * math.exp((gas.phi(ts, far) - phi_t) / gas.R_GAS)
+        rho = ps / (gas.R_GAS * ts)
+        return rho * v * area, v, ps
+
+    # choke point: Mach 1, a fixed point of Ts = Tt / (1 + (gamma(Ts) - 1) / 2)
+    ts_c = Tt
+    for _ in range(12):
+        cps = gas.cp(ts_c, far)
+        gamma = cps / (cps - gas.R_GAS)
+        ts_new = Tt / (1.0 + 0.5 * (gamma - 1.0))
+        if abs(ts_new - ts_c) < 1e-10:
+            ts_c = ts_new
+            break
+        ts_c = ts_new
+    w_choke, _, ps_c = flow_at(ts_c)
     if W >= w_choke:
         return ts_c, ps_c, 1.0, True
-    lo, hi = 1e-9, 1.0
-    m = min(0.99, max(1e-6, W / w_choke))
-    for _ in range(80):
-        w_m, ts, ps = flow_at(m)
-        err = w_m - W
-        if abs(err) < 1e-11 * max(W, 1e-6):
-            return ts, ps, m, False
-        if err > 0:
-            hi = m
+
+    tol = 1e-11 * max(W, 1e-6)
+    lo, hi = ts_c, Tt
+    # the stagnation density underestimates the velocity, so this first
+    # guess lies above the root, from where Newton on the concave ln W
+    # descends without overshoot
+    v0 = W * gas.R_GAS * Tt / (Pt * area)
+    ts = Tt - v0 * v0 / (2000.0 * gas.cp(Tt, far))
+    if ts <= lo:
+        ts = 0.5 * (lo + hi)
+    for _ in range(STATIC_MAX_ITERATIONS):
+        cps = gas.cp(ts, far)
+        w_s, v, ps = flow_at(ts)
+        if abs(w_s - W) < tol:
+            break
+        # near Mach 0, h(Tt) - h(Ts) is close to rounding error (v may round
+        # to 0) and the flow tolerance is out of reach: stop once Ts can no
+        # longer move by more than rounding
+        if v == 0.0:
+            break
+        if w_s > W:
+            lo = ts
         else:
-            lo = m
-        dm = 1e-7
-        w_p, _, _ = flow_at(min(m + dm, 1.0))
-        slope = (w_p - w_m) / dm
-        m_new = m - err / slope if slope > 0 else 0.5 * (lo + hi)
-        m = m_new if lo < m_new < hi else 0.5 * (lo + hi)
-    return ts, ps, m, False
+            hi = ts
+        slope = cps / (gas.R_GAS * ts) - 1.0 / ts - 1000.0 * cps / (v * v)
+        step = -math.log(w_s / W) / slope
+        rounding = 4.0 * sys.float_info.epsilon * ts
+        if abs(step) <= rounding or hi - lo <= rounding:
+            break
+        ts = ts + step if lo < ts + step < hi else 0.5 * (lo + hi)
+    else:
+        raise NonConvergence(STATIC_MAX_ITERATIONS, abs(w_s - W) / max(W, 1e-6))
+    gamma = cps / (cps - gas.R_GAS)
+    mach = math.sqrt(2.0 * (Tt / ts - 1.0) / (gamma - 1.0))
+    return ts, ps, mach, False
 
 
 def static_pressure(Tt, Pt, W, area, far=0.0):
@@ -373,17 +406,20 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
                                        params.intake_recovery)
     x0 = np.array([0.5, 1.0]) if guess is None else np.asarray(guess, dtype=float)
 
+    last = []
+
     def residual(x):
         beta, pr_t = x[0], x[1] * params.tmap.pr_design
-        r, *_ = _evaluate_cycle(params, st0, st2, N, beta, pr_t, u.wf, health)
-        return r
+        last[:] = _evaluate_cycle(params, st0, st2, N, beta, pr_t, u.wf, health)
+        return last[0]
 
     opts = newton_opts or NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
     x = newton_solve(residual, x0, opts, scale=np.array([1.0, 1.0]))
 
+    # newton_solve returns the point it evaluated last, so that evaluation
+    # already holds the station chain of the converged cycle
     beta, pr_t = x[0], x[1] * params.tmap.pr_design
-    r, comp, st31, st4, turb, st8 = _evaluate_cycle(
-        params, st0, st2, N, beta, pr_t, u.wf, health)
+    r, comp, st31, st4, turb, st8 = last
     res_norm = float(np.max(np.abs(r)))
 
     pw_net = (turb.PW_turb - comp.PW_cpr / params.eta_mech - params.accessory_kw)

@@ -114,15 +114,18 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
     """Fuel flow at which the engine delivers Pe kW at speed N (steady)."""
     wf = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
         params.pe_design + params.accessory_kw)
+    guess = None
     for _ in range(60):
         u = GasGenInput(wf=wf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
-        sol = off_design_solve(params, u, health, Pe=Pe, N=N)
+        sol = off_design_solve(params, u, health, Pe=Pe, N=N, guess=guess)
+        guess = np.array([sol.beta, sol.turbine_pr / params.tmap.pr_design])
         err = sol.PW_shaft_net - Pe
         if abs(err) < 1e-9 * max(abs(Pe), 1.0):
             return wf
         dwf = 1e-6 * params.wf_design
         u2 = GasGenInput(wf=wf + dwf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
-        slope = (off_design_solve(params, u2, health, Pe=Pe, N=N).PW_shaft_net
+        slope = (off_design_solve(params, u2, health, Pe=Pe, N=N,
+                                  guess=guess).PW_shaft_net
                  - sol.PW_shaft_net) / dwf
         wf = wf - err / slope
         if wf <= 0:

@@ -71,10 +71,20 @@ def _h_raw(T, far):
     return v
 
 
+# the terms of _h_raw(T_REF, far), kept apart so enthalpy() can combine them
+# in _h_raw's own order and match it bit for bit
+_Z_REF = T_REF / 1000.0
+_H_AIR_REF = _polyval(_H_AIR, _Z_REF) * _Z_REF
+_H_PROD_REF = _polyval(_H_PROD, _Z_REF)
+
+
 def enthalpy(T: float, far: float = 0.0) -> float:
     """Enthalpy kJ/kg, zero at 288.15 K for any composition."""
     _check(T)
-    return _h_raw(T, far) - _h_raw(T_REF, far)
+    ref = _H_AIR_REF
+    if far:
+        ref += _wfuel(far) * _H_PROD_REF * _Z_REF
+    return _h_raw(T, far) - ref
 
 
 def temperature_from_enthalpy(h: float, far: float = 0.0) -> float:

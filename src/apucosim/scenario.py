@@ -159,11 +159,13 @@ def _validate(doc):
     n = doc["duration"] / doc["macro_dt"]
     if abs(n - round(n)) > 1e-9:
         raise SchemaError("duration", "multiple of macro_dt", doc["duration"])
-    for block, key in (("gas_path_faults", "time_s"), ("ttsc_faults", "time_s")):
+    # a fault must act within the run: the gas path swaps health only at a
+    # macro-step start, and no step starts at the duration
+    for block in ("gas_path_faults", "ttsc_faults"):
         for i, item in enumerate(doc[block]):
-            if not 0.0 <= item[key] <= doc["duration"]:
-                raise SchemaError(f"{block}[{i}].{key}",
-                                  "time within [0, duration]", item[key])
+            if not 0.0 <= item["time_s"] < doc["duration"]:
+                raise SchemaError(f"{block}[{i}].time_s",
+                                  "time within [0, duration)", item["time_s"])
     for i, item in enumerate(doc["load"]["schedule"]):
         if not 0.0 <= item["time_s"] <= doc["duration"]:
             raise SchemaError(f"load.schedule[{i}].time_s",
@@ -320,6 +322,13 @@ def run_fuel_step(scenario: Scenario):
 def build_joint_setup(scenario: Scenario) -> JointSetup:
     """Assemble the run description for the co-simulation loop."""
     doc = scenario.doc
+    # the regulator's rms window spans one electrical period of the macro
+    # step's fast-track samples, the first of which lies up to max_step_s
+    # after the step start (1e-12 s: the window's own rounding allowance)
+    least = 1.0 / doc["machine"]["f_hz"] + doc["stepper"]["max_step_s"]
+    if doc["macro_dt"] + 1e-12 < least:
+        raise SchemaError("macro_dt", f"step >= {least:.6g} s, one machine "
+                          "period plus stepper.max_step_s", doc["macro_dt"])
     gg_params, _ = design_point_size(design_spec_from_scenario(scenario))
     machine = machine_params_from_scenario(scenario)
     load_doc = doc["load"]

@@ -217,6 +217,22 @@ def test_max_step_at_a_tenth_of_the_period_accepted(tmp_path):
     assert len(body) == 1 + 160      # 0.04 s at 2.5e-4 s, every sample
 
 
+def test_joint_macro_step_shorter_than_rms_window_is_usage_error(tmp_path, capsys):
+    # the regulator's rms window needs one machine period of samples per
+    # macro step; the gas-path-only transient has no such window
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.02}))
+    argv = ["--scenario", str(p), "--macro-dt", "0.002", "--out", str(tmp_path),
+            "--no-svg"]
+    assert main(["joint"] + argv) == EXIT_USAGE
+    assert "macro_dt" in capsys.readouterr().err
+    assert main(["transient"] + argv) == EXIT_OK
+    # the shortest joint step: one period (2.5 ms at 400 Hz) plus max_step_s
+    p.write_text(json.dumps({"duration": 0.0104, "macro_dt": 0.0026}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "1.5"])
 def test_genrun_decimation_must_be_positive_integer(tmp_path, capsys, value):
     assert main(["genrun", "--decimation", value, "--duration", "0.02",

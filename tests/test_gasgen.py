@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apucosim.gasgen import (
     AltitudeOutOfRange,
@@ -19,9 +21,20 @@ from apucosim.gasgen import (
     trim_fuel,
 )
 from apucosim.gasgen import properties as gas
-from apucosim.gasgen.cycle import compressor_calc, exhaust_calc, turbine_calc
+from apucosim.gasgen import cycle
+from apucosim.gasgen.cycle import (
+    compressor_calc,
+    exhaust_calc,
+    static_from_flow,
+    turbine_calc,
+)
 from apucosim.gasgen.engine import outputs_from_solution
-from apucosim.numerics import newton_solve
+from apucosim.numerics import NonConvergence, newton_solve
+from static_flow_reference import (
+    choke_flow,
+    continuity_flow,
+    reference_static_from_flow,
+)
 
 # design-point reference values (external deck), checked at 0.5 % unless noted
 TABLE_DESIGN = {
@@ -65,6 +78,62 @@ def test_isentropic_round_trip():
     t2 = gas.isentropic_temperature(300.0, 8.0)
     back = gas.isentropic_temperature(t2, 1.0 / 8.0)
     assert abs(back - 300.0) < 1e-8
+
+
+@given(st.floats(200.0, 2000.0), st.one_of(
+    st.just(0.0), st.floats(0.0, 0.07, exclude_max=True)))
+@settings(max_examples=300, deadline=None)
+def test_enthalpy_reference_hoist_is_exact(T, far):
+    assert gas.enthalpy(T, far) == gas._h_raw(T, far) - gas._h_raw(gas.T_REF, far)
+
+
+# ------------------------------------------------------- static from flow
+
+# (Tt K, Pt kPa, far, area m^2): compressor exit, exhaust, and a hot,
+# fuel-rich duct where at W/W_choke = 1e-3 h(Tt) - h(Ts) is already too
+# close to rounding error for the flow tolerance
+STATIC_STATES = [(560.0, 810.0, 0.0, 0.01), (755.0, 104.0, 0.016, 0.25),
+                 (1900.0, 2000.0, 0.069, 0.002)]
+
+
+def _log_flow_slope(Tt, Pt, ts, area, far):
+    """d ln W / d ln Ts of the continuity flow, by central difference."""
+    h = min(0.1 * (Tt - ts), 1e-6 * ts)
+    return ts * (math.log(continuity_flow(Tt, Pt, ts + h, area, far))
+                 - math.log(continuity_flow(Tt, Pt, ts - h, area, far))) / (2.0 * h)
+
+
+@pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
+def test_static_from_flow_matches_reference(Tt, Pt, far, area):
+    w_choke = choke_flow(Tt, Pt, area, far)
+    for ratio in (1e-12, 1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999,
+                  0.9999, 0.99999):
+        W = ratio * w_choke
+        ts_r, ps_r, _, choked_r = reference_static_from_flow(Tt, Pt, W, area, far)
+        ts, ps, mach, choked = static_from_flow(Tt, Pt, W, area, far)
+        assert choked is choked_r is False
+        assert 0.0 <= mach < 1.0
+        # both solves stop within 1e-11 of W, which near choke fixes ln Ts
+        # only to 1e-11 / |d ln W / d ln Ts| (and ln Ps to cp/R times that);
+        # below W/W_choke = 1e-3 that band is under 1e-17
+        band = 0.0
+        if ratio >= 1e-3:
+            band = 2e-11 / abs(_log_flow_slope(Tt, Pt, ts_r, area, far))
+        assert abs(ts - ts_r) / ts_r <= 1e-10 + band, ratio
+        assert abs(ps - ps_r) / ps_r <= 1e-10 + gas.cp(ts_r, far) / gas.R_GAS * band, ratio
+    for ratio in (1.0, 1.5):
+        W = ratio * w_choke
+        assert (static_from_flow(Tt, Pt, W, area, far)
+                == reference_static_from_flow(Tt, Pt, W, area, far))
+
+
+def test_static_from_flow_raises_rather_than_return_unconverged(monkeypatch):
+    Tt, Pt, far, area = STATIC_STATES[1]
+    W = 0.5 * choke_flow(Tt, Pt, area, far)
+    assert not static_from_flow(Tt, Pt, W, area, far)[3]
+    monkeypatch.setattr(cycle, "STATIC_MAX_ITERATIONS", 1)
+    with pytest.raises(NonConvergence):
+        static_from_flow(Tt, Pt, W, area, far)
 
 
 # -------------------------------------------------------------------- ambient
@@ -204,6 +273,37 @@ def test_design_inputs_are_cycle_fixed_point(gg_params, design_solution):
     assert sol.newton_residual_norm < 1e-8
     assert sol.PW_shaft_net == pytest.approx(500.0, rel=1e-4)
     assert sol.beta == pytest.approx(0.5, abs=1e-6)
+
+
+def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypatch):
+    calls = {"cycle": 0, "residual": 0}
+    evaluate, solve = cycle._evaluate_cycle, cycle.newton_solve
+
+    def counted_cycle(*args):
+        calls["cycle"] += 1
+        return evaluate(*args)
+
+    def counted_solve(residual_fn, *args, **kwargs):
+        def counted_residual(x):
+            calls["residual"] += 1
+            return residual_fn(x)
+        return solve(counted_residual, *args, **kwargs)
+
+    monkeypatch.setattr(cycle, "_evaluate_cycle", counted_cycle)
+    monkeypatch.setattr(cycle, "newton_solve", counted_solve)
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    assert calls["residual"] > 1
+    assert calls["cycle"] == calls["residual"]
+    # the kept station chain is the cycle at the converged point
+    _, _, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
+                                   gg_params.intake_recovery)
+    r, comp, _, _, turb, st8 = evaluate(gg_params, sol.stations[0], st2, sol.N,
+                                        sol.beta, sol.turbine_pr, u.wf, HEALTHY)
+    assert sol.newton_residual_norm == float(np.max(np.abs(r)))
+    assert sol.stations[3] == comp.outlet
+    assert sol.stations[41] == turb.st41
+    assert sol.stations[8] == st8
 
 
 def test_fuel_reduction_trends(gg_params):

@@ -75,6 +75,13 @@ def test_fault_time_outside_duration_rejected():
     with pytest.raises(SchemaError):
         parse_scenario('{"duration": 1.0, '
                        '"ttsc_faults": [{"time_s": 5.0, "mu": 0.05}]}')
+    # an event at the duration itself would act after the last macro step
+    with pytest.raises(SchemaError, match=r"ttsc_faults\[0\]\.time_s"):
+        parse_scenario('{"duration": 1.0, '
+                       '"ttsc_faults": [{"time_s": 1.0, "mu": 0.05}]}')
+    with pytest.raises(SchemaError, match=r"gas_path_faults\[1\]\.time_s"):
+        parse_scenario('{"duration": 1.0, "gas_path_faults": '
+                       '[{"time_s": 0.5}, {"time_s": 1.0}]}')
 
 
 def test_serialize_round_trip():
@@ -197,8 +204,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("1a49fe76eebd96a96a419409708b6c52"
-                      "6a795bba35d19dae398fa9dfd907ebb6")
+    assert digest == ("5dd395696d3145f2c80b1828b22dc652"
+                      "57eacac4d1656898d2fbb0ee453393b5")
 
 
 def test_gasgen_output_noise_channel_validation():
