@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -40,6 +41,7 @@ from .numerics import (
     NonFiniteDerivative,
     NonFiniteResidual,
     SingularJacobian,
+    SingularStageMatrix,
     StepUnderflow,
 )
 from .wrsg import FaultParams, LoadModel, NoiseConfig, SingularSystem
@@ -52,6 +54,8 @@ OFF_DESIGN_PRESETS = (
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
+# the AVR period of `genrun`; its --duration must be a whole number of them
+GENRUN_CONTROL_DT = 0.02
 
 
 def _scenario_from_args(args, default_preset: str) -> sc.Scenario:
@@ -63,9 +67,10 @@ def _scenario_from_args(args, default_preset: str) -> sc.Scenario:
     doc = scn.doc
     if getattr(args, "seed", None) is not None:
         doc = {**doc, "seed": args.seed}
-    if getattr(args, "macro_dt", None):
+    if getattr(args, "macro_dt", None) is not None:
         doc = {**doc, "macro_dt": args.macro_dt}
-    return sc.Scenario(doc=doc)
+    # the overrides go through the same validation as the document
+    return sc.parse_scenario(json.dumps(doc))
 
 
 def _health_from_args(args) -> HealthParams:
@@ -147,16 +152,26 @@ def cmd_transient(args) -> int:
 
 
 def cmd_genrun(args) -> int:
+    steps = args.duration / GENRUN_CONTROL_DT
+    if not (math.isfinite(steps) and round(steps) >= 1
+            and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError(f"--duration must be a positive multiple of the "
+                         f"{GENRUN_CONTROL_DT:g} s control period, found "
+                         f"{args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)
     fault_schedule = ()
     if args.mu > 0.0:
+        if not 0.0 <= args.fault_time < args.duration:
+            raise ValueError(f"--fault-time must lie in [0, --duration), "
+                             f"found {args.fault_time!r}")
         fault_schedule = ((args.fault_time, FaultParams(mu=args.mu,
                                                         k_rf=args.k_rf)),)
     res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                         duration=args.duration, fault_schedule=fault_schedule,
                         noise=NoiseConfig(seed=args.seed or 0),
-                        decimation=args.decimation, seed=args.seed or 0)
+                        decimation=args.decimation, seed=args.seed or 0,
+                        control_dt=GENRUN_CONTROL_DT)
     title = f"Generator point: {args.power_kw:g}kW"
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
@@ -348,7 +363,7 @@ def main(argv=None) -> int:
             NoSteadyState, TemperatureOutOfRange, T4OutOfRange,
             BetaOutOfRange, PressureRatioBelowUnity, SpeedOutOfRange,
             StepUnderflow, NonFiniteDerivative, SingularJacobian,
-            NonFiniteResidual, SingularSystem) as exc:
+            SingularStageMatrix, NonFiniteResidual, SingularSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

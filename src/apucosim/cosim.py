@@ -196,13 +196,21 @@ class _MachineTrack:
         self.decimation = decimation
         self.rng = rng
         self.fault = HEALTHY_FAULT
-        self.state = None          # WrsgState array to be set by caller
+        self.state = None          # state array, set by start()
         self.h_next = stepper.initial_step
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
         self.V_fd = 0.0
         self.w_e = 0.0
+
+    def start(self, y):
+        """Set the initial state, with every fault scheduled at t <= 0
+        already applied."""
+        self.state = y
+        for t_sw, fault0 in self.schedule:
+            if t_sw <= 0.0:
+                self.state = self._apply_fault(self.state, fault0)
 
     def _switch_points(self, t0, t1):
         return [s for s in self.schedule if t0 < s[0] <= t1]
@@ -254,10 +262,14 @@ class _MachineTrack:
             opts = replace(self.stepper, initial_step=min(
                 max(self.h_next, self.stepper.min_step), self.stepper.max_step,
                 (tb - ta)))
-            res = integrate_adaptive(sys_.derivatives, y, (ta, tb), opts,
-                                     record=True)
+            # the seven fluxes on the stepper, theta in closed form
+            res = integrate_adaptive(sys_.flux_system(y[IDX_THETA], ta),
+                                     y[:IDX_THETA], (ta, tb), opts)
             self.h_next = res.last_step
-            times, states = res.times[1:], res.states[1:]
+            times = res.times[1:]
+            states = np.empty((times.size, 8))
+            states[:, :IDX_THETA] = res.states[1:]
+            states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
         else:
             times, states = propagate_healthy(sys_, y, ta, tb,
                                               self.stepper.max_step)
@@ -385,10 +397,7 @@ def run_joint(setup: JointSetup) -> JointResult:
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
                           setup.machine_noise, setup.stepper,
                           setup.decimation, rng_machine)
-    track.state = mstate.as_array()
-    for t_sw, fault0 in track.schedule:
-        if t_sw <= 0.0:
-            track.state = track._apply_fault(track.state, fault0)
+    track.start(mstate.as_array())
     health = HEALTHY
     health_sched = sorted(setup.health_schedule, key=lambda s: s[0])
     for t_sw, hp in health_sched:
@@ -477,8 +486,11 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
                   stepper: StepperOptions | None = None, decimation: int = 1,
                   seed: int = 0, control_dt: float = 0.02) -> GeneratorRunResult:
     """Machine-only run at fixed shaft speed with the AVR active."""
+    n_steps = round(duration / control_dt)
+    if n_steps < 1 or abs(n_steps * control_dt - duration) > 1e-9:
+        raise ValueError("duration must be a positive multiple of control_dt")
     stepper = stepper or StepperOptions(
-        relative_tolerance=1e-5, absolute_tolerance=np.array([1e-6] * 8),
+        relative_tolerance=1e-5, absolute_tolerance=1e-6,
         initial_step=1e-6, max_step=1e-4)
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
     rng = np.random.default_rng(seed)
@@ -487,9 +499,8 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
     avr = replace(avr, integral=v_fd)
     track = _MachineTrack(machine, load, fault_schedule, noise, stepper,
                           decimation, rng)
-    track.state = steady_state(machine, r0, v_fd, w_e).as_array()
+    track.start(steady_state(machine, r0, v_fd, w_e).as_array())
     period = 1.0 / machine.f_n
-    n_steps = round(duration / control_dt)
     for k in range(1, n_steps + 1):
         track.advance((k - 1) * control_dt, k * control_dt, w_e, v_fd)
         v_rms, _ = track.phase_rms(period)

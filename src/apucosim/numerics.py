@@ -1,6 +1,6 @@
-"""Shared numerical kernels: damped Newton, adaptive implicit ODE stepper,
-small dense linear solver, matrix exponential, running time-integral
-accumulator.
+"""Shared numerical kernels: damped Newton, adaptive linearly implicit ODE
+stepper for affine systems, small dense linear solver, matrix exponential,
+running time-integral accumulator.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -54,6 +54,14 @@ class NonFiniteDerivative(NumericsError):
         self.t = t
         self.channel = channel
         super().__init__(f"non-finite derivative in channel {channel} at t={t:.6g}")
+
+
+class SingularStageMatrix(NumericsError):
+    def __init__(self, t: float, step: float):
+        self.t = t
+        self.step = step
+        super().__init__(f"singular stage matrix I - d h A in the step of "
+                         f"{step:.3e} from t={t:.6g}")
 
 
 class TimeReversal(NumericsError):
@@ -195,7 +203,7 @@ class IntegrationResult:
 
 
 # TR-BDF2 constants (one-step implicit: trapezoidal stage + BDF2 corrector,
-# both stages share the iteration matrix I - d*h*J).
+# both stages share the stage-matrix form I - d*h*A).
 _GAMMA = 2.0 - math.sqrt(2.0)
 _D = _GAMMA / 2.0
 _C1 = 1.0 / (_GAMMA * (2.0 - _GAMMA))
@@ -204,8 +212,6 @@ _C0 = (1.0 - _GAMMA) ** 2 / (_GAMMA * (2.0 - _GAMMA))
 _W0 = 0.5 - 1.0 / (6.0 * _GAMMA)
 _WG = 1.0 / (6.0 * _GAMMA * (1.0 - _GAMMA))
 _W1 = (2.0 - 3.0 * _GAMMA) / (6.0 * (1.0 - _GAMMA))
-
-_NEWTON_MAX = 7
 
 
 def _check_finite(f, t):
@@ -216,9 +222,12 @@ def _check_finite(f, t):
 
 def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = None,
                        observers=(), record=True):
-    """Adaptive implicit integration of dy/dt = f(t, y) over t_span.
+    """Adaptive TR-BDF2 integration of the affine system dy/dt = A(t) y + b(t)
+    over t_span, where deriv_fn(t) returns (A, b).
 
-    A step is accepted iff every channel satisfies
+    Each stage equation is linear in its unknown, so a stage is one linear
+    solve with the exact A at the stage time (linearly implicit, no Newton
+    iteration). A step is accepted iff every channel satisfies
     |err_i| <= atol_i + rtol*|y_i|; observers are invoked on each accepted
     step; the final step is clipped so the end time is exactly t_span[1].
     """
@@ -232,34 +241,16 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
     rtol = opts.relative_tolerance
 
     t = t0
-    f0 = np.asarray(deriv_fn(t, y), dtype=float)
+    a, b = deriv_fn(t)
+    f0 = a @ y + b
     _check_finite(f0, t)
 
     times = [t] if record else None
     states = [y.copy()] if record else None
 
     h = min(opts.initial_step, opts.max_step, t1 - t0)
-    minv = None        # inverse iteration matrix and the h it was built for
-    jac = None
-    jac_fresh = False
     accepted = rejected = 0
     eye = np.eye(n)
-
-    def stage_solve(tt, z0, rhs_const, hval, wt):
-        # solve z = rhs_const + d*h*f(tt, z) by simplified Newton; both the
-        # displacement and the raw residual must shrink, else a stale
-        # iteration matrix could stall on a small-step fixed point silently
-        z = z0.copy()
-        dh = _D * hval
-        for _ in range(_NEWTON_MAX):
-            fz = np.asarray(deriv_fn(tt, z), dtype=float)
-            res = rhs_const + dh * fz - z
-            dz = minv @ res
-            z = z + dz
-            if (np.max(np.abs(dz) / wt) < 0.03
-                    and np.max(np.abs(res) / wt) < 0.5):
-                return z, fz
-        return None, None
 
     while t < t1:
         remaining = t1 - t
@@ -268,34 +259,21 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
             h = remaining      # stretch/clip so the last step lands exactly on t1
         elif h < opts.min_step:
             raise StepUnderflow(t, h, opts.min_step)
-        if jac is None:
-            jac = _fd_jacobian(lambda yy: np.asarray(deriv_fn(t, yy), dtype=float),
-                               y, f0, 1e-7)
-            if not np.all(np.isfinite(jac)):
-                bad_row = int(np.argmax((~np.isfinite(jac)).any(axis=1)))
-                raise NonFiniteDerivative(t, bad_row)
-            jac_fresh = True
-            minv = np.linalg.inv(eye - (_D * h) * jac)
-            h_lu = h
-        elif minv is None or abs(h / h_lu - 1.0) > 0.2:
-            minv = np.linalg.inv(eye - (_D * h) * jac)
-            h_lu = h
-
+        dh = _D * h
         wt = atol + rtol * np.abs(y)
         tg = t + _GAMMA * h
-        # trapezoidal stage
-        g1, fg = stage_solve(tg, y + (_GAMMA * h) * f0, y + (_D * h) * f0, h, wt)
-        if g1 is not None:
-            # BDF2 stage
-            y1, f1 = stage_solve(t + h, g1, _C1 * g1 - _C0 * y, h, wt)
-        if g1 is None or y1 is None:
-            if not jac_fresh:
-                jac = None      # refresh Jacobian and retry at same h
-            else:
-                h *= 0.25
-                minv = None
-                rejected += 1
-            continue
+        ag, bg = deriv_fn(tg)
+        a1, b1 = deriv_fn(t + h)
+        try:
+            # trapezoidal stage: (I - dh A(tg)) g = y + dh f0 + dh b(tg)
+            g = np.linalg.solve(eye - dh * ag, y + dh * (f0 + bg))
+            # BDF2 stage; the error filter and the extrapolation reuse its matrix
+            minv = np.linalg.inv(eye - dh * a1)
+        except np.linalg.LinAlgError:
+            raise SingularStageMatrix(t, h) from None
+        y1 = minv @ (_C1 * g - _C0 * y + dh * b1)
+        fg = ag @ g + bg
+        f1 = a1 @ y1 + b1
         # embedded third-order error estimate, filtered through the stage matrix
         est = minv @ (y + h * (_W0 * f0 + _WG * fg + _W1 * f1) - y1)
         err = float(np.max(np.abs(est) / wt))
@@ -304,10 +282,9 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
             # propagate the locally-extrapolated value; the second filter pass
             # keeps the correction damped at infinity (|R| < 1 on the real axis)
             y = y1 + minv @ est
-            f0 = np.asarray(deriv_fn(t, y), dtype=float)
+            f0 = a1 @ y + b1
             if not math.isfinite(float(np.sum(f0))):
                 _check_finite(f0, t)
-            jac_fresh = False
             accepted += 1
             for obs in observers:
                 obs(t, y)
@@ -316,16 +293,12 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
                 states.append(y.copy())
             fac = 0.9 * err ** (-1.0 / 3.0) if err > 0 else 5.0
             h = min(h * min(5.0, max(0.3, fac)), opts.max_step)
-            if accepted % 25 == 0:
-                jac = None      # periodic refresh keeps stale Jacobians at bay
         else:
             rejected += 1
             if not math.isfinite(err):
                 _check_finite(f1, t + h)
                 _check_finite(fg, tg)
             h *= max(0.1, 0.9 * err ** (-1.0 / 3.0)) if math.isfinite(err) else 0.25
-            if not jac_fresh:
-                jac = None      # a stale Jacobian degrades the error filter too
 
     return IntegrationResult(
         t=t, state=y,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,12 +153,12 @@ def _merge(defaults, given, path):
 
 
 def _validate(doc):
-    if doc["duration"] <= 0:
+    if not 0 < doc["duration"] < math.inf:
         raise SchemaError("duration", "positive duration", doc["duration"])
-    if doc["macro_dt"] <= 0:
+    if not 0 < doc["macro_dt"] < math.inf:
         raise SchemaError("macro_dt", "positive step", doc["macro_dt"])
     n = doc["duration"] / doc["macro_dt"]
-    if abs(n - round(n)) > 1e-9:
+    if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
         raise SchemaError("duration", "multiple of macro_dt", doc["duration"])
     # a fault must act within the run: the gas path swaps health only at a
     # macro-step start, and no step starts at the duration
@@ -368,7 +369,7 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     st = doc["stepper"]
     stepper = StepperOptions(
         relative_tolerance=st["relative_tolerance"],
-        absolute_tolerance=np.full(8, st["absolute_tolerance"]),
+        absolute_tolerance=st["absolute_tolerance"],
         initial_step=min(1e-6, st["max_step_s"]), min_step=1e-13,
         max_step=st["max_step_s"])
     amb = doc["ambient"]

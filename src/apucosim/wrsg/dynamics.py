@@ -3,9 +3,10 @@ mechanical-power bookkeeping and the healthy steady-state solver.
 
 An ElectricalSystem freezes everything constant over an integration segment
 (speed, field voltage, load resistance, fault descriptor, held equation
-noise) and exposes a fast derivative closure for the stepper, the affine
-form of the healthy flux equations for the exact propagator, and terminal
-evaluation over whole recorded segments.
+noise) and exposes the derivatives, the affine form of the healthy flux
+equations for the exact propagator, the time-dependent affine form of the
+faulted ones for the stepper, and terminal evaluation over whole recorded
+segments.
 """
 from __future__ import annotations
 
@@ -30,6 +31,16 @@ _SHIFT = 2.0 * math.pi / 3.0
 _TWO_THIRDS = 2.0 / 3.0
 # phases a, b, c sit at theta, theta - 2 pi/3 and theta + 2 pi/3
 _PHASE_SHIFTS = np.array([0.0, _SHIFT, -_SHIFT])
+# product of the i-th and j-th of (1, cos, sin) in the harmonic basis
+# (1, cos, sin, cos 2x, sin 2x): cos^2 = (1 + cos 2x)/2, sin^2 = (1 - cos 2x)/2,
+# cos sin = sin 2x / 2
+_TRIG_PRODUCTS = np.zeros((3, 3, 5))
+_TRIG_PRODUCTS[0, 0, 0] = 1.0
+_TRIG_PRODUCTS[0, 1, 1] = _TRIG_PRODUCTS[1, 0, 1] = 1.0
+_TRIG_PRODUCTS[0, 2, 2] = _TRIG_PRODUCTS[2, 0, 2] = 1.0
+_TRIG_PRODUCTS[1, 1, [0, 3]] = 0.5
+_TRIG_PRODUCTS[2, 2, [0, 3]] = 0.5, -0.5
+_TRIG_PRODUCTS[1, 2, 4] = _TRIG_PRODUCTS[2, 1, 4] = 0.5
 
 
 def mech_power(v_abc, i_abc, i_f, fault: FaultParams, params: WrsgParams):
@@ -95,6 +106,48 @@ class ElectricalSystem:
             raise ValueError("a shorted stator turn makes the flux equations "
                              "depend on the rotor angle")
         return self._A, self._b
+
+    def flux_system(self, theta0: float, t0: float):
+        """t -> (A, b) with d lam/dt = A lam + b for the seven fluxes
+        [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f], the rotor angle
+        taken in closed form as theta = theta0 + w_e (t - t0).
+
+        The terms are those of derivatives(). The fault current is linear in
+        the fluxes, i_f = g . lam with g = g0 + cos(theta) gc + sin(theta) gs;
+        the stator rows add R_load mu i_f (2/3 cos, 2/3 sin, 1/3), so A is a
+        trigonometric polynomial of degree 2 in theta, and A(t) is one
+        weighted sum of five basis matrices built here for the segment.
+        """
+        a = np.zeros((7, 7))
+        a[:6, :6] = self._A
+        b = np.append(self._b, 0.0)
+        if not self._active:
+            return lambda t: (a, b)
+        mu = self.fault.mu
+        # rows: the constant, cos and sin parts of g and of the stator MMF u
+        g = np.zeros((3, 7))
+        g[0, 2], g[0, 6], g[1, 0], g[2, 1] = -mu, 1.0, -mu, -mu
+        g /= self._if_den
+        u = np.zeros((3, 7))
+        u[0, 2], u[1, 0], u[2, 1] = 1.0 / 3.0, _TWO_THIRDS, _TWO_THIRDS
+        basis = np.zeros((5, 7, 7))
+        basis[0] = a
+        basis += np.einsum("ijk,ia,jb->kab", _TRIG_PRODUCTS,
+                           self.R_load * mu * u, g)
+        # lam_f row: mu r_s (i_a - i_f) - r_f i_f with the healthy phase-a
+        # current cos i_q + sin i_d + i_0 (rows of L^-1) plus mu i_f
+        li = np.zeros((3, 7))
+        li[:, :6] = self.model.L_inv[[2, 0, 1]]
+        basis[:3, 6] += self._mu_rs * li + (self._mu_rs * (mu - 1.0) - self._r_f) * g
+        flat = basis.reshape(5, 49)
+        w_e = self.w_e
+
+        def at(t):
+            theta = theta0 + w_e * (t - t0)
+            c, s = math.cos(theta), math.sin(theta)
+            return (np.array((1.0, c, s, c * c - s * s, 2.0 * c * s)) @ flat
+                    ).reshape(7, 7), b
+        return at
 
     def currents(self, y):
         return currents_fast(y, self.fault, self.model)

@@ -35,6 +35,22 @@ class ClassicDq0Generator:
         i_0 = -y[2] / self.l0
         return i_q, i_d, i_0, i_fd, i_kd, i_kq
 
+    def make_affine(self, V_fd, w_e):
+        """t -> (A, b) with d lam/dt = A lam + b for the six fluxes, built
+        from the per-axis inverses (theta advances at w_e outside)."""
+        p = self.p
+        r_tot = self.R + p.r_s
+        # current = C lam, each row from its own axis inverse
+        c = np.zeros((6, 6))
+        c[np.ix_([0, 5], [0, 5])] = self.mq_inv
+        c[np.ix_([1, 3, 4], [1, 3, 4])] = self.md_inv
+        c[2, 2] = -1.0 / self.l0
+        a = np.array([r_tot, r_tot, r_tot, -p.r_fd, -p.r_kd, -p.r_kq])[:, None] * c
+        a[0, 1] -= w_e
+        a[1, 0] += w_e
+        b = np.array([0.0, 0.0, 0.0, V_fd, 0.0, 0.0])
+        return lambda t: (a, b)
+
     def make_derivatives(self, V_fd, w_e):
         p = self.p
         r_tot = self.R + p.r_s

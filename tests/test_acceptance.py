@@ -224,7 +224,7 @@ def test_criterion_5_healthy_reduction_oracle():
     mloop = ElectricalSystem(p, LoadModel(R_phase=r_to), HEALTHY_FAULT,
                              W_E_DESIGN, v_fd, r_to)
     oracle = ClassicDq0Generator(p, r_to)
-    oracle_deriv = oracle.make_derivatives(v_fd, W_E_DESIGN)
+    oracle_affine = oracle.make_affine(v_fd, W_E_DESIGN)
 
     opts = StepperOptions(relative_tolerance=1e-9, absolute_tolerance=1e-12,
                           initial_step=1e-7, max_step=1e-4)
@@ -235,14 +235,14 @@ def test_criterion_5_healthy_reduction_oracle():
     max_diff = np.zeros(6)
     max_val = np.zeros(6)
     for a, b in zip(grid, grid[1:]):
-        rm = integrate_adaptive(mloop.derivatives, ym, (a, b),
+        rm = integrate_adaptive(mloop.flux_system(ym[7], a), ym[:7], (a, b),
                                 replace(opts, initial_step=min(hm, b - a)),
                                 record=False)
-        ro = integrate_adaptive(oracle_deriv, yo, (a, b),
+        ro = integrate_adaptive(oracle_affine, yo[:6], (a, b),
                                 replace(opts, initial_step=min(ho, b - a)),
                                 record=False)
-        ym, hm = rm.state, rm.last_step
-        yo, ho = ro.state, ro.last_step
+        ym, hm = np.append(rm.state, ym[7] + W_E_DESIGN * (b - a)), rm.last_step
+        yo, ho = np.append(ro.state, yo[6] + W_E_DESIGN * (b - a)), ro.last_step
         max_diff = np.maximum(max_diff, np.abs(ym[:6] - yo[:6]))
         max_val = np.maximum(max_val, np.abs(yo[:6]))
         # currents through each model's own inversion
@@ -276,10 +276,12 @@ def _faulted_phase_rms(p, fault, v_fd, duration=0.06):
         rec["pl"].append(p_loss)
 
     opts = StepperOptions(relative_tolerance=1e-5,
-                          absolute_tolerance=np.array([1e-7] * 8),
+                          absolute_tolerance=1e-7,
                           initial_step=1e-7, max_step=1e-4)
-    integrate_adaptive(sysm.derivatives, y0, (0.0, duration), opts,
-                       observers=[obs], record=False)
+    # the stepper carries the fluxes; theta = theta0 + w_e t in closed form
+    integrate_adaptive(sysm.flux_system(y0[7], 0.0), y0[:7], (0.0, duration), opts,
+                       observers=[lambda t, lam: obs(t, np.append(
+                           lam, y0[7] + W_E_DESIGN * t))], record=False)
     t = np.array(rec["t"])
     w = 1.0 / 400.0
     rms = np.array([rms_window(t, rec[c], w) for c in ("ia", "ib", "ic")])
@@ -296,16 +298,16 @@ def _trajectory_on_grid(p, fault, v_fd, t_end=0.05, n_pts=126):
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E_DESIGN,
                             v_fd, R_225)
     opts = StepperOptions(relative_tolerance=1e-7,
-                          absolute_tolerance=np.array([1e-9] * 8),
+                          absolute_tolerance=1e-9,
                           initial_step=1e-8, max_step=1e-4)
     grid = np.linspace(0.0, t_end, n_pts)
     samples = np.empty(n_pts - 1)
     h = 1e-8
     for k, (a, b) in enumerate(zip(grid, grid[1:])):
-        res = integrate_adaptive(sysm.derivatives, y, (a, b),
+        res = integrate_adaptive(sysm.flux_system(y[7], a), y[:7], (a, b),
                                  replace(opts, initial_step=min(h, b - a)),
                                  record=False)
-        y, h = res.state, res.last_step
+        y, h = np.append(res.state, y[7] + W_E_DESIGN * (b - a)), res.last_step
         samples[k] = sysm.terminal(y)[0][0]
     return samples
 

@@ -8,6 +8,7 @@ from apucosim.numerics import (
     NonFiniteDerivative,
     NonFiniteResidual,
     SingularJacobian,
+    SingularStageMatrix,
     StepUnderflow,
 )
 from apucosim.wrsg import SingularSystem
@@ -242,7 +243,8 @@ def test_genrun_decimation_must_be_positive_integer(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("exc", [
     StepUnderflow(0.1, 1e-14, 1e-13), NonFiniteDerivative(0.1, 3),
-    SingularJacobian(2), NonFiniteResidual("residual not finite"),
+    SingularJacobian(2), SingularStageMatrix(0.1, 1e-5),
+    NonFiniteResidual("residual not finite"),
     SingularSystem("fault-loop system is singular"),
 ], ids=lambda e: type(e).__name__)
 def test_machine_stepper_failures_exit_2(tmp_path, capsys, monkeypatch, exc):
@@ -252,3 +254,39 @@ def test_machine_stepper_failures_exit_2(tmp_path, capsys, monkeypatch, exc):
     assert main(["genrun", "--duration", "0.02", "--out", str(tmp_path),
                  "--no-svg"]) == EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_genrun_fault_at_time_zero_applies(tmp_path, capsys):
+    rc = main(["genrun", "--duration", "0.06", "--mu", "0.05", "--fault-time",
+               "0", "--out", str(tmp_path), "--json", "--no-svg"])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    currents = [doc["rms"][f"Phase {ph} Current"] for ph in "ABC"]
+    assert max(currents) / min(currents) > 1.01
+
+
+@pytest.mark.parametrize("flag, value, extra", [
+    ("--duration", "0.51", []), ("--duration", "0.01", []),
+    ("--duration", "0", []), ("--duration", "-0.02", []),
+    ("--duration", "inf", []), ("--duration", "nan", []),
+    ("--fault-time", "-0.01", ["--mu", "0.05"]),
+    ("--fault-time", "0.1", ["--mu", "0.05"]),
+    ("--fault-time", "0.2", ["--mu", "0.05"]),
+])
+def test_genrun_duration_and_fault_time_rejected(tmp_path, capsys, flag, value, extra):
+    argv = ["genrun", "--duration", "0.1", "--out", str(tmp_path), "--no-svg"]
+    argv += extra + [flag, value]
+    assert main(argv) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, field", [
+    ("-0.02", "macro_dt"), ("0", "macro_dt"), ("0.03", "duration"),
+    ("inf", "macro_dt"), ("0.2", "duration"),
+])
+def test_macro_dt_override_validated(tmp_path, capsys, value, field):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.1}))
+    assert main(["transient", "--scenario", str(p), f"--macro-dt={value}",
+                 "--out", str(tmp_path), "--no-svg"]) == EXIT_USAGE
+    assert field in capsys.readouterr().err

@@ -10,6 +10,7 @@ from apucosim.numerics import (
     NewtonOptions,
     NonConvergence,
     SingularMatrix,
+    SingularStageMatrix,
     StepperOptions,
     StepUnderflow,
     TimeReversal,
@@ -122,7 +123,8 @@ def test_solve_residual_property(seed):
 # ---------------------------------------------------------- integrate_adaptive
 
 def test_constant_solution_exact():
-    res = integrate_adaptive(lambda t, y: np.zeros_like(y), np.array([5.0]), (0.0, 1.0))
+    res = integrate_adaptive(lambda t: (np.zeros((1, 1)), np.zeros(1)),
+                             np.array([5.0]), (0.0, 1.0))
     assert res.state[0] == 5.0
     assert res.t == 1.0
 
@@ -131,15 +133,16 @@ def test_stiff_exponential():
     rtol = 1e-7
     opts = StepperOptions(relative_tolerance=rtol, absolute_tolerance=1e-30,
                           initial_step=1e-6)
-    res = integrate_adaptive(lambda t, y: -1000.0 * y, np.array([1.0]), (0.0, 0.02), opts)
+    res = integrate_adaptive(lambda t: (np.array([[-1000.0]]), np.zeros(1)),
+                             np.array([1.0]), (0.0, 0.02), opts)
     exact = math.exp(-20.0)
     assert abs(res.state[0] - exact) / exact < 10 * rtol
 
 
 def test_cosine_quadrature():
     opts = StepperOptions(relative_tolerance=1e-8, absolute_tolerance=1e-10)
-    res = integrate_adaptive(lambda t, y: np.array([math.cos(t)]), np.array([0.0]),
-                             (0.0, math.pi / 2), opts)
+    res = integrate_adaptive(lambda t: (np.zeros((1, 1)), np.array([math.cos(t)])),
+                             np.array([0.0]), (0.0, math.pi / 2), opts)
     assert abs(res.state[0] - 1.0) < 1e-7
 
 
@@ -148,8 +151,8 @@ def test_tolerance_monotonicity_on_exponential():
     for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6):
         opts = StepperOptions(relative_tolerance=rtol, absolute_tolerance=1e-30,
                               initial_step=1e-6)
-        res = integrate_adaptive(lambda t, y: -1000.0 * y, np.array([1.0]),
-                                 (0.0, 0.02), opts)
+        res = integrate_adaptive(lambda t: (np.array([[-1000.0]]), np.zeros(1)),
+                                 np.array([1.0]), (0.0, 0.02), opts)
         errors.append(abs(res.state[0] - math.exp(-20.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse * (1.0 + 1e-12)
@@ -157,15 +160,16 @@ def test_tolerance_monotonicity_on_exponential():
 
 def test_observers_see_every_accepted_step():
     seen = []
-    res = integrate_adaptive(lambda t, y: -y, np.array([1.0]), (0.0, 0.1),
-                             observers=[lambda t, y: seen.append(t)])
+    res = integrate_adaptive(lambda t: (-np.eye(1), np.zeros(1)), np.array([1.0]),
+                             (0.0, 0.1), observers=[lambda t, y: seen.append(t)])
     assert len(seen) == res.accepted
     assert seen[-1] == 0.1
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
 def test_final_time_exact():
-    res = integrate_adaptive(lambda t, y: -y, np.array([1.0]), (0.0, 0.0173))
+    res = integrate_adaptive(lambda t: (-np.eye(1), np.zeros(1)), np.array([1.0]),
+                             (0.0, 0.0173))
     assert res.t == 0.0173
     assert res.times[-1] == 0.0173
 
@@ -175,8 +179,54 @@ def test_step_underflow():
                           initial_step=1e-3, min_step=1e-4)
     # highly oscillatory forcing cannot be met with steps >= 1e-4
     with pytest.raises(StepUnderflow):
-        integrate_adaptive(lambda t, y: np.array([math.sin(1e7 * t) * 1e7]),
+        integrate_adaptive(lambda t: (np.zeros((1, 1)),
+                                      np.array([math.sin(1e7 * t) * 1e7])),
                            np.array([0.0]), (0.0, 1.0), opts)
+
+
+# TR-BDF2 coefficients written out from Hosea & Shampine (1996)
+GAMMA = 2.0 - math.sqrt(2.0)
+D = GAMMA / 2.0
+
+
+def test_one_step_equals_closed_form_tr_bdf2_update():
+    # constant A: trapezoidal stage to t + gamma h, BDF2 stage to t + h, the
+    # embedded third-order estimate filtered through (I - d h A) and the
+    # locally extrapolated value, each written as one linear solve
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(3, 3)) - 3.0 * np.eye(3)
+    b = rng.normal(size=3)
+    y0 = rng.normal(size=3)
+    h = 0.05
+    opts = StepperOptions(relative_tolerance=1.0, absolute_tolerance=1.0,
+                          initial_step=h, max_step=h)
+    res = integrate_adaptive(lambda t: (a, b), y0, (0.0, h), opts)
+    assert res.accepted == 1 and res.rejected == 0
+
+    m = np.eye(3) - D * h * a
+    f0 = a @ y0 + b
+    g = np.linalg.solve(m, y0 + D * h * f0 + D * h * b)
+    c1 = 1.0 / (GAMMA * (2.0 - GAMMA))
+    c0 = (1.0 - GAMMA) ** 2 / (GAMMA * (2.0 - GAMMA))
+    y1 = np.linalg.solve(m, c1 * g - c0 * y0 + D * h * b)
+    w0 = 0.5 - 1.0 / (6.0 * GAMMA)
+    wg = 1.0 / (6.0 * GAMMA * (1.0 - GAMMA))
+    w1 = (2.0 - 3.0 * GAMMA) / (6.0 * (1.0 - GAMMA))
+    est = np.linalg.solve(m, y0 + h * (w0 * f0 + wg * (a @ g + b)
+                                       + w1 * (a @ y1 + b)) - y1)
+    want = y1 + np.linalg.solve(m, est)
+    assert np.max(np.abs(res.state - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_singular_stage_matrix_raises():
+    # A = 1/(d h) makes the first stage matrix I - d h A exactly zero
+    h = 0.5
+    a = 1.0 / (D * h)
+    assert 1.0 - (D * h) * a == 0.0
+    opts = StepperOptions(initial_step=h, max_step=h)
+    with pytest.raises(SingularStageMatrix):
+        integrate_adaptive(lambda t: (np.array([[a]]), np.zeros(1)),
+                           np.array([1.0]), (0.0, 1.0), opts)
 
 
 # ----------------------------------------------------------------- accumulate

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dq0_oracle import ClassicDq0Generator
+
 from apucosim.numerics import StepperOptions, integrate_adaptive
 from apucosim.wrsg import (
     ElectricalSystem,
@@ -237,14 +239,6 @@ def test_rms_window_too_short():
 
 # ------------------------------------------------------- trajectory behaviour
 
-def _run(system, y0, t_end, rtol=1e-6):
-    opts = StepperOptions(relative_tolerance=rtol,
-                          absolute_tolerance=np.array([1e-8] * 8),
-                          initial_step=1e-7, max_step=1e-4)
-    return integrate_adaptive(system.derivatives, y0, (0.0, t_end), opts,
-                              record=False)
-
-
 def test_healthy_phase_symmetry_analytic():
     # balanced steady state: the three phase rms values agree to round-off
     # when the constant dq currents are swept through one electrical period
@@ -282,10 +276,11 @@ def test_fault_breaks_symmetry_and_open_branch_recovers():
             rec["ic"].append(i_abc[2])
 
         opts = StepperOptions(relative_tolerance=1e-5,
-                              absolute_tolerance=np.array([1e-7] * 8),
+                              absolute_tolerance=1e-7,
                               initial_step=1e-7, max_step=1e-4)
-        integrate_adaptive(sysm.derivatives, y0, (0.0, 0.05), opts,
-                           observers=[obs], record=False)
+        integrate_adaptive(sysm.flux_system(y0[7], 0.0), y0[:7], (0.0, 0.05), opts,
+                           observers=[lambda t, lam: obs(t, np.append(
+                               lam, y0[7] + W_E * t))], record=False)
         t = np.array(rec["t"])
         return np.array([rms_window(t, rec[c], 1 / 400.0)
                          for c in ("ia", "ib", "ic")])
@@ -389,3 +384,81 @@ def test_affine_form_reproduces_healthy_derivatives():
                                FaultParams(mu=0.05, k_rf=1.0), W_E, vfd, R_225)
     with pytest.raises(ValueError):
         faulted.affine()
+
+
+@pytest.mark.parametrize("fault", [HEALTHY_FAULT, FaultParams(mu=0.05, k_rf=1.0),
+                                   FaultParams(mu=0.3, k_rf=2.0)],
+                         ids=["healthy", "faulted", "faulted-wide"])
+@pytest.mark.parametrize("l_phase", [0.0, 5e-5], ids=["resistive", "series-RL"])
+def test_flux_system_matches_derivatives(fault, l_phase):
+    p = WrsgParams()
+    vfd, states = _segment_states(p, fault, n=30, seed=11)
+    load = LoadModel(kind="series-RL" if l_phase else "resistive-bank",
+                     R_phase=R_225, L_phase=l_phase)
+    sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
+                            noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    rng = np.random.default_rng(5)
+    for y in states:
+        # a segment from a random time and angle, y at its closed-form angle
+        t0, theta0 = rng.uniform(0.0, 1.0), y[7]
+        t = t0 + rng.uniform(0.0, 0.02)
+        y[7] = theta0 + W_E * (t - t0)
+        a, b = sysm.flux_system(theta0, t0)(t)
+        want = sysm.derivatives(0.0, y)[:7]
+        got = a @ y[:7] + b
+        # within the rounding of either evaluation: the size of the terms
+        scale = np.abs(a) @ np.abs(y[:7]) + np.abs(b)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        # A built column by column from derivatives() at unit fluxes
+        unit = np.zeros((8, 8))
+        unit[:, 7] = y[7]
+        unit[np.arange(7), np.arange(7)] = 1.0
+        direct = (sysm.derivatives(0.0, unit[:7]) - sysm.derivatives(0.0, unit[7])).T
+        assert np.max(np.abs(direct[:7] - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+def _rk4(system, y, t0, t1, h):
+    """Fixed-step classical Runge-Kutta on d lam/dt = A(t) lam + b(t)."""
+    for k in range(round((t1 - t0) / h)):
+        t = t0 + k * h
+        a1, b1 = system(t)
+        a2, b2 = system(t + h / 2)
+        a4, b4 = system(t + h)
+        k1 = a1 @ y + b1
+        k2 = a2 @ (y + h / 2 * k1) + b2
+        k3 = a2 @ (y + h / 2 * k2) + b2
+        k4 = a4 @ (y + h * k3) + b4
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+@pytest.mark.parametrize("mu", [0.03, 0.05, 0.08])
+def test_faulted_segment_truncation_error(mu):
+    # one faulted segment at the machine-only run's tolerances against a
+    # reference: RK4 at 2e-6 s moves by < 1e-10 relative when its step is
+    # halved and matches this stepper at rtol 1e-11 (~200k steps, too slow
+    # for the suite); the state at 0.05 s within 1.5e-6 of the fluxes' size
+    p = WrsgParams()
+    fault = FaultParams(mu=mu, k_rf=1.0)
+    vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = seed_fault_flux(steady_state(p, R_225, vfd, W_E), fault, p).as_array()
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
+    system = sysm.flux_system(y0[7], 0.0)
+    opts = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1e-6,
+                          initial_step=1e-6, max_step=1e-4)
+    got = integrate_adaptive(system, y0[:7], (0.0, 0.05), opts, record=False).state
+    want = _rk4(system, y0[:7], 0.0, 0.05, 2e-6)
+    assert np.max(np.abs(got - want)) < 1.5e-6 * np.max(np.abs(want))
+
+
+def test_oracle_affine_form_matches_its_derivatives():
+    p = WrsgParams()
+    oracle = ClassicDq0Generator(p, R_225)
+    a, b = oracle.make_affine(50.0, W_E)(0.0)
+    deriv = oracle.make_derivatives(50.0, W_E)
+    _, states = _segment_states(p, HEALTHY_FAULT, n=10, seed=2)
+    for y in states:
+        yo = np.append(y[:6], y[7])
+        want = deriv(0.0, yo)
+        assert want[6] == W_E
+        assert np.max(np.abs(a @ yo[:6] + b - want[:6])) <= 1e-14 * np.max(np.abs(want[:6]))
