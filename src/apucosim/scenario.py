@@ -446,12 +446,13 @@ def write_csv(series: TimeSeries, path) -> None:
         raise ValueError("refusing to write an empty series")
     header = ",".join(["time_s"] + [f"{n}_{u}" for n, u in
                                     zip(series.names, series.units)])
+    # one Python-float row at a time: formatting numpy scalars one by one is
+    # slow, and a whole-table list would hold every value as an object
+    row_format = ",".join(["%.17g"] * (1 + len(series.names))) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(series.n_samples):
-            row = [f"{series.time[i]:.17g}"]
-            row += [f"{v:.17g}" for v in series.data[i]]
-            fh.write(",".join(row) + "\n")
+        for t, row in zip(series.time.tolist(), series.data):
+            fh.write(row_format % (t, *row.tolist()))
 
 
 def read_csv(path) -> TimeSeries:
@@ -568,9 +569,9 @@ def emit_svg(series: TimeSeries, channels, path, title: str = "") -> None:
     parts.append(f'<text x="{_SVG_W // 2}" y="{_SVG_H - 4}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12">time [s]</text>')
     step = max(1, t.size // 2000)   # cap polyline length for quick-look plots
+    xs = sx(t[::step]).tolist()
     for ci, (ch, col) in enumerate(zip(channels, cols)):
-        pts = " ".join(f"{sx(tv):.2f},{sy(yv):.2f}"
-                       for tv, yv in zip(t[::step], col[::step]))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(xs, sy(col[::step]).tolist()))
         color = _COLORS[ci % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')

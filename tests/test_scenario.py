@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,30 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.data, series.data)
 
 
+def _write_csv_reference(series, path):
+    """The former element-by-element writer, kept as the byte reference."""
+    header = ",".join(["time_s"] + [f"{n}_{u}" for n, u in
+                                    zip(series.names, series.units)])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for i in range(series.n_samples):
+            row = [f"{series.time[i]:.17g}"]
+            row += [f"{v:.17g}" for v in series.data[i]]
+            fh.write(",".join(row) + "\n")
+
+
+def test_csv_bytes_match_reference_writer_on_awkward_values(tmp_path):
+    awkward = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
+               2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
+    data = np.array([awkward, awkward[::-1]]).T
+    series = TimeSeries(names=("a", "b"), units=("V", "A"),
+                        time=np.array(awkward), data=data)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    write_csv(series, new)
+    _write_csv_reference(series, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
 # --------------------------------------------------------------------- report
 
 def test_station_report_design(design_solution):
@@ -164,6 +189,27 @@ def test_svg_three_phase_overlay(tmp_path):
     path = tmp_path / "p.svg"
     emit_svg(series, ["ia", "ib", "ic"], path)
     assert path.read_text().count("<polyline") == 3
+
+
+def test_svg_polyline_matches_per_point_formatting(tmp_path):
+    from apucosim import scenario as sc
+    t = np.linspace(0.0, 0.01, 4001)     # over 2000 points: a strided polyline
+    y = 1e3 * np.sin(2 * math.pi * 400 * t)
+    series = TimeSeries(names=("y",), units=("V",), time=t, data=y[:, None])
+    path = tmp_path / "y.svg"
+    emit_svg(series, ["y"], path)
+    points = re.search(r'points="([^"]*)"', path.read_text()).group(1)
+    # the former per-point loop over numpy scalars, as the byte reference
+    pad = 0.05 * (float(y.max()) - float(y.min()))
+    ymin, ymax = float(y.min()) - pad, float(y.max()) + pad
+    iw = sc._SVG_W - sc._MARGIN_L - sc._MARGIN_R
+    ih = sc._SVG_H - sc._MARGIN_T - sc._MARGIN_B
+    step = t.size // 2000
+    ref = " ".join(
+        f"{sc._MARGIN_L + (tv - t[0]) / (t[-1] - t[0]) * iw:.2f},"
+        f"{sc._MARGIN_T + (ymax - yv) / (ymax - ymin) * ih:.2f}"
+        for tv, yv in zip(t[::step], y[::step]))
+    assert points == ref
 
 
 def test_svg_unknown_channel(tmp_path):
