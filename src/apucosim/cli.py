@@ -24,15 +24,12 @@ from .gasgen import (
     BetaOutOfRange,
     CalibrationFailed,
     GasGenDesignSpec,
-    GasGenInput,
     HealthParams,
-    NewtonNonConvergence,
     NoSteadyState,
     PressureRatioBelowUnity,
     T4OutOfRange,
     TemperatureOutOfRange,
     design_point_size,
-    off_design_solve,
 )
 from .gasgen.engine import SpeedOutOfRange
 from .gasgen.engine import trim_fuel
@@ -111,18 +108,12 @@ def cmd_steady(args) -> int:
         print(f"{'eta_c_factor':>12} {'wf kg/s':>10} {'SFC':>8} {'HPCSM %':>8}")
         for factor in np.linspace(0.96, 1.0, 5):
             h = replace(health, eta_c_factor=float(factor))
-            wf = trim_fuel(params, args.speed, power, h, altitude=alt,
-                           mach=mach, dT_ISA=args.disa)
-            s = off_design_solve(params, GasGenInput(wf=wf, altitude=alt,
-                                                     mach=mach, dT_ISA=args.disa),
-                                 h, Pe=power, N=args.speed)
+            wf, s = trim_fuel(params, args.speed, power, h, altitude=alt,
+                              mach=mach, dT_ISA=args.disa)
             print(f"{factor:12.3f} {wf:10.5f} {s.SFC:8.4f} {s.surge_margin:8.3f}")
         return EXIT_OK
-    wf = trim_fuel(params, args.speed, power, health, altitude=alt, mach=mach,
-                   dT_ISA=args.disa)
-    sol = off_design_solve(params, GasGenInput(wf=wf, altitude=alt, mach=mach,
-                                               dT_ISA=args.disa),
-                           health, Pe=power, N=args.speed)
+    wf, sol = trim_fuel(params, args.speed, power, health, altitude=alt,
+                        mach=mach, dT_ISA=args.disa)
     title = f"Off-design point: {alt / 1000:g}km {mach:g}Ma {power:g}kW"
     report = sc.station_report(sol, title)
     if args.json:
@@ -359,11 +350,11 @@ def main(argv=None) -> int:
             AltitudeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CalibrationFailed, NonConvergence, NewtonNonConvergence,
-            NoSteadyState, TemperatureOutOfRange, T4OutOfRange,
-            BetaOutOfRange, PressureRatioBelowUnity, SpeedOutOfRange,
-            StepUnderflow, NonFiniteDerivative, SingularJacobian,
-            SingularStageMatrix, NonFiniteResidual, SingularSystem) as exc:
+    except (CalibrationFailed, NonConvergence, NoSteadyState,
+            TemperatureOutOfRange, T4OutOfRange, BetaOutOfRange,
+            PressureRatioBelowUnity, SpeedOutOfRange, StepUnderflow,
+            NonFiniteDerivative, SingularJacobian, SingularStageMatrix,
+            NonFiniteResidual, SingularSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -406,14 +406,14 @@ def run_joint(setup: JointSetup) -> JointResult:
     sys0 = track._system(0.0, None)
     p0 = sys0.terminal(track.state)[4]
     pe0 = p0 / coupling.eta_gtTsg
-    wf0 = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
+    # the trimmed cycle solution starts the first macro step's cycle match
+    wf0, sol = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
     governor = replace(setup.governor,
                        integral=wf0 - setup.governor.wf_ff, prev_wf=wf0)
     avr = replace(setup.avr, integral=v_fd0)
     x = GasGenState(N=n0)
     wf = wf0
     v_fd = v_fd0
-    guess = None
     period = 1.0 / (setup.machine.f_n)
 
     slow_names = tuple(n for n, _ in OUTPUT_CHANNELS) + tuple(n for n, _ in SLOW_EXTRA)
@@ -434,13 +434,12 @@ def run_joint(setup: JointSetup) -> JointResult:
             if t0 <= t_sw < t1:
                 health = hp
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        x = state_update(gg, x, u, health, pe_gt, dt=dt, guess=guess)
+        x = state_update(gg, x, u, health, pe_gt, dt=dt, guess=sol)
         # (d) externally processed state
         if hook is not None:
             x = hook(x)
         # (e) outputs and regulators
-        sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=guess)
-        guess = np.array([sol.beta, sol.turbine_pr / gg.tmap.pr_design])
+        sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
         out = outputs_from_solution(sol)
         if setup.gasgen_noise:
             for name, std in setup.gasgen_noise.items():
@@ -536,7 +535,7 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
     alt, mach, disa = ambient
     n_steps = round(duration / macro_dt)
     x = x0
-    guess = None
+    sol = None
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
     units = tuple(u for _, u in OUTPUT_CHANNELS) + ("kg/s", "kW")
     ts, rows = [], []
@@ -545,9 +544,8 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
         wf = wf_of_t(t0)
         pe = load_law(x.N)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        x = state_update(gg, x, u, health, pe, dt=macro_dt, guess=guess)
-        sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=guess)
-        guess = np.array([sol.beta, sol.turbine_pr / gg.tmap.pr_design])
+        x = state_update(gg, x, u, health, pe, dt=macro_dt, guess=sol)
+        sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=sol)
         out = outputs_from_solution(sol)
         ts.append(t1)
         rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (wf, pe))

@@ -6,7 +6,6 @@ from .cycle import (
     GasState,
     HEALTHY,
     HealthParams,
-    NewtonNonConvergence,
     T4OutOfRange,
     ambient_conditions,
     burner_calc,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ T_STD = 288.15      # K
 _ISA_LAPSE = 0.0065
 _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 
-NewtonNonConvergence = NonConvergence
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
+HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
 
 
@@ -68,10 +68,11 @@ class HealthParams:
     flow_t_factor: float = 1.0
 
     def __post_init__(self):
+        lo, hi = HEALTH_FACTOR_RANGE
         for name in ("eta_c_factor", "flow_c_factor", "eta_t_factor", "flow_t_factor"):
             v = getattr(self, name)
-            if not 0.8 <= v <= 1.2:
-                raise ValueError(f"{name}={v} outside [0.8, 1.2]")
+            if not lo <= v <= hi:
+                raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
     @property
     def healthy(self) -> bool:
@@ -138,6 +139,19 @@ class CycleSolution:
     beta: float
     turbine_pr: float
     surge_crossed: bool
+    # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
+    # the next cycle match started from this solution (None if not built)
+    jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+def isa_static(altitude: float):
+    """ISA standard-day static temperature (K) and pressure (kPa)."""
+    if altitude <= 11000.0:
+        t_std = T_STD - _ISA_LAPSE * altitude
+        return t_std, P_STD * (t_std / T_STD) ** _ISA_EXP
+    t11 = T_STD - _ISA_LAPSE * 11000.0
+    p11 = P_STD * (t11 / T_STD) ** _ISA_EXP
+    return t11, p11 * math.exp(-9.80665 * (altitude - 11000.0) / (287.05287 * t11))
 
 
 def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
@@ -147,14 +161,7 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
         raise AltitudeOutOfRange(altitude)
     if not 0.0 <= mach < 1.0:
         raise ValueError(f"mach {mach} outside [0, 1)")
-    if altitude <= 11000.0:
-        t_std = T_STD - _ISA_LAPSE * altitude
-        p_s = P_STD * (t_std / T_STD) ** _ISA_EXP
-    else:
-        t11 = T_STD - _ISA_LAPSE * 11000.0
-        p11 = P_STD * (t11 / T_STD) ** _ISA_EXP
-        t_std = t11
-        p_s = p11 * math.exp(-9.80665 * (altitude - 11000.0) / (287.05287 * t11))
+    t_std, p_s = isa_static(altitude)
     t_s = t_std + dT_ISA
 
     if mach > 0.0:
@@ -393,10 +400,12 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health):
 
 def off_design_solve(params: GasGenParams, u: GasGenInput,
                      health: HealthParams = HEALTHY, Pe: float = 0.0,
-                     N: float = None, guess=None,
+                     N: float = None, guess: CycleSolution | None = None,
                      newton_opts: NewtonOptions | None = None) -> CycleSolution:
-    """Newton cycle match on (compressor beta, turbine expansion ratio).
+    """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
+    A `guess` (a previous solution of a nearby point) supplies the starting
+    point and the Jacobian the solver carries from one match to the next.
     The shaft load Pe is bookkeeping only; any surplus of PW_shaft_net over
     Pe drives the spool and is never forced to zero here.
     """
@@ -404,7 +413,11 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         N = params.design_speed
     st0, st1, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
                                        params.intake_recovery)
-    x0 = np.array([0.5, 1.0]) if guess is None else np.asarray(guess, dtype=float)
+    if guess is None:
+        x0, jac0 = np.array([0.5, 1.0]), None
+    else:
+        x0 = np.array([guess.beta, guess.turbine_pr / params.tmap.pr_design])
+        jac0 = guess.jacobian
 
     last = []
 
@@ -414,7 +427,8 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         return last[0]
 
     opts = newton_opts or NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
-    x = newton_solve(residual, x0, opts, scale=np.array([1.0, 1.0]))
+    x, jac = newton_solve(residual, x0, opts, scale=np.array([1.0, 1.0]),
+                          jacobian=jac0)
 
     # newton_solve returns the point it evaluated last, so that evaluation
     # already holds the station chain of the converged cycle
@@ -436,4 +450,4 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         eta_mech_cpr=params.eta_mech, PW_shaft_net=pw_net, SFC=sfc,
         surge_margin=comp.surge_margin, NOx_severity=snox,
         newton_residual_norm=res_norm, N=N, wf=u.wf, beta=beta,
-        turbine_pr=pr_t, surge_crossed=comp.surge_crossed)
+        turbine_pr=pr_t, surge_crossed=comp.surge_crossed, jacobian=jac)

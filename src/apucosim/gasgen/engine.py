@@ -79,22 +79,23 @@ def _dn_dt(params: GasGenParams, pw_net_kw: float, pe_kw: float, n_rpm: float) -
 
 def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
                  health: HealthParams = HEALTHY, Pe: float = 0.0,
-                 dt: float = MACRO_DT, guess=None) -> GasGenState:
+                 dt: float = MACRO_DT,
+                 guess: CycleSolution | None = None) -> GasGenState:
     """Advance spool speed over one macro step (two forward sub-steps)."""
     n = x.N
     n_max = 1.2 * params.design_speed
     sub = dt / _SUBSTEPS
     for _ in range(_SUBSTEPS):
-        sol = off_design_solve(params, u, health, Pe=Pe, N=n, guess=guess)
-        guess = np.array([sol.beta, sol.turbine_pr / params.tmap.pr_design])
-        n = n + _dn_dt(params, sol.PW_shaft_net, Pe, n) * sub
+        guess = off_design_solve(params, u, health, Pe=Pe, N=n, guess=guess)
+        n = n + _dn_dt(params, guess.PW_shaft_net, Pe, n) * sub
         if not 0.0 < n <= n_max:
             raise SpeedOutOfRange(n, n_max)
     return GasGenState(N=n)
 
 
 def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
-           health: HealthParams = HEALTHY, Pe: float = 0.0, guess=None,
+           health: HealthParams = HEALTHY, Pe: float = 0.0,
+           guess: CycleSolution | None = None,
            noise_std: dict | None = None, rng=None) -> tuple[dict, CycleSolution]:
     """Project the converged cycle onto the output channels (optional noise)."""
     sol = off_design_solve(params, u, health, Pe=Pe, N=x.N, guess=guess)
@@ -110,22 +111,23 @@ def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
 
 def trim_fuel(params: GasGenParams, N: float, Pe: float,
               health: HealthParams = HEALTHY, altitude: float = 0.0,
-              mach: float = 0.0, dT_ISA: float = 5.0) -> float:
-    """Fuel flow at which the engine delivers Pe kW at speed N (steady)."""
+              mach: float = 0.0, dT_ISA: float = 5.0) -> tuple[float, CycleSolution]:
+    """Fuel flow at which the engine delivers Pe kW at speed N (steady), and
+    the cycle solution the delivered power was checked on (a second match
+    at that fuel flow may land elsewhere within the solver tolerance)."""
     wf = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
         params.pe_design + params.accessory_kw)
-    guess = None
+    sol = None
     for _ in range(60):
         u = GasGenInput(wf=wf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
-        sol = off_design_solve(params, u, health, Pe=Pe, N=N, guess=guess)
-        guess = np.array([sol.beta, sol.turbine_pr / params.tmap.pr_design])
+        sol = off_design_solve(params, u, health, Pe=Pe, N=N, guess=sol)
         err = sol.PW_shaft_net - Pe
         if abs(err) < 1e-9 * max(abs(Pe), 1.0):
-            return wf
+            return wf, sol
         dwf = 1e-6 * params.wf_design
         u2 = GasGenInput(wf=wf + dwf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
         slope = (off_design_solve(params, u2, health, Pe=Pe, N=N,
-                                  guess=guess).PW_shaft_net
+                                  guess=sol).PW_shaft_net
                  - sol.PW_shaft_net) / dwf
         wf = wf - err / slope
         if wf <= 0:

@@ -1,4 +1,5 @@
-"""Shared numerical kernels: damped Newton, adaptive linearly implicit ODE
+"""Shared numerical kernels: quasi-Newton with a Jacobian carried between
+solves (finite differences, Broyden updates), adaptive linearly implicit ODE
 stepper for affine systems, small dense linear solver, matrix exponential,
 running time-integral accumulator.
 
@@ -125,11 +126,21 @@ def _fd_jacobian(residual_fn, x, r0, pert):
     return jac
 
 
-def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=None):
-    """Damped Newton root find for a square system.
+def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=None,
+                 jacobian=None):
+    """Quasi-Newton root find for a square system; returns (x, jacobian).
 
     `scale` holds per-equation reference magnitudes so mixed-unit residuals
-    are commensurate; convergence is on max |r_i / scale_i|.
+    are commensurate; convergence is on max |r_i / scale_i|. Without a
+    starting `jacobian` the first iteration builds one by finite
+    differences. After every step the Jacobian takes Broyden's rank-one
+    update (Broyden 1965), and the returned one, None if no iteration was
+    needed and none was given, can start the next solve of a nearby
+    system. A carried (not freshly built) Jacobian that is singular or
+    whose step does not lower the residual norm is rebuilt by finite
+    differences at the current point, and the step is taken again; only
+    steps from a fresh Jacobian are damped. The last residual evaluation is
+    always at the returned x.
     """
     opts = opts or NewtonOptions()
     x = np.array(guess, dtype=float)
@@ -143,6 +154,12 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
         scale = np.maximum(np.abs(r), 1.0)
     else:
         scale = np.asarray(scale, dtype=float)
+    jac = None
+    if jacobian is not None:
+        jac = np.array(jacobian, dtype=float)
+        if jac.shape != (x.size, x.size):
+            raise ValueError(f"jacobian shape {jac.shape} does not match "
+                             f"guess dimension {x.size}")
 
     def norm(rv):
         return float(np.max(np.abs(rv / scale)))
@@ -150,27 +167,41 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
     rn = norm(r)
     for it in range(1, opts.max_iterations + 1):
         if rn < opts.relative_tolerance:
-            return x
-        jac = _fd_jacobian(residual_fn, x, r, opts.jacobian_perturbation)
-        if not np.all(np.isfinite(jac)):
-            raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
-        try:
-            dx = solve_dense(jac, -r)
-        except SingularMatrix as exc:
-            raise SingularJacobian(exc.pivot_index) from exc
-        alpha = 1.0
+            return x, jac
+        fresh = jac is None
         while True:
-            xt = x + alpha * dx
-            rt = np.asarray(residual_fn(xt), dtype=float)
-            rtn = norm(rt) if np.all(np.isfinite(rt)) else math.inf
-            if rtn < rn or alpha <= opts.damping_min:
+            if fresh:
+                jac = _fd_jacobian(residual_fn, x, r, opts.jacobian_perturbation)
+                if not np.all(np.isfinite(jac)):
+                    raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
+            try:
+                dx = solve_dense(jac, -r)
+            except SingularMatrix as exc:
+                if fresh:
+                    raise SingularJacobian(exc.pivot_index) from exc
+                fresh = True        # a singular carried Jacobian is rebuilt
+                continue
+            alpha = 1.0
+            while True:
+                xt = x + alpha * dx
+                rt = np.asarray(residual_fn(xt), dtype=float)
+                rtn = norm(rt) if np.all(np.isfinite(rt)) else math.inf
+                if rtn < rn or not fresh or alpha <= opts.damping_min:
+                    break
+                alpha *= 0.5
+            if fresh or rtn < rn:
                 break
-            alpha *= 0.5
-        x, r, rn = xt, rt, rtn
-        if not math.isfinite(rn):
+            fresh = True            # so is one whose step does not descend
+        if not math.isfinite(rtn):
             raise NonFiniteResidual(f"residual not finite at iteration {it}")
+        # good Broyden update: the secant condition jac s = rt - r
+        s = xt - x
+        ss = float(s @ s)
+        if ss > 0.0:
+            jac = jac + np.outer(rt - r - jac @ s, s) / ss
+        x, r, rn = xt, rt, rtn
     if rn < opts.relative_tolerance:
-        return x
+        return x, jac
     raise NonConvergence(opts.max_iterations, rn)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .cosim import (
     make_speed_noise_hook,
 )
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
-from .gasgen.cycle import ALTITUDE_RANGE_M
+from .gasgen.cycle import ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE, isa_static
 from .gasgen.engine import OUTPUT_CHANNELS
+from .gasgen.properties import T_MAX, T_MIN
 from .numerics import StepperOptions
 from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
 
@@ -180,6 +181,28 @@ def _validate(doc):
     if not ALTITUDE_RANGE_M[0] <= alt <= ALTITUDE_RANGE_M[1]:
         raise SchemaError("ambient.altitude",
                           "altitude within [{:g}, {:g}] m".format(*ALTITUDE_RANGE_M), alt)
+    mach = doc["ambient"]["mach"]
+    if not 0.0 <= mach < 1.0:
+        raise SchemaError("ambient.mach", "Mach number within [0, 1)", mach)
+    # the working-fluid properties span [T_MIN, T_MAX]
+    t_s = isa_static(alt)[0] + doc["ambient"]["dT_ISA"]
+    if not T_MIN <= t_s <= T_MAX:
+        raise SchemaError("ambient.dT_ISA",
+                          f"offset putting the static temperature ({t_s:.2f} K) "
+                          f"within [{T_MIN:g}, {T_MAX:g}] K", doc["ambient"]["dT_ISA"])
+    lo, hi = HEALTH_FACTOR_RANGE
+    for i, item in enumerate(doc["gas_path_faults"]):
+        for f in fields(HealthParams):
+            if not lo <= item[f.name] <= hi:
+                raise SchemaError(f"gas_path_faults[{i}].{f.name}",
+                                  f"factor within [{lo:g}, {hi:g}]", item[f.name])
+    for i, item in enumerate(doc["ttsc_faults"]):
+        if not 0.0 <= item["mu"] <= 1.0:
+            raise SchemaError(f"ttsc_faults[{i}].mu", "fraction within [0, 1]",
+                              item["mu"])
+        if not item["k_rf"] >= 0.0:
+            raise SchemaError(f"ttsc_faults[{i}].k_rf", "non-negative factor",
+                              item["k_rf"])
     if doc["record"]["decimation"] < 1:
         raise SchemaError("record.decimation", "integer >= 1",
                           doc["record"]["decimation"])
@@ -308,8 +331,8 @@ def run_fuel_step(scenario: Scenario):
     p0 = fs["initial_power_kw"]
     n0 = n_design * (p0 / pe_design) ** (1.0 / 3.0)
     amb = doc["ambient"]
-    wf0 = trim_fuel(params, n0, p0, health, altitude=amb["altitude"],
-                    mach=amb["mach"], dT_ISA=amb["dT_ISA"])
+    wf0, _ = trim_fuel(params, n0, p0, health, altitude=amb["altitude"],
+                       mach=amb["mach"], dT_ISA=amb["dT_ISA"])
 
     def wf_of_t(t):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0

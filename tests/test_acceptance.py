@@ -168,15 +168,15 @@ def test_criterion_3_off_design_honesty(gg_params):
     trend_ok = (less.PW_shaft_net < sol.PW_shaft_net
                 and less.stations[4].Tt < sol.stations[4].Tt)
     health = HealthParams(eta_c_factor=0.98)
-    wf_m = trim_fuel(gg_params, 36050.0, 500.0, health)
+    wf_m, _ = trim_fuel(gg_params, 36050.0, 500.0, health)
     degraded = off_design_solve(gg_params, GasGenInput(wf=wf_m), health,
                                 500.0, 36050.0)
     trend_ok = trend_ok and degraded.SFC > sol.SFC
     # (c) all preset off-design points converge
     worst = 0.0
     for alt, mach, power in OFF_DESIGN_POINTS:
-        wf = trim_fuel(gg_params, 36050.0, power, HEALTHY, altitude=alt,
-                       mach=mach)
+        wf, _ = trim_fuel(gg_params, 36050.0, power, HEALTHY, altitude=alt,
+                          mach=mach)
         s = off_design_solve(gg_params, GasGenInput(wf=wf, altitude=alt,
                                                     mach=mach),
                              HEALTHY, power, 36050.0)

@@ -42,6 +42,21 @@ def test_steady_design_inputs_fixed_point(capsys):
     assert doc["residual_norm"] < 1e-8
 
 
+def test_steady_reports_the_trimmed_point(capsys):
+    # a point where a second, cold cycle match at the trimmed fuel flow
+    # moved the reported power by more than the trim tolerance
+    power = 284.1510427167631
+    argv = ["steady", "--json", "--power", repr(power),
+            "--speed", "36499.158854827525", "--altitude", "6478.09166454904",
+            "--mach", "0.4797914561759314", "--eta-c", "1.0010192850927029",
+            "--flow-c", "0.9891457625583839", "--eta-t", "1.0188391495831435",
+            "--flow-t", "0.9996266277028348"]
+    assert main(argv) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["values"]["PWSD"] - power) <= 1e-9 * power
+    assert out["residual_norm"] < 1e-10
+
+
 def test_steady_sweep(capsys):
     assert main(["steady", "--power", "400", "--sweep"]) == EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
@@ -202,6 +217,23 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     block, key = field.split(".")
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04, block: {key: value}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_USAGE
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"gas_path_faults": [{"eta_c_factor": 0.5}]}, "gas_path_faults[0].eta_c_factor"),
+    ({"gas_path_faults": [{}, {"flow_t_factor": 1.3}]},
+     "gas_path_faults[1].flow_t_factor"),
+    ({"ambient": {"mach": 1.5}}, "ambient.mach"),
+    ({"ttsc_faults": [{"mu": 1.5}]}, "ttsc_faults[0].mu"),
+    ({"ttsc_faults": [{"mu": 0.05, "k_rf": -1}]}, "ttsc_faults[0].k_rf"),
+    ({"ambient": {"dT_ISA": -200}}, "ambient.dT_ISA"),
+])
+def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, **doc}))
     assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
                  "--no-svg"]) == EXIT_USAGE
     assert field in capsys.readouterr().err

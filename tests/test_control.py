@@ -99,7 +99,7 @@ def test_governor_closed_loop_recovers_minus_50kw_step(gg_params):
     from apucosim.gasgen.engine import trim_fuel
 
     n_set = 36050.0
-    wf0 = trim_fuel(gg_params, n_set, 500.0)
+    wf0, _ = trim_fuel(gg_params, n_set, 500.0)
     gov = GovernorState(N_set=n_set, wf_ff=wf0, prev_wf=wf0)
     x = GasGenState(N=n_set)
     wf = wf0

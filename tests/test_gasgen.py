@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,18 +293,57 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     monkeypatch.setattr(cycle, "_evaluate_cycle", counted_cycle)
     monkeypatch.setattr(cycle, "newton_solve", counted_solve)
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
-    sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
-    assert calls["residual"] > 1
-    assert calls["cycle"] == calls["residual"]
-    # the kept station chain is the cycle at the converged point
     _, _, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
                                    gg_params.intake_recovery)
-    r, comp, _, _, turb, st8 = evaluate(gg_params, sol.stations[0], st2, sol.N,
-                                        sol.beta, sol.turbine_pr, u.wf, HEALTHY)
-    assert sol.newton_residual_norm == float(np.max(np.abs(r)))
-    assert sol.stations[3] == comp.outlet
-    assert sol.stations[41] == turb.st41
-    assert sol.stations[8] == st8
+    cold = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    # warm: the carried Jacobian from the cold solve at a nearby speed
+    warm = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35020.0, guess=cold)
+    assert calls["residual"] > 2
+    assert calls["cycle"] == calls["residual"]
+    for sol in (cold, warm):
+        # the kept station chain is the cycle at the converged point
+        r, comp, _, _, turb, st8 = evaluate(gg_params, sol.stations[0], st2, sol.N,
+                                            sol.beta, sol.turbine_pr, u.wf, HEALTHY)
+        assert sol.newton_residual_norm == float(np.max(np.abs(r)))
+        assert sol.stations[3] == comp.outlet
+        assert sol.stations[41] == turb.st41
+        assert sol.stations[8] == st8
+
+
+def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkeypatch):
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    speeds = np.linspace(35000.0, 35400.0, 21)
+    start = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=speeds[0])
+    evaluations = []
+    evaluate = cycle._evaluate_cycle
+    monkeypatch.setattr(cycle, "_evaluate_cycle",
+                        lambda *args: evaluations.append(1) or evaluate(*args))
+    counts = {}
+    for carried in (True, False):
+        evaluations.clear()
+        sol = start
+        for n in speeds[1:]:
+            guess = sol if carried else replace(sol, jacobian=None)
+            sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=n, guess=guess)
+            assert sol.newton_residual_norm < 1e-10
+        counts[carried] = len(evaluations)
+    # a carried Jacobian saves at least the two finite-difference columns
+    # each solve without one pays
+    assert counts[True] <= counts[False] - 2 * (len(speeds) - 1)
+
+
+@pytest.mark.parametrize("kind", ["negated", "singular"])
+def test_wrong_carried_jacobian_is_rebuilt(gg_params, kind):
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    prev = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    bad = -prev.jacobian if kind == "negated" else np.ones((2, 2))
+    reference = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35200.0)
+    sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35200.0,
+                           guess=replace(prev, jacobian=bad))
+    assert sol.newton_residual_norm < 1e-10
+    assert sol.beta == pytest.approx(reference.beta, abs=1e-8)
+    assert sol.turbine_pr == pytest.approx(reference.turbine_pr, rel=1e-9)
+    assert sol.PW_shaft_net == pytest.approx(reference.PW_shaft_net, rel=1e-8)
 
 
 def test_fuel_reduction_trends(gg_params):
@@ -334,7 +374,7 @@ def test_turbine_flow_fault_drops_p3(gg_params):
 
 def test_eta_c_fault_raises_sfc_at_matched_power(gg_params):
     health = HealthParams(eta_c_factor=0.98)
-    wf = trim_fuel(gg_params, 36050.0, 500.0, health)
+    wf, _ = trim_fuel(gg_params, 36050.0, 500.0, health)
     degraded = off_design_solve(gg_params, GasGenInput(wf=wf), health,
                                 500.0, 36050.0)
     base = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design),
@@ -433,11 +473,17 @@ def test_init_cubic_law_anchored(gg_params):
     assert x.N == pytest.approx(36050.0, rel=1e-4)
 
 
+def test_trim_fuel_returns_the_solution_it_checked(gg_params):
+    wf, sol = trim_fuel(gg_params, 35000.0, 300.0, HEALTHY, altitude=4000.0, mach=0.4)
+    assert sol.wf == wf and sol.N == 35000.0
+    assert abs(sol.PW_shaft_net - 300.0) < 1e-9 * 300.0
+
+
 def test_init_degraded_low_power_converges(gg_params):
     # start of the fuel-step transient: 230 kW with gas-path degradation
     health = HealthParams(0.99, 0.97, 0.98, 1.04)
     n0 = 36050.0 * (230.0 / 500.0) ** (1.0 / 3.0)
-    wf = trim_fuel(gg_params, n0, 230.0, health)
+    wf, _ = trim_fuel(gg_params, n0, 230.0, health)
     sol = off_design_solve(gg_params, GasGenInput(wf=wf), health, 230.0, n0)
     assert sol.newton_residual_norm < 1e-8
     assert sol.PW_shaft_net == pytest.approx(230.0, rel=1e-6)
@@ -456,7 +502,7 @@ def test_design_newton_fixed_point_via_kernel(gg_params):
                                 gg_params.wf_design, HEALTHY)
         return r
 
-    x = newton_solve(residual, np.array([0.5, 1.0]))
+    x, _ = newton_solve(residual, np.array([0.5, 1.0]))
     assert x[0] == pytest.approx(0.5, abs=1e-7)
     assert x[1] == pytest.approx(1.0, abs=1e-7)
 

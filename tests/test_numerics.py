@@ -25,12 +25,12 @@ from apucosim.numerics import (
 # ---------------------------------------------------------------- newton_solve
 
 def test_newton_linear_one_step():
-    x = newton_solve(lambda v: v - 3.0, np.array([0.0]))
+    x, _ = newton_solve(lambda v: v - 3.0, np.array([0.0]))
     assert abs(x[0] - 3.0) < 1e-9
 
 
 def test_newton_quadratic():
-    x = newton_solve(lambda v: v * v - 4.0, np.array([3.0]))
+    x, _ = newton_solve(lambda v: v * v - 4.0, np.array([3.0]))
     assert abs(x[0] - 2.0) < 1e-8
 
 
@@ -59,8 +59,54 @@ def test_newton_affine_systems_converge_in_one_damped_free_iteration(n, seed):
         trials.append(v.copy())
         return a @ v - b
 
-    x = newton_solve(res, np.zeros(n))
+    x, _ = newton_solve(res, np.zeros(n))
     assert np.allclose(x, xs, atol=1e-7)
+
+
+def test_newton_carried_exact_jacobian_skips_finite_differences():
+    a = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    calls = {"n": 0}
+
+    def affine(v):
+        calls["n"] += 1
+        return a @ v - np.array([5.0, -1.0])
+
+    x, jac = newton_solve(affine, np.array([10.0, -10.0]), jacobian=a)
+    # initial residual + one trial; Broyden leaves an exact Jacobian as it is
+    assert calls["n"] == 2
+    assert np.allclose(a @ x, [5.0, -1.0], atol=1e-12)
+    assert np.allclose(jac, a, rtol=1e-12)
+
+
+def _curved(v):
+    return np.array([v[0] ** 2 + v[1] - 3.0, v[0] - np.exp(-v[1]) - 0.5])
+
+
+@pytest.mark.parametrize("jacobian", [
+    None,
+    -np.array([[2.0, 1.0], [1.0, math.exp(-1.0)]]),   # negated: an ascent step
+    np.array([[1.0, 2.0], [2.0, 4.0]]),                # singular
+])
+def test_newton_wrong_carried_jacobian_reaches_the_same_root(jacobian, monkeypatch):
+    from apucosim import numerics
+    reference, _ = newton_solve(_curved, np.array([1.0, 1.0]))
+    builds = []
+    fd = numerics._fd_jacobian
+    monkeypatch.setattr(numerics, "_fd_jacobian",
+                        lambda *args: builds.append(args[1].copy()) or fd(*args))
+    x, jac = newton_solve(_curved, np.array([1.0, 1.0]), jacobian=jacobian)
+    # one finite-difference build at the guess, whether or not one was given
+    assert len(builds) == 1 and np.array_equal(builds[0], [1.0, 1.0])
+    assert np.max(np.abs(_curved(x))) < 1e-10
+    assert np.allclose(x, reference, atol=1e-9)
+    assert jac.shape == (2, 2)
+
+
+def test_newton_returns_carried_jacobian_when_guess_is_a_root():
+    jac0 = np.eye(1)
+    x, jac = newton_solve(lambda v: v - 3.0, np.array([3.0]), jacobian=jac0)
+    assert x[0] == 3.0 and np.array_equal(jac, jac0)
+    assert newton_solve(lambda v: v - 3.0, np.array([3.0]))[1] is None
 
 
 def test_newton_nonconvergence_reports_norm():
@@ -76,7 +122,7 @@ def test_newton_scale_normalizes_mixed_units():
     def res(v):
         return np.array([1e6 * (v[0] - 1.0), 1e-6 * (v[1] - 2.0)])
 
-    x = newton_solve(res, np.array([0.0, 0.0]), scale=np.array([1e6, 1e-6]))
+    x, _ = newton_solve(res, np.array([0.0, 0.0]), scale=np.array([1e6, 1e-6]))
     assert np.allclose(x, [1.0, 2.0], atol=1e-8)
 
 

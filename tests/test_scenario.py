@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import re
 
@@ -83,6 +84,15 @@ def test_fault_time_outside_duration_rejected():
     with pytest.raises(SchemaError, match=r"gas_path_faults\[1\]\.time_s"):
         parse_scenario('{"duration": 1.0, "gas_path_faults": '
                        '[{"time_s": 0.5}, {"time_s": 1.0}]}')
+
+
+def test_model_range_bounds_accepted():
+    scn = parse_scenario(json.dumps({
+        "ambient": {"altitude": 11000.0, "mach": 0.0, "dT_ISA": -16.6},
+        "gas_path_faults": [{"eta_c_factor": 0.8, "flow_c_factor": 1.2,
+                             "eta_t_factor": 0.8, "flow_t_factor": 1.2}],
+        "ttsc_faults": [{"mu": 1.0, "k_rf": 0.0}]}))
+    assert scn["ttsc_faults"][0]["mu"] == 1.0
 
 
 def test_serialize_round_trip():
@@ -250,8 +260,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("5dd395696d3145f2c80b1828b22dc652"
-                      "57eacac4d1656898d2fbb0ee453393b5")
+    assert digest == ("8874c41649c74e6fe981b4828e146f8c"
+                      "2b7cfebf15fae03d1e25eeb37f18528a")
 
 
 def test_gasgen_output_noise_channel_validation():
