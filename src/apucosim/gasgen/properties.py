@@ -37,98 +37,134 @@ class TemperatureOutOfRange(Exception):
         super().__init__(f"temperature {T:.2f} K outside [{T_MIN}, {T_MAX}] K")
 
 
-def _polyval(coeffs, z):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+def _straight_line(coeffs):
+    """z -> sum c_k z^k as one Horner expression with the coefficients as
+    literals. Its operation order is the loop's `acc = acc * z + c` over the
+    reversed coefficients, whose first step 0.0 * z + c[-1] is exact, so it
+    returns the loop's bits without the loop's per-term overhead."""
+    expr = repr(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        expr = f"({expr}) * z + {c!r}"
+    return eval(f"lambda z: {expr}")
 
 
-def _check(T):
-    if not T_MIN <= T <= T_MAX:
-        raise TemperatureOutOfRange(T)
-
-
-def _wfuel(far):
-    return far / (1.0 + far)
+_cp_air, _cp_prod = _straight_line(_CP_AIR), _straight_line(_CP_PROD)
+_h_air, _h_prod = _straight_line(_H_AIR), _straight_line(_H_PROD)
+_phi_air, _phi_prod = _straight_line(_PHI_AIR[1:]), _straight_line(_PHI_PROD[1:])
 
 
 def cp(T: float, far: float = 0.0) -> float:
     """Specific heat kJ/(kg K) of air/combustion-product mix."""
-    _check(T)
+    if not T_MIN <= T <= T_MAX:
+        raise TemperatureOutOfRange(T)
     z = T / 1000.0
-    v = _polyval(_CP_AIR, z)
+    v = _cp_air(z)
     if far:
-        v += _wfuel(far) * _polyval(_CP_PROD, z)
+        v += far / (1.0 + far) * _cp_prod(z)
     return v
 
 
 def _h_raw(T, far):
     z = T / 1000.0
-    v = _polyval(_H_AIR, z) * z
+    v = _h_air(z) * z
     if far:
-        v += _wfuel(far) * _polyval(_H_PROD, z) * z
+        v += far / (1.0 + far) * _h_prod(z) * z
     return v
 
 
 # the terms of _h_raw(T_REF, far), kept apart so enthalpy() can combine them
 # in _h_raw's own order and match it bit for bit
 _Z_REF = T_REF / 1000.0
-_H_AIR_REF = _polyval(_H_AIR, _Z_REF) * _Z_REF
-_H_PROD_REF = _polyval(_H_PROD, _Z_REF)
+_H_AIR_REF = _h_air(_Z_REF) * _Z_REF
+_H_PROD_REF = _h_prod(_Z_REF)
+
+
+def _h_ref(far):
+    """_h_raw(T_REF, far), the offset that zeroes enthalpy at T_REF."""
+    ref = _H_AIR_REF
+    if far:
+        ref += far / (1.0 + far) * _H_PROD_REF * _Z_REF
+    return ref
 
 
 def enthalpy(T: float, far: float = 0.0) -> float:
     """Enthalpy kJ/kg, zero at 288.15 K for any composition."""
-    _check(T)
-    ref = _H_AIR_REF
-    if far:
-        ref += _wfuel(far) * _H_PROD_REF * _Z_REF
-    return _h_raw(T, far) - ref
+    if not T_MIN <= T <= T_MAX:
+        raise TemperatureOutOfRange(T)
+    return _h_raw(T, far) - _h_ref(far)
 
 
 def temperature_from_enthalpy(h: float, far: float = 0.0) -> float:
-    """Invert enthalpy(T, far) = h by bounded Newton."""
+    """Invert enthalpy(T, far) = h by bounded Newton.
+
+    Each iteration evaluates h and its slope cp at one z = T/1000, with the
+    same expressions (and bits) as enthalpy() and cp().
+    """
     t = min(max(T_REF + h / 1.05, T_MIN), T_MAX)
+    w = far / (1.0 + far)
+    ref = _h_ref(far)
     lo, hi = T_MIN, T_MAX
     for _ in range(60):
-        f = enthalpy(t, far) - h
+        if not T_MIN <= t <= T_MAX:
+            raise TemperatureOutOfRange(t)
+        z = t / 1000.0
+        if far:
+            f = _h_air(z) * z + w * _h_prod(z) * z - ref - h
+        else:
+            f = _h_air(z) * z - ref - h
         if abs(f) < 1e-10:
             return t
         if f > 0:
             hi = t
         else:
             lo = t
-        t_new = t - f / cp(t, far)
+        slope = _cp_air(z) + w * _cp_prod(z) if far else _cp_air(z)
+        t_new = t - f / slope
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     raise TemperatureOutOfRange(t)
 
 
 def phi(T: float, far: float = 0.0) -> float:
     """Entropy function integral cp dT/T, kJ/(kg K); additive constant free."""
-    _check(T)
+    if not T_MIN <= T <= T_MAX:
+        raise TemperatureOutOfRange(T)
     z = T / 1000.0
     lnz = math.log(z)
-    v = _CP_AIR[0] * lnz + _polyval(_PHI_AIR[1:], z) * z
+    v = _CP_AIR[0] * lnz + _phi_air(z) * z
     if far:
-        v += _wfuel(far) * (_CP_PROD[0] * lnz + _polyval(_PHI_PROD[1:], z) * z)
+        v += far / (1.0 + far) * (_CP_PROD[0] * lnz + _phi_prod(z) * z)
     return v
 
 
 def isentropic_temperature(T_in: float, pressure_ratio: float, far: float = 0.0) -> float:
-    """Exit temperature of an isentropic process from T_in across P_out/P_in."""
+    """Exit temperature of an isentropic process from T_in across P_out/P_in.
+
+    Newton on phi(T) = phi(T_in) + R ln(pressure_ratio), each iteration
+    evaluating phi and its slope cp/T at one z = T/1000, with the same
+    expressions (and bits) as phi() and cp().
+    """
     target = phi(T_in, far) + R_GAS * math.log(pressure_ratio)
     t = T_in * pressure_ratio ** 0.283
     t = min(max(t, T_MIN), T_MAX)
+    w = far / (1.0 + far)
+    a0, p0 = _CP_AIR[0], _CP_PROD[0]
     lo, hi = T_MIN, T_MAX
     for _ in range(60):
-        f = phi(t, far) - target
+        if not T_MIN <= t <= T_MAX:
+            raise TemperatureOutOfRange(t)
+        z = t / 1000.0
+        lnz = math.log(z)
+        if far:
+            f = a0 * lnz + _phi_air(z) * z + w * (p0 * lnz + _phi_prod(z) * z) - target
+        else:
+            f = a0 * lnz + _phi_air(z) * z - target
         if abs(f) < 1e-13:
             return t
         if f > 0:
             hi = t
         else:
             lo = t
-        t_new = t - f * t / cp(t, far)
+        slope = _cp_air(z) + w * _cp_prod(z) if far else _cp_air(z)
+        t_new = t - f * t / slope
         t = t_new if lo < t_new < hi else 0.5 * (lo + hi)
     raise TemperatureOutOfRange(t)

@@ -31,6 +31,13 @@ from apucosim.gasgen.cycle import (
 )
 from apucosim.gasgen.engine import outputs_from_solution
 from apucosim.numerics import NonConvergence, newton_solve
+from property_reference import (
+    reference_cp,
+    reference_enthalpy,
+    reference_isentropic_temperature,
+    reference_phi,
+    reference_temperature_from_enthalpy,
+)
 from static_flow_reference import (
     choke_flow,
     continuity_flow,
@@ -86,6 +93,34 @@ def test_isentropic_round_trip():
 @settings(max_examples=300, deadline=None)
 def test_enthalpy_reference_hoist_is_exact(T, far):
     assert gas.enthalpy(T, far) == gas._h_raw(T, far) - gas._h_raw(gas.T_REF, far)
+
+
+_FAR = st.one_of(st.just(0.0), st.floats(0.0, 0.07, exclude_max=True))
+
+
+@given(st.floats(200.0, 2000.0), _FAR)
+@settings(max_examples=500, deadline=None)
+def test_straight_line_polynomials_match_the_horner_loop(T, far):
+    # the kernel's generated expressions return the generic loop's bits
+    assert gas.cp(T, far) == reference_cp(T, far)
+    assert gas.enthalpy(T, far) == reference_enthalpy(T, far)
+    assert gas.phi(T, far) == reference_phi(T, far)
+
+
+@given(st.floats(200.0, 2000.0), _FAR, st.floats(0.05, 20.0))
+@settings(max_examples=300, deadline=None)
+def test_fused_inversions_match_separate_calls(T, far, pr):
+    # one z per Newton iteration for h (or phi) and cp gives the same iterates
+    # as separate enthalpy/phi and cp calls
+    h = gas.enthalpy(T, far)
+    assert gas.temperature_from_enthalpy(h, far) == reference_temperature_from_enthalpy(h, far)
+    try:
+        expected = reference_isentropic_temperature(T, pr, far)
+    except gas.TemperatureOutOfRange:
+        with pytest.raises(gas.TemperatureOutOfRange):
+            gas.isentropic_temperature(T, pr, far)
+    else:
+        assert gas.isentropic_temperature(T, pr, far) == expected
 
 
 # ------------------------------------------------------- static from flow
