@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,9 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
+# a warm-started static solve keeps a root below this Mach number without
+# computing the choke point (see static_from_flow)
+WARM_STATIC_MACH_MAX = 0.9
 
 
 class AltitudeOutOfRange(Exception):
@@ -122,6 +126,29 @@ class GasGenParams:
             raise ValueError("inertia must be positive")
 
 
+class StationTemperatures(NamedTuple):
+    """Temperatures (K) of one cycle evaluation, where the property
+    inversions of the next evaluation nearby start; None starts one cold."""
+    t3s: float | None = None    # compressor isentropic exit
+    t3: float | None = None
+    t4: float | None = None
+    t41: float | None = None
+    t5s: float | None = None    # turbine isentropic exit
+    t5u: float | None = None    # turbine exit before the rotor cooling returns
+    t5: float | None = None
+    ts8: float | None = None    # exhaust exit static, at Tt = t5
+    ts3: float | None = None    # compressor exit static (of Ps3), at Tt = t3
+
+
+COLD = StationTemperatures()
+
+
+def _scaled(ts, tt, tt_prev):
+    """Start for a static temperature carried from total temperature
+    tt_prev to tt (exactly ts when tt == tt_prev), or None."""
+    return None if ts is None else ts * (tt / tt_prev)
+
+
 @dataclass(frozen=True)
 class CycleSolution:
     stations: dict
@@ -142,6 +169,9 @@ class CycleSolution:
     # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
     # the next cycle match started from this solution (None if not built)
     jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # station temperatures of the last cycle evaluation, where the next match
+    # started from this solution starts its property inversions
+    temperatures: StationTemperatures = field(default=COLD, compare=False, repr=False)
 
 
 def isa_static(altitude: float):
@@ -179,7 +209,8 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
     return st0, st1, st2
 
 
-def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0.0):
+def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0.0,
+                     ts_guess: float | None = None):
     """Subsonic static state from continuity: returns (Ts, Ps, mach, choked).
 
     Below the choke flow, W(Ts) = rho v A, with v = sqrt(2 (h(Tt) - h(Ts)))
@@ -189,6 +220,14 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
     or, near Mach 0, Ts stops moving by more than rounding. Mach follows from
     Ts and gamma(Ts). Raises NonConvergence rather than return an unconverged
     state.
+
+    With `ts_guess` (the static temperature of a nearby earlier state), the
+    Newton first runs from there without the choke bracket, and a root below
+    WARM_STATIC_MACH_MAX is returned without the choke point: that far below
+    Mach 1 the flow lies under the choke flow by much more than the choke
+    fixed point's own offset from the flow maximum, so it is the root the
+    bracketed solve finds. Otherwise the choke fixed point starts from
+    `ts_guess` and the solve goes on as without a guess.
     """
     h_t = gas.enthalpy(Tt, far)
     phi_t = gas.phi(Tt, far)
@@ -199,8 +238,49 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
         rho = ps / (gas.R_GAS * ts)
         return rho * v * area, v, ps
 
-    # choke point: Mach 1, a fixed point of Ts = Tt / (1 + (gamma(Ts) - 1) / 2)
+    tol = 1e-11 * max(W, 1e-6)
+
+    def newton(ts, lo, hi, warm):
+        """(Ts, Ps, cp(Ts)) at the root; a warm run returns None where it
+        leaves the subsonic side of the flow maximum or its bracket."""
+        for _ in range(STATIC_MAX_ITERATIONS):
+            cps = gas.cp(ts, far)
+            w_s, v, ps = flow_at(ts)
+            # near Mach 0, h(Tt) - h(Ts) is close to rounding error (v may
+            # round to 0) and the flow tolerance is out of reach: stop once
+            # Ts can no longer move by more than rounding
+            if abs(w_s - W) < tol or v == 0.0:
+                return ts, ps, cps
+            if w_s > W:
+                lo = ts
+            else:
+                hi = ts
+            slope = cps / (gas.R_GAS * ts) - 1.0 / ts - 1000.0 * cps / (v * v)
+            step = -math.log(w_s / W) / slope
+            if warm and (slope >= 0.0 or not lo < ts + step < hi):
+                return None
+            rounding = 4.0 * sys.float_info.epsilon * ts
+            if abs(step) <= rounding or hi - lo <= rounding:
+                return ts, ps, cps
+            ts = ts + step if lo < ts + step < hi else 0.5 * (lo + hi)
+        if warm:
+            return None
+        raise NonConvergence(STATIC_MAX_ITERATIONS, abs(w_s - W) / max(W, 1e-6))
+
+    def state(ts, ps, cps):
+        gamma = cps / (cps - gas.R_GAS)
+        return ts, ps, math.sqrt(2.0 * (Tt / ts - 1.0) / (gamma - 1.0)), False
+
     ts_c = Tt
+    if ts_guess is not None and gas.T_MIN < ts_guess < Tt:
+        found = newton(ts_guess, gas.T_MIN, Tt, True)
+        if found is not None:
+            found = state(*found)
+            if found[2] < WARM_STATIC_MACH_MAX:
+                return found
+        ts_c = ts_guess
+
+    # choke point: Mach 1, a fixed point of Ts = Tt / (1 + (gamma(Ts) - 1) / 2)
     for _ in range(12):
         cps = gas.cp(ts_c, far)
         gamma = cps / (cps - gas.R_GAS)
@@ -213,7 +293,6 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
     if W >= w_choke:
         return ts_c, ps_c, 1.0, True
 
-    tol = 1e-11 * max(W, 1e-6)
     lo, hi = ts_c, Tt
     # the stagnation density underestimates the velocity, so this first
     # guess lies above the root, from where Newton on the concave ln W
@@ -222,35 +301,7 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
     ts = Tt - v0 * v0 / (2000.0 * gas.cp(Tt, far))
     if ts <= lo:
         ts = 0.5 * (lo + hi)
-    for _ in range(STATIC_MAX_ITERATIONS):
-        cps = gas.cp(ts, far)
-        w_s, v, ps = flow_at(ts)
-        if abs(w_s - W) < tol:
-            break
-        # near Mach 0, h(Tt) - h(Ts) is close to rounding error (v may round
-        # to 0) and the flow tolerance is out of reach: stop once Ts can no
-        # longer move by more than rounding
-        if v == 0.0:
-            break
-        if w_s > W:
-            lo = ts
-        else:
-            hi = ts
-        slope = cps / (gas.R_GAS * ts) - 1.0 / ts - 1000.0 * cps / (v * v)
-        step = -math.log(w_s / W) / slope
-        rounding = 4.0 * sys.float_info.epsilon * ts
-        if abs(step) <= rounding or hi - lo <= rounding:
-            break
-        ts = ts + step if lo < ts + step < hi else 0.5 * (lo + hi)
-    else:
-        raise NonConvergence(STATIC_MAX_ITERATIONS, abs(w_s - W) / max(W, 1e-6))
-    gamma = cps / (cps - gas.R_GAS)
-    mach = math.sqrt(2.0 * (Tt / ts - 1.0) / (gamma - 1.0))
-    return ts, ps, mach, False
-
-
-def static_pressure(Tt, Pt, W, area, far=0.0):
-    return static_from_flow(Tt, Pt, W, area, far)[1]
+    return state(*newton(ts, lo, hi, False))
 
 
 @dataclass(frozen=True)
@@ -261,11 +312,15 @@ class CompressorResult:
     surge_margin: float
     surge_crossed: bool
     eta: float
+    h3: float                 # outlet enthalpy, kJ/kg
+    t3s: float                # isentropic exit temperature, K
 
 
 def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams,
-                    health: HealthParams = HEALTHY) -> CompressorResult:
-    """Map lookup + isentropic compression; health scales flow and efficiency."""
+                    health: HealthParams = HEALTHY,
+                    start: StationTemperatures = COLD) -> CompressorResult:
+    """Map lookup + isentropic compression; health scales flow and efficiency.
+    The two inversions start from `start`'s t3s and t3."""
     theta = inlet.Tt / T_STD
     delta = inlet.Pt / P_STD
     n_rel = (N / math.sqrt(theta)) / params.ncor_design
@@ -279,10 +334,10 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
         eta = eta * health.eta_c_factor
 
     w2 = wc * delta / math.sqrt(theta)
-    t3s = gas.isentropic_temperature(inlet.Tt, pr, inlet.FAR)
+    t3s = gas.isentropic_temperature(inlet.Tt, pr, inlet.FAR, start.t3s)
     h2 = gas.enthalpy(inlet.Tt, inlet.FAR)
     h3 = h2 + (gas.enthalpy(t3s, inlet.FAR) - h2) / eta
-    t3 = gas.temperature_from_enthalpy(h3, inlet.FAR)
+    t3 = gas.temperature_from_enthalpy(h3, inlet.FAR, start.t3)
     outlet = GasState(W=w2, Tt=t3, Pt=inlet.Pt * pr, FAR=inlet.FAR)
 
     # margin is reported against the clean engine's anchored surge line at the
@@ -290,33 +345,45 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
     pr_surge = cmap.surge_pressure_ratio(wc)
     sm = (pr_surge / pr - 1.0) * 100.0
     return CompressorResult(outlet=outlet, W2=w2, PW_cpr=w2 * (h3 - h2),
-                            surge_margin=sm, surge_crossed=sm < 0.0, eta=eta)
+                            surge_margin=sm, surge_crossed=sm < 0.0, eta=eta,
+                            h3=h3, t3s=t3s)
 
 
 def burner_calc(inlet: GasState, wf: float, params: GasGenParams) -> GasState:
     """Heat addition with calibrated efficiency and fixed pressure-loss fraction."""
+    return _burn(inlet, inlet.h, wf, params)[0]
+
+
+def _burn(inlet, h_in, wf, params, t_guess=None):
+    """burner_calc for an inlet of enthalpy h_in: (outlet, outlet enthalpy)."""
     if wf < 0:
         raise ValueError("fuel flow must be non-negative")
     if wf == 0.0:
         return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - params.burner_loss),
-                        FAR=inlet.FAR)
+                        FAR=inlet.FAR), h_in
     w_air = inlet.W / (1.0 + inlet.FAR)
     w4 = inlet.W + wf
     far4 = (inlet.FAR * w_air + wf) / w_air
-    h4 = (inlet.W * inlet.h + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
-    t4 = gas.temperature_from_enthalpy(h4, far4)
+    h4 = (inlet.W * h_in + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
+    t4 = gas.temperature_from_enthalpy(h4, far4, t_guess)
     if t4 > 2000.0:
         raise T4OutOfRange(t4)
-    return GasState(W=w4, Tt=t4, Pt=inlet.Pt * (1.0 - params.burner_loss), FAR=far4)
+    return GasState(W=w4, Tt=t4, Pt=inlet.Pt * (1.0 - params.burner_loss), FAR=far4), h4
 
 
 def mix_streams(a: GasState, b: GasState, Pt: float) -> GasState:
     """Enthalpy-weighted adiabatic mix of two streams at a common total pressure."""
+    return _mix(a, a.h, b, b.h, Pt)[0]
+
+
+def _mix(a, h_a, b, h_b, Pt, t_guess=None):
+    """mix_streams for streams of enthalpies h_a, h_b: (mix, mix enthalpy)."""
     w = a.W + b.W
     w_air = a.W / (1.0 + a.FAR) + b.W / (1.0 + b.FAR)
     far = (w - w_air) / w_air
-    h = (a.W * a.h + b.W * b.h) / w
-    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far), Pt=Pt, FAR=far)
+    h = (a.W * h_a + b.W * h_b) / w
+    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far, t_guess), Pt=Pt,
+                    FAR=far), h
 
 
 @dataclass(frozen=True)
@@ -325,28 +392,38 @@ class TurbineResult:
     st5: GasState
     PW_turb: float
     eta: float
+    t5s: float                # isentropic exit temperature, K
+    t5u: float                # exit temperature before the rotor cooling returns
 
 
 def turbine_calc(inlet4: GasState, cool_ngv: GasState, cool_rotor: GasState,
                  N: float, pr_t: float, params: GasGenParams,
                  health: HealthParams = HEALTHY) -> TurbineResult:
     """NGV cooling return, map expansion, rotor cooling return."""
+    return _turbine(inlet4, inlet4.h, cool_ngv, cool_ngv.h, cool_rotor, cool_rotor.h,
+                    N, pr_t, params, health, COLD)
+
+
+def _turbine(inlet4, h4, cool_ngv, h_ngv, cool_rotor, h_rot, N, pr_t, params,
+             health, start):
+    """turbine_calc for streams of the given enthalpies, its four inversions
+    starting from `start`'s t41, t5s, t5u and t5."""
     if pr_t <= 1.0:
         raise PressureRatioBelowUnity(pr_t)
-    st41 = mix_streams(inlet4, cool_ngv, inlet4.Pt)
+    st41, h41 = _mix(inlet4, h4, cool_ngv, h_ngv, inlet4.Pt, start.t41)
     p5 = st41.Pt / pr_t
-    t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR)
-    dhs = st41.h - gas.enthalpy(t5s, st41.FAR)
+    t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR, start.t5s)
+    dhs = h41 - gas.enthalpy(t5s, st41.FAR)
     n_rel = N / params.design_speed
     eta = params.tmap.efficiency(n_rel, dhs)
     if not health.healthy:
         eta = eta * health.eta_t_factor
-    h5u = st41.h - eta * dhs
-    pw_turb = st41.W * (st41.h - h5u)
-    st5u = GasState(W=st41.W, Tt=gas.temperature_from_enthalpy(h5u, st41.FAR),
-                    Pt=p5, FAR=st41.FAR)
-    st5 = mix_streams(st5u, cool_rotor, p5)
-    return TurbineResult(st41=st41, st5=st5, PW_turb=pw_turb, eta=eta)
+    h5u = h41 - eta * dhs
+    pw_turb = st41.W * (h41 - h5u)
+    t5u = gas.temperature_from_enthalpy(h5u, st41.FAR, start.t5u)
+    st5u = GasState(W=st41.W, Tt=t5u, Pt=p5, FAR=st41.FAR)
+    st5, _ = _mix(st5u, h5u, cool_rotor, h_rot, p5, start.t5)
+    return TurbineResult(st41=st41, st5=st5, PW_turb=pw_turb, eta=eta, t5s=t5s, t5u=t5u)
 
 
 def exhaust_calc(inlet: GasState, params: GasGenParams) -> GasState:
@@ -367,19 +444,25 @@ class GasGenInput:
             raise ValueError("fuel flow must be non-negative")
 
 
-def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health):
-    """One pass through the gas path; returns residuals plus the station chain."""
-    comp = compressor_calc(st2, N, beta, params, health)
+def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
+    """One pass through the gas path, its inversions started from `start`;
+    returns residuals, the station chain and the station temperatures.
+
+    Each station's enthalpy is computed once: the compressor, burner, mixes
+    and turbine hand on the enthalpy their energy balance gave.
+    """
+    comp = compressor_calc(st2, N, beta, params, health, start)
     st3 = comp.outlet
     w2 = comp.W2
     w_ngv = params.ngv_cool_frac * w2
     w_rot = params.rotor_cool_frac * w2
     w_ob = params.overboard_frac * w2
     st31 = GasState(W=w2 - w_ngv - w_rot - w_ob, Tt=st3.Tt, Pt=st3.Pt, FAR=st3.FAR)
-    st4 = burner_calc(st31, wf, params)
+    st4, h4 = _burn(st31, comp.h3, wf, params, start.t4)
     cool_ngv = GasState(W=w_ngv, Tt=st3.Tt, Pt=st4.Pt, FAR=st3.FAR)
     cool_rot = GasState(W=w_rot, Tt=st3.Tt, Pt=st3.Pt, FAR=st3.FAR)
-    turb = turbine_calc(st4, cool_ngv, cool_rot, N, pr_t, params, health)
+    turb = _turbine(st4, h4, cool_ngv, comp.h3, cool_rot, comp.h3, N, pr_t, params,
+                    health, start)
     st8 = exhaust_calc(turb.st5, params)
 
     # residual 1: turbine swallowing capacity vs delivered corrected flow
@@ -390,12 +473,15 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health):
     r1 = (wc41 - wc41_map) / params.tmap.wc_design
 
     # residual 2: exhaust exit static pressure vs ambient
-    ts8, ps8, m8, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR)
+    ts8, ps8, m8, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR,
+                                            _scaled(start.ts8, st8.Tt, start.t5))
     r2 = (ps8 - st0.Pt) / st0.Pt
     if choked:
         r2 += 5.0 * (st8.W / (ps8 / (gas.R_GAS * ts8) * params.a8_m2) - 1.0)
 
-    return np.array([r1, r2]), comp, st31, st4, turb, st8
+    temps = StationTemperatures(comp.t3s, st3.Tt, st4.Tt, turb.st41.Tt, turb.t5s,
+                                turb.t5u, turb.st5.Tt, ts8, start.ts3)
+    return np.array([r1, r2]), comp, st31, st4, turb, st8, temps
 
 
 def off_design_solve(params: GasGenParams, u: GasGenInput,
@@ -405,7 +491,10 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
     A `guess` (a previous solution of a nearby point) supplies the starting
-    point and the Jacobian the solver carries from one match to the next.
+    point and the Jacobian the solver carries from one match to the next,
+    and the station temperatures the first cycle evaluation starts its
+    property inversions from; each later evaluation starts from the one
+    before it.
     The shaft load Pe is bookkeeping only; any surplus of PW_shaft_net over
     Pe drives the spool and is never forced to zero here.
     """
@@ -414,16 +503,17 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     st0, st1, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
                                        params.intake_recovery)
     if guess is None:
-        x0, jac0 = np.array([0.5, 1.0]), None
+        x0, jac0, start = np.array([0.5, 1.0]), None, COLD
     else:
         x0 = np.array([guess.beta, guess.turbine_pr / params.tmap.pr_design])
-        jac0 = guess.jacobian
+        jac0, start = guess.jacobian, guess.temperatures
 
     last = []
 
     def residual(x):
         beta, pr_t = x[0], x[1] * params.tmap.pr_design
-        last[:] = _evaluate_cycle(params, st0, st2, N, beta, pr_t, u.wf, health)
+        last[:] = _evaluate_cycle(params, st0, st2, N, beta, pr_t, u.wf, health,
+                                  last[6] if last else start)
         return last[0]
 
     opts = newton_opts or NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
@@ -433,13 +523,14 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     # newton_solve returns the point it evaluated last, so that evaluation
     # already holds the station chain of the converged cycle
     beta, pr_t = x[0], x[1] * params.tmap.pr_design
-    r, comp, st31, st4, turb, st8 = last
+    r, comp, st31, st4, turb, st8, temps = last
     res_norm = float(np.max(np.abs(r)))
 
     pw_net = (turb.PW_turb - comp.PW_cpr / params.eta_mech - params.accessory_kw)
     sfc = 3600.0 * u.wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
-    ps3 = static_pressure(comp.outlet.Tt, comp.outlet.Pt, comp.outlet.W,
-                          params.a3_m2, comp.outlet.FAR)
+    st3 = comp.outlet
+    ts3, ps3, _, _ = static_from_flow(st3.Tt, st3.Pt, st3.W, params.a3_m2, st3.FAR,
+                                      _scaled(start.ts3, st3.Tt, start.t3))
     snox = ((comp.outlet.Pt / params.nox_p_ref) ** 0.4
             * math.exp((comp.outlet.Tt - params.nox_t_ref) / params.nox_t_scale))
     st2w = replace(st2, W=comp.W2)
@@ -450,4 +541,5 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         eta_mech_cpr=params.eta_mech, PW_shaft_net=pw_net, SFC=sfc,
         surge_margin=comp.surge_margin, NOx_severity=snox,
         newton_residual_norm=res_norm, N=N, wf=u.wf, beta=beta,
-        turbine_pr=pr_t, surge_crossed=comp.surge_crossed, jacobian=jac)
+        turbine_pr=pr_t, surge_crossed=comp.surge_crossed, jacobian=jac,
+        temperatures=temps._replace(ts3=ts3))

@@ -147,15 +147,19 @@ def init(params: GasGenParams, u: GasGenInput, health: HealthParams = HEALTHY,
     law = (lambda n: Pe) if load_law is None else load_law
 
     def surplus(n):
+        """Power surplus at speed n (0.0 once it meets the tolerance) and
+        the cycle solution it was read from."""
         sol = off_design_solve(params, u, health, Pe=law(n), N=n)
-        return sol.PW_shaft_net - law(n), sol
+        s = sol.PW_shaft_net - law(n)
+        return (0.0 if abs(s) < 1e-9 * max(abs(law(n)), 1.0) else s), sol
 
     n_lo, n_hi = 0.55 * params.design_speed, 1.15 * params.design_speed
     ns = np.linspace(n_lo, n_hi, 13)
-    vals = []
+    vals, sols = [], {}
     for n in ns:
         try:
-            vals.append((n, surplus(n)[0]))
+            s, sols[n] = surplus(n)
+            vals.append((n, s))
         except Exception:
             vals.append((n, None))
     brackets = [(n1, s1, n2, s2)
@@ -167,12 +171,17 @@ def init(params: GasGenParams, u: GasGenInput, health: HealthParams = HEALTHY,
     stable = [b for b in brackets if b[1] >= 0.0 >= b[3]]
     bracket = (stable or brackets)[-1]
     n1, s1, n2, s2 = bracket
+    # a grid speed may already be the steady state (a surplus peaking at
+    # zero there touches zero without changing sign)
+    for n, s in ((n1, s1), (n2, s2)):
+        if s == 0.0:
+            return GasGenState(N=n), outputs_from_solution(sols[n]), sols[n]
     for _ in range(80):
         n_mid = n1 - s1 * (n2 - n1) / (s2 - s1)
         if not n1 < n_mid < n2:
             n_mid = 0.5 * (n1 + n2)
         s_mid, sol = surplus(n_mid)
-        if abs(s_mid) < 1e-9 * max(abs(law(n_mid)), 1.0):
+        if s_mid == 0.0:
             x = GasGenState(N=n_mid)
             return x, outputs_from_solution(sol), sol
         if s_mid * s1 <= 0.0:

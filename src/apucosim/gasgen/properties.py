@@ -94,13 +94,17 @@ def enthalpy(T: float, far: float = 0.0) -> float:
     return _h_raw(T, far) - _h_ref(far)
 
 
-def temperature_from_enthalpy(h: float, far: float = 0.0) -> float:
+def temperature_from_enthalpy(h: float, far: float = 0.0,
+                              guess: float | None = None) -> float:
     """Invert enthalpy(T, far) = h by bounded Newton.
 
-    Each iteration evaluates h and its slope cp at one z = T/1000, with the
-    same expressions (and bits) as enthalpy() and cp().
+    Starts from `guess` (a nearby earlier result; clamped to the table
+    range) or, without one, from T_REF + h/1.05. Each iteration evaluates h
+    and its slope cp at one z = T/1000, with the same expressions (and
+    bits) as enthalpy() and cp().
     """
-    t = min(max(T_REF + h / 1.05, T_MIN), T_MAX)
+    t = T_REF + h / 1.05 if guess is None else guess
+    t = min(max(t, T_MIN), T_MAX)
     w = far / (1.0 + far)
     ref = _h_ref(far)
     lo, hi = T_MIN, T_MAX
@@ -136,15 +140,17 @@ def phi(T: float, far: float = 0.0) -> float:
     return v
 
 
-def isentropic_temperature(T_in: float, pressure_ratio: float, far: float = 0.0) -> float:
+def isentropic_temperature(T_in: float, pressure_ratio: float, far: float = 0.0,
+                           guess: float | None = None) -> float:
     """Exit temperature of an isentropic process from T_in across P_out/P_in.
 
-    Newton on phi(T) = phi(T_in) + R ln(pressure_ratio), each iteration
+    Newton on phi(T) = phi(T_in) + R ln(pressure_ratio) from `guess` (as in
+    temperature_from_enthalpy) or T_in pressure_ratio^0.283, each iteration
     evaluating phi and its slope cp/T at one z = T/1000, with the same
     expressions (and bits) as phi() and cp().
     """
     target = phi(T_in, far) + R_GAS * math.log(pressure_ratio)
-    t = T_in * pressure_ratio ** 0.283
+    t = T_in * pressure_ratio ** 0.283 if guess is None else guess
     t = min(max(t, T_MIN), T_MAX)
     w = far / (1.0 + far)
     a0, p0 = _CP_AIR[0], _CP_PROD[0]

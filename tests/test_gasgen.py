@@ -24,6 +24,7 @@ from apucosim.gasgen import (
 from apucosim.gasgen import properties as gas
 from apucosim.gasgen import cycle
 from apucosim.gasgen.cycle import (
+    COLD,
     compressor_calc,
     exhaust_calc,
     static_from_flow,
@@ -123,6 +124,42 @@ def test_fused_inversions_match_separate_calls(T, far, pr):
         assert gas.isentropic_temperature(T, pr, far) == expected
 
 
+@given(st.floats(200.0, 2000.0), _FAR, st.floats(100.0, 2500.0))
+@settings(max_examples=300, deadline=None)
+def test_warm_and_cold_enthalpy_inversions_agree(T, far, guess):
+    # guesses inside and outside [T_MIN, T_MAX]; both stop within 1e-10 kJ/kg
+    h = gas.enthalpy(T, far)
+    cold = gas.temperature_from_enthalpy(h, far)
+    warm = gas.temperature_from_enthalpy(h, far, guess)
+    assert abs(gas.enthalpy(warm, far) - h) < 1e-10
+    assert abs(warm - cold) <= 2e-10 / gas.cp(cold, far)
+
+
+@given(st.floats(250.0, 1900.0), _FAR, st.floats(0.1, 10.0), st.floats(100.0, 2500.0))
+@settings(max_examples=300, deadline=None)
+def test_warm_and_cold_isentropic_inversions_agree(T, far, pr, guess):
+    try:
+        cold = gas.isentropic_temperature(T, pr, far)
+    except gas.TemperatureOutOfRange:
+        with pytest.raises(gas.TemperatureOutOfRange):
+            gas.isentropic_temperature(T, pr, far, guess)
+        return
+    warm = gas.isentropic_temperature(T, pr, far, guess)
+    target = gas.phi(T, far) + gas.R_GAS * math.log(pr)
+    assert abs(gas.phi(warm, far) - target) < 1e-13
+    # phi' = cp/T, so the 1e-13 stopping test fixes T to 1e-13 T/cp
+    assert abs(warm - cold) <= 2e-13 * cold / gas.cp(cold, far)
+
+
+@pytest.mark.parametrize("guess", [None, 150.0, 290.0, 1000.0, 1999.0, 2600.0])
+@pytest.mark.parametrize("far", [0.0, 0.03])
+def test_out_of_range_enthalpy_raises(guess, far):
+    for h in (gas.enthalpy(gas.T_MAX, far) + 10.0, gas.enthalpy(gas.T_MIN, far) - 10.0,
+              math.nan):
+        with pytest.raises(gas.TemperatureOutOfRange):
+            gas.temperature_from_enthalpy(h, far, guess)
+
+
 # ------------------------------------------------------- static from flow
 
 # (Tt K, Pt kPa, far, area m^2): compressor exit, exhaust, and a hot,
@@ -161,6 +198,50 @@ def test_static_from_flow_matches_reference(Tt, Pt, far, area):
         W = ratio * w_choke
         assert (static_from_flow(Tt, Pt, W, area, far)
                 == reference_static_from_flow(Tt, Pt, W, area, far))
+
+
+@pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
+def test_warm_static_from_flow_matches_reference(Tt, Pt, far, area):
+    # guesses carried from a nearby state: the root itself, a few per cent
+    # off on either side, and the choke point
+    w_choke = choke_flow(Tt, Pt, area, far)
+    ts_choke = reference_static_from_flow(Tt, Pt, w_choke, area, far)[0]
+    for ratio in (0.1, 0.5, 0.9, 0.99, 0.99999):
+        W = ratio * w_choke
+        ts_r, ps_r, _, _ = reference_static_from_flow(Tt, Pt, W, area, far)
+        band = 2e-11 / abs(_log_flow_slope(Tt, Pt, ts_r, area, far))
+        for guess in (ts_r, 0.97 * ts_r, min(1.02 * ts_r, 0.5 * (ts_r + Tt)), ts_choke):
+            ts, ps, mach, choked = static_from_flow(Tt, Pt, W, area, far, guess)
+            assert choked is False
+            assert 0.0 <= mach < 1.0
+            assert abs(ts - ts_r) / ts_r <= 1e-10 + band, (ratio, guess)
+            assert abs(ps - ps_r) / ps_r <= 1e-10 + gas.cp(ts_r, far) / gas.R_GAS * band
+    # at W = w_choke exactly the choked flag hangs on the last bit of the
+    # choke point, which a fixed point started elsewhere need not reproduce
+    for ratio in (1.0 + 1e-9, 1.5):
+        W = ratio * w_choke
+        ts_r, ps_r, mach_r, choked_r = reference_static_from_flow(Tt, Pt, W, area, far)
+        for guess in (ts_choke, 1.01 * ts_choke, 0.5 * (ts_choke + Tt)):
+            ts, ps, mach, choked = static_from_flow(Tt, Pt, W, area, far, guess)
+            assert (mach, choked) == (mach_r, choked_r) == (1.0, True)
+            # the choke fixed point started elsewhere stops within 1e-10 K
+            assert ts == pytest.approx(ts_r, rel=1e-12, abs=0.0)
+            assert ps == pytest.approx(ps_r, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("far", [0.0, 0.069])
+@pytest.mark.parametrize("Tt", [300.0, 755.0, 1200.0, 2000.0])
+def test_flow_at_the_warm_mach_limit_is_well_under_choke(Tt, far):
+    # why a warm root below WARM_STATIC_MACH_MAX needs no choke point: the
+    # flow there is under the choke flow by far more than the 1e-5 or so by
+    # which the flow maximum exceeds it
+    m = cycle.WARM_STATIC_MACH_MAX
+    ts = Tt
+    for _ in range(60):
+        cps = gas.cp(ts, far)
+        ts = Tt / (1.0 + 0.5 * (cps / (cps - gas.R_GAS) - 1.0) * m * m)
+    w = continuity_flow(Tt, 100.0, ts, 0.01, far)
+    assert w < 0.995 * choke_flow(Tt, 100.0, 0.01, far)
 
 
 def test_static_from_flow_raises_rather_than_return_unconverged(monkeypatch):
@@ -336,9 +417,11 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     assert calls["residual"] > 2
     assert calls["cycle"] == calls["residual"]
     for sol in (cold, warm):
-        # the kept station chain is the cycle at the converged point
-        r, comp, _, _, turb, st8 = evaluate(gg_params, sol.stations[0], st2, sol.N,
-                                            sol.beta, sol.turbine_pr, u.wf, HEALTHY)
+        # the kept station chain is the cycle at the converged point (its
+        # inversions started from the temperatures the solution carries)
+        r, comp, _, _, turb, st8, _ = evaluate(gg_params, sol.stations[0], st2, sol.N,
+                                               sol.beta, sol.turbine_pr, u.wf, HEALTHY,
+                                               sol.temperatures)
         assert sol.newton_residual_norm == float(np.max(np.abs(r)))
         assert sol.stations[3] == comp.outlet
         assert sol.stations[41] == turb.st41
@@ -365,6 +448,35 @@ def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkey
     # a carried Jacobian saves at least the two finite-difference columns
     # each solve without one pays
     assert counts[True] <= counts[False] - 2 * (len(speeds) - 1)
+
+
+def test_warm_match_makes_fewer_property_evaluations(gg_params, monkeypatch):
+    # every cp, enthalpy and phi evaluation, inside the inversions too,
+    # evaluates its air polynomial once
+    polys = {"n": 0}
+    for name in ("_cp_air", "_h_air", "_phi_air"):
+        poly = getattr(gas, name)
+        monkeypatch.setattr(gas, name, lambda z, poly=poly: polys.__setitem__(
+            "n", polys["n"] + 1) or poly(z))
+    evaluations = []
+    evaluate = cycle._evaluate_cycle
+    monkeypatch.setattr(cycle, "_evaluate_cycle",
+                        lambda *args: evaluations.append(1) or evaluate(*args))
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    prev = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    per_evaluation = {}
+    for kind, guess in (("cold", None), ("warm", prev)):
+        polys["n"] = 0
+        evaluations.clear()
+        sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35020.0, guess=guess)
+        assert sol.newton_residual_norm < 1e-10
+        per_evaluation[kind] = polys["n"] / len(evaluations)
+    # one evaluation with every inversion started cold, at the solution
+    polys["n"] = 0
+    evaluate(gg_params, sol.stations[0], sol.stations[2], sol.N, sol.beta,
+             sol.turbine_pr, u.wf, HEALTHY, COLD)
+    # a cold match starts only its first evaluation cold, and a warm one none
+    assert per_evaluation["warm"] < per_evaluation["cold"] < polys["n"]
 
 
 @pytest.mark.parametrize("kind", ["negated", "singular"])

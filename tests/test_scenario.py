@@ -260,8 +260,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("8874c41649c74e6fe981b4828e146f8c"
-                      "2b7cfebf15fae03d1e25eeb37f18528a")
+    assert digest == ("cae03ddbfceca7f3494fbf74d8e8fde6"
+                      "28fb4cb984f596bcd6df30531efa67a2")
 
 
 def test_gasgen_output_noise_channel_validation():
