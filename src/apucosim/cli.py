@@ -143,6 +143,8 @@ def cmd_transient(args) -> int:
 
 
 def cmd_genrun(args) -> int:
+    if not 0.0 <= args.mu < 1.0:
+        raise ValueError(f"--mu must lie in [0, 1) (0 runs healthy), found {args.mu!r}")
     steps = args.duration / GENRUN_CONTROL_DT
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9):
@@ -204,6 +206,14 @@ def _joint_worker(payload):
     }
 
 
+def _pool_size(runs: int, threads: str | None, cpus: int) -> int:
+    """Worker processes for `joint --runs`: the APU_COSIM_THREADS value
+    `threads` (unset, empty or 0: one per CPU), at most `cpus` and `runs`."""
+    if threads and not threads.strip().isdigit():
+        raise ValueError(f"APU_COSIM_THREADS must be an integer >= 0, found {threads!r}")
+    return min(int(threads or 0) or cpus, cpus, runs)
+
+
 def cmd_joint(args) -> int:
     scn = _scenario_from_args(args, "joint-fault")
     doc = scn.doc
@@ -216,7 +226,8 @@ def cmd_joint(args) -> int:
     if args.runs > 1:
         text = sc.serialize_scenario(scn)
         seeds = [scn.seed + 1000003 * k for k in range(args.runs)]
-        workers = int(os.environ.get("APU_COSIM_THREADS", "0")) or None
+        workers = _pool_size(args.runs, os.environ.get("APU_COSIM_THREADS"),
+                             os.cpu_count() or 1)
         payloads = [(k, text, s) for k, s in enumerate(seeds)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             merged = dict(pool.map(_joint_worker, payloads))
@@ -324,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro-dt", type=float, default=None)
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--state-noise", type=float, default=0.0,
                    help="spool-speed state noise std (rpm) via the hook")
     p.add_argument("--hook", type=str, default=None,

@@ -50,6 +50,11 @@ class UnknownChannel(Exception):
         super().__init__(f"unknown channel {name!r}")
 
 
+# machine fast-track steps per run (duration / stepper.max_step_s): the
+# arrays of a run grow with it, so a tiny max_step_s is refused at parse time
+# rather than failing to allocate mid-run
+MAX_FAST_STEPS = 1_000_000
+
 _DEFAULTS = {
     "name": "design",
     "duration": 5.0,
@@ -197,8 +202,10 @@ def _validate(doc):
                 raise SchemaError(f"gas_path_faults[{i}].{f.name}",
                                   f"factor within [{lo:g}, {hi:g}]", item[f.name])
     for i, item in enumerate(doc["ttsc_faults"]):
-        if not 0.0 <= item["mu"] <= 1.0:
-            raise SchemaError(f"ttsc_faults[{i}].mu", "fraction within [0, 1]",
+        # mu = 1 shorts the whole phase, where the fault current's
+        # denominator mu (1 - mu) L_ls vanishes; mu = 0 runs healthy
+        if not 0.0 <= item["mu"] < 1.0:
+            raise SchemaError(f"ttsc_faults[{i}].mu", "fraction within [0, 1)",
                               item["mu"])
         if not item["k_rf"] >= 0.0:
             raise SchemaError(f"ttsc_faults[{i}].k_rf", "non-negative factor",
@@ -217,6 +224,14 @@ def _validate(doc):
         raise SchemaError("stepper.max_step_s",
                           f"step within (0, {limit:.6g}] s, a tenth of the "
                           "machine period", max_step)
+    if doc["duration"] / max_step > MAX_FAST_STEPS:
+        raise SchemaError("stepper.max_step_s",
+                          f"step of at least duration / {MAX_FAST_STEPS:,} = "
+                          f"{doc['duration'] / MAX_FAST_STEPS:.6g} s", max_step)
+    for key in ("relative_tolerance", "absolute_tolerance"):
+        if not 0.0 < doc["stepper"][key] < math.inf:
+            raise SchemaError(f"stepper.{key}", "positive finite tolerance",
+                              doc["stepper"][key])
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,8 @@ class FaultParams:
     k_rf: float = OPEN_BRANCH_KRF
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+        if not 0.0 <= self.mu < 1.0:
+            raise ValueError("mu must lie in [0, 1)")
         if self.k_rf < 0.0:
             raise ValueError("k_rf must be non-negative")
 

@@ -322,3 +322,79 @@ def test_macro_dt_override_validated(tmp_path, capsys, value, field):
     assert main(["transient", "--scenario", str(p), f"--macro-dt={value}",
                  "--out", str(tmp_path), "--no-svg"]) == EXIT_USAGE
     assert field in capsys.readouterr().err
+
+
+# a whole shorted phase (mu = 1) zeroes the fault current's denominator
+# mu (1 - mu) L_ls; it is refused before any numpy arithmetic runs
+@pytest.mark.parametrize("mu", [1.0, 1.5, -0.01])
+def test_ttsc_mu_outside_half_open_unit_interval_rejected(tmp_path, capsys, mu):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, "ttsc_faults": [{"mu": mu}]}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "ttsc_faults[0].mu" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("mu", ["1.0", "1.2", "-0.05", "nan"])
+def test_genrun_mu_outside_half_open_unit_interval_rejected(tmp_path, capsys, mu):
+    argv = ["genrun", "--duration", "0.1", "--mu", mu, "--fault-time", "0",
+            "--out", str(tmp_path), "--no-svg"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--mu" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("relative_tolerance", 0.0), ("relative_tolerance", -1e-4),
+    ("relative_tolerance", "Infinity"), ("relative_tolerance", "NaN"),
+    ("absolute_tolerance", 0.0), ("absolute_tolerance", -1.0),
+    ("absolute_tolerance", "Infinity"),
+    # 4e10 fast steps in 0.04 s: refused before any array is sized
+    ("max_step_s", 1e-12),
+])
+def test_stepper_fields_rejected_at_parse_with_path(tmp_path, capsys, key, value):
+    p = tmp_path / "scn.json"
+    text = json.dumps({"duration": 0.04, "stepper": {key: "VALUE"}})
+    # NaN and Infinity as JSON's non-standard literals, which json.loads reads
+    p.write_text(text.replace('"VALUE"', str(value)))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_USAGE
+    assert f"stepper.{key}" in capsys.readouterr().err
+
+
+def test_fast_step_cap_bound_accepted_at_parse():
+    from apucosim.scenario import MAX_FAST_STEPS, parse_scenario
+    doc = {"duration": 1.0, "stepper": {"max_step_s": 1.0 / MAX_FAST_STEPS}}
+    assert parse_scenario(json.dumps(doc))["stepper"]["max_step_s"] == 1e-6
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
+def test_joint_runs_must_be_positive_integer(tmp_path, capsys, value):
+    assert main(["joint", "--runs", value, "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_USAGE
+    assert "--runs" in capsys.readouterr().err
+
+
+def test_joint_worker_variable_must_be_an_integer(tmp_path, capsys, monkeypatch):
+    # rejected before the pool starts, so no process is started
+    monkeypatch.setenv("APU_COSIM_THREADS", "two")
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04}))
+    assert main(["joint", "--scenario", str(p), "--runs", "2", "--out",
+                 str(tmp_path), "--no-svg"]) == EXIT_USAGE
+    assert "APU_COSIM_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs, threads, cpus, expected", [
+    (2, None, 8, 2), (2, "", 8, 2), (2, "0", 8, 2), (5, None, 2, 2),
+    (5, "64", 4, 4), (5, "3", 4, 3), (1, "3", 4, 1), (3, " 2 ", 4, 2),
+])
+def test_pool_size_capped_at_cpus_and_runs(runs, threads, cpus, expected):
+    assert cli._pool_size(runs, threads, cpus) == expected
+
+
+@pytest.mark.parametrize("threads", ["-1", "1.5", "x"])
+def test_pool_size_rejects_non_integer_variable(threads):
+    with pytest.raises(ValueError, match="APU_COSIM_THREADS"):
+        cli._pool_size(2, threads, 4)

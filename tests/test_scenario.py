@@ -91,8 +91,8 @@ def test_model_range_bounds_accepted():
         "ambient": {"altitude": 11000.0, "mach": 0.0, "dT_ISA": -16.6},
         "gas_path_faults": [{"eta_c_factor": 0.8, "flow_c_factor": 1.2,
                              "eta_t_factor": 0.8, "flow_t_factor": 1.2}],
-        "ttsc_faults": [{"mu": 1.0, "k_rf": 0.0}]}))
-    assert scn["ttsc_faults"][0]["mu"] == 1.0
+        "ttsc_faults": [{"mu": 0.0, "k_rf": 0.0}]}))
+    assert scn["ttsc_faults"][0]["mu"] == 0.0
 
 
 def test_serialize_round_trip():
