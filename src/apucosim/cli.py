@@ -266,6 +266,30 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, found {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, found {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, found {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="apu-cosim",
@@ -287,15 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steady", help="solve one steady off-design point")
     p.add_argument("--preset-index", type=int, default=None,
                    help=f"0..{len(OFF_DESIGN_PRESETS) - 1} built-in points")
-    p.add_argument("--altitude", type=float, default=0.0)
-    p.add_argument("--mach", type=float, default=0.0)
-    p.add_argument("--power", type=float, default=500.0)
-    p.add_argument("--speed", type=float, default=36050.0)
-    p.add_argument("--disa", type=float, default=5.0)
-    p.add_argument("--eta-c", type=float, default=1.0)
-    p.add_argument("--flow-c", type=float, default=1.0)
-    p.add_argument("--eta-t", type=float, default=1.0)
-    p.add_argument("--flow-t", type=float, default=1.0)
+    p.add_argument("--altitude", type=_finite_float, default=0.0)
+    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
+    p.add_argument("--power", type=_nonnegative_float, default=500.0)
+    p.add_argument("--speed", type=_positive_float, default=36050.0)
+    p.add_argument("--disa", type=_finite_float, default=5.0)
+    p.add_argument("--eta-c", type=_finite_float, default=1.0)
+    p.add_argument("--flow-c", type=_finite_float, default=1.0)
+    p.add_argument("--eta-t", type=_finite_float, default=1.0)
+    p.add_argument("--flow-t", type=_finite_float, default=1.0)
     p.add_argument("--sweep", action="store_true",
                    help="sweep eta_c_factor and tabulate SFC")
     p.add_argument("--json", action="store_true")
@@ -314,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("genrun", help="machine-only run at fixed shaft speed")
-    p.add_argument("--power-kw", type=float, default=225.0)
-    p.add_argument("--speed-rpm", type=float, default=12000.0)
+    p.add_argument("--power-kw", type=_positive_float, default=225.0)
+    p.add_argument("--speed-rpm", type=_positive_float, default=12000.0)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--k-rf", type=float, default=1.0)
+    p.add_argument("--k-rf", type=_nonnegative_float, default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
     p.add_argument("--decimation", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=None)
@@ -332,11 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="full co-simulation of a scenario")
     p.add_argument("--scenario", type=str, default=None)
     p.add_argument("--preset", type=str, default="joint-fault")
-    p.add_argument("--macro-dt", type=float, default=None)
+    p.add_argument("--macro-dt", type=_finite_float, default=None)
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--state-noise", type=float, default=0.0,
+    p.add_argument("--state-noise", type=_nonnegative_float, default=0.0,
                    help="spool-speed state noise std (rpm) via the hook")
     p.add_argument("--hook", type=str, default=None,
                    choices=["none", "identity"])

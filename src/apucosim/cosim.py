@@ -1,6 +1,7 @@
 """Multi-rate orchestrator: continuous machine integration inside each fixed
 gas-generator macro step (the exact propagator of the affine flux equations
-on healthy segments, the variable-step implicit stepper on faulted ones),
+on healthy segments, a sixth-order Magnus integrator on faulted ones, both
+on the uniform max_step grid),
 with power/speed coupling rules, an externally pluggable state-process hook,
 and per-step energy bookkeeping.
 
@@ -33,10 +34,11 @@ from .gasgen import (
 from .gasgen.engine import OUTPUT_CHANNELS, trim_fuel
 from .numerics import (
     IntegralAccumulator,
+    NonFiniteDerivative,
     StepperOptions,
+    StepUnderflow,
     accumulate,
     expm,
-    integrate_adaptive,
 )
 from .wrsg import (
     ElectricalSystem,
@@ -52,6 +54,7 @@ from .wrsg import (
     seed_fault_flux,
     steady_state,
 )
+from .wrsg.dynamics import harmonic_weights
 from .wrsg.machine import IDX_LAM_F, IDX_THETA
 
 
@@ -143,6 +146,40 @@ SLOW_EXTRA = (
 )
 
 
+# three-point Gauss-Legendre nodes on [0, 1]
+_GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+# sub-steps per batch of Magnus exponentials: bounds the (batch, 8, 8)
+# temporaries, and so the memory, whatever the segment's length
+MAGNUS_CHUNK = 128
+# the most sub-steps per grid step, a floor on the sub-step as min_step is
+# on the adaptive stepper's step: the estimate falls by 1024^5 ~ 1e15 up to
+# there, so only a tolerance near rounding level needs more
+MAGNUS_MAX_SUBSTEPS = 1024
+
+
+def _grid(ta: float, tb: float, h: float):
+    """The uniform grid ta + k h over (ta, tb], its last step clipped to end
+    on tb: (times, length of the last step)."""
+    n = max(1, math.ceil((tb - ta) / h - 1e-9))
+    times = ta + h * np.arange(1, n + 1)
+    times[-1] = tb
+    return times, tb - (times[-2] if n > 1 else ta)
+
+
+def _march(sys_, y, ta, times, steps, dim):
+    """States on `times` from y at ta: each step one product of its
+    propagator with the augmented vector (the first `dim` fluxes, 1), lam_f
+    held when it is not among them, theta = theta0 + w_e (t - ta)."""
+    z = np.append(y[:dim], 1.0)
+    states = np.empty((times.size, 8))
+    states[:, IDX_LAM_F] = y[IDX_LAM_F]
+    for k, step in enumerate(steps):
+        z = step @ z
+        states[k, :dim] = z[:dim]
+    states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
+    return states
+
+
 def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float):
     """Exact solution of a healthy segment on the uniform grid ta + k h, the
     last step clipped to end on tb: (times, states), the start excluded.
@@ -151,30 +188,128 @@ def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float)
     obey d lam/dt = A lam + b and each step is one product with
     exp([[A, b], [0, 0]] h); lam_f is constant and theta = theta0 + w_e t.
     """
-    n = max(1, math.ceil((tb - ta) / h - 1e-9))
-    times = ta + h * np.arange(1, n + 1)
-    times[-1] = tb
+    times, h_last = _grid(ta, tb, h)
     a, b = sys_.affine()
     gen = np.zeros((7, 7))
     gen[:6, :6] = a
     gen[:6, 6] = b
-    h_last = tb - (times[-2] if n > 1 else ta)
     step = expm(gen * h)
     last = step if h_last == h else expm(gen * h_last)
     # the exponential's last row is exactly (0, ..., 0, 1); pin it so the
     # solve's rounding cannot drift the constant that carries b
     step[6] = last[6] = np.eye(7)[6]
-    z = np.append(y[:6], 1.0)
-    out = np.empty((n, 7))
-    for k in range(n - 1):
-        z = step @ z
-        out[k] = z
-    out[-1] = last @ z
-    states = np.empty((n, 8))
-    states[:, :6] = out[:, :6]
-    states[:, IDX_LAM_F] = y[IDX_LAM_F]
-    states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
-    return times, states
+    steps = [step] * (times.size - 1) + [last]
+    return times, _march(sys_, y, ta, times, steps, 6)
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _magnus_exponents(basis, b, theta0, w_e, ta, starts, dt):
+    """Order-6 Magnus exponents of the augmented generator [[A, b], [0, 0]]
+    over the sub-steps [starts, starts + dt], from A at each one's three
+    Gauss-Legendre nodes, and their differences from the order-4 exponents
+    of the same nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470)."""
+    t = starts[:, None] + dt[:, None] * _GAUSS_NODES
+    a = harmonic_weights(theta0 + w_e * (t - ta)) @ basis
+    gen = np.zeros(t.shape + (8, 8))
+    gen[..., :7, :7] = a.reshape(t.shape + (7, 7))
+    gen[..., :7, 7] = b
+    d = dt[:, None, None]
+    a1 = d * gen[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * d * (gen[:, 2] - gen[:, 0])
+    a3 = (10.0 / 3.0) * d * (gen[:, 2] - 2.0 * gen[:, 1] + gen[:, 0])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    high = _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # the order-4 exponent is a1 + a3/12 - c1/12
+    return a1 + a3 / 12.0 + high, high + c1 / 12.0
+
+
+def _finite(x, starts):
+    """x, stacked along the sub-steps that begin at `starts`; a non-finite
+    entry raises NonFiniteDerivative at its sub-step, naming its row."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        k, row = np.argwhere(bad)[0][:2]
+        raise NonFiniteDerivative(float(starts[k]), int(row))
+    return x
+
+
+def _substeps(ta, tb, h, m):
+    """The grid of propagate_healthy and the starts and lengths of the m
+    equal sub-steps of each of its steps."""
+    times = _grid(ta, tb, h)[0]
+    edges = np.concatenate(([ta], times))
+    lengths = np.diff(edges) / m
+    starts = edges[:-1, None] + lengths[:, None] * np.arange(m)
+    return times, starts.ravel(), np.repeat(lengths, m)
+
+
+def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
+                    rtol: float, atol) -> int:
+    """Sub-steps per grid step for propagate_magnus: the smallest power of two
+    m at which every sub-step's embedded error estimate |(Omega6 - Omega4) z|
+    meets atol + rtol |lam| channel by channel.
+
+    The estimate is taken once, with one sub-step per grid step, and divided
+    by m^5, its order in the step length; z is the state at ta. A tolerance
+    that needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow.
+    """
+    basis, b = sys_.flux_basis()
+    _, starts, dt = _substeps(ta, tb, h, 1)
+    z = np.append(y[:7], 1.0)
+    scale = atol + rtol * np.abs(y[:7])
+    worst = 0.0
+    for k in range(0, starts.size, MAGNUS_CHUNK):
+        part = slice(k, k + MAGNUS_CHUNK)
+        _, diff = _magnus_exponents(basis, b, y[IDX_THETA], sys_.w_e, ta,
+                                    starts[part], dt[part])
+        err = _finite(np.abs(diff[:, :7] @ z) / scale, starts[part])
+        worst = max(worst, float(np.max(err)))
+    m = 1
+    while worst > m ** 5:
+        m *= 2
+        if m > MAGNUS_MAX_SUBSTEPS:
+            raise StepUnderflow(ta, h / m, h / MAGNUS_MAX_SUBSTEPS)
+    return m
+
+
+def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
+                     rtol: float, atol):
+    """Solution of a segment with a shorted stator turn on the grid of
+    propagate_healthy: (times, states), the start excluded.
+
+    The seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta in
+    closed form. Each grid step is cut into magnus_substeps() equal
+    sub-steps, each the exponential of its sixth-order Magnus exponent,
+    taken in batches of MAGNUS_CHUNK sub-steps (of one grid step's when it
+    has more); their product is the step's propagator, marched as in
+    propagate_healthy.
+    """
+    m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
+    basis, b = sys_.flux_basis()
+    times, starts, dt = _substeps(ta, tb, h, m)
+    pin = np.eye(8)[7]
+
+    def steps():
+        size = max(1, MAGNUS_CHUNK // m) * m
+        for k in range(0, starts.size, size):
+            part = slice(k, k + size)
+            omega, _ = _magnus_exponents(basis, b, y[IDX_THETA], sys_.w_e, ta,
+                                         starts[part], dt[part])
+            e = _finite(expm(_finite(omega, starts[part])), starts[part])
+            # each grid step's sub-step exponentials, later ones on the left
+            e = e.reshape(-1, m, 8, 8)
+            while e.shape[1] > 1:
+                e = e[:, 1::2] @ e[:, 0::2]
+            e = e[:, 0]
+            # as in propagate_healthy, the last row is exactly (0, ..., 0, 1)
+            e[:, 7] = pin
+            yield from e
+
+    return times, _march(sys_, y, ta, times, steps(), 7)
 
 
 class _MachineTrack:
@@ -186,7 +321,7 @@ class _MachineTrack:
         if decimation < 1:
             raise ValueError("decimation must be an integer >= 1")
         if not math.isfinite(stepper.max_step):
-            raise ValueError("max_step must be finite: it is the healthy "
+            raise ValueError("max_step must be finite: it is the machine "
                              "segments' sample period")
         self.params = params
         self.load = load
@@ -197,7 +332,6 @@ class _MachineTrack:
         self.rng = rng
         self.fault = HEALTHY_FAULT
         self.state = None          # state array, set by start()
-        self.h_next = stepper.initial_step
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
@@ -237,7 +371,6 @@ class _MachineTrack:
                 t_cur = t_sw
             y = self._apply_fault(y, fault_new)
             sys_ = self._system(t_cur, noise_w)
-            self.h_next = self.stepper.initial_step   # restart after the jump
         if t1 > t_cur:
             y = self._run(sys_, y, t_cur, t1)
         self.state = y
@@ -258,21 +391,13 @@ class _MachineTrack:
                                 self.w_e, self.V_fd, r, noise_w=noise_w)
 
     def _run(self, sys_, y, ta, tb):
+        h = self.stepper.max_step
         if self.fault.active:
-            opts = replace(self.stepper, initial_step=min(
-                max(self.h_next, self.stepper.min_step), self.stepper.max_step,
-                (tb - ta)))
-            # the seven fluxes on the stepper, theta in closed form
-            res = integrate_adaptive(sys_.flux_system(y[IDX_THETA], ta),
-                                     y[:IDX_THETA], (ta, tb), opts)
-            self.h_next = res.last_step
-            times = res.times[1:]
-            states = np.empty((times.size, 8))
-            states[:, :IDX_THETA] = res.states[1:]
-            states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
+            times, states = propagate_magnus(
+                sys_, y, ta, tb, h, self.stepper.relative_tolerance,
+                self.stepper.absolute_tolerance)
         else:
-            times, states = propagate_healthy(sys_, y, ta, tb,
-                                              self.stepper.max_step)
+            times, states = propagate_healthy(sys_, y, ta, tb, h)
         self._record(sys_, times, states)
         y = states[-1].copy()
         # wrap the electrical angle to keep trig arguments small

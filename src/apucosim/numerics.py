@@ -1,7 +1,8 @@
 """Shared numerical kernels: quasi-Newton with a Jacobian carried between
 solves (finite differences, Broyden updates), adaptive linearly implicit ODE
-stepper for affine systems, small dense linear solver, matrix exponential,
-running time-integral accumulator.
+stepper for affine systems (an independent reference for the machine
+propagators, which run on a fixed grid), small dense linear solver, matrix
+exponential of one matrix or a stack, running time-integral accumulator.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -349,17 +350,21 @@ _THETA13 = 5.371920351148152
 
 def expm(a):
     """Matrix exponential by scaling and squaring with a degree-13 Pade
-    approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4))."""
+    approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
+
+    A stack of matrices along leading axes is exponentiated in one pass
+    with one common scaling, the one its largest 1-norm needs.
+    """
     a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expm needs square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    norm = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+    norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
     squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0 ** squarings
     b = _PADE13
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2

@@ -398,3 +398,68 @@ def test_pool_size_capped_at_cpus_and_runs(runs, threads, cpus, expected):
 def test_pool_size_rejects_non_integer_variable(threads):
     with pytest.raises(ValueError, match="APU_COSIM_THREADS"):
         cli._pool_size(2, threads, 4)
+
+
+# float flags are checked by their argparse type, before anything runs: a
+# bad value exits 1 naming the flag, with no traceback or numpy warning
+@pytest.mark.parametrize("flag, value", [
+    ("--power-kw", "0"), ("--power-kw", "-225"), ("--power-kw", "nan"),
+    ("--power-kw", "inf"), ("--speed-rpm", "0"), ("--speed-rpm", "-12000"),
+    ("--speed-rpm", "nan"), ("--speed-rpm", "-inf"), ("--k-rf", "nan"),
+    ("--k-rf", "-1"),
+])
+def test_genrun_float_flags_rejected_at_parse(tmp_path, capsys, flag, value):
+    argv = ["genrun", "--duration", "0.02", "--mu", "0.05", "--fault-time",
+            "0", "--out", str(tmp_path), "--no-svg", flag, value]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--speed", "nan"), ("--speed", "0"), ("--speed", "-100"),
+    ("--power", "nan"), ("--power", "-5"), ("--power", "inf"),
+    ("--mach", "-0.1"), ("--altitude", "nan"), ("--disa", "inf"),
+    ("--eta-c", "nan"), ("--flow-t", "x"),
+])
+def test_steady_float_flags_rejected_at_parse(capsys, flag, value):
+    assert main(["steady", flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--state-noise", "nan"), ("--state-noise", "-5"),
+    ("--state-noise", "inf"), ("--macro-dt", "nan"),
+])
+def test_joint_float_flags_rejected_at_parse(tmp_path, capsys, flag, value):
+    argv = ["joint", "--out", str(tmp_path), "--no-svg", flag, value]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unresolvable_stepper_tolerance_is_numeric_error(tmp_path, capsys):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({
+        "duration": 0.04, "ttsc_faults": [{"time_s": 0.0, "mu": 0.05}],
+        "stepper": {"relative_tolerance": 1e-300, "absolute_tolerance": 1e-300}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                 "--no-svg"]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_genrun_faulted_smoke_run(tmp_path, capsys):
+    # the console-script smoke step of the CI workflow
+    rc = main(["genrun", "--duration", "0.1", "--mu", "0.05", "--fault-time",
+               "0.04", "--json", "--no-svg", "--out", str(tmp_path / "gr")])
+    assert rc == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    currents = [doc["rms"][f"Phase {ph} Current"] for ph in "ABC"]
+    assert max(currents) / min(currents) > 1.01
+    assert (tmp_path / "gr" / "genrun_225kW_fast.csv").is_file()

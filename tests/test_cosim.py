@@ -11,22 +11,30 @@ from apucosim.cosim import (
     coupling_power,
     coupling_speed,
     energy_audit,
+    magnus_substeps,
     propagate_healthy,
+    propagate_magnus,
+    run_generator,
     run_joint,
 )
+from apucosim.control import AvrState
 from apucosim.numerics import (
     IntegralAccumulator,
+    NonFiniteDerivative,
     StepperOptions,
+    StepUnderflow,
     accumulate,
     integrate_adaptive,
 )
 from apucosim.scenario import build_joint_setup, parse_scenario
 from apucosim.wrsg import (
     ElectricalSystem,
+    FaultParams,
     HEALTHY_FAULT,
     LoadModel,
     WrsgParams,
     field_voltage_for_terminal,
+    seed_fault_flux,
     steady_state,
 )
 
@@ -149,6 +157,75 @@ def test_healthy_propagator_matches_tight_stepper(case):
         y, ta, h = np.append(res.state, y[7] + w_e * (tb - ta)), tb, res.last_step
         worst = max(worst, float(np.max(np.abs(got - y)) / np.max(np.abs(y[:6]))))
     assert worst < 1e-9
+
+
+def _faulted_system(mu=0.05):
+    p = WrsgParams()
+    fault = FaultParams(mu=mu, k_rf=1.0)
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = seed_fault_flux(steady_state(p, R_225, v_fd, W_E, theta0=0.3),
+                         fault, p).as_array()
+    return ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, v_fd,
+                            R_225), y0
+
+
+def test_magnus_with_constant_a_matches_healthy_propagator():
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
+                            v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    want_t, want = propagate_healthy(sysm, y0, 0.01, 0.03003, 1e-4)
+    # with A constant the order-4 and order-6 exponents coincide, so the
+    # estimate is zero at any tolerance
+    assert magnus_substeps(sysm, y0, 0.01, 0.03003, 1e-4, 1e-12, 1e-12) == 1
+    got_t, got = propagate_magnus(sysm, y0, 0.01, 0.03003, 1e-4, 1e-5, 1e-6)
+    assert np.array_equal(got_t, want_t)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want[:, :6]))
+
+
+def test_magnus_substeps_grow_with_tighter_tolerance():
+    sysm, y0 = _faulted_system()
+    # from a state 10 ms into the fault, where no flux is zero and a
+    # negligible atol leaves rtol to set every channel's tolerance
+    y = propagate_magnus(sysm, y0, 0.0, 0.01, 1e-4, 1e-5, 1e-6)[1][-1]
+    picks = [magnus_substeps(sysm, y, 0.01, 0.03, 1e-4, rtol, 1e-12)
+             for rtol in (1e-3, 1e-5, 1e-7)]
+    assert picks[0] < picks[1] < picks[2]
+    assert all(m & (m - 1) == 0 for m in picks)        # powers of two
+    # run_generator's tolerances at the onset state
+    assert magnus_substeps(sysm, y0, 0.0, 0.02, 1e-4, 1e-5, 1e-6) == 4
+    # a step already small enough needs no sub-steps
+    assert magnus_substeps(sysm, y0, 0.0, 0.002, 1e-6, 1e-5, 1e-6) == 1
+
+
+def test_magnus_non_finite_state_raises_with_sim_time():
+    sysm, y0 = _faulted_system()
+    y0[1] = math.nan
+    with pytest.raises(NonFiniteDerivative) as info:
+        propagate_magnus(sysm, y0, 0.25, 0.27, 1e-4, 1e-5, 1e-6)
+    assert info.value.t == 0.25 and info.value.channel == 0
+
+
+def test_magnus_tolerance_below_rounding_level_raises_step_underflow():
+    sysm, y0 = _faulted_system()
+    with pytest.raises(StepUnderflow) as info:
+        magnus_substeps(sysm, y0, 0.25, 0.27, 1e-4, 1e-300, 1e-300)
+    assert info.value.t == 0.25
+
+
+def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
+    t_sw = 0.0137
+    res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                        speed_rpm=12000.0, duration=0.04,
+                        fault_schedule=((t_sw, FaultParams(mu=0.05, k_rf=1.0)),))
+    t, i_f = res.fast.time, res.fast.column("i_f")
+    k = int(np.flatnonzero(t == t_sw)[0])
+    assert np.all(i_f[:k + 1] == 0.0) and np.all(i_f[k + 1:] != 0.0)
+    # the faulted grid restarts at the switch and ends on the macro boundary
+    after = t[k:][t[k:] <= 0.02]
+    assert np.allclose(np.diff(after)[:-1], 1e-4, rtol=1e-9, atol=0.0)
+    assert after[-1] == 0.02 and after[-1] - after[-2] <= 1e-4
 
 
 def test_hook_identity_transparent():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apucosim.numerics import (
+    _PADE13,
+    _THETA13,
     IntegralAccumulator,
     NewtonOptions,
     NonConvergence,
@@ -393,3 +395,48 @@ def test_expm_matches_taylor_series_and_inverse():
 def test_expm_rejects_non_square():
     with pytest.raises(ValueError):
         expm(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        expm(np.zeros(3))
+
+
+def _expm_2d_reference(a):
+    """The 2-D exponential as it was before stacks were accepted, operation
+    for operation."""
+    a = np.array(a, dtype=float)
+    norm = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+@pytest.mark.parametrize("n, scale", [(2, 40.0), (7, 0.1), (7, 3.0), (8, 1e-3),
+                                      (8, 25.0)])
+def test_expm_2d_bits_unchanged(n, scale):
+    a = np.random.default_rng(n + int(scale * 10)).normal(size=(n, n)) * scale
+    assert np.array_equal(expm(a), _expm_2d_reference(a))
+
+
+def test_expm_stack_matches_slice_by_slice():
+    # one common scaling for the stack: slices with smaller norms are
+    # squared more often than alone, which costs only rounding
+    rng = np.random.default_rng(4)
+    stack = rng.normal(size=(6, 8, 8)) * np.array([1e-3, 0.1, 1.0, 3.0, 8.0,
+                                                   20.0])[:, None, None]
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for g, a in zip(got, stack):
+        want = expm(a)
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(expm(stack[None, 2:4])[0], expm(stack[2:4]))

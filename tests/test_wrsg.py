@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dq0_oracle import ClassicDq0Generator
 
+from apucosim.cosim import propagate_magnus
 from apucosim.numerics import StepperOptions, integrate_adaptive
 from apucosim.wrsg import (
     ElectricalSystem,
@@ -448,6 +449,22 @@ def test_faulted_segment_truncation_error(mu):
                           initial_step=1e-6, max_step=1e-4)
     got = integrate_adaptive(system, y0[:7], (0.0, 0.05), opts, record=False).state
     want = _rk4(system, y0[:7], 0.0, 0.05, 2e-6)
+    assert np.max(np.abs(got - want)) < 1.5e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("mu", [0.03, 0.05, 0.08])
+def test_magnus_segment_truncation_error(mu):
+    # the same segment and reference on the production propagator at the
+    # machine-only run's tolerances and max_step
+    p = WrsgParams()
+    fault = FaultParams(mu=mu, k_rf=1.0)
+    vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = seed_fault_flux(steady_state(p, R_225, vfd, W_E), fault, p).as_array()
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
+    times, states = propagate_magnus(sysm, y0, 0.0, 0.05, 1e-4, 1e-5, 1e-6)
+    assert times[-1] == 0.05
+    want = _rk4(sysm.flux_system(y0[7], 0.0), y0[:7], 0.0, 0.05, 2e-6)
+    got = states[-1, :7]
     assert np.max(np.abs(got - want)) < 1.5e-6 * np.max(np.abs(want))
 
 
