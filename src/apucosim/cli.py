@@ -19,29 +19,10 @@ import numpy as np
 from . import scenario as sc
 from .control import AvrState
 from .cosim import run_generator, run_joint
-from .gasgen import (
-    AltitudeOutOfRange,
-    BetaOutOfRange,
-    CalibrationFailed,
-    GasGenDesignSpec,
-    HealthParams,
-    NoSteadyState,
-    PressureRatioBelowUnity,
-    T4OutOfRange,
-    TemperatureOutOfRange,
-    design_point_size,
-)
-from .gasgen.engine import SpeedOutOfRange
+from .errors import NumericalFailure, UsageError
+from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import trim_fuel
-from .numerics import (
-    NonConvergence,
-    NonFiniteDerivative,
-    NonFiniteResidual,
-    SingularJacobian,
-    SingularStageMatrix,
-    StepUnderflow,
-)
-from .wrsg import FaultParams, LoadModel, NoiseConfig, SingularSystem
+from .wrsg import FaultParams, LoadModel, NoiseConfig
 
 # steady operating points exercised by `steady --preset-index`
 OFF_DESIGN_PRESETS = (
@@ -96,10 +77,6 @@ def cmd_design(args) -> int:
 def cmd_steady(args) -> int:
     params, _ = design_point_size(GasGenDesignSpec())
     if args.preset_index is not None:
-        if not 0 <= args.preset_index < len(OFF_DESIGN_PRESETS):
-            print(f"preset index out of range 0..{len(OFF_DESIGN_PRESETS) - 1}",
-                  file=sys.stderr)
-            return EXIT_USAGE
         alt, mach, power = OFF_DESIGN_PRESETS[args.preset_index]
     else:
         alt, mach, power = args.altitude, args.mach, args.power
@@ -310,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("steady", help="solve one steady off-design point")
     p.add_argument("--preset-index", type=int, default=None,
-                   help=f"0..{len(OFF_DESIGN_PRESETS) - 1} built-in points")
+                   choices=range(len(OFF_DESIGN_PRESETS)), help="built-in point")
     p.add_argument("--altitude", type=_finite_float, default=0.0)
     p.add_argument("--mach", type=_nonnegative_float, default=0.0)
     p.add_argument("--power", type=_nonnegative_float, default=500.0)
@@ -381,15 +358,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (sc.SchemaError, sc.UnknownField, FileNotFoundError, ValueError,
-            AltitudeOutOfRange) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CalibrationFailed, NonConvergence, NoSteadyState,
-            TemperatureOutOfRange, T4OutOfRange, BetaOutOfRange,
-            PressureRatioBelowUnity, SpeedOutOfRange, StepUnderflow,
-            NonFiniteDerivative, SingularJacobian, SingularStageMatrix,
-            NonFiniteResidual, SingularSystem) as exc:
+    except (NumericalFailure, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

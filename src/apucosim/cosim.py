@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .control import AvrState, GovernorState, avr_step, governor_step
+from .errors import NumericalFailure
 from .gasgen import (
     GasGenInput,
     GasGenParams,
@@ -58,7 +59,7 @@ from .wrsg.dynamics import harmonic_weights
 from .wrsg.machine import IDX_LAM_F, IDX_THETA
 
 
-class EmptyWindow(Exception):
+class EmptyWindow(NumericalFailure):
     pass
 
 

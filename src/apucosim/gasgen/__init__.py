@@ -6,7 +6,6 @@ from .cycle import (
     GasState,
     HEALTHY,
     HealthParams,
-    T4OutOfRange,
     ambient_conditions,
     burner_calc,
     compressor_calc,
@@ -14,16 +13,14 @@ from .cycle import (
     off_design_solve,
     turbine_calc,
 )
-from .design import CalibrationFailed, GasGenDesignSpec, design_point_size
-from .maps import BetaOutOfRange, CompressorMap, PressureRatioBelowUnity, TurbineMap
-from .properties import TemperatureOutOfRange, cp, enthalpy, phi, temperature_from_enthalpy
+from .design import GasGenDesignSpec, design_point_size
+from .maps import CompressorMap, TurbineMap
+from .properties import cp, enthalpy, phi, temperature_from_enthalpy
 from .engine import (
     GasGenState,
     MACRO_DT,
-    NoSteadyState,
     OUTPUT_CHANNELS,
     OUTPUT_NAMES,
-    SpeedOutOfRange,
     init,
     output,
     outputs_from_solution,

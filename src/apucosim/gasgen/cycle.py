@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import NumericalFailure, UsageError
 from ..numerics import NewtonOptions, NonConvergence, newton_solve
 from . import properties as gas
 from .maps import CompressorMap, PressureRatioBelowUnity, TurbineMap
@@ -33,13 +34,13 @@ STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
 WARM_STATIC_MACH_MAX = 0.9
 
 
-class AltitudeOutOfRange(Exception):
+class AltitudeOutOfRange(UsageError):
     def __init__(self, alt):
         lo, hi = ALTITUDE_RANGE_M
         super().__init__(f"altitude {alt:.0f} m outside [{lo:.0f}, {hi:.0f}] m")
 
 
-class T4OutOfRange(Exception):
+class T4OutOfRange(NumericalFailure):
     def __init__(self, t4):
         super().__init__(f"burner outlet temperature {t4:.1f} K above 2000 K")
 

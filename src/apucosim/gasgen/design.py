@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import NumericalFailure
 from . import properties as gas
 from .cycle import (
     CycleSolution,
@@ -48,7 +49,7 @@ DEFAULT_INERTIA = 0.12   # kg m^2, free parameter tuned so a 10 % fuel step
                          # settles in 2-4 s; never asserted as ground truth
 
 
-class CalibrationFailed(Exception):
+class CalibrationFailed(NumericalFailure):
     def __init__(self, parameter, target, achieved):
         self.parameter = parameter
         self.target = target

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NumericalFailure
 from .cycle import (
     CycleSolution,
     GasGenInput,
@@ -25,12 +26,12 @@ MACRO_DT = 0.02          # s, fixed gas-generator step
 _SUBSTEPS = 2            # forward sub-steps per macro step
 
 
-class SpeedOutOfRange(Exception):
+class SpeedOutOfRange(NumericalFailure):
     def __init__(self, n, n_max):
         super().__init__(f"spool speed {n:.0f} rpm outside (0, {n_max:.0f}] rpm")
 
 
-class NoSteadyState(Exception):
+class NoSteadyState(NumericalFailure):
     pass
 
 

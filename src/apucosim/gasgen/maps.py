@@ -11,13 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import NumericalFailure
 
-class BetaOutOfRange(Exception):
+
+class BetaOutOfRange(NumericalFailure):
     def __init__(self, beta):
         super().__init__(f"map coordinate beta={beta:.4f} outside [-0.25, 1.25]")
 
 
-class PressureRatioBelowUnity(Exception):
+class PressureRatioBelowUnity(NumericalFailure):
     def __init__(self, pr):
         super().__init__(f"turbine expansion ratio {pr:.4f} not above 1")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+from ..errors import NumericalFailure
+
 # specific gas constant, kJ/(kg K); composition effect on R is below the
 # calibration noise of the cycle anchors and is deliberately ignored
 R_GAS = 0.28705287
@@ -32,7 +34,7 @@ _PHI_AIR = tuple(c / k if k else c for k, c in enumerate(_CP_AIR))
 _PHI_PROD = tuple(c / k if k else c for k, c in enumerate(_CP_PROD))
 
 
-class TemperatureOutOfRange(Exception):
+class TemperatureOutOfRange(NumericalFailure):
     def __init__(self, T):
         super().__init__(f"temperature {T:.2f} K outside [{T_MIN}, {T_MAX}] K")
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class NumericsError(Exception):
-    pass
+from .errors import NumericalFailure
 
 
-class NonConvergence(NumericsError):
+class NonConvergence(NumericalFailure):
     def __init__(self, iterations: int, final_norm: float):
         self.iterations = iterations
         self.final_norm = final_norm
@@ -27,23 +25,23 @@ class NonConvergence(NumericsError):
                          f"(residual norm {final_norm:.3e})")
 
 
-class SingularJacobian(NumericsError):
+class SingularJacobian(NumericalFailure):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"singular Jacobian at pivot {pivot_index}")
 
 
-class NonFiniteResidual(NumericsError):
+class NonFiniteResidual(NumericalFailure):
     pass
 
 
-class SingularMatrix(NumericsError):
+class SingularMatrix(NumericalFailure):
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
         super().__init__(f"singular matrix at pivot {pivot_index}")
 
 
-class StepUnderflow(NumericsError):
+class StepUnderflow(NumericalFailure):
     def __init__(self, t: float, step: float, min_step: float):
         self.t = t
         self.step = step
@@ -51,14 +49,14 @@ class StepUnderflow(NumericsError):
                          f"{min_step:.3e} at t={t:.6g}")
 
 
-class NonFiniteDerivative(NumericsError):
+class NonFiniteDerivative(NumericalFailure):
     def __init__(self, t: float, channel: int):
         self.t = t
         self.channel = channel
         super().__init__(f"non-finite derivative in channel {channel} at t={t:.6g}")
 
 
-class SingularStageMatrix(NumericsError):
+class SingularStageMatrix(NumericalFailure):
     def __init__(self, t: float, step: float):
         self.t = t
         self.step = step
@@ -66,7 +64,7 @@ class SingularStageMatrix(NumericsError):
                          f"{step:.3e} from t={t:.6g}")
 
 
-class TimeReversal(NumericsError):
+class TimeReversal(NumericalFailure):
     pass
 
 

@@ -23,6 +23,7 @@ from .cosim import (
     TimeSeries,
     make_speed_noise_hook,
 )
+from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE, isa_static
 from .gasgen.engine import OUTPUT_CHANNELS
@@ -31,7 +32,7 @@ from .numerics import StepperOptions
 from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
 
 
-class SchemaError(Exception):
+class SchemaError(UsageError):
     def __init__(self, path, expected, found):
         self.path = path
         self.expected = expected
@@ -39,13 +40,13 @@ class SchemaError(Exception):
         super().__init__(f"at {path}: expected {expected}, found {found!r}")
 
 
-class UnknownField(Exception):
+class UnknownField(UsageError):
     def __init__(self, path):
         self.path = path
         super().__init__(f"unknown field {path}")
 
 
-class UnknownChannel(Exception):
+class UnknownChannel(UsageError):
     def __init__(self, name):
         super().__init__(f"unknown channel {name!r}")
 

@@ -20,5 +20,5 @@ from .machine import (
     currents_fast,
     currents_from_flux,
 )
-from .measurement import NoiseConfig, WindowTooShort, measure, rms_window
+from .measurement import NoiseConfig, measure, rms_window
 from .park import inverse_park, inverse_park_matrix, park, park_column_a, park_matrix

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NumericalFailure
 from ..numerics import SingularMatrix, solve_dense
 from .park import park_column_a, phase_a_row
 
@@ -38,7 +39,7 @@ STATE_NAMES = ("lam_q", "lam_d", "lam_0", "lam_fd", "lam_kd", "lam_kq",
                "lam_f", "theta_e")
 
 
-class SingularSystem(Exception):
+class SingularSystem(NumericalFailure):
     pass
 
 

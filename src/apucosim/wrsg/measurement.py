@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import NumericalFailure
 
-class WindowTooShort(Exception):
+
+class WindowTooShort(NumericalFailure):
     def __init__(self, span, needed):
         super().__init__(f"window spans {span:.6g} s, needs >= {needed:.6g} s")
 

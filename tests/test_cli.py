@@ -449,9 +449,13 @@ def test_unresolvable_stepper_tolerance_is_numeric_error(tmp_path, capsys):
     p.write_text(json.dumps({
         "duration": 0.04, "ttsc_faults": [{"time_s": 0.0, "mu": 0.05}],
         "stepper": {"relative_tolerance": 1e-300, "absolute_tolerance": 1e-300}}))
-    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
-                 "--no-svg"]) == EXIT_NUMERIC
-    assert "numerical failure" in capsys.readouterr().err
+    # with --runs 2 the failure is raised in a worker process and reaches
+    # main through the pool
+    for runs in ("1", "2"):
+        assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
+                     "--no-svg", "--runs", runs]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_genrun_faulted_smoke_run(tmp_path, capsys):
