@@ -237,6 +237,12 @@ def cmd_joint(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, found {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, found {text!r}")
@@ -276,12 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="size the gas generator and print the "
                                       "design-point station table")
-    p.add_argument("--shaft-power", type=float, default=500.0)
-    p.add_argument("--pressure-ratio", type=float, default=8.0)
-    p.add_argument("--t4", type=float, default=1200.114)
-    p.add_argument("--altitude", type=float, default=0.0)
-    p.add_argument("--mach", type=float, default=0.0)
-    p.add_argument("--disa", type=float, default=5.0)
+    p.add_argument("--shaft-power", type=_positive_float, default=500.0)
+    p.add_argument("--pressure-ratio", type=_positive_float, default=8.0)
+    p.add_argument("--t4", type=_positive_float, default=1200.114)
+    p.add_argument("--altitude", type=_finite_float, default=0.0)
+    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
+    p.add_argument("--disa", type=_finite_float, default=5.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_design)
 
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", type=str, default="fuel-step")
     p.add_argument("--macro-dt", type=float, default=None)
     p.add_argument("--out", type=str, default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     svg = p.add_mutually_exclusive_group()
     svg.add_argument("--svg", dest="svg", action="store_true", default=True)
     svg.add_argument("--no-svg", dest="svg", action="store_false")
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-rf", type=_nonnegative_float, default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
     p.add_argument("--decimation", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--out", type=str, default="out")
     p.add_argument("--json", action="store_true")
     svg = p.add_mutually_exclusive_group()
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", type=str, default="joint-fault")
     p.add_argument("--macro-dt", type=_finite_float, default=None)
     p.add_argument("--out", type=str, default="out")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--state-noise", type=_nonnegative_float, default=0.0,
                    help="spool-speed state noise std (rpm) via the hook")

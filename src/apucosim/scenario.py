@@ -120,9 +120,7 @@ def _merge(defaults, given, path):
             for key, value in given.items():
                 if key not in {n for n, _ in OUTPUT_CHANNELS}:
                     raise UnknownField(f"{path}.{key}")
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SchemaError(f"{path}.{key}", "number", value)
-                out[key] = float(value)
+                out[key] = _merge(0.0, value, f"{path}.{key}")
             return out
         out = {}
         for key, value in given.items():
@@ -149,6 +147,12 @@ def _merge(defaults, given, path):
     if isinstance(defaults, (int, float)):
         if isinstance(given, bool) or not isinstance(given, (int, float)):
             raise SchemaError(path, "number", given)
+        try:
+            finite = math.isfinite(given)
+        except OverflowError:   # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise SchemaError(path, "finite number", given)
         if isinstance(defaults, int) and not float(given).is_integer():
             raise SchemaError(path, "integer", given)
         return type(defaults)(given)
@@ -160,9 +164,11 @@ def _merge(defaults, given, path):
 
 
 def _validate(doc):
-    if not 0 < doc["duration"] < math.inf:
+    if doc["seed"] < 0:
+        raise SchemaError("seed", "integer >= 0", doc["seed"])
+    if doc["duration"] <= 0:
         raise SchemaError("duration", "positive duration", doc["duration"])
-    if not 0 < doc["macro_dt"] < math.inf:
+    if doc["macro_dt"] <= 0:
         raise SchemaError("macro_dt", "positive step", doc["macro_dt"])
     n = doc["duration"] / doc["macro_dt"]
     if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
@@ -211,15 +217,24 @@ def _validate(doc):
         if not item["k_rf"] >= 0.0:
             raise SchemaError(f"ttsc_faults[{i}].k_rf", "non-negative factor",
                               item["k_rf"])
-    if doc["record"]["decimation"] < 1:
-        raise SchemaError("record.decimation", "integer >= 1",
+    # a run has at most MAX_FAST_STEPS samples to decimate, and the fast
+    # track's index arithmetic is in numpy's int64
+    if not 1 <= doc["record"]["decimation"] <= MAX_FAST_STEPS:
+        raise SchemaError("record.decimation",
+                          f"integer within [1, {MAX_FAST_STEPS:,}]",
                           doc["record"]["decimation"])
-    f_hz = doc["machine"]["f_hz"]
-    if f_hz <= 0:
-        raise SchemaError("machine.f_hz", "positive frequency", f_hz)
+    for block, key, what in (("machine", "f_hz", "frequency"),
+                             ("load", "power_kw", "power"),
+                             ("fuel_step", "initial_power_kw", "power"),
+                             ("governor", "n_set_rpm", "speed")):
+        if doc[block][key] <= 0:
+            raise SchemaError(f"{block}.{key}", f"positive {what}", doc[block][key])
+    if not 0.0 < doc["machine"]["eta_sg"] <= 1.0:
+        raise SchemaError("machine.eta_sg", "efficiency within (0, 1]",
+                          doc["machine"]["eta_sg"])
     # healthy segments are sampled at max_step and the regulator's rms
     # window spans one electrical period, so a period needs >= 10 samples
-    limit = 0.1 / f_hz
+    limit = 0.1 / doc["machine"]["f_hz"]
     max_step = doc["stepper"]["max_step_s"]
     if not 0.0 < max_step <= limit:
         raise SchemaError("stepper.max_step_s",

@@ -230,13 +230,21 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     ({"ttsc_faults": [{"mu": 1.5}]}, "ttsc_faults[0].mu"),
     ({"ttsc_faults": [{"mu": 0.05, "k_rf": -1}]}, "ttsc_faults[0].k_rf"),
     ({"ambient": {"dT_ISA": -200}}, "ambient.dT_ISA"),
+    ({"load": {"power_kw": 0}}, "load.power_kw"),
+    ({"governor": {"n_set_rpm": -1}}, "governor.n_set_rpm"),
+    ({"governor": {"n_set_rpm": 0}}, "governor.n_set_rpm"),
+    ({"machine": {"eta_sg": 0}}, "machine.eta_sg"),
+    ({"machine": {"eta_sg": 1.01}}, "machine.eta_sg"),
+    ({"record": {"decimation": 1e300}}, "record.decimation"),
+    ({"seed": -1}, "seed"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04, **doc}))
     assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
                  "--no-svg"]) == EXIT_USAGE
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"at {field}:" in err and "Warning" not in err
 
 
 def test_max_step_at_a_tenth_of_the_period_accepted(tmp_path):
@@ -422,13 +430,57 @@ def test_genrun_float_flags_rejected_at_parse(tmp_path, capsys, flag, value):
     ("--speed", "nan"), ("--speed", "0"), ("--speed", "-100"),
     ("--power", "nan"), ("--power", "-5"), ("--power", "inf"),
     ("--mach", "-0.1"), ("--altitude", "nan"), ("--disa", "inf"),
-    ("--eta-c", "nan"), ("--flow-t", "x"),
+    ("--eta-c", "nan"), ("--flow-t", "x"), ("--preset-index", "10"),
 ])
 def test_steady_float_flags_rejected_at_parse(capsys, flag, value):
     assert main(["steady", flag, value]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"argument {flag}" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--shaft-power", "nan"), ("--shaft-power", "-500"), ("--t4", "inf"),
+    ("--pressure-ratio", "nan"), ("--pressure-ratio", "0"),
+    ("--altitude", "-inf"), ("--mach", "-0.5"), ("--disa", "nan"),
+])
+def test_design_float_flags_rejected_at_parse(capsys, flag, value):
+    assert main(["design", flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ["transient", "genrun", "joint"])
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_seed_flag_must_be_nonnegative_integer(tmp_path, capsys, command, value):
+    argv = [command, "--seed", value, "--out", str(tmp_path), "--no-svg"]
+    assert main(argv) == EXIT_USAGE
+    assert "argument --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# paths from the command line: an OSError exits 1 and names the path
+@pytest.mark.parametrize("command", ["transient", "joint"])
+def test_scenario_path_that_is_a_directory_is_usage_error(tmp_path, capsys, command):
+    assert main([command, "--scenario", str(tmp_path), "--out",
+                 str(tmp_path / "out"), "--no-svg"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, below):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04}))
+    out = tmp_path / "taken"
+    out.write_text("")
+    if below:
+        out = out / "x"
+    assert main(["joint", "--scenario", str(p), "--out", str(out),
+                 "--no-svg"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [
