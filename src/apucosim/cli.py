@@ -22,7 +22,7 @@ from .cosim import run_generator, run_joint
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import trim_fuel
-from .wrsg import FaultParams, LoadModel, NoiseConfig
+from .wrsg import FaultParams, LoadModel
 
 # steady operating points exercised by `steady --preset-index`
 OFF_DESIGN_PRESETS = (
@@ -106,6 +106,7 @@ def cmd_steady(args) -> int:
 
 def cmd_transient(args) -> int:
     scn = _scenario_from_args(args, "fuel-step")
+    os.makedirs(args.out, exist_ok=True)
     res = sc.run_fuel_step(scn)
     files = sc.write_run(res, args.out, f"transient_{scn.name}", scn)
     if args.svg:
@@ -137,9 +138,9 @@ def cmd_genrun(args) -> int:
                              f"found {args.fault_time!r}")
         fault_schedule = ((args.fault_time, FaultParams(mu=args.mu,
                                                         k_rf=args.k_rf)),)
+    os.makedirs(args.out, exist_ok=True)
     res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                         duration=args.duration, fault_schedule=fault_schedule,
-                        noise=NoiseConfig(seed=args.seed or 0),
                         decimation=args.decimation, seed=args.seed or 0,
                         control_dt=GENRUN_CONTROL_DT)
     title = f"Generator point: {args.power_kw:g}kW"
@@ -212,6 +213,7 @@ def cmd_joint(args) -> int:
         print(json.dumps({"runs": args.runs, "summary": summary},
                          indent=2, sort_keys=True))
         return EXIT_OK
+    os.makedirs(args.out, exist_ok=True)
     result, scn = _joint_run_once(sc.serialize_scenario(scn), scn.seed)
     files = sc.write_run(result, args.out, f"joint_{scn.name}", scn,
                          merged=args.merged)

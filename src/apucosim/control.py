@@ -20,7 +20,6 @@ class GovernorState:
     wf_max: float = 0.085
     rate_limit: float = 0.08      # kg/s per second
     integral: float = 0.0         # accumulated K_i * error * dt, kg/s
-    prev_error: float = 0.0
     prev_wf: float | None = None
 
 
@@ -38,7 +37,7 @@ def governor_step(state: GovernorState, N_meas: float, dt: float) -> tuple[float
         step = state.rate_limit * dt
         wf = min(max(wf, state.prev_wf - step), state.prev_wf + step)
         wf = min(max(wf, state.wf_min), state.wf_max)
-    return wf, replace(state, integral=integral, prev_error=e, prev_wf=wf)
+    return wf, replace(state, integral=integral, prev_wf=wf)
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,6 @@ class AvrState:
     K_i: float = 6.0              # V field per V-second
     V_fd_max: float = 200.0
     integral: float = 0.0         # accumulated K_i * error * dt, V
-    prev_error: float = 0.0
-
-    @staticmethod
-    def trimmed(V_fd_trim: float, **kwargs) -> "AvrState":
-        """Start with the integral carrying the trim field voltage."""
-        return AvrState(integral=V_fd_trim, **kwargs)
 
 
 def avr_step(state: AvrState, V_rms_meas: float, dt: float) -> tuple[float, AvrState]:
@@ -66,4 +59,4 @@ def avr_step(state: AvrState, V_rms_meas: float, dt: float) -> tuple[float, AvrS
     v_fd = min(max(v_raw, 0.0), state.V_fd_max)
     if v_fd != v_raw and (v_raw - v_fd) * e > 0:
         integral = state.integral          # anti-windup: freeze the integral
-    return v_fd, replace(state, integral=integral, prev_error=e)
+    return v_fd, replace(state, integral=integral)

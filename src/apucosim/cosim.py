@@ -5,6 +5,10 @@ on the uniform max_step grid),
 with power/speed coupling rules, an externally pluggable state-process hook,
 and per-step energy bookkeeping.
 
+A hook is None or a plain function hook(x, rng) -> x: it takes the updated
+GasGenState and the run's seeded numpy.random.Generator for hooks, and
+returns the state the output step and the next macro step see.
+
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update, accumulating its
 shaft power, (b) converts the accumulated energy into the gas-generator
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -28,11 +33,9 @@ from .gasgen import (
     GasGenState,
     HEALTHY,
     HealthParams,
-    outputs_from_solution,
     state_update,
-    off_design_solve,
 )
-from .gasgen.engine import OUTPUT_CHANNELS, trim_fuel
+from .gasgen.engine import OUTPUT_CHANNELS, output, trim_fuel
 from .numerics import (
     IntegralAccumulator,
     NonFiniteDerivative,
@@ -458,17 +461,10 @@ class JointResult:
     avr: AvrState
 
 
-HOOKS = {
-    "none": None,
-    "identity": lambda x: x,
-}
-
-
-def make_speed_noise_hook(std_rpm: float, rng):
-    """State-process hook adding Gaussian noise to the spool-speed state."""
-    def hook(x: GasGenState) -> GasGenState:
-        return GasGenState(N=x.N + rng.normal(0.0, std_rpm))
-    return hook
+def speed_noise_hook(x: GasGenState, rng, std_rpm: float) -> GasGenState:
+    """State-process hook adding Gaussian noise to the spool-speed state;
+    bind std_rpm (functools.partial) to get a hook(x, rng)."""
+    return GasGenState(N=x.N + rng.normal(0.0, std_rpm))
 
 
 @dataclass
@@ -485,7 +481,7 @@ class JointSetup:
     fault_schedule: tuple               # ((time, FaultParams), ...)
     machine_noise: NoiseConfig
     gasgen_noise: dict
-    hook: object
+    hook: Callable[[GasGenState, np.random.Generator], GasGenState] | None
     duration: float
     macro_dt: float
     stepper: StepperOptions
@@ -503,9 +499,6 @@ def run_joint(setup: JointSetup) -> JointResult:
 
     ss = np.random.SeedSequence(setup.seed)
     rng_machine, rng_gg, rng_hook = [np.random.default_rng(s) for s in ss.spawn(3)]
-    hook = setup.hook
-    if callable(hook) and getattr(hook, "needs_rng", False):
-        hook = hook(rng_hook)
 
     gg = setup.gg_params
     coupling = setup.coupling
@@ -546,8 +539,6 @@ def run_joint(setup: JointSetup) -> JointResult:
     slow_units = tuple(u for _, u in OUTPUT_CHANNELS) + tuple(u for _, u in SLOW_EXTRA)
     slow_t, slow_rows = [], []
 
-    audit_e, audit_tr = [], []
-
     for k in range(1, n_steps + 1):
         t0, t1 = (k - 1) * dt, k * dt
         # (a) machine over the macro step with held speed
@@ -562,15 +553,11 @@ def run_joint(setup: JointSetup) -> JointResult:
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
         x = state_update(gg, x, u, health, pe_gt, dt=dt, guess=sol)
         # (d) externally processed state
-        if hook is not None:
-            x = hook(x)
+        if setup.hook is not None:
+            x = setup.hook(x, rng_hook)
         # (e) outputs and regulators
-        sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
-        out = outputs_from_solution(sol)
-        if setup.gasgen_noise:
-            for name, std in setup.gasgen_noise.items():
-                if std:
-                    out[name] = out[name] + rng_gg.normal(0.0, std)
+        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=sol,
+                          noise_std=setup.gasgen_noise, rng=rng_gg)
         wf, governor = governor_step(governor, out["XNHPC"], dt)
         v_rms_phases, _ = track.phase_rms(period)
         v_rms = float(np.mean(v_rms_phases))
@@ -583,16 +570,11 @@ def run_joint(setup: JointSetup) -> JointResult:
                  health.eta_t_factor, health.flow_t_factor)
         slow_t.append(t1)
         slow_rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + extra)
-        audit_e.append(energy)
-        audit_tr.append(pe_gt * dt * coupling.eta_gtTsg)
 
     slow = TimeSeries(names=slow_names, units=slow_units,
                       time=np.array(slow_t), data=np.array(slow_rows))
-    audit_e = np.array(audit_e)
-    audit_tr = np.array(audit_tr)
-    audit = EnergyAudit(time=np.array(slow_t), machine_energy=audit_e,
-                        transferred=audit_tr, residual=audit_e - audit_tr)
-    return JointResult(fast=track.fast_series(), slow=slow, audit=audit,
+    return JointResult(fast=track.fast_series(), slow=slow,
+                       audit=energy_audit(slow, coupling.eta_gtTsg, dt),
                        gasgen_state=x, machine_state=WrsgState.from_array(track.state),
                        governor=governor, avr=avr)
 
@@ -671,8 +653,7 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
         pe = load_law(x.N)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
         x = state_update(gg, x, u, health, pe, dt=macro_dt, guess=sol)
-        sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=sol)
-        out = outputs_from_solution(sol)
+        out, sol = output(gg, x, u, health, Pe=pe, guess=sol)
         ts.append(t1)
         rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),

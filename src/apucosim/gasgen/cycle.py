@@ -350,13 +350,9 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
                             h3=h3, t3s=t3s)
 
 
-def burner_calc(inlet: GasState, wf: float, params: GasGenParams) -> GasState:
-    """Heat addition with calibrated efficiency and fixed pressure-loss fraction."""
-    return _burn(inlet, inlet.h, wf, params)[0]
-
-
 def _burn(inlet, h_in, wf, params, t_guess=None):
-    """burner_calc for an inlet of enthalpy h_in: (outlet, outlet enthalpy)."""
+    """Heat addition with calibrated efficiency and fixed pressure-loss
+    fraction, for an inlet of enthalpy h_in: (outlet, outlet enthalpy)."""
     if wf < 0:
         raise ValueError("fuel flow must be non-negative")
     if wf == 0.0:
@@ -397,18 +393,11 @@ class TurbineResult:
     t5u: float                # exit temperature before the rotor cooling returns
 
 
-def turbine_calc(inlet4: GasState, cool_ngv: GasState, cool_rotor: GasState,
-                 N: float, pr_t: float, params: GasGenParams,
-                 health: HealthParams = HEALTHY) -> TurbineResult:
-    """NGV cooling return, map expansion, rotor cooling return."""
-    return _turbine(inlet4, inlet4.h, cool_ngv, cool_ngv.h, cool_rotor, cool_rotor.h,
-                    N, pr_t, params, health, COLD)
-
-
 def _turbine(inlet4, h4, cool_ngv, h_ngv, cool_rotor, h_rot, N, pr_t, params,
              health, start):
-    """turbine_calc for streams of the given enthalpies, its four inversions
-    starting from `start`'s t41, t5s, t5u and t5."""
+    """NGV cooling return, map expansion, rotor cooling return, for streams
+    of the given enthalpies, its four inversions starting from `start`'s
+    t41, t5s, t5u and t5."""
     if pr_t <= 1.0:
         raise PressureRatioBelowUnity(pr_t)
     st41, h41 = _mix(inlet4, h4, cool_ngv, h_ngv, inlet4.Pt, start.t41)

@@ -1,16 +1,17 @@
 """Discrete state-space wrapper around the cycle: explicit state update,
-output projection and steady-state initialization.
+output projection and the steady fuel trim.
 
 The single state is spool speed; update and output are pure functions of
 (state, input, health, shaft load), which is what makes external state
-processing (noise injection, Monte Carlo) possible between the two.
+processing (noise injection, Monte Carlo) possible between the two. The
+co-simulation loop applies it as a hook: None, or a plain function
+hook(x, rng) -> x of the updated GasGenState and a seeded
+numpy.random.Generator, returning the state the output step sees.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import NumericalFailure
 from .cycle import (
@@ -56,7 +57,6 @@ OUTPUT_CHANNELS = (
     ("T5", "K"), ("P5", "kPa"), ("W5", "kg/s"),
     ("T8", "K"), ("P8", "kPa"), ("W8", "kg/s"),
 )
-OUTPUT_NAMES = tuple(name for name, _ in OUTPUT_CHANNELS)
 
 
 def outputs_from_solution(sol: CycleSolution) -> dict:
@@ -134,59 +134,3 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
         if wf <= 0:
             raise NoSteadyState(f"no positive fuel flow delivers {Pe} kW at {N} rpm")
     raise NoSteadyState(f"fuel trim did not converge for {Pe} kW at {N} rpm")
-
-
-def init(params: GasGenParams, u: GasGenInput, health: HealthParams = HEALTHY,
-         Pe: float | None = None, load_law=None) -> tuple[GasGenState, dict, CycleSolution]:
-    """Steady state: spool speed where delivered power meets the load.
-
-    Provide either a fixed shaft power Pe or a load_law(N)->kW callable
-    (e.g. a cubic speed law).
-    """
-    if (Pe is None) == (load_law is None):
-        raise ValueError("provide exactly one of Pe or load_law")
-    law = (lambda n: Pe) if load_law is None else load_law
-
-    def surplus(n):
-        """Power surplus at speed n (0.0 once it meets the tolerance) and
-        the cycle solution it was read from."""
-        sol = off_design_solve(params, u, health, Pe=law(n), N=n)
-        s = sol.PW_shaft_net - law(n)
-        return (0.0 if abs(s) < 1e-9 * max(abs(law(n)), 1.0) else s), sol
-
-    n_lo, n_hi = 0.55 * params.design_speed, 1.15 * params.design_speed
-    ns = np.linspace(n_lo, n_hi, 13)
-    vals, sols = [], {}
-    for n in ns:
-        try:
-            s, sols[n] = surplus(n)
-            vals.append((n, s))
-        except Exception:
-            vals.append((n, None))
-    brackets = [(n1, s1, n2, s2)
-                for (n1, s1), (n2, s2) in zip(vals, vals[1:])
-                if s1 is not None and s2 is not None and s1 * s2 <= 0.0]
-    if not brackets:
-        raise NoSteadyState("no speed bracket where delivered power meets the load")
-    # prefer the stable equilibrium (surplus falls through zero as N rises)
-    stable = [b for b in brackets if b[1] >= 0.0 >= b[3]]
-    bracket = (stable or brackets)[-1]
-    n1, s1, n2, s2 = bracket
-    # a grid speed may already be the steady state (a surplus peaking at
-    # zero there touches zero without changing sign)
-    for n, s in ((n1, s1), (n2, s2)):
-        if s == 0.0:
-            return GasGenState(N=n), outputs_from_solution(sols[n]), sols[n]
-    for _ in range(80):
-        n_mid = n1 - s1 * (n2 - n1) / (s2 - s1)
-        if not n1 < n_mid < n2:
-            n_mid = 0.5 * (n1 + n2)
-        s_mid, sol = surplus(n_mid)
-        if s_mid == 0.0:
-            x = GasGenState(N=n_mid)
-            return x, outputs_from_solution(sol), sol
-        if s_mid * s1 <= 0.0:
-            n2, s2 = n_mid, s_mid
-        else:
-            n1, s1 = n_mid, s_mid
-    raise NoSteadyState("steady-state speed search did not converge")

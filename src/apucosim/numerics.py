@@ -1,8 +1,8 @@
 """Shared numerical kernels: quasi-Newton with a Jacobian carried between
 solves (finite differences, Broyden updates), adaptive linearly implicit ODE
 stepper for affine systems (an independent reference for the machine
-propagators, which run on a fixed grid), small dense linear solver, matrix
-exponential of one matrix or a stack, running time-integral accumulator.
+propagators, which run on a fixed grid), matrix exponential of one matrix
+or a stack, running time-integral accumulator.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -26,19 +26,13 @@ class NonConvergence(NumericalFailure):
 
 
 class SingularJacobian(NumericalFailure):
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"singular Jacobian at pivot {pivot_index}")
+    def __init__(self, iteration: int):
+        self.iteration = iteration
+        super().__init__(f"singular Jacobian at iteration {iteration}")
 
 
 class NonFiniteResidual(NumericalFailure):
     pass
-
-
-class SingularMatrix(NumericalFailure):
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"singular matrix at pivot {pivot_index}")
 
 
 class StepUnderflow(NumericalFailure):
@@ -84,35 +78,6 @@ class NewtonOptions:
             raise ValueError("damping_min must lie in (0, 1]")
 
 
-def solve_dense(matrix, rhs):
-    """Solve A x = b by Gaussian elimination with partial pivoting (n <= 16)."""
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = b.size
-    if a.shape != (n, n):
-        raise ValueError(f"matrix shape {a.shape} does not match rhs size {n}")
-    if n > 16:
-        raise ValueError("solve_dense is meant for small systems (n <= 16)")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise SingularMatrix(k)
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        f = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(f, a[k, k:])
-        b[k + 1:] -= f * b[k]
-    if a[n - 1, n - 1] == 0.0:
-        raise SingularMatrix(n - 1)
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
-
-
 def _fd_jacobian(residual_fn, x, r0, pert):
     n = x.size
     jac = np.empty((r0.size, n))
@@ -137,9 +102,10 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
     needed and none was given, can start the next solve of a nearby
     system. A carried (not freshly built) Jacobian that is singular or
     whose step does not lower the residual norm is rebuilt by finite
-    differences at the current point, and the step is taken again; only
-    steps from a fresh Jacobian are damped. The last residual evaluation is
-    always at the returned x.
+    differences at the current point, and the step is taken again; a
+    singular fresh one raises SingularJacobian. Only steps from a fresh
+    Jacobian are damped. The last residual evaluation is always at the
+    returned x.
     """
     opts = opts or NewtonOptions()
     x = np.array(guess, dtype=float)
@@ -174,10 +140,10 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
                 if not np.all(np.isfinite(jac)):
                     raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
             try:
-                dx = solve_dense(jac, -r)
-            except SingularMatrix as exc:
+                dx = np.linalg.solve(jac, -r)
+            except np.linalg.LinAlgError:
                 if fresh:
-                    raise SingularJacobian(exc.pivot_index) from exc
+                    raise SingularJacobian(it) from None
                 fresh = True        # a singular carried Jacobian is rebuilt
                 continue
             alpha = 1.0

@@ -9,6 +9,7 @@ fault, then a stator turn fault).
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -16,13 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import (
-    CouplingParams,
-    HOOKS,
-    JointSetup,
-    TimeSeries,
-    make_speed_noise_hook,
-)
+from .cosim import CouplingParams, JointSetup, TimeSeries, speed_noise_hook
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE, isa_static
@@ -224,9 +219,13 @@ def _validate(doc):
                           f"integer within [1, {MAX_FAST_STEPS:,}]",
                           doc["record"]["decimation"])
     for block, key, what in (("machine", "f_hz", "frequency"),
+                             ("machine", "v_phase_rms", "voltage"),
+                             ("machine", "two_machine_factor", "factor"),
                              ("load", "power_kw", "power"),
                              ("fuel_step", "initial_power_kw", "power"),
-                             ("governor", "n_set_rpm", "speed")):
+                             ("governor", "n_set_rpm", "speed"),
+                             ("governor", "wf_max", "fuel flow"),
+                             ("avr", "v_set", "voltage")):
         if doc[block][key] <= 0:
             raise SchemaError(f"{block}.{key}", f"positive {what}", doc[block][key])
     if not 0.0 < doc["machine"]["eta_sg"] <= 1.0:
@@ -411,15 +410,12 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     machine_noise = NoiseConfig(std_w1=noise_doc["std_w1"],
                                 std_w2=noise_doc["std_w2"],
                                 std_vi=noise_doc["std_vi"],
-                                std_vv=noise_doc["std_vv"], seed=doc["seed"])
+                                std_vv=noise_doc["std_vv"])
     hook_doc = doc["hook"]
-    if hook_doc["kind"] == "speed-noise":
-        def hook_factory(rng, _std=hook_doc["std_rpm"]):
-            return make_speed_noise_hook(_std, rng)
-        hook_factory.needs_rng = True
-        hook = hook_factory
-    else:
-        hook = HOOKS[hook_doc["kind"]]
+    hook = {"none": None, "identity": lambda x, rng: x,
+            "speed-noise": functools.partial(speed_noise_hook,
+                                             std_rpm=hook_doc["std_rpm"]),
+            }[hook_doc["kind"]]
     st = doc["stepper"]
     stepper = StepperOptions(
         relative_tolerance=st["relative_tolerance"],
@@ -507,24 +503,6 @@ def write_csv(series: TimeSeries, path) -> None:
         fh.write(header + "\n")
         for t, row in zip(series.time.tolist(), series.data):
             fh.write(row_format % (t, *row.tolist()))
-
-
-def read_csv(path) -> TimeSeries:
-    """Read back a series written by write_csv (bit-exact round trip)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        names, units = [], []
-        for col in header[1:]:
-            name, _, unit = col.rpartition("_")
-            names.append(name)
-            units.append(unit)
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if rows:
-        arr = np.array([[float(v) for v in r] for r in rows])
-        time, data = arr[:, 0], arr[:, 1:]
-    else:
-        time, data = np.empty(0), np.empty((0, len(names)))
-    return TimeSeries(names=tuple(names), units=tuple(units), time=time, data=data)
 
 
 def merged_series(fast: TimeSeries, slow: TimeSeries) -> TimeSeries:

@@ -215,16 +215,6 @@ class ElectricalSystem:
         return i_abc, v_abc, i_f, i6, p_total, p_loss
 
 
-def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
-                        fault: FaultParams, load: LoadModel,
-                        params: WrsgParams, t: float = 0.0,
-                        noise_w=None) -> np.ndarray:
-    """Flux-linkage derivatives for a frozen (speed, field, load) condition."""
-    sys = ElectricalSystem(params, load, fault, w_r, V_fd,
-                           load.resistance_at(t), noise_w=noise_w)
-    return sys.derivatives(t, state.as_array())
-
-
 def steady_state(params: WrsgParams, R_load: float, V_fd: float,
                  w_e: float, theta0: float = 0.0) -> WrsgState:
     """Healthy balanced steady state at constant speed and field voltage."""

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NumericalFailure
-from ..numerics import SingularMatrix, solve_dense
-from .park import park_column_a, phase_a_row
 
 # fault-resistance factor at or above this value means the branch is open
 OPEN_BRANCH_KRF = 1e6
@@ -35,8 +33,6 @@ IDX_LAM_Q, IDX_LAM_D, IDX_LAM_0 = 0, 1, 2
 IDX_LAM_FD, IDX_LAM_KD, IDX_LAM_KQ = 3, 4, 5
 IDX_LAM_F, IDX_THETA = 6, 7
 _TWO_THIRDS = 2.0 / 3.0
-STATE_NAMES = ("lam_q", "lam_d", "lam_0", "lam_fd", "lam_kd", "lam_kq",
-               "lam_f", "theta_e")
 
 
 class SingularSystem(NumericalFailure):
@@ -126,17 +122,11 @@ class WrsgState:
 
 @dataclass(frozen=True)
 class InductanceModel:
-    """The 6x6 flux-current matrix, its inverse, and fault-coupling pieces."""
+    """The 6x6 flux-current matrix and its inverse."""
     L: np.ndarray
     L_inv: np.ndarray
     L_ls: float
     params: WrsgParams
-
-    def fault_column(self, theta: float) -> np.ndarray:
-        """K_1 T_(c,1): qd0 image of a unit phase-a fault current."""
-        col = np.zeros(6)
-        col[:3] = park_column_a(theta)
-        return col
 
 
 def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> InductanceModel:
@@ -180,41 +170,13 @@ def fault_current_from_state(y, fault: FaultParams, model: InductanceModel):
     return (y[..., IDX_LAM_F] - mu * lam_a) / (mu * (1.0 - mu) * model.L_ls)
 
 
-def currents_from_flux(state: WrsgState, fault: FaultParams,
-                       model: InductanceModel) -> np.ndarray:
-    """Solve the 7x7 linear system for (i_q, i_d, i_0, i_fd, i_kd, i_kq, i_f).
-
-    Rows 1-6 are the flux-current map with the fault MMF correction; row 7 is
-    the sub-winding flux closure.  With the branch open the system decouples
-    and i_f = 0.
-    """
-    y = state.as_array()
-    lam6 = y[:6]
-    if not fault.active:
-        i6 = model.L_inv @ lam6
-        return np.append(i6, 0.0)
-    theta = y[IDX_THETA]
-    mu = fault.mu
-    col = model.fault_column(theta)
-    a_row = phase_a_row(theta)
-    a = np.zeros((7, 7))
-    a[:6, :6] = model.L
-    a[:6, 6] = -mu * (model.L @ col)
-    a[6, :6] = mu * (a_row @ model.L[:3, :])
-    a[6, 6] = mu * (1.0 - mu) * model.L_ls - mu * mu * float(a_row @ model.L[:3, :] @ col)
-    b = np.append(lam6, y[IDX_LAM_F])
-    try:
-        return solve_dense(a, b)
-    except SingularMatrix as exc:
-        raise SingularSystem("fault-loop system is singular") from exc
-
-
 def currents_fast(y, fault: FaultParams, model: InductanceModel):
-    """Hot-path equivalent of currents_from_flux on a raw state array, or
-    row-wise on a stack of states.
+    """Winding currents (i_q, i_d, i_0, i_fd, i_kd, i_kq) and the fault
+    current i_f of a raw state array, or row-wise on a stack of states.
 
-    Uses i = L^-1 lam + mu * [T_c1; 0] * i_f, which is the exact closed-form
-    reduction of the 7x7 system (pinned by test against solve_dense).
+    Uses i = L^-1 lam + mu * [T_c1; 0] * i_f, the exact closed-form
+    reduction of the 7x7 flux-current system with the sub-winding closure
+    (pinned by test against a direct solve of that system).
     """
     y = np.asarray(y, dtype=float)
     i_f = fault_current_from_state(y, fault, model)

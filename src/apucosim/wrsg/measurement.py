@@ -21,7 +21,6 @@ class NoiseConfig:
     std_w2: float = 0.0    # rotor flux-equation noise
     std_vi: float = 0.0    # current measurement noise, A
     std_vv: float = 0.0    # voltage measurement noise, V
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("std_w1", "std_w2", "std_vi", "std_vv"):
@@ -33,20 +32,18 @@ class NoiseConfig:
         return not (self.std_w1 or self.std_w2 or self.std_vi or self.std_vv)
 
 
-def measure(v_abc_fd, i_abc, noise: NoiseConfig | None = None, rng=None):
-    """Measured terminal tuple: adds zero-mean Gaussian noise per channel.
+def measure(v_abc_fd, i_abc, noise: NoiseConfig, rng):
+    """Measured terminal tuple: adds zero-mean Gaussian noise per channel,
+    drawn from the generator rng.
 
     v_abc_fd stacks the three phase voltages and the field voltage.
     """
     v = np.asarray(v_abc_fd, dtype=float).copy()
     i = np.asarray(i_abc, dtype=float).copy()
-    if noise is not None and not noise.silent:
-        if rng is None:
-            rng = np.random.default_rng(noise.seed)
-        if noise.std_vi:
-            i += rng.normal(0.0, noise.std_vi, size=i.shape)
-        if noise.std_vv:
-            v += rng.normal(0.0, noise.std_vv, size=v.shape)
+    if noise.std_vi:
+        i += rng.normal(0.0, noise.std_vi, size=i.shape)
+    if noise.std_vv:
+        v += rng.normal(0.0, noise.std_vv, size=v.shape)
     return v, i
 
 

@@ -1,0 +1,121 @@
+"""Reference forms of the machine model, kept as checks on `apucosim.wrsg`:
+the amplitude-invariant Park transform, the fault-loop current solve as the
+full 7x7 linear system (Gaussian elimination with partial pivoting), which
+`currents_fast` reduces to closed form, and the flux derivatives of one
+state under a frozen speed, field and load.
+
+Park convention: q-axis leading d-axis, rotor-angle referenced; a balanced
+set aligned with the rotor maps to (amplitude, 0, 0).
+"""
+import math
+
+import numpy as np
+
+from apucosim.wrsg import ElectricalSystem, FaultParams, InductanceModel, WrsgState
+from apucosim.wrsg.machine import IDX_LAM_F, IDX_THETA
+
+_TWO_THIRDS = 2.0 / 3.0
+_SHIFT = 2.0 * math.pi / 3.0
+
+
+def park_matrix(theta: float) -> np.ndarray:
+    """3x3 abc -> qd0 matrix T(theta)."""
+    c0, c1, c2 = (math.cos(theta), math.cos(theta - _SHIFT), math.cos(theta + _SHIFT))
+    s0, s1, s2 = (math.sin(theta), math.sin(theta - _SHIFT), math.sin(theta + _SHIFT))
+    return _TWO_THIRDS * np.array([
+        [c0, c1, c2],
+        [s0, s1, s2],
+        [0.5, 0.5, 0.5],
+    ])
+
+
+def inverse_park_matrix(theta: float) -> np.ndarray:
+    """3x3 qd0 -> abc matrix, exact inverse of park_matrix(theta)."""
+    c0, c1, c2 = (math.cos(theta), math.cos(theta - _SHIFT), math.cos(theta + _SHIFT))
+    s0, s1, s2 = (math.sin(theta), math.sin(theta - _SHIFT), math.sin(theta + _SHIFT))
+    return np.array([
+        [c0, s0, 1.0],
+        [c1, s1, 1.0],
+        [c2, s2, 1.0],
+    ])
+
+
+def park(abc, theta: float) -> np.ndarray:
+    return park_matrix(theta) @ np.asarray(abc, dtype=float)
+
+
+def inverse_park(qd0, theta: float) -> np.ndarray:
+    return inverse_park_matrix(theta) @ np.asarray(qd0, dtype=float)
+
+
+class SingularMatrix(ArithmeticError):
+    def __init__(self, pivot_index: int):
+        self.pivot_index = pivot_index
+        super().__init__(f"singular matrix at pivot {pivot_index}")
+
+
+def solve_dense(matrix, rhs):
+    """Solve A x = b by Gaussian elimination with partial pivoting (n <= 16)."""
+    a = np.array(matrix, dtype=float)
+    b = np.array(rhs, dtype=float)
+    n = b.size
+    if a.shape != (n, n):
+        raise ValueError(f"matrix shape {a.shape} does not match rhs size {n}")
+    if n > 16:
+        raise ValueError("solve_dense is meant for small systems (n <= 16)")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    for k in range(n - 1):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        if a[p, k] == 0.0:
+            raise SingularMatrix(k)
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            b[[k, p]] = b[[p, k]]
+        f = a[k + 1:, k] / a[k, k]
+        a[k + 1:, k:] -= np.outer(f, a[k, k:])
+        b[k + 1:] -= f * b[k]
+    if a[n - 1, n - 1] == 0.0:
+        raise SingularMatrix(n - 1)
+    x = np.empty(n)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+def currents_from_flux(state: WrsgState, fault: FaultParams,
+                       model: InductanceModel) -> np.ndarray:
+    """Solve the 7x7 linear system for (i_q, i_d, i_0, i_fd, i_kd, i_kq, i_f).
+
+    Rows 1-6 are the flux-current map with the fault MMF correction; row 7 is
+    the sub-winding flux closure.  With the branch open the system decouples
+    and i_f = 0.
+    """
+    y = state.as_array()
+    lam6 = y[:6]
+    if not fault.active:
+        i6 = model.L_inv @ lam6
+        return np.append(i6, 0.0)
+    theta = y[IDX_THETA]
+    mu = fault.mu
+    # qd0 image of a unit phase-a fault current, and the phase-a row of the
+    # inverse transform
+    col = np.zeros(6)
+    col[:3] = park_matrix(theta)[:, 0]
+    a_row = inverse_park_matrix(theta)[0]
+    a = np.zeros((7, 7))
+    a[:6, :6] = model.L
+    a[:6, 6] = -mu * (model.L @ col)
+    a[6, :6] = mu * (a_row @ model.L[:3, :])
+    a[6, 6] = mu * (1.0 - mu) * model.L_ls - mu * mu * float(a_row @ model.L[:3, :] @ col)
+    b = np.append(lam6, y[IDX_LAM_F])
+    return solve_dense(a, b)
+
+
+def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
+                        fault: FaultParams, load, params, t: float = 0.0,
+                        noise_w=None) -> np.ndarray:
+    """Flux-linkage derivatives for a frozen (speed, field, load) condition."""
+    sys = ElectricalSystem(params, load, fault, w_r, V_fd,
+                           load.resistance_at(t), noise_w=noise_w)
+    return sys.derivatives(t, state.as_array())

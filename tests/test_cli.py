@@ -237,6 +237,10 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     ({"machine": {"eta_sg": 1.01}}, "machine.eta_sg"),
     ({"record": {"decimation": 1e300}}, "record.decimation"),
     ({"seed": -1}, "seed"),
+    *(({block: {key: value}}, f"{block}.{key}")
+      for block, key in (("avr", "v_set"), ("machine", "two_machine_factor"),
+                         ("governor", "wf_max"), ("machine", "v_phase_rms"))
+      for value in (0, -1)),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"
@@ -469,18 +473,29 @@ def test_scenario_path_that_is_a_directory_is_usage_error(tmp_path, capsys, comm
     assert str(tmp_path) in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
-def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, below):
+@pytest.mark.parametrize("command, runner, below", [
+    ("joint", "run_joint", False), ("joint", "run_joint", True),
+    ("genrun", "run_generator", False), ("genrun", "run_generator", True),
+    ("transient", "run_fuel_step", False), ("transient", "run_fuel_step", True),
+], ids=["file", "below-a-file", "genrun-file", "genrun-below-a-file",
+        "transient-file", "transient-below-a-file"])
+def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                    command, runner, below):
+    # the output directory is made before the run, so a bad --out costs no run
+    def never(*args, **kwargs):
+        pytest.fail(f"{runner} ran before --out was checked")
+    monkeypatch.setattr(cli.sc if runner == "run_fuel_step" else cli, runner, never)
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04}))
     out = tmp_path / "taken"
     out.write_text("")
     if below:
         out = out / "x"
-    assert main(["joint", "--scenario", str(p), "--out", str(out),
-                 "--no-svg"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert str(out) in err and "Traceback" not in err
+    source = ["--duration", "0.04"] if command == "genrun" else ["--scenario", str(p)]
+    assert main([command, *source, "--out", str(out), "--no-svg"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert str(out) in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -35,14 +35,14 @@ def test_governor_zero_gains_transparent():
 
 
 def test_avr_setpoint_holds_field():
-    avr = AvrState.trimmed(52.9)
+    avr = AvrState(integral=52.9)
     v_fd, avr2 = avr_step(avr, 230.0, 0.02)
     assert v_fd == pytest.approx(52.9, rel=1e-12)
     assert avr2.integral == avr.integral
 
 
 def test_avr_low_voltage_raises_field():
-    avr = AvrState.trimmed(52.9)
+    avr = AvrState(integral=52.9)
     v_fd, _ = avr_step(avr, 220.0, 0.02)
     assert v_fd > 52.9
 
@@ -66,7 +66,7 @@ def test_governor_output_always_within_limits(meas, seed):
 @given(st.lists(st.floats(0.0, 500.0), min_size=1, max_size=80))
 @settings(max_examples=60, deadline=None)
 def test_avr_output_always_within_limits(meas):
-    avr = AvrState.trimmed(52.9)
+    avr = AvrState(integral=52.9)
     for v in meas:
         v_fd, avr = avr_step(avr, v, 0.02)
         assert 0.0 <= v_fd <= avr.V_fd_max
@@ -84,7 +84,7 @@ def test_governor_anti_windup_recovery():
 
 
 def test_avr_anti_windup_recovery():
-    avr = AvrState.trimmed(52.9)
+    avr = AvrState(integral=52.9)
     for _ in range(500):
         v_fd, avr = avr_step(avr, 0.0, 0.02)
     assert v_fd == avr.V_fd_max

@@ -15,10 +15,8 @@ from apucosim.gasgen import (
     HEALTHY,
     HealthParams,
     ambient_conditions,
-    burner_calc,
     off_design_solve,
     state_update,
-    init,
     trim_fuel,
 )
 from apucosim.gasgen import properties as gas
@@ -28,10 +26,10 @@ from apucosim.gasgen.cycle import (
     compressor_calc,
     exhaust_calc,
     static_from_flow,
-    turbine_calc,
 )
 from apucosim.gasgen.engine import outputs_from_solution
 from apucosim.numerics import NonConvergence, newton_solve
+from gasgen_reference import burner_calc, init, turbine_calc
 from property_reference import (
     reference_cp,
     reference_enthalpy,
@@ -634,6 +632,19 @@ def test_init_degraded_low_power_converges(gg_params):
     sol = off_design_solve(gg_params, GasGenInput(wf=wf), health, 230.0, n0)
     assert sol.newton_residual_norm < 1e-8
     assert sol.PW_shaft_net == pytest.approx(230.0, rel=1e-6)
+
+
+def test_fuel_step_starts_at_its_steady_speed(gg_params):
+    # run_fuel_step starts where the cubic load law meets the initial power,
+    # n0 = n_design (p0 / pe_design)^(1/3), with the fuel trimmed there; the
+    # reference speed search at that fuel flow finds n0 as the steady state
+    health = HealthParams(0.99, 0.97, 0.98, 1.04)
+    n_design, pe_design = gg_params.design_speed, gg_params.pe_design
+    n0 = n_design * (230.0 / pe_design) ** (1.0 / 3.0)
+    wf, _ = trim_fuel(gg_params, n0, 230.0, health)
+    x, _, _ = init(gg_params, GasGenInput(wf=wf), health,
+                   load_law=lambda n: pe_design * (n / n_design) ** 3)
+    assert x.N == pytest.approx(n0, rel=1e-8)
 
 
 def test_design_newton_fixed_point_via_kernel(gg_params):

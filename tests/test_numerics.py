@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from machine_reference import SingularMatrix, solve_dense
 
 from apucosim.numerics import (
     _PADE13,
@@ -11,7 +12,7 @@ from apucosim.numerics import (
     IntegralAccumulator,
     NewtonOptions,
     NonConvergence,
-    SingularMatrix,
+    SingularJacobian,
     SingularStageMatrix,
     StepperOptions,
     StepUnderflow,
@@ -20,7 +21,6 @@ from apucosim.numerics import (
     expm,
     integrate_adaptive,
     newton_solve,
-    solve_dense,
 )
 
 
@@ -102,6 +102,17 @@ def test_newton_wrong_carried_jacobian_reaches_the_same_root(jacobian, monkeypat
     assert np.max(np.abs(_curved(x))) < 1e-10
     assert np.allclose(x, reference, atol=1e-9)
     assert jac.shape == (2, 2)
+
+
+def test_newton_singular_fresh_jacobian_raises():
+    # both residuals move with x0 + x1 alone, so the finite-difference
+    # Jacobian at the guess has two equal columns
+    def parallel(v):
+        return np.array([v[0] + v[1] - 1.0, 2.0 * v[0] + 2.0 * v[1] - 3.0])
+
+    with pytest.raises(SingularJacobian) as exc:
+        newton_solve(parallel, np.array([0.0, 0.0]))
+    assert exc.value.iteration == 1
 
 
 def test_newton_returns_carried_jacobian_when_guess_is_a_root():

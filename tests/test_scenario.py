@@ -15,7 +15,6 @@ from apucosim.scenario import (
     emit_svg,
     load_preset,
     parse_scenario,
-    read_csv,
     serialize_scenario,
     station_report,
     write_csv,
@@ -124,11 +123,29 @@ def test_csv_three_samples_four_lines(tmp_path):
     assert lines[0] == "time_s,a_V,b_A"
 
 
+def _read_csv(path) -> TimeSeries:
+    """Read back a series written by write_csv."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        names, units = [], []
+        for col in header[1:]:
+            name, _, unit = col.rpartition("_")
+            names.append(name)
+            units.append(unit)
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if rows:
+        arr = np.array([[float(v) for v in r] for r in rows])
+        time, data = arr[:, 0], arr[:, 1:]
+    else:
+        time, data = np.empty(0), np.empty((0, len(names)))
+    return TimeSeries(names=tuple(names), units=tuple(units), time=time, data=data)
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     path = tmp_path / "s.csv"
     series = _small_series()
     write_csv(series, path)
-    back = read_csv(path)
+    back = _read_csv(path)
     assert back.names == series.names
     assert np.array_equal(back.time, series.time)
     assert np.array_equal(back.data, series.data)

@@ -6,6 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dq0_oracle import ClassicDq0Generator
+from machine_reference import (
+    currents_from_flux,
+    inverse_park,
+    inverse_park_matrix,
+    machine_derivatives,
+    park,
+    park_matrix,
+)
 
 from apucosim.cosim import propagate_magnus
 from apucosim.numerics import StepperOptions, integrate_adaptive
@@ -19,15 +27,9 @@ from apucosim.wrsg import (
     WrsgState,
     build_L,
     currents_fast,
-    currents_from_flux,
     field_voltage_for_terminal,
-    inverse_park,
-    machine_derivatives,
     measure,
     mech_power,
-    park,
-    park_matrix,
-    inverse_park_matrix,
     rms_window,
     seed_fault_flux,
     steady_state,
@@ -192,7 +194,8 @@ def test_mech_power_fault_loss_positive_rms():
 # ---------------------------------------------------------------- measurement
 
 def test_measure_zero_std_identity():
-    v, i = measure([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0], NoiseConfig())
+    v, i = measure([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0], NoiseConfig(),
+                   np.random.default_rng(0))
     assert np.all(v == [1.0, 2.0, 3.0, 4.0]) and np.all(i == [5.0, 6.0, 7.0])
 
 
@@ -208,9 +211,9 @@ def test_measure_noise_statistics():
 
 
 def test_measure_seeded_reproducibility():
-    cfg = NoiseConfig(std_vv=2.0, std_vi=0.5, seed=42)
-    a = measure(np.ones(4), np.ones(3), cfg)
-    b = measure(np.ones(4), np.ones(3), cfg)
+    cfg = NoiseConfig(std_vv=2.0, std_vi=0.5)
+    a = measure(np.ones(4), np.ones(3), cfg, np.random.default_rng(42))
+    b = measure(np.ones(4), np.ones(3), cfg, np.random.default_rng(42))
     assert np.all(a[0] == b[0]) and np.all(a[1] == b[1])
 
 
