@@ -32,12 +32,18 @@ STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
 # a warm-started static solve keeps a root below this Mach number without
 # computing the choke point (see static_from_flow)
 WARM_STATIC_MACH_MAX = 0.9
+# the cycle matches' Newton: residuals of order 1, each to 1e-10
+_MATCH_OPTIONS = NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
 
 
 class AltitudeOutOfRange(UsageError):
     def __init__(self, alt):
         lo, hi = ALTITUDE_RANGE_M
         super().__init__(f"altitude {alt:.0f} m outside [{lo:.0f}, {hi:.0f}] m")
+
+
+class NoSteadyState(NumericalFailure):
+    pass
 
 
 class T4OutOfRange(NumericalFailure):
@@ -111,7 +117,6 @@ class GasGenParams:
     nox_p_ref: float
     nox_t_ref: float
     nox_t_scale: float
-    design_surge_margin: float
     wf_design: float
     pe_design: float               # design shaft-power delivery, kW
 
@@ -156,7 +161,6 @@ class CycleSolution:
     Ps3: float
     PW_turb: float
     PW_cpr: float
-    eta_mech_cpr: float
     PW_shaft_net: float
     SFC: float
     surge_margin: float
@@ -166,7 +170,6 @@ class CycleSolution:
     wf: float
     beta: float
     turbine_pr: float
-    surge_crossed: bool
     # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
     # the next cycle match started from this solution (None if not built)
     jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -311,8 +314,6 @@ class CompressorResult:
     W2: float
     PW_cpr: float
     surge_margin: float
-    surge_crossed: bool
-    eta: float
     h3: float                 # outlet enthalpy, kJ/kg
     t3s: float                # isentropic exit temperature, K
 
@@ -346,8 +347,7 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
     pr_surge = cmap.surge_pressure_ratio(wc)
     sm = (pr_surge / pr - 1.0) * 100.0
     return CompressorResult(outlet=outlet, W2=w2, PW_cpr=w2 * (h3 - h2),
-                            surge_margin=sm, surge_crossed=sm < 0.0, eta=eta,
-                            h3=h3, t3s=t3s)
+                            surge_margin=sm, h3=h3, t3s=t3s)
 
 
 def _burn(inlet, h_in, wf, params, t_guess=None):
@@ -388,7 +388,6 @@ class TurbineResult:
     st41: GasState
     st5: GasState
     PW_turb: float
-    eta: float
     t5s: float                # isentropic exit temperature, K
     t5u: float                # exit temperature before the rotor cooling returns
 
@@ -413,7 +412,7 @@ def _turbine(inlet4, h4, cool_ngv, h_ngv, cool_rotor, h_rot, N, pr_t, params,
     t5u = gas.temperature_from_enthalpy(h5u, st41.FAR, start.t5u)
     st5u = GasState(W=st41.W, Tt=t5u, Pt=p5, FAR=st41.FAR)
     st5, _ = _mix(st5u, h5u, cool_rotor, h_rot, p5, start.t5)
-    return TurbineResult(st41=st41, st5=st5, PW_turb=pw_turb, eta=eta, t5s=t5s, t5u=t5u)
+    return TurbineResult(st41=st41, st5=st5, PW_turb=pw_turb, t5s=t5s, t5u=t5u)
 
 
 def exhaust_calc(inlet: GasState, params: GasGenParams) -> GasState:
@@ -476,8 +475,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
 
 def off_design_solve(params: GasGenParams, u: GasGenInput,
                      health: HealthParams = HEALTHY, Pe: float = 0.0,
-                     N: float = None, guess: CycleSolution | None = None,
-                     newton_opts: NewtonOptions | None = None) -> CycleSolution:
+                     N: float = None, guess: CycleSolution | None = None) -> CycleSolution:
     """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
     A `guess` (a previous solution of a nearby point) supplies the starting
@@ -490,8 +488,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     """
     if N is None:
         N = params.design_speed
-    st0, st1, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
-                                       params.intake_recovery)
+    ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
     if guess is None:
         x0, jac0, start = np.array([0.5, 1.0]), None, COLD
     else:
@@ -501,23 +498,55 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     last = []
 
     def residual(x):
-        beta, pr_t = x[0], x[1] * params.tmap.pr_design
-        last[:] = _evaluate_cycle(params, st0, st2, N, beta, pr_t, u.wf, health,
+        last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
+                                  x[1] * params.tmap.pr_design, u.wf, health,
                                   last[6] if last else start)
         return last[0]
 
-    opts = newton_opts or NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
-    x, jac = newton_solve(residual, x0, opts, scale=np.array([1.0, 1.0]),
+    x, jac = newton_solve(residual, x0, _MATCH_OPTIONS, scale=np.ones(2),
                           jacobian=jac0)
+    return _solution(params, ambient, N, u.wf, x, jac, last, start)
 
-    # newton_solve returns the point it evaluated last, so that evaluation
-    # already holds the station chain of the converged cycle
+
+def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
+                Pe: float, N: float) -> CycleSolution:
+    """Cycle match with the fuel flow as a third unknown, started cold from
+    u.wf: (beta, turbine pr / pr_design, wf / wf_design), the third residual
+    (PW_shaft_net - Pe) / max(|Pe|, 1). The solution carries the leading 2x2
+    block of the Jacobian, the one off_design_solve carries at fixed wf."""
+    ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
+    last = []
+
+    def residual(x):
+        wf = x[2] * params.wf_design
+        if wf <= 0.0:
+            raise NoSteadyState(f"no positive fuel flow delivers {Pe} kW at {N} rpm")
+        last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
+                                  x[1] * params.tmap.pr_design, wf, health,
+                                  last[6] if last else COLD)
+        power = _shaft_power(params, last[1], last[4])
+        last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
+        return last[0]
+
+    x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design],
+                          _MATCH_OPTIONS, scale=np.ones(3))
+    return _solution(params, ambient, N, x[2] * params.wf_design, x,
+                     None if jac is None else jac[:2, :2], last, COLD)
+
+
+def _shaft_power(params, comp, turb):
+    """Net shaft power (kW) of one cycle evaluation."""
+    return turb.PW_turb - comp.PW_cpr / params.eta_mech - params.accessory_kw
+
+
+def _solution(params, ambient, N, wf, x, jac, last, start) -> CycleSolution:
+    """The CycleSolution of a match converged at x, from `last`, its final
+    cycle evaluation, made at x; the norm spans all the match's residuals."""
+    st0, st1, st2 = ambient
     beta, pr_t = x[0], x[1] * params.tmap.pr_design
     r, comp, st31, st4, turb, st8, temps = last
-    res_norm = float(np.max(np.abs(r)))
-
-    pw_net = (turb.PW_turb - comp.PW_cpr / params.eta_mech - params.accessory_kw)
-    sfc = 3600.0 * u.wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
+    pw_net = _shaft_power(params, comp, turb)
+    sfc = 3600.0 * wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
     st3 = comp.outlet
     ts3, ps3, _, _ = static_from_flow(st3.Tt, st3.Pt, st3.W, params.a3_m2, st3.FAR,
                                       _scaled(start.ts3, st3.Tt, start.t3))
@@ -528,8 +557,6 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
                 31: st31, 4: st4, 41: turb.st41, 5: turb.st5, 6: turb.st5, 8: st8}
     return CycleSolution(
         stations=stations, Ps3=ps3, PW_turb=turb.PW_turb, PW_cpr=comp.PW_cpr,
-        eta_mech_cpr=params.eta_mech, PW_shaft_net=pw_net, SFC=sfc,
-        surge_margin=comp.surge_margin, NOx_severity=snox,
-        newton_residual_norm=res_norm, N=N, wf=u.wf, beta=beta,
-        turbine_pr=pr_t, surge_crossed=comp.surge_crossed, jacobian=jac,
-        temperatures=temps._replace(ts3=ts3))
+        PW_shaft_net=pw_net, SFC=sfc, surge_margin=comp.surge_margin,
+        NOx_severity=snox, newton_residual_norm=float(np.max(np.abs(r))), N=N,
+        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac, temperatures=temps._replace(ts3=ts3))

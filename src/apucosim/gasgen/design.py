@@ -168,8 +168,7 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
         fuel_lhv_mj=spec.fuel_LHV, accessory_kw=spec.accessory_power,
         eta_mech=1.0, inertia=spec.inertia, a3_m2=a3, a8_m2=a8,
         nox_p_ref=nox_p_ref, nox_t_ref=NOX_T_REF, nox_t_scale=NOX_T_SCALE,
-        design_surge_margin=DESIGN_SURGE_MARGIN, wf_design=wf,
-        pe_design=spec.shaft_power_design)
+        wf_design=wf, pe_design=spec.shaft_power_design)
 
     u = GasGenInput(wf=wf, altitude=spec.altitude, mach=spec.mach,
                     dT_ISA=spec.dT_ISA)

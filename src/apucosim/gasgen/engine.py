@@ -21,6 +21,7 @@ from .cycle import (
     HEALTHY,
     HealthParams,
     off_design_solve,
+    power_match,
 )
 
 MACRO_DT = 0.02          # s, fixed gas-generator step
@@ -30,10 +31,6 @@ _SUBSTEPS = 2            # forward sub-steps per macro step
 class SpeedOutOfRange(NumericalFailure):
     def __init__(self, n, n_max):
         super().__init__(f"spool speed {n:.0f} rpm outside (0, {n_max:.0f}] rpm")
-
-
-class NoSteadyState(NumericalFailure):
-    pass
 
 
 @dataclass(frozen=True)
@@ -114,23 +111,9 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
               health: HealthParams = HEALTHY, altitude: float = 0.0,
               mach: float = 0.0, dT_ISA: float = 5.0) -> tuple[float, CycleSolution]:
     """Fuel flow at which the engine delivers Pe kW at speed N (steady), and
-    the cycle solution the delivered power was checked on (a second match
-    at that fuel flow may land elsewhere within the solver tolerance)."""
+    the cycle solution at that fuel flow: one power_match, its fuel flow
+    started in proportion to the power the turbine must deliver."""
     wf = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
         params.pe_design + params.accessory_kw)
-    sol = None
-    for _ in range(60):
-        u = GasGenInput(wf=wf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
-        sol = off_design_solve(params, u, health, Pe=Pe, N=N, guess=sol)
-        err = sol.PW_shaft_net - Pe
-        if abs(err) < 1e-9 * max(abs(Pe), 1.0):
-            return wf, sol
-        dwf = 1e-6 * params.wf_design
-        u2 = GasGenInput(wf=wf + dwf, altitude=altitude, mach=mach, dT_ISA=dT_ISA)
-        slope = (off_design_solve(params, u2, health, Pe=Pe, N=N,
-                                  guess=sol).PW_shaft_net
-                 - sol.PW_shaft_net) / dwf
-        wf = wf - err / slope
-        if wf <= 0:
-            raise NoSteadyState(f"no positive fuel flow delivers {Pe} kW at {N} rpm")
-    raise NoSteadyState(f"fuel trim did not converge for {Pe} kW at {N} rpm")
+    sol = power_match(params, GasGenInput(wf, altitude, mach, dT_ISA), health, Pe, N)
+    return sol.wf, sol

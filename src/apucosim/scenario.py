@@ -158,13 +158,34 @@ def _merge(defaults, given, path):
     raise SchemaError(path, "known type", given)
 
 
+# leaves that must be > 0, or >= 0 (with each noise.gasgen_output.<channel>),
+# as the model constructors and the run require
+_POSITIVE = (
+    "duration", "macro_dt", "machine.f_hz", "machine.v_phase_rms",
+    "machine.two_machine_factor", "load.power_kw", "fuel_step.initial_power_kw",
+    "governor.n_set_rpm", "governor.wf_max", "avr.v_set", "coupling.speed_ratio",
+    "stepper.relative_tolerance", "stepper.absolute_tolerance",
+    *(f"gasgen.{key}" for key in (
+        "shaft_power_kw", "t4_k", "t8_k", "lhv_mj_per_kg", "design_speed_rpm",
+        "eta_compressor", "eta_turbine", "w2_kg_per_s", "inertia_kg_m2")))
+_NONNEGATIVE = ("seed", "noise.std_w1", "noise.std_w2", "noise.std_vi",
+                "noise.std_vv", "hook.std_rpm", "load.l_phase_h")
+
+
 def _validate(doc):
-    if doc["seed"] < 0:
-        raise SchemaError("seed", "integer >= 0", doc["seed"])
-    if doc["duration"] <= 0:
-        raise SchemaError("duration", "positive duration", doc["duration"])
-    if doc["macro_dt"] <= 0:
-        raise SchemaError("macro_dt", "positive step", doc["macro_dt"])
+    def leaf(path):
+        return functools.reduce(lambda node, key: node[key], path.split("."), doc)
+
+    for path in _POSITIVE:
+        if leaf(path) <= 0:
+            raise SchemaError(path, "number > 0", leaf(path))
+    for path in _NONNEGATIVE + tuple(f"noise.gasgen_output.{name}"
+                                     for name in doc["noise"]["gasgen_output"]):
+        if leaf(path) < 0:
+            raise SchemaError(path, "number >= 0", leaf(path))
+    if doc["gasgen"]["pressure_ratio"] <= 1:
+        raise SchemaError("gasgen.pressure_ratio", "pressure ratio above 1",
+                          doc["gasgen"]["pressure_ratio"])
     n = doc["duration"] / doc["macro_dt"]
     if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
         raise SchemaError("duration", "multiple of macro_dt", doc["duration"])
@@ -218,19 +239,9 @@ def _validate(doc):
         raise SchemaError("record.decimation",
                           f"integer within [1, {MAX_FAST_STEPS:,}]",
                           doc["record"]["decimation"])
-    for block, key, what in (("machine", "f_hz", "frequency"),
-                             ("machine", "v_phase_rms", "voltage"),
-                             ("machine", "two_machine_factor", "factor"),
-                             ("load", "power_kw", "power"),
-                             ("fuel_step", "initial_power_kw", "power"),
-                             ("governor", "n_set_rpm", "speed"),
-                             ("governor", "wf_max", "fuel flow"),
-                             ("avr", "v_set", "voltage")):
-        if doc[block][key] <= 0:
-            raise SchemaError(f"{block}.{key}", f"positive {what}", doc[block][key])
-    if not 0.0 < doc["machine"]["eta_sg"] <= 1.0:
-        raise SchemaError("machine.eta_sg", "efficiency within (0, 1]",
-                          doc["machine"]["eta_sg"])
+    for path in ("machine.eta_sg", "coupling.eta"):
+        if not 0.0 < leaf(path) <= 1.0:
+            raise SchemaError(path, "efficiency within (0, 1]", leaf(path))
     # healthy segments are sampled at max_step and the regulator's rms
     # window spans one electrical period, so a period needs >= 10 samples
     limit = 0.1 / doc["machine"]["f_hz"]
@@ -243,10 +254,6 @@ def _validate(doc):
         raise SchemaError("stepper.max_step_s",
                           f"step of at least duration / {MAX_FAST_STEPS:,} = "
                           f"{doc['duration'] / MAX_FAST_STEPS:.6g} s", max_step)
-    for key in ("relative_tolerance", "absolute_tolerance"):
-        if not 0.0 < doc["stepper"][key] < math.inf:
-            raise SchemaError(f"stepper.{key}", "positive finite tolerance",
-                              doc["stepper"][key])
 
 
 @dataclass(frozen=True)

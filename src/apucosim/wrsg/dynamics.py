@@ -147,22 +147,6 @@ class ElectricalSystem:
                              + (self._mu_rs * (mu - 1.0) - self._r_f) * g)
         return basis.reshape(5, 49), b
 
-    def flux_system(self, theta0: float, t0: float):
-        """t -> (A, b) of flux_basis() with the rotor angle taken in closed
-        form as theta = theta0 + w_e (t - t0)."""
-        flat, b = self.flux_basis()
-        if not self._active:
-            a = flat[0].reshape(7, 7)
-            return lambda t: (a, b)
-        w_e = self.w_e
-
-        def at(t):
-            theta = theta0 + w_e * (t - t0)
-            c, s = math.cos(theta), math.sin(theta)
-            return (np.array((1.0, c, s, c * c - s * s, 2.0 * c * s)) @ flat
-                    ).reshape(7, 7), b
-        return at
-
     def currents(self, y):
         return currents_fast(y, self.fault, self.model)
 

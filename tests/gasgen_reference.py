@@ -17,8 +17,7 @@ from apucosim.gasgen import (
     off_design_solve,
     outputs_from_solution,
 )
-from apucosim.gasgen.cycle import COLD, TurbineResult, _burn, _turbine
-from apucosim.gasgen.engine import NoSteadyState
+from apucosim.gasgen.cycle import COLD, NoSteadyState, TurbineResult, _burn, _turbine
 
 
 def burner_calc(inlet: GasState, wf: float, params: GasGenParams) -> GasState:

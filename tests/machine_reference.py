@@ -1,8 +1,9 @@
 """Reference forms of the machine model, kept as checks on `apucosim.wrsg`:
 the amplitude-invariant Park transform, the fault-loop current solve as the
 full 7x7 linear system (Gaussian elimination with partial pivoting), which
-`currents_fast` reduces to closed form, and the flux derivatives of one
-state under a frozen speed, field and load.
+`currents_fast` reduces to closed form, the flux derivatives of one
+state under a frozen speed, field and load, and the flux right-hand side
+t -> (A(t), b) that the adaptive reference integrator takes.
 
 Park convention: q-axis leading d-axis, rotor-angle referenced; a balanced
 set aligned with the rotor maps to (amplitude, 0, 0).
@@ -119,3 +120,21 @@ def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
     sys = ElectricalSystem(params, load, fault, w_r, V_fd,
                            load.resistance_at(t), noise_w=noise_w)
     return sys.derivatives(t, state.as_array())
+
+
+def flux_system(sys_: ElectricalSystem, theta0: float, t0: float):
+    """t -> (A, b) of sys_.flux_basis() with the rotor angle taken in closed
+    form as theta = theta0 + w_e (t - t0): the right-hand side of the fluxes
+    for the adaptive reference integrator."""
+    flat, b = sys_.flux_basis()
+    if not sys_.fault.active:
+        a = flat[0].reshape(7, 7)
+        return lambda t: (a, b)
+    w_e = sys_.w_e
+
+    def at(t):
+        theta = theta0 + w_e * (t - t0)
+        c, s = math.cos(theta), math.sin(theta)
+        return (np.array((1.0, c, s, c * c - s * s, 2.0 * c * s)) @ flat
+                ).reshape(7, 7), b
+    return at

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from dq0_oracle import ClassicDq0Generator
+from machine_reference import flux_system
 
 from apucosim.control import AvrState
 from apucosim.cosim import run_generator, run_joint
@@ -235,7 +236,7 @@ def test_criterion_5_healthy_reduction_oracle():
     max_diff = np.zeros(6)
     max_val = np.zeros(6)
     for a, b in zip(grid, grid[1:]):
-        rm = integrate_adaptive(mloop.flux_system(ym[7], a), ym[:7], (a, b),
+        rm = integrate_adaptive(flux_system(mloop, ym[7], a), ym[:7], (a, b),
                                 replace(opts, initial_step=min(hm, b - a)),
                                 record=False)
         ro = integrate_adaptive(oracle_affine, yo[:6], (a, b),
@@ -279,8 +280,8 @@ def _faulted_phase_rms(p, fault, v_fd, duration=0.06):
                           absolute_tolerance=1e-7,
                           initial_step=1e-7, max_step=1e-4)
     # the stepper carries the fluxes; theta = theta0 + w_e t in closed form
-    integrate_adaptive(sysm.flux_system(y0[7], 0.0), y0[:7], (0.0, duration), opts,
-                       observers=[lambda t, lam: obs(t, np.append(
+    integrate_adaptive(flux_system(sysm, y0[7], 0.0), y0[:7], (0.0, duration),
+                       opts, observers=[lambda t, lam: obs(t, np.append(
                            lam, y0[7] + W_E_DESIGN * t))], record=False)
     t = np.array(rec["t"])
     w = 1.0 / 400.0
@@ -304,7 +305,7 @@ def _trajectory_on_grid(p, fault, v_fd, t_end=0.05, n_pts=126):
     samples = np.empty(n_pts - 1)
     h = 1e-8
     for k, (a, b) in enumerate(zip(grid, grid[1:])):
-        res = integrate_adaptive(sysm.flux_system(y[7], a), y[:7], (a, b),
+        res = integrate_adaptive(flux_system(sysm, y[7], a), y[:7], (a, b),
                                  replace(opts, initial_step=min(h, b - a)),
                                  record=False)
         y, h = np.append(res.state, y[7] + W_E_DESIGN * (b - a)), res.last_step

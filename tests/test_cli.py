@@ -42,18 +42,26 @@ def test_steady_design_inputs_fixed_point(capsys):
     assert doc["residual_norm"] < 1e-8
 
 
-def test_steady_reports_the_trimmed_point(capsys):
+@pytest.mark.parametrize("power, flags", [
     # a point where a second, cold cycle match at the trimmed fuel flow
     # moved the reported power by more than the trim tolerance
-    power = 284.1510427167631
-    argv = ["steady", "--json", "--power", repr(power),
-            "--speed", "36499.158854827525", "--altitude", "6478.09166454904",
-            "--mach", "0.4797914561759314", "--eta-c", "1.0010192850927029",
-            "--flow-c", "0.9891457625583839", "--eta-t", "1.0188391495831435",
-            "--flow-t", "0.9996266277028348"]
+    (284.1510427167631,
+     ["--speed", "36499.158854827525", "--altitude", "6478.09166454904",
+      "--mach", "0.4797914561759314", "--eta-c", "1.0010192850927029",
+      "--flow-c", "0.9891457625583839", "--eta-t", "1.0188391495831435",
+      "--flow-t", "0.9996266277028348"]),
+    # no load and near-idle at design speed, and 400 kW at two corners of the
+    # health-factor range: a secant on the fuel flow alone, each step a full
+    # match, left the compressor map at all four
+    (0.0, []), (5.0, []),
+    (400.0, ["--eta-c", "0.8", "--flow-c", "0.8", "--eta-t", "0.8", "--flow-t", "1.2"]),
+    (400.0, ["--eta-c", "1.2", "--flow-c", "1.2", "--eta-t", "1.2", "--flow-t", "0.8"]),
+], ids=["cold-rematch", "0kW", "5kW", "400kW-degraded-corner", "400kW-improved-corner"])
+def test_steady_reports_the_trimmed_point(capsys, power, flags):
+    argv = ["steady", "--json", "--power", repr(power), *flags]
     assert main(argv) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
-    assert abs(out["values"]["PWSD"] - power) <= 1e-9 * power
+    assert abs(out["values"]["PWSD"] - power) <= 1e-9 * max(power, 1.0)
     assert out["residual_norm"] < 1e-10
 
 
@@ -240,6 +248,20 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     *(({block: {key: value}}, f"{block}.{key}")
       for block, key in (("avr", "v_set"), ("machine", "two_machine_factor"),
                          ("governor", "wf_max"), ("machine", "v_phase_rms"))
+      for value in (0, -1)),
+    # the ranges the model constructors enforce: widths >= 0, and the
+    # coupling and design quantities > 0 (the pressure ratio > 1)
+    *(({block: {key: -1}}, f"{block}.{key}")
+      for block, key in (("noise", "std_w1"), ("noise", "std_w2"), ("noise", "std_vi"),
+                         ("noise", "std_vv"), ("hook", "std_rpm"), ("load", "l_phase_h"))),
+    ({"noise": {"gasgen_output": {"T4": -1}}}, "noise.gasgen_output.T4"),
+    ({"hook": {"kind": "speed-noise", "std_rpm": -1}}, "hook.std_rpm"),
+    *(({block: {key: value}}, f"{block}.{key}")
+      for block, key in (("coupling", "eta"), ("coupling", "speed_ratio"),
+                         *(("gasgen", key) for key in (
+                             "shaft_power_kw", "pressure_ratio", "t4_k", "t8_k",
+                             "lhv_mj_per_kg", "design_speed_rpm", "eta_compressor",
+                             "eta_turbine", "w2_kg_per_s", "inertia_kg_m2")))
       for value in (0, -1)),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from machine_reference import flux_system
 from apucosim.cosim import (
     CouplingParams,
     EmptyWindow,
@@ -151,7 +152,7 @@ def test_healthy_propagator_matches_tight_stepper(case):
                           initial_step=1e-8, max_step=1e-5)
     y, ta, h, worst = y0, 0.0, 1e-8, 0.0
     for tb, got in zip(times, states):
-        res = integrate_adaptive(sysm.flux_system(y[7], ta), y[:7], (ta, tb),
+        res = integrate_adaptive(flux_system(sysm, y[7], ta), y[:7], (ta, tb),
                                  replace(opts, initial_step=min(h, tb - ta)),
                                  record=False)
         y, ta, h = np.append(res.state, y[7] + w_e * (tb - ta)), tb, res.last_step

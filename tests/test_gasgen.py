@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apucosim.cli import OFF_DESIGN_PRESETS
 from apucosim.gasgen import (
     AltitudeOutOfRange,
     GasGenDesignSpec,
@@ -20,11 +21,13 @@ from apucosim.gasgen import (
     trim_fuel,
 )
 from apucosim.gasgen import properties as gas
-from apucosim.gasgen import cycle
+from apucosim.gasgen import cycle, engine
 from apucosim.gasgen.cycle import (
     COLD,
+    NoSteadyState,
     compressor_calc,
     exhaust_calc,
+    power_match,
     static_from_flow,
 )
 from apucosim.gasgen.engine import outputs_from_solution
@@ -622,6 +625,37 @@ def test_trim_fuel_returns_the_solution_it_checked(gg_params):
     wf, sol = trim_fuel(gg_params, 35000.0, 300.0, HEALTHY, altitude=4000.0, mach=0.4)
     assert sol.wf == wf and sol.N == 35000.0
     assert abs(sol.PW_shaft_net - 300.0) < 1e-9 * 300.0
+
+
+@pytest.mark.parametrize("alt, mach, power", OFF_DESIGN_PRESETS)
+def test_trim_is_one_match_of_few_evaluations(gg_params, monkeypatch, alt, mach, power):
+    # the fuel flow is the third unknown of one cold match, no secant over
+    # full matches (about 30 cycle evaluations per trim)
+    evaluations, matches = [], []
+    evaluate, match = cycle._evaluate_cycle, cycle.off_design_solve
+    monkeypatch.setattr(cycle, "_evaluate_cycle",
+                        lambda *args: evaluations.append(1) or evaluate(*args))
+    for module in (cycle, engine):
+        monkeypatch.setattr(module, "off_design_solve",
+                            lambda *args, **kw: matches.append(1) or match(*args, **kw))
+    wf, sol = trim_fuel(gg_params, 36050.0, power, HEALTHY, altitude=alt, mach=mach)
+    assert len(evaluations) <= 15 and not matches
+    assert sol.wf == wf and sol.newton_residual_norm < 1e-10
+    assert abs(sol.PW_shaft_net - power) <= 1e-10 * power
+    # the solution carries the 2x2 Jacobian of a match at fixed fuel flow,
+    # so a match at the trimmed point starts converged
+    assert sol.jacobian is None or sol.jacobian.shape == (2, 2)
+    evaluations.clear()
+    warm = off_design_solve(gg_params, GasGenInput(wf, alt, mach), HEALTHY, power,
+                            36050.0, guess=sol)
+    assert len(evaluations) <= 2 and warm.newton_residual_norm < 1e-10
+
+
+def test_trim_trial_without_fuel_is_no_steady_state(gg_params):
+    # a trial fuel flow <= 0 ends the trim as a numerical failure, before
+    # the burner's check on a negative fuel flow (a usage error) is reached
+    with pytest.raises(NoSteadyState):
+        power_match(gg_params, GasGenInput(wf=0.0), HEALTHY, 300.0, 36050.0)
 
 
 def test_init_degraded_low_power_converges(gg_params):

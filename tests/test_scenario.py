@@ -277,8 +277,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("cae03ddbfceca7f3494fbf74d8e8fde6"
-                      "28fb4cb984f596bcd6df30531efa67a2")
+    assert digest == ("95f69c40014a8cb9be367eedf96cc3df"
+                      "5b0eb6ded3901530ce3f9f72b4c8bab7")
 
 
 def test_gasgen_output_noise_channel_validation():

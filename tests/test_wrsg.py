@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dq0_oracle import ClassicDq0Generator
 from machine_reference import (
     currents_from_flux,
+    flux_system,
     inverse_park,
     inverse_park_matrix,
     machine_derivatives,
@@ -282,8 +283,8 @@ def test_fault_breaks_symmetry_and_open_branch_recovers():
         opts = StepperOptions(relative_tolerance=1e-5,
                               absolute_tolerance=1e-7,
                               initial_step=1e-7, max_step=1e-4)
-        integrate_adaptive(sysm.flux_system(y0[7], 0.0), y0[:7], (0.0, 0.05), opts,
-                           observers=[lambda t, lam: obs(t, np.append(
+        integrate_adaptive(flux_system(sysm, y0[7], 0.0), y0[:7], (0.0, 0.05),
+                           opts, observers=[lambda t, lam: obs(t, np.append(
                                lam, y0[7] + W_E * t))], record=False)
         t = np.array(rec["t"])
         return np.array([rms_window(t, rec[c], 1 / 400.0)
@@ -407,7 +408,7 @@ def test_flux_system_matches_derivatives(fault, l_phase):
         t0, theta0 = rng.uniform(0.0, 1.0), y[7]
         t = t0 + rng.uniform(0.0, 0.02)
         y[7] = theta0 + W_E * (t - t0)
-        a, b = sysm.flux_system(theta0, t0)(t)
+        a, b = flux_system(sysm, theta0, t0)(t)
         want = sysm.derivatives(0.0, y)[:7]
         got = a @ y[:7] + b
         # within the rounding of either evaluation: the size of the terms
@@ -447,7 +448,7 @@ def test_faulted_segment_truncation_error(mu):
     vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
     y0 = seed_fault_flux(steady_state(p, R_225, vfd, W_E), fault, p).as_array()
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
-    system = sysm.flux_system(y0[7], 0.0)
+    system = flux_system(sysm, y0[7], 0.0)
     opts = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1e-6,
                           initial_step=1e-6, max_step=1e-4)
     got = integrate_adaptive(system, y0[:7], (0.0, 0.05), opts, record=False).state
@@ -466,7 +467,7 @@ def test_magnus_segment_truncation_error(mu):
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
     times, states = propagate_magnus(sysm, y0, 0.0, 0.05, 1e-4, 1e-5, 1e-6)
     assert times[-1] == 0.05
-    want = _rk4(sysm.flux_system(y0[7], 0.0), y0[:7], 0.0, 0.05, 2e-6)
+    want = _rk4(flux_system(sysm, y0[7], 0.0), y0[:7], 0.0, 0.05, 2e-6)
     got = states[-1, :7]
     assert np.max(np.abs(got - want)) < 1.5e-6 * np.max(np.abs(want))
 
