@@ -29,9 +29,6 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
-# a warm-started static solve keeps a root below this Mach number without
-# computing the choke point (see static_from_flow)
-WARM_STATIC_MACH_MAX = 0.9
 # the cycle matches' Newton: residuals of order 1, each to 1e-10
 _MATCH_OPTIONS = NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
 
@@ -215,23 +212,23 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
 
 def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0.0,
                      ts_guess: float | None = None):
-    """Subsonic static state from continuity: returns (Ts, Ps, mach, choked).
+    """Static state from continuity: returns (Ts, Ps, mach, choked).
 
-    Below the choke flow, W(Ts) = rho v A, with v = sqrt(2 (h(Tt) - h(Ts)))
-    and Ps from the entropy function, is solved for Ts by Newton on ln W
-    with the analytic slope d ln W/dTs = cp/(R Ts) - 1/Ts - 1000 cp/v^2,
-    bracketed by the choke point and Tt, until the flow meets its tolerance
-    or, near Mach 0, Ts stops moving by more than rounding. Mach follows from
-    Ts and gamma(Ts). Raises NonConvergence rather than return an unconverged
-    state.
+    The flow W(Ts) = rho v A, with v = sqrt(2 (h(Tt) - h(Ts))) and Ps from
+    the entropy function, has the slope d ln W/dTs = cp/(R Ts) - 1/Ts
+    - 1000 cp/v^2, which is zero where v reaches the speed of sound
+    a = sqrt(gamma(Ts) R Ts): the flow is largest at Mach 1. Below that
+    maximum, Ts is solved by Newton on ln W with this slope, bracketed by
+    T_MIN and Tt, until the flow meets its tolerance or, near Mach 0, Ts
+    stops moving by more than rounding; mach is v / a.
 
-    With `ts_guess` (the static temperature of a nearby earlier state), the
-    Newton first runs from there without the choke bracket, and a root below
-    WARM_STATIC_MACH_MAX is returned without the choke point: that far below
-    Mach 1 the flow lies under the choke flow by much more than the choke
-    fixed point's own offset from the flow maximum, so it is the root the
-    bracketed solve finds. Otherwise the choke fixed point starts from
-    `ts_guess` and the solve goes on as without a guess.
+    The Newton starts from `ts_guess` (the static temperature of a nearby
+    earlier state) or from above the root. From above it descends on the
+    concave ln W without crossing the root, so an iterate reaches the flow
+    maximum (slope >= 0) only when W is at or above it: the exit is then
+    choked and the Mach-1 point is returned with mach 1.0. A run from
+    `ts_guess` that reaches the maximum restarts once from above. Raises
+    NonConvergence rather than return an unconverged state.
     """
     h_t = gas.enthalpy(Tt, far)
     phi_t = gas.phi(Tt, far)
@@ -244,68 +241,67 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
 
     tol = 1e-11 * max(W, 1e-6)
 
-    def newton(ts, lo, hi, warm):
-        """(Ts, Ps, cp(Ts)) at the root; a warm run returns None where it
-        leaves the subsonic side of the flow maximum or its bracket."""
+    def newton(ts):
+        """(Ts, Ps, mach, False) at the subsonic root, or None once an
+        iterate lies at or past the flow maximum."""
+        lo, hi = gas.T_MIN, Tt
         for _ in range(STATIC_MAX_ITERATIONS):
             cps = gas.cp(ts, far)
             w_s, v, ps = flow_at(ts)
             # near Mach 0, h(Tt) - h(Ts) is close to rounding error (v may
             # round to 0) and the flow tolerance is out of reach: stop once
             # Ts can no longer move by more than rounding
-            if abs(w_s - W) < tol or v == 0.0:
-                return ts, ps, cps
+            if v == 0.0:
+                break
+            slope = cps / (gas.R_GAS * ts) - 1.0 / ts - 1000.0 * cps / (v * v)
+            # checked before the tolerance: a state past the maximum is not
+            # returned even where its flow is within it
+            if slope >= 0.0:
+                return None
+            if abs(w_s - W) < tol:
+                break
             if w_s > W:
                 lo = ts
             else:
                 hi = ts
-            slope = cps / (gas.R_GAS * ts) - 1.0 / ts - 1000.0 * cps / (v * v)
             step = -math.log(w_s / W) / slope
-            if warm and (slope >= 0.0 or not lo < ts + step < hi):
-                return None
             rounding = 4.0 * sys.float_info.epsilon * ts
             if abs(step) <= rounding or hi - lo <= rounding:
-                return ts, ps, cps
+                break
             ts = ts + step if lo < ts + step < hi else 0.5 * (lo + hi)
-        if warm:
-            return None
-        raise NonConvergence(STATIC_MAX_ITERATIONS, abs(w_s - W) / max(W, 1e-6))
+        else:
+            raise NonConvergence(STATIC_MAX_ITERATIONS, abs(w_s - W) / max(W, 1e-6))
+        a = math.sqrt(1000.0 * gas.R_GAS * ts * cps / (cps - gas.R_GAS))
+        return ts, ps, v / a, False
 
-    def state(ts, ps, cps):
-        gamma = cps / (cps - gas.R_GAS)
-        return ts, ps, math.sqrt(2.0 * (Tt / ts - 1.0) / (gamma - 1.0)), False
-
-    ts_c = Tt
     if ts_guess is not None and gas.T_MIN < ts_guess < Tt:
-        found = newton(ts_guess, gas.T_MIN, Tt, True)
+        found = newton(ts_guess)
         if found is not None:
-            found = state(*found)
-            if found[2] < WARM_STATIC_MACH_MAX:
-                return found
-        ts_c = ts_guess
-
-    # choke point: Mach 1, a fixed point of Ts = Tt / (1 + (gamma(Ts) - 1) / 2)
-    for _ in range(12):
-        cps = gas.cp(ts_c, far)
-        gamma = cps / (cps - gas.R_GAS)
-        ts_new = Tt / (1.0 + 0.5 * (gamma - 1.0))
-        if abs(ts_new - ts_c) < 1e-10:
-            ts_c = ts_new
-            break
-        ts_c = ts_new
-    w_choke, _, ps_c = flow_at(ts_c)
-    if W >= w_choke:
-        return ts_c, ps_c, 1.0, True
-
-    lo, hi = ts_c, Tt
-    # the stagnation density underestimates the velocity, so this first
-    # guess lies above the root, from where Newton on the concave ln W
-    # descends without overshoot
+            return found
+    # the stagnation density underestimates the velocity, so this start
+    # lies above the root; only a W far above the flow maximum puts it
+    # below T_MIN
     v0 = W * gas.R_GAS * Tt / (Pt * area)
     ts = Tt - v0 * v0 / (2000.0 * gas.cp(Tt, far))
-    if ts <= lo:
-        ts = 0.5 * (lo + hi)
-    return state(*newton(ts, lo, hi, False))
+    found = newton(ts if ts > gas.T_MIN else 0.5 * (gas.T_MIN + Tt))
+    if found is not None:
+        return found
+
+    # the Mach-1 point: Newton from Tt on (v^2 - a^2) / 1000 = 2 (h(Tt) -
+    # h(Ts)) - gamma(Ts) R Ts with the slope -(2 cp + gamma R). That slope
+    # leaves out the small d gamma/dTs term, so each step still cuts the
+    # error a hundredfold or more. The first step lands on the perfect-gas
+    # choke Tt 2 / (gamma(Tt) + 1). It stops at a relative step of 1e-12,
+    # well above the rounding of h(Tt)
+    ts = Tt
+    for _ in range(STATIC_MAX_ITERATIONS):
+        cps = gas.cp(ts, far)
+        gamma_r = gas.R_GAS * cps / (cps - gas.R_GAS)
+        step = (2.0 * (h_t - gas.enthalpy(ts, far)) - gamma_r * ts) / (2.0 * cps + gamma_r)
+        if abs(step) <= 1e-12 * ts:
+            return ts, flow_at(ts)[2], 1.0, True
+        ts += step
+    raise NonConvergence(STATIC_MAX_ITERATIONS, abs(step) / ts)
 
 
 @dataclass(frozen=True)
@@ -462,11 +458,13 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     r1 = (wc41 - wc41_map) / params.tmap.wc_design
 
     # residual 2: exhaust exit static pressure vs ambient
-    ts8, ps8, m8, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR,
-                                            _scaled(start.ts8, st8.Tt, start.t5))
+    ts8, ps8, _, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR,
+                                           _scaled(start.ts8, st8.Tt, start.t5))
     r2 = (ps8 - st0.Pt) / st0.Pt
     if choked:
-        r2 += 5.0 * (st8.W / (ps8 / (gas.R_GAS * ts8) * params.a8_m2) - 1.0)
+        # the excess of W over the choke flow rho v A, zero at the flow maximum
+        v8 = math.sqrt(2000.0 * (gas.enthalpy(st8.Tt, st8.FAR) - gas.enthalpy(ts8, st8.FAR)))
+        r2 += 5.0 * (st8.W / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
 
     temps = StationTemperatures(comp.t3s, st3.Tt, st4.Tt, turb.st41.Tt, turb.t5s,
                                 turb.t5u, turb.st5.Tt, ts8, start.ts3)

@@ -349,11 +349,6 @@ class IntegralAccumulator:
     last_sample: float
     value: float = 0.0
 
-    def reset(self, t: float, sample: float):
-        self.last_time = t
-        self.last_sample = sample
-        self.value = 0.0
-
 
 def accumulate(acc: IntegralAccumulator, t, sample) -> IntegralAccumulator:
     """Advance the accumulator to time t with the new sample (trapezoid rule).

@@ -64,7 +64,7 @@ _DEFAULTS = {
         "w2_kg_per_s": 3.1442, "inertia_kg_m2": 0.12,
     },
     "machine": {
-        "rated_kw": 225.0, "v_phase_rms": 230.0, "f_hz": 400.0,
+        "v_phase_rms": 230.0, "f_hz": 400.0,
         "eta_sg": 0.95, "two_machine_factor": 2.0,
     },
     "coupling": {"eta": 1.0, "speed_ratio": 36050.0 / 12000.0},
@@ -159,17 +159,19 @@ def _merge(defaults, given, path):
 
 
 # leaves that must be > 0, or >= 0 (with each noise.gasgen_output.<channel>),
-# as the model constructors and the run require
+# as the model constructors, the regulators and the run require
 _POSITIVE = (
     "duration", "macro_dt", "machine.f_hz", "machine.v_phase_rms",
     "machine.two_machine_factor", "load.power_kw", "fuel_step.initial_power_kw",
-    "governor.n_set_rpm", "governor.wf_max", "avr.v_set", "coupling.speed_ratio",
+    "fuel_step.factor", "governor.n_set_rpm", "governor.wf_max",
+    "governor.rate_limit", "avr.v_set", "avr.v_fd_max", "coupling.speed_ratio",
     "stepper.relative_tolerance", "stepper.absolute_tolerance",
     *(f"gasgen.{key}" for key in (
         "shaft_power_kw", "t4_k", "t8_k", "lhv_mj_per_kg", "design_speed_rpm",
         "eta_compressor", "eta_turbine", "w2_kg_per_s", "inertia_kg_m2")))
 _NONNEGATIVE = ("seed", "noise.std_w1", "noise.std_w2", "noise.std_vi",
-                "noise.std_vv", "hook.std_rpm", "load.l_phase_h")
+                "noise.std_vv", "hook.std_rpm", "load.l_phase_h", "governor.wf_min",
+                "governor.kp", "governor.ki", "avr.kp", "avr.ki")
 
 
 def _validate(doc):
@@ -183,6 +185,9 @@ def _validate(doc):
                                      for name in doc["noise"]["gasgen_output"]):
         if leaf(path) < 0:
             raise SchemaError(path, "number >= 0", leaf(path))
+    if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:
+        raise SchemaError("governor.wf_min", "fuel flow below governor.wf_max",
+                          doc["governor"]["wf_min"])
     if doc["gasgen"]["pressure_ratio"] <= 1:
         raise SchemaError("gasgen.pressure_ratio", "pressure ratio above 1",
                           doc["gasgen"]["pressure_ratio"])
@@ -339,8 +344,7 @@ def design_spec_from_scenario(scenario: Scenario) -> GasGenDesignSpec:
 
 def machine_params_from_scenario(scenario: Scenario) -> WrsgParams:
     m = scenario["machine"]
-    return WrsgParams(P_n=m["rated_kw"], V_phase_rated=m["v_phase_rms"],
-                      f_n=m["f_hz"], eta_sg=m["eta_sg"],
+    return WrsgParams(f_n=m["f_hz"], eta_sg=m["eta_sg"],
                       two_machine_factor=m["two_machine_factor"])
 
 

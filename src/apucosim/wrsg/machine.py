@@ -42,8 +42,6 @@ class SingularSystem(NumericalFailure):
 @dataclass(frozen=True)
 class WrsgParams:
     """Machine constants; defaults are the 225 kW / 400 Hz reference set."""
-    P_n: float = 225.0            # kW rated (per machine)
-    V_phase_rated: float = 230.0  # V rms phase, regulator setpoint
     f_n: float = 400.0            # Hz
     r_s: float = 0.0044           # stator phase resistance, ohm
     L_ls: float = 19.8e-6         # stator leakage, H

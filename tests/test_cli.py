@@ -263,6 +263,17 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
                              "lhv_mj_per_kg", "design_speed_rpm", "eta_compressor",
                              "eta_turbine", "w2_kg_per_s", "inertia_kg_m2")))
       for value in (0, -1)),
+    # the regulators' limits and the fuel step: rates, limits and the
+    # factor > 0, fuel floor and gains >= 0, and the floor below the ceiling
+    *(({block: {key: value}}, f"{block}.{key}")
+      for block, key in (("governor", "rate_limit"), ("avr", "v_fd_max"),
+                         ("fuel_step", "factor"))
+      for value in (0, -1)),
+    *(({block: {key: -1}}, f"{block}.{key}")
+      for block, key in (("governor", "wf_min"), ("governor", "kp"), ("governor", "ki"),
+                         ("avr", "kp"), ("avr", "ki"))),
+    ({"governor": {"wf_min": 0.085}}, "governor.wf_min"),
+    ({"governor": {"wf_min": 0.01, "wf_max": 0.005}}, "governor.wf_min"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"

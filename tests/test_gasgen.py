@@ -23,7 +23,6 @@ from apucosim.gasgen import (
 from apucosim.gasgen import properties as gas
 from apucosim.gasgen import cycle, engine
 from apucosim.gasgen.cycle import (
-    COLD,
     NoSteadyState,
     compressor_calc,
     exhaust_calc,
@@ -43,6 +42,7 @@ from property_reference import (
 from static_flow_reference import (
     choke_flow,
     continuity_flow,
+    flow_maximum,
     reference_static_from_flow,
 )
 
@@ -177,6 +177,16 @@ def _log_flow_slope(Tt, Pt, ts, area, far):
                  - math.log(continuity_flow(Tt, Pt, ts - h, area, far))) / (2.0 * h)
 
 
+def _assert_choke_point(state, Tt, Pt, area, far):
+    """`state` is the reference's choke point: the flow maximum, whose Ts
+    the golden-section search finds only to about 1e-8 relative."""
+    ts, ps, mach, choked = state
+    ts_r, ps_r, mach_r, choked_r = reference_static_from_flow(Tt, Pt, math.inf, area, far)
+    assert (mach, choked) == (mach_r, choked_r) == (1.0, True)
+    assert ts == pytest.approx(ts_r, rel=1e-7, abs=0.0)
+    assert ps == pytest.approx(ps_r, rel=1e-6, abs=0.0)
+
+
 @pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
 def test_static_from_flow_matches_reference(Tt, Pt, far, area):
     w_choke = choke_flow(Tt, Pt, area, far)
@@ -195,10 +205,9 @@ def test_static_from_flow_matches_reference(Tt, Pt, far, area):
             band = 2e-11 / abs(_log_flow_slope(Tt, Pt, ts_r, area, far))
         assert abs(ts - ts_r) / ts_r <= 1e-10 + band, ratio
         assert abs(ps - ps_r) / ps_r <= 1e-10 + gas.cp(ts_r, far) / gas.R_GAS * band, ratio
-    for ratio in (1.0, 1.5):
-        W = ratio * w_choke
-        assert (static_from_flow(Tt, Pt, W, area, far)
-                == reference_static_from_flow(Tt, Pt, W, area, far))
+    for ratio in (1.0 + 1e-9, 1.5):
+        _assert_choke_point(static_from_flow(Tt, Pt, ratio * w_choke, area, far),
+                            Tt, Pt, area, far)
 
 
 @pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
@@ -217,32 +226,54 @@ def test_warm_static_from_flow_matches_reference(Tt, Pt, far, area):
             assert 0.0 <= mach < 1.0
             assert abs(ts - ts_r) / ts_r <= 1e-10 + band, (ratio, guess)
             assert abs(ps - ps_r) / ps_r <= 1e-10 + gas.cp(ts_r, far) / gas.R_GAS * band
-    # at W = w_choke exactly the choked flag hangs on the last bit of the
-    # choke point, which a fixed point started elsewhere need not reproduce
+    # above the choke flow the guess is left behind: the choke point is
+    # found from Tt, as without one
     for ratio in (1.0 + 1e-9, 1.5):
         W = ratio * w_choke
-        ts_r, ps_r, mach_r, choked_r = reference_static_from_flow(Tt, Pt, W, area, far)
-        for guess in (ts_choke, 1.01 * ts_choke, 0.5 * (ts_choke + Tt)):
-            ts, ps, mach, choked = static_from_flow(Tt, Pt, W, area, far, guess)
-            assert (mach, choked) == (mach_r, choked_r) == (1.0, True)
-            # the choke fixed point started elsewhere stops within 1e-10 K
-            assert ts == pytest.approx(ts_r, rel=1e-12, abs=0.0)
-            assert ps == pytest.approx(ps_r, rel=1e-11, abs=0.0)
+        cold = static_from_flow(Tt, Pt, W, area, far)
+        _assert_choke_point(cold, Tt, Pt, area, far)
+        for guess in (ts_choke, 1.01 * ts_choke, 0.97 * ts_choke, 0.5 * (ts_choke + Tt)):
+            assert static_from_flow(Tt, Pt, W, area, far, guess) == cold
 
 
-@pytest.mark.parametrize("far", [0.0, 0.069])
-@pytest.mark.parametrize("Tt", [300.0, 755.0, 1200.0, 2000.0])
-def test_flow_at_the_warm_mach_limit_is_well_under_choke(Tt, far):
-    # why a warm root below WARM_STATIC_MACH_MAX needs no choke point: the
-    # flow there is under the choke flow by far more than the 1e-5 or so by
-    # which the flow maximum exceeds it
-    m = cycle.WARM_STATIC_MACH_MAX
-    ts = Tt
-    for _ in range(60):
-        cps = gas.cp(ts, far)
-        ts = Tt / (1.0 + 0.5 * (cps / (cps - gas.R_GAS) - 1.0) * m * m)
-    w = continuity_flow(Tt, 100.0, ts, 0.01, far)
-    assert w < 0.995 * choke_flow(Tt, 100.0, 0.01, far)
+@pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
+def test_choke_flow_is_the_flow_maximum(Tt, Pt, far, area):
+    ts_c, _, _, choked = static_from_flow(Tt, Pt, 2.0 * choke_flow(Tt, Pt, area, far),
+                                          area, far)
+    assert choked
+    assert continuity_flow(Tt, Pt, ts_c, area, far) == pytest.approx(
+        choke_flow(Tt, Pt, area, far), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("Tt, Pt, far, area", STATIC_STATES)
+def test_static_state_is_continuous_through_choke(Tt, Pt, far, area):
+    # a flow a hair under the maximum is subsonic just under Mach 1, and a
+    # hair over it choked, both at nearly the choke point's pressure
+    ts_choke, w_choke = flow_maximum(Tt, Pt, area, far)
+    ps_choke = reference_static_from_flow(Tt, Pt, w_choke, area, far)[1]
+    for ratio in (1.0 - 1e-9, 1.0 + 1e-9):
+        for guess in (None, ts_choke, 0.97 * ts_choke, 0.5 * (ts_choke + Tt)):
+            ts, ps, mach, choked = static_from_flow(Tt, Pt, ratio * w_choke, area, far,
+                                                    guess)
+            assert choked is (ratio > 1.0)
+            assert abs(mach - 1.0) <= 1e-4, (ratio, guess)
+            assert abs(ps / ps_choke - 1.0) <= 1e-4, (ratio, guess)
+
+
+def test_choked_exhaust_penalty_vanishes_at_the_flow_maximum(gg_params):
+    # an exit area that puts the exhaust flow a hair over the flow maximum:
+    # residual 2 is the static-pressure error plus the choked penalty
+    # 5 (W / W_choke - 1), which the hair only just moves off zero
+    sol = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design), HEALTHY,
+                           Pe=500.0)
+    st0, st8 = sol.stations[0], sol.stations[8]
+    w_per_m2 = flow_maximum(st8.Tt, st8.Pt, 1.0, st8.FAR)[1]
+    params = replace(gg_params, a8_m2=st8.W / ((1.0 + 1e-9) * w_per_m2))
+    r = cycle._evaluate_cycle(params, st0, sol.stations[2], sol.N, sol.beta,
+                              sol.turbine_pr, sol.wf, HEALTHY)[0]
+    _, ps8, _, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR)
+    assert choked
+    assert 0.0 <= r[1] - (ps8 - st0.Pt) / st0.Pt < 1e-7
 
 
 def test_static_from_flow_raises_rather_than_return_unconverged(monkeypatch):
@@ -459,25 +490,27 @@ def test_warm_match_makes_fewer_property_evaluations(gg_params, monkeypatch):
         poly = getattr(gas, name)
         monkeypatch.setattr(gas, name, lambda z, poly=poly: polys.__setitem__(
             "n", polys["n"] + 1) or poly(z))
-    evaluations = []
+    per_evaluation = []
     evaluate = cycle._evaluate_cycle
-    monkeypatch.setattr(cycle, "_evaluate_cycle",
-                        lambda *args: evaluations.append(1) or evaluate(*args))
+
+    def counted(*args):
+        before = polys["n"]
+        out = evaluate(*args)
+        per_evaluation.append(polys["n"] - before)
+        return out
+
+    monkeypatch.setattr(cycle, "_evaluate_cycle", counted)
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     prev = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
-    per_evaluation = {}
+    first = {}
     for kind, guess in (("cold", None), ("warm", prev)):
-        polys["n"] = 0
-        evaluations.clear()
+        per_evaluation.clear()
         sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35020.0, guess=guess)
         assert sol.newton_residual_norm < 1e-10
-        per_evaluation[kind] = polys["n"] / len(evaluations)
-    # one evaluation with every inversion started cold, at the solution
-    polys["n"] = 0
-    evaluate(gg_params, sol.stations[0], sol.stations[2], sol.N, sol.beta,
-             sol.turbine_pr, u.wf, HEALTHY, COLD)
-    # a cold match starts only its first evaluation cold, and a warm one none
-    assert per_evaluation["warm"] < per_evaluation["cold"] < polys["n"]
+        first[kind] = per_evaluation[0]
+    # a cold match starts the inversions of its first evaluation cold, and
+    # a warm one from the temperatures of the solution it starts from
+    assert first["warm"] < first["cold"]
 
 
 @pytest.mark.parametrize("kind", ["negated", "singular"])

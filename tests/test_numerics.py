@@ -337,12 +337,6 @@ def test_accumulate_array_time_reversal():
         accumulate(acc, [0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
 
 
-def test_accumulator_reset():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=1.0, value=3.0)
-    acc.reset(2.0, 5.0)
-    assert acc.value == 0.0 and acc.last_time == 2.0 and acc.last_sample == 5.0
-
-
 @given(st.lists(st.tuples(st.floats(0.001, 10.0), st.floats(-100, 100)),
                 min_size=1, max_size=20))
 @settings(max_examples=50, deadline=None)

@@ -63,6 +63,10 @@ def test_unknown_field_rejected():
     assert "durration" in str(exc.value)
     with pytest.raises(UnknownField):
         parse_scenario('{"gasgen": {"thrust": 3}}')
+    # the machine rating set nothing in the model, so it is not a field
+    with pytest.raises(UnknownField) as exc:
+        parse_scenario('{"machine": {"rated_kw": 225.0}}')
+    assert exc.value.path == "machine.rated_kw"
 
 
 def test_bad_types_rejected():
@@ -263,9 +267,9 @@ def test_preset_scenarios_regression_locked():
         for name in sorted(PRESETS)
     }
     assert digests == {
-        "design": "9aa28a7fa478cac0",
-        "fuel-step": "4207e8ab7bf00036",
-        "joint-fault": "98345b4df17423a2",
+        "design": "a2f6f3ce3d16be53",
+        "fuel-step": "ca09453c3f2e7c0b",
+        "joint-fault": "9dee413344615f97",
     }
 
 
