@@ -1,21 +1,21 @@
 """Multi-rate orchestrator: continuous machine integration inside each fixed
 gas-generator macro step (the exact propagator of the affine flux equations
 on healthy segments, a sixth-order Magnus integrator on faulted ones, both
-on the uniform max_step grid),
-with power/speed coupling rules, an externally pluggable state-process hook,
-and per-step energy bookkeeping.
-
-A hook is None or a plain function hook(x, rng) -> x: it takes the updated
-GasGenState and the run's seeded numpy.random.Generator for hooks, and
-returns the state the output step and the next macro step see.
+on the uniform max_step grid), with power/speed coupling rules, an
+externally pluggable state-process hook, and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update, accumulating its
 shaft power, (b) converts the accumulated energy into the gas-generator
-load, (c) updates the spool state, applies the hook, evaluates outputs and
-the two regulators, then (d) hands the new speed back to the machine as a
-zero-order hold.  TTSC fault switches are applied exactly at their requested
-times on the fast track; gas-path health swaps happen at macro boundaries.
+load, (c) updates the spool state from the cycle match at (N_{k-1},
+wf_{k-1}) and applies the hook: None or a plain function hook(x, rng) -> x
+of the updated GasGenState and the run's seeded numpy.random.Generator for
+hooks, (d) runs the regulators, the governor on the speed plus its
+output-noise draw, before (e) the one cycle match at (N_k, wf_k), which
+gives the row's outputs and the next step's first match, then (f) hands the
+new speed back to the machine as a zero-order hold.  TTSC fault switches are
+applied exactly at their requested times on the fast track; gas-path health
+swaps happen at macro boundaries.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ from .gasgen import (
     GasGenState,
     HEALTHY,
     HealthParams,
+    off_design_solve,
     state_update,
 )
 from .gasgen.engine import OUTPUT_CHANNELS, output, trim_fuel
@@ -525,13 +526,13 @@ def run_joint(setup: JointSetup) -> JointResult:
     sys0 = track._system(0.0, None)
     p0 = sys0.terminal(track.state)[4]
     pe0 = p0 / coupling.eta_gtTsg
-    # the trimmed cycle solution starts the first macro step's cycle match
+    # the trimmed cycle solution is the first macro step's cycle match
     wf0, sol = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
     governor = replace(setup.governor,
                        integral=wf0 - setup.governor.wf_ff, prev_wf=wf0)
     avr = replace(setup.avr, integral=v_fd0)
     x = GasGenState(N=n0)
-    wf = wf0
+    u = GasGenInput(wf=wf0, altitude=alt, mach=mach, dT_ISA=disa)
     v_fd = v_fd0
     period = 1.0 / (setup.machine.f_n)
 
@@ -550,15 +551,15 @@ def run_joint(setup: JointSetup) -> JointResult:
         for t_sw, hp in health_sched:
             if t0 <= t_sw < t1:
                 health = hp
-        u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        x = state_update(gg, x, u, health, pe_gt, dt=dt, guess=sol)
-        # (d) externally processed state
+                sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
+        x = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
         if setup.hook is not None:
             x = setup.hook(x, rng_hook)
-        # (e) outputs and regulators
-        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=sol,
-                          noise_std=setup.gasgen_noise, rng=rng_gg)
-        wf, governor = governor_step(governor, out["XNHPC"], dt)
+        # (d) output noise draws and regulators; (e) the match at (N_k, wf_k)
+        noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
+        wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
+        u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
+        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=sol)
         v_rms_phases, _ = track.phase_rms(period)
         v_rms = float(np.mean(v_rms_phases))
         v_fd, avr = avr_step(avr, v_rms, dt)
@@ -569,7 +570,8 @@ def run_joint(setup: JointSetup) -> JointResult:
                  health.eta_c_factor, health.flow_c_factor,
                  health.eta_t_factor, health.flow_t_factor)
         slow_t.append(t1)
-        slow_rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + extra)
+        slow_rows.append(tuple(out[n] + noise.get(n, 0.0) for n, _ in OUTPUT_CHANNELS)
+                         + extra)
 
     slow = TimeSeries(names=slow_names, units=slow_units,
                       time=np.array(slow_t), data=np.array(slow_rows))
@@ -638,24 +640,24 @@ class TransientRunResult:
 def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
                          load_law, health: HealthParams = HEALTHY,
                          duration: float = 10.0, macro_dt: float = 0.02,
-                         ambient=(0.0, 0.0, 5.0)) -> TransientRunResult:
-    """Gas-generator-only transient: fuel schedule against a shaft load law."""
+                         ambient=(0.0, 0.0, 5.0), match=None) -> TransientRunResult:
+    """Gas-generator-only transient: fuel schedule against a shaft load law,
+    from `match`, the cycle match at (x0, wf_of_t(0)) (None: solve it)."""
     alt, mach, disa = ambient
     n_steps = round(duration / macro_dt)
-    x = x0
-    sol = None
+    x, sol = x0, match
+    u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
-    units = tuple(u for _, u in OUTPUT_CHANNELS) + ("kg/s", "kW")
+    units = tuple(unit for _, unit in OUTPUT_CHANNELS) + ("kg/s", "kW")
     ts, rows = [], []
     for k in range(1, n_steps + 1):
-        t0, t1 = (k - 1) * macro_dt, k * macro_dt
-        wf = wf_of_t(t0)
+        t1 = k * macro_dt
         pe = load_law(x.N)
-        u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        x = state_update(gg, x, u, health, pe, dt=macro_dt, guess=sol)
+        x = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
+        u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, Pe=pe, guess=sol)
         ts.append(t1)
-        rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (wf, pe))
+        rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (u.wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),
                       data=np.array(rows))
     return TransientRunResult(slow=slow, gasgen_state=x)

@@ -2,11 +2,9 @@
 output projection and the steady fuel trim.
 
 The single state is spool speed; update and output are pure functions of
-(state, input, health, shaft load), which is what makes external state
-processing (noise injection, Monte Carlo) possible between the two. The
-co-simulation loop applies it as a hook: None, or a plain function
-hook(x, rng) -> x of the updated GasGenState and a seeded
-numpy.random.Generator, returning the state the output step sees.
+(state, input, health, shaft load), so external state processing (noise
+injection, Monte Carlo; the co-simulation loop's hook) fits between the
+two. The cycle match `output` returns is the next `state_update`'s first.
 """
 from __future__ import annotations
 
@@ -78,14 +76,16 @@ def _dn_dt(params: GasGenParams, pw_net_kw: float, pe_kw: float, n_rpm: float) -
 def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
                  health: HealthParams = HEALTHY, Pe: float = 0.0,
                  dt: float = MACRO_DT,
-                 guess: CycleSolution | None = None) -> GasGenState:
-    """Advance spool speed over one macro step (two forward sub-steps)."""
+                 match: CycleSolution | None = None) -> GasGenState:
+    """Advance spool speed over one macro step (two forward sub-steps), the
+    first from `match`, the cycle match at (x, u, health) (None: solve it)."""
     n = x.N
     n_max = 1.2 * params.design_speed
     sub = dt / _SUBSTEPS
-    for _ in range(_SUBSTEPS):
-        guess = off_design_solve(params, u, health, Pe=Pe, N=n, guess=guess)
-        n = n + _dn_dt(params, guess.PW_shaft_net, Pe, n) * sub
+    for k in range(_SUBSTEPS):
+        if k or match is None:
+            match = off_design_solve(params, u, health, Pe=Pe, N=n, guess=match)
+        n = n + _dn_dt(params, match.PW_shaft_net, Pe, n) * sub
         if not 0.0 < n <= n_max:
             raise SpeedOutOfRange(n, n_max)
     return GasGenState(N=n)
@@ -93,18 +93,11 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
 
 def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
            health: HealthParams = HEALTHY, Pe: float = 0.0,
-           guess: CycleSolution | None = None,
-           noise_std: dict | None = None, rng=None) -> tuple[dict, CycleSolution]:
-    """Project the converged cycle onto the output channels (optional noise)."""
+           guess: CycleSolution | None = None) -> tuple[dict, CycleSolution]:
+    """Project the cycle match at (x, u, health) onto the output channels;
+    returns the outputs and the match."""
     sol = off_design_solve(params, u, health, Pe=Pe, N=x.N, guess=guess)
-    out = outputs_from_solution(sol)
-    if noise_std:
-        if rng is None:
-            raise ValueError("noise requires a seeded generator")
-        for name, std in noise_std.items():
-            if std:
-                out[name] = out[name] + rng.normal(0.0, std)
-    return out, sol
+    return outputs_from_solution(sol), sol
 
 
 def trim_fuel(params: GasGenParams, N: float, Pe: float,

@@ -372,8 +372,8 @@ def run_fuel_step(scenario: Scenario):
     p0 = fs["initial_power_kw"]
     n0 = n_design * (p0 / pe_design) ** (1.0 / 3.0)
     amb = doc["ambient"]
-    wf0, _ = trim_fuel(params, n0, p0, health, altitude=amb["altitude"],
-                       mach=amb["mach"], dT_ISA=amb["dT_ISA"])
+    wf0, trim = trim_fuel(params, n0, p0, health, altitude=amb["altitude"],
+                          mach=amb["mach"], dT_ISA=amb["dT_ISA"])
 
     def wf_of_t(t):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0
@@ -381,7 +381,7 @@ def run_fuel_step(scenario: Scenario):
     return run_gasgen_transient(
         params, GasGenState(N=n0), wf_of_t, law, health,
         duration=doc["duration"], macro_dt=doc["macro_dt"],
-        ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]))
+        ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]), match=trim)
 
 
 def build_joint_setup(scenario: Scenario) -> JointSetup:

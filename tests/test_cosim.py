@@ -318,6 +318,82 @@ def test_gasgen_output_noise_is_seeded_and_additive():
     assert np.array_equal(a.slow.column("XNHPC"), clean.slow.column("XNHPC"))
 
 
+# ------------------------------------------------------- shared cycle match
+
+_DEGRADED = {"eta_c_factor": 0.99, "flow_c_factor": 0.97,
+             "eta_t_factor": 0.98, "flow_t_factor": 1.04}
+
+
+def _count_matches(monkeypatch):
+    """Every cycle match the loops make, through each name they call it by."""
+    from apucosim import cosim
+    from apucosim.gasgen import cycle, engine
+    calls = []
+    solve = cycle.off_design_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+    for module in (cosim, engine):
+        monkeypatch.setattr(module, "off_design_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["healthy", "health-swap"])
+def test_two_cycle_matches_per_macro_step(monkeypatch, swap):
+    # the output match at (N_k, wf_k) is the next spool update's first
+    # sub-step match; a health swap invalidates it and solves one fresh
+    from apucosim.scenario import run_fuel_step
+    extra = {"gas_path_faults": [dict(time_s=0.1, **_DEGRADED)]} if swap else {}
+    calls = _count_matches(monkeypatch)
+    run_joint(build_joint_setup(_mini_scenario(extra, duration=0.2)))
+    assert len(calls) == 2 * 10 + swap
+    calls.clear()
+    # the transient's first match is its fuel trim's solution
+    run_fuel_step(_mini_scenario(duration=0.2))
+    assert len(calls) == 2 * 10
+
+
+def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):
+    from apucosim import cosim
+    hooked, seen = [], []
+
+    def hook(x, rng):
+        x = cosim.speed_noise_hook(x, rng, 5.0)
+        hooked.append(x.N)
+        return x
+    update = cosim.state_update
+
+    def recorded(params, x, u, health, Pe, dt, match):
+        seen.append((x.N, match.N, match.wf, u.wf))
+        return update(params, x, u, health, Pe, dt=dt, match=match)
+    monkeypatch.setattr(cosim, "state_update", recorded)
+    setup = replace(build_joint_setup(_mini_scenario({"seed": 3}, duration=0.1)),
+                    hook=hook)
+    res = run_joint(setup)
+    # the output match is at the hooked speed ...
+    assert res.slow.column("XNHPC").tolist() == hooked
+    # ... and is the next update's first match, at that speed and fuel flow
+    assert [s[0] for s in seen[1:]] == hooked[:-1]
+    assert all(x == n and wf == u_wf for x, n, wf, u_wf in seen)
+
+
+def test_gasgen_output_noise_keeps_its_draws():
+    # drawing the output noise before the governor keeps its draws: row 3
+    # at seed 5, frozen from the loop that drew it after the output match
+    def run(extra):
+        return run_joint(build_joint_setup(_mini_scenario(
+            dict(seed=5, **extra), duration=0.1)))
+    noise = {"T4": 1.5, "PWSD": 2.0, "T3": 0.5}
+    noisy = run({"noise": {"gasgen_output": noise}})
+    clean = run({})
+    frozen = {"T4": -0.2960218069038092, "PWSD": 2.037917899146805,
+              "T3": 0.1864845379561757}
+    for ch, value in frozen.items():
+        added = noisy.slow.column(ch)[3] - clean.slow.column(ch)[3]
+        assert added == pytest.approx(value, abs=1e-9), ch
+
+
 def test_generator_run_with_series_rl_load():
     from apucosim.control import AvrState
     from apucosim.cosim import run_generator

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -631,14 +632,19 @@ def test_output_determinism(gg_params):
     assert a == b
 
 
-def test_output_noise_disabled_equals_empty_std(gg_params):
-    from apucosim.gasgen import output
-    x = GasGenState(N=36050.0)
-    u = GasGenInput(wf=gg_params.wf_design)
-    a, _ = output(gg_params, x, u, HEALTHY, Pe=500.0)
-    b, _ = output(gg_params, x, u, HEALTHY, Pe=500.0, noise_std={"T3": 0.0},
-                  rng=np.random.default_rng(0))
-    assert a == b
+def test_output_noise_disabled_equals_empty_std():
+    # a gas-path output channel of zero width draws nothing: a run listing
+    # one before a noisy channel equals the run without it, draws included
+    from apucosim.cosim import run_joint
+    from apucosim.scenario import build_joint_setup, parse_scenario
+
+    def run(noise):
+        doc = {"duration": 0.1, "seed": 5, "noise": {"gasgen_output": noise}}
+        return run_joint(build_joint_setup(parse_scenario(json.dumps(doc)))).slow
+    a = run({"T3": 0.0, "T4": 1.5})
+    b = run({"T4": 1.5})
+    assert np.array_equal(a.data, b.data)
+    assert not np.array_equal(a.column("T4"), run({}).column("T4"))
 
 
 def test_init_design_speed(gg_params):

@@ -281,8 +281,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("95f69c40014a8cb9be367eedf96cc3df"
-                      "5b0eb6ded3901530ce3f9f72b4c8bab7")
+    assert digest == ("c13ab3deb80f3707f187103f865db1e0"
+                      "49458f6031a83c2ffd892ae53cf33233")
 
 
 def test_gasgen_output_noise_channel_validation():
