@@ -32,7 +32,6 @@ from .gasgen import (
     GasGenParams,
     GasGenState,
     HEALTHY,
-    HealthParams,
     off_design_solve,
     state_update,
 )
@@ -462,6 +461,20 @@ class JointResult:
     avr: AvrState
 
 
+def health_swaps(schedule, dt: float):
+    """Health at t = 0 and {macro step k: health from step k on}: a swap at
+    t > 0 acts from the step that starts on the last boundary at or before
+    t, found by index with a rounding allowance (0.7 s at 0.02 s steps:
+    boundary 35, so step 36, although 35 * 0.02 > 0.7)."""
+    health, swaps = HEALTHY, {}
+    for t_sw, hp in sorted(schedule, key=lambda s: s[0]):
+        if t_sw <= 0.0:
+            health = hp
+        else:
+            swaps[math.floor(t_sw / dt + 1e-9) + 1] = hp
+    return health, swaps
+
+
 def speed_noise_hook(x: GasGenState, rng, std_rpm: float) -> GasGenState:
     """State-process hook adding Gaussian noise to the spool-speed state;
     bind std_rpm (functools.partial) to get a hook(x, rng)."""
@@ -518,11 +531,7 @@ def run_joint(setup: JointSetup) -> JointResult:
                           setup.machine_noise, setup.stepper,
                           setup.decimation, rng_machine)
     track.start(mstate.as_array())
-    health = HEALTHY
-    health_sched = sorted(setup.health_schedule, key=lambda s: s[0])
-    for t_sw, hp in health_sched:
-        if t_sw <= 0.0:
-            health = hp
+    health, swaps = health_swaps(setup.health_schedule, setup.macro_dt)
     sys0 = track._system(0.0, None)
     p0 = sys0.terminal(track.state)[4]
     pe0 = p0 / coupling.eta_gtTsg
@@ -548,10 +557,9 @@ def run_joint(setup: JointSetup) -> JointResult:
         # (b) power transfer
         pe_gt = coupling_power(track.acc, dt, coupling.eta_gtTsg)
         # (c) health swap at the boundary, then spool update
-        for t_sw, hp in health_sched:
-            if t0 <= t_sw < t1:
-                health = hp
-                sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
+        if k in swaps:
+            health = swaps[k]
+            sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
         x = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
         if setup.hook is not None:
             x = setup.hook(x, rng_hook)
@@ -638,13 +646,15 @@ class TransientRunResult:
 
 
 def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
-                         load_law, health: HealthParams = HEALTHY,
-                         duration: float = 10.0, macro_dt: float = 0.02,
-                         ambient=(0.0, 0.0, 5.0), match=None) -> TransientRunResult:
+                         load_law, health_schedule=(), duration: float = 10.0,
+                         macro_dt: float = 0.02, ambient=(0.0, 0.0, 5.0),
+                         match=None) -> TransientRunResult:
     """Gas-generator-only transient: fuel schedule against a shaft load law,
-    from `match`, the cycle match at (x0, wf_of_t(0)) (None: solve it)."""
+    health swaps as in run_joint, from `match`, the cycle match at (x0,
+    wf_of_t(0), health at t = 0) (None: solve it)."""
     alt, mach, disa = ambient
     n_steps = round(duration / macro_dt)
+    health, swaps = health_swaps(health_schedule, macro_dt)
     x, sol = x0, match
     u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
@@ -653,6 +663,9 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
     for k in range(1, n_steps + 1):
         t1 = k * macro_dt
         pe = load_law(x.N)
+        if k in swaps:
+            health = swaps[k]
+            sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=sol)
         x = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
         u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, Pe=pe, guess=sol)

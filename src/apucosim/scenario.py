@@ -348,20 +348,25 @@ def machine_params_from_scenario(scenario: Scenario) -> WrsgParams:
                       two_machine_factor=m["two_machine_factor"])
 
 
+def health_schedule_from_scenario(scenario: Scenario) -> tuple:
+    """The gas-path faults as ((time, HealthParams), ...)."""
+    return tuple(
+        (f["time_s"], HealthParams(f["eta_c_factor"], f["flow_c_factor"],
+                                   f["eta_t_factor"], f["flow_t_factor"]))
+        for f in scenario.doc["gas_path_faults"])
+
+
 def run_fuel_step(scenario: Scenario):
     """Replay a fuel-step transient: gas generator alone against the cubic
     load law anchored at its design point, fuel stepping at the given time."""
-    from .cosim import run_gasgen_transient
+    from .cosim import health_swaps, run_gasgen_transient
     from .gasgen import GasGenState
     from .gasgen.engine import trim_fuel
 
     doc = scenario.doc
     params, _ = design_point_size(design_spec_from_scenario(scenario))
-    health = HealthParams()
-    for f in doc["gas_path_faults"]:
-        if f["time_s"] <= 0.0:
-            health = HealthParams(f["eta_c_factor"], f["flow_c_factor"],
-                                  f["eta_t_factor"], f["flow_t_factor"])
+    schedule = health_schedule_from_scenario(scenario)
+    health, _ = health_swaps(schedule, doc["macro_dt"])
     fs = doc["fuel_step"]
     n_design = params.design_speed
     pe_design = params.pe_design
@@ -379,7 +384,7 @@ def run_fuel_step(scenario: Scenario):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0
 
     return run_gasgen_transient(
-        params, GasGenState(N=n0), wf_of_t, law, health,
+        params, GasGenState(N=n0), wf_of_t, law, schedule,
         duration=doc["duration"], macro_dt=doc["macro_dt"],
         ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]), match=trim)
 
@@ -410,10 +415,6 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     avr_doc = doc["avr"]
     avr = AvrState(V_set=avr_doc["v_set"], K_p=avr_doc["kp"], K_i=avr_doc["ki"],
                    V_fd_max=avr_doc["v_fd_max"])
-    health_schedule = tuple(
-        (f["time_s"], HealthParams(f["eta_c_factor"], f["flow_c_factor"],
-                                   f["eta_t_factor"], f["flow_t_factor"]))
-        for f in doc["gas_path_faults"])
     fault_schedule = tuple(
         (f["time_s"], FaultParams(mu=f["mu"], k_rf=f["k_rf"]))
         for f in doc["ttsc_faults"])
@@ -440,7 +441,8 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
                                 omega_gtTsg=doc["coupling"]["speed_ratio"]),
         governor=governor, avr=avr,
         ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]),
-        health_schedule=health_schedule, fault_schedule=fault_schedule,
+        health_schedule=health_schedule_from_scenario(scenario),
+        fault_schedule=fault_schedule,
         machine_noise=machine_noise,
         gasgen_noise=dict(noise_doc["gasgen_output"]),
         hook=hook, duration=doc["duration"], macro_dt=doc["macro_dt"],

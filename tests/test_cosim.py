@@ -350,8 +350,8 @@ def test_two_cycle_matches_per_macro_step(monkeypatch, swap):
     assert len(calls) == 2 * 10 + swap
     calls.clear()
     # the transient's first match is its fuel trim's solution
-    run_fuel_step(_mini_scenario(duration=0.2))
-    assert len(calls) == 2 * 10
+    run_fuel_step(_mini_scenario(extra, duration=0.2))
+    assert len(calls) == 2 * 10 + swap
 
 
 def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):
@@ -392,6 +392,29 @@ def test_gasgen_output_noise_keeps_its_draws():
     for ch, value in frozen.items():
         added = noisy.slow.column(ch)[3] - clean.slow.column(ch)[3]
         assert added == pytest.approx(value, abs=1e-9), ch
+
+
+@pytest.mark.parametrize("t_swap, first_row", [(0.7, 0.72), (0.68, 0.70), (0.69, 0.70)])
+def test_health_swap_boundary_by_step_index(t_swap, first_row):
+    # a swap acts from the step that starts on the last boundary at or
+    # before it; 35 * 0.02 = 0.7000000000000001 must not pull 0.7 a step early
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"gas_path_faults": [dict(time_s=t_swap, **_DEGRADED)]}, duration=0.76)))
+    eta = res.slow.column("eta_c_f")
+    first = res.slow.time[np.argmax(eta == 0.99)]
+    assert first == pytest.approx(first_row, abs=1e-9)
+    assert np.all(eta[res.slow.time < first_row - 1e-9] == 1.0)
+
+
+def test_transient_applies_a_timed_gas_path_fault():
+    from apucosim.scenario import run_fuel_step
+    clean = run_fuel_step(_mini_scenario(duration=0.6)).slow
+    fault = run_fuel_step(_mini_scenario(
+        {"gas_path_faults": [dict(time_s=0.5, **_DEGRADED)]}, duration=0.6)).slow
+    before = clean.time <= 0.5 + 1e-9
+    assert np.array_equal(fault.data[before], clean.data[before])
+    row = np.flatnonzero(np.isclose(clean.time, 0.52))[0]
+    assert not np.array_equal(fault.data[row], clean.data[row])
 
 
 def test_generator_run_with_series_rl_load():
