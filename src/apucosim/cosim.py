@@ -59,7 +59,7 @@ from .wrsg import (
     steady_state,
 )
 from .wrsg.dynamics import harmonic_weights
-from .wrsg.machine import IDX_LAM_F, IDX_THETA
+from .wrsg.machine import IDX_THETA
 
 
 class EmptyWindow(NumericalFailure):
@@ -170,16 +170,22 @@ def _grid(ta: float, tb: float, h: float):
     return times, tb - (times[-2] if n > 1 else ta)
 
 
-def _march(sys_, y, ta, times, steps, dim):
-    """States on `times` from y at ta: each step one product of its
-    propagator with the augmented vector (the first `dim` fluxes, 1), lam_f
-    held when it is not among them, theta = theta0 + w_e (t - ta)."""
-    z = np.append(y[:dim], 1.0)
+# rows of the augmented propagator whose generator row is zero are exactly
+# unit rows: the last, the constant that carries b, and lam_f's when
+# healthy; the propagators pin them so the exponential's rounding cannot
+# drift those entries
+_UNIT_ROWS = np.eye(8)
+
+
+def _march(sys_, y, ta, times, steps):
+    """States on `times` from y at ta: each step one product of its (8, 8)
+    propagator with the augmented vector (the seven fluxes, 1), theta =
+    theta0 + w_e (t - ta)."""
+    z = np.append(y[:7], 1.0)
     states = np.empty((times.size, 8))
-    states[:, IDX_LAM_F] = y[IDX_LAM_F]
     for k, step in enumerate(steps):
         z = step @ z
-        states[k, :dim] = z[:dim]
+        states[k, :7] = z[:7]
     states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
     return states
 
@@ -188,22 +194,23 @@ def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float)
     """Exact solution of a healthy segment on the uniform grid ta + k h, the
     last step clipped to end on tb: (times, states), the start excluded.
 
-    Speed, field voltage, load and equation noise are held, so the fluxes
-    obey d lam/dt = A lam + b and each step is one product with
-    exp([[A, b], [0, 0]] h); lam_f is constant and theta = theta0 + w_e t.
+    Speed, field voltage, load and equation noise are held and the fault
+    branch is open, so the seven fluxes obey d lam/dt = A lam + b with A the
+    constant matrix of sys_.basis, whose lam_f row is zero, and each step is
+    one product with exp([[A, b], [0, 0]] h); theta = theta0 + w_e t.
     """
+    if sys_.fault.active:
+        raise ValueError("a shorted stator turn makes the flux equations "
+                         "depend on the rotor angle")
     times, h_last = _grid(ta, tb, h)
-    a, b = sys_.affine()
-    gen = np.zeros((7, 7))
-    gen[:6, :6] = a
-    gen[:6, 6] = b
+    gen = np.zeros((8, 8))
+    gen[:7, :7] = sys_.basis[0].reshape(7, 7)
+    gen[:7, 7] = sys_.b
     step = expm(gen * h)
     last = step if h_last == h else expm(gen * h_last)
-    # the exponential's last row is exactly (0, ..., 0, 1); pin it so the
-    # solve's rounding cannot drift the constant that carries b
-    step[6] = last[6] = np.eye(7)[6]
+    step[6:] = last[6:] = _UNIT_ROWS[6:]
     steps = [step] * (times.size - 1) + [last]
-    return times, _march(sys_, y, ta, times, steps, 6)
+    return times, _march(sys_, y, ta, times, steps)
 
 
 def _commutator(x, y):
@@ -261,15 +268,14 @@ def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
     by m^5, its order in the step length; z is the state at ta. A tolerance
     that needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow.
     """
-    basis, b = sys_.flux_basis()
     _, starts, dt = _substeps(ta, tb, h, 1)
     z = np.append(y[:7], 1.0)
     scale = atol + rtol * np.abs(y[:7])
     worst = 0.0
     for k in range(0, starts.size, MAGNUS_CHUNK):
         part = slice(k, k + MAGNUS_CHUNK)
-        _, diff = _magnus_exponents(basis, b, y[IDX_THETA], sys_.w_e, ta,
-                                    starts[part], dt[part])
+        _, diff = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e,
+                                    ta, starts[part], dt[part])
         err = _finite(np.abs(diff[:, :7] @ z) / scale, starts[part])
         worst = max(worst, float(np.max(err)))
     m = 1
@@ -293,27 +299,24 @@ def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
     propagate_healthy.
     """
     m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
-    basis, b = sys_.flux_basis()
     times, starts, dt = _substeps(ta, tb, h, m)
-    pin = np.eye(8)[7]
 
     def steps():
         size = max(1, MAGNUS_CHUNK // m) * m
         for k in range(0, starts.size, size):
             part = slice(k, k + size)
-            omega, _ = _magnus_exponents(basis, b, y[IDX_THETA], sys_.w_e, ta,
-                                         starts[part], dt[part])
+            omega, _ = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA],
+                                         sys_.w_e, ta, starts[part], dt[part])
             e = _finite(expm(_finite(omega, starts[part])), starts[part])
             # each grid step's sub-step exponentials, later ones on the left
             e = e.reshape(-1, m, 8, 8)
             while e.shape[1] > 1:
                 e = e[:, 1::2] @ e[:, 0::2]
             e = e[:, 0]
-            # as in propagate_healthy, the last row is exactly (0, ..., 0, 1)
-            e[:, 7] = pin
+            e[:, 7] = _UNIT_ROWS[7]
             yield from e
 
-    return times, _march(sys_, y, ta, times, steps(), 7)
+    return times, _march(sys_, y, ta, times, steps())
 
 
 class _MachineTrack:
@@ -434,11 +437,9 @@ class _MachineTrack:
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
     def phase_rms(self, window: float):
-        """Trailing rms of phase voltages and currents over the last window."""
-        ts, i_abc, v_abc = self.segment()
-        i_rms = [rms_window(ts, i_abc[:, k], window) for k in range(3)]
-        v_rms = [rms_window(ts, v_abc[:, k], window) for k in range(3)]
-        return np.array(v_rms), np.array(i_rms)
+        """Trailing rms of the phase voltages over the last window."""
+        ts, _, v_abc = self.segment()
+        return np.array([rms_window(ts, v_abc[:, k], window) for k in range(3)])
 
     def fast_series(self) -> TimeSeries:
         names = tuple(n for n, _ in FAST_CHANNELS)
@@ -568,8 +569,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, Pe=pe_gt, guess=sol)
-        v_rms_phases, _ = track.phase_rms(period)
-        v_rms = float(np.mean(v_rms_phases))
+        v_rms = float(np.mean(track.phase_rms(period)))
         v_fd, avr = avr_step(avr, v_rms, dt)
         # (f) record; the speed handed back next step comes from the new x
         extra = (u.wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
@@ -620,10 +620,11 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
     period = 1.0 / machine.f_n
     for k in range(1, n_steps + 1):
         track.advance((k - 1) * control_dt, k * control_dt, w_e, v_fd)
-        v_rms, _ = track.phase_rms(period)
+        v_rms = track.phase_rms(period)
         v_fd, avr = avr_step(avr, float(np.mean(v_rms)), control_dt)
-    v_rms, i_rms = track.phase_rms(period)
-    ts, _, v_abc = track.segment()
+    # the last step's segment: its voltage rms is the AVR's last input
+    ts, i_abc, v_abc = track.segment()
+    i_rms = [rms_window(ts, i_abc[:, k], period) for k in range(3)]
     vab, vbc, vca = (v_abc - np.roll(v_abc, -1, axis=1)).T
     rms_table = {
         "Phase A Voltage": v_rms[0], "Phase B Voltage": v_rms[1],

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import NumericalFailure, UsageError
-from ..numerics import NewtonOptions, NonConvergence, newton_solve
+from ..numerics import NonConvergence, newton_solve
 from . import properties as gas
 from .maps import CompressorMap, PressureRatioBelowUnity, TurbineMap
 
@@ -29,8 +29,6 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
-# the cycle matches' Newton: residuals of order 1, each to 1e-10
-_MATCH_OPTIONS = NewtonOptions(relative_tolerance=1e-10, max_iterations=40)
 
 
 class AltitudeOutOfRange(UsageError):
@@ -501,8 +499,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
                                   last[6] if last else start)
         return last[0]
 
-    x, jac = newton_solve(residual, x0, _MATCH_OPTIONS, scale=np.ones(2),
-                          jacobian=jac0)
+    x, jac = newton_solve(residual, x0, jacobian=jac0)
     return _solution(params, ambient, N, u.wf, x, jac, last, start)
 
 
@@ -526,8 +523,7 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
         last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
         return last[0]
 
-    x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design],
-                          _MATCH_OPTIONS, scale=np.ones(3))
+    x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design])
     return _solution(params, ambient, N, x[2] * params.wf_design, x,
                      None if jac is None else jac[:2, :2], last, COLD)
 

@@ -62,27 +62,19 @@ class TimeReversal(NumericalFailure):
     pass
 
 
-@dataclass
-class NewtonOptions:
-    max_iterations: int = 30
-    relative_tolerance: float = 1e-10
-    jacobian_perturbation: float = 1e-6  # relative FD step, absolute floor 1e-9
-    damping_min: float = 1.0 / 64.0
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.relative_tolerance <= 0 or self.jacobian_perturbation <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.damping_min <= 1:
-            raise ValueError("damping_min must lie in (0, 1]")
+# Newton settings: residuals are commensurate, of order 1, and converged
+# when each is below NEWTON_TOLERANCE
+NEWTON_TOLERANCE = 1e-10
+NEWTON_MAX_ITERATIONS = 40
+_JACOBIAN_PERTURBATION = 1e-6    # relative FD step, absolute floor 1e-9
+_DAMPING_MIN = 1.0 / 64.0
 
 
-def _fd_jacobian(residual_fn, x, r0, pert):
+def _fd_jacobian(residual_fn, x, r0):
     n = x.size
     jac = np.empty((r0.size, n))
     for j in range(n):
-        dx = max(pert * abs(x[j]), 1e-9)
+        dx = max(_JACOBIAN_PERTURBATION * abs(x[j]), 1e-9)
         xp = x.copy()
         xp[j] += dx
         rp = np.asarray(residual_fn(xp), dtype=float)
@@ -90,24 +82,21 @@ def _fd_jacobian(residual_fn, x, r0, pert):
     return jac
 
 
-def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=None,
-                 jacobian=None):
+def newton_solve(residual_fn, guess, jacobian=None):
     """Quasi-Newton root find for a square system; returns (x, jacobian).
 
-    `scale` holds per-equation reference magnitudes so mixed-unit residuals
-    are commensurate; convergence is on max |r_i / scale_i|. Without a
-    starting `jacobian` the first iteration builds one by finite
-    differences. After every step the Jacobian takes Broyden's rank-one
-    update (Broyden 1965), and the returned one, None if no iteration was
-    needed and none was given, can start the next solve of a nearby
-    system. A carried (not freshly built) Jacobian that is singular or
-    whose step does not lower the residual norm is rebuilt by finite
-    differences at the current point, and the step is taken again; a
-    singular fresh one raises SingularJacobian. Only steps from a fresh
-    Jacobian are damped. The last residual evaluation is always at the
-    returned x.
+    Convergence is on max |r_i| < NEWTON_TOLERANCE within
+    NEWTON_MAX_ITERATIONS iterations. Without a starting `jacobian` the
+    first iteration builds one by finite differences. After every step the
+    Jacobian takes Broyden's rank-one update (Broyden 1965), and the
+    returned one, None if no iteration was needed and none was given, can
+    start the next solve of a nearby system. A carried (not freshly built)
+    Jacobian that is singular or whose step does not lower the residual
+    norm is rebuilt by finite differences at the current point, and the
+    step is taken again; a singular fresh one raises SingularJacobian. Only
+    steps from a fresh Jacobian are damped. The last residual evaluation is
+    always at the returned x.
     """
-    opts = opts or NewtonOptions()
     x = np.array(guess, dtype=float)
 
     r = np.asarray(residual_fn(x), dtype=float)
@@ -115,10 +104,6 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
         raise ValueError("residual dimension does not match guess dimension")
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidual("residual not finite at initial guess")
-    if scale is None:
-        scale = np.maximum(np.abs(r), 1.0)
-    else:
-        scale = np.asarray(scale, dtype=float)
     jac = None
     if jacobian is not None:
         jac = np.array(jacobian, dtype=float)
@@ -127,16 +112,16 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
                              f"guess dimension {x.size}")
 
     def norm(rv):
-        return float(np.max(np.abs(rv / scale)))
+        return float(np.max(np.abs(rv)))
 
     rn = norm(r)
-    for it in range(1, opts.max_iterations + 1):
-        if rn < opts.relative_tolerance:
+    for it in range(1, NEWTON_MAX_ITERATIONS + 1):
+        if rn < NEWTON_TOLERANCE:
             return x, jac
         fresh = jac is None
         while True:
             if fresh:
-                jac = _fd_jacobian(residual_fn, x, r, opts.jacobian_perturbation)
+                jac = _fd_jacobian(residual_fn, x, r)
                 if not np.all(np.isfinite(jac)):
                     raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
             try:
@@ -151,7 +136,7 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
                 xt = x + alpha * dx
                 rt = np.asarray(residual_fn(xt), dtype=float)
                 rtn = norm(rt) if np.all(np.isfinite(rt)) else math.inf
-                if rtn < rn or not fresh or alpha <= opts.damping_min:
+                if rtn < rn or not fresh or alpha <= _DAMPING_MIN:
                     break
                 alpha *= 0.5
             if fresh or rtn < rn:
@@ -165,9 +150,9 @@ def newton_solve(residual_fn, guess, opts: NewtonOptions | None = None, scale=No
         if ss > 0.0:
             jac = jac + np.outer(rt - r - jac @ s, s) / ss
         x, r, rn = xt, rt, rtn
-    if rn < opts.relative_tolerance:
+    if rn < NEWTON_TOLERANCE:
         return x, jac
-    raise NonConvergence(opts.max_iterations, rn)
+    raise NonConvergence(NEWTON_MAX_ITERATIONS, rn)
 
 
 @dataclass

@@ -131,9 +131,7 @@ def _merge(defaults, given, path):
     if isinstance(defaults, list):
         if not isinstance(given, list):
             raise SchemaError(path, "array", given)
-        item_key = path.split(".", 1)[-1] if "." in path else path
-        item_defaults = _LIST_ITEM_DEFAULTS.get(path) or _LIST_ITEM_DEFAULTS.get(item_key)
-        return [_merge(item_defaults, item, f"{path}[{i}]")
+        return [_merge(_LIST_ITEM_DEFAULTS[path], item, f"{path}[{i}]")
                 for i, item in enumerate(given)]
     if isinstance(defaults, bool):
         if not isinstance(given, bool):

@@ -1,12 +1,13 @@
 """Machine + load dynamics: the flux-linkage ODE, terminal quantities,
 mechanical-power bookkeeping and the healthy steady-state solver.
 
-An ElectricalSystem freezes everything constant over an integration segment
-(speed, field voltage, load resistance, fault descriptor, held equation
-noise) and exposes the derivatives, the affine form of the healthy flux
-equations for the exact propagator, the time-dependent affine form of the
-faulted ones for the Magnus propagator, and terminal evaluation over whole
-recorded segments.
+The flux equations are stated once, by flux_basis(), as one affine form in
+the fluxes whose matrix is a trigonometric polynomial in the rotor angle,
+constant when healthy. An ElectricalSystem freezes everything constant over
+an integration segment (speed, field voltage, load resistance, fault
+descriptor, held equation noise), builds that form for it, which both
+propagators step and the series-RL terminal voltage differentiates through,
+and evaluates terminal quantities over whole recorded segments.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from .loads import LoadModel
 from .machine import (
     FaultParams,
     HEALTHY_FAULT,
-    IDX_LAM_F,
     IDX_THETA,
     InductanceModel,
     WrsgParams,
@@ -45,7 +45,7 @@ _TRIG_PRODUCTS[1, 2, 4] = _TRIG_PRODUCTS[2, 1, 4] = 0.5
 
 def harmonic_weights(theta):
     """(1, cos, sin, cos 2x, sin 2x) of each angle along a new last axis,
-    the weights of ElectricalSystem.flux_basis()."""
+    the weights of flux_basis()."""
     c, s = np.cos(theta), np.sin(theta)
     return np.stack((np.ones_like(c), c, s, c * c - s * s, 2.0 * c * s), axis=-1)
 
@@ -68,8 +68,50 @@ def mech_power(v_abc, i_abc, i_f, fault: FaultParams, params: WrsgParams):
     return p_total * 1e-3, p_loss * 1e-3
 
 
+def flux_basis(p: WrsgParams, model: InductanceModel, fault: FaultParams,
+               w_e: float, V_fd: float, R_load: float, noise_w):
+    """(basis, b): the flux equations d lam/dt = A lam + b for the seven
+    fluxes [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f] with A the
+    (7, 7) reshape of harmonic_weights(theta) @ basis, basis of shape (5, 49).
+
+    The healthy terms are winding resistance times current (L^-1 lam), the
+    speed voltage coupling lam_q and lam_d, the field voltage and the held
+    equation noise; they form the constant basis matrix, and without a fault
+    the other four and the lam_f row are zero. With a shorted turn the fault
+    current is linear in the fluxes, i_f = g . lam with g = g0 + cos(theta)
+    gc + sin(theta) gs; the fault MMF adds mu i_f (2/3 cos, 2/3 sin, 1/3) to
+    the stator currents, and through R_load + r_s less the shorted turns'
+    own mu r_s drop that leaves R_load mu i_f on the stator rows, so A is a
+    trigonometric polynomial of degree 2 in theta.
+    """
+    basis = np.zeros((5, 7, 7))
+    r6 = np.array([R_load + p.r_s] * 3 + [-p.r_fd, -p.r_kd, -p.r_kq])
+    a = basis[0, :6, :6]
+    a[:] = r6[:, None] * model.L_inv
+    a[0, 1] -= w_e
+    a[1, 0] += w_e
+    b = np.append(np.array([0.0, 0.0, 0.0, V_fd, 0.0, 0.0]) + noise_w, 0.0)
+    if fault.active:
+        mu = fault.mu
+        mu_rs = mu * p.r_s
+        # rows: the constant, cos and sin parts of g and of the stator MMF u
+        g = np.zeros((3, 7))
+        g[0, 2], g[0, 6], g[1, 0], g[2, 1] = -mu, 1.0, -mu, -mu
+        g /= mu * (1.0 - mu) * p.L_ls
+        u = np.zeros((3, 7))
+        u[0, 2], u[1, 0], u[2, 1] = 1.0 / 3.0, _TWO_THIRDS, _TWO_THIRDS
+        basis += np.einsum("ijk,ia,jb->kab", _TRIG_PRODUCTS, R_load * mu * u, g)
+        # lam_f row: mu r_s (i_a - i_f) - r_f i_f with the healthy phase-a
+        # current cos i_q + sin i_d + i_0 (rows of L^-1) plus mu i_f
+        li = np.zeros((3, 7))
+        li[:, :6] = model.L_inv[[2, 0, 1]]
+        basis[:3, 6] += mu_rs * li + (mu_rs * (mu - 1.0) - fault.r_f(p.r_s)) * g
+    return basis.reshape(5, 49), b
+
+
 class ElectricalSystem:
-    """Constant-coefficient wrapper for one integration segment.
+    """Constant-coefficient wrapper for one integration segment: the flux
+    equations of flux_basis(), built once, as `basis` and `b`.
 
     The state-evaluation methods take one state or a stack of states along
     the last axis.
@@ -86,95 +128,11 @@ class ElectricalSystem:
         self.R_load = R_load
         self.model: InductanceModel = build_L(params, load.L_phase)
         self.noise_w = np.zeros(6) if noise_w is None else np.asarray(noise_w, float)
-        p = params
-        # healthy flux equations d lam/dt = A lam + b: winding resistance
-        # times current (L^-1 lam), the speed voltage coupling lam_q and
-        # lam_d, the field voltage and the held equation noise
-        r6 = np.array([R_load + p.r_s] * 3 + [-p.r_fd, -p.r_kd, -p.r_kq])
-        self._A = r6[:, None] * self.model.L_inv
-        self._A[0, 1] -= w_e
-        self._A[1, 0] += w_e
-        self._b = np.array([0.0, 0.0, 0.0, V_fd, 0.0, 0.0]) + self.noise_w
-        # one product yields A lam and the stator currents the fault rows need
-        self._AL_T = np.vstack([self._A, self.model.L_inv[:3]]).T
-        self._active = fault.active
-        if self._active:
-            self._mu_rs = fault.mu * p.r_s
-            self._r_f = fault.r_f(p.r_s)
-            self._if_den = fault.mu * (1.0 - fault.mu) * p.L_ls
-
-    def affine(self):
-        """(A, b) with d lam/dt = A lam + b for the six winding fluxes.
-
-        Only an open fault branch leaves the system affine and time-invariant
-        over a segment; lam_f is then constant and theta advances at w_e.
-        """
-        if self._active:
-            raise ValueError("a shorted stator turn makes the flux equations "
-                             "depend on the rotor angle")
-        return self._A, self._b
-
-    def flux_basis(self):
-        """(basis, b): d lam/dt = A lam + b for the seven fluxes [lam_q, lam_d,
-        lam_0, lam_fd, lam_kd, lam_kq, lam_f] with A the (7, 7) reshape of
-        harmonic_weights(theta) @ basis, basis of shape (5, 49).
-
-        The terms are those of derivatives(). The fault current is linear in
-        the fluxes, i_f = g . lam with g = g0 + cos(theta) gc + sin(theta) gs;
-        the stator rows add R_load mu i_f (2/3 cos, 2/3 sin, 1/3), so A is a
-        trigonometric polynomial of degree 2 in theta, one weighted sum of
-        five basis matrices built here for the segment. Without a fault only
-        the constant one is non-zero.
-        """
-        basis = np.zeros((5, 7, 7))
-        basis[0, :6, :6] = self._A
-        b = np.append(self._b, 0.0)
-        if self._active:
-            mu = self.fault.mu
-            # rows: the constant, cos and sin parts of g and of the stator MMF u
-            g = np.zeros((3, 7))
-            g[0, 2], g[0, 6], g[1, 0], g[2, 1] = -mu, 1.0, -mu, -mu
-            g /= self._if_den
-            u = np.zeros((3, 7))
-            u[0, 2], u[1, 0], u[2, 1] = 1.0 / 3.0, _TWO_THIRDS, _TWO_THIRDS
-            basis += np.einsum("ijk,ia,jb->kab", _TRIG_PRODUCTS,
-                               self.R_load * mu * u, g)
-            # lam_f row: mu r_s (i_a - i_f) - r_f i_f with the healthy phase-a
-            # current cos i_q + sin i_d + i_0 (rows of L^-1) plus mu i_f
-            li = np.zeros((3, 7))
-            li[:, :6] = self.model.L_inv[[2, 0, 1]]
-            basis[:3, 6] += (self._mu_rs * li
-                             + (self._mu_rs * (mu - 1.0) - self._r_f) * g)
-        return basis.reshape(5, 49), b
+        self.basis, self.b = flux_basis(params, self.model, fault, w_e, V_fd,
+                                        R_load, self.noise_w)
 
     def currents(self, y):
         return currents_fast(y, self.fault, self.model)
-
-    def derivatives(self, t, y):
-        """d/dt of [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f, theta]."""
-        y = np.asarray(y, dtype=float)
-        z = y[..., :6] @ self._AL_T
-        dy = np.empty(y.shape)
-        dy[..., :6] = z[..., :6] + self._b
-        yt, dt, zt = y.T, dy.T, z.T
-        dt[IDX_THETA] = self.w_e
-        if not self._active:
-            dt[IDX_LAM_F] = 0.0
-            return dy
-        # the fault MMF adds mu i_f (2/3 cos, 2/3 sin, 1/3) to the stator
-        # currents; through R_load + r_s less the shorted turns' own mu r_s
-        # drop that leaves R_load on the stator rows
-        mu = self.fault.mu
-        cs, sn = np.cos(yt[IDX_THETA]), np.sin(yt[IDX_THETA])
-        i_f = (yt[IDX_LAM_F] - mu * (cs * yt[0] + sn * yt[1] + yt[2])) / self._if_den
-        k = self.R_load * mu * i_f
-        dt[0] += _TWO_THIRDS * k * cs
-        dt[1] += _TWO_THIRDS * k * sn
-        dt[2] += k / 3.0
-        # phase-a current: healthy part plus the full fault MMF (cos^2 + sin^2 = 1)
-        i_a = cs * zt[6] + sn * zt[7] + zt[8] + mu * i_f
-        dt[IDX_LAM_F] = self._mu_rs * (i_a - i_f) - self._r_f * i_f
-        return dy
 
     def terminal(self, y):
         """Phase currents/voltages, fault current and powers at a state."""
@@ -189,8 +147,10 @@ class ElectricalSystem:
         i_abc = to_abc(i6)
         v_abc = self.R_load * i_abc
         if self.load.L_phase:
-            dy = self.derivatives(0.0, y)
-            di3 = dy[..., :6] @ self.model.L_inv[:3].T
+            a = harmonic_weights(y[..., IDX_THETA]) @ self.basis
+            a = a.reshape(y.shape[:-1] + (7, 7))[..., :6, :]
+            dlam = (a @ y[..., :7, None])[..., 0] + self.b[:6]
+            di3 = dlam @ self.model.L_inv[:3].T
             # speed voltage of the series inductance: w (i_d, -i_q, 0)
             vl = self.load.L_phase * (di3 + self.w_e * i6[..., [1, 0, 2]]
                                       * np.array([1.0, -1.0, 0.0]))

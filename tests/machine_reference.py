@@ -113,20 +113,60 @@ def currents_from_flux(state: WrsgState, fault: FaultParams,
     return solve_dense(a, b)
 
 
+def derivatives(sys_: ElectricalSystem, t, y):
+    """d/dt of [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f, theta]
+    under sys_'s frozen speed, field, load, fault and equation noise."""
+    p, fault = sys_.params, sys_.fault
+    # healthy flux equations d lam/dt = A lam + b: winding resistance
+    # times current (L^-1 lam), the speed voltage coupling lam_q and
+    # lam_d, the field voltage and the held equation noise
+    r6 = np.array([sys_.R_load + p.r_s] * 3 + [-p.r_fd, -p.r_kd, -p.r_kq])
+    a = r6[:, None] * sys_.model.L_inv
+    a[0, 1] -= sys_.w_e
+    a[1, 0] += sys_.w_e
+    b = np.array([0.0, 0.0, 0.0, sys_.V_fd, 0.0, 0.0]) + sys_.noise_w
+    # one product yields A lam and the stator currents the fault rows need
+    al_t = np.vstack([a, sys_.model.L_inv[:3]]).T
+    y = np.asarray(y, dtype=float)
+    z = y[..., :6] @ al_t
+    dy = np.empty(y.shape)
+    dy[..., :6] = z[..., :6] + b
+    yt, dt, zt = y.T, dy.T, z.T
+    dt[IDX_THETA] = sys_.w_e
+    if not fault.active:
+        dt[IDX_LAM_F] = 0.0
+        return dy
+    # the fault MMF adds mu i_f (2/3 cos, 2/3 sin, 1/3) to the stator
+    # currents; through R_load + r_s less the shorted turns' own mu r_s
+    # drop that leaves R_load on the stator rows
+    mu = fault.mu
+    cs, sn = np.cos(yt[IDX_THETA]), np.sin(yt[IDX_THETA])
+    i_f = (yt[IDX_LAM_F] - mu * (cs * yt[0] + sn * yt[1] + yt[2])) \
+        / (mu * (1.0 - mu) * p.L_ls)
+    k = sys_.R_load * mu * i_f
+    dt[0] += _TWO_THIRDS * k * cs
+    dt[1] += _TWO_THIRDS * k * sn
+    dt[2] += k / 3.0
+    # phase-a current: healthy part plus the full fault MMF (cos^2 + sin^2 = 1)
+    i_a = cs * zt[6] + sn * zt[7] + zt[8] + mu * i_f
+    dt[IDX_LAM_F] = mu * p.r_s * (i_a - i_f) - fault.r_f(p.r_s) * i_f
+    return dy
+
+
 def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
                         fault: FaultParams, load, params, t: float = 0.0,
                         noise_w=None) -> np.ndarray:
     """Flux-linkage derivatives for a frozen (speed, field, load) condition."""
     sys = ElectricalSystem(params, load, fault, w_r, V_fd,
                            load.resistance_at(t), noise_w=noise_w)
-    return sys.derivatives(t, state.as_array())
+    return derivatives(sys, t, state.as_array())
 
 
 def flux_system(sys_: ElectricalSystem, theta0: float, t0: float):
-    """t -> (A, b) of sys_.flux_basis() with the rotor angle taken in closed
-    form as theta = theta0 + w_e (t - t0): the right-hand side of the fluxes
-    for the adaptive reference integrator."""
-    flat, b = sys_.flux_basis()
+    """t -> (A, b) of sys_.basis and sys_.b with the rotor angle taken in
+    closed form as theta = theta0 + w_e (t - t0): the right-hand side of the
+    fluxes for the adaptive reference integrator."""
+    flat, b = sys_.basis, sys_.b
     if not sys_.fault.active:
         a = flat[0].reshape(7, 7)
         return lambda t: (a, b)

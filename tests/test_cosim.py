@@ -160,6 +160,24 @@ def test_healthy_propagator_matches_tight_stepper(case):
     assert worst < 1e-9
 
 
+def test_healthy_propagator_holds_lam_f_and_refuses_a_fault():
+    # a healthy segment after a cleared fault: the basis's lam_f row and its
+    # angle-dependent matrices are zero, so lam_f is carried exactly
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    y0[6] = 0.37
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
+                            v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    assert not np.any(sysm.basis[1:]) and not np.any(sysm.basis[0, 42:])
+    states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)[1]
+    assert np.all(states[:, 6] == 0.37)
+    faulted = ElectricalSystem(p, LoadModel(R_phase=R_225),
+                               FaultParams(mu=0.05, k_rf=1.0), W_E, v_fd, R_225)
+    with pytest.raises(ValueError):
+        propagate_healthy(faulted, y0, 0.0, 0.02, 1e-4)
+
+
 def _faulted_system(mu=0.05):
     p = WrsgParams()
     fault = FaultParams(mu=mu, k_rf=1.0)

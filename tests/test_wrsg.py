@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dq0_oracle import ClassicDq0Generator
 from machine_reference import (
     currents_from_flux,
+    derivatives,
     flux_system,
     inverse_park,
     inverse_park_matrix,
@@ -342,9 +343,9 @@ def test_terminal_and_derivatives_batched_match_per_row(fault, l_phase):
                      R_phase=R_225, L_phase=l_phase)
     sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
                             noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
-    batch = sysm.terminal(states) + (sysm.derivatives(0.0, states),)
+    batch = sysm.terminal(states) + (derivatives(sysm, 0.0, states),)
     for k, y in enumerate(states):
-        row = sysm.terminal(y) + (sysm.derivatives(0.0, y),)
+        row = sysm.terminal(y) + (derivatives(sysm, 0.0, y),)
         for got, want in zip(batch, row):
             want = np.asarray(want)
             scale = float(np.max(np.abs(want)))
@@ -372,23 +373,28 @@ def test_faulted_derivatives_match_current_form():
             fault.mu * p.r_s * (cs * iq + sn * id_ + i0 - i_f)
             - fault.r_f(p.r_s) * i_f,
             W_E])
-        got = sysm.derivatives(0.0, y)
+        got = derivatives(sysm, 0.0, y)
         assert np.max(np.abs(got - want)) < 1e-9 * np.max(np.abs(want))
 
 
-def test_affine_form_reproduces_healthy_derivatives():
+@pytest.mark.parametrize("fault", [HEALTHY_FAULT, FaultParams(mu=0.05, k_rf=1.0)],
+                         ids=["healthy", "faulted"])
+def test_series_rl_terminal_voltage_from_reference_derivatives(fault):
+    # v = R i + L_phase (di/dt + w (i_d, -i_q, 0)) in qd0, mapped to abc,
+    # with di/dt = L^-1 d lam/dt of the hand-written flux derivatives
     p = WrsgParams()
-    vfd, states = _segment_states(p, HEALTHY_FAULT, n=5)
-    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
-                            vfd, R_225, noise_w=[0.1] * 6)
-    a, b = sysm.affine()
-    dy = sysm.derivatives(0.0, states)
-    assert np.allclose(dy[:, :6], states[:, :6] @ a.T + b, rtol=1e-12, atol=1e-9)
-    assert np.all(dy[:, 6] == 0.0) and np.all(dy[:, 7] == W_E)
-    faulted = ElectricalSystem(p, LoadModel(R_phase=R_225),
-                               FaultParams(mu=0.05, k_rf=1.0), W_E, vfd, R_225)
-    with pytest.raises(ValueError):
-        faulted.affine()
+    vfd, states = _segment_states(p, fault, n=20, seed=13)
+    l_phase = 5e-5
+    load = LoadModel(kind="series-RL", R_phase=R_225, L_phase=l_phase)
+    sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
+                            noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    v_abc = sysm.terminal(states)[1]
+    for k, y in enumerate(states):
+        i = currents_from_flux(WrsgState.from_array(y), fault, sysm.model)
+        di = sysm.model.L_inv[:3] @ derivatives(sysm, 0.0, y)[:6]
+        v_qd0 = R_225 * i[:3] + l_phase * (di + W_E * np.array([i[1], -i[0], 0.0]))
+        want = inverse_park(v_qd0, y[7])
+        assert np.max(np.abs(v_abc[k] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("fault", [HEALTHY_FAULT, FaultParams(mu=0.05, k_rf=1.0),
@@ -409,7 +415,7 @@ def test_flux_system_matches_derivatives(fault, l_phase):
         t = t0 + rng.uniform(0.0, 0.02)
         y[7] = theta0 + W_E * (t - t0)
         a, b = flux_system(sysm, theta0, t0)(t)
-        want = sysm.derivatives(0.0, y)[:7]
+        want = derivatives(sysm, 0.0, y)[:7]
         got = a @ y[:7] + b
         # within the rounding of either evaluation: the size of the terms
         scale = np.abs(a) @ np.abs(y[:7]) + np.abs(b)
@@ -418,7 +424,7 @@ def test_flux_system_matches_derivatives(fault, l_phase):
         unit = np.zeros((8, 8))
         unit[:, 7] = y[7]
         unit[np.arange(7), np.arange(7)] = 1.0
-        direct = (sysm.derivatives(0.0, unit[:7]) - sysm.derivatives(0.0, unit[7])).T
+        direct = (derivatives(sysm, 0.0, unit[:7]) - derivatives(sysm, 0.0, unit[7])).T
         assert np.max(np.abs(direct[:7] - a)) <= 1e-14 * np.max(np.abs(a))
 
 
