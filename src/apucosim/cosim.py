@@ -1,8 +1,11 @@
 """Multi-rate orchestrator: continuous machine integration inside each fixed
 gas-generator macro step (the exact propagator of the affine flux equations
-on healthy segments, a sixth-order Magnus integrator on faulted ones, both
-on the uniform max_step grid), with power/speed coupling rules, an
-externally pluggable state-process hook, and per-step energy bookkeeping.
+on healthy segments, on the uniform max_step grid; a sixth-order Magnus
+integrator on faulted ones, on a grid of n steps per electrical period, at
+most max_step each, so that only one period's propagators are computed;
+both marched one block of n steps per batched product), with power/speed
+coupling rules, an externally pluggable state-process hook, and per-step
+energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update, accumulating its
@@ -163,29 +166,58 @@ MAGNUS_MAX_SUBSTEPS = 1024
 
 def _grid(ta: float, tb: float, h: float):
     """The uniform grid ta + k h over (ta, tb], its last step clipped to end
-    on tb: (times, length of the last step)."""
+    on tb: (times, start of the last step)."""
     n = max(1, math.ceil((tb - ta) / h - 1e-9))
     times = ta + h * np.arange(1, n + 1)
     times[-1] = tb
-    return times, tb - (times[-2] if n > 1 else ta)
+    return times, times[-2] if n > 1 else ta
+
+
+def _period_grid(w_e: float, max_step: float):
+    """(h, n): the electrical period T_e = 2 pi / |w_e| cut into the fewest
+    n equal steps h = T_e / n that are at most max_step (to a 1e-9 rounding
+    allowance), so A(theta(t)) repeats every n steps; (max_step, inf) when
+    there is no period, at w_e = 0 or one beyond float range."""
+    period = 2.0 * math.pi / abs(w_e) if w_e else math.inf
+    if math.isinf(period):
+        return max_step, math.inf
+    n = max(1, math.ceil(period / max_step - 1e-9))
+    return period / n, n
 
 
 # rows of the augmented propagator whose generator row is zero are exactly
 # unit rows: the last, the constant that carries b, and lam_f's when
 # healthy; the propagators pin them so the exponential's rounding cannot
-# drift those entries
+# drift those entries, and products of pinned matrices keep them exact
 _UNIT_ROWS = np.eye(8)
 
 
-def _march(sys_, y, ta, times, steps):
-    """States on `times` from y at ta: each step one product of its (8, 8)
-    propagator with the augmented vector (the seven fluxes, 1), theta =
-    theta0 + w_e (t - ta)."""
+def _prefix_products(steps):
+    """Prefix products Phi_1..Phi_b of the step propagators E_0..E_b-1,
+    Phi_j = E_j-1 ... E_0, as a log-depth scan of batched products (Hillis
+    & Steele 1986)."""
+    phi = np.array(steps)
+    d = 1
+    while d < len(phi):
+        phi[d:] = phi[d:] @ phi[:-d]
+        d *= 2
+    return phi
+
+
+def _march(sys_, y, ta, times, prefix, last):
+    """States on `times` from y at ta. The augmented vector z = (the seven
+    fluxes, 1) crosses the full steps one block at a time, prefix[j] being
+    the propagator over j + 1 steps from a block's start, so that a block is
+    one batched product prefix[:b] @ z; `last` takes it over the last step.
+    theta = theta0 + w_e (t - ta)."""
     z = np.append(y[:7], 1.0)
     states = np.empty((times.size, 8))
-    for k, step in enumerate(steps):
-        z = step @ z
-        states[k, :7] = z[:7]
+    full = times.size - 1
+    for k in range(0, full, max(1, len(prefix))):
+        block = prefix[:full - k] @ z
+        states[k:k + len(block), :7] = block[:, :7]
+        z = block[-1]
+    states[-1, :7] = (last @ z)[:7]
     states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
     return states
 
@@ -196,21 +228,24 @@ def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float)
 
     Speed, field voltage, load and equation noise are held and the fault
     branch is open, so the seven fluxes obey d lam/dt = A lam + b with A the
-    constant matrix of sys_.basis, whose lam_f row is zero, and each step is
-    one product with exp([[A, b], [0, 0]] h); theta = theta0 + w_e t.
+    constant matrix of sys_.basis, whose lam_f row is zero, and every full
+    step is the same product with P = exp([[A, b], [0, 0]] h); the march
+    takes blocks of as many steps as a faulted segment's grid puts in one
+    electrical period, with P^1..P^n; theta = theta0 + w_e t.
     """
     if sys_.fault.active:
         raise ValueError("a shorted stator turn makes the flux equations "
                          "depend on the rotor angle")
-    times, h_last = _grid(ta, tb, h)
+    times, t_last = _grid(ta, tb, h)
     gen = np.zeros((8, 8))
     gen[:7, :7] = sys_.basis[0].reshape(7, 7)
     gen[:7, 7] = sys_.b
     step = expm(gen * h)
-    last = step if h_last == h else expm(gen * h_last)
+    last = step if tb - t_last == h else expm(gen * (tb - t_last))
     step[6:] = last[6:] = _UNIT_ROWS[6:]
-    steps = [step] * (times.size - 1) + [last]
-    return times, _march(sys_, y, ta, times, steps)
+    block = min(_period_grid(sys_.w_e, h)[1], times.size - 1)
+    powers = _prefix_products(np.broadcast_to(step, (block, 8, 8)))
+    return times, _march(sys_, y, ta, times, powers, last)
 
 
 def _commutator(x, y):
@@ -248,14 +283,17 @@ def _finite(x, starts):
     return x
 
 
-def _substeps(ta, tb, h, m):
-    """The grid of propagate_healthy and the starts and lengths of the m
-    equal sub-steps of each of its steps."""
-    times = _grid(ta, tb, h)[0]
-    edges = np.concatenate(([ta], times))
-    lengths = np.diff(edges) / m
-    starts = edges[:-1, None] + lengths[:, None] * np.arange(m)
-    return times, starts.ravel(), np.repeat(lengths, m)
+def _substeps(w_e, ta, tb, max_step, m):
+    """The grid of a faulted segment, _period_grid's steps from ta with the
+    last one clipped to end on tb, and the starts and lengths of the m equal
+    sub-steps of each step whose propagator is computed: the full steps of
+    the first period, which every later period repeats, and the last step."""
+    h, n = _period_grid(w_e, max_step)
+    times, t_last = _grid(ta, tb, h)
+    starts = np.append(ta + h * np.arange(min(n, times.size - 1)), t_last)
+    lengths = np.append(np.full(starts.size - 1, h), tb - t_last) / m
+    sub = starts[:, None] + lengths[:, None] * np.arange(m)
+    return times, sub.ravel(), np.repeat(lengths, m)
 
 
 def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
@@ -264,11 +302,12 @@ def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
     m at which every sub-step's embedded error estimate |(Omega6 - Omega4) z|
     meets atol + rtol |lam| channel by channel.
 
-    The estimate is taken once, with one sub-step per grid step, and divided
-    by m^5, its order in the step length; z is the state at ta. A tolerance
-    that needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow.
+    The estimate is taken once, with one sub-step per computed grid step of
+    propagate_magnus, and divided by m^5, its order in the step length; z is
+    the state at ta. A tolerance that needs more than MAGNUS_MAX_SUBSTEPS
+    raises StepUnderflow.
     """
-    _, starts, dt = _substeps(ta, tb, h, 1)
+    _, starts, dt = _substeps(sys_.w_e, ta, tb, h, 1)
     z = np.append(y[:7], 1.0)
     scale = atol + rtol * np.abs(y[:7])
     worst = 0.0
@@ -288,35 +327,38 @@ def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
 
 def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
                      rtol: float, atol):
-    """Solution of a segment with a shorted stator turn on the grid of
-    propagate_healthy: (times, states), the start excluded.
+    """Solution of a segment with a shorted stator turn: (times, states), the
+    start excluded, on a grid locked to the electrical period T_e: steps of
+    T_e / n from ta, with n the fewest per period that are at most h, the
+    last one clipped to end on tb.
 
     The seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta in
-    closed form. Each grid step is cut into magnus_substeps() equal
-    sub-steps, each the exponential of its sixth-order Magnus exponent,
-    taken in batches of MAGNUS_CHUNK sub-steps (of one grid step's when it
-    has more); their product is the step's propagator, marched as in
-    propagate_healthy.
+    closed form, so step j's propagator is step (j mod n)'s, and only the
+    first period's full steps and the last step are computed. Each is cut
+    into magnus_substeps() equal sub-steps, each the exponential of its
+    sixth-order Magnus exponent, taken in batches of MAGNUS_CHUNK sub-steps
+    (of one grid step's when it has more); their product is the step's
+    propagator. The period's prefix products are marched one period per
+    batched product, as in propagate_healthy.
     """
     m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
-    times, starts, dt = _substeps(ta, tb, h, m)
-
-    def steps():
-        size = max(1, MAGNUS_CHUNK // m) * m
-        for k in range(0, starts.size, size):
-            part = slice(k, k + size)
-            omega, _ = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA],
-                                         sys_.w_e, ta, starts[part], dt[part])
-            e = _finite(expm(_finite(omega, starts[part])), starts[part])
-            # each grid step's sub-step exponentials, later ones on the left
-            e = e.reshape(-1, m, 8, 8)
-            while e.shape[1] > 1:
-                e = e[:, 1::2] @ e[:, 0::2]
-            e = e[:, 0]
-            e[:, 7] = _UNIT_ROWS[7]
-            yield from e
-
-    return times, _march(sys_, y, ta, times, steps())
+    times, starts, dt = _substeps(sys_.w_e, ta, tb, h, m)
+    size = max(1, MAGNUS_CHUNK // m) * m
+    steps = []
+    for k in range(0, starts.size, size):
+        part = slice(k, k + size)
+        omega, _ = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA],
+                                     sys_.w_e, ta, starts[part], dt[part])
+        e = _finite(expm(_finite(omega, starts[part])), starts[part])
+        # each grid step's sub-step exponentials, later ones on the left
+        e = e.reshape(-1, m, 8, 8)
+        while e.shape[1] > 1:
+            e = e[:, 1::2] @ e[:, 0::2]
+        steps.append(e[:, 0])
+    steps = np.concatenate(steps)
+    steps[:, 7] = _UNIT_ROWS[7]
+    return times, _march(sys_, y, ta, times, _prefix_products(steps[:-1]),
+                         steps[-1])
 
 
 class _MachineTrack:
@@ -328,8 +370,10 @@ class _MachineTrack:
         if decimation < 1:
             raise ValueError("decimation must be an integer >= 1")
         if not math.isfinite(stepper.max_step):
-            raise ValueError("max_step must be finite: it is the machine "
-                             "segments' sample period")
+            raise ValueError("max_step must be finite: it is the sample "
+                             "period of healthy machine segments and bounds "
+                             "that of faulted ones, a whole fraction of the "
+                             "electrical period")
         self.params = params
         self.load = load
         self.schedule = sorted(fault_schedule, key=lambda s: s[0])

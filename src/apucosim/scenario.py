@@ -46,9 +46,9 @@ class UnknownChannel(UsageError):
         super().__init__(f"unknown channel {name!r}")
 
 
-# machine fast-track steps per run (duration / stepper.max_step_s): the
-# arrays of a run grow with it, so a tiny max_step_s is refused at parse time
-# rather than failing to allocate mid-run
+# machine fast-track steps per run (duration / (0.9 stepper.max_step_s), the
+# shortest faulted step counted): the arrays of a run grow with it, so a tiny
+# max_step_s is refused at parse time rather than failing to allocate mid-run
 MAX_FAST_STEPS = 1_000_000
 
 _DEFAULTS = {
@@ -246,17 +246,22 @@ def _validate(doc):
         if not 0.0 < leaf(path) <= 1.0:
             raise SchemaError(path, "efficiency within (0, 1]", leaf(path))
     # healthy segments are sampled at max_step and the regulator's rms
-    # window spans one electrical period, so a period needs >= 10 samples
+    # window spans one electrical period, so a period needs >= 10 samples.
+    # Faulted segments step at T_e / n, the fewest whole fractions n of the
+    # electrical period T_e that are at most max_step: at the nominal
+    # frequency n >= 10, so a step is longer than (n / (n + 1)) max_step >
+    # 0.9 max_step, and the step count is bounded with that length
     limit = 0.1 / doc["machine"]["f_hz"]
     max_step = doc["stepper"]["max_step_s"]
     if not 0.0 < max_step <= limit:
         raise SchemaError("stepper.max_step_s",
                           f"step within (0, {limit:.6g}] s, a tenth of the "
                           "machine period", max_step)
-    if doc["duration"] / max_step > MAX_FAST_STEPS:
+    if doc["duration"] / (0.9 * max_step) > MAX_FAST_STEPS:
+        least = doc["duration"] / (0.9 * MAX_FAST_STEPS)
         raise SchemaError("stepper.max_step_s",
-                          f"step of at least duration / {MAX_FAST_STEPS:,} = "
-                          f"{doc['duration'] / MAX_FAST_STEPS:.6g} s", max_step)
+                          f"step of at least duration / (0.9 * "
+                          f"{MAX_FAST_STEPS:,}) = {least:.6g} s", max_step)
 
 
 @dataclass(frozen=True)

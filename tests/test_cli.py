@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -409,9 +410,17 @@ def test_stepper_fields_rejected_at_parse_with_path(tmp_path, capsys, key, value
 
 
 def test_fast_step_cap_bound_accepted_at_parse():
-    from apucosim.scenario import MAX_FAST_STEPS, parse_scenario
-    doc = {"duration": 1.0, "stepper": {"max_step_s": 1.0 / MAX_FAST_STEPS}}
-    assert parse_scenario(json.dumps(doc))["stepper"]["max_step_s"] == 1e-6
+    from apucosim.scenario import MAX_FAST_STEPS, SchemaError, parse_scenario
+    # faulted steps may be as short as 0.9 max_step_s, so the bound is
+    # duration / (0.9 max_step_s) = MAX_FAST_STEPS, met exactly here
+    assert 0.18 / (0.9 * 2e-7) == MAX_FAST_STEPS
+    doc = {"duration": 0.18, "stepper": {"max_step_s": 2e-7}}
+    assert parse_scenario(json.dumps(doc))["stepper"]["max_step_s"] == 2e-7
+    # one ulp shorter, and the bound of duration / max_step_s alone, refused
+    for duration, step in ((0.18, math.nextafter(2e-7, 0.0)), (1.0, 1e-6)):
+        doc = {"duration": duration, "stepper": {"max_step_s": step}}
+        with pytest.raises(SchemaError, match="stepper.max_step_s"):
+            parse_scenario(json.dumps(doc))
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])

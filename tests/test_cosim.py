@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from machine_reference import flux_system
+from apucosim import cosim
 from apucosim.cosim import (
     CouplingParams,
     EmptyWindow,
@@ -25,6 +26,7 @@ from apucosim.numerics import (
     StepperOptions,
     StepUnderflow,
     accumulate,
+    expm,
     integrate_adaptive,
 )
 from apucosim.scenario import build_joint_setup, parse_scenario
@@ -245,6 +247,113 @@ def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
     after = t[k:][t[k:] <= 0.02]
     assert np.allclose(np.diff(after)[:-1], 1e-4, rtol=1e-9, atol=0.0)
     assert after[-1] == 0.02 and after[-1] - after[-2] <= 1e-4
+
+
+# ---------------------------------------------- period grid and block march
+
+def _faulted_at(w_e):
+    """_faulted_system's machine and onset state at electrical speed w_e."""
+    sysm, y0 = _faulted_system()
+    return ElectricalSystem(sysm.params, sysm.load, sysm.fault, w_e,
+                            sysm.V_fd, sysm.R_load), y0
+
+
+def _magnus_step_by_step(sysm, y0, ta, times, m):
+    """Fluxes on `times` from y0 at ta, every grid step from its own m
+    sub-step exponentials, one matrix-vector product each."""
+    z, edges, out = np.append(y0[:7], 1.0), np.append(ta, times), []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        dt = np.full(m, (t1 - t0) / m)
+        omega, _ = cosim._magnus_exponents(sysm.basis, sysm.b, y0[7],
+                                           sysm.w_e, ta, t0 + dt * np.arange(m), dt)
+        for e in expm(omega):
+            z = e @ z
+        out.append(z[:7])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("span, w_e", [
+    (0.7e-4, W_E),                  # one step
+    (0.0013, W_E),                  # under one period: 13 steps
+    (0.02, W_E),                    # exactly 8 periods of 25 steps
+    (0.02037, W_E),                 # 8 periods and 4 more steps
+    (0.02 + 1e-10, W_E),            # a last step of 1e-6 of a step
+    (0.02, 2.0 * math.pi * 10.0),   # a period longer than the segment
+])
+def test_magnus_period_reuse_matches_step_by_step(span, w_e):
+    sysm, y0 = _faulted_at(w_e)
+    ta = 0.01
+    tb = ta + span
+    times, states = propagate_magnus(sysm, y0, ta, tb, 1e-4, 1e-5, 1e-6)
+    assert times[-1] == tb
+    m = magnus_substeps(sysm, y0, ta, tb, 1e-4, 1e-5, 1e-6)
+    want = _magnus_step_by_step(sysm, y0, ta, times, m)
+    assert np.max(np.abs(states[:, :7] - want)) <= 1e-12 * np.max(np.abs(want[:, :6]))
+    assert np.array_equal(states[:, 7], y0[7] + w_e * (times - ta))
+
+
+@pytest.mark.parametrize("rpm, max_step", [
+    (12000.0, 1e-4), (11000.0, 1e-4), (12500.0, 1e-4), (9000.0, 7e-5)])
+def test_magnus_grid_is_a_whole_fraction_of_the_period(rpm, max_step):
+    w_e = rpm * math.pi / 30.0 * 2
+    sysm, y0 = _faulted_at(w_e)
+    period = 2.0 * math.pi / w_e
+    times = propagate_magnus(sysm, y0, 0.01, 0.03, max_step, 1e-5, 1e-6)[0]
+    steps = np.diff(np.append(0.01, times))
+    assert times[-1] == 0.03
+    assert np.all(steps <= max_step * (1.0 + 1e-9))
+    # the fewest steps per period: one fewer would exceed max_step
+    n = round(period / steps[0])
+    assert np.allclose(steps[:-1], period / n, rtol=1e-9, atol=0.0)
+    assert period / (n - 1) > max_step
+    if rpm == 12000.0:
+        assert n == 25
+
+
+@pytest.mark.parametrize("span, computed", [(0.0013, 13), (0.02, 26), (0.1, 26)])
+def test_magnus_computes_one_period_of_exponentials(monkeypatch, span, computed):
+    # 400 Hz, 25 steps per period: the exponents of min(n, K - 1) full steps
+    # and of the clipped last step, m sub-steps each, whatever the length
+    sysm, y0 = _faulted_system()
+    m = magnus_substeps(sysm, y0, 0.0, span, 1e-4, 1e-5, 1e-6)
+    assert m == 4
+    sizes = []
+    inner = cosim._magnus_exponents
+
+    def counted(basis, b, theta0, w_e, ta, starts, dt):
+        sizes.append(starts.size)
+        return inner(basis, b, theta0, w_e, ta, starts, dt)
+
+    monkeypatch.setattr(cosim, "_magnus_exponents", counted)
+    monkeypatch.setattr(cosim, "magnus_substeps", lambda *args: m)
+    propagate_magnus(sysm, y0, 0.0, span, 1e-4, 1e-5, 1e-6)
+    assert sum(sizes) == computed * m
+    if span == 0.02:
+        assert sum(sizes) == 104
+
+
+@pytest.mark.parametrize("span, w_e", [(0.02003, W_E), (0.02, 0.9 * W_E),
+                                       (0.7e-4, W_E), (0.02, 0.0)])
+def test_healthy_block_march_matches_step_by_step(span, w_e):
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    y0[6] = 0.37
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, w_e,
+                            v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
+    times, states = propagate_healthy(sysm, y0, 0.0, span, 1e-4)
+    gen = np.zeros((8, 8))
+    gen[:7, :7] = sysm.basis[0].reshape(7, 7)
+    gen[:7, 7] = sysm.b
+    step = expm(gen * 1e-4)
+    last = expm(gen * (span - (times[-2] if times.size > 1 else 0.0)))
+    z, want = np.append(y0[:7], 1.0), []
+    for k in range(times.size):
+        z = (step if k < times.size - 1 else last) @ z
+        want.append(z[:7])
+    want = np.array(want)
+    assert np.max(np.abs(states[:, :7] - want)) <= 1e-13 * np.max(np.abs(want[:, :6]))
+    assert np.all(states[:, 6] == 0.37)
 
 
 def test_hook_identity_transparent():
