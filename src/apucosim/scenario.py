@@ -247,10 +247,10 @@ def _validate(doc):
             raise SchemaError(path, "efficiency within (0, 1]", leaf(path))
     # healthy segments are sampled at max_step and the regulator's rms
     # window spans one electrical period, so a period needs >= 10 samples.
-    # Faulted segments step at T_e / n, the fewest whole fractions n of the
-    # electrical period T_e that are at most max_step: at the nominal
-    # frequency n >= 10, so a step is longer than (n / (n + 1)) max_step >
-    # 0.9 max_step, and the step count is bounded with that length
+    # Faulted segments step at T_e / n, the electrical period T_e cut into
+    # the fewest n equal steps of at most max_step: at the nominal frequency
+    # n >= 10, so a step is longer than n / (n + 1) max_step > 0.9 max_step,
+    # and the step count is bounded with that length
     limit = 0.1 / doc["machine"]["f_hz"]
     max_step = doc["stepper"]["max_step_s"]
     if not 0.0 < max_step <= limit:

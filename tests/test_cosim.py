@@ -180,13 +180,13 @@ def test_healthy_propagator_holds_lam_f_and_refuses_a_fault():
         propagate_healthy(faulted, y0, 0.0, 0.02, 1e-4)
 
 
-def _faulted_system(mu=0.05):
+def _faulted_system(mu=0.05, w_e=W_E):
     p = WrsgParams()
     fault = FaultParams(mu=mu, k_rf=1.0)
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
     y0 = seed_fault_flux(steady_state(p, R_225, v_fd, W_E, theta0=0.3),
                          fault, p).as_array()
-    return ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, v_fd,
+    return ElectricalSystem(p, LoadModel(R_phase=R_225), fault, w_e, v_fd,
                             R_225), y0
 
 
@@ -251,13 +251,6 @@ def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
 
 # ---------------------------------------------- period grid and block march
 
-def _faulted_at(w_e):
-    """_faulted_system's machine and onset state at electrical speed w_e."""
-    sysm, y0 = _faulted_system()
-    return ElectricalSystem(sysm.params, sysm.load, sysm.fault, w_e,
-                            sysm.V_fd, sysm.R_load), y0
-
-
 def _magnus_step_by_step(sysm, y0, ta, times, m):
     """Fluxes on `times` from y0 at ta, every grid step from its own m
     sub-step exponentials, one matrix-vector product each."""
@@ -281,7 +274,7 @@ def _magnus_step_by_step(sysm, y0, ta, times, m):
     (0.02, 2.0 * math.pi * 10.0),   # a period longer than the segment
 ])
 def test_magnus_period_reuse_matches_step_by_step(span, w_e):
-    sysm, y0 = _faulted_at(w_e)
+    sysm, y0 = _faulted_system(w_e=w_e)
     ta = 0.01
     tb = ta + span
     times, states = propagate_magnus(sysm, y0, ta, tb, 1e-4, 1e-5, 1e-6)
@@ -296,7 +289,7 @@ def test_magnus_period_reuse_matches_step_by_step(span, w_e):
     (12000.0, 1e-4), (11000.0, 1e-4), (12500.0, 1e-4), (9000.0, 7e-5)])
 def test_magnus_grid_is_a_whole_fraction_of_the_period(rpm, max_step):
     w_e = rpm * math.pi / 30.0 * 2
-    sysm, y0 = _faulted_at(w_e)
+    sysm, y0 = _faulted_system(w_e=w_e)
     period = 2.0 * math.pi / w_e
     times = propagate_magnus(sysm, y0, 0.01, 0.03, max_step, 1e-5, 1e-6)[0]
     steps = np.diff(np.append(0.01, times))
