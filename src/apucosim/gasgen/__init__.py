@@ -7,8 +7,6 @@ from .cycle import (
     HEALTHY,
     HealthParams,
     ambient_conditions,
-    compressor_calc,
-    exhaust_calc,
     off_design_solve,
 )
 from .design import GasGenDesignSpec, design_point_size

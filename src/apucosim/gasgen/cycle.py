@@ -42,8 +42,9 @@ class NoSteadyState(NumericalFailure):
 
 
 class T4OutOfRange(NumericalFailure):
-    def __init__(self, t4):
-        super().__init__(f"burner outlet temperature {t4:.1f} K above 2000 K")
+    def __init__(self, h4, h_max):
+        super().__init__(f"burner outlet temperature above {gas.T_MAX:.0f} K: enthalpy "
+                         f"{h4:.1f} kJ/kg, {h_max:.1f} kJ/kg at {gas.T_MAX:.0f} K")
 
 
 @dataclass(frozen=True)
@@ -128,14 +129,14 @@ class GasGenParams:
 
 
 class StationTemperatures(NamedTuple):
-    """Temperatures (K) of one cycle evaluation, where the property
-    inversions of the next evaluation nearby start; None starts one cold."""
+    """Temperatures (K) where the property inversions of a cycle evaluation
+    or solution nearby start; None starts one cold. A cycle evaluation sets
+    t3s, t41, t5s, t5 and ts8, a match's solution t3, t4 and ts3."""
     t3s: float | None = None    # compressor isentropic exit
     t3: float | None = None
     t4: float | None = None
     t41: float | None = None
     t5s: float | None = None    # turbine isentropic exit
-    t5u: float | None = None    # turbine exit before the rotor cooling returns
     t5: float | None = None
     ts8: float | None = None    # exhaust exit static, at Tt = t5
     ts3: float | None = None    # compressor exit static (of Ps3), at Tt = t3
@@ -302,117 +303,18 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
     raise NonConvergence(STATIC_MAX_ITERATIONS, abs(step) / ts)
 
 
-@dataclass(frozen=True)
-class CompressorResult:
-    outlet: GasState
-    W2: float
-    PW_cpr: float
-    surge_margin: float
-    h3: float                 # outlet enthalpy, kJ/kg
-    t3s: float                # isentropic exit temperature, K
-
-
-def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams,
-                    health: HealthParams = HEALTHY,
-                    start: StationTemperatures = COLD) -> CompressorResult:
-    """Map lookup + isentropic compression; health scales flow and efficiency.
-    The two inversions start from `start`'s t3s and t3."""
-    theta = inlet.Tt / T_STD
-    delta = inlet.Pt / P_STD
-    n_rel = (N / math.sqrt(theta)) / params.ncor_design
-
-    cmap = params.cmap
-    wc = cmap.corrected_flow(n_rel, beta)
-    pr = cmap.pressure_ratio(n_rel, beta)
-    eta = cmap.efficiency(n_rel, beta)
-    if not health.healthy:
-        wc = wc * health.flow_c_factor
-        eta = eta * health.eta_c_factor
-
-    w2 = wc * delta / math.sqrt(theta)
-    t3s = gas.isentropic_temperature(inlet.Tt, pr, inlet.FAR, start.t3s)
-    h2 = gas.enthalpy(inlet.Tt, inlet.FAR)
-    h3 = h2 + (gas.enthalpy(t3s, inlet.FAR) - h2) / eta
-    t3 = gas.temperature_from_enthalpy(h3, inlet.FAR, start.t3)
-    outlet = GasState(W=w2, Tt=t3, Pt=inlet.Pt * pr, FAR=inlet.FAR)
-
-    # margin is reported against the clean engine's anchored surge line at the
-    # delivered corrected flow, so flow-capacity loss shows up as lost margin
-    pr_surge = cmap.surge_pressure_ratio(wc)
-    sm = (pr_surge / pr - 1.0) * 100.0
-    return CompressorResult(outlet=outlet, W2=w2, PW_cpr=w2 * (h3 - h2),
-                            surge_margin=sm, h3=h3, t3s=t3s)
-
-
-def _burn(inlet, h_in, wf, params, t_guess=None):
-    """Heat addition with calibrated efficiency and fixed pressure-loss
-    fraction, for an inlet of enthalpy h_in: (outlet, outlet enthalpy)."""
-    if wf < 0:
-        raise ValueError("fuel flow must be non-negative")
-    if wf == 0.0:
-        return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - params.burner_loss),
-                        FAR=inlet.FAR), h_in
-    w_air = inlet.W / (1.0 + inlet.FAR)
-    w4 = inlet.W + wf
-    far4 = (inlet.FAR * w_air + wf) / w_air
-    h4 = (inlet.W * h_in + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
-    t4 = gas.temperature_from_enthalpy(h4, far4, t_guess)
-    if t4 > 2000.0:
-        raise T4OutOfRange(t4)
-    return GasState(W=w4, Tt=t4, Pt=inlet.Pt * (1.0 - params.burner_loss), FAR=far4), h4
-
-
 def mix_streams(a: GasState, b: GasState, Pt: float) -> GasState:
     """Enthalpy-weighted adiabatic mix of two streams at a common total pressure."""
-    return _mix(a, a.h, b, b.h, Pt)[0]
+    w, far, h = _mix(a.W, a.FAR, a.h, b.W, b.FAR, b.h)
+    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far), Pt=Pt, FAR=far)
 
 
-def _mix(a, h_a, b, h_b, Pt, t_guess=None):
-    """mix_streams for streams of enthalpies h_a, h_b: (mix, mix enthalpy)."""
-    w = a.W + b.W
-    w_air = a.W / (1.0 + a.FAR) + b.W / (1.0 + b.FAR)
-    far = (w - w_air) / w_air
-    h = (a.W * h_a + b.W * h_b) / w
-    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far, t_guess), Pt=Pt,
-                    FAR=far), h
-
-
-@dataclass(frozen=True)
-class TurbineResult:
-    st41: GasState
-    st5: GasState
-    PW_turb: float
-    t5s: float                # isentropic exit temperature, K
-    t5u: float                # exit temperature before the rotor cooling returns
-
-
-def _turbine(inlet4, h4, cool_ngv, h_ngv, cool_rotor, h_rot, N, pr_t, params,
-             health, start):
-    """NGV cooling return, map expansion, rotor cooling return, for streams
-    of the given enthalpies, its four inversions starting from `start`'s
-    t41, t5s, t5u and t5."""
-    if pr_t <= 1.0:
-        raise PressureRatioBelowUnity(pr_t)
-    st41, h41 = _mix(inlet4, h4, cool_ngv, h_ngv, inlet4.Pt, start.t41)
-    p5 = st41.Pt / pr_t
-    t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR, start.t5s)
-    dhs = h41 - gas.enthalpy(t5s, st41.FAR)
-    n_rel = N / params.design_speed
-    eta = params.tmap.efficiency(n_rel, dhs)
-    if not health.healthy:
-        eta = eta * health.eta_t_factor
-    h5u = h41 - eta * dhs
-    pw_turb = st41.W * (h41 - h5u)
-    t5u = gas.temperature_from_enthalpy(h5u, st41.FAR, start.t5u)
-    st5u = GasState(W=st41.W, Tt=t5u, Pt=p5, FAR=st41.FAR)
-    st5, _ = _mix(st5u, h5u, cool_rotor, h_rot, p5, start.t5)
-    return TurbineResult(st41=st41, st5=st5, PW_turb=pw_turb, t5s=t5s, t5u=t5u)
-
-
-def exhaust_calc(inlet: GasState, params: GasGenParams) -> GasState:
-    """Adiabatic exhaust duct with a total-pressure loss fraction."""
-    return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - params.exhaust_loss),
-                    FAR=inlet.FAR)
+def _mix(w_a, far_a, h_a, w_b, far_b, h_b):
+    """Flow, fuel-air ratio and enthalpy of the adiabatic mix of two streams
+    of the given flows, fuel-air ratios and enthalpies."""
+    w = w_a + w_b
+    w_air = w_a / (1.0 + far_a) + w_b / (1.0 + far_b)
+    return w, (w - w_air) / w_air, (w_a * h_a + w_b * h_b) / w
 
 
 @dataclass(frozen=True)
@@ -427,46 +329,114 @@ class GasGenInput:
             raise ValueError("fuel flow must be non-negative")
 
 
+class CyclePass(NamedTuple):
+    """Station values of one cycle evaluation, as plain floats: flows kg/s,
+    enthalpies kJ/kg, total pressures kPa, powers kW. Stations 3 and 31 are
+    dry air at (h3, p3), 41 is at p4 and 8 is station 5 after the exhaust
+    loss; t41 and t5 are in `temperatures`."""
+    w2: float
+    h3: float
+    p3: float
+    pw_cpr: float
+    surge_margin: float
+    w31: float
+    w4: float
+    far4: float
+    h4: float
+    p4: float
+    w41: float
+    far41: float
+    pw_turb: float
+    w5: float
+    far5: float
+    p5: float
+    p8: float
+    temperatures: StationTemperatures
+
+
 def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     """One pass through the gas path, its inversions started from `start`;
-    returns residuals, the station chain and the station temperatures.
+    returns the residuals and the CyclePass.
 
-    Each station's enthalpy is computed once: the compressor, burner, mixes
-    and turbine hand on the enthalpy their energy balance gave.
+    It works on plain floats, hands each station's enthalpy on from the
+    energy balance that gave it, and inverts only the enthalpies the
+    residuals read: t41 (turbine expansion and swallowing capacity) and t5
+    (exhaust static state). t3 and t4 feed outputs only, so _solution
+    inverts them once per match. The compressor inlet is dry air.
     """
-    comp = compressor_calc(st2, N, beta, params, health, start)
-    st3 = comp.outlet
-    w2 = comp.W2
+    # compressor: map lookup and isentropic compression, health scaling
+    # flow and efficiency
+    t2 = st2.Tt
+    theta = t2 / T_STD
+    n_rel = (N / math.sqrt(theta)) / params.ncor_design
+    cmap = params.cmap
+    wc = cmap.corrected_flow(n_rel, beta)
+    pr = cmap.pressure_ratio(n_rel, beta)
+    eta = cmap.efficiency(n_rel, beta)
+    if not health.healthy:
+        wc = wc * health.flow_c_factor
+        eta = eta * health.eta_c_factor
+    w2 = wc * (st2.Pt / P_STD) / math.sqrt(theta)
+    t3s = gas.isentropic_temperature(t2, pr, 0.0, start.t3s)
+    h2 = gas.enthalpy(t2)
+    h3 = h2 + (gas.enthalpy(t3s) - h2) / eta
+    p3 = st2.Pt * pr
+    # margin is reported against the clean engine's anchored surge line at the
+    # delivered corrected flow, so flow-capacity loss shows up as lost margin
+    surge_margin = (cmap.surge_pressure_ratio(wc) / pr - 1.0) * 100.0
+
+    # bleeds, then the burner: calibrated efficiency, fixed pressure loss
     w_ngv = params.ngv_cool_frac * w2
     w_rot = params.rotor_cool_frac * w2
-    w_ob = params.overboard_frac * w2
-    st31 = GasState(W=w2 - w_ngv - w_rot - w_ob, Tt=st3.Tt, Pt=st3.Pt, FAR=st3.FAR)
-    st4, h4 = _burn(st31, comp.h3, wf, params, start.t4)
-    cool_ngv = GasState(W=w_ngv, Tt=st3.Tt, Pt=st4.Pt, FAR=st3.FAR)
-    cool_rot = GasState(W=w_rot, Tt=st3.Tt, Pt=st3.Pt, FAR=st3.FAR)
-    turb = _turbine(st4, h4, cool_ngv, comp.h3, cool_rot, comp.h3, N, pr_t, params,
-                    health, start)
-    st8 = exhaust_calc(turb.st5, params)
+    w31 = w2 - w_ngv - w_rot - params.overboard_frac * w2
+    p4 = p3 * (1.0 - params.burner_loss)
+    if wf:
+        w4 = w31 + wf
+        far4 = wf / w31
+        h4 = (w31 * h3 + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
+    else:
+        w4, far4, h4 = w31, 0.0, h3
+    h_max = gas.enthalpy(gas.T_MAX, far4)
+    if h4 > h_max:
+        raise T4OutOfRange(h4, h_max)
+
+    # turbine: NGV cooling return, map expansion, rotor cooling return
+    if pr_t <= 1.0:
+        raise PressureRatioBelowUnity(pr_t)
+    w41, far41, h41 = _mix(w4, far4, h4, w_ngv, 0.0, h3)
+    t41 = gas.temperature_from_enthalpy(h41, far41, start.t41)
+    t5s = gas.isentropic_temperature(t41, 1.0 / pr_t, far41, start.t5s)
+    dhs = h41 - gas.enthalpy(t5s, far41)
+    eta = params.tmap.efficiency(N / params.design_speed, dhs)
+    if not health.healthy:
+        eta = eta * health.eta_t_factor
+    h5u = h41 - eta * dhs
+    pw_turb = w41 * (h41 - h5u)
+    w5, far5, h5 = _mix(w41, far41, h5u, w_rot, 0.0, h3)
+    t5 = gas.temperature_from_enthalpy(h5, far5, start.t5)
+    p5 = p4 / pr_t
+    p8 = p5 * (1.0 - params.exhaust_loss)
 
     # residual 1: turbine swallowing capacity vs delivered corrected flow
-    wc41 = turb.st41.W * math.sqrt(turb.st41.Tt / T_STD) / (turb.st41.Pt / P_STD)
+    wc41 = w41 * math.sqrt(t41 / T_STD) / (p4 / P_STD)
     wc41_map = params.tmap.corrected_flow(pr_t)
     if not health.healthy:
         wc41_map = wc41_map * health.flow_t_factor
     r1 = (wc41 - wc41_map) / params.tmap.wc_design
 
     # residual 2: exhaust exit static pressure vs ambient
-    ts8, ps8, _, choked = static_from_flow(st8.Tt, st8.Pt, st8.W, params.a8_m2, st8.FAR,
-                                           _scaled(start.ts8, st8.Tt, start.t5))
+    ts8, ps8, _, choked = static_from_flow(t5, p8, w5, params.a8_m2, far5,
+                                           _scaled(start.ts8, t5, start.t5))
     r2 = (ps8 - st0.Pt) / st0.Pt
     if choked:
         # the excess of W over the choke flow rho v A, zero at the flow maximum
-        v8 = math.sqrt(2000.0 * (gas.enthalpy(st8.Tt, st8.FAR) - gas.enthalpy(ts8, st8.FAR)))
-        r2 += 5.0 * (st8.W / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
+        v8 = math.sqrt(2000.0 * (gas.enthalpy(t5, far5) - gas.enthalpy(ts8, far5)))
+        r2 += 5.0 * (w5 / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
 
-    temps = StationTemperatures(comp.t3s, st3.Tt, st4.Tt, turb.st41.Tt, turb.t5s,
-                                turb.t5u, turb.st5.Tt, ts8, start.ts3)
-    return np.array([r1, r2]), comp, st31, st4, turb, st8, temps
+    temps = StationTemperatures(t3s, start.t3, start.t4, t41, t5s, t5, ts8, start.ts3)
+    return np.array([r1, r2]), CyclePass(
+        w2, h3, p3, w2 * (h3 - h2), surge_margin, w31, w4, far4, h4, p4,
+        w41, far41, pw_turb, w5, far5, p5, p8, temps)
 
 
 def off_design_solve(params: GasGenParams, u: GasGenInput,
@@ -496,7 +466,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     def residual(x):
         last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
                                   x[1] * params.tmap.pr_design, u.wf, health,
-                                  last[6] if last else start)
+                                  last[1].temperatures if last else start)
         return last[0]
 
     x, jac = newton_solve(residual, x0, jacobian=jac0)
@@ -518,8 +488,8 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
             raise NoSteadyState(f"no positive fuel flow delivers {Pe} kW at {N} rpm")
         last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
                                   x[1] * params.tmap.pr_design, wf, health,
-                                  last[6] if last else COLD)
-        power = _shaft_power(params, last[1], last[4])
+                                  last[1].temperatures if last else COLD)
+        power = _shaft_power(params, last[1])
         last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
         return last[0]
 
@@ -528,29 +498,39 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
                      None if jac is None else jac[:2, :2], last, COLD)
 
 
-def _shaft_power(params, comp, turb):
-    """Net shaft power (kW) of one cycle evaluation."""
-    return turb.PW_turb - comp.PW_cpr / params.eta_mech - params.accessory_kw
+def _shaft_power(params, c):
+    """Net shaft power (kW) of the CyclePass c."""
+    return c.pw_turb - c.pw_cpr / params.eta_mech - params.accessory_kw
 
 
 def _solution(params, ambient, N, wf, x, jac, last, start) -> CycleSolution:
     """The CycleSolution of a match converged at x, from `last`, its final
-    cycle evaluation, made at x; the norm spans all the match's residuals."""
+    cycle evaluation, made at x; the norm spans all the match's residuals.
+    The output-only inversions (t3, t4 and the compressor exit static
+    state) start from `start`, the temperatures of the match's guess."""
     st0, st1, st2 = ambient
     beta, pr_t = x[0], x[1] * params.tmap.pr_design
-    r, comp, st31, st4, turb, st8, temps = last
-    pw_net = _shaft_power(params, comp, turb)
+    r, c = last
+    temps = c.temperatures
+    t3 = gas.temperature_from_enthalpy(c.h3, 0.0, start.t3)
+    t4 = gas.temperature_from_enthalpy(c.h4, c.far4, start.t4) if wf else t3
+    pw_net = _shaft_power(params, c)
     sfc = 3600.0 * wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
-    st3 = comp.outlet
-    ts3, ps3, _, _ = static_from_flow(st3.Tt, st3.Pt, st3.W, params.a3_m2, st3.FAR,
-                                      _scaled(start.ts3, st3.Tt, start.t3))
-    snox = ((comp.outlet.Pt / params.nox_p_ref) ** 0.4
-            * math.exp((comp.outlet.Tt - params.nox_t_ref) / params.nox_t_scale))
-    st2w = replace(st2, W=comp.W2)
-    stations = {0: st0, 1: replace(st1, W=comp.W2), 2: st2w, 3: comp.outlet,
-                31: st31, 4: st4, 41: turb.st41, 5: turb.st5, 6: turb.st5, 8: st8}
+    ts3, ps3, _, _ = static_from_flow(t3, c.p3, c.w2, params.a3_m2, 0.0,
+                                      _scaled(start.ts3, t3, start.t3))
+    snox = ((c.p3 / params.nox_p_ref) ** 0.4
+            * math.exp((t3 - params.nox_t_ref) / params.nox_t_scale))
+    st5 = GasState(W=c.w5, Tt=temps.t5, Pt=c.p5, FAR=c.far5)
+    stations = {0: st0, 1: replace(st1, W=c.w2), 2: replace(st2, W=c.w2),
+                3: GasState(W=c.w2, Tt=t3, Pt=c.p3),
+                31: GasState(W=c.w31, Tt=t3, Pt=c.p3),
+                4: GasState(W=c.w4, Tt=t4, Pt=c.p4, FAR=c.far4),
+                41: GasState(W=c.w41, Tt=temps.t41, Pt=c.p4, FAR=c.far41),
+                5: st5, 6: st5,
+                8: GasState(W=c.w5, Tt=temps.t5, Pt=c.p8, FAR=c.far5)}
     return CycleSolution(
-        stations=stations, Ps3=ps3, PW_turb=turb.PW_turb, PW_cpr=comp.PW_cpr,
-        PW_shaft_net=pw_net, SFC=sfc, surge_margin=comp.surge_margin,
+        stations=stations, Ps3=ps3, PW_turb=c.pw_turb, PW_cpr=c.pw_cpr,
+        PW_shaft_net=pw_net, SFC=sfc, surge_margin=c.surge_margin,
         NOx_severity=snox, newton_residual_norm=float(np.max(np.abs(r))), N=N,
-        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac, temperatures=temps._replace(ts3=ts3))
+        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac,
+        temperatures=temps._replace(t3=t3, t4=t4, ts3=ts3))

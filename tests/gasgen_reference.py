@@ -1,9 +1,13 @@
 """Reference forms of gas-generator pieces, kept as checks on
-`apucosim.gasgen`: the burner and turbine components on plain station
-states (the cycle evaluation carries enthalpies and starting temperatures
-between them), and a steady-state speed search, the check on the fuel-step
-transient's analytic starting speed.
+`apucosim.gasgen`: the compressor, burner, turbine and exhaust components on
+plain station states (the cycle evaluation works on floats, carries
+enthalpies between the components and inverts only the temperatures its
+residuals read), and a steady-state speed search, the check on the
+fuel-step transient's analytic starting speed.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from apucosim.gasgen import (
@@ -17,20 +21,81 @@ from apucosim.gasgen import (
     off_design_solve,
     outputs_from_solution,
 )
-from apucosim.gasgen.cycle import COLD, NoSteadyState, TurbineResult, _burn, _turbine
+from apucosim.gasgen import properties as gas
+from apucosim.gasgen.cycle import P_STD, T_STD, NoSteadyState, mix_streams
+
+
+@dataclass(frozen=True)
+class CompressorResult:
+    outlet: GasState
+    W2: float
+    PW_cpr: float
+    surge_margin: float
+
+
+def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams,
+                    health: HealthParams = HEALTHY) -> CompressorResult:
+    """Map lookup + isentropic compression; health scales flow and efficiency."""
+    theta = inlet.Tt / T_STD
+    n_rel = (N / math.sqrt(theta)) / params.ncor_design
+    cmap = params.cmap
+    wc = cmap.corrected_flow(n_rel, beta)
+    pr = cmap.pressure_ratio(n_rel, beta)
+    eta = cmap.efficiency(n_rel, beta)
+    if not health.healthy:
+        wc = wc * health.flow_c_factor
+        eta = eta * health.eta_c_factor
+    w2 = wc * (inlet.Pt / P_STD) / math.sqrt(theta)
+    t3s = gas.isentropic_temperature(inlet.Tt, pr, inlet.FAR)
+    h3 = inlet.h + (gas.enthalpy(t3s, inlet.FAR) - inlet.h) / eta
+    outlet = GasState(W=w2, Tt=gas.temperature_from_enthalpy(h3, inlet.FAR),
+                      Pt=inlet.Pt * pr, FAR=inlet.FAR)
+    sm = (cmap.surge_pressure_ratio(wc) / pr - 1.0) * 100.0
+    return CompressorResult(outlet=outlet, W2=w2, PW_cpr=w2 * (h3 - inlet.h),
+                            surge_margin=sm)
 
 
 def burner_calc(inlet: GasState, wf: float, params: GasGenParams) -> GasState:
     """Heat addition with calibrated efficiency and fixed pressure-loss fraction."""
-    return _burn(inlet, inlet.h, wf, params)[0]
+    p4 = inlet.Pt * (1.0 - params.burner_loss)
+    if wf == 0.0:
+        return GasState(W=inlet.W, Tt=inlet.Tt, Pt=p4, FAR=inlet.FAR)
+    w_air = inlet.W / (1.0 + inlet.FAR)
+    w4 = inlet.W + wf
+    far4 = (inlet.FAR * w_air + wf) / w_air
+    h4 = (inlet.W * inlet.h + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
+    return GasState(W=w4, Tt=gas.temperature_from_enthalpy(h4, far4), Pt=p4, FAR=far4)
+
+
+@dataclass(frozen=True)
+class TurbineResult:
+    st41: GasState
+    st5: GasState
+    PW_turb: float
 
 
 def turbine_calc(inlet4: GasState, cool_ngv: GasState, cool_rotor: GasState,
                  N: float, pr_t: float, params: GasGenParams,
                  health: HealthParams = HEALTHY) -> TurbineResult:
     """NGV cooling return, map expansion, rotor cooling return."""
-    return _turbine(inlet4, inlet4.h, cool_ngv, cool_ngv.h, cool_rotor, cool_rotor.h,
-                    N, pr_t, params, health, COLD)
+    st41 = mix_streams(inlet4, cool_ngv, inlet4.Pt)
+    p5 = st41.Pt / pr_t
+    t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR)
+    dhs = st41.h - gas.enthalpy(t5s, st41.FAR)
+    eta = params.tmap.efficiency(N / params.design_speed, dhs)
+    if not health.healthy:
+        eta = eta * health.eta_t_factor
+    h5u = st41.h - eta * dhs
+    st5u = GasState(W=st41.W, Tt=gas.temperature_from_enthalpy(h5u, st41.FAR), Pt=p5,
+                    FAR=st41.FAR)
+    return TurbineResult(st41=st41, st5=mix_streams(st5u, cool_rotor, p5),
+                         PW_turb=st41.W * (st41.h - h5u))
+
+
+def exhaust_calc(inlet: GasState, params: GasGenParams) -> GasState:
+    """Adiabatic exhaust duct with a total-pressure loss fraction."""
+    return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - params.exhaust_loss),
+                    FAR=inlet.FAR)
 
 
 def init(params: GasGenParams, u: GasGenInput, health: HealthParams = HEALTHY,

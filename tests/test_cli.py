@@ -74,6 +74,15 @@ def test_steady_sweep(capsys):
     assert sfc == sorted(sfc, reverse=True)   # lower eta_c -> higher SFC
 
 
+def test_steady_beyond_the_burner_limit_is_t4_out_of_range(capsys):
+    # the trim's iterate that needs a burner outlet above the property
+    # tables' 2000 K ends as T4OutOfRange, not as a failed inversion
+    assert main(["steady", "--json", "--power", "5000"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "burner outlet temperature above 2000 K" in err
+    assert "outside [200.0, 2000.0]" not in err
+
+
 def test_steady_out_of_envelope_is_numeric_error(capsys):
     # far outside the map envelope: the cycle match cannot converge
     rc = main(["steady", "--power", "500", "--speed", "9000"])

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import apucosim
 from apucosim import cli
 from apucosim.errors import NumericalFailure, UsageError
+from apucosim.gasgen.cycle import T4OutOfRange
 from apucosim.gasgen.design import CalibrationFailed
 from apucosim.gasgen.engine import OUTPUT_CHANNELS
 from apucosim.numerics import NonConvergence, StepUnderflow
@@ -54,7 +55,7 @@ def test_every_exception_class_has_exactly_one_exit_class():
 @pytest.mark.parametrize("exc", [
     StepUnderflow(0.1, 1e-14, 1e-13), NonConvergence(30, 2.5e-3),
     SchemaError("ttsc_faults[0].mu", "fraction within [0, 1)", 1.5),
-    CalibrationFailed("eta_turbine", 0.89, 1.2),
+    CalibrationFailed("eta_turbine", 0.89, 1.2), T4OutOfRange(6326.2, 2438.0),
 ], ids=lambda e: type(e).__name__)
 def test_pickle_round_trip_keeps_type_and_message(exc):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -25,14 +25,19 @@ from apucosim.gasgen import properties as gas
 from apucosim.gasgen import cycle, engine
 from apucosim.gasgen.cycle import (
     NoSteadyState,
-    compressor_calc,
-    exhaust_calc,
+    T4OutOfRange,
     power_match,
     static_from_flow,
 )
 from apucosim.gasgen.engine import outputs_from_solution
 from apucosim.numerics import NonConvergence, newton_solve
-from gasgen_reference import burner_calc, init, turbine_calc
+from gasgen_reference import (
+    burner_calc,
+    compressor_calc,
+    exhaust_calc,
+    init,
+    turbine_calc,
+)
 from property_reference import (
     reference_cp,
     reference_enthalpy,
@@ -277,6 +282,32 @@ def test_choked_exhaust_penalty_vanishes_at_the_flow_maximum(gg_params):
     assert 0.0 <= r[1] - (ps8 - st0.Pt) / st0.Pt < 1e-7
 
 
+def test_burner_outlet_above_the_table_raises_t4_out_of_range(gg_params):
+    # the burner check compares h4 with the enthalpy at T_MAX: at 1e-6 below
+    # the fuel flow that puts h4 there the pass goes on, 1e-6 above it stops
+    # with T4OutOfRange; the check is the one the t4 inversion would fail
+    st0, _, st2 = ambient_conditions(0.0, 0.0, 5.0)
+    args = (gg_params, st0, st2, 36050.0, 0.5, gg_params.tmap.pr_design)
+    c = cycle._evaluate_cycle(*args, gg_params.wf_design, HEALTHY)[1]
+
+    def excess(wf):
+        h4 = (c.w31 * c.h3 + gg_params.burner_eta * wf * gg_params.fuel_lhv_mj
+              * 1000.0) / (c.w31 + wf)
+        return h4 - gas.enthalpy(gas.T_MAX, wf / c.w31)
+
+    lo, hi = gg_params.wf_design, 10.0 * gg_params.wf_design
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) < 0.0 else (lo, mid)
+    cycle._evaluate_cycle(*args, lo * (1.0 - 1e-6), HEALTHY)
+    over = hi * (1.0 + 1e-6)
+    with pytest.raises(T4OutOfRange, match="above 2000 K"):
+        cycle._evaluate_cycle(*args, over, HEALTHY)
+    far = over / c.w31
+    with pytest.raises(gas.TemperatureOutOfRange):
+        gas.temperature_from_enthalpy(excess(over) + gas.enthalpy(gas.T_MAX, far), far)
+
+
 def test_static_from_flow_raises_rather_than_return_unconverged(monkeypatch):
     Tt, Pt, far, area = STATIC_STATES[1]
     W = 0.5 * choke_flow(Tt, Pt, area, far)
@@ -374,6 +405,36 @@ def test_turbine_health_identity(gg_params, design_solution):
     assert a == b
 
 
+@pytest.mark.parametrize("health", [HEALTHY, HealthParams(0.98, 0.97, 0.99, 1.03)],
+                         ids=["healthy", "degraded"])
+def test_cycle_pass_matches_the_component_references(gg_params, design_solution, health):
+    # the cycle evaluation's float arithmetic against the reference
+    # components on station states, chained at the design solution
+    sol, st = design_solution, design_solution.stations
+    _, c = cycle._evaluate_cycle(gg_params, st[0], st[2], sol.N, sol.beta,
+                                 sol.turbine_pr, sol.wf, health)
+    comp = compressor_calc(st[2], sol.N, sol.beta, gg_params, health)
+    st3 = comp.outlet
+    w2 = comp.W2
+    st31 = GasState(W=c.w31, Tt=st3.Tt, Pt=st3.Pt)
+    st4 = burner_calc(st31, sol.wf, gg_params)
+    turb = turbine_calc(st4, GasState(W=0.05 * w2, Tt=st3.Tt, Pt=st4.Pt),
+                        GasState(W=0.05 * w2, Tt=st3.Tt, Pt=st3.Pt), sol.N,
+                        sol.turbine_pr, gg_params, health)
+    st8 = exhaust_calc(turb.st5, gg_params)
+    t = c.temperatures
+    pairs = [
+        (c.w2, w2), (c.p3, st3.Pt), (c.h3, st3.h), (c.pw_cpr, comp.PW_cpr),
+        (c.surge_margin, comp.surge_margin), (c.w31, 0.89 * w2),
+        (c.w4, st4.W), (c.far4, st4.FAR), (c.h4, st4.h), (c.p4, st4.Pt),
+        (c.w41, turb.st41.W), (c.far41, turb.st41.FAR), (t.t41, turb.st41.Tt),
+        (c.pw_turb, turb.PW_turb), (c.w5, turb.st5.W), (c.far5, turb.st5.FAR),
+        (t.t5, turb.st5.Tt), (c.p5, turb.st5.Pt), (c.p8, st8.Pt),
+    ]
+    for k, (got, ref) in enumerate(pairs):
+        assert got == pytest.approx(ref, rel=1e-12), k
+
+
 def test_exhaust_rows(gg_params, design_solution):
     st5 = design_solution.stations[5]
     st8 = exhaust_calc(st5, gg_params)
@@ -450,15 +511,19 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     assert calls["residual"] > 2
     assert calls["cycle"] == calls["residual"]
     for sol in (cold, warm):
-        # the kept station chain is the cycle at the converged point (its
+        # the kept stations are the cycle's at the converged point (its
         # inversions started from the temperatures the solution carries)
-        r, comp, _, _, turb, st8, _ = evaluate(gg_params, sol.stations[0], st2, sol.N,
-                                               sol.beta, sol.turbine_pr, u.wf, HEALTHY,
-                                               sol.temperatures)
+        r, c = evaluate(gg_params, sol.stations[0], st2, sol.N, sol.beta,
+                        sol.turbine_pr, u.wf, HEALTHY, sol.temperatures)
+        st = sol.stations
         assert sol.newton_residual_norm == float(np.max(np.abs(r)))
-        assert sol.stations[3] == comp.outlet
-        assert sol.stations[41] == turb.st41
-        assert sol.stations[8] == st8
+        assert (st[3].W, st[3].Pt, st[4].W, st[4].Pt, st[4].FAR) == (
+            c.w2, c.p3, c.w4, c.p4, c.far4)
+        assert st[41] == GasState(c.w41, c.temperatures.t41, c.p4, c.far41)
+        assert st[8] == GasState(c.w5, c.temperatures.t5, c.p8, c.far5)
+        # t3 and t4, which no residual reads, are inverted once per match
+        assert abs(st[3].h - c.h3) < 1e-10
+        assert abs(st[4].h - c.h4) < 1e-10
 
 
 def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkeypatch):
@@ -691,8 +756,9 @@ def test_trim_is_one_match_of_few_evaluations(gg_params, monkeypatch, alt, mach,
 
 
 def test_trim_trial_without_fuel_is_no_steady_state(gg_params):
-    # a trial fuel flow <= 0 ends the trim as a numerical failure, before
-    # the burner's check on a negative fuel flow (a usage error) is reached
+    # a trial fuel flow <= 0 ends the trim as a numerical failure before
+    # the cycle is evaluated at it (a negative input fuel flow is a usage
+    # error, refused by GasGenInput)
     with pytest.raises(NoSteadyState):
         power_match(gg_params, GasGenInput(wf=0.0), HEALTHY, 300.0, 36050.0)
 

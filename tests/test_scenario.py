@@ -281,8 +281,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("c13ab3deb80f3707f187103f865db1e0"
-                      "49458f6031a83c2ffd892ae53cf33233")
+    assert digest == ("69f3ac38c137a8364517d0205066f7e3"
+                      "9319d7eced6867104b05f7861397585c")
 
 
 def test_gasgen_output_noise_channel_validation():
