@@ -14,8 +14,9 @@ load, (c) updates the spool state from the cycle match at (N_{k-1},
 wf_{k-1}) and applies the hook: None or a plain function hook(x, rng) -> x
 of the updated GasGenState and the run's seeded numpy.random.Generator for
 hooks, (d) runs the regulators, the governor on the speed plus its
-output-noise draw, before (e) the one cycle match at (N_k, wf_k), which
-gives the row's outputs and the next step's first match, then (f) hands the
+output-noise draw, before (e) the one cycle match at (N_k, wf_k), started
+from the spool update's last (half-step) match, which gives the row's
+outputs and the next step's first match, then (f) hands the
 new speed back to the machine as a zero-order hold.  TTSC fault switches are
 applied exactly at their requested times on the fast track; gas-path health
 swaps happen at macro boundaries.
@@ -605,14 +606,14 @@ def run_joint(setup: JointSetup) -> JointResult:
         if k in swaps:
             health = swaps[k]
             sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
-        x = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
+        x, half = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
         if setup.hook is not None:
             x = setup.hook(x, rng_hook)
         # (d) output noise draws and regulators; (e) the match at (N_k, wf_k)
         noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
         wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=sol)
+        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=half)
         v_rms = float(np.mean(track.phase_rms(period)))
         v_fd, avr = avr_step(avr, v_rms, dt)
         # (f) record; the speed handed back next step comes from the new x
@@ -711,9 +712,9 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
         if k in swaps:
             health = swaps[k]
             sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=sol)
-        x = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
+        x, half = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
         u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, Pe=pe, guess=sol)
+        out, sol = output(gg, x, u, health, Pe=pe, guess=half)
         ts.append(t1)
         rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (u.wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),

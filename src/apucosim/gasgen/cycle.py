@@ -169,6 +169,10 @@ class CycleSolution:
     # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
     # the next cycle match started from this solution (None if not built)
     jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # d(beta, turbine_pr / pr_design) / d(N / design_speed, wf / wf_design),
+    # the secant estimate that predicts the start of the next match started
+    # from this solution (None if no warm match has updated one yet)
+    sensitivity: np.ndarray | None = field(default=None, compare=False, repr=False)
     # station temperatures of the last cycle evaluation, where the next match
     # started from this solution starts its property inversions
     temperatures: StationTemperatures = field(default=COLD, compare=False, repr=False)
@@ -444,11 +448,16 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
                      N: float = None, guess: CycleSolution | None = None) -> CycleSolution:
     """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
-    A `guess` (a previous solution of a nearby point) supplies the starting
-    point and the Jacobian the solver carries from one match to the next,
-    and the station temperatures the first cycle evaluation starts its
-    property inversions from; each later evaluation starts from the one
-    before it.
+    A `guess` (a previous solution of a nearby point) supplies the Jacobian
+    the solver carries from one match to the next, the station temperatures
+    the first cycle evaluation starts its property inversions from (each
+    later evaluation starts from the one before it) and the start itself: a
+    predictor-corrector step along the operating line, x_guess + S dp for
+    the step dp in (N / design_speed, wf / wf_design) from the guess's
+    point, with S the guess's sensitivity. After the match S takes
+    Broyden's rank-one update along dp, so it holds the secant of both
+    speed and fuel steps; the first warm match after a cold one starts at
+    x_guess and builds S from zero.
     The shaft load Pe is bookkeeping only; any surplus of PW_shaft_net over
     Pe drives the spool and is never forced to zero here.
     """
@@ -456,10 +465,14 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         N = params.design_speed
     ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
     if guess is None:
-        x0, jac0, start = np.array([0.5, 1.0]), None, COLD
+        x0, jac0, start, sens = np.array([0.5, 1.0]), None, COLD, None
     else:
+        dp = np.array([(N - guess.N) / params.design_speed,
+                       (u.wf - guess.wf) / params.wf_design])
         x0 = np.array([guess.beta, guess.turbine_pr / params.tmap.pr_design])
-        jac0, start = guess.jacobian, guess.temperatures
+        jac0, start, sens = guess.jacobian, guess.temperatures, guess.sensitivity
+        if sens is not None:
+            x0 += sens @ dp
 
     last = []
 
@@ -470,7 +483,10 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         return last[0]
 
     x, jac = newton_solve(residual, x0, jacobian=jac0)
-    return _solution(params, ambient, N, u.wf, x, jac, last, start)
+    if guess is not None and dp.any():
+        # Broyden's update: the secant condition S dp = x - x_guess
+        sens = (0.0 if sens is None else sens) + np.outer(x - x0, dp) / (dp @ dp)
+    return _solution(params, ambient, N, u.wf, x, jac, last, start, sens)
 
 
 def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
@@ -495,7 +511,7 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
 
     x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design])
     return _solution(params, ambient, N, x[2] * params.wf_design, x,
-                     None if jac is None else jac[:2, :2], last, COLD)
+                     None if jac is None else jac[:2, :2], last, COLD, None)
 
 
 def _shaft_power(params, c):
@@ -503,7 +519,7 @@ def _shaft_power(params, c):
     return c.pw_turb - c.pw_cpr / params.eta_mech - params.accessory_kw
 
 
-def _solution(params, ambient, N, wf, x, jac, last, start) -> CycleSolution:
+def _solution(params, ambient, N, wf, x, jac, last, start, sens) -> CycleSolution:
     """The CycleSolution of a match converged at x, from `last`, its final
     cycle evaluation, made at x; the norm spans all the match's residuals.
     The output-only inversions (t3, t4 and the compressor exit static
@@ -532,5 +548,5 @@ def _solution(params, ambient, N, wf, x, jac, last, start) -> CycleSolution:
         stations=stations, Ps3=ps3, PW_turb=c.pw_turb, PW_cpr=c.pw_cpr,
         PW_shaft_net=pw_net, SFC=sfc, surge_margin=c.surge_margin,
         NOx_severity=snox, newton_residual_norm=float(np.max(np.abs(r))), N=N,
-        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac,
+        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac, sensitivity=sens,
         temperatures=temps._replace(t3=t3, t4=t4, ts3=ts3))

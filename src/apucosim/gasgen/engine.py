@@ -4,7 +4,11 @@ output projection and the steady fuel trim.
 The single state is spool speed; update and output are pure functions of
 (state, input, health, shaft load), so external state processing (noise
 injection, Monte Carlo; the co-simulation loop's hook) fits between the
-two. The cycle match `output` returns is the next `state_update`'s first.
+two. The matches are chained: `state_update` returns its last (half-step)
+match with the new state, `output` starts from it, and the match `output`
+returns is the next `state_update`'s first. Each warm match starts where
+its guess's sensitivity predicts (cycle.off_design_solve), so the chain
+carries that secant through both speed and fuel steps.
 """
 from __future__ import annotations
 
@@ -76,9 +80,11 @@ def _dn_dt(params: GasGenParams, pw_net_kw: float, pe_kw: float, n_rpm: float) -
 def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
                  health: HealthParams = HEALTHY, Pe: float = 0.0,
                  dt: float = MACRO_DT,
-                 match: CycleSolution | None = None) -> GasGenState:
+                 match: CycleSolution | None = None) -> tuple[GasGenState, CycleSolution]:
     """Advance spool speed over one macro step (two forward sub-steps), the
-    first from `match`, the cycle match at (x, u, health) (None: solve it)."""
+    first from `match`, the cycle match at (x, u, health) (None: solve it);
+    returns the new state and the last sub-step's match, the nearest one to
+    start the output match from."""
     n = x.N
     n_max = 1.2 * params.design_speed
     sub = dt / _SUBSTEPS
@@ -88,7 +94,7 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
         n = n + _dn_dt(params, match.PW_shaft_net, Pe, n) * sub
         if not 0.0 < n <= n_max:
             raise SpeedOutOfRange(n, n_max)
-    return GasGenState(N=n)
+    return GasGenState(N=n), match
 
 
 def output(params: GasGenParams, x: GasGenState, u: GasGenInput,

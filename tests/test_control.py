@@ -108,7 +108,7 @@ def test_governor_closed_loop_recovers_minus_50kw_step(gg_params):
     for k in range(1, int(6.0 / dt) + 1):
         t = k * dt
         pe = 500.0 if t < 1.0 else 450.0
-        x = state_update(gg_params, x, GasGenInput(wf=wf), HEALTHY, pe, dt=dt)
+        x, _ = state_update(gg_params, x, GasGenInput(wf=wf), HEALTHY, pe, dt=dt)
         wf, gov = governor_step(gov, x.N, dt)
         if t > 1.0:
             if abs(x.N - n_set) < 0.002 * n_set:

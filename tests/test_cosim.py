@@ -474,6 +474,23 @@ def test_two_cycle_matches_per_macro_step(monkeypatch, swap):
     assert len(calls) == 2 * 10 + swap
 
 
+def test_fuel_step_replay_work_count(monkeypatch):
+    # each warm match starts at the start its guess's sensitivity predicts,
+    # and the output match starts from the spool update's half-step match:
+    # the replay's 1,000 matches and its trim take at most 1,800 cycle
+    # evaluations (2,530 when each match started at the output match before)
+    from apucosim.gasgen import cycle
+    from apucosim.scenario import load_preset, run_fuel_step
+    evaluations = []
+    evaluate = cycle._evaluate_cycle
+    monkeypatch.setattr(cycle, "_evaluate_cycle",
+                        lambda *args: evaluations.append(1) or evaluate(*args))
+    calls = _count_matches(monkeypatch)
+    run_fuel_step(load_preset("fuel-step"))
+    assert len(calls) == 1000
+    assert len(evaluations) <= 1800
+
+
 def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):
     from apucosim import cosim
     hooked, seen = [], []

@@ -539,12 +539,12 @@ def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkey
         evaluations.clear()
         sol = start
         for n in speeds[1:]:
-            guess = sol if carried else replace(sol, jacobian=None)
+            guess = sol if carried else replace(sol, jacobian=None, sensitivity=None)
             sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=n, guess=guess)
             assert sol.newton_residual_norm < 1e-10
         counts[carried] = len(evaluations)
-    # a carried Jacobian saves at least the two finite-difference columns
-    # each solve without one pays
+    # a carried Jacobian and sensitivity save at least the two
+    # finite-difference columns each solve without them pays
     assert counts[True] <= counts[False] - 2 * (len(speeds) - 1)
 
 
@@ -591,6 +591,59 @@ def test_wrong_carried_jacobian_is_rebuilt(gg_params, kind):
     assert sol.beta == pytest.approx(reference.beta, abs=1e-8)
     assert sol.turbine_pr == pytest.approx(reference.turbine_pr, rel=1e-9)
     assert sol.PW_shaft_net == pytest.approx(reference.PW_shaft_net, rel=1e-8)
+
+
+def _ramp(params, u, health, speeds):
+    """Warm matches along a speed ramp, each started from the one before."""
+    sol = off_design_solve(params, u, health, Pe=400.0, N=speeds[0])
+    for n in speeds[1:]:
+        sol = off_design_solve(params, u, health, Pe=400.0, N=n, guess=sol)
+    return sol
+
+
+def _same_root(a, b):
+    assert abs(a.beta - b.beta) <= 1e-9
+    assert abs(a.turbine_pr - b.turbine_pr) <= 1e-9 * b.turbine_pr
+    assert a.newton_residual_norm < 1e-10 and b.newton_residual_norm < 1e-10
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.6])
+def test_predicted_start_converges_to_the_unpredicted_root(gg_params, factor):
+    # a fuel step with a speed step, from a solution whose sensitivity a
+    # speed ramp and a fuel step built: the start predicted from it
+    # converges to the root a start at the guess's point reaches
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
+    prev = off_design_solve(gg_params, GasGenInput(wf=0.92 * gg_params.wf_design),
+                            HEALTHY, Pe=400.0, N=35030.0, guess=prev)
+    assert np.all(prev.sensitivity != 0.0)
+    step = GasGenInput(wf=factor * prev.wf)
+    predicted = off_design_solve(gg_params, step, HEALTHY, Pe=400.0, N=35040.0,
+                                 guess=prev)
+    plain = off_design_solve(gg_params, step, HEALTHY, Pe=400.0, N=35040.0,
+                             guess=replace(prev, sensitivity=None))
+    _same_root(predicted, plain)
+    # the sensitivity meets the secant condition along the step it saw
+    dp = np.array([10.0 / gg_params.design_speed, (step.wf - prev.wf) / gg_params.wf_design])
+    dx = np.array([predicted.beta - prev.beta,
+                   (predicted.turbine_pr - prev.turbine_pr) / gg_params.tmap.pr_design])
+    assert np.allclose(predicted.sensitivity @ dp, dx, rtol=0.0, atol=1e-14)
+
+
+def test_predicted_start_after_a_health_swap(gg_params):
+    # the swap's match is at the guess's own point (no step, so no
+    # prediction and no update); the match after it predicts its start
+    # from the sensitivity built under the old health
+    u = GasGenInput(wf=0.9 * gg_params.wf_design)
+    prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
+    worn = HealthParams(0.99, 0.97, 0.98, 1.04)
+    swap = off_design_solve(gg_params, u, worn, Pe=400.0, N=35020.0, guess=prev)
+    assert np.array_equal(swap.sensitivity, prev.sensitivity)
+    _same_root(swap, off_design_solve(gg_params, u, worn, Pe=400.0, N=35020.0))
+    after = off_design_solve(gg_params, u, worn, Pe=400.0, N=35030.0, guess=swap)
+    plain = off_design_solve(gg_params, u, worn, Pe=400.0, N=35030.0,
+                             guess=replace(swap, sensitivity=None))
+    _same_root(after, plain)
 
 
 def test_fuel_reduction_trends(gg_params):
@@ -655,14 +708,14 @@ def test_mass_and_energy_closure_random_envelope(gg_params):
 def test_state_update_equilibrium(gg_params):
     x = GasGenState(N=36050.0)
     u = GasGenInput(wf=gg_params.wf_design)
-    x1 = state_update(gg_params, x, u, HEALTHY, Pe=500.0)
+    x1, _ = state_update(gg_params, x, u, HEALTHY, Pe=500.0)
     assert x1.N == pytest.approx(36050.0, abs=1e-6)
 
 
 def test_state_update_power_surplus_sign(gg_params):
     x = GasGenState(N=36050.0)
     u = GasGenInput(wf=gg_params.wf_design)
-    x1 = state_update(gg_params, x, u, HEALTHY, Pe=450.0)
+    x1, _ = state_update(gg_params, x, u, HEALTHY, Pe=450.0)
     assert x1.N > 36050.0
 
 
@@ -672,10 +725,12 @@ def test_state_update_purity(gg_params):
     a = state_update(gg_params, x, u, HEALTHY, Pe=430.0)
     b = state_update(gg_params, x, u, HEALTHY, Pe=430.0)
     assert a == b
+    assert np.array_equal(a[1].sensitivity, b[1].sensitivity)
 
 
 def test_state_update_spool_power_bookkeeping(gg_params):
-    # the speed change equals the two-sub-step integral of the power surplus
+    # the speed change equals the two-sub-step integral of the power surplus,
+    # and the match returned is the second sub-step's
     x = GasGenState(N=36050.0)
     u = GasGenInput(wf=gg_params.wf_design)
     pe, dt = 460.0, 0.02
@@ -683,9 +738,12 @@ def test_state_update_spool_power_bookkeeping(gg_params):
     n = x.N
     for _ in range(2):
         sol = off_design_solve(gg_params, u, HEALTHY, Pe=pe, N=n)
+        n_half = n
         n = n + factor * (sol.PW_shaft_net - pe) / n * (dt / 2)
-    assert state_update(gg_params, x, u, HEALTHY, Pe=pe, dt=dt).N == \
-        pytest.approx(n, rel=1e-12)
+    x1, half = state_update(gg_params, x, u, HEALTHY, Pe=pe, dt=dt)
+    assert x1.N == pytest.approx(n, rel=1e-12)
+    assert half.N == pytest.approx(n_half, rel=1e-12) and half.wf == u.wf
+    assert half.PW_shaft_net == pytest.approx(sol.PW_shaft_net, rel=1e-8)
 
 
 def test_output_determinism(gg_params):

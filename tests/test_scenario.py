@@ -281,8 +281,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("69f3ac38c137a8364517d0205066f7e3"
-                      "9319d7eced6867104b05f7861397585c")
+    assert digest == ("dfd62393965dd41c30c72699eea4d282"
+                      "b7306bcab6f00aab6006191f1f8c70d3")
 
 
 def test_gasgen_output_noise_channel_validation():
