@@ -242,7 +242,8 @@ def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float)
     gen[:7, :7] = sys_.basis[0].reshape(7, 7)
     gen[:7, 7] = sys_.b
     step = expm(gen * h)
-    last = step if tb - t_last == h else expm(gen * (tb - t_last))
+    # a last step within _grid's rounding allowance of h is a full step
+    last = step if abs(tb - t_last - h) <= 1e-9 * h else expm(gen * (tb - t_last))
     step[6:] = last[6:] = _UNIT_ROWS[6:]
     block = min(_period_grid(sys_.w_e, h)[1], times.size - 1)
     powers = _prefix_products(np.broadcast_to(step, (block, 8, 8)))

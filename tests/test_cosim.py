@@ -349,6 +349,28 @@ def test_healthy_block_march_matches_step_by_step(span, w_e):
     assert np.all(states[:, 6] == 0.37)
 
 
+def test_healthy_segment_of_whole_steps_takes_one_exponential(monkeypatch):
+    # a macro step's segment is a whole number of max_step steps, but its
+    # last step tb - t_last misses h by rounding: within _grid's 1e-9 h
+    # allowance it is the full step, whose exponential is reused
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E).as_array()
+    sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E, v_fd, R_225)
+    calls = []
+    monkeypatch.setattr(cosim, "expm", lambda a: calls.append(1) or expm(a))
+    dt = 0.02
+    for k in range(1, 101):
+        t0, t1 = (k - 1) * dt, k * dt
+        calls.clear()
+        times = propagate_healthy(sysm, y0, t0, t1, 1e-4)[0]
+        assert times.size == 200 and times[-1] == t1
+        assert len(calls) == 1, k
+    calls.clear()
+    propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
+    assert len(calls) == 2
+
+
 def test_hook_identity_transparent():
     base = run_joint(build_joint_setup(_mini_scenario()))
     hooked = run_joint(build_joint_setup(_mini_scenario(
