@@ -363,10 +363,11 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     returns the residuals and the CyclePass.
 
     It works on plain floats, hands each station's enthalpy on from the
-    energy balance that gave it, and inverts only the enthalpies the
-    residuals read: t41 (turbine expansion and swallowing capacity) and t5
-    (exhaust static state). t3 and t4 feed outputs only, so _solution
-    inverts them once per match. The compressor inlet is dry air.
+    energy balance that gave it, and inverts only the enthalpies whose
+    temperatures the residuals read: t41 (turbine expansion and swallowing
+    capacity) and t5 (exhaust static state). t3 and t4 feed outputs only,
+    so _solution inverts them once per match. The compressor inlet is dry
+    air.
     """
     # compressor: map lookup and isentropic compression, health scaling
     # flow and efficiency
@@ -437,7 +438,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
         v8 = math.sqrt(2000.0 * (gas.enthalpy(t5, far5) - gas.enthalpy(ts8, far5)))
         r2 += 5.0 * (w5 / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
 
-    temps = StationTemperatures(t3s, start.t3, start.t4, t41, t5s, t5, ts8, start.ts3)
+    temps = StationTemperatures(t3s=t3s, t41=t41, t5s=t5s, t5=t5, ts8=ts8)
     return np.array([r1, r2]), CyclePass(
         w2, h3, p3, w2 * (h3 - h2), surge_margin, w31, w4, far4, h4, p4,
         w41, far41, pw_turb, w5, far5, p5, p8, temps)
