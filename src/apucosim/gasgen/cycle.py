@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -130,16 +131,13 @@ class GasGenParams:
 
 class StationTemperatures(NamedTuple):
     """Temperatures (K) where the property inversions of a cycle evaluation
-    or solution nearby start; None starts one cold. A cycle evaluation sets
-    t3s, t41, t5s, t5 and ts8, a match's solution t3, t4 and ts3."""
+    start; None starts one cold. Each cycle evaluation sets all five, and the
+    next evaluation, or the next match's first, starts from them."""
     t3s: float | None = None    # compressor isentropic exit
-    t3: float | None = None
-    t4: float | None = None
     t41: float | None = None
     t5s: float | None = None    # turbine isentropic exit
     t5: float | None = None
     ts8: float | None = None    # exhaust exit static, at Tt = t5
-    ts3: float | None = None    # compressor exit static (of Ps3), at Tt = t3
 
 
 COLD = StationTemperatures()
@@ -153,19 +151,25 @@ def _scaled(ts, tt, tt_prev):
 
 @dataclass(frozen=True)
 class CycleSolution:
-    stations: dict
-    Ps3: float
+    """A converged cycle match. Its fields are what the spool update and the
+    next match read; the station table, Ps3 and NOx_severity are projected
+    from its final cycle pass when first read."""
     PW_turb: float
     PW_cpr: float
     PW_shaft_net: float
     SFC: float
     surge_margin: float
-    NOx_severity: float
     newton_residual_norm: float
     N: float
     wf: float
     beta: float
     turbine_pr: float
+    # the final cycle evaluation, made at the converged point, whose
+    # temperatures start the next match's property inversions, and the
+    # engine and ambient stations (0, 1, 2) it was made with
+    final_pass: CyclePass = field(compare=False, repr=False)
+    params: GasGenParams = field(compare=False, repr=False)
+    ambient: tuple = field(compare=False, repr=False)
     # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
     # the next cycle match started from this solution (None if not built)
     jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -173,9 +177,35 @@ class CycleSolution:
     # the secant estimate that predicts the start of the next match started
     # from this solution (None if no warm match has updated one yet)
     sensitivity: np.ndarray | None = field(default=None, compare=False, repr=False)
-    # station temperatures of the last cycle evaluation, where the next match
-    # started from this solution starts its property inversions
-    temperatures: StationTemperatures = field(default=COLD, compare=False, repr=False)
+
+    @cached_property
+    def stations(self) -> dict:
+        """GasStates by station number. t3 and t4, which no residual reads,
+        are inverted here, from the pass's t3s and t41."""
+        st0, st1, st2 = self.ambient
+        c = self.final_pass
+        temps = c.temperatures
+        t3 = gas.temperature_from_enthalpy(c.h3, 0.0, temps.t3s)
+        t4 = gas.temperature_from_enthalpy(c.h4, c.far4, temps.t41) if self.wf else t3
+        st5 = GasState(W=c.w5, Tt=temps.t5, Pt=c.p5, FAR=c.far5)
+        return {0: st0, 1: replace(st1, W=c.w2), 2: replace(st2, W=c.w2),
+                3: GasState(W=c.w2, Tt=t3, Pt=c.p3),
+                31: GasState(W=c.w31, Tt=t3, Pt=c.p3),
+                4: GasState(W=c.w4, Tt=t4, Pt=c.p4, FAR=c.far4),
+                41: GasState(W=c.w41, Tt=temps.t41, Pt=c.p4, FAR=c.far41),
+                5: st5, 6: st5,
+                8: GasState(W=c.w5, Tt=temps.t5, Pt=c.p8, FAR=c.far5)}
+
+    @cached_property
+    def Ps3(self) -> float:
+        """Compressor exit static pressure (kPa), solved cold."""
+        st3 = self.stations[3]
+        return static_from_flow(st3.Tt, st3.Pt, st3.W, self.params.a3_m2)[1]
+
+    @cached_property
+    def NOx_severity(self) -> float:
+        st3, p = self.stations[3], self.params
+        return (st3.Pt / p.nox_p_ref) ** 0.4 * math.exp((st3.Tt - p.nox_t_ref) / p.nox_t_scale)
 
 
 def isa_static(altitude: float):
@@ -366,8 +396,8 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     energy balance that gave it, and inverts only the enthalpies whose
     temperatures the residuals read: t41 (turbine expansion and swallowing
     capacity) and t5 (exhaust static state). t3 and t4 feed outputs only,
-    so _solution inverts them once per match. The compressor inlet is dry
-    air.
+    so a CycleSolution inverts them when its stations are first read. The
+    compressor inlet is dry air.
     """
     # compressor: map lookup and isentropic compression, health scaling
     # flow and efficiency
@@ -450,15 +480,15 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
     A `guess` (a previous solution of a nearby point) supplies the Jacobian
-    the solver carries from one match to the next, the station temperatures
-    the first cycle evaluation starts its property inversions from (each
-    later evaluation starts from the one before it) and the start itself: a
-    predictor-corrector step along the operating line, x_guess + S dp for
-    the step dp in (N / design_speed, wf / wf_design) from the guess's
-    point, with S the guess's sensitivity. After the match S takes
-    Broyden's rank-one update along dp, so it holds the secant of both
-    speed and fuel steps; the first warm match after a cold one starts at
-    x_guess and builds S from zero.
+    the solver carries from one match to the next, the temperatures of its
+    final cycle pass, where the first cycle evaluation starts its property
+    inversions (each later evaluation starts from the one before it), and
+    the start itself: a predictor-corrector step along the operating line,
+    x_guess + S dp for the step dp in (N / design_speed, wf / wf_design)
+    from the guess's point, with S the guess's sensitivity. After the match
+    S takes Broyden's rank-one update along dp, so it holds the secant of
+    both speed and fuel steps; the first warm match after a cold one starts
+    at x_guess and builds S from zero.
     The shaft load Pe is bookkeeping only; any surplus of PW_shaft_net over
     Pe drives the spool and is never forced to zero here.
     """
@@ -471,7 +501,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         dp = np.array([(N - guess.N) / params.design_speed,
                        (u.wf - guess.wf) / params.wf_design])
         x0 = np.array([guess.beta, guess.turbine_pr / params.tmap.pr_design])
-        jac0, start, sens = guess.jacobian, guess.temperatures, guess.sensitivity
+        jac0, start, sens = guess.jacobian, guess.final_pass.temperatures, guess.sensitivity
         if sens is not None:
             x0 += sens @ dp
 
@@ -487,7 +517,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     if guess is not None and dp.any():
         # Broyden's update: the secant condition S dp = x - x_guess
         sens = (0.0 if sens is None else sens) + np.outer(x - x0, dp) / (dp @ dp)
-    return _solution(params, ambient, N, u.wf, x, jac, last, start, sens)
+    return _solution(params, ambient, N, u.wf, x, jac, last, sens)
 
 
 def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
@@ -512,7 +542,7 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
 
     x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design])
     return _solution(params, ambient, N, x[2] * params.wf_design, x,
-                     None if jac is None else jac[:2, :2], last, COLD, None)
+                     None if jac is None else jac[:2, :2], last, None)
 
 
 def _shaft_power(params, c):
@@ -520,34 +550,14 @@ def _shaft_power(params, c):
     return c.pw_turb - c.pw_cpr / params.eta_mech - params.accessory_kw
 
 
-def _solution(params, ambient, N, wf, x, jac, last, start, sens) -> CycleSolution:
+def _solution(params, ambient, N, wf, x, jac, last, sens) -> CycleSolution:
     """The CycleSolution of a match converged at x, from `last`, its final
-    cycle evaluation, made at x; the norm spans all the match's residuals.
-    The output-only inversions (t3, t4 and the compressor exit static
-    state) start from `start`, the temperatures of the match's guess."""
-    st0, st1, st2 = ambient
-    beta, pr_t = x[0], x[1] * params.tmap.pr_design
+    cycle evaluation, made at x; the norm spans all the match's residuals."""
     r, c = last
-    temps = c.temperatures
-    t3 = gas.temperature_from_enthalpy(c.h3, 0.0, start.t3)
-    t4 = gas.temperature_from_enthalpy(c.h4, c.far4, start.t4) if wf else t3
     pw_net = _shaft_power(params, c)
     sfc = 3600.0 * wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
-    ts3, ps3, _, _ = static_from_flow(t3, c.p3, c.w2, params.a3_m2, 0.0,
-                                      _scaled(start.ts3, t3, start.t3))
-    snox = ((c.p3 / params.nox_p_ref) ** 0.4
-            * math.exp((t3 - params.nox_t_ref) / params.nox_t_scale))
-    st5 = GasState(W=c.w5, Tt=temps.t5, Pt=c.p5, FAR=c.far5)
-    stations = {0: st0, 1: replace(st1, W=c.w2), 2: replace(st2, W=c.w2),
-                3: GasState(W=c.w2, Tt=t3, Pt=c.p3),
-                31: GasState(W=c.w31, Tt=t3, Pt=c.p3),
-                4: GasState(W=c.w4, Tt=t4, Pt=c.p4, FAR=c.far4),
-                41: GasState(W=c.w41, Tt=temps.t41, Pt=c.p4, FAR=c.far41),
-                5: st5, 6: st5,
-                8: GasState(W=c.w5, Tt=temps.t5, Pt=c.p8, FAR=c.far5)}
     return CycleSolution(
-        stations=stations, Ps3=ps3, PW_turb=c.pw_turb, PW_cpr=c.pw_cpr,
-        PW_shaft_net=pw_net, SFC=sfc, surge_margin=c.surge_margin,
-        NOx_severity=snox, newton_residual_norm=float(np.max(np.abs(r))), N=N,
-        wf=wf, beta=beta, turbine_pr=pr_t, jacobian=jac, sensitivity=sens,
-        temperatures=temps._replace(t3=t3, t4=t4, ts3=ts3))
+        PW_turb=c.pw_turb, PW_cpr=c.pw_cpr, PW_shaft_net=pw_net, SFC=sfc,
+        surge_margin=c.surge_margin, newton_residual_norm=float(np.max(np.abs(r))),
+        N=N, wf=wf, beta=x[0], turbine_pr=x[1] * params.tmap.pr_design,
+        final_pass=c, params=params, ambient=ambient, jacobian=jac, sensitivity=sens)

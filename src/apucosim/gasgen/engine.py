@@ -8,7 +8,9 @@ two. The matches are chained: `state_update` returns its last (half-step)
 match with the new state, `output` starts from it, and the match `output`
 returns is the next `state_update`'s first. Each warm match starts where
 its guess's sensitivity predicts (cycle.off_design_solve), so the chain
-carries that secant through both speed and fuel steps.
+carries that secant through both speed and fuel steps. A match carries only
+this chain state; its station table is projected when first read, so the
+half-step match, whose outputs nothing reads, never builds one.
 """
 from __future__ import annotations
 

@@ -500,17 +500,22 @@ def test_fuel_step_replay_work_count(monkeypatch):
     # each warm match starts at the start its guess's sensitivity predicts,
     # and the output match starts from the spool update's half-step match:
     # the replay's 1,000 matches and its trim take at most 1,800 cycle
-    # evaluations (2,530 when each match started at the output match before)
+    # evaluations (2,530 when each match started at the output match before).
+    # Ps3 is solved only for the matches whose outputs are read, so the
+    # static-state solves stay at most 2,300 (2,731 when every match solved it)
     from apucosim.gasgen import cycle
     from apucosim.scenario import load_preset, run_fuel_step
-    evaluations = []
-    evaluate = cycle._evaluate_cycle
+    evaluations, statics = [], []
+    evaluate, static = cycle._evaluate_cycle, cycle.static_from_flow
     monkeypatch.setattr(cycle, "_evaluate_cycle",
                         lambda *args: evaluations.append(1) or evaluate(*args))
+    monkeypatch.setattr(cycle, "static_from_flow",
+                        lambda *args: statics.append(1) or static(*args))
     calls = _count_matches(monkeypatch)
     run_fuel_step(load_preset("fuel-step"))
     assert len(calls) == 1000
     assert len(evaluations) <= 1800
+    assert len(statics) <= 2300
 
 
 def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):

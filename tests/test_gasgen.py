@@ -511,17 +511,18 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     assert calls["residual"] > 2
     assert calls["cycle"] == calls["residual"]
     for sol in (cold, warm):
-        # the kept stations are the cycle's at the converged point (its
-        # inversions started from the temperatures the solution carries)
+        # the projected stations are the cycle's at the converged point (its
+        # inversions started from the temperatures of the final pass)
         r, c = evaluate(gg_params, sol.stations[0], st2, sol.N, sol.beta,
-                        sol.turbine_pr, u.wf, HEALTHY, sol.temperatures)
+                        sol.turbine_pr, u.wf, HEALTHY, sol.final_pass.temperatures)
         st = sol.stations
         assert sol.newton_residual_norm == float(np.max(np.abs(r)))
         assert (st[3].W, st[3].Pt, st[4].W, st[4].Pt, st[4].FAR) == (
             c.w2, c.p3, c.w4, c.p4, c.far4)
         assert st[41] == GasState(c.w41, c.temperatures.t41, c.p4, c.far41)
         assert st[8] == GasState(c.w5, c.temperatures.t5, c.p8, c.far5)
-        # t3 and t4, which no residual reads, are inverted once per match
+        # t3 and t4, which no residual reads, are inverted when the stations
+        # are first read
         assert abs(st[3].h - c.h3) < 1e-10
         assert abs(st[4].h - c.h4) < 1e-10
 
@@ -726,6 +727,46 @@ def test_state_update_purity(gg_params):
     b = state_update(gg_params, x, u, HEALTHY, Pe=430.0)
     assert a == b
     assert np.array_equal(a[1].sensitivity, b[1].sensitivity)
+    # the projected outputs, which equality of solutions leaves out
+    assert (a[1].stations, a[1].Ps3, a[1].NOx_severity) == (
+        b[1].stations, b[1].Ps3, b[1].NOx_severity)
+
+
+def test_warm_state_update_projects_no_outputs(gg_params, monkeypatch):
+    # each cycle evaluation solves the exhaust static state once; the
+    # compressor exit static state (Ps3) is solved only when it is read
+    u = GasGenInput(wf=0.95 * gg_params.wf_design)
+    match = off_design_solve(gg_params, u, HEALTHY, Pe=430.0, N=35600.0)
+    counts = {"cycle": 0, "static": 0}
+    evaluate, static = cycle._evaluate_cycle, cycle.static_from_flow
+
+    def counted_cycle(*args):
+        counts["cycle"] += 1
+        return evaluate(*args)
+
+    def counted_static(*args):
+        counts["static"] += 1
+        return static(*args)
+
+    monkeypatch.setattr(cycle, "_evaluate_cycle", counted_cycle)
+    monkeypatch.setattr(cycle, "static_from_flow", counted_static)
+    _, half = state_update(gg_params, GasGenState(N=35600.0), u, HEALTHY,
+                           Pe=430.0, match=match)
+    assert counts["cycle"] > 0 and counts["static"] == counts["cycle"]
+    before = counts["static"]
+    ps3 = half.Ps3
+    assert counts["static"] == before + 1
+    assert ps3 == static(half.stations[3].Tt, half.stations[3].Pt,
+                         half.stations[3].W, gg_params.a3_m2)[1]
+
+
+def test_projected_outputs_are_read_once(gg_params):
+    sol = off_design_solve(gg_params, GasGenInput(wf=0.9 * gg_params.wf_design),
+                           HEALTHY, Pe=400.0, N=35000.0)
+    first = (sol.stations, sol.Ps3, sol.NOx_severity)
+    second = (sol.stations, sol.Ps3, sol.NOx_severity)
+    assert first == second
+    assert all(a is b for a, b in zip(first, second))
 
 
 def test_state_update_spool_power_bookkeeping(gg_params):
