@@ -42,6 +42,15 @@ class NoSteadyState(NumericalFailure):
     pass
 
 
+class SurgeCrossed(NumericalFailure):
+    def __init__(self, surge_margin, N, wf):
+        self.surge_margin = surge_margin
+        self.N = N
+        self.wf = wf
+        super().__init__(f"compressor past its surge line: surge margin "
+                         f"{surge_margin:.2f} % at {N:.0f} rpm, fuel flow {wf:.5f} kg/s")
+
+
 class T4OutOfRange(NumericalFailure):
     def __init__(self, h4, h_max):
         super().__init__(f"burner outlet temperature above {gas.T_MAX:.0f} K: enthalpy "
@@ -552,8 +561,11 @@ def _shaft_power(params, c):
 
 def _solution(params, ambient, N, wf, x, jac, last, sens) -> CycleSolution:
     """The CycleSolution of a match converged at x, from `last`, its final
-    cycle evaluation, made at x; the norm spans all the match's residuals."""
+    cycle evaluation, made at x; the norm spans all the match's residuals.
+    Raises SurgeCrossed if the point lies past the surge line."""
     r, c = last
+    if c.surge_margin < 0.0:
+        raise SurgeCrossed(c.surge_margin, N, wf)
     pw_net = _shaft_power(params, c)
     sfc = 3600.0 * wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
     return CycleSolution(

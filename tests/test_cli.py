@@ -83,6 +83,20 @@ def test_steady_beyond_the_burner_limit_is_t4_out_of_range(capsys):
     assert "outside [200.0, 2000.0]" not in err
 
 
+@pytest.mark.parametrize("power, flags, margin", [
+    (1000.0, [], "-3.39"),
+    (400.0, ["--eta-c", "0.8", "--flow-c", "0.8", "--eta-t", "1.2", "--flow-t", "0.8"],
+     "-4.92"),
+    (400.0, ["--eta-c", "1.2", "--flow-c", "0.8", "--eta-t", "0.8", "--flow-t", "0.8"],
+     "-13.85"),
+], ids=["1000kW", "400kW-corner-a", "400kW-corner-b"])
+def test_steady_past_the_surge_line_is_numeric_error(capsys, power, flags, margin):
+    # the trim converges, but at a point past the compressor's surge line
+    assert main(["steady", "--json", "--power", repr(power), *flags]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert f"surge margin {margin} %" in captured.err and not captured.out
+
+
 def test_steady_out_of_envelope_is_numeric_error(capsys):
     # far outside the map envelope: the cycle match cannot converge
     rc = main(["steady", "--power", "500", "--speed", "9000"])
