@@ -38,6 +38,12 @@ class AltitudeOutOfRange(UsageError):
         super().__init__(f"altitude {alt:.0f} m outside [{lo:.0f}, {hi:.0f}] m")
 
 
+class AmbientTemperatureOutOfRange(UsageError):
+    def __init__(self, t_s, dT_ISA):
+        super().__init__(f"ambient static temperature {t_s:.2f} K (ISA offset "
+                         f"{dT_ISA:g} K) outside [{gas.T_MIN:g}, {gas.T_MAX:g}] K")
+
+
 class NoSteadyState(NumericalFailure):
     pass
 
@@ -236,6 +242,8 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
         raise ValueError(f"mach {mach} outside [0, 1)")
     t_std, p_s = isa_static(altitude)
     t_s = t_std + dT_ISA
+    if not gas.T_MIN <= t_s <= gas.T_MAX:
+        raise AmbientTemperatureOutOfRange(t_s, dT_ISA)
 
     if mach > 0.0:
         cp_s = gas.cp(t_s)

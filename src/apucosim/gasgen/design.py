@@ -83,6 +83,9 @@ class GasGenDesignSpec:
         if min(self.T4_design, self.T8_design, self.fuel_LHV,
                self.eta_compressor, self.eta_turbine, self.W2_design) <= 0:
             raise ValueError("design quantities must be positive")
+        if not gas.T_MIN <= self.T4_design <= gas.T_MAX:
+            raise ValueError(f"T4_design {self.T4_design:g} K outside the property "
+                             f"tables' [{gas.T_MIN:g}, {gas.T_MAX:g}] K")
 
 
 def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSolution]:

@@ -221,6 +221,10 @@ def _validate(doc):
         raise SchemaError("ambient.dT_ISA",
                           f"offset putting the static temperature ({t_s:.2f} K) "
                           f"within [{T_MIN:g}, {T_MAX:g}] K", doc["ambient"]["dT_ISA"])
+    t4 = doc["gasgen"]["t4_k"]
+    if not T_MIN <= t4 <= T_MAX:
+        raise SchemaError("gasgen.t4_k",
+                          f"temperature within [{T_MIN:g}, {T_MAX:g}] K", t4)
     lo, hi = HEALTH_FACTOR_RANGE
     for i, item in enumerate(doc["gas_path_faults"]):
         for f in fields(HealthParams):

@@ -97,6 +97,16 @@ def test_steady_past_the_surge_line_is_numeric_error(capsys, power, flags, margi
     assert f"surge margin {margin} %" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady", "--disa", "2000"], ["design", "--disa", "2000"],
+    ["steady", "--disa", "-100"], ["design", "--t4", "5000"],
+])
+def test_temperature_outside_the_property_tables_is_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "outside" in err and "Traceback" not in err
+
+
 def test_steady_out_of_envelope_is_numeric_error(capsys):
     # far outside the map envelope: the cycle match cannot converge
     rc = main(["steady", "--power", "500", "--speed", "9000"])
@@ -298,6 +308,9 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
                          ("avr", "kp"), ("avr", "ki"))),
     ({"governor": {"wf_min": 0.085}}, "governor.wf_min"),
     ({"governor": {"wf_min": 0.01, "wf_max": 0.005}}, "governor.wf_min"),
+    # the design burner outlet temperature lies within the property tables
+    ({"gasgen": {"t4_k": 5000}}, "gasgen.t4_k"),
+    ({"gasgen": {"t4_k": 150}}, "gasgen.t4_k"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"

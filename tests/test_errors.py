@@ -49,7 +49,8 @@ def test_every_exception_class_has_exactly_one_exit_class():
     for cls in classes:
         assert issubclass(cls, UsageError) != issubclass(cls, NumericalFailure), cls
     assert {c.__name__ for c in classes if issubclass(c, UsageError)} == {
-        "SchemaError", "UnknownField", "UnknownChannel", "AltitudeOutOfRange"}
+        "SchemaError", "UnknownField", "UnknownChannel", "AltitudeOutOfRange",
+        "AmbientTemperatureOutOfRange"}
 
 
 @pytest.mark.parametrize("exc", [

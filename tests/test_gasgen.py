@@ -908,6 +908,15 @@ def test_design_spec_validation():
         GasGenDesignSpec(shaft_power_design=0.0)
     with pytest.raises(ValueError):
         GasGenDesignSpec(pressure_ratio=0.9)
+    for t4 in (150.0, 5000.0):
+        with pytest.raises(ValueError, match="T4_design"):
+            GasGenDesignSpec(T4_design=t4)
+
+
+@pytest.mark.parametrize("disa", [-100.0, 2000.0])
+def test_ambient_temperature_guard(disa):
+    with pytest.raises(cycle.AmbientTemperatureOutOfRange, match="ambient static"):
+        ambient_conditions(0.0, 0.0, disa)
 
 
 def test_ambient_mach_guard():
