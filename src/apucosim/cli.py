@@ -36,19 +36,26 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 GENRUN_CONTROL_DT = 0.02
 
 
-def _scenario_from_args(args, default_preset: str) -> sc.Scenario:
-    if getattr(args, "scenario", None):
+def _scenario_from_args(args) -> sc.Scenario:
+    """The scenario of --scenario or --preset with the flags that override
+    its fields; the overrides go through the same validation as the document."""
+    if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:
             scn = sc.parse_scenario(fh.read())
     else:
-        scn = sc.load_preset(getattr(args, "preset", None) or default_preset)
-    doc = scn.doc
+        scn = sc.load_preset(args.preset)
+    overrides = {}
     if getattr(args, "seed", None) is not None:
-        doc = {**doc, "seed": args.seed}
-    if getattr(args, "macro_dt", None) is not None:
-        doc = {**doc, "macro_dt": args.macro_dt}
-    # the overrides go through the same validation as the document
-    return sc.parse_scenario(json.dumps(doc))
+        overrides["seed"] = args.seed
+    if args.macro_dt is not None:
+        overrides["macro_dt"] = args.macro_dt
+    if getattr(args, "hook", None):
+        overrides["hook"] = {"kind": args.hook, "std_rpm": 0.0}
+    if getattr(args, "state_noise", 0.0):
+        overrides["hook"] = {"kind": "speed-noise", "std_rpm": args.state_noise}
+    if not overrides:
+        return scn
+    return sc.parse_scenario(json.dumps({**scn.doc, **overrides}))
 
 
 def _health_from_args(args) -> HealthParams:
@@ -105,7 +112,7 @@ def cmd_steady(args) -> int:
 
 
 def cmd_transient(args) -> int:
-    scn = _scenario_from_args(args, "fuel-step")
+    scn = _scenario_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     res = sc.run_fuel_step(scn)
     files = sc.write_run(res, args.out, f"transient_{scn.name}", scn)
@@ -141,8 +148,7 @@ def cmd_genrun(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                         duration=args.duration, fault_schedule=fault_schedule,
-                        decimation=args.decimation, seed=args.seed or 0,
-                        control_dt=GENRUN_CONTROL_DT)
+                        decimation=args.decimation, control_dt=GENRUN_CONTROL_DT)
     title = f"Generator point: {args.power_kw:g}kW"
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
@@ -164,20 +170,11 @@ def cmd_genrun(args) -> int:
     return EXIT_OK
 
 
-def _joint_run_once(doc_text: str, seed: int):
-    scn = sc.parse_scenario(doc_text)
-    scn = sc.Scenario(doc={**scn.doc, "seed": seed})
-    setup = sc.build_joint_setup(scn)
-    result = run_joint(setup)
-    return result, scn
-
-
-def _joint_worker(payload):
-    index, doc_text, seed = payload
-    result, _ = _joint_run_once(doc_text, seed)
+def _joint_worker(scn: sc.Scenario) -> dict:
+    result = run_joint(sc.build_joint_setup(scn))
     slow = result.slow
-    return index, {
-        "seed": seed,
+    return {
+        "seed": scn.seed,
         "final_N_rpm": float(slow.column("XNHPC")[-1]),
         "final_wf_kg_s": float(slow.column("wf")[-1]),
         "max_audit_residual_rel": result.audit.max_relative_residual,
@@ -193,28 +190,19 @@ def _pool_size(runs: int, threads: str | None, cpus: int) -> int:
 
 
 def cmd_joint(args) -> int:
-    scn = _scenario_from_args(args, "joint-fault")
-    doc = scn.doc
-    if args.hook:
-        doc = {**doc, "hook": {"kind": args.hook, "std_rpm": 0.0}}
-    if args.state_noise:
-        doc = {**doc, "hook": {"kind": "speed-noise",
-                               "std_rpm": args.state_noise}}
-    scn = sc.Scenario(doc=doc)
+    scn = _scenario_from_args(args)
     if args.runs > 1:
-        text = sc.serialize_scenario(scn)
-        seeds = [scn.seed + 1000003 * k for k in range(args.runs)]
+        runs = [sc.parse_scenario(json.dumps(
+            {**scn.doc, "seed": scn.seed + 1000003 * k})) for k in range(args.runs)]
         workers = _pool_size(args.runs, os.environ.get("APU_COSIM_THREADS"),
                              os.cpu_count() or 1)
-        payloads = [(k, text, s) for k, s in enumerate(seeds)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            merged = dict(pool.map(_joint_worker, payloads))
-        summary = [merged[k] for k in range(args.runs)]
+            summary = list(pool.map(_joint_worker, runs))
         print(json.dumps({"runs": args.runs, "summary": summary},
                          indent=2, sort_keys=True))
         return EXIT_OK
     os.makedirs(args.out, exist_ok=True)
-    result, scn = _joint_run_once(sc.serialize_scenario(scn), scn.seed)
+    result = run_joint(sc.build_joint_setup(scn))
     files = sc.write_run(result, args.out, f"joint_{scn.name}", scn,
                          merged=args.merged)
     if args.svg:
@@ -251,14 +239,19 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _finite_float(text: str) -> float:
+def _finite_float(text: str, what: str = "number") -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, found {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a finite {what}, found {text!r}")
     return value
+
+
+def _macro_dt(text: str) -> float:
+    # the scenario's validation checks the rest of the field it overrides
+    return _finite_float(text, "macro_dt in seconds")
 
 
 def _nonnegative_float(text: str) -> float:
@@ -275,6 +268,33 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# The flags a group of subcommands shares, each declared once. They are added
+# to each subcommand's parser directly: argparse parent parsers would build
+# one more ArgumentParser per group on every build_parser call, and an
+# in-process `steady` point builds the parser every time.
+def _add_point_flags(p: argparse.ArgumentParser) -> None:
+    """The operating point of design and steady, and their --json."""
+    p.add_argument("--altitude", type=_finite_float, default=0.0)
+    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
+    p.add_argument("--disa", type=_finite_float, default=5.0)
+    p.add_argument("--json", action="store_true")
+
+
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    """Where transient, genrun and joint write, and whether with plots."""
+    p.add_argument("--out", type=str, default="out")
+    svg = p.add_mutually_exclusive_group()
+    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
+    svg.add_argument("--no-svg", dest="svg", action="store_false")
+
+
+def _add_scenario_flags(p: argparse.ArgumentParser, preset: str) -> None:
+    """The scenario of transient and joint; --preset defaults to `preset`."""
+    p.add_argument("--scenario", type=str, default=None)
+    p.add_argument("--preset", type=str, default=preset)
+    p.add_argument("--macro-dt", type=_macro_dt, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="apu-cosim",
@@ -284,42 +304,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="size the gas generator and print the "
                                       "design-point station table")
+    _add_point_flags(p)
     p.add_argument("--shaft-power", type=_positive_float, default=500.0)
     p.add_argument("--pressure-ratio", type=_positive_float, default=8.0)
     p.add_argument("--t4", type=_positive_float, default=1200.114)
-    p.add_argument("--altitude", type=_finite_float, default=0.0)
-    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
-    p.add_argument("--disa", type=_finite_float, default=5.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("steady", help="solve one steady off-design point")
+    _add_point_flags(p)
     p.add_argument("--preset-index", type=int, default=None,
                    choices=range(len(OFF_DESIGN_PRESETS)), help="built-in point")
-    p.add_argument("--altitude", type=_finite_float, default=0.0)
-    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
     p.add_argument("--power", type=_nonnegative_float, default=500.0)
     p.add_argument("--speed", type=_positive_float, default=36050.0)
-    p.add_argument("--disa", type=_finite_float, default=5.0)
     p.add_argument("--eta-c", type=_finite_float, default=1.0)
     p.add_argument("--flow-c", type=_finite_float, default=1.0)
     p.add_argument("--eta-t", type=_finite_float, default=1.0)
     p.add_argument("--flow-t", type=_finite_float, default=1.0)
     p.add_argument("--sweep", action="store_true",
                    help="sweep eta_c_factor and tabulate SFC")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("transient", help="gas-generator fuel-step transient "
                                          "against a cubic load law")
-    p.add_argument("--scenario", type=str, default=None)
-    p.add_argument("--preset", type=str, default="fuel-step")
-    p.add_argument("--macro-dt", type=float, default=None)
-    p.add_argument("--out", type=str, default="out")
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    svg = p.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
-    svg.add_argument("--no-svg", dest="svg", action="store_false")
+    _add_scenario_flags(p, "fuel-step")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("genrun", help="machine-only run at fixed shaft speed")
@@ -330,19 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-rf", type=_nonnegative_float, default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
     p.add_argument("--decimation", type=_positive_int, default=2)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
-    p.add_argument("--out", type=str, default="out")
     p.add_argument("--json", action="store_true")
-    svg = p.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
-    svg.add_argument("--no-svg", dest="svg", action="store_false")
+    _add_output_flags(p)
     p.set_defaults(func=cmd_genrun)
 
     p = sub.add_parser("joint", help="full co-simulation of a scenario")
-    p.add_argument("--scenario", type=str, default=None)
-    p.add_argument("--preset", type=str, default="joint-fault")
-    p.add_argument("--macro-dt", type=_finite_float, default=None)
-    p.add_argument("--out", type=str, default="out")
+    _add_scenario_flags(p, "joint-fault")
+    _add_output_flags(p)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--state-noise", type=_nonnegative_float, default=0.0,
@@ -351,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["none", "identity"])
     p.add_argument("--merged", action="store_true",
                    help="also write a single-grid resampled CSV")
-    svg = p.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
-    svg.add_argument("--no-svg", dest="svg", action="store_false")
     p.set_defaults(func=cmd_joint)
     return ap
 

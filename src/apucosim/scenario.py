@@ -59,8 +59,8 @@ _DEFAULTS = {
     "ambient": {"altitude": 0.0, "mach": 0.0, "dT_ISA": 5.0},
     "gasgen": {
         "shaft_power_kw": 500.0, "pressure_ratio": 8.0, "t4_k": 1200.114,
-        "t8_k": 755.0, "lhv_mj_per_kg": 43.124, "design_speed_rpm": 36050.0,
-        "eta_compressor": 0.85, "eta_turbine": 0.89, "accessory_kw": 30.0,
+        "lhv_mj_per_kg": 43.124, "design_speed_rpm": 36050.0,
+        "eta_compressor": 0.85, "accessory_kw": 30.0,
         "w2_kg_per_s": 3.1442, "inertia_kg_m2": 0.12,
     },
     "machine": {
@@ -165,8 +165,8 @@ _POSITIVE = (
     "governor.rate_limit", "avr.v_set", "avr.v_fd_max", "coupling.speed_ratio",
     "stepper.relative_tolerance", "stepper.absolute_tolerance",
     *(f"gasgen.{key}" for key in (
-        "shaft_power_kw", "t4_k", "t8_k", "lhv_mj_per_kg", "design_speed_rpm",
-        "eta_compressor", "eta_turbine", "w2_kg_per_s", "inertia_kg_m2")))
+        "shaft_power_kw", "t4_k", "lhv_mj_per_kg", "design_speed_rpm",
+        "eta_compressor", "w2_kg_per_s", "inertia_kg_m2")))
 _NONNEGATIVE = ("seed", "noise.std_w1", "noise.std_w2", "noise.std_vi",
                 "noise.std_vv", "hook.std_rpm", "load.l_phase_h", "governor.wf_min",
                 "governor.kp", "governor.ki", "avr.kp", "avr.ki")
@@ -343,10 +343,10 @@ def design_spec_from_scenario(scenario: Scenario) -> GasGenDesignSpec:
     return GasGenDesignSpec(
         altitude=a["altitude"], mach=a["mach"], dT_ISA=a["dT_ISA"],
         shaft_power_design=g["shaft_power_kw"], pressure_ratio=g["pressure_ratio"],
-        T4_design=g["t4_k"], T8_design=g["t8_k"], fuel_LHV=g["lhv_mj_per_kg"],
+        T4_design=g["t4_k"], fuel_LHV=g["lhv_mj_per_kg"],
         design_speed=g["design_speed_rpm"], eta_compressor=g["eta_compressor"],
-        eta_turbine=g["eta_turbine"], accessory_power=g["accessory_kw"],
-        W2_design=g["w2_kg_per_s"], inertia=g["inertia_kg_m2"])
+        accessory_power=g["accessory_kw"], W2_design=g["w2_kg_per_s"],
+        inertia=g["inertia_kg_m2"])
 
 
 def machine_params_from_scenario(scenario: Scenario) -> WrsgParams:

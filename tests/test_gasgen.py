@@ -29,6 +29,7 @@ from apucosim.gasgen.cycle import (
     power_match,
     static_from_flow,
 )
+from apucosim.gasgen.design import CalibrationFailed, design_point_size
 from apucosim.gasgen.engine import outputs_from_solution
 from apucosim.numerics import NonConvergence, newton_solve
 from gasgen_reference import (
@@ -917,6 +918,15 @@ def test_design_spec_validation():
 def test_ambient_temperature_guard(disa):
     with pytest.raises(cycle.AmbientTemperatureOutOfRange, match="ambient static"):
         ambient_conditions(0.0, 0.0, disa)
+
+
+@pytest.mark.parametrize("power, bound", [(50.0, 0.7), (1500.0, 1.0)])
+def test_turbine_anchor_outside_its_range_reports_the_bound(power, bound):
+    # the calibrated turbine efficiency must lie in [0.70, 1.0]
+    with pytest.raises(CalibrationFailed, match="turbine efficiency anchor") as info:
+        design_point_size(GasGenDesignSpec(shaft_power_design=power))
+    assert info.value.target == bound
+    assert not 0.70 <= info.value.achieved <= 1.0
 
 
 def test_ambient_mach_guard():

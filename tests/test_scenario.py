@@ -267,9 +267,9 @@ def test_preset_scenarios_regression_locked():
         for name in sorted(PRESETS)
     }
     assert digests == {
-        "design": "a2f6f3ce3d16be53",
-        "fuel-step": "ca09453c3f2e7c0b",
-        "joint-fault": "9dee413344615f97",
+        "design": "be2b42ec07979758",
+        "fuel-step": "4e49dbc78288a199",
+        "joint-fault": "b8cb00c4370c722e",
     }
 
 
