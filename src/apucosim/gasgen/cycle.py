@@ -30,6 +30,7 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
+_H_AIR_MAX = gas.enthalpy(gas.T_MAX)  # air enthalpy at the top of the tables
 
 
 class AltitudeOutOfRange(UsageError):
@@ -39,9 +40,11 @@ class AltitudeOutOfRange(UsageError):
 
 
 class AmbientTemperatureOutOfRange(UsageError):
-    def __init__(self, t_s, dT_ISA):
-        super().__init__(f"ambient static temperature {t_s:.2f} K (ISA offset "
-                         f"{dT_ISA:g} K) outside [{gas.T_MIN:g}, {gas.T_MAX:g}] K")
+    def __init__(self, temperature, dT_ISA):
+        self.temperature = temperature   # which one, and its value where known
+        self.dT_ISA = dT_ISA
+        super().__init__(f"{temperature} (ISA offset {dT_ISA:g} K) outside "
+                         f"[{gas.T_MIN:g}, {gas.T_MAX:g}] K")
 
 
 class NoSteadyState(NumericalFailure):
@@ -243,13 +246,20 @@ def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
     t_std, p_s = isa_static(altitude)
     t_s = t_std + dT_ISA
     if not gas.T_MIN <= t_s <= gas.T_MAX:
-        raise AmbientTemperatureOutOfRange(t_s, dT_ISA)
+        raise AmbientTemperatureOutOfRange(f"ambient static temperature {t_s:.2f} K",
+                                           dT_ISA)
 
     if mach > 0.0:
         cp_s = gas.cp(t_s)
         gamma = cp_s / (cp_s - gas.R_GAS)
         v = mach * math.sqrt(gamma * 287.05287 * t_s)
-        t_t = gas.temperature_from_enthalpy(gas.enthalpy(t_s) + v * v / 2000.0)
+        h_t = gas.enthalpy(t_s) + v * v / 2000.0
+        # the ram rise can carry the total temperature above the tables
+        if h_t > _H_AIR_MAX:
+            raise AmbientTemperatureOutOfRange(
+                f"intake total temperature at Mach {mach:g} from {t_s:.2f} K "
+                "static", dT_ISA)
+        t_t = gas.temperature_from_enthalpy(h_t)
         p_t = p_s * math.exp((gas.phi(t_t) - gas.phi(t_s)) / gas.R_GAS)
     else:
         t_t, p_t = t_s, p_s

@@ -46,31 +46,44 @@ class GasGenState:
             raise ValueError("spool speed must be positive")
 
 
-# output channel list mirrors the reference deck's design-point table,
-# including its unit strings
-OUTPUT_CHANNELS = (
-    ("XNHPC", "r/min"), ("PWSD", "kW"), ("SFC", "kg/(kW.h)"), ("SNOx", "/"),
-    ("HPCSM", "/"),
-    ("T1", "K"), ("P1", "kPa"), ("T2", "K"), ("P2", "kPa"), ("W2", "kg/s"),
-    ("T3", "K"), ("P3", "kPa"), ("Ps3", "kPa"), ("W3", "kg/s"),
-    ("T4", "K"), ("P4", "kPa"), ("W4", "kg/s"),
-    ("T41", "K"), ("W41", "kg/s"),
-    ("T5", "K"), ("P5", "kPa"), ("W5", "kg/s"),
-    ("T8", "K"), ("P8", "kPa"), ("W8", "kg/s"),
+# the output channels of the reference deck's design-point table, in its
+# order and with its unit strings: (name, unit, description, station, field),
+# the value being `field` of that station's state, or of the cycle solution
+# itself where the station is None
+OUTPUT_TABLE = (
+    ("XNHPC", "r/min", "Rotor Speed", None, "N"),
+    ("PWSD", "kW", "Output Shaft Power", None, "PW_shaft_net"),
+    ("SFC", "kg/(kW.h)", "Specific Fuel Consumption", None, "SFC"),
+    ("SNOx", "/", "NOx Severity Factor", None, "NOx_severity"),
+    ("HPCSM", "/", "Compressor Stability Margin", None, "surge_margin"),
+    ("T1", "K", "Inlet Total Temperature", 1, "Tt"),
+    ("P1", "kPa", "Inlet Total Pressure", 1, "Pt"),
+    ("T2", "K", "Compressor Inlet Total Temperature", 2, "Tt"),
+    ("P2", "kPa", "Compressor Inlet Total Pressure", 2, "Pt"),
+    ("W2", "kg/s", "Compressor Inlet Flow Rate", 2, "W"),
+    ("T3", "K", "Compressor Outlet Total Temperature", 3, "Tt"),
+    ("P3", "kPa", "Compressor Outlet Total Pressure", 3, "Pt"),
+    ("Ps3", "kPa", "Compressor Outlet Static Pressure", None, "Ps3"),
+    ("W3", "kg/s", "Compressor Outlet Flow Rate", 3, "W"),
+    ("T4", "K", "Combustion Chamber Outlet Total Temperature", 4, "Tt"),
+    ("P4", "kPa", "Combustion Chamber Outlet Total Pressure", 4, "Pt"),
+    ("W4", "kg/s", "Combustion Chamber Outlet Flow Rate", 4, "W"),
+    ("T41", "K", "Turbine Inlet Total Temperature", 41, "Tt"),
+    ("W41", "kg/s", "Turbine Inlet Flow Rate", 41, "W"),
+    ("T5", "K", "Turbine Outlet Total Temperature", 5, "Tt"),
+    ("P5", "kPa", "Turbine Outlet Total Pressure", 5, "Pt"),
+    ("W5", "kg/s", "Turbine Outlet Flow Rate", 5, "W"),
+    ("T8", "K", "Engine Outlet Total Temperature", 8, "Tt"),
+    ("P8", "kPa", "Engine Outlet Total Pressure", 8, "Pt"),
+    ("W8", "kg/s", "Engine Outlet Flow Rate", 8, "W"),
 )
+OUTPUT_CHANNELS = tuple((name, unit) for name, unit, *_ in OUTPUT_TABLE)
 
 
 def outputs_from_solution(sol: CycleSolution) -> dict:
     st = sol.stations
-    return {
-        "XNHPC": sol.N, "PWSD": sol.PW_shaft_net, "SFC": sol.SFC,
-        "SNOx": sol.NOx_severity, "HPCSM": sol.surge_margin,
-        "T1": st[1].Tt, "P1": st[1].Pt, "T2": st[2].Tt, "P2": st[2].Pt,
-        "W2": st[2].W, "T3": st[3].Tt, "P3": st[3].Pt, "Ps3": sol.Ps3,
-        "W3": st[3].W, "T4": st[4].Tt, "P4": st[4].Pt, "W4": st[4].W,
-        "T41": st[41].Tt, "W41": st[41].W, "T5": st[5].Tt, "P5": st[5].Pt,
-        "W5": st[5].W, "T8": st[8].Tt, "P8": st[8].Pt, "W8": st[8].W,
-    }
+    return {name: getattr(sol if station is None else st[station], field)
+            for name, _, _, station, field in OUTPUT_TABLE}
 
 
 def _dn_dt(params: GasGenParams, pw_net_kw: float, pe_kw: float, n_rpm: float) -> float:

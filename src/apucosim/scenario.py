@@ -20,8 +20,9 @@ from .control import AvrState, GovernorState
 from .cosim import CouplingParams, JointSetup, TimeSeries, speed_noise_hook
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
-from .gasgen.cycle import ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE, isa_static
-from .gasgen.engine import OUTPUT_CHANNELS
+from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
+                           AmbientTemperatureOutOfRange, ambient_conditions)
+from .gasgen.engine import OUTPUT_CHANNELS, OUTPUT_TABLE, outputs_from_solution
 from .gasgen.properties import T_MAX, T_MIN
 from .numerics import StepperOptions
 from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
@@ -199,10 +200,15 @@ def _validate(doc):
             if not 0.0 <= item["time_s"] < doc["duration"]:
                 raise SchemaError(f"{block}[{i}].time_s",
                                   "time within [0, duration)", item["time_s"])
-    for i, item in enumerate(doc["load"]["schedule"]):
+    schedule = doc["load"]["schedule"]
+    for i, item in enumerate(schedule):
         if not 0.0 <= item["time_s"] <= doc["duration"]:
             raise SchemaError(f"load.schedule[{i}].time_s",
                               "time within [0, duration]", item["time_s"])
+        if i and item["time_s"] <= schedule[i - 1]["time_s"]:
+            raise SchemaError(f"load.schedule[{i}].time_s",
+                              f"time after load.schedule[{i - 1}].time_s",
+                              item["time_s"])
     if doc["hook"]["kind"] not in ("none", "identity", "speed-noise"):
         raise SchemaError("hook.kind", "none|identity|speed-noise",
                           doc["hook"]["kind"])
@@ -216,11 +222,11 @@ def _validate(doc):
     if not 0.0 <= mach < 1.0:
         raise SchemaError("ambient.mach", "Mach number within [0, 1)", mach)
     # the working-fluid properties span [T_MIN, T_MAX]
-    t_s = isa_static(alt)[0] + doc["ambient"]["dT_ISA"]
-    if not T_MIN <= t_s <= T_MAX:
-        raise SchemaError("ambient.dT_ISA",
-                          f"offset putting the static temperature ({t_s:.2f} K) "
-                          f"within [{T_MIN:g}, {T_MAX:g}] K", doc["ambient"]["dT_ISA"])
+    try:
+        ambient_conditions(alt, mach, doc["ambient"]["dT_ISA"])
+    except AmbientTemperatureOutOfRange as exc:
+        raise SchemaError("ambient.dT_ISA", f"offset putting the {exc.temperature} "
+                          f"within [{T_MIN:g}, {T_MAX:g}] K", exc.dT_ISA) from None
     t4 = doc["gasgen"]["t4_k"]
     if not T_MIN <= t4 <= T_MAX:
         raise SchemaError("gasgen.t4_k",
@@ -459,28 +465,6 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
 
 # ----------------------------------------------------------------- reporting
 
-STATION_DESCRIPTIONS = {
-    "XNHPC": "Rotor Speed", "PWSD": "Output Shaft Power",
-    "SFC": "Specific Fuel Consumption", "SNOx": "NOx Severity Factor",
-    "HPCSM": "Compressor Stability Margin",
-    "T1": "Inlet Total Temperature", "P1": "Inlet Total Pressure",
-    "T2": "Compressor Inlet Total Temperature",
-    "P2": "Compressor Inlet Total Pressure", "W2": "Compressor Inlet Flow Rate",
-    "T3": "Compressor Outlet Total Temperature",
-    "P3": "Compressor Outlet Total Pressure",
-    "Ps3": "Compressor Outlet Static Pressure",
-    "W3": "Compressor Outlet Flow Rate",
-    "T4": "Combustion Chamber Outlet Total Temperature",
-    "P4": "Combustion Chamber Outlet Total Pressure",
-    "W4": "Combustion Chamber Outlet Flow Rate",
-    "T41": "Turbine Inlet Total Temperature", "W41": "Turbine Inlet Flow Rate",
-    "T5": "Turbine Outlet Total Temperature",
-    "P5": "Turbine Outlet Total Pressure", "W5": "Turbine Outlet Flow Rate",
-    "T8": "Engine Outlet Total Temperature",
-    "P8": "Engine Outlet Total Pressure", "W8": "Engine Outlet Flow Rate",
-}
-
-
 @dataclass(frozen=True)
 class StationReport:
     title: str
@@ -500,12 +484,11 @@ class StationReport:
 
 def station_report(solution, title: str = "Design point") -> StationReport:
     """Render a converged cycle solution in the standard station-table order."""
-    from .gasgen.engine import outputs_from_solution
     if solution.newton_residual_norm > 1e-6:
         raise ValueError("refusing to report an unconverged cycle solution")
     out = outputs_from_solution(solution)
-    rows = tuple((name, STATION_DESCRIPTIONS[name], unit, out[name])
-                 for name, unit in OUTPUT_CHANNELS)
+    rows = tuple((name, description, unit, out[name])
+                 for name, unit, description, _, _ in OUTPUT_TABLE)
     return StationReport(title=title, rows=rows)
 
 

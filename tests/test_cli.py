@@ -100,6 +100,7 @@ def test_steady_past_the_surge_line_is_numeric_error(capsys, power, flags, margi
 @pytest.mark.parametrize("argv", [
     ["steady", "--disa", "2000"], ["design", "--disa", "2000"],
     ["steady", "--disa", "-100"], ["design", "--t4", "5000"],
+    ["steady", "--json", "--disa", "1500", "--mach", "0.9"],
 ])
 def test_temperature_outside_the_property_tables_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
@@ -341,6 +342,13 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     # the design burner outlet temperature lies within the property tables
     ({"gasgen": {"t4_k": 5000}}, "gasgen.t4_k"),
     ({"gasgen": {"t4_k": 150}}, "gasgen.t4_k"),
+    # load-schedule times in order, and an intake total temperature, after
+    # the ram rise, within the property tables
+    ({"load": {"schedule": [{"time_s": 0.02}, {"time_s": 0.01}]}},
+     "load.schedule[1].time_s"),
+    ({"load": {"schedule": [{"time_s": 0.02}, {"time_s": 0.02}]}},
+     "load.schedule[1].time_s"),
+    ({"ambient": {"dT_ISA": 1500, "mach": 0.9}}, "ambient.dT_ISA"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"

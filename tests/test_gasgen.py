@@ -339,6 +339,15 @@ def test_ambient_altitude_guard():
         ambient_conditions(20000.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("altitude, p_table", [(12000.0, 19.330), (15000.0, 12.045)])
+def test_isa_above_11km_is_isothermal(altitude, p_table):
+    # the ISA tables: 216.65 K from 11 km up, 19.330 kPa at 12 km and
+    # 12.045 kPa at 15 km
+    t, p = cycle.isa_static(altitude)
+    assert t == cycle.isa_static(11000.0)[0] == pytest.approx(216.65, abs=1e-9)
+    assert p == pytest.approx(p_table, rel=1e-3)
+
+
 # ----------------------------------------------------------------- components
 
 def test_compressor_design_point(gg_params):
@@ -721,6 +730,15 @@ def test_state_update_power_surplus_sign(gg_params):
     assert x1.N > 36050.0
 
 
+@pytest.mark.parametrize("pe", [0.0, 5000.0], ids=["overspeed", "below-zero"])
+def test_state_update_outside_the_speed_range(gg_params, pe):
+    # a 10 s sub-step at a 500 kW surplus passes 1.2 design speed, and at a
+    # 4500 kW deficit falls below zero
+    with pytest.raises(engine.SpeedOutOfRange, match="spool speed"):
+        state_update(gg_params, GasGenState(N=36050.0),
+                     GasGenInput(wf=gg_params.wf_design), HEALTHY, Pe=pe, dt=20.0)
+
+
 def test_state_update_purity(gg_params):
     x = GasGenState(N=35600.0)
     u = GasGenInput(wf=0.95 * gg_params.wf_design)
@@ -918,6 +936,13 @@ def test_design_spec_validation():
 def test_ambient_temperature_guard(disa):
     with pytest.raises(cycle.AmbientTemperatureOutOfRange, match="ambient static"):
         ambient_conditions(0.0, 0.0, disa)
+
+
+def test_intake_total_temperature_guard():
+    # a 1788.15 K static temperature lies within the tables; its ram rise at
+    # Mach 0.9 carries the total temperature above them
+    with pytest.raises(cycle.AmbientTemperatureOutOfRange, match="intake total"):
+        ambient_conditions(0.0, 0.9, 1500.0)
 
 
 @pytest.mark.parametrize("power, bound", [(50.0, 0.7), (1500.0, 1.0)])
