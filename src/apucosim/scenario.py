@@ -286,10 +286,6 @@ class Scenario:
         return self.doc["name"]
 
     @property
-    def duration(self):
-        return self.doc["duration"]
-
-    @property
     def seed(self):
         return self.doc["seed"]
 
