@@ -580,6 +580,24 @@ def test_seed_flag_must_be_nonnegative_integer(tmp_path, capsys, command, value)
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["transient", "genrun"])
+def test_seed_flag_only_on_joint(tmp_path, capsys, command):
+    # transient and genrun draw no random numbers, so they take no seed
+    argv = [command, "--seed", "1", "--out", str(tmp_path), "--no-svg"]
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("leaf", ["t8_k", "eta_turbine"])
+def test_design_leaves_the_sizing_never_read_are_unknown(tmp_path, capsys, leaf):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, "gasgen": {leaf: 900}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path / "out"),
+                 "--no-svg"]) == EXIT_USAGE
+    assert f"unknown field gasgen.{leaf}" in capsys.readouterr().err
+
+
 # paths from the command line: an OSError exits 1 and names the path
 @pytest.mark.parametrize("command", ["transient", "joint"])
 def test_scenario_path_that_is_a_directory_is_usage_error(tmp_path, capsys, command):
