@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -30,6 +31,11 @@ OFF_DESIGN_PRESETS = (
     (2000.0, 0.2, 450.0), (4000.0, 0.4, 350.0), (6000.0, 0.5, 300.0),
     (8000.0, 0.7, 222.0), (8000.0, 0.5, 250.0), (10000.0, 0.7, 200.0),
 )
+
+# the point and compressor efficiency factor of `steady` where no flag sets
+# them; their flags default to None, so that --preset-index and --sweep,
+# which set them themselves, can refuse a flag the command line gave
+STEADY_DEFAULTS = {"altitude": 0.0, "mach": 0.0, "power": 500.0, "eta_c": 1.0}
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 # the AVR period of `genrun`; its --duration must be a whole number of them
@@ -58,11 +64,6 @@ def _scenario_from_args(args) -> sc.Scenario:
     return sc.parse_scenario(json.dumps({**scn.doc, **overrides}))
 
 
-def _health_from_args(args) -> HealthParams:
-    return HealthParams(eta_c_factor=args.eta_c, flow_c_factor=args.flow_c,
-                        eta_t_factor=args.eta_t, flow_t_factor=args.flow_t)
-
-
 def cmd_design(args) -> int:
     spec = GasGenDesignSpec(
         altitude=args.altitude, mach=args.mach, dT_ISA=args.disa,
@@ -81,13 +82,37 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _default_engine():
+    """The default spec's sizing, (params, design solution), done once per
+    process: every `steady` point trims this engine, and both are frozen."""
+    return design_point_size(GasGenDesignSpec())
+
+
+def _refuse_given(why: str, flags: dict) -> None:
+    """Exit 1 naming each flag of `flags` ({dest: value}, None where not
+    given) that was given with a flag that overrides it for reason `why`."""
+    given = [f"--{dest.replace('_', '-')}" for dest, value in flags.items()
+             if value is not None]
+    if given:
+        raise ValueError(f"{why}, so it cannot be given with {', '.join(given)}")
+
+
 def cmd_steady(args) -> int:
-    params, _ = design_point_size(GasGenDesignSpec())
+    point = {"altitude": args.altitude, "mach": args.mach, "power": args.power}
     if args.preset_index is not None:
+        _refuse_given("--preset-index sets the operating point", point)
         alt, mach, power = OFF_DESIGN_PRESETS[args.preset_index]
     else:
-        alt, mach, power = args.altitude, args.mach, args.power
-    health = _health_from_args(args)
+        alt, mach, power = (STEADY_DEFAULTS[k] if v is None else v
+                            for k, v in point.items())
+    if args.sweep:
+        _refuse_given("--sweep tabulates eta_c_factor 0.96 to 1.0 as text",
+                      {"json": args.json or None, "eta_c": args.eta_c})
+    eta_c = STEADY_DEFAULTS["eta_c"] if args.eta_c is None else args.eta_c
+    health = HealthParams(eta_c_factor=eta_c, flow_c_factor=args.flow_c,
+                          eta_t_factor=args.eta_t, flow_t_factor=args.flow_t)
+    params, _ = _default_engine()
     if args.sweep:
         print(f"{'eta_c_factor':>12} {'wf kg/s':>10} {'SFC':>8} {'HPCSM %':>8}")
         for factor in np.linspace(0.96, 1.0, 5):
@@ -270,8 +295,7 @@ def _positive_float(text: str) -> float:
 
 # The flags a group of subcommands shares, each declared once. They are added
 # to each subcommand's parser directly: argparse parent parsers would build
-# one more ArgumentParser per group on every build_parser call, and an
-# in-process `steady` point builds the parser every time.
+# one more ArgumentParser per group.
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     """The operating point of design and steady, and their --json."""
     p.add_argument("--altitude", type=_finite_float, default=0.0)
@@ -314,15 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_flags(p)
     p.add_argument("--preset-index", type=int, default=None,
                    choices=range(len(OFF_DESIGN_PRESETS)), help="built-in point")
-    p.add_argument("--power", type=_nonnegative_float, default=500.0)
+    p.add_argument("--power", type=_nonnegative_float, default=None)
     p.add_argument("--speed", type=_positive_float, default=36050.0)
-    p.add_argument("--eta-c", type=_finite_float, default=1.0)
+    p.add_argument("--eta-c", type=_finite_float, default=None)
     p.add_argument("--flow-c", type=_finite_float, default=1.0)
     p.add_argument("--eta-t", type=_finite_float, default=1.0)
     p.add_argument("--flow-t", type=_finite_float, default=1.0)
     p.add_argument("--sweep", action="store_true",
                    help="sweep eta_c_factor and tabulate SFC")
-    p.set_defaults(func=cmd_steady)
+    p.set_defaults(func=cmd_steady, altitude=None, mach=None)
 
     p = sub.add_parser("transient", help="gas-generator fuel-step transient "
                                          "against a cubic load law")
@@ -357,10 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` builds on first use and keeps for the process:
+    argparse keeps no state between parse_args calls, and a build costs
+    more than the parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
