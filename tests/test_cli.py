@@ -74,6 +74,88 @@ def test_steady_sweep(capsys):
     assert sfc == sorted(sfc, reverse=True)   # lower eta_c -> higher SFC
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--preset-index", "3", "--altitude", "5000"], "--altitude"),
+    (["--preset-index", "3", "--mach", "0"], "--mach"),
+    (["--preset-index", "3", "--power", "100", "--json"], "--power"),
+    (["--sweep", "--json"], "--json"),
+    (["--sweep", "--eta-c", "1.0"], "--eta-c"),
+], ids=["preset-altitude", "preset-mach", "preset-power", "sweep-json", "sweep-eta-c"])
+def test_steady_flag_that_would_be_overridden_is_usage_error(capsys, argv, named):
+    # --preset-index sets the point and --sweep the compressor efficiency
+    # factor and a text table, so a flag they would override is refused
+    assert main(["steady", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"cannot be given with {named}" in captured.err and not captured.out
+
+
+@pytest.fixture
+def fresh_caches():
+    """The parser and the default engine built anew for the test, and again
+    for the next one, whatever ran before."""
+    caches = (cli._parser, cli._default_engine)   # before any monkeypatch
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_shared_parser_leaks_no_state_between_calls(tmp_path, capsys, monkeypatch,
+                                                    fresh_caches):
+    def sequence(out):
+        argvs = [["steady", "--json", "--power", "300"], ["steady", "--power", "300"],
+                 ["genrun", "--duration", "0.04", "--no-svg", "--out", str(out / "a")],
+                 ["genrun", "--duration", "0.04", "--out", str(out / "b")],
+                 ["steady", "--power", "-5"], ["--help"],
+                 ["steady", "--json", "--power", "300"]]
+        runs = []
+        for argv in argvs:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out, captured.err))
+        return runs, [sorted(p.name for p in (out / d).iterdir()) for d in "ab"]
+
+    shared, shared_files = sequence(tmp_path / "shared")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh, fresh_files = sequence(tmp_path / "fresh")
+    assert shared == fresh and shared_files == fresh_files
+    assert [rc for rc, _, _ in shared] == [EXIT_OK] * 4 + [EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert shared[-1] == shared[0]
+    assert not any(f.endswith(".svg") for f in shared_files[0])
+    assert any(f.endswith(".svg") for f in shared_files[1])
+
+
+def test_steady_points_build_the_parser_once_and_size_once(capsys, monkeypatch,
+                                                          fresh_caches):
+    argvs = [["steady", "--json", "--preset-index", str(k)] for k in range(10)]
+    uncached = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli._parser.__wrapped__)
+        m.setattr(cli, "_default_engine", cli._default_engine.__wrapped__)
+        for argv in argvs:
+            assert main(argv) == EXIT_OK
+            uncached.append(capsys.readouterr().out)
+    assert json.loads(uncached[3])["title"] == "Off-design point: 0km 0Ma 230kW"
+
+    calls = {"build_parser": 0, "design_point_size": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    for argv, expected in zip(argvs, uncached):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
+    assert calls == {"build_parser": 1, "design_point_size": 1}
+
+
 def test_steady_beyond_the_burner_limit_is_t4_out_of_range(capsys):
     # the trim's iterate that needs a burner outlet above the property
     # tables' 2000 K ends as T4OutOfRange, not as a failed inversion
