@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scenario as sc
 from .control import AvrState
-from .cosim import run_generator, run_joint
+from .cosim import GENERATOR_CONTROL_DT, run_generator, run_joint
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import trim_fuel
@@ -38,8 +38,6 @@ OFF_DESIGN_PRESETS = (
 STEADY_DEFAULTS = {"altitude": 0.0, "mach": 0.0, "power": 500.0, "eta_c": 1.0}
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
-# the AVR period of `genrun`; its --duration must be a whole number of them
-GENRUN_CONTROL_DT = 0.02
 
 
 def _scenario_from_args(args) -> sc.Scenario:
@@ -155,11 +153,11 @@ def cmd_transient(args) -> int:
 def cmd_genrun(args) -> int:
     if not 0.0 <= args.mu < 1.0:
         raise ValueError(f"--mu must lie in [0, 1) (0 runs healthy), found {args.mu!r}")
-    steps = args.duration / GENRUN_CONTROL_DT
+    steps = args.duration / GENERATOR_CONTROL_DT
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9):
         raise ValueError(f"--duration must be a positive multiple of the "
-                         f"{GENRUN_CONTROL_DT:g} s control period, found "
+                         f"{GENERATOR_CONTROL_DT:g} s control period, found "
                          f"{args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)
@@ -173,7 +171,7 @@ def cmd_genrun(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                         duration=args.duration, fault_schedule=fault_schedule,
-                        decimation=args.decimation, control_dt=GENRUN_CONTROL_DT)
+                        decimation=args.decimation)
     title = f"Generator point: {args.power_kw:g}kW"
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},

@@ -364,7 +364,8 @@ def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
 
 
 class _MachineTrack:
-    """Owns the electrical state, fault schedule, recorder and rms buffers."""
+    """Owns the electrical state, fault schedule, recorder and rms buffers;
+    `noise` draws from `rng`, which may be None where all its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
@@ -409,7 +410,7 @@ class _MachineTrack:
         self._seg = []
         y = self.state
         noise_w = None
-        if not self.noise.silent and (self.noise.std_w1 or self.noise.std_w2):
+        if self.noise.std_w1 or self.noise.std_w2:
             noise_w = np.concatenate([
                 self.rng.normal(0.0, self.noise.std_w1, 3) if self.noise.std_w1 else np.zeros(3),
                 self.rng.normal(0.0, self.noise.std_w2, 3) if self.noise.std_w2 else np.zeros(3)])
@@ -606,7 +607,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         # (c) health swap at the boundary, then spool update
         if k in swaps:
             health = swaps[k]
-            sol = off_design_solve(gg, u, health, Pe=pe_gt, N=x.N, guess=sol)
+            sol = off_design_solve(gg, u, health, N=x.N, guess=sol)
         x, half = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
         if setup.hook is not None:
             x = setup.hook(x, rng_hook)
@@ -614,7 +615,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
         wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, Pe=pe_gt, guess=half)
+        out, sol = output(gg, x, u, health, guess=half)
         v_rms = float(np.mean(track.phase_rms(period)))
         v_fd, avr = avr_step(avr, v_rms, dt)
         # (f) record; the speed handed back next step comes from the new x
@@ -643,31 +644,32 @@ class GeneratorRunResult:
     avr: AvrState
 
 
+# the AVR period of run_generator, and the stepper of its machine track
+GENERATOR_CONTROL_DT = 0.02
+GENERATOR_STEPPER = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1e-6,
+                                   initial_step=1e-6, max_step=1e-4)
+
+
 def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
-                  speed_rpm: float, duration: float,
-                  fault_schedule=(), noise: NoiseConfig = NoiseConfig(),
-                  stepper: StepperOptions | None = None, decimation: int = 1,
-                  seed: int = 0, control_dt: float = 0.02) -> GeneratorRunResult:
-    """Machine-only run at fixed shaft speed with the AVR active."""
-    n_steps = round(duration / control_dt)
-    if n_steps < 1 or abs(n_steps * control_dt - duration) > 1e-9:
-        raise ValueError("duration must be a positive multiple of control_dt")
-    stepper = stepper or StepperOptions(
-        relative_tolerance=1e-5, absolute_tolerance=1e-6,
-        initial_step=1e-6, max_step=1e-4)
+                  speed_rpm: float, duration: float, fault_schedule=(),
+                  decimation: int = 1) -> GeneratorRunResult:
+    """Noise-free machine-only run at fixed shaft speed with the AVR active."""
+    dt = GENERATOR_CONTROL_DT
+    n_steps = round(duration / dt)
+    if n_steps < 1 or abs(n_steps * dt - duration) > 1e-9:
+        raise ValueError(f"duration must be a positive multiple of {dt:g} s")
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
-    rng = np.random.default_rng(seed)
     r0 = load.resistance_at(0.0)
     v_fd = field_voltage_for_terminal(machine, r0, w_e, avr.V_set)
     avr = replace(avr, integral=v_fd)
-    track = _MachineTrack(machine, load, fault_schedule, noise, stepper,
-                          decimation, rng)
+    track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
+                          GENERATOR_STEPPER, decimation, rng=None)
     track.start(steady_state(machine, r0, v_fd, w_e).as_array())
     period = 1.0 / machine.f_n
     for k in range(1, n_steps + 1):
-        track.advance((k - 1) * control_dt, k * control_dt, w_e, v_fd)
+        track.advance((k - 1) * dt, k * dt, w_e, v_fd)
         v_rms = track.phase_rms(period)
-        v_fd, avr = avr_step(avr, float(np.mean(v_rms)), control_dt)
+        v_fd, avr = avr_step(avr, float(np.mean(v_rms)), dt)
     # the last step's segment: its voltage rms is the AVR's last input
     ts, i_abc, v_abc = track.segment()
     i_rms = [rms_window(ts, i_abc[:, k], period) for k in range(3)]
@@ -712,10 +714,10 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
         pe = load_law(x.N)
         if k in swaps:
             health = swaps[k]
-            sol = off_design_solve(gg, u, health, Pe=pe, N=x.N, guess=sol)
+            sol = off_design_solve(gg, u, health, N=x.N, guess=sol)
         x, half = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
         u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, Pe=pe, guess=half)
+        out, sol = output(gg, x, u, health, guess=half)
         ts.append(t1)
         rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (u.wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),

@@ -20,7 +20,7 @@ import numpy as np
 from ..errors import NumericalFailure, UsageError
 from ..numerics import NonConvergence, newton_solve
 from . import properties as gas
-from .maps import CompressorMap, PressureRatioBelowUnity, TurbineMap
+from .maps import BETA_DESIGN, CompressorMap, PressureRatioBelowUnity, TurbineMap
 
 P_STD = 101.325     # kPa
 T_STD = 288.15      # K
@@ -502,8 +502,8 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
 
 
 def off_design_solve(params: GasGenParams, u: GasGenInput,
-                     health: HealthParams = HEALTHY, Pe: float = 0.0,
-                     N: float = None, guess: CycleSolution | None = None) -> CycleSolution:
+                     health: HealthParams = HEALTHY, N: float = None,
+                     guess: CycleSolution | None = None) -> CycleSolution:
     """Quasi-Newton cycle match on (compressor beta, turbine expansion ratio).
 
     A `guess` (a previous solution of a nearby point) supplies the Jacobian
@@ -516,14 +516,12 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     S takes Broyden's rank-one update along dp, so it holds the secant of
     both speed and fuel steps; the first warm match after a cold one starts
     at x_guess and builds S from zero.
-    The shaft load Pe is bookkeeping only; any surplus of PW_shaft_net over
-    Pe drives the spool and is never forced to zero here.
     """
     if N is None:
         N = params.design_speed
     ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
     if guess is None:
-        x0, jac0, start, sens = np.array([0.5, 1.0]), None, COLD, None
+        x0, jac0, start, sens = np.array([BETA_DESIGN, 1.0]), None, COLD, None
     else:
         dp = np.array([(N - guess.N) / params.design_speed,
                        (u.wf - guess.wf) / params.wf_design])
@@ -567,7 +565,7 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
         last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
         return last[0]
 
-    x, jac = newton_solve(residual, [0.5, 1.0, u.wf / params.wf_design])
+    x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, u.wf / params.wf_design])
     return _solution(params, ambient, N, x[2] * params.wf_design, x,
                      None if jac is None else jac[:2, :2], last, None)
 

@@ -173,8 +173,7 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
 
     u = GasGenInput(wf=wf, altitude=spec.altitude, mach=spec.mach,
                     dT_ISA=spec.dT_ISA)
-    sol = off_design_solve(params, u, HEALTHY, Pe=spec.shaft_power_design,
-                           N=spec.design_speed)
+    sol = off_design_solve(params, u, HEALTHY, N=spec.design_speed)
     if abs(sol.PW_shaft_net - spec.shaft_power_design) > 1e-3 * spec.shaft_power_design:
         raise CalibrationFailed("shaft power", spec.shaft_power_design,
                                 sol.PW_shaft_net)

@@ -1,16 +1,17 @@
 """Discrete state-space wrapper around the cycle: explicit state update,
 output projection and the steady fuel trim.
 
-The single state is spool speed; update and output are pure functions of
-(state, input, health, shaft load), so external state processing (noise
-injection, Monte Carlo; the co-simulation loop's hook) fits between the
-two. The matches are chained: `state_update` returns its last (half-step)
-match with the new state, `output` starts from it, and the match `output`
-returns is the next `state_update`'s first. Each warm match starts where
-its guess's sensitivity predicts (cycle.off_design_solve), so the chain
-carries that secant through both speed and fuel steps. A match carries only
-this chain state; its station table is projected when first read, so the
-half-step match, whose outputs nothing reads, never builds one.
+The single state is spool speed; the update is a pure function of (state,
+input, health, shaft load) and the output of (state, input, health), so
+external state processing (noise injection, Monte Carlo; the co-simulation
+loop's hook) fits between the two. The matches are chained: `state_update`
+returns its last (half-step) match with the new state, `output` starts from
+it, and the match `output` returns is the next `state_update`'s first.
+Each warm match starts where its guess's sensitivity predicts
+(cycle.off_design_solve), so the chain carries that secant through both
+speed and fuel steps. A match carries only this chain state; its station
+table is projected when first read, so the half-step match, whose outputs
+nothing reads, never builds one.
 """
 from __future__ import annotations
 
@@ -105,7 +106,7 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
     sub = dt / _SUBSTEPS
     for k in range(_SUBSTEPS):
         if k or match is None:
-            match = off_design_solve(params, u, health, Pe=Pe, N=n, guess=match)
+            match = off_design_solve(params, u, health, N=n, guess=match)
         n = n + _dn_dt(params, match.PW_shaft_net, Pe, n) * sub
         if not 0.0 < n <= n_max:
             raise SpeedOutOfRange(n, n_max)
@@ -113,11 +114,11 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
 
 
 def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
-           health: HealthParams = HEALTHY, Pe: float = 0.0,
+           health: HealthParams = HEALTHY,
            guess: CycleSolution | None = None) -> tuple[dict, CycleSolution]:
     """Project the cycle match at (x, u, health) onto the output channels;
     returns the outputs and the match."""
-    sol = off_design_solve(params, u, health, Pe=Pe, N=x.N, guess=guess)
+    sol = off_design_solve(params, u, health, N=x.N, guess=guess)
     return outputs_from_solution(sol), sol
 
 

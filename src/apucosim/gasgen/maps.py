@@ -24,6 +24,9 @@ class PressureRatioBelowUnity(NumericalFailure):
         super().__init__(f"turbine expansion ratio {pr:.4f} not above 1")
 
 
+# beta at the sizing anchor: flow and pressure ratio take their design values
+# there (_LO + 0.5 _SPAN = 1), efficiency peaks there, cold matches start there
+BETA_DESIGN = 0.5
 _FLOW_EXP = 1.3      # corrected flow vs corrected speed along the map
 _PR_EXP = 1.9        # pressure-rise vs corrected speed
 _FLOW_LO, _FLOW_SPAN = 1.10, -0.20   # beta=0 choke side, beta=1 surge side
@@ -38,7 +41,6 @@ class CompressorMap:
     pr_design: float
     eta_design: float
     surge_pr_design: float    # surge-line pressure ratio at design corrected flow
-    beta_design: float = 0.5
 
     def _check(self, beta):
         if not -0.25 <= beta <= 1.25:
@@ -55,7 +57,7 @@ class CompressorMap:
     def efficiency(self, n_rel: float, beta: float) -> float:
         self._check(beta)
         eta = (self.eta_design
-               * (1.0 - _ETA_BETA_CURV * (beta - self.beta_design) ** 2)
+               * (1.0 - _ETA_BETA_CURV * (beta - BETA_DESIGN) ** 2)
                * (1.0 - _ETA_SPEED_CURV * (n_rel - 1.0) ** 2))
         return max(eta, 0.2)
 

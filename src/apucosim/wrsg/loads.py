@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 OPEN_CIRCUIT_R = 1e9
+SPEED_REF_RPM = 12000.0     # reference speed of the cubic-speed-law load
 
 
 @dataclass(frozen=True)
@@ -19,7 +20,6 @@ class LoadModel:
     R_phase: float = 0.70533                # ohm per phase at scale 1
     L_phase: float = 0.0                    # H per phase (series-RL)
     schedule: tuple = ()                    # ((time_s, scale), ...) on admittance
-    speed_ref_rpm: float = 12000.0          # cubic-law reference speed
 
     def __post_init__(self):
         if self.kind not in ("resistive-bank", "series-RL", "cubic-speed-law"):
@@ -51,7 +51,7 @@ class LoadModel:
     def resistance_at(self, t: float, speed_rpm: float | None = None) -> float:
         s = self.scale_at(t)
         if self.kind == "cubic-speed-law" and speed_rpm is not None:
-            s = s * (speed_rpm / self.speed_ref_rpm) ** 3
+            s = s * (speed_rpm / SPEED_REF_RPM) ** 3
         if s <= 0.0:
             return OPEN_CIRCUIT_R
         return min(self.R_phase / s, OPEN_CIRCUIT_R)

@@ -27,10 +27,6 @@ class NoiseConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    @property
-    def silent(self) -> bool:
-        return not (self.std_w1 or self.std_w2 or self.std_vi or self.std_vv)
-
 
 def measure(v_abc_fd, i_abc, noise: NoiseConfig, rng):
     """Measured terminal tuple: adds zero-mean Gaussian noise per channel,

@@ -112,7 +112,7 @@ def init(params: GasGenParams, u: GasGenInput, health: HealthParams = HEALTHY,
     def surplus(n):
         """Power surplus at speed n (0.0 once it meets the tolerance) and
         the cycle solution it was read from."""
-        sol = off_design_solve(params, u, health, Pe=law(n), N=n)
+        sol = off_design_solve(params, u, health, N=n)
         s = sol.PW_shaft_net - law(n)
         return (0.0 if abs(s) < 1e-9 * max(abs(law(n)), 1.0) else s), sol
 

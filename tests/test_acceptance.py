@@ -127,7 +127,7 @@ def test_criterion_2_conservation_sweep(gg_params):
         health = HealthParams(*(1.0 + rng.uniform(-0.02, 0.02, 4)))
         sol = off_design_solve(gg_params, GasGenInput(wf=wf, altitude=alt,
                                                       mach=mach),
-                               health, 300.0, n)
+                               health, n)
         st = sol.stations
         w_in = st[2].W * (1.0 - gg_params.overboard_frac) + sol.wf
         worst_mass = max(worst_mass, abs(st[8].W - w_in) / st[8].W)
@@ -159,19 +159,19 @@ def test_criterion_2_conservation_sweep(gg_params):
 def test_criterion_3_off_design_honesty(gg_params):
     # (a) fixed-point persistence at the design inputs
     sol = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design),
-                           HEALTHY, 500.0, 36050.0)
+                           HEALTHY, 36050.0)
     fixed_ok = (sol.newton_residual_norm < 1e-8
                 and abs(sol.PW_shaft_net - 500.0) < 0.05)
     # (b) monotone trends
     less = off_design_solve(gg_params,
                             GasGenInput(wf=0.9 * gg_params.wf_design),
-                            HEALTHY, 500.0, 36050.0)
+                            HEALTHY, 36050.0)
     trend_ok = (less.PW_shaft_net < sol.PW_shaft_net
                 and less.stations[4].Tt < sol.stations[4].Tt)
     health = HealthParams(eta_c_factor=0.98)
     wf_m, _ = trim_fuel(gg_params, 36050.0, 500.0, health)
     degraded = off_design_solve(gg_params, GasGenInput(wf=wf_m), health,
-                                500.0, 36050.0)
+                                36050.0)
     trend_ok = trend_ok and degraded.SFC > sol.SFC
     # (c) all preset off-design points converge
     worst = 0.0
@@ -180,7 +180,7 @@ def test_criterion_3_off_design_honesty(gg_params):
                           mach=mach)
         s = off_design_solve(gg_params, GasGenInput(wf=wf, altitude=alt,
                                                     mach=mach),
-                             HEALTHY, power, 36050.0)
+                             HEALTHY, 36050.0)
         worst = max(worst, s.newton_residual_norm)
     ok = fixed_ok and trend_ok and worst < 1e-8
     _report(3, ok,

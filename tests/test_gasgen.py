@@ -271,8 +271,7 @@ def test_choked_exhaust_penalty_vanishes_at_the_flow_maximum(gg_params):
     # an exit area that puts the exhaust flow a hair over the flow maximum:
     # residual 2 is the static-pressure error plus the choked penalty
     # 5 (W / W_choke - 1), which the hair only just moves off zero
-    sol = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design), HEALTHY,
-                           Pe=500.0)
+    sol = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design), HEALTHY)
     st0, st8 = sol.stations[0], sol.stations[8]
     w_per_m2 = flow_maximum(st8.Tt, st8.Pt, 1.0, st8.FAR)[1]
     params = replace(gg_params, a8_m2=st8.W / ((1.0 + 1e-9) * w_per_m2))
@@ -490,7 +489,7 @@ def test_design_inputs_are_cycle_fixed_point(gg_params, design_solution):
     # evaluate the cycle residuals at the calibrated design solution via the
     # generic Newton kernel: the design point is already a root
     u = GasGenInput(wf=gg_params.wf_design)
-    sol = off_design_solve(gg_params, u, HEALTHY, Pe=500.0, N=36050.0)
+    sol = off_design_solve(gg_params, u, HEALTHY, N=36050.0)
     assert sol.newton_residual_norm < 1e-8
     assert sol.PW_shaft_net == pytest.approx(500.0, rel=1e-4)
     assert sol.beta == pytest.approx(0.5, abs=1e-6)
@@ -515,9 +514,9 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     _, _, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
                                    gg_params.intake_recovery)
-    cold = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    cold = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
     # warm: the carried Jacobian from the cold solve at a nearby speed
-    warm = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35020.0, guess=cold)
+    warm = off_design_solve(gg_params, u, HEALTHY, N=35020.0, guess=cold)
     assert calls["residual"] > 2
     assert calls["cycle"] == calls["residual"]
     for sol in (cold, warm):
@@ -540,7 +539,7 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
 def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkeypatch):
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     speeds = np.linspace(35000.0, 35400.0, 21)
-    start = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=speeds[0])
+    start = off_design_solve(gg_params, u, HEALTHY, N=speeds[0])
     evaluations = []
     evaluate = cycle._evaluate_cycle
     monkeypatch.setattr(cycle, "_evaluate_cycle",
@@ -551,7 +550,7 @@ def test_warm_started_speed_ramp_makes_fewer_cycle_evaluations(gg_params, monkey
         sol = start
         for n in speeds[1:]:
             guess = sol if carried else replace(sol, jacobian=None, sensitivity=None)
-            sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=n, guess=guess)
+            sol = off_design_solve(gg_params, u, HEALTHY, N=n, guess=guess)
             assert sol.newton_residual_norm < 1e-10
         counts[carried] = len(evaluations)
     # a carried Jacobian and sensitivity save at least the two
@@ -578,11 +577,11 @@ def test_warm_match_makes_fewer_property_evaluations(gg_params, monkeypatch):
 
     monkeypatch.setattr(cycle, "_evaluate_cycle", counted)
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
-    prev = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    prev = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
     first = {}
     for kind, guess in (("cold", None), ("warm", prev)):
         per_evaluation.clear()
-        sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35020.0, guess=guess)
+        sol = off_design_solve(gg_params, u, HEALTHY, N=35020.0, guess=guess)
         assert sol.newton_residual_norm < 1e-10
         first[kind] = per_evaluation[0]
     # a cold match starts the inversions of its first evaluation cold, and
@@ -593,10 +592,10 @@ def test_warm_match_makes_fewer_property_evaluations(gg_params, monkeypatch):
 @pytest.mark.parametrize("kind", ["negated", "singular"])
 def test_wrong_carried_jacobian_is_rebuilt(gg_params, kind):
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
-    prev = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35000.0)
+    prev = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
     bad = -prev.jacobian if kind == "negated" else np.ones((2, 2))
-    reference = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35200.0)
-    sol = off_design_solve(gg_params, u, HEALTHY, Pe=400.0, N=35200.0,
+    reference = off_design_solve(gg_params, u, HEALTHY, N=35200.0)
+    sol = off_design_solve(gg_params, u, HEALTHY, N=35200.0,
                            guess=replace(prev, jacobian=bad))
     assert sol.newton_residual_norm < 1e-10
     assert sol.beta == pytest.approx(reference.beta, abs=1e-8)
@@ -606,9 +605,9 @@ def test_wrong_carried_jacobian_is_rebuilt(gg_params, kind):
 
 def _ramp(params, u, health, speeds):
     """Warm matches along a speed ramp, each started from the one before."""
-    sol = off_design_solve(params, u, health, Pe=400.0, N=speeds[0])
+    sol = off_design_solve(params, u, health, N=speeds[0])
     for n in speeds[1:]:
-        sol = off_design_solve(params, u, health, Pe=400.0, N=n, guess=sol)
+        sol = off_design_solve(params, u, health, N=n, guess=sol)
     return sol
 
 
@@ -626,12 +625,12 @@ def test_predicted_start_converges_to_the_unpredicted_root(gg_params, factor):
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
     prev = off_design_solve(gg_params, GasGenInput(wf=0.92 * gg_params.wf_design),
-                            HEALTHY, Pe=400.0, N=35030.0, guess=prev)
+                            HEALTHY, N=35030.0, guess=prev)
     assert np.all(prev.sensitivity != 0.0)
     step = GasGenInput(wf=factor * prev.wf)
-    predicted = off_design_solve(gg_params, step, HEALTHY, Pe=400.0, N=35040.0,
+    predicted = off_design_solve(gg_params, step, HEALTHY, N=35040.0,
                                  guess=prev)
-    plain = off_design_solve(gg_params, step, HEALTHY, Pe=400.0, N=35040.0,
+    plain = off_design_solve(gg_params, step, HEALTHY, N=35040.0,
                              guess=replace(prev, sensitivity=None))
     _same_root(predicted, plain)
     # the sensitivity meets the secant condition along the step it saw
@@ -648,38 +647,38 @@ def test_predicted_start_after_a_health_swap(gg_params):
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
     worn = HealthParams(0.99, 0.97, 0.98, 1.04)
-    swap = off_design_solve(gg_params, u, worn, Pe=400.0, N=35020.0, guess=prev)
+    swap = off_design_solve(gg_params, u, worn, N=35020.0, guess=prev)
     assert np.array_equal(swap.sensitivity, prev.sensitivity)
-    _same_root(swap, off_design_solve(gg_params, u, worn, Pe=400.0, N=35020.0))
-    after = off_design_solve(gg_params, u, worn, Pe=400.0, N=35030.0, guess=swap)
-    plain = off_design_solve(gg_params, u, worn, Pe=400.0, N=35030.0,
+    _same_root(swap, off_design_solve(gg_params, u, worn, N=35020.0))
+    after = off_design_solve(gg_params, u, worn, N=35030.0, guess=swap)
+    plain = off_design_solve(gg_params, u, worn, N=35030.0,
                              guess=replace(swap, sensitivity=None))
     _same_root(after, plain)
 
 
 def test_fuel_reduction_trends(gg_params):
     base = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design),
-                            HEALTHY, 500.0, 36050.0)
+                            HEALTHY, 36050.0)
     less = off_design_solve(gg_params,
                             GasGenInput(wf=0.9 * gg_params.wf_design),
-                            HEALTHY, 500.0, 36050.0)
+                            HEALTHY, 36050.0)
     assert less.PW_shaft_net < base.PW_shaft_net
     assert less.stations[4].Tt < base.stations[4].Tt
 
 
 def test_flow_capacity_fault_shrinks_surge_margin(gg_params):
     u = GasGenInput(wf=gg_params.wf_design)
-    base = off_design_solve(gg_params, u, HEALTHY, 500.0, 36050.0)
+    base = off_design_solve(gg_params, u, HEALTHY, 36050.0)
     degraded = off_design_solve(gg_params, u, HealthParams(flow_c_factor=0.97),
-                                500.0, 36050.0)
+                                36050.0)
     assert degraded.surge_margin < base.surge_margin
 
 
 def test_turbine_flow_fault_drops_p3(gg_params):
     u = GasGenInput(wf=gg_params.wf_design)
-    base = off_design_solve(gg_params, u, HEALTHY, 500.0, 36050.0)
+    base = off_design_solve(gg_params, u, HEALTHY, 36050.0)
     opened = off_design_solve(gg_params, u, HealthParams(flow_t_factor=1.04),
-                              500.0, 36050.0)
+                              36050.0)
     assert opened.stations[3].Pt < base.stations[3].Pt
 
 
@@ -687,9 +686,9 @@ def test_eta_c_fault_raises_sfc_at_matched_power(gg_params):
     health = HealthParams(eta_c_factor=0.98)
     wf, _ = trim_fuel(gg_params, 36050.0, 500.0, health)
     degraded = off_design_solve(gg_params, GasGenInput(wf=wf), health,
-                                500.0, 36050.0)
+                                36050.0)
     base = off_design_solve(gg_params, GasGenInput(wf=gg_params.wf_design),
-                            HEALTHY, 500.0, 36050.0)
+                            HEALTHY, 36050.0)
     assert degraded.SFC > base.SFC
 
 
@@ -704,7 +703,7 @@ def test_mass_and_energy_closure_random_envelope(gg_params):
         health = HealthParams(*(1.0 + rng.uniform(-0.02, 0.02, 4)))
         sol = off_design_solve(gg_params, GasGenInput(wf=wf, altitude=alt,
                                                       mach=mach),
-                               health, 300.0, n)
+                               health, n)
         st = sol.stations
         w_in = st[2].W - gg_params.overboard_frac * st[2].W + sol.wf
         assert abs(st[8].W - w_in) <= 1e-12 * st[8].W
@@ -755,7 +754,7 @@ def test_warm_state_update_projects_no_outputs(gg_params, monkeypatch):
     # each cycle evaluation solves the exhaust static state once; the
     # compressor exit static state (Ps3) is solved only when it is read
     u = GasGenInput(wf=0.95 * gg_params.wf_design)
-    match = off_design_solve(gg_params, u, HEALTHY, Pe=430.0, N=35600.0)
+    match = off_design_solve(gg_params, u, HEALTHY, N=35600.0)
     counts = {"cycle": 0, "static": 0}
     evaluate, static = cycle._evaluate_cycle, cycle.static_from_flow
 
@@ -781,7 +780,7 @@ def test_warm_state_update_projects_no_outputs(gg_params, monkeypatch):
 
 def test_projected_outputs_are_read_once(gg_params):
     sol = off_design_solve(gg_params, GasGenInput(wf=0.9 * gg_params.wf_design),
-                           HEALTHY, Pe=400.0, N=35000.0)
+                           HEALTHY, N=35000.0)
     first = (sol.stations, sol.Ps3, sol.NOx_severity)
     second = (sol.stations, sol.Ps3, sol.NOx_severity)
     assert first == second
@@ -797,7 +796,7 @@ def test_state_update_spool_power_bookkeeping(gg_params):
     factor = 1000.0 * (30.0 / math.pi) ** 2 / gg_params.inertia
     n = x.N
     for _ in range(2):
-        sol = off_design_solve(gg_params, u, HEALTHY, Pe=pe, N=n)
+        sol = off_design_solve(gg_params, u, HEALTHY, N=n)
         n_half = n
         n = n + factor * (sol.PW_shaft_net - pe) / n * (dt / 2)
     x1, half = state_update(gg_params, x, u, HEALTHY, Pe=pe, dt=dt)
@@ -810,8 +809,8 @@ def test_output_determinism(gg_params):
     from apucosim.gasgen import output
     x = GasGenState(N=36050.0)
     u = GasGenInput(wf=gg_params.wf_design)
-    a, _ = output(gg_params, x, u, HEALTHY, Pe=500.0)
-    b, _ = output(gg_params, x, u, HEALTHY, Pe=500.0)
+    a, _ = output(gg_params, x, u, HEALTHY)
+    b, _ = output(gg_params, x, u, HEALTHY)
     assert a == b
 
 
@@ -868,7 +867,7 @@ def test_trim_is_one_match_of_few_evaluations(gg_params, monkeypatch, alt, mach,
     # so a match at the trimmed point starts converged
     assert sol.jacobian is None or sol.jacobian.shape == (2, 2)
     evaluations.clear()
-    warm = off_design_solve(gg_params, GasGenInput(wf, alt, mach), HEALTHY, power,
+    warm = off_design_solve(gg_params, GasGenInput(wf, alt, mach), HEALTHY,
                             36050.0, guess=sol)
     assert len(evaluations) <= 2 and warm.newton_residual_norm < 1e-10
 
@@ -886,7 +885,7 @@ def test_init_degraded_low_power_converges(gg_params):
     health = HealthParams(0.99, 0.97, 0.98, 1.04)
     n0 = 36050.0 * (230.0 / 500.0) ** (1.0 / 3.0)
     wf, _ = trim_fuel(gg_params, n0, 230.0, health)
-    sol = off_design_solve(gg_params, GasGenInput(wf=wf), health, 230.0, n0)
+    sol = off_design_solve(gg_params, GasGenInput(wf=wf), health, n0)
     assert sol.newton_residual_norm < 1e-8
     assert sol.PW_shaft_net == pytest.approx(230.0, rel=1e-6)
 
