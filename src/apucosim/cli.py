@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scenario as sc
 from .control import AvrState
-from .cosim import GENERATOR_CONTROL_DT, run_generator, run_joint
+from .cosim import GENERATOR_CONTROL_DT, GENERATOR_STEPPER, run_generator, run_joint
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import trim_fuel
@@ -159,6 +159,12 @@ def cmd_genrun(args) -> int:
         raise ValueError(f"--duration must be a positive multiple of the "
                          f"{GENERATOR_CONTROL_DT:g} s control period, found "
                          f"{args.duration!r}")
+    # the machine steps are bounded as a scenario's are (stepper.max_step_s)
+    step = 0.9 * GENERATOR_STEPPER.max_step
+    if args.duration / step > sc.MAX_FAST_STEPS:
+        raise ValueError(f"--duration must be at most {step * sc.MAX_FAST_STEPS:g} s, "
+                         f"{sc.MAX_FAST_STEPS:,} machine steps of at least {step:g} s, "
+                         f"found {args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)
     fault_schedule = ()
@@ -262,6 +268,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _decimation(text: str) -> int:
+    # as record.decimation: a run has at most MAX_FAST_STEPS samples
+    value = _positive_int(text)
+    if value > sc.MAX_FAST_STEPS:
+        raise argparse.ArgumentTypeError(f"expected an integer within [1, "
+                                         f"{sc.MAX_FAST_STEPS:,}], found {text!r}")
+    return value
+
+
 def _finite_float(text: str, what: str = "number") -> float:
     try:
         value = float(text)
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--k-rf", type=_nonnegative_float, default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
-    p.add_argument("--decimation", type=_positive_int, default=2)
+    p.add_argument("--decimation", type=_decimation, default=2)
     p.add_argument("--json", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_genrun)

@@ -274,6 +274,33 @@ def _validate(doc):
                           f"{MAX_FAST_STEPS:,}) = {least:.6g} s", max_step)
 
 
+# the blocks each run does not read, in document order: a block set to other
+# than its default is refused rather than ignored
+_UNREAD = {
+    "transient": ("seed", "machine", "coupling", "governor", "avr", "load",
+                  "ttsc_faults", "noise", "hook", "stepper", "record"),
+    "joint": ("fuel_step",),
+}
+
+
+def _refuse_unread(scenario, run):
+    """SchemaError at the first leaf of a block that `run` ("transient" or
+    "joint") does not read and that differs from its default."""
+    def walk(value, default, path):
+        if path in _FREE_DICTS:
+            for key, item in value.items():
+                walk(item, 0.0, f"{path}.{key}")
+        elif isinstance(default, dict):
+            for key, item in default.items():
+                walk(value[key], item, f"{path}.{key}")
+        elif value != default:
+            raise SchemaError(path, f"the default {default!r}, as the {run} run "
+                              f"does not read {path.partition('.')[0]}", value)
+
+    for block in _UNREAD[run]:
+        walk(scenario[block], _DEFAULTS[block], block)
+
+
 @dataclass(frozen=True)
 class Scenario:
     doc: dict
@@ -372,6 +399,7 @@ def run_fuel_step(scenario: Scenario):
     from .gasgen import GasGenState
     from .gasgen.engine import trim_fuel
 
+    _refuse_unread(scenario, "transient")
     doc = scenario.doc
     params, _ = design_point_size(design_spec_from_scenario(scenario))
     schedule = health_schedule_from_scenario(scenario)
@@ -400,6 +428,7 @@ def run_fuel_step(scenario: Scenario):
 
 def build_joint_setup(scenario: Scenario) -> JointSetup:
     """Assemble the run description for the co-simulation loop."""
+    _refuse_unread(scenario, "joint")
     doc = scenario.doc
     # the regulator's rms window spans one electrical period of the macro
     # step's fast-track samples, the first of which lies up to max_step_s
