@@ -468,11 +468,23 @@ def test_joint_macro_step_shorter_than_rms_window_is_usage_error(tmp_path, capsy
                  "--no-svg"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
-def test_genrun_decimation_must_be_positive_integer(tmp_path, capsys, value):
+class _Reached(Exception):
+    pass
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "1000001",
+                                   "99999999999999999999"])
+def test_genrun_decimation_must_be_positive_integer(tmp_path, capsys, monkeypatch,
+                                                    value):
+    # at most MAX_FAST_STEPS, as record.decimation
+    monkeypatch.setattr(cli, "run_generator", _reach)
     assert main(["genrun", "--decimation", value, "--duration", "0.02",
                  "--out", str(tmp_path), "--no-svg"]) == EXIT_USAGE
-    assert "--decimation" in capsys.readouterr().err
+    assert "argument --decimation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [
@@ -506,8 +518,12 @@ def test_genrun_fault_at_time_zero_applies(tmp_path, capsys):
     ("--fault-time", "-0.01", ["--mu", "0.05"]),
     ("--fault-time", "0.1", ["--mu", "0.05"]),
     ("--fault-time", "0.2", ["--mu", "0.05"]),
+    # more than MAX_FAST_STEPS machine steps of 0.9 * 1e-4 s
+    ("--duration", "90.02", []), ("--duration", "1e300", []),
 ])
-def test_genrun_duration_and_fault_time_rejected(tmp_path, capsys, flag, value, extra):
+def test_genrun_duration_and_fault_time_rejected(tmp_path, capsys, monkeypatch,
+                                                 flag, value, extra):
+    monkeypatch.setattr(cli, "run_generator", _reach)
     argv = ["genrun", "--duration", "0.1", "--out", str(tmp_path), "--no-svg"]
     argv += extra + [flag, value]
     assert main(argv) == EXIT_USAGE
@@ -750,3 +766,60 @@ def test_genrun_faulted_smoke_run(tmp_path, capsys):
     currents = [doc["rms"][f"Phase {ph} Current"] for ph in "ABC"]
     assert max(currents) / min(currents) > 1.01
     assert (tmp_path / "gr" / "genrun_225kW_fast.csv").is_file()
+
+
+# a block the command's run does not read is refused at its first leaf off
+# the default, not ignored
+@pytest.mark.parametrize("command, doc, leaf", [
+    ("transient", {"seed": 3}, "seed"),
+    ("transient", {"machine": {"eta_sg": 0.9}}, "machine.eta_sg"),
+    ("transient", {"coupling": {"eta": 0.9}}, "coupling.eta"),
+    ("transient", {"governor": {"kp": 9.0}}, "governor.kp"),
+    ("transient", {"avr": {"kp": 0.2}}, "avr.kp"),
+    ("transient", {"load": {"power_kw": 1.0}}, "load.power_kw"),
+    ("transient", {"ttsc_faults": [{"time_s": 0.02, "mu": 0.5}]}, "ttsc_faults"),
+    ("transient", {"noise": {"gasgen_output": {"T4": 30.0}}}, "noise.gasgen_output.T4"),
+    ("transient", {"hook": {"kind": "speed-noise", "std_rpm": 2.0}}, "hook.kind"),
+    ("transient", {"stepper": {"max_step_s": 5e-5}}, "stepper.max_step_s"),
+    ("transient", {"record": {"decimation": 1}}, "record.decimation"),
+    ("joint", {"fuel_step": {"factor": 1.5, "time_s": 0.0}}, "fuel_step.time_s"),
+    ("joint", {"fuel_step": {"initial_power_kw": 300.0}}, "fuel_step.initial_power_kw"),
+])
+def test_block_the_run_does_not_read_is_refused(tmp_path, capsys, command, doc, leaf):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, **doc}))
+    assert main([command, "--scenario", str(p), "--out", str(tmp_path / "out"),
+                 "--no-svg"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"at {leaf}:" in err and f"{command} run does not read" in err
+
+
+def test_unread_blocks_at_their_defaults_are_accepted(tmp_path, capsys):
+    from apucosim import scenario as sc
+    # a default given explicitly, or a zero output-noise width, changes nothing
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, "seed": 0,
+                             "load": {"power_kw": 225.0},
+                             "noise": {"gasgen_output": {"T4": 0.0}},
+                             "fuel_step": {"factor": 1.0}}))
+    for command in ("transient", "joint"):
+        assert main([command, "--scenario", str(p), "--out", str(tmp_path / command),
+                     "--no-svg"]) == EXIT_OK
+    # each benchmark preset runs under its own command, and only there
+    sc._refuse_unread(sc.load_preset("fuel-step"), "transient")
+    sc._refuse_unread(sc.load_preset("joint-fault"), "joint")
+    for command, preset, leaf in (("transient", "joint-fault", "load.schedule"),
+                                  ("joint", "fuel-step", "fuel_step.factor")):
+        assert main([command, "--preset", preset, "--out", str(tmp_path / "x"),
+                     "--no-svg"]) == EXIT_USAGE
+        assert f"at {leaf}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--duration", "90"),
+                                         ("--decimation", "1000000")])
+def test_genrun_bounds_admit_their_limits(tmp_path, monkeypatch, flag, value):
+    # 90 s is MAX_FAST_STEPS machine steps of 0.9 * 1e-4 s
+    monkeypatch.setattr(cli, "run_generator", _reach)
+    with pytest.raises(_Reached):
+        main(["genrun", "--duration", "0.02", flag, value, "--out", str(tmp_path),
+              "--no-svg"])
