@@ -284,8 +284,8 @@ _UNREAD = {
 
 
 def _refuse_unread(scenario, run):
-    """SchemaError at the first leaf of a block that `run` ("transient" or
-    "joint") does not read and that differs from its default."""
+    """Raise SchemaError at the first leaf off its default in a block that
+    `run` ("transient" or "joint") does not read."""
     def walk(value, default, path):
         if path in _FREE_DICTS:
             for key, item in value.items():
