@@ -54,8 +54,10 @@ def _scenario_from_args(args) -> sc.Scenario:
     if args.macro_dt is not None:
         overrides["macro_dt"] = args.macro_dt
     if getattr(args, "hook", None):
+        _refuse_given("--hook sets the scenario's hook",
+                      {"state_noise": args.state_noise})
         overrides["hook"] = {"kind": args.hook, "std_rpm": 0.0}
-    if getattr(args, "state_noise", 0.0):
+    if getattr(args, "state_noise", None):
         overrides["hook"] = {"kind": "speed-noise", "std_rpm": args.state_noise}
     if not overrides:
         return scn
@@ -136,8 +138,9 @@ def cmd_steady(args) -> int:
 
 def cmd_transient(args) -> int:
     scn = _scenario_from_args(args)
+    run = sc.fuel_step_run(scn)
     os.makedirs(args.out, exist_ok=True)
-    res = sc.run_fuel_step(scn)
+    res = run()
     files = sc.write_run(res, args.out, f"transient_{scn.name}", scn)
     if args.svg:
         for group, chans in (("speed", ["XNHPC"]), ("t4", ["T4"]),
@@ -230,8 +233,9 @@ def cmd_joint(args) -> int:
         print(json.dumps({"runs": args.runs, "summary": summary},
                          indent=2, sort_keys=True))
         return EXIT_OK
+    setup = sc.build_joint_setup(scn)
     os.makedirs(args.out, exist_ok=True)
-    result = run_joint(sc.build_joint_setup(scn))
+    result = run_joint(setup)
     files = sc.write_run(result, args.out, f"joint_{scn.name}", scn,
                          merged=args.merged)
     if args.svg:
@@ -384,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--state-noise", type=_nonnegative_float, default=0.0,
+    p.add_argument("--state-noise", type=_nonnegative_float, default=None,
                    help="spool-speed state noise std (rpm) via the hook")
     p.add_argument("--hook", type=str, default=None,
                    choices=["none", "identity"])

@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .control import AvrState, GovernorState, avr_step, governor_step
-from .errors import NumericalFailure
 from .gasgen import (
     GasGenInput,
     GasGenParams,
@@ -40,14 +39,7 @@ from .gasgen import (
     state_update,
 )
 from .gasgen.engine import OUTPUT_CHANNELS, output, trim_fuel
-from .numerics import (
-    IntegralAccumulator,
-    NonFiniteDerivative,
-    StepperOptions,
-    StepUnderflow,
-    accumulate,
-    expm,
-)
+from .numerics import NonFiniteDerivative, StepperOptions, StepUnderflow, expm
 from .wrsg import (
     ElectricalSystem,
     FaultParams,
@@ -66,10 +58,6 @@ from .wrsg.dynamics import harmonic_weights
 from .wrsg.machine import IDX_THETA
 
 
-class EmptyWindow(NumericalFailure):
-    pass
-
-
 @dataclass(frozen=True)
 class CouplingParams:
     eta_gtTsg: float = 1.0                 # power-transfer efficiency
@@ -80,13 +68,6 @@ class CouplingParams:
             raise ValueError("eta_gtTsg must lie in (0, 1]")
         if self.omega_gtTsg <= 0:
             raise ValueError("omega_gtTsg must be positive")
-
-
-def coupling_power(acc: IntegralAccumulator, dt: float, eta_gtTsg: float) -> float:
-    """Gas-generator load over the last macro step: mean machine power / eta."""
-    if dt <= 0:
-        raise EmptyWindow("macro step has zero width")
-    return acc.value / (dt * eta_gtTsg)
 
 
 def coupling_speed(w_gt_rpm: float, coupling: CouplingParams,
@@ -364,8 +345,9 @@ def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
 
 
 class _MachineTrack:
-    """Owns the electrical state, fault schedule, recorder and rms buffers;
-    `noise` draws from `rng`, which may be None where all its widths are 0."""
+    """Owns the electrical state, its steady start, the fault schedule, the
+    macro step's shaft energy, the recorder and the rms buffers; `noise`
+    draws from `rng`, which may be None where all its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
@@ -385,26 +367,30 @@ class _MachineTrack:
         self.decimation = decimation
         self.rng = rng
         self.fault = HEALTHY_FAULT
-        self.state = None          # state array, set by start()
+        self.state = None          # state array, w_e and V_fd: set by start()
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
-        self.V_fd = 0.0
-        self.w_e = 0.0
 
-    def start(self, y):
-        """Set the initial state, with every fault scheduled at t <= 0
-        already applied."""
-        self.state = y
+    def start(self, w_e: float, v_set: float):
+        """Start at electrical speed w_e from the healthy steady state whose
+        phase rms is v_set, with every fault scheduled at t <= 0 applied;
+        returns the field voltage and the start's shaft power, kW."""
+        self.w_e = w_e
+        r0 = self._resistance(0.0)
+        self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set)
+        self.state = steady_state(self.params, r0, self.V_fd, w_e).as_array()
         for t_sw, fault0 in self.schedule:
             if t_sw <= 0.0:
                 self.state = self._apply_fault(self.state, fault0)
+        return self.V_fd, self._system(0.0, None).terminal(self.state)[4]
 
     def _switch_points(self, t0, t1):
         return [s for s in self.schedule if t0 < s[0] <= t1]
 
     def advance(self, t0: float, t1: float, w_e: float, V_fd: float) -> float:
-        """Integrate the machine over [t0, t1]; returns accumulated energy kJ."""
+        """Integrate the machine over [t0, t1]; returns its shaft energy, kJ,
+        the trapezoid sum of the shaft power over the samples from t0."""
         self.w_e = w_e
         self.V_fd = V_fd
         self._seg = []
@@ -417,8 +403,8 @@ class _MachineTrack:
         pieces = self._switch_points(t0, t1)
         t_cur = t0
         sys_ = self._system(t_cur, noise_w)
-        self.acc = IntegralAccumulator(last_time=t0,
-                                       last_sample=float(sys_.terminal(y)[4]))
+        # the step's shaft energy so far, kJ, and its last (time, power) sample
+        self._energy, self._last = 0.0, (t0, float(sys_.terminal(y)[4]))
         for t_sw, fault_new in pieces:
             if t_sw > t_cur:
                 y = self._run(sys_, y, t_cur, t_sw)
@@ -428,7 +414,7 @@ class _MachineTrack:
         if t1 > t_cur:
             y = self._run(sys_, y, t_cur, t1)
         self.state = y
-        return self.acc.value
+        return self._energy
 
     def _apply_fault(self, y, fault_new: FaultParams):
         was_active = self.fault.active
@@ -438,11 +424,13 @@ class _MachineTrack:
             st = seed_fault_flux(st, fault_new, self.params)
         return st.as_array()
 
-    def _system(self, t, noise_w):
+    def _resistance(self, t):
         speed_rpm = self.w_e * 30.0 / (math.pi * self.params.pole_pairs)
-        r = self.load.resistance_at(t, speed_rpm=speed_rpm)
-        return ElectricalSystem(self.params, self.load, self.fault,
-                                self.w_e, self.V_fd, r, noise_w=noise_w)
+        return self.load.resistance_at(t, speed_rpm=speed_rpm)
+
+    def _system(self, t, noise_w):
+        return ElectricalSystem(self.params, self.load, self.fault, self.w_e,
+                                self.V_fd, self._resistance(t), noise_w=noise_w)
 
     def _run(self, sys_, y, ta, tb):
         h = self.stepper.max_step
@@ -462,22 +450,22 @@ class _MachineTrack:
         """Fast-track pass over one segment's samples: shaft energy, the rms
         buffers and every decimation-th row of the recorded channels."""
         i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(states)
-        accumulate(self.acc, times, p_tot)
+        t = np.concatenate(([self._last[0]], times))
+        p = np.concatenate(([self._last[1]], p_tot))
+        self._energy += float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(t)))
+        self._last = (t[-1], p[-1])
         self._seg.append((times, i_abc, v_abc))
         index = np.arange(self._count + 1, self._count + times.size + 1)
         keep = index % self.decimation == 0
         self._count += times.size
         i_rec, v_rec = i_abc[keep], v_abc[keep]
-        v_fd = np.full(i_rec.shape[0], self.V_fd)
         if self.noise.std_vi or self.noise.std_vv:
-            # recorded channels carry the measurement-noise model
-            v_meas, i_rec = measure(np.column_stack([v_rec, v_fd]), i_rec,
-                                    self.noise, rng=self.rng)
-            v_rec = v_meas[:, :3]
+            # recorded phase channels carry the measurement-noise model
+            v_rec, i_rec = measure(v_rec, i_rec, self.noise, rng=self.rng)
         self._times.append(times[keep])
         self._rows.append(np.column_stack([
-            i_rec, v_rec, i_f[keep],
-            i6[keep, 3], p_tot[keep], p_loss[keep], v_fd]))
+            i_rec, v_rec, i_f[keep], i6[keep, 3], p_tot[keep], p_loss[keep],
+            np.full(i_rec.shape[0], self.V_fd)]))
 
     def segment(self):
         """This macro step's samples: times, phase currents, phase voltages."""
@@ -570,18 +558,12 @@ def run_joint(setup: JointSetup) -> JointResult:
     # initial condition: governor setpoint speed, machine in steady state at
     # the trimmed field voltage, fuel trimmed so the engine carries the load
     n0 = setup.governor.N_set
-    w_sg, w_e = coupling_speed(n0, coupling, setup.machine.pole_pairs)
-    r0 = setup.load.resistance_at(0.0)
-    v_fd0 = field_voltage_for_terminal(setup.machine, r0, w_e,
-                                       setup.avr.V_set)
-    mstate = steady_state(setup.machine, r0, v_fd0, w_e)
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
                           setup.machine_noise, setup.stepper,
                           setup.decimation, rng_machine)
-    track.start(mstate.as_array())
+    _, w_e = coupling_speed(n0, coupling, setup.machine.pole_pairs)
+    v_fd0, p0 = track.start(w_e, setup.avr.V_set)
     health, swaps = health_swaps(setup.health_schedule, setup.macro_dt)
-    sys0 = track._system(0.0, None)
-    p0 = sys0.terminal(track.state)[4]
     pe0 = p0 / coupling.eta_gtTsg
     # the trimmed cycle solution is the first macro step's cycle match
     wf0, sol = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
@@ -602,8 +584,8 @@ def run_joint(setup: JointSetup) -> JointResult:
         # (a) machine over the macro step with held speed
         w_sg, w_e = coupling_speed(x.N, coupling, setup.machine.pole_pairs)
         energy = track.advance(t0, t1, w_e, v_fd)
-        # (b) power transfer
-        pe_gt = coupling_power(track.acc, dt, coupling.eta_gtTsg)
+        # (b) power transfer: the step's mean machine power over eta
+        pe_gt = energy / (dt * coupling.eta_gtTsg)
         # (c) health swap at the boundary, then spool update
         if k in swaps:
             health = swaps[k]
@@ -659,12 +641,10 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
     if n_steps < 1 or abs(n_steps * dt - duration) > 1e-9:
         raise ValueError(f"duration must be a positive multiple of {dt:g} s")
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
-    r0 = load.resistance_at(0.0)
-    v_fd = field_voltage_for_terminal(machine, r0, w_e, avr.V_set)
-    avr = replace(avr, integral=v_fd)
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
                           GENERATOR_STEPPER, decimation, rng=None)
-    track.start(steady_state(machine, r0, v_fd, w_e).as_array())
+    v_fd, _ = track.start(w_e, avr.V_set)
+    avr = replace(avr, integral=v_fd)
     period = 1.0 / machine.f_n
     for k in range(1, n_steps + 1):
         track.advance((k - 1) * dt, k * dt, w_e, v_fd)

@@ -2,7 +2,7 @@
 solves (finite differences, Broyden updates), adaptive linearly implicit ODE
 stepper for affine systems (an independent reference for the machine
 propagators, which run on a fixed grid), matrix exponential of one matrix
-or a stack, running time-integral accumulator.
+or a stack.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -56,10 +56,6 @@ class SingularStageMatrix(NumericalFailure):
         self.step = step
         super().__init__(f"singular stage matrix I - d h A in the step of "
                          f"{step:.3e} from t={t:.6g}")
-
-
-class TimeReversal(NumericalFailure):
-    pass
 
 
 # Newton settings: residuals are commensurate, of order 1, and converged
@@ -325,31 +321,3 @@ def expm(a):
     for _ in range(squarings):
         r = r @ r
     return r
-
-
-@dataclass
-class IntegralAccumulator:
-    """Trapezoidal running integral of a sampled signal."""
-    last_time: float
-    last_sample: float
-    value: float = 0.0
-
-
-def accumulate(acc: IntegralAccumulator, t, sample) -> IntegralAccumulator:
-    """Advance the accumulator to time t with the new sample (trapezoid rule).
-
-    t and sample may also be equal-length 1-D arrays of successive samples.
-    """
-    tt = np.concatenate(([acc.last_time], np.atleast_1d(np.asarray(t, dtype=float))))
-    ss = np.concatenate(([acc.last_sample],
-                         np.atleast_1d(np.asarray(sample, dtype=float))))
-    if tt.size != ss.size:
-        raise ValueError("times and samples differ in length")
-    dt = np.diff(tt)
-    if np.any(dt < 0):
-        k = int(np.argmax(dt < 0))
-        raise TimeReversal(f"t={tt[k + 1]} precedes accumulator time {tt[k]}")
-    acc.value += float(np.sum(0.5 * (ss[1:] + ss[:-1]) * dt))
-    acc.last_time = float(tt[-1])
-    acc.last_sample = float(ss[-1])
-    return acc

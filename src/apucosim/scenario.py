@@ -395,6 +395,12 @@ def health_schedule_from_scenario(scenario: Scenario) -> tuple:
 def run_fuel_step(scenario: Scenario):
     """Replay a fuel-step transient: gas generator alone against the cubic
     load law anchored at its design point, fuel stepping at the given time."""
+    return fuel_step_run(scenario)()
+
+
+def fuel_step_run(scenario: Scenario):
+    """run_fuel_step's run, checked, sized and trimmed but not started: a
+    function of no arguments that runs it."""
     from .cosim import health_swaps, run_gasgen_transient
     from .gasgen import GasGenState
     from .gasgen.engine import trim_fuel
@@ -420,8 +426,8 @@ def run_fuel_step(scenario: Scenario):
     def wf_of_t(t):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0
 
-    return run_gasgen_transient(
-        params, GasGenState(N=n0), wf_of_t, law, schedule,
+    return functools.partial(
+        run_gasgen_transient, params, GasGenState(N=n0), wf_of_t, law, schedule,
         duration=doc["duration"], macro_dt=doc["macro_dt"],
         ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]), match=trim)
 

@@ -28,13 +28,10 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def measure(v_abc_fd, i_abc, noise: NoiseConfig, rng):
-    """Measured terminal tuple: adds zero-mean Gaussian noise per channel,
-    drawn from the generator rng.
-
-    v_abc_fd stacks the three phase voltages and the field voltage.
-    """
-    v = np.asarray(v_abc_fd, dtype=float).copy()
+def measure(v_abc, i_abc, noise: NoiseConfig, rng):
+    """Measured phase voltages and currents: adds zero-mean Gaussian noise
+    per channel, drawn from the generator rng."""
+    v = np.asarray(v_abc, dtype=float).copy()
     i = np.asarray(i_abc, dtype=float).copy()
     if noise.std_vi:
         i += rng.normal(0.0, noise.std_vi, size=i.shape)
