@@ -245,6 +245,33 @@ def test_joint_hook_flag_transparent(tmp_path):
     assert a == b
 
 
+def test_joint_hook_with_state_noise_is_refused(tmp_path, capsys):
+    # --state-noise sets the hook too, so it would overwrite --hook's choice
+    argv = ["joint", "--hook", "none", "--state-noise", "5", "--out",
+            str(tmp_path / "out"), "--no-svg"]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--hook" in err and "--state-noise" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_joint_cubic_speed_law_load_starts_steady(tmp_path, capsys):
+    # the start is trimmed for the power the load draws at the run's speed
+    # and field voltage, so the spool holds its setpoint
+    from apucosim.scenario import parse_scenario
+    doc = {"duration": 0.2, "load": {"kind": "cubic-speed-law"}}
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(doc))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path / "out"),
+                 "--no-svg"]) == EXIT_OK
+    rows = (tmp_path / "out" / "joint_design_slow.csv").read_text().split()
+    column = rows[0].split(",").index("XNHPC_r/min")
+    speeds = [float(row.split(",")[column]) for row in rows[1:]]
+    n_set = parse_scenario(json.dumps(doc))["governor"]["n_set_rpm"]
+    assert len(speeds) == 10
+    assert max(abs(n / n_set - 1.0) for n in speeds) < 1e-9
+
+
 def test_bad_scenario_is_usage_error(tmp_path):
     p = tmp_path / "scn.json"
     p.write_text('{"unknown_key": 1}')
@@ -708,15 +735,19 @@ def test_scenario_path_that_is_a_directory_is_usage_error(tmp_path, capsys, comm
 @pytest.mark.parametrize("command, runner, below", [
     ("joint", "run_joint", False), ("joint", "run_joint", True),
     ("genrun", "run_generator", False), ("genrun", "run_generator", True),
-    ("transient", "run_fuel_step", False), ("transient", "run_fuel_step", True),
+    ("transient", "run_gasgen_transient", False),
+    ("transient", "run_gasgen_transient", True),
 ], ids=["file", "below-a-file", "genrun-file", "genrun-below-a-file",
         "transient-file", "transient-below-a-file"])
 def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
                                                     command, runner, below):
     # the output directory is made before the run, so a bad --out costs no run
+    from apucosim import cosim
+
     def never(*args, **kwargs):
         pytest.fail(f"{runner} ran before --out was checked")
-    monkeypatch.setattr(cli.sc if runner == "run_fuel_step" else cli, runner, never)
+    monkeypatch.setattr(cosim if runner == "run_gasgen_transient" else cli, runner,
+                        never)
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04}))
     out = tmp_path / "taken"
@@ -813,6 +844,17 @@ def test_unread_blocks_at_their_defaults_are_accepted(tmp_path, capsys):
         assert main([command, "--preset", preset, "--out", str(tmp_path / "x"),
                      "--no-svg"]) == EXIT_USAGE
         assert f"at {leaf}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, preset", [("transient", "joint-fault"),
+                                             ("joint", "fuel-step")])
+def test_refused_scenario_makes_no_out_directory(tmp_path, capsys, command, preset):
+    # the --out directory is made only once the scenario passes the run's checks
+    out = tmp_path / "out"
+    assert main([command, "--preset", preset, "--out", str(out),
+                 "--no-svg"]) == EXIT_USAGE
+    assert "run does not read" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--duration", "90"),

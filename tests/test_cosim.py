@@ -8,9 +8,8 @@ import pytest
 from machine_reference import flux_system
 from apucosim import cosim
 from apucosim.cosim import (
+    GENERATOR_STEPPER,
     CouplingParams,
-    EmptyWindow,
-    coupling_power,
     coupling_speed,
     energy_audit,
     magnus_substeps,
@@ -21,11 +20,9 @@ from apucosim.cosim import (
 )
 from apucosim.control import AvrState
 from apucosim.numerics import (
-    IntegralAccumulator,
     NonFiniteDerivative,
     StepperOptions,
     StepUnderflow,
-    accumulate,
     expm,
     integrate_adaptive,
 )
@@ -35,6 +32,7 @@ from apucosim.wrsg import (
     FaultParams,
     HEALTHY_FAULT,
     LoadModel,
+    NoiseConfig,
     WrsgParams,
     field_voltage_for_terminal,
     seed_fault_flux,
@@ -59,32 +57,100 @@ def mini_result():
 
 # ------------------------------------------------------------------- coupling
 
+def _track(fault_schedule=()):
+    """A machine track at 225 kW that records every sample."""
+    return cosim._MachineTrack(WrsgParams(), LoadModel.from_power(225.0),
+                               fault_schedule, NoiseConfig(), GENERATOR_STEPPER,
+                               decimation=1, rng=None)
+
+
+def _trapezoid(t, p):
+    return float(np.sum(np.diff(t) * (p[1:] + p[:-1])) / 2.0)
+
+
 def test_coupling_power_constant():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=450.0)
-    accumulate(acc, 0.02, 450.0)
-    assert coupling_power(acc, 0.02, 1.0) == pytest.approx(450.0, rel=1e-12)
+    # a healthy balanced start draws constant shaft power, so the macro
+    # step's energy is that power times the step
+    track = _track()
+    v_fd, p0 = track.start(W_E, 230.0)
+    assert track.advance(0.0, 0.02, W_E, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
 
 
 def test_coupling_power_efficiency():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=450.0)
-    accumulate(acc, 0.02, 450.0)
-    assert coupling_power(acc, 0.02, 0.98) == pytest.approx(450.0 / 0.98, rel=1e-12)
+    # the gas generator's load is the step's machine energy over dt * eta
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"coupling": {"eta": 0.98}, "record": {"decimation": 1}}, duration=0.1)))
+    t, p = res.fast.time, res.fast.column("P_sg_total")
+    for t1, pe in zip(res.slow.time[1:], res.slow.column("Pe_gt")[1:]):
+        step = (t >= t1 - 0.02 - 1e-9) & (t <= t1 + 1e-9)
+        assert pe * 0.02 * 0.98 == pytest.approx(_trapezoid(t[step], p[step]), rel=1e-12)
 
 
 def test_coupling_power_ripple_rejection():
-    # a zero-mean 400 Hz ripple over exactly 8 periods leaves the mean power
-    acc = IntegralAccumulator(last_time=0.0, last_sample=450.0)
-    n = 1600
-    for k in range(1, n + 1):
-        t = 0.02 * k / n
-        accumulate(acc, t, 450.0 + 30.0 * math.sin(2 * math.pi * 400.0 * t))
-    assert coupling_power(acc, 0.02, 1.0) == pytest.approx(450.0, rel=1e-5)
+    # a shorted turn makes the shaft power ripple at twice the electrical
+    # frequency; over a macro step of whole periods the step's mean power
+    # is the samples' mean, whatever the ripple's phase at the ends
+    track = _track(((0.0, FaultParams(mu=0.05, k_rf=1.0)),))
+    v_fd, _ = track.start(W_E, 230.0)
+    energies = [track.advance(0.02 * k, 0.02 * (k + 1), W_E, v_fd) for k in range(7)]
+    fast = track.fast_series()
+    t, p = fast.time, fast.column("P_sg_total")
+    # from the fourth step on, once the switch-on transient has settled
+    for k, energy in enumerate(energies[3:], start=3):
+        step = (t > 0.02 * k + 1e-9) & (t <= 0.02 * (k + 1) + 1e-9)
+        assert np.ptp(p[step]) > 0.3 * np.mean(p[step])
+        assert energy / 0.02 == pytest.approx(np.mean(p[step]), rel=1e-5)
 
 
-def test_coupling_power_empty_window():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
-    with pytest.raises(EmptyWindow):
-        coupling_power(acc, 0.0, 1.0)
+@pytest.mark.parametrize("t_fault", [0.0, 0.013, None], ids=["fault-at-start",
+                                                              "fault-mid-step",
+                                                              "healthy"])
+def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
+    # advance sums the shaft power by the trapezoid rule from the start's
+    # sample over every sample of the step, across a fault switch too
+    track = _track(() if t_fault is None else ((t_fault, FaultParams(mu=0.05)),))
+    v_fd, p0 = track.start(W_E, 230.0)
+    energy = track.advance(0.0, 0.02, W_E, v_fd)
+    fast = track.fast_series()
+    t = np.append(0.0, fast.time)
+    p = np.append(p0, fast.column("P_sg_total"))
+    assert t[-1] == 0.02
+    assert energy == pytest.approx(_trapezoid(t, p), rel=1e-12)
+    # the next step starts from this step's last sample
+    energy = track.advance(0.02, 0.04, W_E, v_fd)
+    fast = track.fast_series()
+    step = fast.time >= 0.02
+    assert energy == pytest.approx(
+        _trapezoid(fast.time[step], fast.column("P_sg_total")[step]), rel=1e-12)
+
+
+def test_track_start_is_steady_at_the_run_speed():
+    # a cubic-speed-law load is sized at the run's speed, so the start is a
+    # steady state: its power holds over the first macro step
+    load = LoadModel.from_power(225.0, kind="cubic-speed-law")
+    track = cosim._MachineTrack(WrsgParams(), load, (), NoiseConfig(),
+                                GENERATOR_STEPPER, decimation=1, rng=None)
+    w_e = 0.9 * W_E
+    v_fd, p0 = track.start(w_e, 230.0)
+    assert p0 == pytest.approx(0.9 ** 3 * 2.0 * 225.0 / 0.95, rel=1e-9)
+    assert track.advance(0.0, 0.02, w_e, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
+
+
+def test_machine_noise_draws_only_the_recorded_voltages(monkeypatch):
+    # measurement noise is drawn for the three phase voltages alone, the
+    # channels that are recorded; the field voltage is recorded clean
+    shapes = []
+    measure = cosim.measure
+
+    def spy(v, i, noise, rng):
+        shapes.append(np.shape(v))
+        return measure(v, i, noise, rng)
+    monkeypatch.setattr(cosim, "measure", spy)
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"noise": {"std_vv": 2.0}}, duration=0.04)))
+    assert shapes and all(s[1:] == (3,) for s in shapes)
+    second = res.fast.time > 0.02 + 1e-9
+    assert np.all(res.fast.column("V_fd")[second] == res.slow.column("V_fd")[0])
 
 
 def test_coupling_speed_reference_ratio():

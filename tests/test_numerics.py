@@ -10,14 +10,11 @@ from apucosim.numerics import (
     _PADE13,
     _THETA13,
     NEWTON_MAX_ITERATIONS,
-    IntegralAccumulator,
     NonConvergence,
     SingularJacobian,
     SingularStageMatrix,
     StepperOptions,
     StepUnderflow,
-    TimeReversal,
-    accumulate,
     expm,
     integrate_adaptive,
     newton_solve,
@@ -278,70 +275,6 @@ def test_singular_stage_matrix_raises():
     with pytest.raises(SingularStageMatrix):
         integrate_adaptive(lambda t: (np.array([[a]]), np.zeros(1)),
                            np.array([1.0]), (0.0, 1.0), opts)
-
-
-# ----------------------------------------------------------------- accumulate
-
-def test_accumulate_constant():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=450.0)
-    accumulate(acc, 0.02, 450.0)
-    assert abs(acc.value - 9.0) < 1e-12
-
-
-def test_accumulate_linear_ramp():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
-    accumulate(acc, 1.0, 100.0)
-    assert abs(acc.value - 50.0) < 1e-12
-
-
-def test_accumulate_sine_period_near_zero():
-    f = 400.0
-    period = 1.0 / f
-    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
-    n = 100
-    for k in range(1, n + 1):
-        t = k * period / n
-        accumulate(acc, t, math.sin(2 * math.pi * f * t))
-    assert abs(acc.value) < 1e-3 * 1.0 * period
-
-
-def test_accumulate_time_reversal():
-    acc = IntegralAccumulator(last_time=1.0, last_sample=0.0)
-    with pytest.raises(TimeReversal):
-        accumulate(acc, 0.5, 1.0)
-
-
-def test_accumulate_arrays_match_sequential_samples():
-    rng = np.random.default_rng(4)
-    t = np.cumsum(rng.uniform(1e-5, 1e-4, 200))
-    s = rng.normal(size=200)
-    one = IntegralAccumulator(last_time=0.0, last_sample=1.0)
-    for tk, sk in zip(t, s):
-        accumulate(one, tk, sk)
-    many = accumulate(IntegralAccumulator(last_time=0.0, last_sample=1.0), t, s)
-    assert many.value == pytest.approx(one.value, rel=1e-12)
-    assert (many.last_time, many.last_sample) == (t[-1], s[-1])
-
-
-def test_accumulate_array_time_reversal():
-    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
-    with pytest.raises(TimeReversal):
-        accumulate(acc, [0.1, 0.3, 0.2], [1.0, 2.0, 3.0])
-
-
-@given(st.lists(st.tuples(st.floats(0.001, 10.0), st.floats(-100, 100)),
-                min_size=1, max_size=20))
-@settings(max_examples=50, deadline=None)
-def test_accumulate_exact_for_piecewise_linear(segments):
-    # trapezoid rule integrates piecewise-linear signals exactly at breakpoints
-    acc = IntegralAccumulator(last_time=0.0, last_sample=0.0)
-    t, s, exact = 0.0, 0.0, 0.0
-    for dt, s_next in segments:
-        exact += 0.5 * (s + s_next) * dt
-        t += dt
-        s = s_next
-        accumulate(acc, t, s)
-    assert acc.value == pytest.approx(exact, rel=1e-12, abs=1e-9)
 
 
 def test_newton_non_finite_residual_at_guess():
