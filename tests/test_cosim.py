@@ -57,11 +57,10 @@ def mini_result():
 
 # ------------------------------------------------------------------- coupling
 
-def _track(fault_schedule=()):
-    """A machine track at 225 kW that records every sample."""
-    return cosim._MachineTrack(WrsgParams(), LoadModel.from_power(225.0),
-                               fault_schedule, NoiseConfig(), GENERATOR_STEPPER,
-                               decimation=1, rng=None)
+def _track(fault_schedule=(), load=LoadModel.from_power(225.0)):
+    """A machine track, at 225 kW by default, that records every sample."""
+    return cosim._MachineTrack(WrsgParams(), load, fault_schedule, NoiseConfig(),
+                               GENERATOR_STEPPER, decimation=1, rng=None)
 
 
 def _trapezoid(t, p):
@@ -127,12 +126,13 @@ def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
 def test_track_start_is_steady_at_the_run_speed():
     # a cubic-speed-law load is sized at the run's speed, so the start is a
     # steady state: its power holds over the first macro step
-    load = LoadModel.from_power(225.0, kind="cubic-speed-law")
-    track = cosim._MachineTrack(WrsgParams(), load, (), NoiseConfig(),
-                                GENERATOR_STEPPER, decimation=1, rng=None)
+    track = _track(load=LoadModel.from_power(225.0, kind="cubic-speed-law"))
     w_e = 0.9 * W_E
     v_fd, p0 = track.start(w_e, 230.0)
-    assert p0 == pytest.approx(0.9 ** 3 * 2.0 * 225.0 / 0.95, rel=1e-9)
+    # 225 kW scaled by speed^3, drawn through both machines at eta_sg
+    p = WrsgParams()
+    assert p0 == pytest.approx(0.9 ** 3 * 225.0 * p.two_machine_factor / p.eta_sg,
+                               rel=1e-9)
     assert track.advance(0.0, 0.02, w_e, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
 
 
