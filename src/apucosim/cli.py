@@ -154,8 +154,6 @@ def cmd_transient(args) -> int:
 
 
 def cmd_genrun(args) -> int:
-    if not 0.0 <= args.mu < 1.0:
-        raise ValueError(f"--mu must lie in [0, 1) (0 runs healthy), found {args.mu!r}")
     steps = args.duration / GENERATOR_CONTROL_DT
     if not (math.isfinite(steps) and round(steps) >= 1
             and abs(steps - round(steps)) <= 1e-9):
@@ -260,25 +258,10 @@ def cmd_joint(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, found {text!r}")
-    return int(text)
-
-
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, found {text!r}")
     return int(text)
-
-
-def _decimation(text: str) -> int:
-    # as record.decimation: a run has at most MAX_FAST_STEPS samples
-    value = _positive_int(text)
-    if value > sc.MAX_FAST_STEPS:
-        raise argparse.ArgumentTypeError(f"expected an integer within [1, "
-                                         f"{sc.MAX_FAST_STEPS:,}], found {text!r}")
-    return value
 
 
 def _finite_float(text: str, what: str = "number") -> float:
@@ -291,9 +274,19 @@ def _finite_float(text: str, what: str = "number") -> float:
     return value
 
 
-def _macro_dt(text: str) -> float:
-    # the scenario's validation checks the rest of the field it overrides
-    return _finite_float(text, "macro_dt in seconds")
+def _leaf_type(key: str, integer: bool = False):
+    """The argparse type of a flag that sets the scenario leaf `key` (list
+    items as in sc.RANGES): a finite number, or where `integer` a decimal
+    integer, within the leaf's interval."""
+    def parse(text: str):
+        if integer and not text.isdigit():
+            raise argparse.ArgumentTypeError(f"expected a decimal integer for {key}, "
+                                             f"found {text!r}")
+        value = int(text) if integer else _finite_float(text, key)
+        if span := sc.out_of_range(key, value):
+            raise argparse.ArgumentTypeError(f"{key} {value!r} outside {span}")
+        return value
+    return parse
 
 
 def _nonnegative_float(text: str) -> float:
@@ -333,7 +326,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, preset: str) -> None:
     """The scenario of transient and joint; --preset defaults to `preset`."""
     p.add_argument("--scenario", type=str, default=None)
     p.add_argument("--preset", type=str, default=preset)
-    p.add_argument("--macro-dt", type=_macro_dt, default=None)
+    p.add_argument("--macro-dt", type=_leaf_type("macro_dt"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,9 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="size the gas generator and print the "
                                       "design-point station table")
     _add_point_flags(p)
-    p.add_argument("--shaft-power", type=_positive_float, default=500.0)
-    p.add_argument("--pressure-ratio", type=_positive_float, default=8.0)
-    p.add_argument("--t4", type=_positive_float, default=1200.114)
+    p.add_argument("--shaft-power", type=_leaf_type("gasgen.shaft_power_kw"),
+                   default=500.0)
+    p.add_argument("--pressure-ratio", type=_leaf_type("gasgen.pressure_ratio"),
+                   default=8.0)
+    p.add_argument("--t4", type=_leaf_type("gasgen.t4_k"), default=1200.114)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("steady", help="solve one steady off-design point")
@@ -372,13 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("genrun", help="machine-only run at fixed shaft speed")
-    p.add_argument("--power-kw", type=_positive_float, default=225.0)
+    p.add_argument("--power-kw", type=_leaf_type("load.power_kw"), default=225.0)
     p.add_argument("--speed-rpm", type=_positive_float, default=12000.0)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--k-rf", type=_nonnegative_float, default=1.0)
+    p.add_argument("--mu", type=_leaf_type("ttsc_faults[].mu"), default=0.0)
+    p.add_argument("--k-rf", type=_leaf_type("ttsc_faults[].k_rf"), default=1.0)
     p.add_argument("--fault-time", type=float, default=0.5)
-    p.add_argument("--decimation", type=_decimation, default=2)
+    p.add_argument("--decimation", type=_leaf_type("record.decimation", integer=True),
+                   default=2)
     p.add_argument("--json", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_genrun)
@@ -386,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="full co-simulation of a scenario")
     _add_scenario_flags(p, "joint-fault")
     _add_output_flags(p)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
+    p.add_argument("--seed", type=_leaf_type("seed", integer=True), default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--state-noise", type=_nonnegative_float, default=None,
+    p.add_argument("--state-noise", type=_leaf_type("hook.std_rpm"), default=None,
                    help="spool-speed state noise std (rpm) via the hook")
     p.add_argument("--hook", type=str, default=None,
                    choices=["none", "identity"])

@@ -26,6 +26,7 @@ from .gasgen.engine import OUTPUT_CHANNELS, OUTPUT_TABLE, outputs_from_solution
 from .gasgen.properties import T_MAX, T_MIN
 from .numerics import StepperOptions
 from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
+from .wrsg.loads import LOAD_KINDS
 
 
 class SchemaError(UsageError):
@@ -106,33 +107,87 @@ _LIST_ITEM_DEFAULTS = {
 # free-form channel->std map: keys checked against the output channel list
 _FREE_DICTS = {"noise.gasgen_output"}
 
+_POS = (0.0, math.inf, False, False)
+_NONNEG = (0.0, math.inf, True, False)
+# each bounded leaf's interval (low, high, low included, high included), as
+# the model constructors, the regulators and the run require; a list item's
+# index is written [], and noise.gasgen_output stands for each channel. The
+# other numeric leaves are unbounded (ambient.dT_ISA, gasgen.accessory_kw,
+# load.schedule[].scale) or bounded by other leaves in _validate
+RANGES = {
+    "duration": _POS, "macro_dt": _POS, "seed": _NONNEG,
+    "ambient.altitude": (*ALTITUDE_RANGE_M, True, True),
+    "ambient.mach": (0.0, 1.0, True, False),
+    **{f"gasgen.{key}": _POS for key in (
+        "shaft_power_kw", "lhv_mj_per_kg", "design_speed_rpm", "eta_compressor",
+        "w2_kg_per_s", "inertia_kg_m2")},
+    "gasgen.pressure_ratio": (1.0, math.inf, False, False),
+    # the working-fluid properties span [T_MIN, T_MAX]
+    "gasgen.t4_k": (T_MIN, T_MAX, True, True),
+    **{f"machine.{key}": _POS for key in ("v_phase_rms", "f_hz", "two_machine_factor")},
+    "machine.eta_sg": (0.0, 1.0, False, True),
+    "coupling.eta": (0.0, 1.0, False, True), "coupling.speed_ratio": _POS,
+    **{f"governor.{key}": _POS for key in ("n_set_rpm", "wf_max", "rate_limit")},
+    **{f"governor.{key}": _NONNEG for key in ("kp", "ki", "wf_min")},
+    "avr.v_set": _POS, "avr.v_fd_max": _POS, "avr.kp": _NONNEG, "avr.ki": _NONNEG,
+    "load.power_kw": _POS, "load.l_phase_h": _NONNEG,
+    **{f"gas_path_faults[].{f.name}": (*HEALTH_FACTOR_RANGE, True, True)
+       for f in fields(HealthParams)},
+    # mu = 1 shorts the whole phase, where the fault current's denominator
+    # mu (1 - mu) L_ls vanishes; mu = 0 runs healthy
+    "ttsc_faults[].mu": (0.0, 1.0, True, False), "ttsc_faults[].k_rf": _NONNEG,
+    "fuel_step.factor": _POS, "fuel_step.initial_power_kw": _POS,
+    **{f"noise.{key}": _NONNEG for key in (
+        "std_w1", "std_w2", "std_vi", "std_vv", "gasgen_output")},
+    "hook.std_rpm": _NONNEG,
+    "stepper.relative_tolerance": _POS, "stepper.absolute_tolerance": _POS,
+    # a run has at most MAX_FAST_STEPS samples to decimate, and the fast
+    # track's index arithmetic is in numpy's int64
+    "record.decimation": (1, MAX_FAST_STEPS, True, True),
+}
+CHOICES = {
+    "hook.kind": ("none", "identity", "speed-noise"),
+    "load.kind": LOAD_KINDS,
+}
 
-def _merge(defaults, given, path):
+
+def out_of_range(key, value):
+    """None where value lies within RANGES[key], else that interval as text."""
+    low, high, low_in, high_in = RANGES[key]
+    if (low <= value if low_in else low < value) and \
+            (value <= high if high_in else value < high):
+        return None
+    return f"{'[' if low_in else '('}{low:.15g}, {high:.15g}{']' if high_in else ')'}"
+
+
+def _merge(defaults, given, path, key):
+    """`given` over `defaults`, each leaf checked against its RANGES or
+    CHOICES entry; `key` is `path` with each list index written []."""
     if isinstance(defaults, dict):
         if not isinstance(given, dict):
             raise SchemaError(path, "object", given)
         if path in _FREE_DICTS:
             out = {}
-            for key, value in given.items():
-                if key not in {n for n, _ in OUTPUT_CHANNELS}:
-                    raise UnknownField(f"{path}.{key}")
-                out[key] = _merge(0.0, value, f"{path}.{key}")
+            for name, value in given.items():
+                if name not in {n for n, _ in OUTPUT_CHANNELS}:
+                    raise UnknownField(f"{path}.{name}")
+                out[name] = _merge(0.0, value, f"{path}.{name}", key)
             return out
         out = {}
-        for key, value in given.items():
-            if key not in defaults:
-                raise UnknownField(f"{path}.{key}" if path else key)
-        for key, dval in defaults.items():
-            sub = f"{path}.{key}" if path else key
-            if key in given:
-                out[key] = _merge(dval, given[key], sub)
+        for name in given:
+            if name not in defaults:
+                raise UnknownField(f"{path}.{name}" if path else name)
+        for name, dval in defaults.items():
+            if name in given:
+                out[name] = _merge(dval, given[name], f"{path}.{name}" if path else name,
+                                   f"{key}.{name}" if key else name)
             else:
-                out[key] = copy.deepcopy(dval)
+                out[name] = copy.deepcopy(dval)
         return out
     if isinstance(defaults, list):
         if not isinstance(given, list):
             raise SchemaError(path, "array", given)
-        return [_merge(_LIST_ITEM_DEFAULTS[path], item, f"{path}[{i}]")
+        return [_merge(_LIST_ITEM_DEFAULTS[path], item, f"{path}[{i}]", f"{key}[]")
                 for i, item in enumerate(given)]
     if isinstance(defaults, bool):
         if not isinstance(given, bool):
@@ -149,47 +204,24 @@ def _merge(defaults, given, path):
             raise SchemaError(path, "finite number", given)
         if isinstance(defaults, int) and not float(given).is_integer():
             raise SchemaError(path, "integer", given)
-        return type(defaults)(given)
+        value = type(defaults)(given)
+        if key in RANGES and (span := out_of_range(key, value)):
+            raise SchemaError(path, f"number within {span}", value)
+        return value
     if isinstance(defaults, str):
         if not isinstance(given, str):
             raise SchemaError(path, "string", given)
+        if key in CHOICES and given not in CHOICES[key]:
+            raise SchemaError(path, "one of " + "|".join(CHOICES[key]), given)
         return given
     raise SchemaError(path, "known type", given)
 
 
-# leaves that must be > 0, or >= 0 (with each noise.gasgen_output.<channel>),
-# as the model constructors, the regulators and the run require
-_POSITIVE = (
-    "duration", "macro_dt", "machine.f_hz", "machine.v_phase_rms",
-    "machine.two_machine_factor", "load.power_kw", "fuel_step.initial_power_kw",
-    "fuel_step.factor", "governor.n_set_rpm", "governor.wf_max",
-    "governor.rate_limit", "avr.v_set", "avr.v_fd_max", "coupling.speed_ratio",
-    "stepper.relative_tolerance", "stepper.absolute_tolerance",
-    *(f"gasgen.{key}" for key in (
-        "shaft_power_kw", "t4_k", "lhv_mj_per_kg", "design_speed_rpm",
-        "eta_compressor", "w2_kg_per_s", "inertia_kg_m2")))
-_NONNEGATIVE = ("seed", "noise.std_w1", "noise.std_w2", "noise.std_vi",
-                "noise.std_vv", "hook.std_rpm", "load.l_phase_h", "governor.wf_min",
-                "governor.kp", "governor.ki", "avr.kp", "avr.ki")
-
-
 def _validate(doc):
-    def leaf(path):
-        return functools.reduce(lambda node, key: node[key], path.split("."), doc)
-
-    for path in _POSITIVE:
-        if leaf(path) <= 0:
-            raise SchemaError(path, "number > 0", leaf(path))
-    for path in _NONNEGATIVE + tuple(f"noise.gasgen_output.{name}"
-                                     for name in doc["noise"]["gasgen_output"]):
-        if leaf(path) < 0:
-            raise SchemaError(path, "number >= 0", leaf(path))
+    """The rules that relate two or more leaves."""
     if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:
         raise SchemaError("governor.wf_min", "fuel flow below governor.wf_max",
                           doc["governor"]["wf_min"])
-    if doc["gasgen"]["pressure_ratio"] <= 1:
-        raise SchemaError("gasgen.pressure_ratio", "pressure ratio above 1",
-                          doc["gasgen"]["pressure_ratio"])
     n = doc["duration"] / doc["macro_dt"]
     if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
         raise SchemaError("duration", "multiple of macro_dt", doc["duration"])
@@ -209,52 +241,13 @@ def _validate(doc):
             raise SchemaError(f"load.schedule[{i}].time_s",
                               f"time after load.schedule[{i - 1}].time_s",
                               item["time_s"])
-    if doc["hook"]["kind"] not in ("none", "identity", "speed-noise"):
-        raise SchemaError("hook.kind", "none|identity|speed-noise",
-                          doc["hook"]["kind"])
-    if doc["load"]["kind"] not in ("resistive-bank", "series-RL", "cubic-speed-law"):
-        raise SchemaError("load.kind", "a known load kind", doc["load"]["kind"])
-    alt = doc["ambient"]["altitude"]
-    if not ALTITUDE_RANGE_M[0] <= alt <= ALTITUDE_RANGE_M[1]:
-        raise SchemaError("ambient.altitude",
-                          "altitude within [{:g}, {:g}] m".format(*ALTITUDE_RANGE_M), alt)
-    mach = doc["ambient"]["mach"]
-    if not 0.0 <= mach < 1.0:
-        raise SchemaError("ambient.mach", "Mach number within [0, 1)", mach)
     # the working-fluid properties span [T_MIN, T_MAX]
+    amb = doc["ambient"]
     try:
-        ambient_conditions(alt, mach, doc["ambient"]["dT_ISA"])
+        ambient_conditions(amb["altitude"], amb["mach"], amb["dT_ISA"])
     except AmbientTemperatureOutOfRange as exc:
         raise SchemaError("ambient.dT_ISA", f"offset putting the {exc.temperature} "
                           f"within [{T_MIN:g}, {T_MAX:g}] K", exc.dT_ISA) from None
-    t4 = doc["gasgen"]["t4_k"]
-    if not T_MIN <= t4 <= T_MAX:
-        raise SchemaError("gasgen.t4_k",
-                          f"temperature within [{T_MIN:g}, {T_MAX:g}] K", t4)
-    lo, hi = HEALTH_FACTOR_RANGE
-    for i, item in enumerate(doc["gas_path_faults"]):
-        for f in fields(HealthParams):
-            if not lo <= item[f.name] <= hi:
-                raise SchemaError(f"gas_path_faults[{i}].{f.name}",
-                                  f"factor within [{lo:g}, {hi:g}]", item[f.name])
-    for i, item in enumerate(doc["ttsc_faults"]):
-        # mu = 1 shorts the whole phase, where the fault current's
-        # denominator mu (1 - mu) L_ls vanishes; mu = 0 runs healthy
-        if not 0.0 <= item["mu"] < 1.0:
-            raise SchemaError(f"ttsc_faults[{i}].mu", "fraction within [0, 1)",
-                              item["mu"])
-        if not item["k_rf"] >= 0.0:
-            raise SchemaError(f"ttsc_faults[{i}].k_rf", "non-negative factor",
-                              item["k_rf"])
-    # a run has at most MAX_FAST_STEPS samples to decimate, and the fast
-    # track's index arithmetic is in numpy's int64
-    if not 1 <= doc["record"]["decimation"] <= MAX_FAST_STEPS:
-        raise SchemaError("record.decimation",
-                          f"integer within [1, {MAX_FAST_STEPS:,}]",
-                          doc["record"]["decimation"])
-    for path in ("machine.eta_sg", "coupling.eta"):
-        if not 0.0 < leaf(path) <= 1.0:
-            raise SchemaError(path, "efficiency within (0, 1]", leaf(path))
     # healthy segments are sampled at max_step and the regulator's rms
     # window spans one electrical period, so a period needs >= 10 samples.
     # Faulted segments step at T_e / n, the electrical period T_e cut into
@@ -325,7 +318,7 @@ def parse_scenario(text: str) -> Scenario:
         raise SchemaError("<document>", "well-formed JSON", str(exc)) from None
     if not isinstance(given, dict):
         raise SchemaError("<document>", "object", given)
-    doc = _merge(_DEFAULTS, given, "")
+    doc = _merge(_DEFAULTS, given, "", "")
     _validate(doc)
     return Scenario(doc=doc)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 OPEN_CIRCUIT_R = 1e9
 SPEED_REF_RPM = 12000.0     # reference speed of the cubic-speed-law load
+LOAD_KINDS = ("resistive-bank", "series-RL", "cubic-speed-law")
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class LoadModel:
     schedule: tuple = ()                    # ((time_s, scale), ...) on admittance
 
     def __post_init__(self):
-        if self.kind not in ("resistive-bank", "series-RL", "cubic-speed-law"):
+        if self.kind not in LOAD_KINDS:
             raise ValueError(f"unknown load kind {self.kind!r}")
         if self.R_phase <= 0:
             raise ValueError("R_phase must be positive")
