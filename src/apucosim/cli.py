@@ -57,7 +57,7 @@ def _scenario_from_args(args) -> sc.Scenario:
         _refuse_given("--hook sets the scenario's hook",
                       {"state_noise": args.state_noise})
         overrides["hook"] = {"kind": args.hook, "std_rpm": 0.0}
-    if getattr(args, "state_noise", None):
+    if getattr(args, "state_noise", None) is not None:
         overrides["hook"] = {"kind": "speed-noise", "std_rpm": args.state_noise}
     if not overrides:
         return scn

@@ -24,7 +24,7 @@ swaps happen at macro boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -377,9 +377,10 @@ class _MachineTrack:
         phase rms is v_set, with every fault scheduled at t <= 0 applied;
         returns the field voltage and the start's shaft power, kW."""
         self.w_e = w_e
-        r0 = self._resistance(0.0)
-        self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set)
-        self.state = steady_state(self.params, r0, self.V_fd, w_e).as_array()
+        r0, l0 = self._resistance(0.0), self.load.L_phase
+        self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set, l0)
+        self.state = steady_state(self.params, r0, self.V_fd, w_e,
+                                  L_load=l0).as_array()
         for t_sw, fault0 in self.schedule:
             if t_sw <= 0.0:
                 self.state = self._apply_fault(self.state, fault0)
@@ -547,8 +548,15 @@ def run_joint(setup: JointSetup) -> JointResult:
     if abs(n_steps * setup.macro_dt - setup.duration) > 1e-9:
         raise ValueError("duration must be a multiple of macro_dt")
 
-    ss = np.random.SeedSequence(setup.seed)
-    rng_machine, rng_gg, rng_hook = [np.random.default_rng(s) for s in ss.spawn(3)]
+    # a generator for each stream that draws, each from its own spawned
+    # child, so that a noise-free run makes none
+    draws = (any(astuple(setup.machine_noise)), any(setup.gasgen_noise.values()),
+             setup.hook is not None)
+    rng_machine = rng_gg = rng_hook = None
+    if any(draws):
+        children = np.random.SeedSequence(setup.seed).spawn(3)
+        rng_machine, rng_gg, rng_hook = [np.random.default_rng(child) if draw else None
+                                         for draw, child in zip(draws, children)]
 
     gg = setup.gg_params
     coupling = setup.coupling

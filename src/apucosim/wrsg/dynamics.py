@@ -160,12 +160,14 @@ class ElectricalSystem:
 
 
 def steady_state(params: WrsgParams, R_load: float, V_fd: float,
-                 w_e: float, theta0: float = 0.0) -> WrsgState:
-    """Healthy balanced steady state at constant speed and field voltage."""
+                 w_e: float, theta0: float = 0.0, L_load: float = 0.0) -> WrsgState:
+    """Healthy balanced steady state at constant speed and field voltage,
+    the load's series inductance L_load in the stator fluxes as build_L
+    folds it in."""
     p = params
     i_fd = V_fd / p.r_fd
-    lq = p.L_mq + p.L_ls
-    ld = p.L_md + p.L_ls
+    lq = p.L_mq + p.L_ls + L_load
+    ld = p.L_md + p.L_ls + L_load
     r = R_load + p.r_s
     # (R) i_q = w lam_d = w (-Ld i_d + Lmd i_fd); (R) i_d = w Lq i_q
     a = np.array([[r, w_e * ld], [-w_e * lq, r]])
@@ -182,16 +184,17 @@ def steady_state(params: WrsgParams, R_load: float, V_fd: float,
 
 
 def field_voltage_for_terminal(params: WrsgParams, R_load: float, w_e: float,
-                               v_phase_rms: float) -> float:
-    """Field voltage whose healthy steady state hits the target phase rms.
+                               v_phase_rms: float, L_load: float = 0.0) -> float:
+    """Field voltage whose healthy steady state hits the target phase rms
+    across the load R_load in series with L_load.
 
     The healthy steady map V_rms(V_fd) is linear through the origin.
     """
     probe = 10.0
-    st = steady_state(params, R_load, probe, w_e)
-    model = build_L(params)
+    st = steady_state(params, R_load, probe, w_e, L_load=L_load)
+    model = build_L(params, L_load)
     i6, _ = currents_fast(st.as_array(), HEALTHY_FAULT, model)
-    v_amp = R_load * math.hypot(i6[0], i6[1])
+    v_amp = math.hypot(R_load, w_e * L_load) * math.hypot(i6[0], i6[1])
     v_rms = v_amp / math.sqrt(2.0)
     return probe * v_phase_rms / v_rms
 
