@@ -865,3 +865,38 @@ def test_genrun_bounds_admit_their_limits(tmp_path, monkeypatch, flag, value):
     with pytest.raises(_Reached):
         main(["genrun", "--duration", "0.02", flag, value, "--out", str(tmp_path),
               "--no-svg"])
+
+
+# design's sizing flags take their leaves' ranges: refused when the command
+# line is parsed, naming the flag, before any sizing
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--pressure-ratio", "0.5", "(1, inf)"), ("--pressure-ratio", "1", "(1, inf)"),
+    ("--t4", "5000", "[200, 2000]"), ("--t4", "199.9", "[200, 2000]"),
+])
+def test_design_flags_refused_outside_their_leaf_range(capsys, monkeypatch, flag,
+                                                        value, bound):
+    monkeypatch.setattr(cli, "design_point_size", _reach)
+    assert main(["design", flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and bound in err and "outside" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--pressure-ratio", "1.0000001"), ("--t4", "200"), ("--t4", "2000"),
+])
+def test_design_flags_accept_their_leaf_bounds(monkeypatch, flag, value):
+    # parsed, and the sizing reached
+    monkeypatch.setattr(cli, "design_point_size", _reach)
+    with pytest.raises(_Reached):
+        main(["design", "--json", flag, value])
+
+
+def test_state_noise_zero_sets_a_zero_width_hook(tmp_path):
+    # 0 is a width like any other: it replaces the document's hook
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "sn", "duration": 0.04,
+                             "hook": {"kind": "speed-noise", "std_rpm": 5}}))
+    assert main(["joint", "--scenario", str(p), "--state-noise", "0",
+                 "--out", str(tmp_path), "--no-svg"]) == EXIT_OK
+    hook = json.loads((tmp_path / "joint_sn_manifest.json").read_text())["scenario"]["hook"]
+    assert hook == {"kind": "speed-noise", "std_rpm": 0.0}

@@ -677,3 +677,30 @@ def test_generator_run_with_cubic_speed_load():
     i_nom = np.mean([nom.rms_table[f"Phase {p} Current"] for p in "ABC"])
     # at held terminal voltage the cubic law scales current with speed^3
     assert i_low / i_nom == pytest.approx(0.9 ** 3, rel=0.03)
+
+
+def test_series_rl_run_starts_steady():
+    # the steady start carries the load inductance: the first steps draw
+    # one power at the setpoint speed and the AVR's 230 V
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"load": {"kind": "series-RL", "l_phase_h": 2e-5}}, duration=0.1)))
+    pe = res.slow.column("Pe_gt")
+    assert pe.size == 5 and np.ptp(pe) < 1e-9 * pe[0]
+    assert pe[0] == pytest.approx(471.29, abs=0.01)
+    assert np.max(np.abs(res.slow.column("XNHPC") - 36050.0)) < 0.01
+    assert res.slow.column("V_rms") == pytest.approx([230.0] * 5, rel=1e-9)
+
+
+@pytest.mark.parametrize("extra, made", [
+    ({}, 0), ({"noise": {"std_vi": 0.5}}, 1), ({"noise": {"gasgen_output": {"T4": 0.0}}}, 0),
+    ({"noise": {"gasgen_output": {"T4": 1.0}}}, 1), ({"hook": {"kind": "identity"}}, 1),
+    ({"noise": {"std_w1": 1.0, "gasgen_output": {"XNHPC": 1.0}},
+      "hook": {"kind": "speed-noise", "std_rpm": 1.0}}, 3),
+], ids=["noise-free", "machine", "zero-width-output", "output", "hook", "all"])
+def test_run_makes_a_generator_only_for_a_stream_that_draws(monkeypatch, extra, made):
+    rngs = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: rngs.append(seed) or default_rng(seed))
+    run_joint(build_joint_setup(_mini_scenario(extra, duration=0.04)))
+    assert len(rngs) == made

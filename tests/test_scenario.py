@@ -290,3 +290,100 @@ def test_gasgen_output_noise_channel_validation():
     assert scn["noise"]["gasgen_output"] == {"T4": 1.5}
     with pytest.raises(UnknownField):
         parse_scenario('{"noise": {"gasgen_output": {"THRUST": 1.0}}}')
+
+
+# ------------------------------------------------------------ the range table
+
+def _leaf_keys(node, key=""):
+    """Table keys of the numeric leaves of a tree of defaults: a list item's
+    leaves as `block[].leaf`, and each free dict as its own path."""
+    from apucosim.scenario import _FREE_DICTS, _LIST_ITEM_DEFAULTS
+    for name, value in node.items():
+        sub = f"{key}.{name}" if key else name
+        if sub in _FREE_DICTS:
+            yield sub
+        elif isinstance(value, dict):
+            yield from _leaf_keys(value, sub)
+        elif isinstance(value, list):
+            yield from _leaf_keys(_LIST_ITEM_DEFAULTS[sub], f"{sub}[]")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield sub
+
+
+# numeric leaves with no interval of their own: unbounded, or bounded only
+# against other leaves (_validate)
+UNRANGED = {
+    "ambient.dT_ISA", "gasgen.accessory_kw", "stepper.max_step_s",
+    "fuel_step.time_s", "load.schedule[].time_s", "load.schedule[].scale",
+    "gas_path_faults[].time_s", "ttsc_faults[].time_s",
+}
+
+
+def test_every_numeric_leaf_is_ranged_or_named_unranged():
+    from apucosim.scenario import _DEFAULTS, RANGES
+    leaves = set(_leaf_keys(_DEFAULTS))
+    assert leaves - UNRANGED == set(RANGES)
+    assert UNRANGED <= leaves
+
+
+def test_every_choice_leaf_is_a_string_leaf():
+    from apucosim.scenario import _DEFAULTS, CHOICES
+    for key, choices in CHOICES.items():
+        block, leaf = key.split(".")
+        assert _DEFAULTS[block][leaf] in choices
+
+
+TINY = math.ulp(0.0)
+# (a document, a leaf path in it, a value refused there, a boundary value
+# accepted there): each interval and choice check of a single leaf, the list
+# items and the output-noise channels included, at the bound it draws
+RANGE_CASES = [
+    *[({}, leaf, 0.0, TINY) for leaf in (
+        "machine.f_hz", "machine.v_phase_rms", "machine.two_machine_factor",
+        "load.power_kw", "fuel_step.initial_power_kw", "fuel_step.factor",
+        "governor.n_set_rpm", "governor.rate_limit", "avr.v_set", "avr.v_fd_max",
+        "coupling.speed_ratio", "stepper.relative_tolerance",
+        "stepper.absolute_tolerance", "gasgen.shaft_power_kw", "gasgen.lhv_mj_per_kg",
+        "gasgen.design_speed_rpm", "gasgen.eta_compressor", "gasgen.w2_kg_per_s",
+        "gasgen.inertia_kg_m2")],
+    ({}, "duration", 0.0, 0.02),
+    ({"duration": 1.0}, "macro_dt", 0.0, 2.0 ** -20),
+    ({"governor": {"wf_min": 0.0}}, "governor.wf_max", 0.0, TINY),
+    *[({}, leaf, -TINY, 0.0) for leaf in (
+        "noise.std_w1", "noise.std_w2", "noise.std_vi", "noise.std_vv",
+        "noise.gasgen_output.XNHPC", "noise.gasgen_output.T4", "hook.std_rpm",
+        "load.l_phase_h", "governor.wf_min", "governor.kp", "governor.ki",
+        "avr.kp", "avr.ki", "ttsc_faults[0].k_rf")],
+    ({}, "seed", -1, 0),
+    ({}, "gasgen.pressure_ratio", 1.0, math.nextafter(1.0, 2.0)),
+    ({}, "ambient.altitude", -TINY, 0.0),
+    ({}, "ambient.altitude", math.nextafter(15000.0, math.inf), 15000.0),
+    ({}, "ambient.mach", -TINY, 0.0),
+    ({}, "ambient.mach", 1.0, math.nextafter(1.0, 0.0)),
+    ({}, "gasgen.t4_k", math.nextafter(200.0, 0.0), 200.0),
+    ({}, "gasgen.t4_k", math.nextafter(2000.0, math.inf), 2000.0),
+    *[({}, f"gas_path_faults[0].{leaf}", bad, good)
+      for leaf in ("eta_c_factor", "flow_c_factor", "eta_t_factor", "flow_t_factor")
+      for bad, good in ((math.nextafter(0.8, 0.0), 0.8),
+                        (math.nextafter(1.2, 2.0), 1.2))],
+    ({}, "ttsc_faults[0].mu", -TINY, 0.0),
+    ({}, "ttsc_faults[0].mu", 1.0, math.nextafter(1.0, 0.0)),
+    ({}, "record.decimation", 0, 1),
+    ({}, "record.decimation", 1_000_001, 1_000_000),
+    *[({}, leaf, bad, good) for leaf in ("machine.eta_sg", "coupling.eta")
+      for bad, good in ((0.0, TINY), (math.nextafter(1.0, 2.0), 1.0))],
+    *[({}, "hook.kind", "noise", kind) for kind in ("none", "identity", "speed-noise")],
+    *[({}, "load.kind", "inductive", kind)
+      for kind in ("resistive-bank", "series-RL", "cubic-speed-law")],
+]
+
+
+@pytest.mark.parametrize("doc, path, bad, good", RANGE_CASES,
+                         ids=[f"{c[1]}={c[2]!r}" for c in RANGE_CASES])
+def test_leaf_refused_past_its_bound_and_accepted_on_it(doc, path, bad, good):
+    from test_errors import _doc_with
+    with pytest.raises(SchemaError) as info:
+        parse_scenario(json.dumps(_doc_with(doc, path, bad)))
+    assert info.value.path == path
+    scn = parse_scenario(json.dumps(_doc_with(doc, path, good)))
+    assert _doc_with(scn.doc, path, good) == scn.doc

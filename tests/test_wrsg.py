@@ -489,3 +489,28 @@ def test_oracle_affine_form_matches_its_derivatives():
         want = deriv(0.0, yo)
         assert want[6] == W_E
         assert np.max(np.abs(a @ yo[:6] + b - want[:6])) <= 1e-14 * np.max(np.abs(want[:6]))
+
+
+@pytest.mark.parametrize("l_phase", [2e-5, 5e-5])
+def test_series_rl_steady_state_holds_the_terminal_rms(l_phase):
+    # the load inductance is folded into the stator fluxes, so the steady
+    # state solves with it, and the terminal voltage R i + L di/dt has
+    # amplitude hypot(R, w_e L) |i|
+    p = WrsgParams()
+    load = LoadModel(kind="series-RL", R_phase=R_225, L_phase=l_phase)
+    vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0, l_phase)
+    st = steady_state(p, R_225, vfd, W_E, L_load=l_phase)
+    dy = machine_derivatives(st, vfd, W_E, HEALTHY_FAULT, load, p)
+    scale = np.maximum(np.abs(st.as_array()[:7]), 1e-3)
+    assert np.max(np.abs(dy[:7]) / (scale * W_E)) < 1e-9
+    y = np.tile(st.as_array(), (64, 1))
+    y[:, 7] = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    v_abc = ElectricalSystem(p, load, HEALTHY_FAULT, W_E, vfd, R_225).terminal(y)[1]
+    assert np.sqrt(np.mean(v_abc ** 2, axis=0)) == pytest.approx([230.0] * 3, rel=1e-9)
+
+
+def test_steady_state_without_load_inductance_unchanged():
+    p = WrsgParams()
+    vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    assert field_voltage_for_terminal(p, R_225, W_E, 230.0, 0.0) == vfd
+    assert steady_state(p, R_225, vfd, W_E, L_load=0.0) == steady_state(p, R_225, vfd, W_E)
