@@ -30,6 +30,7 @@ _ISA_EXP = 9.80665 / (_ISA_LAPSE * 287.05287)
 ALTITUDE_RANGE_M = (0.0, 15000.0)   # span of the atmosphere model
 HEALTH_FACTOR_RANGE = (0.8, 1.2)    # span of each gas-path health factor
 STATIC_MAX_ITERATIONS = 50          # Newton cap of the static-state solve
+FAR_MAX = 0.07                      # a stream's fuel-air ratio lies in [0, FAR_MAX)
 _H_AIR_MAX = gas.enthalpy(gas.T_MAX)  # air enthalpy at the top of the tables
 
 
@@ -77,8 +78,8 @@ class GasState:
     def __post_init__(self):
         if self.W < 0 or self.Tt <= 0 or self.Pt <= 0:
             raise ValueError(f"invalid gas state {self}")
-        if not 0 <= self.FAR < 0.07:
-            raise ValueError(f"fuel-air ratio {self.FAR} outside [0, 0.07)")
+        if not 0 <= self.FAR < FAR_MAX:
+            raise ValueError(f"fuel-air ratio {self.FAR} outside [0, {FAR_MAX:g})")
 
     @property
     def h(self) -> float:
@@ -362,12 +363,6 @@ def static_from_flow(Tt: float, Pt: float, W: float, area: float, far: float = 0
             return ts, flow_at(ts)[2], 1.0, True
         ts += step
     raise NonConvergence(STATIC_MAX_ITERATIONS, abs(step) / ts)
-
-
-def mix_streams(a: GasState, b: GasState, Pt: float) -> GasState:
-    """Enthalpy-weighted adiabatic mix of two streams at a common total pressure."""
-    w, far, h = _mix(a.W, a.FAR, a.h, b.W, b.FAR, b.h)
-    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far), Pt=Pt, FAR=far)
 
 
 def _mix(w_a, far_a, h_a, w_b, far_b, h_b):

@@ -16,6 +16,7 @@ from ..errors import NumericalFailure
 from . import properties as gas
 from .cycle import (
     CycleSolution,
+    FAR_MAX,
     GasGenInput,
     GasGenParams,
     GasState,
@@ -23,7 +24,7 @@ from .cycle import (
     P_STD,
     T_STD,
     ambient_conditions,
-    mix_streams,
+    _mix,
     off_design_solve,
 )
 from .maps import CompressorMap, TurbineMap
@@ -103,48 +104,42 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
     pw_cpr = w2 * (h3 - h2)
     st3 = GasState(W=w2, Tt=t3, Pt=p3)
 
-    # bleed split and burner: solve fuel flow for the target T4
+    # bleed split and burner: the fuel flow that puts station 4 at T4 in
+    # closed form, as enthalpy is affine in FAR/(1 + FAR) (Walsh & Fletcher)
     w_ngv = NGV_COOL_FRAC * w2
     w_rot = ROTOR_COOL_FRAC * w2
-    w_ob = OVERBOARD_FRAC * w2
-    w31 = w2 - w_ngv - w_rot - w_ob
-    h4_stream = None
-    lhv_kj = spec.fuel_LHV * 1000.0
-    wf = w31 * 1.05 * (gas.enthalpy(spec.T4_design) - h3) / lhv_kj
-    for _ in range(60):
-        far4 = wf / w31
-        h4 = gas.enthalpy(spec.T4_design, far4)
-        wf_new = w31 * (h4 - h3) / (BURNER_ETA * lhv_kj - h4)
-        if abs(wf_new - wf) < 1e-14:
-            wf = wf_new
-            break
-        wf = wf_new
-    w4 = w31 + wf
+    w31 = w2 - w_ngv - w_rot - OVERBOARD_FRAC * w2
+    h4_air = gas.enthalpy(spec.T4_design)
+    wf = w31 * (h4_air - h3) / (BURNER_ETA * spec.fuel_LHV * 1000.0 - h4_air
+                                - gas.products_enthalpy(spec.T4_design))
+    far4 = wf / w31
+    if not 0.0 <= far4 < FAR_MAX:
+        raise ValueError(f"burner fuel-air ratio {far4:.4g} outside [0, {FAR_MAX:g}) "
+                         f"at T4_design {spec.T4_design:g} K")
     p4 = p3 * (1.0 - BURNER_LOSS)
-    st4 = GasState(W=w4, Tt=spec.T4_design, Pt=p4, FAR=wf / w31)
 
-    # NGV cooling return
-    st41 = mix_streams(st4, GasState(W=w_ngv, Tt=t3, Pt=p4), p4)
+    # NGV cooling return, mixed as the cycle mixes it
+    w41, far41, h41 = _mix(w31 + wf, far4, gas.enthalpy(spec.T4_design, far4),
+                           w_ngv, 0.0, h3)
+    t41 = gas.temperature_from_enthalpy(h41, far41)
 
-    # turbine sized from the power balance; map efficiency calibrated so the
-    # design expansion lands on the fixed exhaust back-pressure margin
-    pw_turb = pw_cpr / 1.0 + spec.shaft_power_design + spec.accessory_power
-    dh_t = pw_turb / st41.W
-    h5u = st41.h - dh_t
+    # turbine sized from the power balance (eta_mech 1); map efficiency calibrated
+    # so the design expansion lands on the fixed exhaust back-pressure margin
+    pw_turb = pw_cpr + spec.shaft_power_design + spec.accessory_power
+    dh_t = pw_turb / w41
     p8 = P8_OVER_AMBIENT * st0.Pt
     p5 = p8 / (1.0 - EXHAUST_LOSS)
     pr_t = p4 / p5
-    t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR)
-    dh_s = st41.h - gas.enthalpy(t5s, st41.FAR)
+    t5s = gas.isentropic_temperature(t41, 1.0 / pr_t, far41)
+    dh_s = h41 - gas.enthalpy(t5s, far41)
     eta_t = dh_t / dh_s
     if not 0.70 <= eta_t <= 1.0:
         # the target reported is the bound of [0.70, 1.0] that was missed
         raise CalibrationFailed("turbine efficiency anchor",
                                 min(max(eta_t, 0.70), 1.0), eta_t)
-    st5u = GasState(W=st41.W, Tt=gas.temperature_from_enthalpy(h5u, st41.FAR),
-                    Pt=p5, FAR=st41.FAR)
-    st5 = mix_streams(st5u, GasState(W=w_rot, Tt=t3, Pt=p3), p5)
-    st8 = GasState(W=st5.W, Tt=st5.Tt, Pt=p8, FAR=st5.FAR)
+    # rotor cooling return
+    w5, far5, h5 = _mix(w41, far41, h41 - dh_t, w_rot, 0.0, h3)
+    st8 = GasState(W=w5, Tt=gas.temperature_from_enthalpy(h5, far5), Pt=p8, FAR=far5)
 
     # geometry anchors from the fixed static-pressure ratios
     a3 = _area_from_static(st3, PS3_OVER_P3 * p3)
@@ -154,7 +149,7 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
     cmap = CompressorMap(
         wc_design=wc2, pr_design=spec.pressure_ratio, eta_design=spec.eta_compressor,
         surge_pr_design=spec.pressure_ratio * (1.0 + DESIGN_SURGE_MARGIN / 100.0))
-    wc41 = st41.W * math.sqrt(st41.Tt / T_STD) / (st41.Pt / P_STD)
+    wc41 = w41 * math.sqrt(t41 / T_STD) / (p4 / P_STD)
     tmap = TurbineMap(wc_design=wc41, pr_design=pr_t, eta_design=eta_t,
                       dhs_design=dh_s)
     nox_p_ref = p3 * (math.exp((t3 - NOX_T_REF) / NOX_T_SCALE)

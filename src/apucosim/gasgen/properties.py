@@ -96,6 +96,15 @@ def enthalpy(T: float, far: float = 0.0) -> float:
     return _h_raw(T, far) - _h_ref(far)
 
 
+def products_enthalpy(T: float) -> float:
+    """The products' part of enthalpy, kJ/kg per unit FAR/(1+FAR):
+    enthalpy(T, far) = enthalpy(T) + far/(1+far) products_enthalpy(T)."""
+    if not T_MIN <= T <= T_MAX:
+        raise TemperatureOutOfRange(T)
+    z = T / 1000.0
+    return _h_prod(z) * z - _H_PROD_REF * _Z_REF
+
+
 def temperature_from_enthalpy(h: float, far: float = 0.0,
                               guess: float | None = None) -> float:
     """Invert enthalpy(T, far) = h by bounded Newton.

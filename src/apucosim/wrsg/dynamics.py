@@ -162,25 +162,17 @@ class ElectricalSystem:
 def steady_state(params: WrsgParams, R_load: float, V_fd: float,
                  w_e: float, theta0: float = 0.0, L_load: float = 0.0) -> WrsgState:
     """Healthy balanced steady state at constant speed and field voltage,
-    the load's series inductance L_load in the stator fluxes as build_L
-    folds it in."""
-    p = params
-    i_fd = V_fd / p.r_fd
-    lq = p.L_mq + p.L_ls + L_load
-    ld = p.L_md + p.L_ls + L_load
-    r = R_load + p.r_s
-    # (R) i_q = w lam_d = w (-Ld i_d + Lmd i_fd); (R) i_d = w Lq i_q
-    a = np.array([[r, w_e * ld], [-w_e * lq, r]])
-    b = np.array([w_e * p.L_md * i_fd, 0.0])
-    i_q, i_d = np.linalg.solve(a, b)
-    lam_q = -lq * i_q
-    lam_d = -ld * i_d + p.L_md * i_fd
-    lam_fd = -p.L_md * i_d + (p.L_md + p.L_lf) * i_fd
-    lam_kd = -p.L_md * i_d + p.L_md * i_fd
-    lam_kq = -p.L_mq * i_q
-    return WrsgState(lam_q=float(lam_q), lam_d=float(lam_d), lam_0=0.0,
-                     lam_fd=float(lam_fd), lam_kd=float(lam_kd),
-                     lam_kq=float(lam_kq), lam_f=0.0, theta_e=theta0)
+    with the load's series inductance L_load in the stator fluxes: the
+    fluxes are L i of build_L's L, for the currents where the dampers and
+    the zero sequence carry none."""
+    L = build_L(params, L_load).L
+    i_fd = V_fd / params.r_fd
+    r = R_load + params.r_s
+    # r i_q = w lam_d = w (L_dd i_d + L_d,fd i_fd); r i_d = -w lam_q = -w L_qq i_q
+    a = np.array([[r, -w_e * L[1, 1]], [w_e * L[0, 0], r]])
+    i_q, i_d = np.linalg.solve(a, np.array([w_e * L[1, 3] * i_fd, 0.0]))
+    lam = L @ np.array([i_q, i_d, 0.0, i_fd, 0.0, 0.0])
+    return WrsgState(*lam.tolist(), lam_f=0.0, theta_e=theta0)
 
 
 def field_voltage_for_terminal(params: WrsgParams, R_load: float, w_e: float,

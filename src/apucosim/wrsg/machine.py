@@ -124,7 +124,6 @@ class InductanceModel:
     L: np.ndarray
     L_inv: np.ndarray
     L_ls: float
-    params: WrsgParams
 
 
 def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> InductanceModel:
@@ -149,8 +148,7 @@ def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> Inducta
     det = np.linalg.det(m)
     if abs(det) < 1e-40:
         raise SingularSystem("inductance matrix is singular")
-    return InductanceModel(L=m, L_inv=np.linalg.inv(m), L_ls=params.L_ls,
-                           params=params)
+    return InductanceModel(L=m, L_inv=np.linalg.inv(m), L_ls=params.L_ls)
 
 
 def fault_current_from_state(y, fault: FaultParams, model: InductanceModel):
