@@ -19,7 +19,8 @@ import numpy as np
 
 from . import scenario as sc
 from .control import AvrState
-from .cosim import GENERATOR_CONTROL_DT, GENERATOR_STEPPER, run_generator, run_joint
+from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, run_generator, run_joint,
+                    whole_steps)
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import trim_fuel
@@ -36,6 +37,9 @@ OFF_DESIGN_PRESETS = (
 # them; their flags default to None, so that --preset-index and --sweep,
 # which set them themselves, can refuse a flag the command line gave
 STEADY_DEFAULTS = {"altitude": 0.0, "mach": 0.0, "power": 500.0, "eta_c": 1.0}
+# the fault of `genrun --mu` where no flag sets it; its flags default to
+# None, so that a run without a fault can refuse them
+GENRUN_FAULT_DEFAULTS = {"k_rf": 1.0, "fault_time": 0.5}
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 
@@ -154,9 +158,7 @@ def cmd_transient(args) -> int:
 
 
 def cmd_genrun(args) -> int:
-    steps = args.duration / GENERATOR_CONTROL_DT
-    if not (math.isfinite(steps) and round(steps) >= 1
-            and abs(steps - round(steps)) <= 1e-9):
+    if whole_steps(args.duration, GENERATOR_CONTROL_DT) is None:
         raise ValueError(f"--duration must be a positive multiple of the "
                          f"{GENERATOR_CONTROL_DT:g} s control period, found "
                          f"{args.duration!r}")
@@ -168,13 +170,17 @@ def cmd_genrun(args) -> int:
                          f"found {args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)
+    fault = {"k_rf": args.k_rf, "fault_time": args.fault_time}
     fault_schedule = ()
-    if args.mu > 0.0:
-        if not 0.0 <= args.fault_time < args.duration:
+    if args.mu == 0.0:
+        _refuse_given("--mu 0 runs without a fault", fault)
+    else:
+        k_rf, t_fault = (GENRUN_FAULT_DEFAULTS[k] if v is None else v
+                         for k, v in fault.items())
+        if not 0.0 <= t_fault < args.duration:
             raise ValueError(f"--fault-time must lie in [0, --duration), "
-                             f"found {args.fault_time!r}")
-        fault_schedule = ((args.fault_time, FaultParams(mu=args.mu,
-                                                        k_rf=args.k_rf)),)
+                             f"found {t_fault!r}")
+        fault_schedule = ((t_fault, FaultParams(mu=args.mu, k_rf=k_rf)),)
     os.makedirs(args.out, exist_ok=True)
     res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                         duration=args.duration, fault_schedule=fault_schedule,
@@ -371,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed-rpm", type=_positive_float, default=12000.0)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--mu", type=_leaf_type("ttsc_faults[].mu"), default=0.0)
-    p.add_argument("--k-rf", type=_leaf_type("ttsc_faults[].k_rf"), default=1.0)
-    p.add_argument("--fault-time", type=float, default=0.5)
+    p.add_argument("--k-rf", type=_leaf_type("ttsc_faults[].k_rf"), default=None)
+    p.add_argument("--fault-time", type=float, default=None)
     p.add_argument("--decimation", type=_leaf_type("record.decimation", integer=True),
                    default=2)
     p.add_argument("--json", action="store_true")

@@ -112,7 +112,13 @@ class EnergyAudit:
 
 
 def energy_audit(slow: TimeSeries, eta_gtTsg: float, macro_dt: float) -> EnergyAudit:
-    """Recompute the per-step power-balance residual from recorded channels."""
+    """Recompute the per-step power-balance residual from recorded channels.
+
+    run_joint defines Pe_gt as seg_energy / (macro_dt eta_gtTsg), so the
+    residual checks only that transfer's bookkeeping and reads 0 up to
+    rounding; it cannot see a wrong energy sum. The trapezoid sum itself is
+    checked against the recorded shaft power at decimation 1 by
+    test_coupling_power_efficiency."""
     energy = slow.column("seg_energy")
     pe = slow.column("Pe_gt")
     transferred = pe * macro_dt * eta_gtTsg
@@ -498,6 +504,15 @@ class JointResult:
     avr: AvrState
 
 
+def whole_steps(duration: float, dt: float) -> int | None:
+    """The number of steps dt that make up duration, or None where that is
+    not a whole number >= 1, to a rounding allowance of 1e-9 steps."""
+    n = duration / dt if dt > 0.0 else math.nan
+    if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
+        return None
+    return round(n)
+
+
 def health_swaps(schedule, dt: float):
     """Health at t = 0 and {macro step k: health from step k on}: a swap at
     t > 0 acts from the step that starts on the last boundary at or before
@@ -542,11 +557,9 @@ class JointSetup:
 
 def run_joint(setup: JointSetup) -> JointResult:
     """Run the coupled simulation; deterministic for a fixed setup and seed."""
-    if setup.macro_dt <= 0:
-        raise ValueError("macro_dt must be positive")
-    n_steps = round(setup.duration / setup.macro_dt)
-    if abs(n_steps * setup.macro_dt - setup.duration) > 1e-9:
-        raise ValueError("duration must be a multiple of macro_dt")
+    n_steps = whole_steps(setup.duration, setup.macro_dt)
+    if n_steps is None:
+        raise ValueError("duration must be a positive multiple of macro_dt")
 
     # a generator for each stream that draws, each from its own spawned
     # child, so that a noise-free run makes none
@@ -645,8 +658,8 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
                   decimation: int = 1) -> GeneratorRunResult:
     """Noise-free machine-only run at fixed shaft speed with the AVR active."""
     dt = GENERATOR_CONTROL_DT
-    n_steps = round(duration / dt)
-    if n_steps < 1 or abs(n_steps * dt - duration) > 1e-9:
+    n_steps = whole_steps(duration, dt)
+    if n_steps is None:
         raise ValueError(f"duration must be a positive multiple of {dt:g} s")
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
@@ -689,8 +702,10 @@ def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
     """Gas-generator-only transient: fuel schedule against a shaft load law,
     health swaps as in run_joint, from `match`, the cycle match at (x0,
     wf_of_t(0), health at t = 0) (None: solve it)."""
+    n_steps = whole_steps(duration, macro_dt)
+    if n_steps is None:
+        raise ValueError("duration must be a positive multiple of macro_dt")
     alt, mach, disa = ambient
-    n_steps = round(duration / macro_dt)
     health, swaps = health_swaps(health_schedule, macro_dt)
     x, sol = x0, match
     u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import CouplingParams, JointSetup, TimeSeries, speed_noise_hook
+from .cosim import CouplingParams, JointSetup, TimeSeries, speed_noise_hook, whole_steps
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
@@ -25,7 +25,7 @@ from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
 from .gasgen.engine import OUTPUT_CHANNELS, OUTPUT_TABLE, outputs_from_solution
 from .gasgen.properties import T_MAX, T_MIN
 from .numerics import StepperOptions
-from .wrsg import FaultParams, LoadModel, NoiseConfig, WrsgParams
+from .wrsg import OPEN_BRANCH_KRF, FaultParams, LoadModel, NoiseConfig, WrsgParams
 from .wrsg.loads import LOAD_KINDS
 
 
@@ -134,8 +134,10 @@ RANGES = {
     **{f"gas_path_faults[].{f.name}": (*HEALTH_FACTOR_RANGE, True, True)
        for f in fields(HealthParams)},
     # mu = 1 shorts the whole phase, where the fault current's denominator
-    # mu (1 - mu) L_ls vanishes; mu = 0 runs healthy
-    "ttsc_faults[].mu": (0.0, 1.0, True, False), "ttsc_faults[].k_rf": _NONNEG,
+    # mu (1 - mu) L_ls vanishes; mu = 0 runs healthy, and so does a k_rf
+    # that opens the fault branch
+    "ttsc_faults[].mu": (0.0, 1.0, True, False),
+    "ttsc_faults[].k_rf": (0.0, OPEN_BRANCH_KRF, True, False),
     "fuel_step.factor": _POS, "fuel_step.initial_power_kw": _POS,
     **{f"noise.{key}": _NONNEG for key in (
         "std_w1", "std_w2", "std_vi", "std_vv", "gasgen_output")},
@@ -222,8 +224,7 @@ def _validate(doc):
     if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:
         raise SchemaError("governor.wf_min", "fuel flow below governor.wf_max",
                           doc["governor"]["wf_min"])
-    n = doc["duration"] / doc["macro_dt"]
-    if not math.isfinite(n) or round(n) < 1 or abs(n - round(n)) > 1e-9:
+    if whole_steps(doc["duration"], doc["macro_dt"]) is None:
         raise SchemaError("duration", "multiple of macro_dt", doc["duration"])
     # a fault must act within the run: the gas path swaps health only at a
     # macro-step start, and no step starts at the duration
@@ -241,6 +242,19 @@ def _validate(doc):
             raise SchemaError(f"load.schedule[{i}].time_s",
                               f"time after load.schedule[{i - 1}].time_s",
                               item["time_s"])
+    # a leaf that another leaf switches off keeps its default
+    hook, step = doc["hook"], doc["fuel_step"]
+    if hook["kind"] != "speed-noise":
+        _keep_default("hook.std_rpm", hook["std_rpm"], _DEFAULTS["hook"]["std_rpm"],
+                      "hook.kind is not speed-noise")
+    if step["factor"] == 1.0:
+        _keep_default("fuel_step.time_s", step["time_s"],
+                      _DEFAULTS["fuel_step"]["time_s"], "fuel_step.factor is 1")
+    for i, item in enumerate(doc["ttsc_faults"]):
+        if item["mu"] == 0.0:
+            _keep_default(f"ttsc_faults[{i}].k_rf", item["k_rf"],
+                          _LIST_ITEM_DEFAULTS["ttsc_faults"]["k_rf"],
+                          f"ttsc_faults[{i}].mu is 0")
     # the working-fluid properties span [T_MIN, T_MAX]
     amb = doc["ambient"]
     try:
@@ -265,6 +279,12 @@ def _validate(doc):
         raise SchemaError("stepper.max_step_s",
                           f"step of at least duration / (0.9 * "
                           f"{MAX_FAST_STEPS:,}) = {least:.6g} s", max_step)
+
+
+def _keep_default(path, value, default, why):
+    """Refuse a leaf that `why` switches off, set to other than its default."""
+    if value != default:
+        raise SchemaError(path, f"the default {default!r}, as {why}", value)
 
 
 # the blocks each run does not read, in document order: a block set to other
