@@ -1,9 +1,11 @@
 """Reference forms of gas-generator pieces, kept as checks on
 `apucosim.gasgen`: the compressor, burner, turbine and exhaust components on
-plain station states (the cycle evaluation works on floats, carries
-enthalpies between the components and inverts only the temperatures its
-residuals read), and a steady-state speed search, the check on the
-fuel-step transient's analytic starting speed.
+plain station states, each stream mix inverted to a temperature (the cycle
+evaluation works on floats, carries enthalpies between the components and
+inverts only the temperatures its residuals read), the design burner's fuel
+flow as a fixed point (the sizing solves it in closed form), and a
+steady-state speed search, the check on the fuel-step transient's analytic
+starting speed.
 """
 import math
 from dataclasses import dataclass
@@ -22,7 +24,32 @@ from apucosim.gasgen import (
     outputs_from_solution,
 )
 from apucosim.gasgen import properties as gas
-from apucosim.gasgen.cycle import P_STD, T_STD, NoSteadyState, mix_streams
+from apucosim.gasgen.cycle import P_STD, T_STD, NoSteadyState
+
+
+def mix_streams(a: GasState, b: GasState, Pt: float) -> GasState:
+    """Enthalpy-weighted adiabatic mix of two streams at a common total pressure."""
+    w = a.W + b.W
+    w_air = a.W / (1.0 + a.FAR) + b.W / (1.0 + b.FAR)
+    far = (w - w_air) / w_air
+    h = (a.W * a.h + b.W * b.h) / w
+    return GasState(W=w, Tt=gas.temperature_from_enthalpy(h, far), Pt=Pt, FAR=far)
+
+
+def design_fuel_flow(w31: float, h3: float, T4: float, lhv_mj: float,
+                     eta: float) -> float:
+    """Burner fuel flow (kg/s) that takes w31 kg/s of dry air at enthalpy h3
+    to T4, by fixed-point iteration on the burner energy balance
+    wf = w31 (h4 - h3) / (eta LHV - h4), h4 = enthalpy(T4, wf / w31)."""
+    lhv_kj = lhv_mj * 1000.0
+    wf = w31 * 1.05 * (gas.enthalpy(T4) - h3) / lhv_kj
+    for _ in range(60):
+        h4 = gas.enthalpy(T4, wf / w31)
+        wf_new = w31 * (h4 - h3) / (eta * lhv_kj - h4)
+        if abs(wf_new - wf) < 1e-14:
+            return wf_new
+        wf = wf_new
+    raise ArithmeticError("design fuel flow fixed point did not converge")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Reference forms of the machine model, kept as checks on `apucosim.wrsg`:
 the amplitude-invariant Park transform, the fault-loop current solve as the
 full 7x7 linear system (Gaussian elimination with partial pivoting), which
-`currents_fast` reduces to closed form, the flux derivatives of one
-state under a frozen speed, field and load, and the flux right-hand side
-t -> (A(t), b) that the adaptive reference integrator takes.
+`currents_fast` reduces to closed form, the healthy steady state written
+out entry by entry, which `steady_state` takes from build_L's matrix, the
+flux derivatives of one state under a frozen speed, field and load, and the
+flux right-hand side t -> (A(t), b) that the adaptive reference integrator
+takes.
 
 Park convention: q-axis leading d-axis, rotor-angle referenced; a balanced
 set aligned with the rotor maps to (amplitude, 0, 0).
@@ -12,7 +14,8 @@ import math
 
 import numpy as np
 
-from apucosim.wrsg import ElectricalSystem, FaultParams, InductanceModel, WrsgState
+from apucosim.wrsg import (ElectricalSystem, FaultParams, InductanceModel, WrsgParams,
+                           WrsgState)
 from apucosim.wrsg.machine import IDX_LAM_F, IDX_THETA
 
 _TWO_THIRDS = 2.0 / 3.0
@@ -111,6 +114,30 @@ def currents_from_flux(state: WrsgState, fault: FaultParams,
     a[6, 6] = mu * (1.0 - mu) * model.L_ls - mu * mu * float(a_row @ model.L[:3, :] @ col)
     b = np.append(lam6, y[IDX_LAM_F])
     return solve_dense(a, b)
+
+
+def steady_state_by_hand(params: WrsgParams, R_load: float, V_fd: float,
+                         w_e: float, theta0: float = 0.0,
+                         L_load: float = 0.0) -> WrsgState:
+    """Healthy balanced steady state with the load's series inductance
+    L_load in the stator self inductances, each flux written out."""
+    p = params
+    i_fd = V_fd / p.r_fd
+    lq = p.L_mq + p.L_ls + L_load
+    ld = p.L_md + p.L_ls + L_load
+    r = R_load + p.r_s
+    # (R) i_q = w lam_d = w (-Ld i_d + Lmd i_fd); (R) i_d = w Lq i_q
+    a = np.array([[r, w_e * ld], [-w_e * lq, r]])
+    b = np.array([w_e * p.L_md * i_fd, 0.0])
+    i_q, i_d = np.linalg.solve(a, b)
+    lam_q = -lq * i_q
+    lam_d = -ld * i_d + p.L_md * i_fd
+    lam_fd = -p.L_md * i_d + (p.L_md + p.L_lf) * i_fd
+    lam_kd = -p.L_md * i_d + p.L_md * i_fd
+    lam_kq = -p.L_mq * i_q
+    return WrsgState(lam_q=float(lam_q), lam_d=float(lam_d), lam_0=0.0,
+                     lam_fd=float(lam_fd), lam_kd=float(lam_kd),
+                     lam_kq=float(lam_kq), lam_f=0.0, theta_e=theta0)
 
 
 def derivatives(sys_: ElectricalSystem, t, y):

@@ -198,8 +198,7 @@ def test_steady_out_of_envelope_is_numeric_error(capsys):
 
 def test_transient_zero_length_run(tmp_path, capsys):
     scn = {"name": "flat", "duration": 0.1, "macro_dt": 0.02,
-           "fuel_step": {"time_s": 0.05, "factor": 1.0,
-                         "initial_power_kw": 300.0}}
+           "fuel_step": {"factor": 1.0, "initial_power_kw": 300.0}}
     p = tmp_path / "scn.json"
     p.write_text(json.dumps(scn))
     rc = main(["transient", "--scenario", str(p), "--out", str(tmp_path),
@@ -458,6 +457,15 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     ({"load": {"schedule": [{"time_s": 0.02}, {"time_s": 0.02}]}},
      "load.schedule[1].time_s"),
     ({"ambient": {"dT_ISA": 1500, "mach": 0.9}}, "ambient.dT_ISA"),
+    # a leaf that another leaf switches off, set off its default, and a
+    # k_rf that opens the fault branch
+    ({"hook": {"kind": "none", "std_rpm": 5}}, "hook.std_rpm"),
+    ({"hook": {"kind": "identity", "std_rpm": 5}}, "hook.std_rpm"),
+    ({"ttsc_faults": [{"mu": 0, "k_rf": 7}]}, "ttsc_faults[0].k_rf"),
+    ({"ttsc_faults": [{"mu": 0.05}, {"time_s": 0.02, "mu": 0, "k_rf": 0.5}]},
+     "ttsc_faults[1].k_rf"),
+    ({"ttsc_faults": [{"mu": 0.05, "k_rf": 1e6}]}, "ttsc_faults[0].k_rf"),
+    ({"fuel_step": {"time_s": 1.0}}, "fuel_step.time_s"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"
@@ -547,6 +555,9 @@ def test_genrun_fault_at_time_zero_applies(tmp_path, capsys):
     ("--fault-time", "0.2", ["--mu", "0.05"]),
     # more than MAX_FAST_STEPS machine steps of 0.9 * 1e-4 s
     ("--duration", "90.02", []), ("--duration", "1e300", []),
+    # the fault's flags without a fault, and a k_rf that opens its branch
+    ("--k-rf", "5", []), ("--fault-time", "0.02", []), ("--k-rf", "5", ["--mu", "0"]),
+    ("--k-rf", "1e6", ["--mu", "0.05"]),
 ])
 def test_genrun_duration_and_fault_time_rejected(tmp_path, capsys, monkeypatch,
                                                  flag, value, extra):

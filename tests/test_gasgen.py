@@ -36,6 +36,7 @@ from gasgen_reference import (
     burner_calc,
     compressor_calc,
     exhaust_calc,
+    design_fuel_flow,
     init,
     turbine_calc,
 )
@@ -476,6 +477,33 @@ def test_design_bleed_split(design_solution, gg_params):
     # burner inlet flow = W2 less 5+5+1 % extraction
     assert st[31].W == pytest.approx(0.89 * w2, rel=1e-12)
     assert st[8].W == pytest.approx(w2 - 0.01 * w2 + design_solution.wf, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    GasGenDesignSpec(),
+    GasGenDesignSpec(T4_design=1300.0, fuel_LHV=42.0, altitude=3000.0, mach=0.3),
+    GasGenDesignSpec(shaft_power_design=300.0, pressure_ratio=6.0, T4_design=1100.0),
+], ids=["default", "hot-altitude", "low-ratio"])
+def test_closed_form_design_fuel_flow_matches_the_fixed_point(spec):
+    params, sol = design_point_size(spec)
+    # the burner inlet the sizing sees: dry air at the compressor exit
+    _, _, st2 = ambient_conditions(spec.altitude, spec.mach, spec.dT_ISA,
+                                   params.intake_recovery)
+    h2 = gas.enthalpy(st2.Tt)
+    t3s = gas.isentropic_temperature(st2.Tt, spec.pressure_ratio)
+    h3 = h2 + (gas.enthalpy(t3s) - h2) / spec.eta_compressor
+    w2 = spec.W2_design
+    w31 = (w2 - params.ngv_cool_frac * w2 - params.rotor_cool_frac * w2
+           - params.overboard_frac * w2)
+    wf = params.wf_design
+    assert wf == pytest.approx(design_fuel_flow(w31, h3, spec.T4_design, spec.fuel_LHV,
+                                                params.burner_eta), rel=1e-14)
+    # the burner energy balance at that flow puts station 4 at T4, and so
+    # does the design solution
+    h4 = (w31 * h3 + params.burner_eta * wf * spec.fuel_LHV * 1000.0) / (w31 + wf)
+    assert gas.temperature_from_enthalpy(h4, wf / w31) == pytest.approx(
+        spec.T4_design, rel=1e-12)
+    assert sol.stations[4].Tt == pytest.approx(spec.T4_design, rel=1e-12)
 
 
 def test_design_speed_and_power(design_solution):

@@ -19,6 +19,7 @@ from apucosim.scenario import (
     station_report,
     write_csv,
 )
+from apucosim.wrsg import OPEN_BRANCH_KRF
 
 
 # -------------------------------------------------------------------- parsing
@@ -94,8 +95,8 @@ def test_model_range_bounds_accepted():
         "ambient": {"altitude": 11000.0, "mach": 0.0, "dT_ISA": -16.6},
         "gas_path_faults": [{"eta_c_factor": 0.8, "flow_c_factor": 1.2,
                              "eta_t_factor": 0.8, "flow_t_factor": 1.2}],
-        "ttsc_faults": [{"mu": 0.0, "k_rf": 0.0}]}))
-    assert scn["ttsc_faults"][0]["mu"] == 0.0
+        "ttsc_faults": [{"mu": 0.0}, {"mu": 0.05, "k_rf": 0.0}]}))
+    assert scn["ttsc_faults"][0]["mu"] == scn["ttsc_faults"][1]["k_rf"] == 0.0
 
 
 def test_serialize_round_trip():
@@ -281,8 +282,8 @@ def test_fuel_step_preset_replay_golden_csv(tmp_path):
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == ("59838a26327421b30797c4da22157f07"
-                      "be911dd3f66c342a3dbd3c5fe700b76d")
+    assert digest == ("b1e6ea444d68b064214230b6673177a7"
+                      "115fcdb8eb639a419a178a4d5ea6b316")
 
 
 def test_gasgen_output_noise_channel_validation():
@@ -353,7 +354,11 @@ RANGE_CASES = [
         "noise.std_w1", "noise.std_w2", "noise.std_vi", "noise.std_vv",
         "noise.gasgen_output.XNHPC", "noise.gasgen_output.T4", "hook.std_rpm",
         "load.l_phase_h", "governor.wf_min", "governor.kp", "governor.ki",
-        "avr.kp", "avr.ki", "ttsc_faults[0].k_rf")],
+        "avr.kp", "avr.ki")],
+    # k_rf is read only where mu > 0, and OPEN_BRANCH_KRF opens the branch
+    ({"ttsc_faults": [{"mu": 0.05}]}, "ttsc_faults[0].k_rf", -TINY, 0.0),
+    ({"ttsc_faults": [{"mu": 0.05}]}, "ttsc_faults[0].k_rf", OPEN_BRANCH_KRF,
+     math.nextafter(OPEN_BRANCH_KRF, 0.0)),
     ({}, "seed", -1, 0),
     ({}, "gasgen.pressure_ratio", 1.0, math.nextafter(1.0, 2.0)),
     ({}, "ambient.altitude", -TINY, 0.0),

@@ -15,6 +15,7 @@ from machine_reference import (
     machine_derivatives,
     park,
     park_matrix,
+    steady_state_by_hand,
 )
 
 from apucosim.cosim import propagate_magnus
@@ -144,6 +145,18 @@ def test_steady_state_derivative_vanishes():
                              LoadModel(R_phase=R_225), p)
     scale = np.maximum(np.abs(st.as_array()[:7]), 1e-3)
     assert np.max(np.abs(dy[:7]) / (scale * W_E)) < 1e-9
+
+
+@pytest.mark.parametrize("r_load", [0.3, R_225, 1.2])
+@pytest.mark.parametrize("l_load", [0.0, 2e-5])
+@pytest.mark.parametrize("f_hz", [400.0, 380.3])
+def test_steady_state_from_the_inductance_matrix_equals_the_hand_formulas(
+        r_load, l_load, f_hz):
+    # the fluxes L i of build_L's matrix, bit for bit those written out
+    p = WrsgParams(f_n=f_hz)
+    w_e = 2.0 * math.pi * f_hz
+    got = steady_state(p, r_load, 57.3, w_e, theta0=0.4, L_load=l_load)
+    assert got == steady_state_by_hand(p, r_load, 57.3, w_e, theta0=0.4, L_load=l_load)
 
 
 def test_fault_branch_inert_when_healthy():
