@@ -708,17 +708,10 @@ def test_run_makes_a_generator_only_for_a_stream_that_draws(monkeypatch, extra, 
 
 # ---------------------------------------------------------------- whole steps
 
-def test_gasgen_transient_refuses_a_part_step():
-    # 0.05 s at 0.02 s steps would run 0.04 s, and 0.07 s would run 0.08 s
-    from apucosim.scenario import fuel_step_run
-    run = fuel_step_run(_mini_scenario(duration=0.04))
-    for duration in (0.05, 0.07):
-        with pytest.raises(ValueError, match="positive multiple of macro_dt"):
-            run(duration=duration)
-
 
 # (duration, its whole 0.02 s steps or None): every caller of the rule, the
-# scenario parser, the three runners and genrun, judges each alike
+# scenario parser, the three runners and genrun, judges each alike (the
+# gas-path transient ran 0.04 s for 0.05 s, and 0.08 s for 0.07 s)
 WHOLE_STEP_CASES = [
     (0.04, 2), (0.06, 3), (0.02 * (1.0 + 1e-12), 1),
     (0.05, None), (0.07, None), (0.01, None), (0.02 * (1.0 + 1e-8), None),
@@ -730,6 +723,7 @@ WHOLE_STEP_CASES = [
                          ids=[repr(c[0]) for c in WHOLE_STEP_CASES])
 def test_every_caller_takes_whole_steps_alike(tmp_path, monkeypatch, capsys,
                                               duration, steps):
+    from test_cli import _reach, _Reached
     from apucosim import cli
     from apucosim.scenario import SchemaError, fuel_step_run
 
@@ -742,13 +736,7 @@ def test_every_caller_takes_whole_steps_alike(tmp_path, monkeypatch, capsys,
                                   AvrState(), speed_rpm=12000.0,
                                   duration=duration).fast)
     text = json.dumps({"duration": duration})   # NaN and Infinity as literals
-    class Reached(Exception):
-        pass
-
-    def reach(*args, **kwargs):
-        raise Reached
-
-    monkeypatch.setattr(cli, "run_generator", reach)
+    monkeypatch.setattr(cli, "run_generator", _reach)
     genrun = ["genrun", "--duration", repr(duration), "--out", str(tmp_path), "--no-svg"]
     if steps is None:
         with pytest.raises(SchemaError, match="at duration"):
@@ -762,5 +750,5 @@ def test_every_caller_takes_whole_steps_alike(tmp_path, monkeypatch, capsys,
     assert parse_scenario(text)["duration"] == duration
     for run in runs:
         assert run().time[-1] == pytest.approx(steps * 0.02, rel=1e-9)
-    with pytest.raises(Reached):
+    with pytest.raises(_Reached):
         cli.main(genrun)
