@@ -101,11 +101,6 @@ class HealthParams:
             if not lo <= v <= hi:
                 raise ValueError(f"{name}={v} outside [{lo}, {hi}]")
 
-    @property
-    def healthy(self) -> bool:
-        return (self.eta_c_factor == self.flow_c_factor
-                == self.eta_t_factor == self.flow_t_factor == 1.0)
-
 
 HEALTHY = HealthParams()
 
@@ -427,12 +422,9 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     theta = t2 / T_STD
     n_rel = (N / math.sqrt(theta)) / params.ncor_design
     cmap = params.cmap
-    wc = cmap.corrected_flow(n_rel, beta)
+    wc = cmap.corrected_flow(n_rel, beta) * health.flow_c_factor
     pr = cmap.pressure_ratio(n_rel, beta)
-    eta = cmap.efficiency(n_rel, beta)
-    if not health.healthy:
-        wc = wc * health.flow_c_factor
-        eta = eta * health.eta_c_factor
+    eta = cmap.efficiency(n_rel, beta) * health.eta_c_factor
     w2 = wc * (st2.Pt / P_STD) / math.sqrt(theta)
     t3s = gas.isentropic_temperature(t2, pr, 0.0, start.t3s)
     h2 = gas.enthalpy(t2)
@@ -464,9 +456,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     t41 = gas.temperature_from_enthalpy(h41, far41, start.t41)
     t5s = gas.isentropic_temperature(t41, 1.0 / pr_t, far41, start.t5s)
     dhs = h41 - gas.enthalpy(t5s, far41)
-    eta = params.tmap.efficiency(N / params.design_speed, dhs)
-    if not health.healthy:
-        eta = eta * health.eta_t_factor
+    eta = params.tmap.efficiency(N / params.design_speed, dhs) * health.eta_t_factor
     h5u = h41 - eta * dhs
     pw_turb = w41 * (h41 - h5u)
     w5, far5, h5 = _mix(w41, far41, h5u, w_rot, 0.0, h3)
@@ -476,9 +466,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
 
     # residual 1: turbine swallowing capacity vs delivered corrected flow
     wc41 = w41 * math.sqrt(t41 / T_STD) / (p4 / P_STD)
-    wc41_map = params.tmap.corrected_flow(pr_t)
-    if not health.healthy:
-        wc41_map = wc41_map * health.flow_t_factor
+    wc41_map = params.tmap.corrected_flow(pr_t) * health.flow_t_factor
     r1 = (wc41 - wc41_map) / params.tmap.wc_design
 
     # residual 2: exhaust exit static pressure vs ambient
@@ -540,13 +528,19 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     return _solution(params, ambient, N, u.wf, x, jac, last, sens)
 
 
-def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
-                Pe: float, N: float) -> CycleSolution:
-    """Cycle match with the fuel flow as a third unknown, started cold from
-    u.wf: (beta, turbine pr / pr_design, wf / wf_design), the third residual
-    (PW_shaft_net - Pe) / max(|Pe|, 1). The solution carries the leading 2x2
-    block of the Jacobian, the one off_design_solve carries at fixed wf."""
-    ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
+def trim_fuel(params: GasGenParams, N: float, Pe: float,
+              health: HealthParams = HEALTHY, altitude: float = 0.0,
+              mach: float = 0.0, dT_ISA: float = 5.0) -> tuple[float, CycleSolution]:
+    """Fuel flow at which the engine delivers Pe kW at speed N (steady), and
+    the cycle solution at that fuel flow: one cold cycle match with the fuel
+    flow as a third unknown, (beta, turbine pr / pr_design, wf / wf_design),
+    the third residual (PW_shaft_net - Pe) / max(|Pe|, 1). The fuel flow
+    starts in proportion to the power the turbine must deliver. The solution
+    carries the leading 2x2 block of the Jacobian, the one off_design_solve
+    carries at fixed wf."""
+    ambient = ambient_conditions(altitude, mach, dT_ISA, params.intake_recovery)
+    wf0 = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
+        params.pe_design + params.accessory_kw)
     last = []
 
     def residual(x):
@@ -560,9 +554,10 @@ def power_match(params: GasGenParams, u: GasGenInput, health: HealthParams,
         last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
         return last[0]
 
-    x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, u.wf / params.wf_design])
-    return _solution(params, ambient, N, x[2] * params.wf_design, x,
-                     None if jac is None else jac[:2, :2], last, None)
+    x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, wf0 / params.wf_design])
+    wf = x[2] * params.wf_design
+    return wf, _solution(params, ambient, N, wf, x,
+                         None if jac is None else jac[:2, :2], last, None)
 
 
 def _shaft_power(params, c):

@@ -1,5 +1,5 @@
 """Discrete state-space wrapper around the cycle: explicit state update,
-output projection and the steady fuel trim.
+output projection and the steady fuel trim (cycle.trim_fuel).
 
 The single state is spool speed; the update is a pure function of (state,
 input, health, shaft load) and the output of (state, input, health), so
@@ -26,7 +26,7 @@ from .cycle import (
     HEALTHY,
     HealthParams,
     off_design_solve,
-    power_match,
+    trim_fuel,
 )
 
 MACRO_DT = 0.02          # s, fixed gas-generator step
@@ -121,14 +121,3 @@ def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
     sol = off_design_solve(params, u, health, N=x.N, guess=guess)
     return outputs_from_solution(sol), sol
 
-
-def trim_fuel(params: GasGenParams, N: float, Pe: float,
-              health: HealthParams = HEALTHY, altitude: float = 0.0,
-              mach: float = 0.0, dT_ISA: float = 5.0) -> tuple[float, CycleSolution]:
-    """Fuel flow at which the engine delivers Pe kW at speed N (steady), and
-    the cycle solution at that fuel flow: one power_match, its fuel flow
-    started in proportion to the power the turbine must deliver."""
-    wf = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
-        params.pe_design + params.accessory_kw)
-    sol = power_match(params, GasGenInput(wf, altitude, mach, dT_ISA), health, Pe, N)
-    return sol.wf, sol

@@ -69,7 +69,7 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
     wc = cmap.corrected_flow(n_rel, beta)
     pr = cmap.pressure_ratio(n_rel, beta)
     eta = cmap.efficiency(n_rel, beta)
-    if not health.healthy:
+    if health != HEALTHY:
         wc = wc * health.flow_c_factor
         eta = eta * health.eta_c_factor
     w2 = wc * (inlet.Pt / P_STD) / math.sqrt(theta)
@@ -110,7 +110,7 @@ def turbine_calc(inlet4: GasState, cool_ngv: GasState, cool_rotor: GasState,
     t5s = gas.isentropic_temperature(st41.Tt, 1.0 / pr_t, st41.FAR)
     dhs = st41.h - gas.enthalpy(t5s, st41.FAR)
     eta = params.tmap.efficiency(N / params.design_speed, dhs)
-    if not health.healthy:
+    if health != HEALTHY:
         eta = eta * health.eta_t_factor
     h5u = st41.h - eta * dhs
     st5u = GasState(W=st41.W, Tt=gas.temperature_from_enthalpy(h5u, st41.FAR), Pt=p5,

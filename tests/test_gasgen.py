@@ -26,7 +26,6 @@ from apucosim.gasgen import cycle, engine
 from apucosim.gasgen.cycle import (
     NoSteadyState,
     T4OutOfRange,
-    power_match,
     static_from_flow,
 )
 from apucosim.gasgen.design import CalibrationFailed, design_point_size
@@ -902,10 +901,10 @@ def test_trim_is_one_match_of_few_evaluations(gg_params, monkeypatch, alt, mach,
 
 def test_trim_trial_without_fuel_is_no_steady_state(gg_params):
     # a trial fuel flow <= 0 ends the trim as a numerical failure before
-    # the cycle is evaluated at it (a negative input fuel flow is a usage
-    # error, refused by GasGenInput)
-    with pytest.raises(NoSteadyState):
-        power_match(gg_params, GasGenInput(wf=0.0), HEALTHY, 300.0, 36050.0)
+    # the cycle is evaluated at it: a shaft power of -500 kW drives the
+    # fuel flow below zero
+    with pytest.raises(NoSteadyState, match="no positive fuel flow"):
+        trim_fuel(gg_params, 36050.0, -500.0)
 
 
 def test_init_degraded_low_power_converges(gg_params):
