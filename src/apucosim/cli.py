@@ -19,11 +19,11 @@ import numpy as np
 
 from . import scenario as sc
 from .control import AvrState
-from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, run_generator, run_joint,
-                    whole_steps)
+from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, MAX_FAST_STEPS, STEP_FRACTION,
+                    run_generator, run_joint, too_many_fast_steps, whole_steps)
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
-from .gasgen.engine import trim_fuel
+from .gasgen.engine import MAX_SPEED_RATIO, trim_fuel
 from .wrsg import FaultParams, LoadModel
 
 # steady operating points exercised by `steady --preset-index`
@@ -117,6 +117,10 @@ def cmd_steady(args) -> int:
     health = HealthParams(eta_c_factor=eta_c, flow_c_factor=args.flow_c,
                           eta_t_factor=args.eta_t, flow_t_factor=args.flow_t)
     params, _ = _default_engine()
+    n_max = MAX_SPEED_RATIO * params.design_speed
+    if args.speed > n_max:
+        raise ValueError(f"--speed must lie in (0, {n_max:.0f}] rpm, the spool's "
+                         f"speed range, found {args.speed!r}")
     if args.sweep:
         print(f"{'eta_c_factor':>12} {'wf kg/s':>10} {'SFC':>8} {'HPCSM %':>8}")
         for factor in np.linspace(0.96, 1.0, 5):
@@ -163,10 +167,10 @@ def cmd_genrun(args) -> int:
                          f"{GENERATOR_CONTROL_DT:g} s control period, found "
                          f"{args.duration!r}")
     # the machine steps are bounded as a scenario's are (stepper.max_step_s)
-    step = 0.9 * GENERATOR_STEPPER.max_step
-    if args.duration / step > sc.MAX_FAST_STEPS:
-        raise ValueError(f"--duration must be at most {step * sc.MAX_FAST_STEPS:g} s, "
-                         f"{sc.MAX_FAST_STEPS:,} machine steps of at least {step:g} s, "
+    if too_many_fast_steps(args.duration, GENERATOR_STEPPER.max_step):
+        step = STEP_FRACTION * GENERATOR_STEPPER.max_step
+        raise ValueError(f"--duration must be at most {step * MAX_FAST_STEPS:g} s, "
+                         f"{MAX_FAST_STEPS:,} machine steps of at least {step:g} s, "
                          f"found {args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)

@@ -513,6 +513,20 @@ def whole_steps(duration: float, dt: float) -> int | None:
     return round(n)
 
 
+# the most machine steps a run may take: its arrays grow with them
+MAX_FAST_STEPS = 1_000_000
+# a machine step is longer than this fraction of max_step: a faulted segment
+# cuts a period into n >= 10 equal steps (_period_grid), each longer than
+# n / (n + 1) max_step
+STEP_FRACTION = 0.9
+
+
+def too_many_fast_steps(duration: float, max_step: float) -> bool:
+    """Whether a run of `duration` whose machine steps are at most max_step
+    may take more than MAX_FAST_STEPS of them."""
+    return duration / (STEP_FRACTION * max_step) > MAX_FAST_STEPS
+
+
 def health_swaps(schedule, dt: float):
     """Health at t = 0 and {macro step k: health from step k on}: a swap at
     t > 0 acts from the step that starts on the last boundary at or before

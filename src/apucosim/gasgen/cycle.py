@@ -438,6 +438,8 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     w_ngv = params.ngv_cool_frac * w2
     w_rot = params.rotor_cool_frac * w2
     w31 = w2 - w_ngv - w_rot - params.overboard_frac * w2
+    if w31 <= 0.0:   # the map flow underflows at a vanishing speed
+        raise NumericalFailure(f"no compressor flow at {N:g} rpm")
     p4 = p3 * (1.0 - params.burner_loss)
     if wf:
         w4 = w31 + wf

@@ -31,6 +31,7 @@ from .cycle import (
 
 MACRO_DT = 0.02          # s, fixed gas-generator step
 _SUBSTEPS = 2            # forward sub-steps per macro step
+MAX_SPEED_RATIO = 1.2    # the spool's speed limit over its design speed
 
 
 class SpeedOutOfRange(NumericalFailure):
@@ -102,7 +103,7 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
     returns the new state and the last sub-step's match, the nearest one to
     start the output match from."""
     n = x.N
-    n_max = 1.2 * params.design_speed
+    n_max = MAX_SPEED_RATIO * params.design_speed
     sub = dt / _SUBSTEPS
     for k in range(_SUBSTEPS):
         if k or match is None:

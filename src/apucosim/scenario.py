@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import CouplingParams, JointSetup, TimeSeries, speed_noise_hook, whole_steps
+from .cosim import (MAX_FAST_STEPS, STEP_FRACTION, CouplingParams, JointSetup, TimeSeries,
+                    speed_noise_hook, too_many_fast_steps, whole_steps)
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
@@ -47,11 +48,6 @@ class UnknownChannel(UsageError):
     def __init__(self, name):
         super().__init__(f"unknown channel {name!r}")
 
-
-# machine fast-track steps per run (duration / (0.9 stepper.max_step_s), the
-# shortest faulted step counted): the arrays of a run grow with it, so a tiny
-# max_step_s is refused at parse time rather than failing to allocate mid-run
-MAX_FAST_STEPS = 1_000_000
 
 _DEFAULTS = {
     "name": "design",
@@ -250,6 +246,11 @@ def _validate(doc):
     if step["factor"] == 1.0:
         _keep_default("fuel_step.time_s", step["time_s"],
                       _DEFAULTS["fuel_step"]["time_s"], "fuel_step.factor is 1")
+    # a fuel step must act within the run; one at the duration still sets
+    # the last row's output match
+    elif not 0.0 <= step["time_s"] <= doc["duration"]:
+        raise SchemaError("fuel_step.time_s", "time within [0, duration]",
+                          step["time_s"])
     for i, item in enumerate(doc["ttsc_faults"]):
         if item["mu"] == 0.0:
             _keep_default(f"ttsc_faults[{i}].k_rf", item["k_rf"],
@@ -263,21 +264,19 @@ def _validate(doc):
         raise SchemaError("ambient.dT_ISA", f"offset putting the {exc.temperature} "
                           f"within [{T_MIN:g}, {T_MAX:g}] K", exc.dT_ISA) from None
     # healthy segments are sampled at max_step and the regulator's rms
-    # window spans one electrical period, so a period needs >= 10 samples.
-    # Faulted segments step at T_e / n, the electrical period T_e cut into
-    # the fewest n equal steps of at most max_step: at the nominal frequency
-    # n >= 10, so a step is longer than n / (n + 1) max_step > 0.9 max_step,
-    # and the step count is bounded with that length
+    # window spans one electrical period, so a period needs >= 10 samples;
+    # then every machine step is longer than STEP_FRACTION max_step, and the
+    # step count is bounded with that length
     limit = 0.1 / doc["machine"]["f_hz"]
     max_step = doc["stepper"]["max_step_s"]
     if not 0.0 < max_step <= limit:
         raise SchemaError("stepper.max_step_s",
                           f"step within (0, {limit:.6g}] s, a tenth of the "
                           "machine period", max_step)
-    if doc["duration"] / (0.9 * max_step) > MAX_FAST_STEPS:
-        least = doc["duration"] / (0.9 * MAX_FAST_STEPS)
+    if too_many_fast_steps(doc["duration"], max_step):
+        least = doc["duration"] / (STEP_FRACTION * MAX_FAST_STEPS)
         raise SchemaError("stepper.max_step_s",
-                          f"step of at least duration / (0.9 * "
+                          f"step of at least duration / ({STEP_FRACTION:g} * "
                           f"{MAX_FAST_STEPS:,}) = {least:.6g} s", max_step)
 
 
