@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -196,6 +197,32 @@ def test_steady_out_of_envelope_is_numeric_error(capsys):
     assert rc == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("speed, refused", [
+    ("50000", True), ("1e300", True), ("43260.001", True), ("43260", False),
+])
+def test_steady_speed_takes_the_spool_range(capsys, monkeypatch, speed, refused):
+    # the spool runs in (0, 1.2 design speed], 43,260 rpm: a steady point
+    # above it is refused before any trim
+    monkeypatch.setattr(cli, "trim_fuel", _reach)
+    argv = ["steady", "--json", "--speed", speed, "--power", "300"]
+    if not refused:
+        with pytest.raises(_Reached):
+            main(argv)
+        return
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--speed" in err and "43260" in err
+
+
+def test_steady_without_compressor_flow_is_numeric_error(capsys):
+    # at 1e-250 rpm the map flow underflows to 0: the cycle pass stops
+    # before it divides by the flow, so no numpy warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--json", "--speed", "1e-250"]) == EXIT_NUMERIC
+    assert "no compressor flow at 1e-250 rpm" in capsys.readouterr().err
+
+
 def test_transient_zero_length_run(tmp_path, capsys):
     scn = {"name": "flat", "duration": 0.1, "macro_dt": 0.02,
            "fuel_step": {"factor": 1.0, "initial_power_kw": 300.0}}
@@ -206,6 +233,18 @@ def test_transient_zero_length_run(tmp_path, capsys):
     assert rc == EXIT_OK
     body = (tmp_path / "transient_flat_slow.csv").read_text().strip().split("\n")
     assert len(body) == 6    # header + 5 macro steps
+
+
+def test_transient_writes_its_four_svgs(tmp_path, capsys):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.1}))
+    out = tmp_path / "out"
+    assert main(["transient", "--scenario", str(p), "--out", str(out)]) == EXIT_OK
+    groups = ("p3", "speed", "surge", "t4")
+    assert sorted(f.name for f in out.glob("*.svg")) == [
+        f"transient_design_{group}.svg" for group in groups]
+    for group in groups:
+        assert "<polyline" in (out / f"transient_design_{group}.svg").read_text()
 
 
 def test_genrun_design_load(tmp_path, capsys):
@@ -466,14 +505,19 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
      "ttsc_faults[1].k_rf"),
     ({"ttsc_faults": [{"mu": 0.05, "k_rf": 1e6}]}, "ttsc_faults[0].k_rf"),
     ({"fuel_step": {"time_s": 1.0}}, "fuel_step.time_s"),
+    # a fuel step after the run's end (the default time_s is 3 s)
+    ({"fuel_step": {"factor": 1.1}}, "fuel_step.time_s"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04, **doc}))
-    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
-                 "--no-svg"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"at {field}:" in err and "Warning" not in err
+    # refused when the document is parsed, by either command that reads one
+    for command in ("joint", "transient"):
+        assert main([command, "--scenario", str(p), "--out", str(tmp_path / "out"),
+                     "--no-svg"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"at {field}:" in err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_max_step_at_a_tenth_of_the_period_accepted(tmp_path):
@@ -617,6 +661,28 @@ def test_stepper_fields_rejected_at_parse_with_path(tmp_path, capsys, key, value
     assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
                  "--no-svg"]) == EXIT_USAGE
     assert f"stepper.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("duration, accepted", [(90.0, True), (90.02, False)])
+def test_fast_step_bound_judges_genrun_and_a_scenario_alike(tmp_path, capsys, monkeypatch,
+                                                             duration, accepted):
+    # genrun's machine steps are at most 1e-4 s, as a scenario's with
+    # stepper.max_step_s 1e-4: 90 s is MAX_FAST_STEPS steps of 0.9 * 1e-4 s
+    from apucosim.cosim import GENERATOR_STEPPER
+    from apucosim.scenario import SchemaError, parse_scenario
+    assert GENERATOR_STEPPER.max_step == 1e-4
+    monkeypatch.setattr(cli, "run_generator", _reach)
+    argv = ["genrun", "--duration", repr(duration), "--out", str(tmp_path), "--no-svg"]
+    doc = json.dumps({"duration": duration, "stepper": {"max_step_s": 1e-4}})
+    if accepted:
+        with pytest.raises(_Reached):
+            main(argv)
+        assert parse_scenario(doc)["duration"] == duration
+    else:
+        assert main(argv) == EXIT_USAGE
+        assert "--duration must be at most 90 s" in capsys.readouterr().err
+        with pytest.raises(SchemaError, match="at stepper.max_step_s"):
+            parse_scenario(doc)
 
 
 def test_fast_step_cap_bound_accepted_at_parse():
