@@ -20,7 +20,8 @@ import numpy as np
 from . import scenario as sc
 from .control import AvrState
 from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, MAX_FAST_STEPS, STEP_FRACTION,
-                    run_generator, run_joint, too_many_fast_steps, whole_steps)
+                    FieldVoltageOutOfRange, run_generator, run_joint, too_many_fast_steps,
+                    whole_steps)
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.engine import MAX_SPEED_RATIO, trim_fuel
@@ -57,12 +58,8 @@ def _scenario_from_args(args) -> sc.Scenario:
         overrides["seed"] = args.seed
     if args.macro_dt is not None:
         overrides["macro_dt"] = args.macro_dt
-    if getattr(args, "hook", None):
-        _refuse_given("--hook sets the scenario's hook",
-                      {"state_noise": args.state_noise})
-        overrides["hook"] = {"kind": args.hook, "std_rpm": 0.0}
     if getattr(args, "state_noise", None) is not None:
-        overrides["hook"] = {"kind": "speed-noise", "std_rpm": args.state_noise}
+        overrides["hook"] = {"std_rpm": args.state_noise}
     if not overrides:
         return scn
     return sc.parse_scenario(json.dumps({**scn.doc, **overrides}))
@@ -186,9 +183,13 @@ def cmd_genrun(args) -> int:
                              f"found {t_fault!r}")
         fault_schedule = ((t_fault, FaultParams(mu=args.mu, k_rf=k_rf)),)
     os.makedirs(args.out, exist_ok=True)
-    res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
-                        duration=args.duration, fault_schedule=fault_schedule,
-                        decimation=args.decimation)
+    try:
+        res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
+                            duration=args.duration, fault_schedule=fault_schedule,
+                            decimation=args.decimation)
+    except FieldVoltageOutOfRange as exc:
+        raise UsageError(f"--power-kw {args.power_kw:g} at --speed-rpm "
+                         f"{args.speed_rpm:g}: {exc}") from None
     title = f"Generator point: {args.power_kw:g}kW"
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
@@ -313,6 +314,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _generator_speed(text: str) -> float:
+    """genrun --speed-rpm: > 0 and at most the generator speed a joint run
+    reaches at the spool's limit through the default gearbox."""
+    value = _positive_float(text)
+    machine = sc.WrsgParams()
+    limit = MAX_SPEED_RATIO * 60.0 * machine.f_n / machine.pole_pairs
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"expected a speed within (0, {limit:.0f}] rpm, "
+                                         f"found {text!r}")
+    return value
+
+
 # The flags a group of subcommands shares, each declared once. They are added
 # to each subcommand's parser directly: argparse parent parsers would build
 # one more ArgumentParser per group.
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genrun", help="machine-only run at fixed shaft speed")
     p.add_argument("--power-kw", type=_leaf_type("load.power_kw"), default=225.0)
-    p.add_argument("--speed-rpm", type=_positive_float, default=12000.0)
+    p.add_argument("--speed-rpm", type=_generator_speed, default=12000.0)
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--mu", type=_leaf_type("ttsc_faults[].mu"), default=0.0)
     p.add_argument("--k-rf", type=_leaf_type("ttsc_faults[].k_rf"), default=None)
@@ -396,8 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--state-noise", type=_leaf_type("hook.std_rpm"), default=None,
                    help="spool-speed state noise std (rpm) via the hook")
-    p.add_argument("--hook", type=str, default=None,
-                   choices=["none", "identity"])
     p.add_argument("--merged", action="store_true",
                    help="also write a single-grid resampled CSV")
     p.set_defaults(func=cmd_joint)

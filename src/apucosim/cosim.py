@@ -30,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .control import AvrState, GovernorState, avr_step, governor_step
+from .errors import UsageError
 from .gasgen import (
     GasGenInput,
     GasGenParams,
@@ -350,6 +351,10 @@ def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
                          steps[-1])
 
 
+class FieldVoltageOutOfRange(UsageError):
+    """A steady start whose field voltage the AVR cannot give."""
+
+
 class _MachineTrack:
     """Owns the electrical state, its steady start, the fault schedule, the
     macro step's shaft energy, the recorder and the rms buffers; `noise`
@@ -378,13 +383,19 @@ class _MachineTrack:
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
 
-    def start(self, w_e: float, v_set: float):
+    def start(self, w_e: float, v_set: float, v_fd_max: float):
         """Start at electrical speed w_e from the healthy steady state whose
         phase rms is v_set, with every fault scheduled at t <= 0 applied;
-        returns the field voltage and the start's shaft power, kW."""
+        returns the field voltage and the start's shaft power, kW. A start
+        whose field voltage is not finite or above v_fd_max, the AVR's
+        limit, raises FieldVoltageOutOfRange."""
         self.w_e = w_e
         r0, l0 = self._resistance(0.0), self.load.L_phase
         self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set, l0)
+        if not self.V_fd <= v_fd_max:
+            raise FieldVoltageOutOfRange(
+                f"the steady start at {v_set:g} V rms needs a field voltage of "
+                f"{self.V_fd:.6g} V, above the AVR's limit of {v_fd_max:g} V")
         self.state = steady_state(self.params, r0, self.V_fd, w_e,
                                   L_load=l0).as_array()
         for t_sw, fault0 in self.schedule:
@@ -597,7 +608,7 @@ def run_joint(setup: JointSetup) -> JointResult:
                           setup.machine_noise, setup.stepper,
                           setup.decimation, rng_machine)
     _, w_e = coupling_speed(n0, coupling, setup.machine.pole_pairs)
-    v_fd0, p0 = track.start(w_e, setup.avr.V_set)
+    v_fd0, p0 = track.start(w_e, setup.avr.V_set, setup.avr.V_fd_max)
     health, swaps = health_swaps(setup.health_schedule, setup.macro_dt)
     pe0 = p0 / coupling.eta_gtTsg
     # the trimmed cycle solution is the first macro step's cycle match
@@ -678,7 +689,7 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
                           GENERATOR_STEPPER, decimation, rng=None)
-    v_fd, _ = track.start(w_e, avr.V_set)
+    v_fd, _ = track.start(w_e, avr.V_set, avr.V_fd_max)
     avr = replace(avr, integral=v_fd)
     period = 1.0 / machine.f_n
     for k in range(1, n_steps + 1):

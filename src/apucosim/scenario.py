@@ -67,7 +67,7 @@ _DEFAULTS = {
     },
     "coupling": {"eta": 1.0, "speed_ratio": 36050.0 / 12000.0},
     "governor": {
-        "n_set_rpm": 36050.0, "kp": 0.35, "ki": 1.2, "feed_forward": True,
+        "n_set_rpm": 36050.0, "kp": 0.35, "ki": 1.2,
         "wf_min": 0.004, "wf_max": 0.085, "rate_limit": 0.08,
     },
     "avr": {"v_set": 230.0, "kp": 0.10, "ki": 6.0, "v_fd_max": 200.0},
@@ -82,7 +82,7 @@ _DEFAULTS = {
         "std_w1": 0.0, "std_w2": 0.0, "std_vi": 0.0, "std_vv": 0.0,
         "gasgen_output": {},
     },
-    "hook": {"kind": "none", "std_rpm": 0.0},
+    "hook": {"std_rpm": 0.0},
     "stepper": {
         "relative_tolerance": 1e-4, "absolute_tolerance": 1e-5,
         "max_step_s": 1e-4,
@@ -143,10 +143,7 @@ RANGES = {
     # track's index arithmetic is in numpy's int64
     "record.decimation": (1, MAX_FAST_STEPS, True, True),
 }
-CHOICES = {
-    "hook.kind": ("none", "identity", "speed-noise"),
-    "load.kind": LOAD_KINDS,
-}
+CHOICES = {"load.kind": LOAD_KINDS}
 
 
 def out_of_range(key, value):
@@ -239,10 +236,7 @@ def _validate(doc):
                               f"time after load.schedule[{i - 1}].time_s",
                               item["time_s"])
     # a leaf that another leaf switches off keeps its default
-    hook, step = doc["hook"], doc["fuel_step"]
-    if hook["kind"] != "speed-noise":
-        _keep_default("hook.std_rpm", hook["std_rpm"], _DEFAULTS["hook"]["std_rpm"],
-                      "hook.kind is not speed-noise")
+    step = doc["fuel_step"]
     if step["factor"] == 1.0:
         _keep_default("fuel_step.time_s", step["time_s"],
                       _DEFAULTS["fuel_step"]["time_s"], "fuel_step.factor is 1")
@@ -465,7 +459,7 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     gov_doc = doc["governor"]
     governor = GovernorState(
         N_set=gov_doc["n_set_rpm"], K_p=gov_doc["kp"], K_i=gov_doc["ki"],
-        wf_ff=gg_params.wf_design if gov_doc["feed_forward"] else 0.0,
+        wf_ff=gg_params.wf_design,
         wf_min=gov_doc["wf_min"], wf_max=gov_doc["wf_max"],
         rate_limit=gov_doc["rate_limit"])
     avr_doc = doc["avr"]
@@ -479,11 +473,8 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
                                 std_w2=noise_doc["std_w2"],
                                 std_vi=noise_doc["std_vi"],
                                 std_vv=noise_doc["std_vv"])
-    hook_doc = doc["hook"]
-    hook = {"none": None, "identity": lambda x, rng: x,
-            "speed-noise": functools.partial(speed_noise_hook,
-                                             std_rpm=hook_doc["std_rpm"]),
-            }[hook_doc["kind"]]
+    std_rpm = doc["hook"]["std_rpm"]
+    hook = functools.partial(speed_noise_hook, std_rpm=std_rpm) if std_rpm else None
     st = doc["stepper"]
     stepper = StepperOptions(
         relative_tolerance=st["relative_tolerance"],

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 OPEN_CIRCUIT_R = 1e9
 SPEED_REF_RPM = 12000.0     # reference speed of the cubic-speed-law load
-LOAD_KINDS = ("resistive-bank", "series-RL", "cubic-speed-law")
+LOAD_KINDS = ("resistive-bank", "cubic-speed-law")
 
 
 @dataclass(frozen=True)
 class LoadModel:
-    kind: str = "resistive-bank"            # resistive-bank | series-RL | cubic-speed-law
+    kind: str = "resistive-bank"            # resistive-bank | cubic-speed-law
     R_phase: float = 0.70533                # ohm per phase at scale 1
-    L_phase: float = 0.0                    # H per phase (series-RL)
+    L_phase: float = 0.0                    # H per phase, in series on every kind
     schedule: tuple = ()                    # ((time_s, scale), ...) on admittance
 
     def __post_init__(self):

@@ -447,7 +447,7 @@ def _hash_worker(payload):
 def test_criterion_9_determinism(tmp_path):
     doc = json.dumps({"name": "det", "duration": 0.3, "seed": 11,
                       "noise": {"std_w1": 0.05, "std_vv": 0.1},
-                      "hook": {"kind": "speed-noise", "std_rpm": 2.0}})
+                      "hook": {"std_rpm": 2.0}})
     serial_1 = _run_and_hash(doc, 11, tmp_path, "a")
     serial_2 = _run_and_hash(doc, 11, tmp_path, "b")
     with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:

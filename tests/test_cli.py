@@ -270,29 +270,6 @@ def test_joint_mini_scenario(tmp_path, capsys):
     assert "energy audit" in out
 
 
-def test_joint_hook_flag_transparent(tmp_path):
-    scn = {"name": "hk", "duration": 0.1}
-    p = tmp_path / "scn.json"
-    p.write_text(json.dumps(scn))
-    for hook in ("none", "identity"):
-        rc = main(["joint", "--scenario", str(p), "--hook", hook,
-                   "--out", str(tmp_path / hook), "--no-svg"])
-        assert rc == EXIT_OK
-    a = (tmp_path / "none" / "joint_hk_slow.csv").read_bytes()
-    b = (tmp_path / "identity" / "joint_hk_slow.csv").read_bytes()
-    assert a == b
-
-
-def test_joint_hook_with_state_noise_is_refused(tmp_path, capsys):
-    # --state-noise sets the hook too, so it would overwrite --hook's choice
-    argv = ["joint", "--hook", "none", "--state-noise", "5", "--out",
-            str(tmp_path / "out"), "--no-svg"]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--hook" in err and "--state-noise" in err
-    assert not (tmp_path / "out").exists()
-
-
 def test_joint_cubic_speed_law_load_starts_steady(tmp_path, capsys):
     # the start is trimmed for the power the load draws at the run's speed
     # and field voltage, so the spool holds its setpoint
@@ -318,7 +295,7 @@ def test_bad_scenario_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("flags, parses", [
-    ([], 1), (["--seed", "3", "--hook", "identity", "--macro-dt", "0.02"], 2),
+    ([], 1), (["--seed", "3", "--state-noise", "2", "--macro-dt", "0.02"], 2),
 ], ids=["document", "overrides"])
 def test_joint_parses_its_document_once_and_its_overrides_once(
         tmp_path, monkeypatch, flags, parses):
@@ -332,8 +309,8 @@ def test_joint_parses_its_document_once_and_its_overrides_once(
                  "--no-svg", *flags]) == EXIT_OK
     assert len(texts) == parses
     scenario = json.loads((tmp_path / "joint_once_manifest.json").read_text())["scenario"]
-    assert (scenario["seed"], scenario["hook"]["kind"]) == (
-        (3, "identity") if flags else (0, "none"))
+    assert (scenario["seed"], scenario["hook"]) == (
+        (3, {"std_rpm": 2.0}) if flags else (0, {"std_rpm": 0.0}))
 
 
 def test_joint_runs_batch_parallel(tmp_path, capsys, monkeypatch):
@@ -456,7 +433,7 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
       for block, key in (("noise", "std_w1"), ("noise", "std_w2"), ("noise", "std_vi"),
                          ("noise", "std_vv"), ("hook", "std_rpm"), ("load", "l_phase_h"))),
     ({"noise": {"gasgen_output": {"T4": -1}}}, "noise.gasgen_output.T4"),
-    ({"hook": {"kind": "speed-noise", "std_rpm": -1}}, "hook.std_rpm"),
+    ({"hook": {"std_rpm": -1e-9}}, "hook.std_rpm"),
     *(({block: {key: value}}, f"{block}.{key}")
       for block, key in (("coupling", "eta"), ("coupling", "speed_ratio"),
                          *(("gasgen", key) for key in (
@@ -469,7 +446,7 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     *(({"gasgen": {key: value}}, f"gasgen.{key}")
       for key in ("lhv_mj_per_kg", "design_speed_rpm", "eta_compressor")
       for value in (0, -1)),
-    # and the kinds the run knows
+    # and the kinds the run knows; the hook has none
     ({"hook": {"kind": "dither"}}, "hook.kind"),
     ({"load": {"kind": "motor"}}, "load.kind"),
     *(({"gasgen": {key: value}}, f"gasgen.{key}")
@@ -496,10 +473,11 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     ({"load": {"schedule": [{"time_s": 0.02}, {"time_s": 0.02}]}},
      "load.schedule[1].time_s"),
     ({"ambient": {"dT_ISA": 1500, "mach": 0.9}}, "ambient.dT_ISA"),
-    # a leaf that another leaf switches off, set off its default, and a
-    # k_rf that opens the fault branch
-    ({"hook": {"kind": "none", "std_rpm": 5}}, "hook.std_rpm"),
-    ({"hook": {"kind": "identity", "std_rpm": 5}}, "hook.std_rpm"),
+    # a hook width that is no finite number, a leaf that another leaf
+    # switches off, set off its default, and a k_rf that opens the fault
+    # branch
+    ({"hook": {"std_rpm": math.inf}}, "hook.std_rpm"),
+    ({"hook": {"std_rpm": "5"}}, "hook.std_rpm"),
     ({"ttsc_faults": [{"mu": 0, "k_rf": 7}]}, "ttsc_faults[0].k_rf"),
     ({"ttsc_faults": [{"mu": 0.05}, {"time_s": 0.02, "mu": 0, "k_rf": 0.5}]},
      "ttsc_faults[1].k_rf"),
@@ -507,6 +485,11 @@ def test_sampling_inputs_rejected_at_parse(tmp_path, capsys, field, value):
     ({"fuel_step": {"time_s": 1.0}}, "fuel_step.time_s"),
     # a fuel step after the run's end (the default time_s is 3 s)
     ({"fuel_step": {"factor": 1.1}}, "fuel_step.time_s"),
+    # inputs that ran the same as another input: the hook's kind, the
+    # governor's feed-forward switch and the series-RL load kind
+    ({"hook": {"kind": "speed-noise"}}, "hook.kind"),
+    ({"governor": {"feed_forward": False}}, "governor.feed_forward"),
+    ({"load": {"kind": "series-RL"}}, "load.kind"),
 ])
 def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
     p = tmp_path / "scn.json"
@@ -516,7 +499,8 @@ def test_model_ranges_rejected_at_parse(tmp_path, capsys, doc, field):
         assert main([command, "--scenario", str(p), "--out", str(tmp_path / "out"),
                      "--no-svg"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"at {field}:" in err and "Warning" not in err
+        assert (f"at {field}:" in err or f"unknown field {field}\n" in err) \
+            and "Warning" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -737,6 +721,8 @@ def test_pool_size_rejects_non_integer_variable(threads):
     ("--power-kw", "inf"), ("--speed-rpm", "0"), ("--speed-rpm", "-12000"),
     ("--speed-rpm", "nan"), ("--speed-rpm", "-inf"), ("--k-rf", "nan"),
     ("--k-rf", "-1"),
+    # above the generator speed of the spool's limit, 1.2 * 12,000 rpm
+    ("--speed-rpm", "14400.5"), ("--speed-rpm", "1e300"),
 ])
 def test_genrun_float_flags_rejected_at_parse(tmp_path, capsys, flag, value):
     argv = ["genrun", "--duration", "0.02", "--mu", "0.05", "--fault-time",
@@ -746,6 +732,38 @@ def test_genrun_float_flags_rejected_at_parse(tmp_path, capsys, flag, value):
     assert f"argument {flag}" in err
     assert "Traceback" not in err and "Warning" not in err
     assert not list(tmp_path.iterdir())
+
+
+# a steady start whose field voltage the AVR cannot give (above 200 V) is
+# refused before its shaft power is evaluated
+@pytest.mark.parametrize("flag, value", [("--power-kw", "2000"), ("--speed-rpm", "100"),
+                                         ("--power-kw", "1e300")])
+def test_genrun_start_beyond_the_field_limit_refused(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["genrun", "--duration", "0.02", "--json", "--no-svg",
+                     "--out", str(tmp_path), flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"{flag} " in captured.err and "field voltage" in captured.err
+    assert "200 V" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--power-kw", "1000"), ("--speed-rpm", "14400")])
+def test_genrun_start_within_the_field_limit_runs(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["genrun", "--duration", "0.02", "--json", "--no-svg",
+                     "--out", str(tmp_path), flag, value]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_joint_hook_flag_is_gone(tmp_path, capsys):
+    # the hook's one setting is --state-noise; 0 runs no hook
+    assert main(["joint", "--hook", "none", "--out", str(tmp_path / "out"),
+                 "--no-svg"]) == EXIT_USAGE
+    assert "unrecognized arguments: --hook" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -887,7 +905,7 @@ def test_genrun_faulted_smoke_run(tmp_path, capsys):
     ("transient", {"load": {"power_kw": 1.0}}, "load.power_kw"),
     ("transient", {"ttsc_faults": [{"time_s": 0.02, "mu": 0.5}]}, "ttsc_faults"),
     ("transient", {"noise": {"gasgen_output": {"T4": 30.0}}}, "noise.gasgen_output.T4"),
-    ("transient", {"hook": {"kind": "speed-noise", "std_rpm": 2.0}}, "hook.kind"),
+    ("transient", {"hook": {"std_rpm": 2.0}}, "hook.std_rpm"),
     ("transient", {"stepper": {"max_step_s": 5e-5}}, "stepper.max_step_s"),
     ("transient", {"record": {"decimation": 1}}, "record.decimation"),
     ("joint", {"fuel_step": {"factor": 1.5, "time_s": 0.0}}, "fuel_step.time_s"),
@@ -972,8 +990,8 @@ def test_state_noise_zero_sets_a_zero_width_hook(tmp_path):
     # 0 is a width like any other: it replaces the document's hook
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"name": "sn", "duration": 0.04,
-                             "hook": {"kind": "speed-noise", "std_rpm": 5}}))
+                             "hook": {"std_rpm": 5}}))
     assert main(["joint", "--scenario", str(p), "--state-noise", "0",
                  "--out", str(tmp_path), "--no-svg"]) == EXIT_OK
     hook = json.loads((tmp_path / "joint_sn_manifest.json").read_text())["scenario"]["hook"]
-    assert hook == {"kind": "speed-noise", "std_rpm": 0.0}
+    assert hook == {"std_rpm": 0.0}

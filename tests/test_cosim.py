@@ -71,7 +71,7 @@ def test_coupling_power_constant():
     # a healthy balanced start draws constant shaft power, so the macro
     # step's energy is that power times the step
     track = _track()
-    v_fd, p0 = track.start(W_E, 230.0)
+    v_fd, p0 = track.start(W_E, 230.0, 200.0)
     assert track.advance(0.0, 0.02, W_E, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
 
 
@@ -90,7 +90,7 @@ def test_coupling_power_ripple_rejection():
     # frequency; over a macro step of whole periods the step's mean power
     # is the samples' mean, whatever the ripple's phase at the ends
     track = _track(((0.0, FaultParams(mu=0.05, k_rf=1.0)),))
-    v_fd, _ = track.start(W_E, 230.0)
+    v_fd, _ = track.start(W_E, 230.0, 200.0)
     energies = [track.advance(0.02 * k, 0.02 * (k + 1), W_E, v_fd) for k in range(7)]
     fast = track.fast_series()
     t, p = fast.time, fast.column("P_sg_total")
@@ -108,7 +108,7 @@ def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
     # advance sums the shaft power by the trapezoid rule from the start's
     # sample over every sample of the step, across a fault switch too
     track = _track(() if t_fault is None else ((t_fault, FaultParams(mu=0.05)),))
-    v_fd, p0 = track.start(W_E, 230.0)
+    v_fd, p0 = track.start(W_E, 230.0, 200.0)
     energy = track.advance(0.0, 0.02, W_E, v_fd)
     fast = track.fast_series()
     t = np.append(0.0, fast.time)
@@ -128,7 +128,7 @@ def test_track_start_is_steady_at_the_run_speed():
     # steady state: its power holds over the first macro step
     track = _track(load=LoadModel.from_power(225.0, kind="cubic-speed-law"))
     w_e = 0.9 * W_E
-    v_fd, p0 = track.start(w_e, 230.0)
+    v_fd, p0 = track.start(w_e, 230.0, 200.0)
     # 225 kW scaled by speed^3, drawn through both machines at eta_sg
     p = WrsgParams()
     assert p0 == pytest.approx(0.9 ** 3 * 225.0 * p.two_machine_factor / p.eta_sg,
@@ -194,6 +194,23 @@ def test_healthy_fast_track_is_uniform_grid(mini_result):
     assert mini_result.fast.n_samples == 1500
 
 
+def test_track_start_refuses_a_field_voltage_above_the_limit():
+    # 2 MW at 12,000 rpm needs about 310 V of field, above the AVR's 200 V;
+    # the limit itself is accepted
+    load = LoadModel.from_power(2000.0)
+    with pytest.raises(cosim.FieldVoltageOutOfRange, match="310.372 V.* 200 V"):
+        _track(load=load).start(W_E, 230.0, 200.0)
+    needed = field_voltage_for_terminal(WrsgParams(), load.R_phase, W_E, 230.0)
+    assert _track(load=load).start(W_E, 230.0, needed)[0] == needed
+
+
+def test_joint_start_takes_the_avr_field_limit():
+    # the default start needs 52.9 V of field
+    with pytest.raises(cosim.FieldVoltageOutOfRange, match="52.878.* 50 V"):
+        run_joint(build_joint_setup(_mini_scenario({"avr": {"v_fd_max": 50.0}},
+                                                   duration=0.04)))
+
+
 @pytest.mark.parametrize("case", ["load-step", "equation-noise", "series-RL",
                                   "cubic-speed"])
 def test_healthy_propagator_matches_tight_stepper(case):
@@ -207,7 +224,7 @@ def test_healthy_propagator_matches_tight_stepper(case):
     elif case == "equation-noise":
         noise = [0.5, -0.3, 0.2, 0.1, -0.2, 0.05]
     elif case == "series-RL":
-        load = LoadModel(kind="series-RL", R_phase=r, L_phase=5e-5)
+        load = LoadModel(R_phase=r, L_phase=5e-5)
     else:
         load = LoadModel.from_power(225.0, kind="cubic-speed-law")
         w_e = 0.9 * W_E
@@ -437,14 +454,6 @@ def test_healthy_segment_of_whole_steps_takes_one_exponential(monkeypatch):
     assert len(calls) == 2
 
 
-def test_hook_identity_transparent():
-    base = run_joint(build_joint_setup(_mini_scenario()))
-    hooked = run_joint(build_joint_setup(_mini_scenario(
-        {"hook": {"kind": "identity"}})))
-    assert np.array_equal(base.slow.data, hooked.slow.data)
-    assert np.array_equal(base.fast.data, hooked.fast.data)
-
-
 def test_seeded_determinism():
     a = run_joint(build_joint_setup(_mini_scenario({"seed": 7})))
     b = run_joint(build_joint_setup(_mini_scenario({"seed": 7})))
@@ -454,8 +463,7 @@ def test_seeded_determinism():
 
 
 def test_state_noise_hook_changes_trajectory_deterministically():
-    scn = _mini_scenario({"hook": {"kind": "speed-noise", "std_rpm": 5.0},
-                          "seed": 3})
+    scn = _mini_scenario({"hook": {"std_rpm": 5.0}, "seed": 3})
     a = run_joint(build_joint_setup(scn))
     b = run_joint(build_joint_setup(scn))
     base = run_joint(build_joint_setup(_mini_scenario({"seed": 3})))
@@ -652,7 +660,7 @@ def test_generator_run_with_series_rl_load():
     from apucosim.cosim import run_generator
     from apucosim.wrsg import LoadModel, WrsgParams
 
-    load = LoadModel.from_power(200.0, kind="series-RL", L_phase=5e-5)
+    load = LoadModel.from_power(200.0, L_phase=5e-5)
     res = run_generator(WrsgParams(), load, AvrState(), speed_rpm=12000.0,
                         duration=0.2, decimation=4)
     v = np.mean([res.rms_table[f"Phase {p} Voltage"] for p in "ABC"])
@@ -683,7 +691,7 @@ def test_series_rl_run_starts_steady():
     # the steady start carries the load inductance: the first steps draw
     # one power at the setpoint speed and the AVR's 230 V
     res = run_joint(build_joint_setup(_mini_scenario(
-        {"load": {"kind": "series-RL", "l_phase_h": 2e-5}}, duration=0.1)))
+        {"load": {"l_phase_h": 2e-5}}, duration=0.1)))
     pe = res.slow.column("Pe_gt")
     assert pe.size == 5 and np.ptp(pe) < 1e-9 * pe[0]
     assert pe[0] == pytest.approx(471.29, abs=0.01)
@@ -693,10 +701,12 @@ def test_series_rl_run_starts_steady():
 
 @pytest.mark.parametrize("extra, made", [
     ({}, 0), ({"noise": {"std_vi": 0.5}}, 1), ({"noise": {"gasgen_output": {"T4": 0.0}}}, 0),
-    ({"noise": {"gasgen_output": {"T4": 1.0}}}, 1), ({"hook": {"kind": "identity"}}, 1),
+    ({"noise": {"gasgen_output": {"T4": 1.0}}}, 1), ({"hook": {"std_rpm": 1.0}}, 1),
     ({"noise": {"std_w1": 1.0, "gasgen_output": {"XNHPC": 1.0}},
-      "hook": {"kind": "speed-noise", "std_rpm": 1.0}}, 3),
-], ids=["noise-free", "machine", "zero-width-output", "output", "hook", "all"])
+      "hook": {"std_rpm": 1.0}}, 3),
+    ({"hook": {"std_rpm": 0.0}}, 0),
+], ids=["noise-free", "machine", "zero-width-output", "output", "hook", "all",
+        "zero-width-hook"])
 def test_run_makes_a_generator_only_for_a_stream_that_draws(monkeypatch, extra, made):
     rngs = []
     default_rng = np.random.default_rng

@@ -50,7 +50,7 @@ def test_every_exception_class_has_exactly_one_exit_class():
         assert issubclass(cls, UsageError) != issubclass(cls, NumericalFailure), cls
     assert {c.__name__ for c in classes if issubclass(c, UsageError)} == {
         "SchemaError", "UnknownField", "UnknownChannel", "AltitudeOutOfRange",
-        "AmbientTemperatureOutOfRange"}
+        "AmbientTemperatureOutOfRange", "FieldVoltageOutOfRange"}
 
 
 @pytest.mark.parametrize("exc", [

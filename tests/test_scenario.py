@@ -268,9 +268,9 @@ def test_preset_scenarios_regression_locked():
         for name in sorted(PRESETS)
     }
     assert digests == {
-        "design": "be2b42ec07979758",
-        "fuel-step": "4e49dbc78288a199",
-        "joint-fault": "b8cb00c4370c722e",
+        "design": "585c69205eb7444e",
+        "fuel-step": "ffb454ac3584b8f8",
+        "joint-fault": "ced3194ae5f998ca",
     }
 
 
@@ -377,9 +377,10 @@ RANGE_CASES = [
     ({}, "record.decimation", 1_000_001, 1_000_000),
     *[({}, leaf, bad, good) for leaf in ("machine.eta_sg", "coupling.eta")
       for bad, good in ((0.0, TINY), (math.nextafter(1.0, 2.0), 1.0))],
-    *[({}, "hook.kind", "noise", kind) for kind in ("none", "identity", "speed-noise")],
-    *[({}, "load.kind", "inductive", kind)
-      for kind in ("resistive-bank", "series-RL", "cubic-speed-law")],
+    # every kind takes load.l_phase_h in series
+    *[(doc, "load.kind", "inductive", kind)
+      for doc, kind in (({}, "resistive-bank"), ({"load": {"l_phase_h": 5e-5}}, "resistive-bank"),
+                        ({}, "cubic-speed-law"))],
 ]
 
 

@@ -352,8 +352,7 @@ def _segment_states(p, fault, n=40, seed=7):
 def test_terminal_and_derivatives_batched_match_per_row(fault, l_phase):
     p = WrsgParams()
     vfd, states = _segment_states(p, fault)
-    load = LoadModel(kind="series-RL" if l_phase else "resistive-bank",
-                     R_phase=R_225, L_phase=l_phase)
+    load = LoadModel(R_phase=R_225, L_phase=l_phase)
     sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
                             noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
     batch = sysm.terminal(states) + (derivatives(sysm, 0.0, states),)
@@ -398,7 +397,7 @@ def test_series_rl_terminal_voltage_from_reference_derivatives(fault):
     p = WrsgParams()
     vfd, states = _segment_states(p, fault, n=20, seed=13)
     l_phase = 5e-5
-    load = LoadModel(kind="series-RL", R_phase=R_225, L_phase=l_phase)
+    load = LoadModel(R_phase=R_225, L_phase=l_phase)
     sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
                             noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
     v_abc = sysm.terminal(states)[1]
@@ -417,8 +416,7 @@ def test_series_rl_terminal_voltage_from_reference_derivatives(fault):
 def test_flux_system_matches_derivatives(fault, l_phase):
     p = WrsgParams()
     vfd, states = _segment_states(p, fault, n=30, seed=11)
-    load = LoadModel(kind="series-RL" if l_phase else "resistive-bank",
-                     R_phase=R_225, L_phase=l_phase)
+    load = LoadModel(R_phase=R_225, L_phase=l_phase)
     sysm = ElectricalSystem(p, load, fault, W_E, vfd, R_225,
                             noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
     rng = np.random.default_rng(5)
@@ -510,7 +508,7 @@ def test_series_rl_steady_state_holds_the_terminal_rms(l_phase):
     # state solves with it, and the terminal voltage R i + L di/dt has
     # amplitude hypot(R, w_e L) |i|
     p = WrsgParams()
-    load = LoadModel(kind="series-RL", R_phase=R_225, L_phase=l_phase)
+    load = LoadModel(R_phase=R_225, L_phase=l_phase)
     vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0, l_phase)
     st = steady_state(p, R_225, vfd, W_E, L_load=l_phase)
     dy = machine_derivatives(st, vfd, W_E, HEALTHY_FAULT, load, p)
