@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_leaf_type("seed", integer=True), default=None)
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--state-noise", type=_leaf_type("hook.std_rpm"), default=None,
-                   help="spool-speed state noise std (rpm) via the hook")
+                   help="std (rpm) of the noise added to the spool speed "
+                        "after each update (hook.std_rpm)")
     p.add_argument("--merged", action="store_true",
                    help="also write a single-grid resampled CSV")
     p.set_defaults(func=cmd_joint)

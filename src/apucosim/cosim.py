@@ -4,34 +4,32 @@ on healthy segments, on the uniform max_step grid; a sixth-order Magnus
 integrator on faulted ones, on a grid of n steps per electrical period, at
 most max_step each, so that only one period's propagators are computed;
 both marched one block of n steps per batched product), with power/speed
-coupling rules, an externally pluggable state-process hook, and per-step
-energy bookkeeping.
+coupling rules, spool-speed state noise, and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update, accumulating its
 shaft power, (b) converts the accumulated energy into the gas-generator
 load, (c) updates the spool state from the cycle match at (N_{k-1},
-wf_{k-1}) and applies the hook: None or a plain function hook(x, rng) -> x
-of the updated GasGenState and the run's seeded numpy.random.Generator for
-hooks, (d) runs the regulators, the governor on the speed plus its
-output-noise draw, before (e) the one cycle match at (N_k, wf_k), started
-from the spool update's last (half-step) match, which gives the row's
-outputs and the next step's first match, then (f) hands the
-new speed back to the machine as a zero-order hold.  TTSC fault switches are
-applied exactly at their requested times on the fast track; gas-path health
-swaps happen at macro boundaries.
+wf_{k-1}) and adds the state noise, a normal draw of width state_noise_rpm
+from the run's third seeded stream, (d) runs the regulators, the governor
+on the speed plus its output-noise draw, before (e) the one cycle match at
+(N_k, wf_k), started from the spool update's last (half-step) match, which
+gives the row's outputs and the next step's first match, then (f) hands
+the new speed back to the machine as a zero-order hold.  TTSC fault
+switches are applied exactly at their requested times on the fast track;
+gas-path health swaps happen at macro boundaries.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .control import AvrState, GovernorState, avr_step, governor_step
 from .errors import UsageError
 from .gasgen import (
+    CycleSolution,
     GasGenInput,
     GasGenParams,
     GasGenState,
@@ -39,7 +37,8 @@ from .gasgen import (
     off_design_solve,
     state_update,
 )
-from .gasgen.engine import OUTPUT_CHANNELS, output, trim_fuel
+from .gasgen.engine import (MAX_SPEED_RATIO, OUTPUT_CHANNELS, SpeedOutOfRange, output,
+                             trim_fuel)
 from .numerics import NonFiniteDerivative, StepperOptions, StepUnderflow, expm
 from .wrsg import (
     ElectricalSystem,
@@ -552,15 +551,9 @@ def health_swaps(schedule, dt: float):
     return health, swaps
 
 
-def speed_noise_hook(x: GasGenState, rng, std_rpm: float) -> GasGenState:
-    """State-process hook adding Gaussian noise to the spool-speed state;
-    bind std_rpm (functools.partial) to get a hook(x, rng)."""
-    return GasGenState(N=x.N + rng.normal(0.0, std_rpm))
-
-
 @dataclass
 class JointSetup:
-    """Everything run_joint needs, pre-trimmed at the initial condition."""
+    """Everything run_joint needs; run_joint trims the start itself."""
     gg_params: GasGenParams
     machine: WrsgParams
     load: LoadModel
@@ -572,7 +565,7 @@ class JointSetup:
     fault_schedule: tuple               # ((time, FaultParams), ...)
     machine_noise: NoiseConfig
     gasgen_noise: dict
-    hook: Callable[[GasGenState, np.random.Generator], GasGenState] | None
+    state_noise_rpm: float              # std of the spool-speed state noise
     duration: float
     macro_dt: float
     stepper: StepperOptions
@@ -589,17 +582,18 @@ def run_joint(setup: JointSetup) -> JointResult:
     # a generator for each stream that draws, each from its own spawned
     # child, so that a noise-free run makes none
     draws = (any(astuple(setup.machine_noise)), any(setup.gasgen_noise.values()),
-             setup.hook is not None)
-    rng_machine = rng_gg = rng_hook = None
+             setup.state_noise_rpm != 0.0)
+    rng_machine = rng_gg = rng_state = None
     if any(draws):
         children = np.random.SeedSequence(setup.seed).spawn(3)
-        rng_machine, rng_gg, rng_hook = [np.random.default_rng(child) if draw else None
-                                         for draw, child in zip(draws, children)]
+        rng_machine, rng_gg, rng_state = [np.random.default_rng(child) if draw else None
+                                          for draw, child in zip(draws, children)]
 
     gg = setup.gg_params
     coupling = setup.coupling
     alt, mach, disa = setup.ambient
     dt = setup.macro_dt
+    n_max = MAX_SPEED_RATIO * gg.design_speed
 
     # initial condition: governor setpoint speed, machine in steady state at
     # the trimmed field voltage, fuel trimmed so the engine carries the load
@@ -637,8 +631,11 @@ def run_joint(setup: JointSetup) -> JointResult:
             health = swaps[k]
             sol = off_design_solve(gg, u, health, N=x.N, guess=sol)
         x, half = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
-        if setup.hook is not None:
-            x = setup.hook(x, rng_hook)
+        if setup.state_noise_rpm:
+            n = x.N + rng_state.normal(0.0, setup.state_noise_rpm)
+            if not 0.0 < n <= n_max:
+                raise SpeedOutOfRange(n, n_max)
+            x = GasGenState(N=n)
         # (d) output noise draws and regulators; (e) the match at (N_k, wf_k)
         noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
         wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
@@ -720,20 +717,23 @@ class TransientRunResult:
     gasgen_state: GasGenState
 
 
-def run_gasgen_transient(gg: GasGenParams, x0: GasGenState, wf_of_t,
-                         load_law, health_schedule=(), duration: float = 10.0,
-                         macro_dt: float = 0.02, ambient=(0.0, 0.0, 5.0),
-                         match=None) -> TransientRunResult:
+def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_law,
+                         health_schedule, duration: float, macro_dt: float,
+                         ambient) -> TransientRunResult:
     """Gas-generator-only transient: fuel schedule against a shaft load law,
-    health swaps as in run_joint, from `match`, the cycle match at (x0,
-    wf_of_t(0), health at t = 0) (None: solve it)."""
+    health swaps as in run_joint, from the speed of `trim`, the fuel trim's
+    cycle match at the health at t = 0. A fuel flow wf_of_t(0) other than
+    the trim's acts from the first sub-step: the first match is re-solved
+    at it, as a health swap re-solves its match."""
     n_steps = whole_steps(duration, macro_dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
     alt, mach, disa = ambient
     health, swaps = health_swaps(health_schedule, macro_dt)
-    x, sol = x0, match
+    x, sol = GasGenState(N=trim.N), trim
     u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)
+    if u.wf != trim.wf:
+        sol = off_design_solve(gg, u, health, N=x.N, guess=trim)
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
     units = tuple(unit for _, unit in OUTPUT_CHANNELS) + ("kg/s", "kW")
     ts, rows = [], []

@@ -4,7 +4,7 @@ output projection and the steady fuel trim (cycle.trim_fuel).
 The single state is spool speed; the update is a pure function of (state,
 input, health, shaft load) and the output of (state, input, health), so
 external state processing (noise injection, Monte Carlo; the co-simulation
-loop's hook) fits between the two. The matches are chained: `state_update`
+loop's spool-speed state noise) fits between the two. The matches are chained: `state_update`
 returns its last (half-step) match with the new state, `output` starts from
 it, and the match `output` returns is the next `state_update`'s first.
 Each warm match starts where its guess's sensitivity predicts

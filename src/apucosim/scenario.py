@@ -18,7 +18,7 @@ import numpy as np
 
 from .control import AvrState, GovernorState
 from .cosim import (MAX_FAST_STEPS, STEP_FRACTION, CouplingParams, JointSetup, TimeSeries,
-                    speed_noise_hook, too_many_fast_steps, whole_steps)
+                    too_many_fast_steps, whole_steps)
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
@@ -398,17 +398,11 @@ def health_schedule_from_scenario(scenario: Scenario) -> tuple:
         for f in scenario.doc["gas_path_faults"])
 
 
-def run_fuel_step(scenario: Scenario):
-    """Replay a fuel-step transient: gas generator alone against the cubic
-    load law anchored at its design point, fuel stepping at the given time."""
-    return fuel_step_run(scenario)()
-
-
 def fuel_step_run(scenario: Scenario):
-    """run_fuel_step's run, checked, sized and trimmed but not started: a
-    function of no arguments that runs it."""
+    """A fuel-step replay, checked, sized and trimmed but not started: a
+    function of no arguments that runs the gas generator alone against the
+    cubic load law anchored at its design point, fuel stepping at the given time."""
     from .cosim import health_swaps, run_gasgen_transient
-    from .gasgen import GasGenState
     from .gasgen.engine import trim_fuel
 
     _refuse_unread(scenario, "transient")
@@ -433,9 +427,9 @@ def fuel_step_run(scenario: Scenario):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0
 
     return functools.partial(
-        run_gasgen_transient, params, GasGenState(N=n0), wf_of_t, law, schedule,
+        run_gasgen_transient, params, trim, wf_of_t, law, schedule,
         duration=doc["duration"], macro_dt=doc["macro_dt"],
-        ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]), match=trim)
+        ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]))
 
 
 def build_joint_setup(scenario: Scenario) -> JointSetup:
@@ -473,8 +467,6 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
                                 std_w2=noise_doc["std_w2"],
                                 std_vi=noise_doc["std_vi"],
                                 std_vv=noise_doc["std_vv"])
-    std_rpm = doc["hook"]["std_rpm"]
-    hook = functools.partial(speed_noise_hook, std_rpm=std_rpm) if std_rpm else None
     st = doc["stepper"]
     stepper = StepperOptions(
         relative_tolerance=st["relative_tolerance"],
@@ -492,9 +484,9 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
         fault_schedule=fault_schedule,
         machine_noise=machine_noise,
         gasgen_noise=dict(noise_doc["gasgen_output"]),
-        hook=hook, duration=doc["duration"], macro_dt=doc["macro_dt"],
-        stepper=stepper, decimation=doc["record"]["decimation"],
-        seed=doc["seed"])
+        state_noise_rpm=doc["hook"]["std_rpm"], duration=doc["duration"],
+        macro_dt=doc["macro_dt"], stepper=stepper,
+        decimation=doc["record"]["decimation"], seed=doc["seed"])
 
 
 # ----------------------------------------------------------------- reporting

@@ -995,3 +995,17 @@ def test_state_noise_zero_sets_a_zero_width_hook(tmp_path):
                  "--out", str(tmp_path), "--no-svg"]) == EXIT_OK
     hook = json.loads((tmp_path / "joint_sn_manifest.json").read_text())["scenario"]["hook"]
     assert hook == {"std_rpm": 0.0}
+
+
+@pytest.mark.parametrize("seed, speed", [(3, "-326250"), (1, "1478436")])
+def test_state_noise_beyond_the_speed_range_is_numerical_failure(tmp_path, capsys,
+                                                                 seed, speed):
+    # a noised spool speed outside (0, MAX_SPEED_RATIO design speed] ends
+    # the run as the spool update's own speed check does: exit code 2
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04}))
+    assert main(["joint", "--scenario", str(p), "--state-noise", "1e6", "--seed",
+                 str(seed), "--out", str(tmp_path / "out"), "--no-svg"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert f"spool speed {speed} rpm outside (0, 43260] rpm" in err
+    assert "Traceback" not in err

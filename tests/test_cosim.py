@@ -559,14 +559,14 @@ def _count_matches(monkeypatch):
 def test_two_cycle_matches_per_macro_step(monkeypatch, swap):
     # the output match at (N_k, wf_k) is the next spool update's first
     # sub-step match; a health swap invalidates it and solves one fresh
-    from apucosim.scenario import run_fuel_step
+    from apucosim.scenario import fuel_step_run
     extra = {"gas_path_faults": [dict(time_s=0.1, **_DEGRADED)]} if swap else {}
     calls = _count_matches(monkeypatch)
     run_joint(build_joint_setup(_mini_scenario(extra, duration=0.2)))
     assert len(calls) == 2 * 10 + swap
     calls.clear()
     # the transient's first match is its fuel trim's solution
-    run_fuel_step(_mini_scenario(extra, duration=0.2))
+    fuel_step_run(_mini_scenario(extra, duration=0.2))()
     assert len(calls) == 2 * 10 + swap
 
 
@@ -578,7 +578,7 @@ def test_fuel_step_replay_work_count(monkeypatch):
     # Ps3 is solved only for the matches whose outputs are read, so the
     # static-state solves stay at most 2,300 (2,731 when every match solved it)
     from apucosim.gasgen import cycle
-    from apucosim.scenario import load_preset, run_fuel_step
+    from apucosim.scenario import fuel_step_run, load_preset
     evaluations, statics = [], []
     evaluate, static = cycle._evaluate_cycle, cycle.static_from_flow
     monkeypatch.setattr(cycle, "_evaluate_cycle",
@@ -586,34 +586,57 @@ def test_fuel_step_replay_work_count(monkeypatch):
     monkeypatch.setattr(cycle, "static_from_flow",
                         lambda *args: statics.append(1) or static(*args))
     calls = _count_matches(monkeypatch)
-    run_fuel_step(load_preset("fuel-step"))
+    fuel_step_run(load_preset("fuel-step"))()
     assert len(calls) == 1000
     assert len(evaluations) <= 1800
     assert len(statics) <= 2300
 
 
-def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):
-    from apucosim import cosim
-    hooked, seen = [], []
-
-    def hook(x, rng):
-        x = cosim.speed_noise_hook(x, rng, 5.0)
-        hooked.append(x.N)
-        return x
+def _record_updates(monkeypatch):
+    """(x.N, match.N, match.wf, u.wf, the returned speed) of every spool
+    update the loops make."""
     update = cosim.state_update
+    seen = []
 
     def recorded(params, x, u, health, Pe, dt, match):
-        seen.append((x.N, match.N, match.wf, u.wf))
-        return update(params, x, u, health, Pe, dt=dt, match=match)
+        new, half = update(params, x, u, health, Pe, dt=dt, match=match)
+        seen.append((x.N, match.N, match.wf, u.wf, new.N))
+        return new, half
     monkeypatch.setattr(cosim, "state_update", recorded)
-    setup = replace(build_joint_setup(_mini_scenario({"seed": 3}, duration=0.1)),
-                    hook=hook)
-    res = run_joint(setup)
-    # the output match is at the hooked speed ...
-    assert res.slow.column("XNHPC").tolist() == hooked
+    return seen
+
+
+def test_speed_noise_hook_state_is_what_both_matches_see(monkeypatch):
+    seen = _record_updates(monkeypatch)
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"seed": 3, "hook": {"std_rpm": 5.0}}, duration=0.1)))
+    speeds = res.slow.column("XNHPC").tolist()
+    # the output match is at the noised speed, not the updated one ...
+    assert all(n != s[4] for n, s in zip(speeds, seen))
     # ... and is the next update's first match, at that speed and fuel flow
-    assert [s[0] for s in seen[1:]] == hooked[:-1]
-    assert all(x == n and wf == u_wf for x, n, wf, u_wf in seen)
+    assert [s[0] for s in seen[1:]] == [s[1] for s in seen[1:]] == speeds[:-1]
+    assert all(wf == u_wf for _, _, wf, u_wf, _ in seen)
+
+
+def test_state_noise_keeps_its_draws():
+    # the state noise draws from the third seeded stream where the hook
+    # drew: row 3 at seed 3 and 5 rpm, frozen from the loop that called
+    # a hook(x, rng)
+    res = run_joint(build_joint_setup(_mini_scenario(
+        {"seed": 3, "hook": {"std_rpm": 5.0}}, duration=0.1)))
+    assert res.slow.column("XNHPC")[3] == pytest.approx(36043.84531577004, abs=1e-6)
+
+
+@pytest.mark.parametrize("time_s", [0.0, 0.02])
+def test_transient_first_match_is_at_the_update_fuel_flow(monkeypatch, time_s):
+    # a fuel step at t = 0 acts from the first sub-step: the trim's match,
+    # at the fuel before the step, is re-solved at the stepped fuel flow
+    from apucosim.scenario import fuel_step_run
+    seen = _record_updates(monkeypatch)
+    fuel_step_run(_mini_scenario(
+        {"fuel_step": {"time_s": time_s, "factor": 1.1}}, duration=0.06))()
+    assert len(seen) == 3
+    assert all(x == n and wf == u_wf for x, n, wf, u_wf, _ in seen)
 
 
 def test_gasgen_output_noise_keeps_its_draws():
@@ -645,10 +668,10 @@ def test_health_swap_boundary_by_step_index(t_swap, first_row):
 
 
 def test_transient_applies_a_timed_gas_path_fault():
-    from apucosim.scenario import run_fuel_step
-    clean = run_fuel_step(_mini_scenario(duration=0.6)).slow
-    fault = run_fuel_step(_mini_scenario(
-        {"gas_path_faults": [dict(time_s=0.5, **_DEGRADED)]}, duration=0.6)).slow
+    from apucosim.scenario import fuel_step_run
+    clean = fuel_step_run(_mini_scenario(duration=0.6))().slow
+    fault = fuel_step_run(_mini_scenario(
+        {"gas_path_faults": [dict(time_s=0.5, **_DEGRADED)]}, duration=0.6))().slow
     before = clean.time <= 0.5 + 1e-9
     assert np.array_equal(fault.data[before], clean.data[before])
     row = np.flatnonzero(np.isclose(clean.time, 0.52))[0]

@@ -918,7 +918,7 @@ def test_init_degraded_low_power_converges(gg_params):
 
 
 def test_fuel_step_starts_at_its_steady_speed(gg_params):
-    # run_fuel_step starts where the cubic load law meets the initial power,
+    # fuel_step_run starts where the cubic load law meets the initial power,
     # n0 = n_design (p0 / pe_design)^(1/3), with the fuel trimmed there; the
     # reference speed search at that fuel flow finds n0 as the steady state
     health = HealthParams(0.99, 0.97, 0.98, 1.04)

@@ -277,8 +277,8 @@ def test_preset_scenarios_regression_locked():
 def test_fuel_step_preset_replay_golden_csv(tmp_path):
     # regression lock on the recorded preset output; the digest is tied to
     # this platform's libm, so a legitimate environment change re-freezes it
-    from apucosim.scenario import load_preset, run_fuel_step
-    res = run_fuel_step(load_preset("fuel-step"))
+    from apucosim.scenario import fuel_step_run, load_preset
+    res = fuel_step_run(load_preset("fuel-step"))()
     path = tmp_path / "fuel_step_slow.csv"
     write_csv(res.slow, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
