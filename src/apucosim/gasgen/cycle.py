@@ -15,8 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
-
 from ..errors import NumericalFailure, UsageError
 from ..numerics import NonConvergence, newton_solve
 from . import properties as gas
@@ -184,13 +182,17 @@ class CycleSolution:
     final_pass: CyclePass = field(compare=False, repr=False)
     params: GasGenParams = field(compare=False, repr=False)
     ambient: tuple = field(compare=False, repr=False)
-    # d(residuals)/d(beta, turbine_pr / pr_design) carried by the solver to
-    # the next cycle match started from this solution (None if not built)
-    jacobian: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # d(residuals)/d(beta, turbine_pr / pr_design), 2x2 as a tuple of row
+    # tuples, carried by the solver to the next cycle match started from
+    # this solution (None if not built)
+    jacobian: tuple[tuple[float, float], tuple[float, float]] | None = field(
+        default=None, compare=False, repr=False)
     # d(beta, turbine_pr / pr_design) / d(N / design_speed, wf / wf_design),
-    # the secant estimate that predicts the start of the next match started
-    # from this solution (None if no warm match has updated one yet)
-    sensitivity: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # 2x2 as a tuple of row tuples: the secant estimate that predicts the
+    # start of the next match started from this solution (None if no warm
+    # match has updated one yet)
+    sensitivity: tuple[tuple[float, float], tuple[float, float]] | None = field(
+        default=None, compare=False, repr=False)
 
     @cached_property
     def stations(self) -> dict:
@@ -407,7 +409,7 @@ class CyclePass(NamedTuple):
 
 def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
     """One pass through the gas path, its inversions started from `start`;
-    returns the residuals and the CyclePass.
+    returns the residuals, a tuple of floats, and the CyclePass.
 
     It works on plain floats, hands each station's enthalpy on from the
     energy balance that gave it, and inverts only the enthalpies whose
@@ -481,7 +483,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
         r2 += 5.0 * (w5 / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
 
     temps = StationTemperatures(t3s=t3s, t41=t41, t5s=t5s, t5=t5, ts8=ts8)
-    return np.array([r1, r2]), CyclePass(
+    return (r1, r2), CyclePass(
         w2, h3, p3, w2 * (h3 - h2), surge_margin, w31, w4, far4, h4, p4,
         w41, far41, pw_turb, w5, far5, p5, p8, temps)
 
@@ -506,14 +508,13 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         N = params.design_speed
     ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
     if guess is None:
-        x0, jac0, start, sens = np.array([BETA_DESIGN, 1.0]), None, COLD, None
+        x0, jac0, start, sens = [BETA_DESIGN, 1.0], None, COLD, None
     else:
-        dp = np.array([(N - guess.N) / params.design_speed,
-                       (u.wf - guess.wf) / params.wf_design])
-        x0 = np.array([guess.beta, guess.turbine_pr / params.tmap.pr_design])
+        dp = ((N - guess.N) / params.design_speed, (u.wf - guess.wf) / params.wf_design)
+        x0 = [guess.beta, guess.turbine_pr / params.tmap.pr_design]
         jac0, start, sens = guess.jacobian, guess.final_pass.temperatures, guess.sensitivity
         if sens is not None:
-            x0 += sens @ dp
+            x0 = [xi + (si0 * dp[0] + si1 * dp[1]) for xi, (si0, si1) in zip(x0, sens)]
 
     last = []
 
@@ -524,9 +525,12 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         return last[0]
 
     x, jac = newton_solve(residual, x0, jacobian=jac0)
-    if guess is not None and dp.any():
+    if guess is not None and any(dp):
         # Broyden's update: the secant condition S dp = x - x_guess
-        sens = (0.0 if sens is None else sens) + np.outer(x - x0, dp) / (dp @ dp)
+        dpdp = dp[0] * dp[0] + dp[1] * dp[1]
+        old = ((0.0, 0.0), (0.0, 0.0)) if sens is None else sens
+        sens = tuple((s0 + dx * dp[0] / dpdp, s1 + dx * dp[1] / dpdp)
+                     for (s0, s1), dx in zip(old, (x[0] - x0[0], x[1] - x0[1])))
     return _solution(params, ambient, N, u.wf, x, jac, last, sens)
 
 
@@ -541,6 +545,9 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
     carries the leading 2x2 block of the Jacobian, the one off_design_solve
     carries at fixed wf."""
     ambient = ambient_conditions(altitude, mach, dT_ISA, params.intake_recovery)
+    # a numpy scalar (a joint run's demand is one) would carry into every
+    # power residual
+    Pe = float(Pe)
     wf0 = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
         params.pe_design + params.accessory_kw)
     last = []
@@ -553,13 +560,13 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
                                   x[1] * params.tmap.pr_design, wf, health,
                                   last[1].temperatures if last else COLD)
         power = _shaft_power(params, last[1])
-        last[0] = np.append(last[0], (power - Pe) / max(abs(Pe), 1.0))
+        last[0] += ((power - Pe) / max(abs(Pe), 1.0),)
         return last[0]
 
     x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, wf0 / params.wf_design])
     wf = x[2] * params.wf_design
     return wf, _solution(params, ambient, N, wf, x,
-                         None if jac is None else jac[:2, :2], last, None)
+                         None if jac is None else (jac[0][:2], jac[1][:2]), last, None)
 
 
 def _shaft_power(params, c):
@@ -578,6 +585,6 @@ def _solution(params, ambient, N, wf, x, jac, last, sens) -> CycleSolution:
     sfc = 3600.0 * wf / (pw_net + params.accessory_kw) if pw_net > -params.accessory_kw else math.inf
     return CycleSolution(
         PW_turb=c.pw_turb, PW_cpr=c.pw_cpr, PW_shaft_net=pw_net, SFC=sfc,
-        surge_margin=c.surge_margin, newton_residual_norm=float(np.max(np.abs(r))),
+        surge_margin=c.surge_margin, newton_residual_norm=max(map(abs, r)),
         N=N, wf=wf, beta=x[0], turbine_pr=x[1] * params.tmap.pr_design,
         final_pass=c, params=params, ambient=ambient, jacobian=jac, sensitivity=sens)

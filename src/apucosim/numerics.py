@@ -4,6 +4,14 @@ stepper for affine systems (an independent reference for the machine
 propagators, which run on a fixed grid), matrix exponential of one matrix
 or a stack.
 
+The quasi-Newton solver computes in Python floats, with no numpy: its
+iterate is a list of floats, its Jacobian a tuple of row tuples, and each
+step comes from Gaussian elimination with partial pivoting. It solves the
+2- and 3-unknown cycle matches, whose residual code (station values,
+property polynomials and their inversions) would otherwise run on the
+numpy scalars of a numpy iterate: the same bits at several times the cost
+per operation. The stepper and expm work on numpy arrays.
+
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
 """
@@ -66,51 +74,89 @@ _JACOBIAN_PERTURBATION = 1e-6    # relative FD step, absolute floor 1e-9
 _DAMPING_MIN = 1.0 / 64.0
 
 
+def _residual(residual_fn, x):
+    """residual_fn(x) as a list of floats."""
+    return [float(v) for v in residual_fn(x)]
+
+
+def _norm(r):
+    """max |r_i|, or inf if an entry is not finite."""
+    return max(map(abs, r)) if all(map(math.isfinite, r)) else math.inf
+
+
 def _fd_jacobian(residual_fn, x, r0):
-    n = x.size
-    jac = np.empty((r0.size, n))
-    for j in range(n):
-        dx = max(_JACOBIAN_PERTURBATION * abs(x[j]), 1e-9)
+    """Forward-difference Jacobian at x, where the residual is r0, as a
+    tuple of rows."""
+    columns = []
+    for j, xj in enumerate(x):
+        dx = max(_JACOBIAN_PERTURBATION * abs(xj), 1e-9)
         xp = x.copy()
         xp[j] += dx
-        rp = np.asarray(residual_fn(xp), dtype=float)
-        jac[:, j] = (rp - r0) / dx
-    return jac
+        rp = _residual(residual_fn, xp)
+        columns.append([(a - b) / dx for a, b in zip(rp, r0)])
+    return tuple(zip(*columns))
+
+
+def _eliminate(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting, or
+    None if a pivot is exactly zero (a is singular)."""
+    n = len(b)
+    m = [[*row, bi] for row, bi in zip(a, b)]
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        pivot = m[p]
+        if pivot[k] == 0.0:
+            return None
+        m[k], m[p] = pivot, m[k]
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        s = row[n]
+        for j in range(k + 1, n):
+            s -= row[j] * x[j]
+        x[k] = s / row[k]
+    return x
 
 
 def newton_solve(residual_fn, guess, jacobian=None):
     """Quasi-Newton root find for a square system; returns (x, jacobian).
 
-    Convergence is on max |r_i| < NEWTON_TOLERANCE within
-    NEWTON_MAX_ITERATIONS iterations. Without a starting `jacobian` the
-    first iteration builds one by finite differences. After every step the
-    Jacobian takes Broyden's rank-one update (Broyden 1965), and the
-    returned one, None if no iteration was needed and none was given, can
-    start the next solve of a nearby system. A carried (not freshly built)
-    Jacobian that is singular or whose step does not lower the residual
-    norm is rebuilt by finite differences at the current point, and the
-    step is taken again; a singular fresh one raises SingularJacobian. Only
-    steps from a fresh Jacobian are damped. The last residual evaluation is
+    x is a list of floats, and residual_fn takes such a list and returns a
+    sequence of residuals, which are read as floats; the Jacobian is a
+    tuple of row tuples. Convergence is on max |r_i| < NEWTON_TOLERANCE
+    within NEWTON_MAX_ITERATIONS iterations. Without a starting `jacobian`
+    (any square nested sequence) the first iteration builds one by finite
+    differences. After every step the Jacobian takes Broyden's rank-one
+    update (Broyden 1965), and the returned one, None if no iteration was
+    needed and none was given, can start the next solve of a nearby
+    system. A carried (not freshly built) Jacobian that is singular (an
+    exactly zero pivot) or whose step does not lower the residual norm is
+    rebuilt by finite differences at the current point, and the step is
+    taken again; a singular fresh one raises SingularJacobian. Only steps
+    from a fresh Jacobian are damped. The last residual evaluation is
     always at the returned x.
     """
-    x = np.array(guess, dtype=float)
-
-    r = np.asarray(residual_fn(x), dtype=float)
-    if r.size != x.size:
+    x = [float(v) for v in guess]
+    n = len(x)
+    r = _residual(residual_fn, x)
+    if len(r) != n:
         raise ValueError("residual dimension does not match guess dimension")
-    if not np.all(np.isfinite(r)):
+    rn = _norm(r)
+    if not math.isfinite(rn):
         raise NonFiniteResidual("residual not finite at initial guess")
     jac = None
     if jacobian is not None:
-        jac = np.array(jacobian, dtype=float)
-        if jac.shape != (x.size, x.size):
-            raise ValueError(f"jacobian shape {jac.shape} does not match "
-                             f"guess dimension {x.size}")
+        jac = tuple(tuple(float(v) for v in row) for row in jacobian)
+        if len(jac) != n or any(len(row) != n for row in jac):
+            raise ValueError(f"jacobian is not {n}x{n}, the guess dimension")
 
-    def norm(rv):
-        return float(np.max(np.abs(rv)))
-
-    rn = norm(r)
     for it in range(1, NEWTON_MAX_ITERATIONS + 1):
         if rn < NEWTON_TOLERANCE:
             return x, jac
@@ -118,20 +164,19 @@ def newton_solve(residual_fn, guess, jacobian=None):
         while True:
             if fresh:
                 jac = _fd_jacobian(residual_fn, x, r)
-                if not np.all(np.isfinite(jac)):
+                if not all(math.isfinite(v) for row in jac for v in row):
                     raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
-            try:
-                dx = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
+            dx = _eliminate(jac, [-v for v in r])
+            if dx is None:
                 if fresh:
-                    raise SingularJacobian(it) from None
+                    raise SingularJacobian(it)
                 fresh = True        # a singular carried Jacobian is rebuilt
                 continue
             alpha = 1.0
             while True:
-                xt = x + alpha * dx
-                rt = np.asarray(residual_fn(xt), dtype=float)
-                rtn = norm(rt) if np.all(np.isfinite(rt)) else math.inf
+                xt = [xi + alpha * di for xi, di in zip(x, dx)]
+                rt = _residual(residual_fn, xt)
+                rtn = _norm(rt)
                 if rtn < rn or not fresh or alpha <= _DAMPING_MIN:
                     break
                 alpha *= 0.5
@@ -141,10 +186,14 @@ def newton_solve(residual_fn, guess, jacobian=None):
         if not math.isfinite(rtn):
             raise NonFiniteResidual(f"residual not finite at iteration {it}")
         # good Broyden update: the secant condition jac s = rt - r
-        s = xt - x
-        ss = float(s @ s)
+        s = [a - b for a, b in zip(xt, x)]
+        ss = sum(v * v for v in s)
         if ss > 0.0:
-            jac = jac + np.outer(rt - r - jac @ s, s) / ss
+            rows = []
+            for row, rti, ri in zip(jac, rt, r):
+                u = rti - ri - sum(a * b for a, b in zip(row, s))
+                rows.append(tuple(a + u * sj / ss for a, sj in zip(row, s)))
+            jac = tuple(rows)
         x, r, rn = xt, rt, rtn
     if rn < NEWTON_TOLERANCE:
         return x, jac

@@ -552,7 +552,7 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
         r, c = evaluate(gg_params, sol.stations[0], st2, sol.N, sol.beta,
                         sol.turbine_pr, u.wf, HEALTHY, sol.final_pass.temperatures)
         st = sol.stations
-        assert sol.newton_residual_norm == float(np.max(np.abs(r)))
+        assert sol.newton_residual_norm == max(map(abs, r))
         assert (st[3].W, st[3].Pt, st[4].W, st[4].Pt, st[4].FAR) == (
             c.w2, c.p3, c.w4, c.p4, c.far4)
         assert st[41] == GasState(c.w41, c.temperatures.t41, c.p4, c.far41)
@@ -620,7 +620,8 @@ def test_warm_match_makes_fewer_property_evaluations(gg_params, monkeypatch):
 def test_wrong_carried_jacobian_is_rebuilt(gg_params, kind):
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
     prev = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
-    bad = -prev.jacobian if kind == "negated" else np.ones((2, 2))
+    bad = (tuple(tuple(-v for v in row) for row in prev.jacobian) if kind == "negated"
+           else ((1.0, 1.0), (1.0, 1.0)))
     reference = off_design_solve(gg_params, u, HEALTHY, N=35200.0)
     sol = off_design_solve(gg_params, u, HEALTHY, N=35200.0,
                            guess=replace(prev, jacobian=bad))
@@ -653,7 +654,7 @@ def test_predicted_start_converges_to_the_unpredicted_root(gg_params, factor):
     prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
     prev = off_design_solve(gg_params, GasGenInput(wf=0.92 * gg_params.wf_design),
                             HEALTHY, N=35030.0, guess=prev)
-    assert np.all(prev.sensitivity != 0.0)
+    assert all(v != 0.0 for row in prev.sensitivity for v in row)
     step = GasGenInput(wf=factor * prev.wf)
     predicted = off_design_solve(gg_params, step, HEALTHY, N=35040.0,
                                  guess=prev)
@@ -664,7 +665,7 @@ def test_predicted_start_converges_to_the_unpredicted_root(gg_params, factor):
     dp = np.array([10.0 / gg_params.design_speed, (step.wf - prev.wf) / gg_params.wf_design])
     dx = np.array([predicted.beta - prev.beta,
                    (predicted.turbine_pr - prev.turbine_pr) / gg_params.tmap.pr_design])
-    assert np.allclose(predicted.sensitivity @ dp, dx, rtol=0.0, atol=1e-14)
+    assert np.allclose(np.array(predicted.sensitivity) @ dp, dx, rtol=0.0, atol=1e-14)
 
 
 def test_predicted_start_after_a_health_swap(gg_params):
@@ -675,12 +676,51 @@ def test_predicted_start_after_a_health_swap(gg_params):
     prev = _ramp(gg_params, u, HEALTHY, [35000.0, 35010.0, 35020.0])
     worn = HealthParams(0.99, 0.97, 0.98, 1.04)
     swap = off_design_solve(gg_params, u, worn, N=35020.0, guess=prev)
-    assert np.array_equal(swap.sensitivity, prev.sensitivity)
+    assert swap.sensitivity == prev.sensitivity
     _same_root(swap, off_design_solve(gg_params, u, worn, N=35020.0))
     after = off_design_solve(gg_params, u, worn, N=35030.0, guess=swap)
     plain = off_design_solve(gg_params, u, worn, N=35030.0,
                              guess=replace(swap, sensitivity=None))
     _same_root(after, plain)
+
+
+_SOLUTION_FLOATS = ("PW_turb", "PW_cpr", "PW_shaft_net", "SFC", "surge_margin",
+                    "newton_residual_norm", "N", "wf", "beta", "turbine_pr")
+
+
+def test_cycle_match_computes_in_python_floats(gg_params, monkeypatch):
+    # a numpy scalar anywhere in a match gives the same bits at several
+    # times the cost per operation, so only the types can show one
+    iterates, residuals = [], []
+    solve = cycle.newton_solve
+
+    def recorded(residual_fn, guess, jacobian=None):
+        x, jac = solve(lambda v: residuals.append(residual_fn(v)) or residuals[-1],
+                       guess, jacobian)
+        iterates.append(x)
+        return x, jac
+
+    monkeypatch.setattr(cycle, "newton_solve", recorded)
+    u = GasGenInput(wf=0.95 * gg_params.wf_design)
+    # a joint run's trim power comes from the machine side as a numpy scalar
+    _, trim = trim_fuel(gg_params, 35600.0, np.float64(430.0))
+    cold = off_design_solve(gg_params, u, HEALTHY, N=35600.0)
+    state, half = state_update(gg_params, GasGenState(N=35600.0), u, HEALTHY,
+                               Pe=430.0, match=cold)
+    _, out = engine.output(gg_params, state, GasGenInput(wf=0.96 * gg_params.wf_design),
+                           HEALTHY, guess=half)
+    _, again = state_update(gg_params, state, u, HEALTHY, Pe=430.0, match=out)
+    swap = off_design_solve(gg_params, u, HealthParams(0.99, 0.97, 0.98, 1.04),
+                            N=again.N, guess=again)
+    assert len(iterates) == 6
+    assert all(type(v) is float for values in iterates + residuals for v in values)
+    for sol in (trim, cold, half, out, again, swap):
+        assert all(type(getattr(sol, name)) is float for name in _SOLUTION_FLOATS)
+        c = sol.final_pass
+        assert all(type(v) is float for v in c[:-1] + c.temperatures)
+        for matrix in (sol.jacobian, sol.sensitivity):
+            assert matrix is None or all(type(v) is float for row in matrix for v in row)
+    assert out.sensitivity is not None and again.jacobian is not None
 
 
 def test_fuel_reduction_trends(gg_params):
@@ -771,7 +811,7 @@ def test_state_update_purity(gg_params):
     a = state_update(gg_params, x, u, HEALTHY, Pe=430.0)
     b = state_update(gg_params, x, u, HEALTHY, Pe=430.0)
     assert a == b
-    assert np.array_equal(a[1].sensitivity, b[1].sensitivity)
+    assert a[1].sensitivity == b[1].sensitivity
     # the projected outputs, which equality of solutions leaves out
     assert (a[1].stations, a[1].Ps3, a[1].NOx_severity) == (
         b[1].stations, b[1].Ps3, b[1].NOx_severity)
@@ -892,7 +932,7 @@ def test_trim_is_one_match_of_few_evaluations(gg_params, monkeypatch, alt, mach,
     assert abs(sol.PW_shaft_net - power) <= 1e-10 * power
     # the solution carries the 2x2 Jacobian of a match at fixed fuel flow,
     # so a match at the trimmed point starts converged
-    assert sol.jacobian is None or sol.jacobian.shape == (2, 2)
+    assert sol.jacobian is None or [len(row) for row in sol.jacobian] == [2, 2]
     evaluations.clear()
     warm = off_design_solve(gg_params, GasGenInput(wf, alt, mach), HEALTHY,
                             36050.0, guess=sol)

@@ -15,6 +15,7 @@ from apucosim.numerics import (
     SingularStageMatrix,
     StepperOptions,
     StepUnderflow,
+    _eliminate,
     expm,
     integrate_adaptive,
     newton_solve,
@@ -24,12 +25,12 @@ from apucosim.numerics import (
 # ---------------------------------------------------------------- newton_solve
 
 def test_newton_linear_one_step():
-    x, _ = newton_solve(lambda v: v - 3.0, np.array([0.0]))
+    x, _ = newton_solve(lambda v: [v[0] - 3.0], [0.0])
     assert abs(x[0] - 3.0) < 1e-9
 
 
 def test_newton_quadratic():
-    x, _ = newton_solve(lambda v: v * v - 4.0, np.array([3.0]))
+    x, _ = newton_solve(lambda v: [v[0] * v[0] - 4.0], [3.0])
     assert abs(x[0] - 2.0) < 1e-8
 
 
@@ -100,7 +101,7 @@ def test_newton_wrong_carried_jacobian_reaches_the_same_root(jacobian, monkeypat
     assert len(builds) == 1 and np.array_equal(builds[0], [1.0, 1.0])
     assert np.max(np.abs(_curved(x))) < 1e-10
     assert np.allclose(x, reference, atol=1e-9)
-    assert jac.shape == (2, 2)
+    assert [len(row) for row in jac] == [2, 2]
 
 
 def test_newton_singular_fresh_jacobian_raises():
@@ -114,11 +115,33 @@ def test_newton_singular_fresh_jacobian_raises():
     assert exc.value.iteration == 1
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_newton_elimination_agrees_with_lapack(n):
+    # the step of every Newton iteration, Gaussian elimination with partial
+    # pivoting on lists, against LAPACK on well-conditioned systems whose
+    # rows are shuffled so that the pivots must be searched for
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        a = (rng.normal(size=(n, n)) + n * np.eye(n))[rng.permutation(n)]
+        assert np.linalg.cond(a) < 1e3
+        b = rng.normal(size=n)
+        x = _eliminate(a.tolist(), b.tolist())
+        ref = np.linalg.solve(a, b)
+        assert all(type(v) is float for v in x)
+        assert np.max(np.abs(np.array(x) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_newton_elimination_stops_at_an_exactly_zero_pivot():
+    assert _eliminate(((1.0, 2.0), (2.0, 4.0)), [1.0, 2.0]) is None
+    assert _eliminate(((1.0, 0.0, 2.0), (3.0, 0.0, 1.0), (0.0, 0.0, 5.0)),
+                      [1.0, 2.0, 3.0]) is None
+
+
 def test_newton_returns_carried_jacobian_when_guess_is_a_root():
-    jac0 = np.eye(1)
-    x, jac = newton_solve(lambda v: v - 3.0, np.array([3.0]), jacobian=jac0)
-    assert x[0] == 3.0 and np.array_equal(jac, jac0)
-    assert newton_solve(lambda v: v - 3.0, np.array([3.0]))[1] is None
+    jac0 = ((1.0,),)
+    x, jac = newton_solve(lambda v: [v[0] - 3.0], [3.0], jacobian=jac0)
+    assert x == [3.0] and jac == jac0
+    assert newton_solve(lambda v: [v[0] - 3.0], [3.0])[1] is None
 
 
 def test_newton_nonconvergence_reports_norm():
