@@ -233,6 +233,8 @@ def _pool_size(runs: int, threads: str | None, cpus: int) -> int:
 def cmd_joint(args) -> int:
     scn = _scenario_from_args(args)
     if args.runs > 1:
+        _refuse_given("a --runs batch prints a summary and writes no files",
+                      {"merged": args.merged or None})
         runs = [sc.parse_scenario(json.dumps(
             {**scn.doc, "seed": scn.seed + 1000003 * k})) for k in range(args.runs)]
         workers = _pool_size(args.runs, os.environ.get("APU_COSIM_THREADS"),

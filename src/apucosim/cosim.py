@@ -15,9 +15,10 @@ from the run's third seeded stream, (d) runs the regulators, the governor
 on the speed plus its output-noise draw, before (e) the one cycle match at
 (N_k, wf_k), started from the spool update's last (half-step) match, which
 gives the row's outputs and the next step's first match, then (f) hands
-the new speed back to the machine as a zero-order hold.  TTSC fault
-switches are applied exactly at their requested times on the fast track;
-gas-path health swaps happen at macro boundaries.
+the new speed back to the machine as a zero-order hold.  Machine events,
+TTSC faults and load steps, act at their times on the fast track, one
+within 1e-9 of a step of a macro boundary on that boundary; gas-path health
+swaps act from the boundary at or before their times.
 """
 from __future__ import annotations
 
@@ -136,6 +137,7 @@ FAST_CHANNELS = (
 SLOW_EXTRA = (
     ("wf", "kg/s"), ("Pe_gt", "kW"), ("seg_energy", "kJ"),
     ("audit_residual", "kJ"), ("V_rms", "V"), ("V_fd", "V"),
+    # the load scale and the TTSC fault in force at the row's time
     ("load_scale", "-"), ("mu", "-"), ("k_rf", "-"),
     ("eta_c_f", "-"), ("flow_c_f", "-"), ("eta_t_f", "-"), ("flow_t_f", "-"),
 )
@@ -355,9 +357,10 @@ class FieldVoltageOutOfRange(UsageError):
 
 
 class _MachineTrack:
-    """Owns the electrical state, its steady start, the fault schedule, the
-    macro step's shaft energy, the recorder and the rms buffers; `noise`
-    draws from `rng`, which may be None where all its widths are 0."""
+    """Owns the electrical state, its steady start, the machine events (TTSC
+    faults and load steps), the macro step's shaft energy, the recorder and
+    the rms buffers; `noise` draws from `rng`, which may be None where all
+    its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
@@ -371,83 +374,88 @@ class _MachineTrack:
                              "electrical period")
         self.params = params
         self.load = load
-        self.schedule = sorted(fault_schedule, key=lambda s: s[0])
+        # the events still to act, by time: a FaultParams or a load scale each
+        self.events = sorted([*fault_schedule, *load.schedule], key=lambda e: e[0])
         self.noise = noise
         self.stepper = stepper
         self.decimation = decimation
         self.rng = rng
         self.fault = HEALTHY_FAULT
-        self.state = None          # state array, w_e and V_fd: set by start()
+        self.scale = 1.0           # the load's admittance scale
+        self.state = None          # state array and V_fd: set by start()
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
 
     def start(self, w_e: float, v_set: float, v_fd_max: float):
         """Start at electrical speed w_e from the healthy steady state whose
-        phase rms is v_set, with every fault scheduled at t <= 0 applied;
-        returns the field voltage and the start's shaft power, kW. A start
-        whose field voltage is not finite or above v_fd_max, the AVR's
-        limit, raises FieldVoltageOutOfRange."""
-        self.w_e = w_e
-        r0, l0 = self._resistance(0.0), self.load.L_phase
+        phase rms is v_set, with every event at t <= 0 applied; returns the
+        field voltage and the start's shaft power, kW. A start whose field
+        voltage is not finite or above v_fd_max, the AVR's limit, raises
+        FieldVoltageOutOfRange."""
+        fault_on = self._apply_events(0.0)
+        speed_rpm = w_e * 30.0 / (math.pi * self.params.pole_pairs)
+        r0, l0 = self.load.resistance(self.scale, speed_rpm), self.load.L_phase
         self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set, l0)
         if not self.V_fd <= v_fd_max:
             raise FieldVoltageOutOfRange(
                 f"the steady start at {v_set:g} V rms needs a field voltage of "
                 f"{self.V_fd:.6g} V, above the AVR's limit of {v_fd_max:g} V")
-        self.state = steady_state(self.params, r0, self.V_fd, w_e,
-                                  L_load=l0).as_array()
-        for t_sw, fault0 in self.schedule:
-            if t_sw <= 0.0:
-                self.state = self._apply_fault(self.state, fault0)
-        return self.V_fd, self._system(0.0, None).terminal(self.state)[4]
+        st = steady_state(self.params, r0, self.V_fd, w_e, L_load=l0)
+        self.state = (seed_fault_flux(st, self.fault, self.params) if fault_on
+                      else st).as_array()
+        sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0)
+        return self.V_fd, sys_.terminal(self.state)[4]
 
-    def _switch_points(self, t0, t1):
-        return [s for s in self.schedule if t0 < s[0] <= t1]
+    def _apply_events(self, t: float) -> bool:
+        """Apply the events at or before t, each setting the fault or the
+        load scale; returns whether they switch a fault on, whose flux the
+        caller then seeds."""
+        was_active = self.fault.active
+        while self.events and self.events[0][0] <= t:
+            _, event = self.events.pop(0)
+            if isinstance(event, FaultParams):
+                self.fault = event
+            else:
+                self.scale = event
+        return self.fault.active and not was_active
 
     def advance(self, t0: float, t1: float, w_e: float, V_fd: float) -> float:
         """Integrate the machine over [t0, t1]; returns its shaft energy, kJ,
-        the trapezoid sum of the shaft power over the samples from t0."""
-        self.w_e = w_e
+        the trapezoid sum of the shaft power over the samples from t0.
+
+        An event acts at its time, except that one within 1e-9 (t1 - t0)
+        after t0 or after the event before it acts there, and one within
+        that before t1 acts on t1. Where events act a segment on a new
+        system starts, its first power sample taken again, so the trapezoid
+        splits there as at a macro boundary."""
         self.V_fd = V_fd
         self._seg = []
-        y = self.state
         noise_w = None
         if self.noise.std_w1 or self.noise.std_w2:
             noise_w = np.concatenate([
                 self.rng.normal(0.0, self.noise.std_w1, 3) if self.noise.std_w1 else np.zeros(3),
                 self.rng.normal(0.0, self.noise.std_w2, 3) if self.noise.std_w2 else np.zeros(3)])
-        pieces = self._switch_points(t0, t1)
-        t_cur = t0
-        sys_ = self._system(t_cur, noise_w)
-        # the step's shaft energy so far, kJ, and its last (time, power) sample
-        self._energy, self._last = 0.0, (t0, float(sys_.terminal(y)[4]))
-        for t_sw, fault_new in pieces:
-            if t_sw > t_cur:
-                y = self._run(sys_, y, t_cur, t_sw)
-                t_cur = t_sw
-            y = self._apply_fault(y, fault_new)
-            sys_ = self._system(t_cur, noise_w)
-        if t1 > t_cur:
-            y = self._run(sys_, y, t_cur, t1)
+        speed_rpm = w_e * 30.0 / (math.pi * self.params.pole_pairs)
+        tol = 1e-9 * (t1 - t0)
+        y, ta, self._energy = self.state, t0, 0.0
+        while True:
+            if self._apply_events(ta + tol):
+                y = seed_fault_flux(WrsgState.from_array(y), self.fault,
+                                    self.params).as_array()
+            if ta == t1:
+                break
+            sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, V_fd,
+                                    self.load.resistance(self.scale, speed_rpm),
+                                    noise_w=noise_w)
+            # the step's trapezoid sum goes on from this (time, power) sample
+            self._last = (ta, float(sys_.terminal(y)[4]))
+            tb = self.events[0][0] if self.events else t1
+            tb = tb if tb < t1 - tol else t1
+            y = self._run(sys_, y, ta, tb)
+            ta = tb
         self.state = y
         return self._energy
-
-    def _apply_fault(self, y, fault_new: FaultParams):
-        was_active = self.fault.active
-        self.fault = fault_new
-        st = WrsgState.from_array(y)
-        if fault_new.active and not was_active:
-            st = seed_fault_flux(st, fault_new, self.params)
-        return st.as_array()
-
-    def _resistance(self, t):
-        speed_rpm = self.w_e * 30.0 / (math.pi * self.params.pole_pairs)
-        return self.load.resistance_at(t, speed_rpm=speed_rpm)
-
-    def _system(self, t, noise_w):
-        return ElectricalSystem(self.params, self.load, self.fault, self.w_e,
-                                self.V_fd, self._resistance(t), noise_w=noise_w)
 
     def _run(self, sys_, y, ta, tb):
         h = self.stepper.max_step
@@ -645,7 +653,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         v_fd, avr = avr_step(avr, v_rms, dt)
         # (f) record; the speed handed back next step comes from the new x
         extra = (u.wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
-                 v_rms, v_fd, setup.load.scale_at(t1),
+                 v_rms, v_fd, track.scale,
                  track.fault.mu, track.fault.k_rf,
                  health.eta_c_factor, health.flow_c_factor,
                  health.eta_t_factor, health.flow_t_factor)

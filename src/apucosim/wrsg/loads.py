@@ -41,16 +41,8 @@ class LoadModel:
         r = 3.0 * v_phase_rms ** 2 / (power_kw * 1000.0)
         return LoadModel(kind=kind, R_phase=r, L_phase=L_phase, schedule=schedule)
 
-    def scale_at(self, t: float) -> float:
-        """Admittance scale factor at time t (scale 0.6 = 60 % power)."""
-        s = 1.0
-        for t_sw, sc in self.schedule:
-            if t >= t_sw:
-                s = sc
-        return s
-
-    def resistance_at(self, t: float, speed_rpm: float | None = None) -> float:
-        s = self.scale_at(t)
+    def resistance(self, s: float, speed_rpm: float | None = None) -> float:
+        """Per-phase resistance at admittance scale s (0.6 = 60 % power)."""
         if self.kind == "cubic-speed-law" and speed_rpm is not None:
             s = s * (speed_rpm / SPEED_REF_RPM) ** 3
         if s <= 0.0:

@@ -183,9 +183,10 @@ def derivatives(sys_: ElectricalSystem, t, y):
 def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
                         fault: FaultParams, load, params, t: float = 0.0,
                         noise_w=None) -> np.ndarray:
-    """Flux-linkage derivatives for a frozen (speed, field, load) condition."""
+    """Flux-linkage derivatives for a frozen (speed, field, load) condition,
+    the load at full scale."""
     sys = ElectricalSystem(params, load, fault, w_r, V_fd,
-                           load.resistance_at(t), noise_w=noise_w)
+                           load.resistance(1.0), noise_w=noise_w)
     return derivatives(sys, t, state.as_array())
 
 

@@ -339,6 +339,15 @@ def test_joint_merged_view(tmp_path):
     assert len(merged.strip().split("\n")) == 6   # header + 5 macro rows
 
 
+def test_joint_runs_refuse_merged(tmp_path, capsys):
+    # a batch prints a summary and writes no files, so it has no merged view
+    out = tmp_path / "o1"
+    assert main(["joint", "--runs", "2", "--merged", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "cannot be given with --merged" in captured.err and not captured.out
+    assert not out.exists()
+
+
 def test_genrun_with_ttsc_fault(tmp_path, capsys):
     rc = main(["genrun", "--duration", "0.2", "--mu", "0.05", "--k-rf", "1.0",
                "--fault-time", "0.1", "--out", str(tmp_path), "--json",

@@ -76,13 +76,27 @@ def test_coupling_power_constant():
 
 
 def test_coupling_power_efficiency():
-    # the gas generator's load is the step's machine energy over dt * eta
-    res = run_joint(build_joint_setup(_mini_scenario(
-        {"coupling": {"eta": 0.98}, "record": {"decimation": 1}}, duration=0.1)))
-    t, p = res.fast.time, res.fast.column("P_sg_total")
-    for t1, pe in zip(res.slow.time[1:], res.slow.column("Pe_gt")[1:]):
-        step = (t >= t1 - 0.02 - 1e-9) & (t <= t1 + 1e-9)
-        assert pe * 0.02 * 0.98 == pytest.approx(_trapezoid(t[step], p[step]), rel=1e-12)
+    # the gas generator's load is the step's machine energy over dt * eta;
+    # at a load step inside a macro step the trapezoid splits at the switch,
+    # whose sample is recorded under the old load and taken again under the
+    # new one: at the same currents a resistive bank's power scales with its
+    # resistance, by 1 / 0.6
+    t_sw = 0.05315
+    for schedule in ([], [{"time_s": t_sw, "scale": 0.6}]):
+        res = run_joint(build_joint_setup(_mini_scenario(
+            {"coupling": {"eta": 0.98}, "record": {"decimation": 1},
+             "load": {"schedule": schedule}}, duration=0.1)))
+        t, p = res.fast.time, res.fast.column("P_sg_total")
+        for t1, pe in zip(res.slow.time[1:], res.slow.column("Pe_gt")[1:]):
+            step = (t >= t1 - 0.02 - 1e-9) & (t <= t1 + 1e-9)
+            ts, ps = t[step], p[step]
+            if schedule and ts[0] < t_sw < ts[-1]:
+                k = int(np.flatnonzero(ts == t_sw)[0])
+                want = (_trapezoid(ts[:k + 1], ps[:k + 1])
+                        + _trapezoid(ts[k:], np.append(ps[k] / 0.6, ps[k + 1:])))
+            else:
+                want = _trapezoid(ts, ps)
+            assert pe * 0.02 * 0.98 == pytest.approx(want, rel=1e-12)
 
 
 def test_coupling_power_ripple_rejection():
@@ -228,7 +242,7 @@ def test_healthy_propagator_matches_tight_stepper(case):
     else:
         load = LoadModel.from_power(225.0, kind="cubic-speed-law")
         w_e = 0.9 * W_E
-        r = load.resistance_at(0.0, speed_rpm=0.9 * 12000.0)
+        r = load.resistance(1.0, speed_rpm=0.9 * 12000.0)
     sysm = ElectricalSystem(p, load, HEALTHY_FAULT, w_e, v_fd, r, noise_w=noise)
     # 200 full steps and a clipped 3e-5 s last step
     times, states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
@@ -330,6 +344,48 @@ def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
     after = t[k:][t[k:] <= 0.02]
     assert np.allclose(np.diff(after)[:-1], 1e-4, rtol=1e-9, atol=0.0)
     assert after[-1] == 0.02 and after[-1] - after[-2] <= 1e-4
+
+
+def test_load_step_acts_at_its_time_inside_a_macro_step():
+    # a load step to 0.6 and a health swap, both at 0.03 s, half way through
+    # the second macro step: that step draws full load, then 0.6, so its
+    # power lies well inside the steps on either side, and each row records
+    # the load at its own time, as it records the fault
+    res = run_joint(build_joint_setup(_mini_scenario({
+        "load": {"schedule": [{"time_s": 0.03, "scale": 0.6}]},
+        "gas_path_faults": [{"time_s": 0.03, "eta_c_factor": 0.99}]}, duration=0.1)))
+    before, mixed, after = res.slow.column("Pe_gt")[:3]
+    margin = 0.1 * (before - after)
+    assert before - margin > mixed > after + margin
+    assert list(res.slow.column("load_scale")) == [1.0, 0.6, 0.6, 0.6, 0.6]
+
+
+def test_machine_event_on_a_rounded_boundary_leaves_no_sliver():
+    # 35 * 0.02 rounds to 0.7000000000000001; a fault at 0.7 s, within 1e-9
+    # of a step of that boundary, acts on it, not 1e-16 s before it
+    res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                        speed_rpm=12000.0, duration=0.72,
+                        fault_schedule=((0.7, FaultParams(mu=0.05, k_rf=1.0)),))
+    assert np.min(np.diff(res.fast.time)) > 1e-9
+    assert np.max(np.abs(res.fast.column("i_f"))) > 0.0
+
+
+def test_event_just_after_the_start_acts_at_the_first_step():
+    # events within 1e-9 of a step after t = 0 are not the start's: they act
+    # at the start of the first step, after the trim, as a health swap at
+    # that time does, and alike wherever they lie within that allowance
+    energies = []
+    for t_ev in (1e-12, 1.5e-11):
+        track = _track(((t_ev, FaultParams(mu=0.05, k_rf=1.0)),),
+                       load=LoadModel.from_power(225.0, schedule=((t_ev, 0.6),)))
+        v_fd, _ = track.start(W_E, 230.0, 200.0)
+        assert track.scale == 1.0 and not track.fault.active
+        energies.append(track.advance(0.0, 0.02, W_E, v_fd))
+        assert track.scale == 0.6 and track.fault.active
+        assert track.fast_series().time[0] > 1e-9
+    untouched = _track()
+    v_fd, _ = untouched.start(W_E, 230.0, 200.0)
+    assert energies[0] == energies[1] != untouched.advance(0.0, 0.02, W_E, v_fd)
 
 
 # ---------------------------------------------- period grid and block march

@@ -48,9 +48,12 @@ def test_newton_counts_one_iteration_for_affine():
     assert calls["n"] == 4
 
 
-@given(st.integers(1, 5), st.integers(0, 2**31 - 1))
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_newton_affine_systems_converge_in_one_damped_free_iteration(n, seed):
+def test_newton_affine_systems_converge_undamped_in_n_plus_3_evaluations(n, seed):
+    # from the zero start the finite-difference step is its 1e-9 absolute
+    # floor, which leaves the first step an error of about 1e-8 to 1e-7, so
+    # one Broyden step follows: the start, n columns and two trials
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + np.eye(n) * n
     xs = rng.normal(size=n)
@@ -63,6 +66,12 @@ def test_newton_affine_systems_converge_in_one_damped_free_iteration(n, seed):
 
     x, _ = newton_solve(res, np.zeros(n))
     assert np.allclose(x, xs, atol=1e-7)
+    assert len(trials) <= n + 3
+    # no trial is damped: damping follows only a trial whose residual is
+    # not below the last iterate's, so every trial after the columns is an
+    # iterate and each lowers the residual
+    norms = [np.max(np.abs(a @ v - b)) for v in [trials[0], *trials[n + 1:]]]
+    assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
 
 
 def test_newton_carried_exact_jacobian_skips_finite_differences():
