@@ -41,6 +41,10 @@ STEADY_DEFAULTS = {"altitude": 0.0, "mach": 0.0, "power": 500.0, "eta_c": 1.0}
 # the fault of `genrun --mu` where no flag sets it; its flags default to
 # None, so that a run without a fault can refuse them
 GENRUN_FAULT_DEFAULTS = {"k_rf": 1.0, "fault_time": 0.5}
+# where transient, genrun and joint write, and whether with plots, where no
+# flag says; joint's flags default to None, so that a --runs batch, which
+# writes no files, can refuse them
+OUTPUT_DEFAULTS = {"out": "out", "svg": True}
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERIC = 0, 1, 2
 
@@ -234,7 +238,8 @@ def cmd_joint(args) -> int:
     scn = _scenario_from_args(args)
     if args.runs > 1:
         _refuse_given("a --runs batch prints a summary and writes no files",
-                      {"merged": args.merged or None})
+                      {"merged": args.merged or None, "out": args.out,
+                       "svg" if args.svg else "no_svg": args.svg})
         runs = [sc.parse_scenario(json.dumps(
             {**scn.doc, "seed": scn.seed + 1000003 * k})) for k in range(args.runs)]
         workers = _pool_size(args.runs, os.environ.get("APU_COSIM_THREADS"),
@@ -244,12 +249,13 @@ def cmd_joint(args) -> int:
         print(json.dumps({"runs": args.runs, "summary": summary},
                          indent=2, sort_keys=True))
         return EXIT_OK
+    out, svg = (OUTPUT_DEFAULTS[k] if v is None else v
+                for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     result = run_joint(setup)
-    files = sc.write_run(result, args.out, f"joint_{scn.name}", scn,
-                         merged=args.merged)
-    if args.svg:
+    files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged)
+    if svg:
         for group, track, chans in (
                 ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),
                 ("t3p3", "slow", ["T3"]), ("t4", "slow", ["T4"]),
@@ -258,7 +264,7 @@ def cmd_joint(args) -> int:
                 ("voltages", "fast", ["va", "vb", "vc"])):
             series = getattr(result, track)
             sc.emit_svg(series, chans,
-                        os.path.join(args.out, f"joint_{scn.name}_{group}.svg"),
+                        os.path.join(out, f"joint_{scn.name}_{group}.svg"),
                         title=f"{scn.name}: {', '.join(chans)}")
     audit = result.audit
     print(f"joint run complete: {result.slow.n_samples} macro steps, "
@@ -341,9 +347,10 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     """Where transient, genrun and joint write, and whether with plots."""
-    p.add_argument("--out", type=str, default="out")
+    p.add_argument("--out", type=str, default=OUTPUT_DEFAULTS["out"])
     svg = p.add_mutually_exclusive_group()
-    svg.add_argument("--svg", dest="svg", action="store_true", default=True)
+    svg.add_argument("--svg", dest="svg", action="store_true",
+                     default=OUTPUT_DEFAULTS["svg"])
     svg.add_argument("--no-svg", dest="svg", action="store_false")
 
 
@@ -414,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "after each update (hook.std_rpm)")
     p.add_argument("--merged", action="store_true",
                    help="also write a single-grid resampled CSV")
-    p.set_defaults(func=cmd_joint)
+    p.set_defaults(func=cmd_joint, out=None, svg=None)
     return ap
 
 

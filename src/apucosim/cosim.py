@@ -56,7 +56,7 @@ from .wrsg import (
     steady_state,
 )
 from .wrsg.dynamics import harmonic_weights
-from .wrsg.machine import IDX_THETA
+from .wrsg.machine import IDX_THETA, build_L
 
 
 @dataclass(frozen=True)
@@ -374,6 +374,8 @@ class _MachineTrack:
                              "electrical period")
         self.params = params
         self.load = load
+        # the inductance model of every ElectricalSystem the track builds
+        self.model = build_L(params, load.L_phase)
         # the events still to act, by time: a FaultParams or a load scale each
         self.events = sorted([*fault_schedule, *load.schedule], key=lambda e: e[0])
         self.noise = noise
@@ -404,7 +406,8 @@ class _MachineTrack:
         st = steady_state(self.params, r0, self.V_fd, w_e, L_load=l0)
         self.state = (seed_fault_flux(st, self.fault, self.params) if fault_on
                       else st).as_array()
-        sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0)
+        sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0,
+                                model=self.model)
         return self.V_fd, sys_.terminal(self.state)[4]
 
     def _apply_events(self, t: float) -> bool:
@@ -447,7 +450,7 @@ class _MachineTrack:
                 break
             sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, V_fd,
                                     self.load.resistance(self.scale, speed_rpm),
-                                    noise_w=noise_w)
+                                    noise_w=noise_w, model=self.model)
             # the step's trapezoid sum goes on from this (time, power) sample
             self._last = (ta, float(sys_.terminal(y)[4]))
             tb = self.events[0][0] if self.events else t1
@@ -497,9 +500,10 @@ class _MachineTrack:
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
     def phase_rms(self, window: float):
-        """Trailing rms of the phase voltages over the last window."""
+        """Trailing rms of the phase voltages over the last window, in one
+        pass over their C-contiguous (3, n) stack."""
         ts, _, v_abc = self.segment()
-        return np.array([rms_window(ts, v_abc[:, k], window) for k in range(3)])
+        return rms_window(ts, np.ascontiguousarray(v_abc.T), window)
 
     def fast_series(self) -> TimeSeries:
         names = tuple(n for n, _ in FAST_CHANNELS)
@@ -658,8 +662,8 @@ def run_joint(setup: JointSetup) -> JointResult:
                  health.eta_c_factor, health.flow_c_factor,
                  health.eta_t_factor, health.flow_t_factor)
         slow_t.append(t1)
-        slow_rows.append(tuple(out[n] + noise.get(n, 0.0) for n, _ in OUTPUT_CHANNELS)
-                         + extra)
+        slow_rows.append(tuple(v + noise.get(n, 0.0)
+                               for v, (n, _) in zip(out, OUTPUT_CHANNELS)) + extra)
 
     slow = TimeSeries(names=slow_names, units=slow_units,
                       time=np.array(slow_t), data=np.array(slow_rows))
@@ -703,7 +707,7 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
         v_fd, avr = avr_step(avr, float(np.mean(v_rms)), dt)
     # the last step's segment: its voltage rms is the AVR's last input
     ts, i_abc, v_abc = track.segment()
-    i_rms = [rms_window(ts, i_abc[:, k], period) for k in range(3)]
+    i_rms = rms_window(ts, np.ascontiguousarray(i_abc.T), period)
     vab, vbc, vca = (v_abc - np.roll(v_abc, -1, axis=1)).T
     rms_table = {
         "Phase A Voltage": v_rms[0], "Phase B Voltage": v_rms[1],
@@ -755,7 +759,7 @@ def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_la
         u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, guess=half)
         ts.append(t1)
-        rows.append(tuple(out[n] for n, _ in OUTPUT_CHANNELS) + (u.wf, pe))
+        rows.append(out + (u.wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),
                       data=np.array(rows))
     return TransientRunResult(slow=slow, gasgen_state=x)

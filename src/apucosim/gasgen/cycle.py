@@ -9,9 +9,10 @@ is reported as free-stream static, matching the reference deck convention.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -161,11 +162,20 @@ def _scaled(ts, tt, tt_prev):
     return None if ts is None else ts * (tt / tt_prev)
 
 
-@dataclass(frozen=True)
+# the stations of a CycleSolution's table, in its order, and the values the
+# table gives for each
+STATIONS = (0, 1, 2, 3, 31, 4, 41, 5, 6, 8)
+STATION_FIELDS = ("W", "Tt", "Pt", "FAR")
+
+
+@dataclass
 class CycleSolution:
     """A converged cycle match. Its fields are what the spool update and the
-    next match read; the station table, Ps3 and NOx_severity are projected
-    from its final cycle pass when first read."""
+    next match read; the station table, and the stations, Ps3 and
+    NOx_severity read from it, are projected from its final cycle pass when
+    first read. Nothing assigns to a solution once made; it is not frozen
+    because a frozen dataclass sets each field through object.__setattr__,
+    which would cost a match more than the rest of its bookkeeping."""
     PW_turb: float
     PW_cpr: float
     PW_shaft_net: float
@@ -195,33 +205,48 @@ class CycleSolution:
         default=None, compare=False, repr=False)
 
     @cached_property
-    def stations(self) -> dict:
-        """GasStates by station number. t3 and t4, which no residual reads,
-        are inverted here, from the pass's t3s and t41."""
+    def table(self) -> tuple:
+        """The STATION_FIELDS of each of STATIONS, in that order, as one flat
+        tuple of floats. t3 and t4, which no residual reads, are inverted
+        here, from the pass's t3s and t41."""
         st0, st1, st2 = self.ambient
         c = self.final_pass
         temps = c.temperatures
         t3 = gas.temperature_from_enthalpy(c.h3, 0.0, temps.t3s)
         t4 = gas.temperature_from_enthalpy(c.h4, c.far4, temps.t41) if self.wf else t3
-        st5 = GasState(W=c.w5, Tt=temps.t5, Pt=c.p5, FAR=c.far5)
-        return {0: st0, 1: replace(st1, W=c.w2), 2: replace(st2, W=c.w2),
-                3: GasState(W=c.w2, Tt=t3, Pt=c.p3),
-                31: GasState(W=c.w31, Tt=t3, Pt=c.p3),
-                4: GasState(W=c.w4, Tt=t4, Pt=c.p4, FAR=c.far4),
-                41: GasState(W=c.w41, Tt=temps.t41, Pt=c.p4, FAR=c.far41),
-                5: st5, 6: st5,
-                8: GasState(W=c.w5, Tt=temps.t5, Pt=c.p8, FAR=c.far5)}
+        t5 = temps.t5
+        return (st0.W, st0.Tt, st0.Pt, st0.FAR,
+                c.w2, st1.Tt, st1.Pt, st1.FAR,
+                c.w2, st2.Tt, st2.Pt, st2.FAR,
+                c.w2, t3, c.p3, 0.0,
+                c.w31, t3, c.p3, 0.0,
+                c.w4, t4, c.p4, c.far4,
+                c.w41, temps.t41, c.p4, c.far41,
+                c.w5, t5, c.p5, c.far5,
+                c.w5, t5, c.p5, c.far5,
+                c.w5, t5, c.p8, c.far5)
+
+    def _station(self, station: int) -> tuple:
+        """The STATION_FIELDS of one station, from the table."""
+        k = len(STATION_FIELDS) * STATIONS.index(station)
+        return self.table[k:k + len(STATION_FIELDS)]
+
+    @cached_property
+    def stations(self) -> dict:
+        """GasStates by station number, built from the table."""
+        return {s: GasState(*self._station(s)) for s in STATIONS}
 
     @cached_property
     def Ps3(self) -> float:
         """Compressor exit static pressure (kPa), solved cold."""
-        st3 = self.stations[3]
-        return static_from_flow(st3.Tt, st3.Pt, st3.W, self.params.a3_m2)[1]
+        w3, t3, p3, _ = self._station(3)
+        return static_from_flow(t3, p3, w3, self.params.a3_m2)[1]
 
     @cached_property
     def NOx_severity(self) -> float:
-        st3, p = self.stations[3], self.params
-        return (st3.Pt / p.nox_p_ref) ** 0.4 * math.exp((st3.Tt - p.nox_t_ref) / p.nox_t_scale)
+        _, t3, p3, _ = self._station(3)
+        p = self.params
+        return (p3 / p.nox_p_ref) ** 0.4 * math.exp((t3 - p.nox_t_ref) / p.nox_t_scale)
 
 
 def isa_static(altitude: float):
@@ -234,9 +259,14 @@ def isa_static(altitude: float):
     return t11, p11 * math.exp(-9.80665 * (altitude - 11000.0) / (287.05287 * t11))
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
                        recovery: float = 0.99):
-    """ISA atmosphere + ram recovery: states at stations 0 (static), 1, 2."""
+    """ISA atmosphere + ram recovery: states at stations 0 (static), 1, 2.
+
+    A pure function of its arguments returning frozen states, so it is
+    computed once per distinct ambient, not once per cycle match; a call
+    that raises is not remembered."""
     if not ALTITUDE_RANGE_M[0] <= altitude <= ALTITUDE_RANGE_M[1]:
         raise AltitudeOutOfRange(altitude)
     if not 0.0 <= mach < 1.0:
@@ -482,7 +512,7 @@ def _evaluate_cycle(params, st0, st2, N, beta, pr_t, wf, health, start=COLD):
         v8 = math.sqrt(2000.0 * (gas.enthalpy(t5, far5) - gas.enthalpy(ts8, far5)))
         r2 += 5.0 * (w5 / (ps8 / (gas.R_GAS * ts8) * v8 * params.a8_m2) - 1.0)
 
-    temps = StationTemperatures(t3s=t3s, t41=t41, t5s=t5s, t5=t5, ts8=ts8)
+    temps = StationTemperatures(t3s, t41, t5s, t5, ts8)
     return (r1, r2), CyclePass(
         w2, h3, p3, w2 * (h3 - h2), surge_margin, w31, w4, far4, h4, p4,
         w41, far41, pw_turb, w5, far5, p5, p8, temps)
@@ -507,31 +537,36 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
     if N is None:
         N = params.design_speed
     ambient = ambient_conditions(u.altitude, u.mach, u.dT_ISA, params.intake_recovery)
+    st0, _, st2 = ambient
+    wf, pr_design = u.wf, params.tmap.pr_design
     if guess is None:
-        x0, jac0, start, sens = [BETA_DESIGN, 1.0], None, COLD, None
+        beta0, pr0, jac0, start, sens = BETA_DESIGN, 1.0, None, COLD, None
     else:
-        dp = ((N - guess.N) / params.design_speed, (u.wf - guess.wf) / params.wf_design)
-        x0 = [guess.beta, guess.turbine_pr / params.tmap.pr_design]
+        dp0 = (N - guess.N) / params.design_speed
+        dp1 = (wf - guess.wf) / params.wf_design
+        beta0, pr0 = guess.beta, guess.turbine_pr / pr_design
         jac0, start, sens = guess.jacobian, guess.final_pass.temperatures, guess.sensitivity
         if sens is not None:
-            x0 = [xi + (si0 * dp[0] + si1 * dp[1]) for xi, (si0, si1) in zip(x0, sens)]
-
-    last = []
+            (s00, s01), (s10, s11) = sens
+            beta0 += s00 * dp0 + s01 * dp1
+            pr0 += s10 * dp0 + s11 * dp1
+    r = c = None     # the last evaluation's residuals and cycle pass
 
     def residual(x):
-        last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
-                                  x[1] * params.tmap.pr_design, u.wf, health,
-                                  last[1].temperatures if last else start)
-        return last[0]
+        nonlocal r, c
+        r, c = _evaluate_cycle(params, st0, st2, N, x[0], x[1] * pr_design, wf, health,
+                               start if c is None else c.temperatures)
+        return r
 
-    x, jac = newton_solve(residual, x0, jacobian=jac0)
-    if guess is not None and any(dp):
+    x, jac = newton_solve(residual, [beta0, pr0], jacobian=jac0)
+    if guess is not None and (dp0 or dp1):
         # Broyden's update: the secant condition S dp = x - x_guess
-        dpdp = dp[0] * dp[0] + dp[1] * dp[1]
-        old = ((0.0, 0.0), (0.0, 0.0)) if sens is None else sens
-        sens = tuple((s0 + dx * dp[0] / dpdp, s1 + dx * dp[1] / dpdp)
-                     for (s0, s1), dx in zip(old, (x[0] - x0[0], x[1] - x0[1])))
-    return _solution(params, ambient, N, u.wf, x, jac, last, sens)
+        dpdp = dp0 * dp0 + dp1 * dp1
+        (s00, s01), (s10, s11) = ((0.0, 0.0), (0.0, 0.0)) if sens is None else sens
+        dx0, dx1 = x[0] - beta0, x[1] - pr0
+        sens = ((s00 + dx0 * dp0 / dpdp, s01 + dx0 * dp1 / dpdp),
+                (s10 + dx1 * dp0 / dpdp, s11 + dx1 * dp1 / dpdp))
+    return _solution(params, ambient, N, wf, x, jac, r, c, sens)
 
 
 def trim_fuel(params: GasGenParams, N: float, Pe: float,
@@ -550,23 +585,23 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
     Pe = float(Pe)
     wf0 = params.wf_design * max(Pe + params.accessory_kw, 20.0) / (
         params.pe_design + params.accessory_kw)
-    last = []
+    st0, _, st2 = ambient
+    r = c = None     # the last evaluation's residuals and cycle pass
 
     def residual(x):
+        nonlocal r, c
         wf = x[2] * params.wf_design
         if wf <= 0.0:
             raise NoSteadyState(f"no positive fuel flow delivers {Pe} kW at {N} rpm")
-        last[:] = _evaluate_cycle(params, ambient[0], ambient[2], N, x[0],
-                                  x[1] * params.tmap.pr_design, wf, health,
-                                  last[1].temperatures if last else COLD)
-        power = _shaft_power(params, last[1])
-        last[0] += ((power - Pe) / max(abs(Pe), 1.0),)
-        return last[0]
+        r, c = _evaluate_cycle(params, st0, st2, N, x[0], x[1] * params.tmap.pr_design,
+                               wf, health, COLD if c is None else c.temperatures)
+        r += ((_shaft_power(params, c) - Pe) / max(abs(Pe), 1.0),)
+        return r
 
     x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, wf0 / params.wf_design])
     wf = x[2] * params.wf_design
     return wf, _solution(params, ambient, N, wf, x,
-                         None if jac is None else (jac[0][:2], jac[1][:2]), last, None)
+                         None if jac is None else (jac[0][:2], jac[1][:2]), r, c, None)
 
 
 def _shaft_power(params, c):
@@ -574,11 +609,11 @@ def _shaft_power(params, c):
     return c.pw_turb - c.pw_cpr / params.eta_mech - params.accessory_kw
 
 
-def _solution(params, ambient, N, wf, x, jac, last, sens) -> CycleSolution:
-    """The CycleSolution of a match converged at x, from `last`, its final
-    cycle evaluation, made at x; the norm spans all the match's residuals.
-    Raises SurgeCrossed if the point lies past the surge line."""
-    r, c = last
+def _solution(params, ambient, N, wf, x, jac, r, c, sens) -> CycleSolution:
+    """The CycleSolution of a match converged at x, from its final cycle
+    evaluation, made at x: residuals r and cycle pass c; the norm spans all
+    the match's residuals. Raises SurgeCrossed if the point lies past the
+    surge line."""
     if c.surge_margin < 0.0:
         raise SurgeCrossed(c.surge_margin, N, wf)
     pw_net = _shaft_power(params, c)

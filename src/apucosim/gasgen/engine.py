@@ -10,13 +10,15 @@ it, and the match `output` returns is the next `state_update`'s first.
 Each warm match starts where its guess's sensitivity predicts
 (cycle.off_design_solve), so the chain carries that secant through both
 speed and fuel steps. A match carries only this chain state; its station
-table is projected when first read, so the half-step match, whose outputs
-nothing reads, never builds one.
+table is projected from its final cycle pass when first read, so the
+half-step match, whose outputs nothing reads, never builds one, and a row
+of outputs is read from that table without a GasState or a dict.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from ..errors import NumericalFailure
 from .cycle import (
@@ -25,6 +27,8 @@ from .cycle import (
     GasGenParams,
     HEALTHY,
     HealthParams,
+    STATION_FIELDS,
+    STATIONS,
     off_design_solve,
     trim_fuel,
 )
@@ -82,10 +86,25 @@ OUTPUT_TABLE = (
 OUTPUT_CHANNELS = tuple((name, unit) for name, unit, *_ in OUTPUT_TABLE)
 
 
+# the channels read from the solution itself, and each channel's place in a
+# solution's station table followed by those values
+_OWN = tuple(field for *_, station, field in OUTPUT_TABLE if station is None)
+_own_values = attrgetter(*_OWN)
+_row = itemgetter(*(
+    len(STATIONS) * len(STATION_FIELDS) + _OWN.index(field) if station is None
+    else len(STATION_FIELDS) * STATIONS.index(station) + STATION_FIELDS.index(field)
+    for *_, station, field in OUTPUT_TABLE))
+
+
+def output_row(sol: CycleSolution) -> tuple:
+    """The output channels of a cycle match, in OUTPUT_TABLE order, read
+    from its station table."""
+    return _row(sol.table + _own_values(sol))
+
+
 def outputs_from_solution(sol: CycleSolution) -> dict:
-    st = sol.stations
-    return {name: getattr(sol if station is None else st[station], field)
-            for name, _, _, station, field in OUTPUT_TABLE}
+    """The output channels of a cycle match by name."""
+    return dict(zip((name for name, _ in OUTPUT_CHANNELS), output_row(sol)))
 
 
 def _dn_dt(params: GasGenParams, pw_net_kw: float, pe_kw: float, n_rpm: float) -> float:
@@ -116,9 +135,9 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
 
 def output(params: GasGenParams, x: GasGenState, u: GasGenInput,
            health: HealthParams = HEALTHY,
-           guess: CycleSolution | None = None) -> tuple[dict, CycleSolution]:
+           guess: CycleSolution | None = None) -> tuple[tuple, CycleSolution]:
     """Project the cycle match at (x, u, health) onto the output channels;
-    returns the outputs and the match."""
+    returns the outputs, in OUTPUT_TABLE order, and the match."""
     sol = off_design_solve(params, u, health, N=x.N, guess=guess)
-    return outputs_from_solution(sol), sol
+    return output_row(sol), sol
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul, neg, sub
 
 import numpy as np
 
@@ -75,8 +77,10 @@ _DAMPING_MIN = 1.0 / 64.0
 
 
 def _residual(residual_fn, x):
-    """residual_fn(x) as a list of floats."""
-    return [float(v) for v in residual_fn(x)]
+    """residual_fn(x) as a sequence of floats: a tuple is taken to hold
+    floats already, any other sequence is read as floats."""
+    r = residual_fn(x)
+    return r if type(r) is tuple else list(map(float, r))
 
 
 def _norm(r):
@@ -99,8 +103,11 @@ def _fd_jacobian(residual_fn, x, r0):
 
 def _eliminate(a, b):
     """x with a x = b, by Gaussian elimination with partial pivoting, or
-    None if a pivot is exactly zero (a is singular)."""
+    None if a pivot is exactly zero (a is singular). A 2x2 system, the
+    cycle match's, takes _eliminate_2x2, the same operations."""
     n = len(b)
+    if n == 2:
+        return _eliminate_2x2(a, b)
     m = [[*row, bi] for row, bi in zip(a, b)]
     for k in range(n):
         p = k
@@ -125,25 +132,68 @@ def _eliminate(a, b):
     return x
 
 
+def _eliminate_2x2(a, b):
+    """_eliminate's loop for two unknowns, written out: the same operations
+    in the same order, without the loop's list and index bookkeeping."""
+    (p0, p1), (q0, q1) = a
+    pb, qb = b
+    if abs(q0) > abs(p0):
+        p0, p1, pb, q0, q1, qb = q0, q1, qb, p0, p1, pb
+    if p0 == 0.0:
+        return None
+    f = q0 / p0
+    q1 -= f * p1
+    qb -= f * pb
+    if q1 == 0.0:
+        return None
+    x1 = qb / q1
+    return [(pb - p1 * x1) / p0, x1]
+
+
+def _broyden(jac, s, rt, r):
+    """Good Broyden update (Broyden 1965) of jac for the step s that moved
+    the residual from r to rt, so that the new jac s = rt - r: row i gains
+    u_i s / (s.s) with u_i = rt_i - r_i - jac_i.s. jac itself where s.s is
+    not positive. A 2x2 jac takes the loop's operations written out, in
+    the loop's order (each dot product a sum() from 0, as in the loop)."""
+    ss = sum(map(mul, s, s))
+    if not ss > 0.0:
+        return jac
+    if len(s) == 2:
+        (a0, a1), (b0, b1) = jac
+        s0, s1 = s
+        u0 = rt[0] - r[0] - sum((a0 * s0, a1 * s1))
+        u1 = rt[1] - r[1] - sum((b0 * s0, b1 * s1))
+        return ((a0 + u0 * s0 / ss, a1 + u0 * s1 / ss),
+                (b0 + u1 * s0 / ss, b1 + u1 * s1 / ss))
+    rows = []
+    for row, rti, ri in zip(jac, rt, r):
+        u = rti - ri - sum(map(mul, row, s))
+        rows.append(tuple([a + u * sj / ss for a, sj in zip(row, s)]))
+    return tuple(rows)
+
+
 def newton_solve(residual_fn, guess, jacobian=None):
     """Quasi-Newton root find for a square system; returns (x, jacobian).
 
     x is a list of floats, and residual_fn takes such a list and returns a
-    sequence of residuals, which are read as floats; the Jacobian is a
-    tuple of row tuples. Convergence is on max |r_i| < NEWTON_TOLERANCE
-    within NEWTON_MAX_ITERATIONS iterations. Without a starting `jacobian`
-    (any square nested sequence) the first iteration builds one by finite
-    differences. After every step the Jacobian takes Broyden's rank-one
-    update (Broyden 1965), and the returned one, None if no iteration was
-    needed and none was given, can start the next solve of a nearby
-    system. A carried (not freshly built) Jacobian that is singular (an
-    exactly zero pivot) or whose step does not lower the residual norm is
-    rebuilt by finite differences at the current point, and the step is
-    taken again; a singular fresh one raises SingularJacobian. Only steps
-    from a fresh Jacobian are damped. The last residual evaluation is
-    always at the returned x.
+    sequence of residuals, read as floats unless it is a tuple, which is
+    taken to hold floats already; the Jacobian is a tuple of row tuples.
+    Convergence is on max |r_i| < NEWTON_TOLERANCE within
+    NEWTON_MAX_ITERATIONS iterations. A starting `jacobian` is any square
+    nested sequence, read as floats unless it is a tuple, such as the one
+    a solve returns, which is taken to hold floats already; without one the
+    first iteration builds one by finite differences. After every step
+    the Jacobian takes Broyden's rank-one update (Broyden 1965), and the
+    returned one, None if no iteration was needed and none was given, can
+    start the next solve of a nearby system. A carried (not freshly built)
+    Jacobian that is singular (an exactly zero pivot) or whose step does
+    not lower the residual norm is rebuilt by finite differences at the
+    current point, and the step is taken again; a singular fresh one raises
+    SingularJacobian. Only steps from a fresh Jacobian are damped. The last
+    residual evaluation is always at the returned x.
     """
-    x = [float(v) for v in guess]
+    x = list(map(float, guess))
     n = len(x)
     r = _residual(residual_fn, x)
     if len(r) != n:
@@ -153,7 +203,8 @@ def newton_solve(residual_fn, guess, jacobian=None):
         raise NonFiniteResidual("residual not finite at initial guess")
     jac = None
     if jacobian is not None:
-        jac = tuple(tuple(float(v) for v in row) for row in jacobian)
+        jac = jacobian if type(jacobian) is tuple else tuple(
+            [tuple(map(float, row)) for row in jacobian])
         if len(jac) != n or any(len(row) != n for row in jac):
             raise ValueError(f"jacobian is not {n}x{n}, the guess dimension")
 
@@ -164,9 +215,9 @@ def newton_solve(residual_fn, guess, jacobian=None):
         while True:
             if fresh:
                 jac = _fd_jacobian(residual_fn, x, r)
-                if not all(math.isfinite(v) for row in jac for v in row):
+                if not all(map(math.isfinite, chain.from_iterable(jac))):
                     raise NonFiniteResidual(f"non-finite Jacobian at iteration {it}")
-            dx = _eliminate(jac, [-v for v in r])
+            dx = _eliminate(jac, list(map(neg, r)))
             if dx is None:
                 if fresh:
                     raise SingularJacobian(it)
@@ -185,15 +236,7 @@ def newton_solve(residual_fn, guess, jacobian=None):
             fresh = True            # so is one whose step does not descend
         if not math.isfinite(rtn):
             raise NonFiniteResidual(f"residual not finite at iteration {it}")
-        # good Broyden update: the secant condition jac s = rt - r
-        s = [a - b for a, b in zip(xt, x)]
-        ss = sum(v * v for v in s)
-        if ss > 0.0:
-            rows = []
-            for row, rti, ri in zip(jac, rt, r):
-                u = rti - ri - sum(a * b for a, b in zip(row, s))
-                rows.append(tuple(a + u * sj / ss for a, sj in zip(row, s)))
-            jac = tuple(rows)
+        jac = _broyden(jac, list(map(sub, xt, x)), rt, r)
         x, r, rn = xt, rt, rtn
     if rn < NEWTON_TOLERANCE:
         return x, jac

@@ -119,14 +119,17 @@ class ElectricalSystem:
 
     def __init__(self, params: WrsgParams, load: LoadModel, fault: FaultParams,
                  w_e: float, V_fd: float, R_load: float,
-                 noise_w=None):
+                 noise_w=None, model: InductanceModel | None = None):
         self.params = params
         self.load = load
         self.fault = fault
         self.w_e = w_e
         self.V_fd = V_fd
         self.R_load = R_load
-        self.model: InductanceModel = build_L(params, load.L_phase)
+        # build_L(params, load.L_phase), which a caller that builds many
+        # systems of one machine and load passes in, built once
+        self.model: InductanceModel = (build_L(params, load.L_phase) if model is None
+                                       else model)
         self.noise_w = np.zeros(6) if noise_w is None else np.asarray(noise_w, float)
         self.basis, self.b = flux_basis(params, self.model, fault, w_e, V_fd,
                                         R_load, self.noise_w)

@@ -40,8 +40,12 @@ def measure(v_abc, i_abc, noise: NoiseConfig, rng):
     return v, i
 
 
-def rms_window(times, samples, window: float) -> float:
-    """Trapezoidal rms of the trailing `window` seconds of a sampled signal."""
+def rms_window(times, samples, window: float):
+    """Trapezoidal rms of the trailing `window` seconds of a sampled signal,
+    or of each row of a stack of signals sampled at `times` (an array whose
+    last axis is time): a float, or an array of the stack's shape without
+    that axis. A C-contiguous stack sums each row as the call on that row
+    alone does, so each rms has that call's bits."""
     t = np.asarray(times, dtype=float)
     x = np.asarray(samples, dtype=float)
     if t.size < 2:
@@ -55,11 +59,12 @@ def rms_window(times, samples, window: float) -> float:
     if k > 0:
         # interpolate the sample exactly at the window start
         f = (t0 - t[k - 1]) / (t[k] - t[k - 1])
-        x0 = x[k - 1] + f * (x[k] - x[k - 1])
+        x0 = x[..., k - 1] + f * (x[..., k] - x[..., k - 1])
         tt = np.concatenate(([t0], t[k:]))
-        xx = np.concatenate(([x0], x[k:]))
+        xx = np.concatenate((x0[..., None], x[..., k:]), axis=-1)
     else:
         tt, xx = t, x
     f = xx * xx
-    integral = float(np.sum(np.diff(tt) * (f[1:] + f[:-1])) * 0.5)
-    return math.sqrt(integral / (tt[-1] - tt[0]))
+    mean_square = (np.sum(np.diff(tt) * (f[..., 1:] + f[..., :-1]), axis=-1) * 0.5
+                   / (tt[-1] - tt[0]))
+    return np.sqrt(mean_square) if x.ndim > 1 else math.sqrt(mean_square)

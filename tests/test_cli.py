@@ -319,7 +319,7 @@ def test_joint_runs_batch_parallel(tmp_path, capsys, monkeypatch):
     p = tmp_path / "scn.json"
     p.write_text(json.dumps(scn))
     rc = main(["joint", "--scenario", str(p), "--runs", "2",
-               "--state-noise", "2.0", "--out", str(tmp_path), "--no-svg"])
+               "--state-noise", "2.0"])
     assert rc == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["runs"] == 2 and len(doc["summary"]) == 2
@@ -340,12 +340,22 @@ def test_joint_merged_view(tmp_path):
 
 
 def test_joint_runs_refuse_merged(tmp_path, capsys):
-    # a batch prints a summary and writes no files, so it has no merged view
+    # a batch prints a summary and writes no files, so it has no merged
+    # view, no --out directory and no plots: each flag given is refused by
+    # name, a default value given included, and no directory is made
     out = tmp_path / "o1"
-    assert main(["joint", "--runs", "2", "--merged", "--out", str(out)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert "cannot be given with --merged" in captured.err and not captured.out
-    assert not out.exists()
+    for flags, named in ((["--merged"], "--merged"),
+                         (["--out", str(out)], "--out"),
+                         (["--out", "out"], "--out"),
+                         (["--svg"], "--svg"),
+                         (["--no-svg"], "--no-svg"),
+                         (["--merged", "--out", str(out), "--no-svg"],
+                          "--merged, --out, --no-svg")):
+        assert main(["joint", "--runs", "2", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.endswith(f"cannot be given with {named}\n")
+        assert not captured.out
+        assert not out.exists()
 
 
 def test_genrun_with_ttsc_fault(tmp_path, capsys):
@@ -704,8 +714,7 @@ def test_joint_worker_variable_must_be_an_integer(tmp_path, capsys, monkeypatch)
     monkeypatch.setenv("APU_COSIM_THREADS", "two")
     p = tmp_path / "scn.json"
     p.write_text(json.dumps({"duration": 0.04}))
-    assert main(["joint", "--scenario", str(p), "--runs", "2", "--out",
-                 str(tmp_path), "--no-svg"]) == EXIT_USAGE
+    assert main(["joint", "--scenario", str(p), "--runs", "2"]) == EXIT_USAGE
     assert "APU_COSIM_THREADS" in capsys.readouterr().err
 
 
@@ -883,11 +892,10 @@ def test_unresolvable_stepper_tolerance_is_numeric_error(tmp_path, capsys):
     p.write_text(json.dumps({
         "duration": 0.04, "ttsc_faults": [{"time_s": 0.0, "mu": 0.05}],
         "stepper": {"relative_tolerance": 1e-300, "absolute_tolerance": 1e-300}}))
-    # with --runs 2 the failure is raised in a worker process and reaches
-    # main through the pool
-    for runs in ("1", "2"):
-        assert main(["joint", "--scenario", str(p), "--out", str(tmp_path),
-                     "--no-svg", "--runs", runs]) == EXIT_NUMERIC
+    # with --runs 2, which writes no files, the failure is raised in a
+    # worker process and reaches main through the pool
+    for flags in (["--out", str(tmp_path), "--no-svg"], ["--runs", "2"]):
+        assert main(["joint", "--scenario", str(p), *flags]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "numerical failure" in err and "Traceback" not in err
 
