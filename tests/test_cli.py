@@ -358,6 +358,33 @@ def test_joint_runs_refuse_merged(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_transient_runs_at_two_ambients_keep_their_bytes(tmp_path, capsys):
+    # the ambient states are computed once per distinct ambient and kept for
+    # the process: runs at two ambients, back to back in one process, each
+    # write the bytes that run writes alone, from an empty memo
+    from apucosim.gasgen import ambient_conditions
+    docs = {"sea": {"name": "sea", "duration": 0.1},
+            "aloft": {"name": "aloft", "duration": 0.1,
+                      "ambient": {"altitude": 2500.0, "mach": 0.3}}}
+
+    def run(name, out):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(docs[name]))
+        assert main(["transient", "--scenario", str(p), "--out", str(out),
+                     "--no-svg"]) == EXIT_OK
+        capsys.readouterr()
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    alone = {}
+    for name in docs:
+        ambient_conditions.cache_clear()
+        alone[name] = run(name, tmp_path / f"alone_{name}")
+    assert alone["sea"]["transient_sea_slow.csv"] != alone["aloft"]["transient_aloft_slow.csv"]
+    ambient_conditions.cache_clear()
+    for k, name in enumerate(("sea", "aloft", "sea", "aloft")):
+        assert run(name, tmp_path / f"chained{k}") == alone[name]
+
+
 def test_genrun_with_ttsc_fault(tmp_path, capsys):
     rc = main(["genrun", "--duration", "0.2", "--mu", "0.05", "--k-rf", "1.0",
                "--fault-time", "0.1", "--out", str(tmp_path), "--json",

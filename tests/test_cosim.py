@@ -35,6 +35,7 @@ from apucosim.wrsg import (
     NoiseConfig,
     WrsgParams,
     field_voltage_for_terminal,
+    rms_window,
     seed_fault_flux,
     steady_state,
 )
@@ -165,6 +166,51 @@ def test_machine_noise_draws_only_the_recorded_voltages(monkeypatch):
     assert shapes and all(s[1:] == (3,) for s in shapes)
     second = res.fast.time > 0.02 + 1e-9
     assert np.all(res.fast.column("V_fd")[second] == res.slow.column("V_fd")[0])
+
+
+@pytest.mark.parametrize("fault", [None, FaultParams(mu=0.05, k_rf=1.0)],
+                         ids=["healthy", "faulted"])
+def test_phase_rms_is_the_per_phase_loop(fault):
+    # one rms_window pass over the (3, n) stack of the step's phase voltages
+    # gives each phase's bits, on a healthy step and on one that a fault
+    # splits into a healthy and a faulted segment
+    track = _track(() if fault is None else ((0.013, fault),))
+    v_fd, _ = track.start(W_E, 230.0, 200.0)
+    track.advance(0.0, 0.02, W_E, v_fd)
+    assert track.fault.active is (fault is not None)
+    ts, _, v_abc = track.segment()
+    window = 1.0 / 400.0
+    rms = track.phase_rms(window)
+    assert rms.shape == (3,)
+    assert [rms[k] for k in range(3)] == [rms_window(ts, v_abc[:, k], window)
+                                          for k in range(3)]
+
+
+def test_machine_track_builds_its_inductance_model_once(monkeypatch):
+    # every ElectricalSystem of a run shares the track's inductance model,
+    # so the builds do not grow with the run's steps and segments, and a
+    # system given the model equals one that builds its own
+    from apucosim.wrsg import dynamics
+    calls = []
+    for module in (cosim, dynamics):
+        build = module.build_L
+        monkeypatch.setattr(module, "build_L",
+                            lambda *args, build=build: calls.append(1) or build(*args))
+    builds = []
+    for duration in (0.04, 0.2):
+        calls.clear()
+        run_joint(build_joint_setup(_mini_scenario(
+            {"ttsc_faults": [{"time_s": 0.013, "mu": 0.05, "k_rf": 1.0}],
+             "load": {"schedule": [{"time_s": 0.031, "scale": 0.8}]}}, duration)))
+        builds.append(len(calls))
+    # the start's steady state and field voltage build their own
+    assert builds[0] == builds[1] < 10
+    track = _track()
+    load = LoadModel.from_power(225.0)
+    shared = ElectricalSystem(WrsgParams(), load, HEALTHY_FAULT, W_E, 57.0, R_225,
+                              model=track.model)
+    own = ElectricalSystem(WrsgParams(), load, HEALTHY_FAULT, W_E, 57.0, R_225)
+    assert np.array_equal(shared.basis, own.basis) and np.array_equal(shared.b, own.b)
 
 
 def test_coupling_speed_reference_ratio():

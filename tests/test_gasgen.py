@@ -854,6 +854,86 @@ def test_projected_outputs_are_read_once(gg_params):
     assert all(a is b for a, b in zip(first, second))
 
 
+def _stations_from_the_pass(sol):
+    """The station GasStates built the long way, straight from the final
+    cycle pass and the ambient states, each with its checks."""
+    st0, st1, st2 = sol.ambient
+    c = sol.final_pass
+    temps = c.temperatures
+    t3 = gas.temperature_from_enthalpy(c.h3, 0.0, temps.t3s)
+    t4 = gas.temperature_from_enthalpy(c.h4, c.far4, temps.t41) if sol.wf else t3
+    st5 = GasState(W=c.w5, Tt=temps.t5, Pt=c.p5, FAR=c.far5)
+    return {0: st0, 1: replace(st1, W=c.w2), 2: replace(st2, W=c.w2),
+            3: GasState(W=c.w2, Tt=t3, Pt=c.p3),
+            31: GasState(W=c.w31, Tt=t3, Pt=c.p3),
+            4: GasState(W=c.w4, Tt=t4, Pt=c.p4, FAR=c.far4),
+            41: GasState(W=c.w41, Tt=temps.t41, Pt=c.p4, FAR=c.far41),
+            5: st5, 6: st5,
+            8: GasState(W=c.w5, Tt=temps.t5, Pt=c.p8, FAR=c.far5)}
+
+
+def _projection_cases(gg_params):
+    """(name, solution): a cold trim, a warm match chained from a spool
+    update, a zero-fuel point reached by a warm chain (its SFC is inf) and
+    a point at altitude and Mach."""
+    _, trim = trim_fuel(gg_params, 36050.0, 400.0)
+    u = GasGenInput(wf=0.95 * gg_params.wf_design)
+    x, half = state_update(gg_params, GasGenState(N=35600.0), u, HEALTHY,
+                           Pe=430.0, match=trim)
+    _, warm = engine.output(gg_params, x, GasGenInput(wf=0.96 * gg_params.wf_design),
+                            HEALTHY, guess=half)
+    fuelless = None
+    for share in (0.5, 0.2, 0.05, 0.0):
+        fuelless = off_design_solve(gg_params, GasGenInput(wf=share * gg_params.wf_design),
+                                    HEALTHY, N=36050.0, guess=fuelless)
+    aloft = off_design_solve(gg_params, GasGenInput(wf=0.8 * gg_params.wf_design,
+                                                    altitude=3000.0, mach=0.4),
+                             HEALTHY, N=35000.0)
+    return (("cold-trim", trim), ("warm-chained", warm), ("zero-fuel", fuelless),
+            ("altitude-mach", aloft))
+
+
+def test_output_projection_reads_the_station_table(gg_params):
+    # a row is read from the final pass's station table, without GasStates:
+    # it equals, bit for bit, the channels read from the stations built the
+    # long way and from Ps3 and NOx_severity, each of which equals its own
+    # formula on station 3
+    for name, sol in _projection_cases(gg_params):
+        stations = sol.stations
+        assert stations == _stations_from_the_pass(sol), name
+        expected = {ch: getattr(sol if station is None else stations[station], field)
+                    for ch, _, _, station, field in engine.OUTPUT_TABLE}
+        assert outputs_from_solution(sol) == expected, name
+        assert engine.output_row(sol) == tuple(expected[ch] for ch, _ in
+                                               engine.OUTPUT_CHANNELS), name
+        st3 = stations[3]
+        assert sol.Ps3 == static_from_flow(st3.Tt, st3.Pt, st3.W, gg_params.a3_m2)[1]
+        assert sol.NOx_severity == ((st3.Pt / gg_params.nox_p_ref) ** 0.4 * math.exp(
+            (st3.Tt - gg_params.nox_t_ref) / gg_params.nox_t_scale))
+    cases = dict(_projection_cases(gg_params))
+    assert cases["zero-fuel"].wf == 0.0 and math.isinf(cases["zero-fuel"].SFC)
+    assert cases["zero-fuel"].stations[4].Tt == cases["zero-fuel"].stations[3].Tt
+    assert cases["altitude-mach"].stations[1].Tt > cases["altitude-mach"].stations[0].Tt
+
+
+def test_ambient_is_computed_once_per_distinct_ambient(gg_params, monkeypatch):
+    # the matches of one ambient share its states; a call that raises is
+    # not remembered, so it raises again
+    cycle.ambient_conditions.cache_clear()
+    isa = cycle.isa_static
+    calls = []
+    monkeypatch.setattr(cycle, "isa_static", lambda alt: calls.append(alt) or isa(alt))
+    u = GasGenInput(wf=0.9 * gg_params.wf_design, altitude=1000.0)
+    a = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
+    b = off_design_solve(gg_params, u, HEALTHY, N=35100.0, guess=a)
+    assert calls == [1000.0] and a.ambient is b.ambient
+    for _ in range(2):
+        with pytest.raises(AltitudeOutOfRange):
+            ambient_conditions(20000.0, 0.0, 0.0)
+    assert calls == [1000.0]
+    cycle.ambient_conditions.cache_clear()
+
+
 def test_state_update_spool_power_bookkeeping(gg_params):
     # the speed change equals the two-sub-step integral of the power surplus,
     # and the match returned is the second sub-step's

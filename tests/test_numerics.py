@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from apucosim.numerics import (
     SingularStageMatrix,
     StepperOptions,
     StepUnderflow,
+    _broyden,
     _eliminate,
     expm,
     integrate_adaptive,
@@ -144,6 +147,72 @@ def test_newton_elimination_stops_at_an_exactly_zero_pivot():
     assert _eliminate(((1.0, 2.0), (2.0, 4.0)), [1.0, 2.0]) is None
     assert _eliminate(((1.0, 0.0, 2.0), (3.0, 0.0, 1.0), (0.0, 0.0, 5.0)),
                       [1.0, 2.0, 3.0]) is None
+
+
+def _eliminate_loop(a, b):
+    """Gaussian elimination with partial pivoting for any n, the loop that
+    _eliminate runs for n other than 2: the reference of its 2x2 path."""
+    n = len(b)
+    m = [[*row, bi] for row, bi in zip(a, b)]
+    for k in range(n):
+        p = k
+        for i in range(k + 1, n):
+            if abs(m[i][k]) > abs(m[p][k]):
+                p = i
+        pivot = m[p]
+        if pivot[k] == 0.0:
+            return None
+        m[k], m[p] = pivot, m[k]
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k + 1, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        s = m[k][n]
+        for j in range(k + 1, n):
+            s -= m[k][j] * x[j]
+        x[k] = s / m[k][k]
+    return x
+
+
+def _broyden_loop(jac, s, rt, r):
+    """The good Broyden update as generator expressions over any n: the
+    reference of _broyden's 2x2 path."""
+    ss = sum(v * v for v in s)
+    if not ss > 0.0:
+        return jac
+    return tuple(tuple(a + (rti - ri - sum(b * sj for b, sj in zip(row, s))) * sj / ss
+                       for a, sj in zip(row, s))
+                 for row, rti, ri in zip(jac, rt, r))
+
+
+def _bits(values):
+    """The IEEE bytes of each float (so -0.0 and NaN compare exactly)."""
+    return None if values is None else [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_newton_2x2_paths_take_the_loops_operations(seed):
+    # the cycle match's 2x2 elimination and Broyden update are written out;
+    # they give the general loops' bits, signed zeros, exactly zero pivots
+    # (singular), pivot ties, overflow and NaN included
+    rng = random.Random(seed)
+    specials = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e-300, -1e300, math.inf, math.nan)
+
+    def value():
+        if rng.random() < 0.25:
+            return rng.choice(specials)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+
+    for _ in range(20000):
+        a = ((value(), value()), (value(), value()))
+        b = [value(), value()]
+        assert _bits(_eliminate(a, b)) == _bits(_eliminate_loop(a, b))
+        s, rt = [value(), value()], [value(), value()]
+        assert [_bits(row) for row in _broyden(a, s, rt, b)] == [
+            _bits(row) for row in _broyden_loop(a, s, rt, b)]
+    assert _eliminate(((1.0, 2.0), (-1.0, 3.0)), [1.0, 1.0]) == pytest.approx([0.2, 0.4])
 
 
 def test_newton_returns_carried_jacobian_when_guess_is_a_root():

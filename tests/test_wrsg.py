@@ -251,6 +251,24 @@ def test_rms_with_third_harmonic():
     assert rms_window(t, x, 1 / 400.0) == pytest.approx(expected, rel=1e-5)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_rms_window_of_a_stack_is_each_rows_rms(seed):
+    # on a C-contiguous (3, n) stack each row's rms has the bits of the 1-D
+    # call on that row, whether the window starts between samples or spans
+    # them all
+    rng = np.random.default_rng(seed)
+    n = 40 + 97 * seed
+    t = np.cumsum(rng.uniform(1e-5, 2e-5, n))
+    x = rng.normal(scale=300.0, size=(3, n))
+    span = t[-1] - t[0]
+    for window in (span, 0.37 * span, 0.9 * span):
+        rows = rms_window(t, x, window)
+        assert rows.shape == (3,)
+        assert [rows[k] for k in range(3)] == [rms_window(t, x[k], window)
+                                               for k in range(3)]
+    assert type(rms_window(t, x[0], span)) is float
+
+
 def test_rms_window_too_short():
     with pytest.raises(WindowTooShort):
         rms_window([0.0, 1e-4], [1.0, 1.0], 1 / 400.0)
