@@ -126,8 +126,8 @@ class ElectricalSystem:
         self.w_e = w_e
         self.V_fd = V_fd
         self.R_load = R_load
-        # build_L(params, load.L_phase), which a caller that builds many
-        # systems of one machine and load passes in, built once
+        # build_L(params, load.L_phase): a caller that builds many systems
+        # of one machine and load builds it once and passes it in
         self.model: InductanceModel = (build_L(params, load.L_phase) if model is None
                                        else model)
         self.noise_w = np.zeros(6) if noise_w is None else np.asarray(noise_w, float)
