@@ -9,11 +9,10 @@ is reported as free-stream static, matching the reference deck convention.
 """
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from ..errors import NumericalFailure, UsageError
@@ -259,7 +258,7 @@ def isa_static(altitude: float):
     return t11, p11 * math.exp(-9.80665 * (altitude - 11000.0) / (287.05287 * t11))
 
 
-@functools.lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64, typed=True)
 def ambient_conditions(altitude: float, mach: float, dT_ISA: float,
                        recovery: float = 0.99):
     """ISA atmosphere + ram recovery: states at stations 0 (static), 1, 2.
