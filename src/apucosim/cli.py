@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
@@ -118,10 +117,6 @@ def cmd_steady(args) -> int:
     health = HealthParams(eta_c_factor=eta_c, flow_c_factor=args.flow_c,
                           eta_t_factor=args.eta_t, flow_t_factor=args.flow_t)
     params, _ = _default_engine()
-    n_max = MAX_SPEED_RATIO * params.design_speed
-    if args.speed > n_max:
-        raise ValueError(f"--speed must lie in (0, {n_max:.0f}] rpm, the spool's "
-                         f"speed range, found {args.speed!r}")
     if args.sweep:
         print(f"{'eta_c_factor':>12} {'wf kg/s':>10} {'SFC':>8} {'HPCSM %':>8}")
         for factor in np.linspace(0.96, 1.0, 5):
@@ -182,8 +177,8 @@ def cmd_genrun(args) -> int:
     else:
         k_rf, t_fault = (GENRUN_FAULT_DEFAULTS[k] if v is None else v
                          for k, v in fault.items())
-        if not 0.0 <= t_fault < args.duration:
-            raise ValueError(f"--fault-time must lie in [0, --duration), "
+        if t_fault >= args.duration:
+            raise ValueError(f"--fault-time must lie below --duration, "
                              f"found {t_fault!r}")
         fault_schedule = ((t_fault, FaultParams(mu=args.mu, k_rf=k_rf)),)
     os.makedirs(args.out, exist_ok=True)
@@ -244,6 +239,7 @@ def cmd_joint(args) -> int:
             {**scn.doc, "seed": scn.seed + 1000003 * k})) for k in range(args.runs)]
         workers = _pool_size(args.runs, os.environ.get("APU_COSIM_THREADS"),
                              os.cpu_count() or 1)
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summary = list(pool.map(_joint_worker, runs))
         print(json.dumps({"runs": args.runs, "summary": summary},
@@ -277,61 +273,30 @@ def cmd_joint(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, found {text!r}")
-    return int(text)
-
-
-def _finite_float(text: str, what: str = "number") -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite {what}, found {text!r}")
-    return value
-
-
-def _leaf_type(key: str, integer: bool = False):
-    """The argparse type of a flag that sets the scenario leaf `key` (list
-    items as in sc.RANGES): a finite number, or where `integer` a decimal
-    integer, within the leaf's interval."""
+def _number(name: str, interval: tuple, integer: bool = False):
+    """The argparse type of a numeric flag that sets the quantity `name`: a
+    float, or where `integer` a decimal integer, within `interval` (low,
+    high, low included, high included; as sc.RANGES gives a leaf's). Text
+    that is no such number lies within no interval, and neither does NaN."""
     def parse(text: str):
-        if integer and not text.isdigit():
-            raise argparse.ArgumentTypeError(f"expected a decimal integer for {key}, "
-                                             f"found {text!r}")
-        value = int(text) if integer else _finite_float(text, key)
-        if span := sc.out_of_range(key, value):
-            raise argparse.ArgumentTypeError(f"{key} {value!r} outside {span}")
+        if integer:
+            value = int(text) if text.isdecimal() else math.nan
+        else:
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+        if span := sc.outside(interval, value):
+            raise argparse.ArgumentTypeError(
+                f"{name} {text!r} outside {'the integers in ' if integer else ''}{span}")
         return value
     return parse
 
 
-def _nonnegative_float(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a number >= 0, found {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, found {text!r}")
-    return value
-
-
-def _generator_speed(text: str) -> float:
-    """genrun --speed-rpm: > 0 and at most the generator speed a joint run
-    reaches at the spool's limit through the default gearbox."""
-    value = _positive_float(text)
-    machine = sc.WrsgParams()
-    limit = MAX_SPEED_RATIO * 60.0 * machine.f_n / machine.pole_pairs
-    if value > limit:
-        raise argparse.ArgumentTypeError(f"expected a speed within (0, {limit:.0f}] rpm, "
-                                         f"found {text!r}")
-    return value
+def _leaf(key: str, integer: bool = False):
+    """The type of a flag that sets the scenario leaf `key` (list items as
+    in sc.RANGES): a number within the leaf's interval."""
+    return _number(key, sc.RANGES[key], integer)
 
 
 # The flags a group of subcommands shares, each declared once. They are added
@@ -339,9 +304,10 @@ def _generator_speed(text: str) -> float:
 # one more ArgumentParser per group.
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     """The operating point of design and steady, and their --json."""
-    p.add_argument("--altitude", type=_finite_float, default=0.0)
-    p.add_argument("--mach", type=_nonnegative_float, default=0.0)
-    p.add_argument("--disa", type=_finite_float, default=5.0)
+    p.add_argument("--altitude", type=_leaf("ambient.altitude"), default=0.0)
+    p.add_argument("--mach", type=_leaf("ambient.mach"), default=0.0)
+    p.add_argument("--disa", default=5.0,
+                   type=_number("ISA offset (K)", (-math.inf, math.inf, False, False)))
     p.add_argument("--json", action="store_true")
 
 
@@ -358,7 +324,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, preset: str) -> None:
     """The scenario of transient and joint; --preset defaults to `preset`."""
     p.add_argument("--scenario", type=str, default=None)
     p.add_argument("--preset", type=str, default=preset)
-    p.add_argument("--macro-dt", type=_leaf_type("macro_dt"), default=None)
+    p.add_argument("--macro-dt", type=_leaf("macro_dt"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,23 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="size the gas generator and print the "
                                       "design-point station table")
     _add_point_flags(p)
-    p.add_argument("--shaft-power", type=_leaf_type("gasgen.shaft_power_kw"),
-                   default=500.0)
-    p.add_argument("--pressure-ratio", type=_leaf_type("gasgen.pressure_ratio"),
-                   default=8.0)
-    p.add_argument("--t4", type=_leaf_type("gasgen.t4_k"), default=1200.114)
+    p.add_argument("--shaft-power", type=_leaf("gasgen.shaft_power_kw"), default=500.0)
+    p.add_argument("--pressure-ratio", type=_leaf("gasgen.pressure_ratio"), default=8.0)
+    p.add_argument("--t4", type=_leaf("gasgen.t4_k"), default=1200.114)
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("steady", help="solve one steady off-design point")
     _add_point_flags(p)
     p.add_argument("--preset-index", type=int, default=None,
                    choices=range(len(OFF_DESIGN_PRESETS)), help="built-in point")
-    p.add_argument("--power", type=_nonnegative_float, default=None)
-    p.add_argument("--speed", type=_positive_float, default=36050.0)
-    p.add_argument("--eta-c", type=_finite_float, default=None)
-    p.add_argument("--flow-c", type=_finite_float, default=1.0)
-    p.add_argument("--eta-t", type=_finite_float, default=1.0)
-    p.add_argument("--flow-t", type=_finite_float, default=1.0)
+    p.add_argument("--power", default=None,
+                   type=_number("shaft power (kW)", (0.0, math.inf, True, False)))
+    # the spool's speed range, up to its limit at the default design speed
+    spool_limit = MAX_SPEED_RATIO * GasGenDesignSpec().design_speed
+    p.add_argument("--speed", default=36050.0,
+                   type=_number("spool speed (rpm)", (0.0, spool_limit, False, True)))
+    p.add_argument("--eta-c", type=_leaf("gas_path_faults[].eta_c_factor"), default=None)
+    p.add_argument("--flow-c", type=_leaf("gas_path_faults[].flow_c_factor"), default=1.0)
+    p.add_argument("--eta-t", type=_leaf("gas_path_faults[].eta_t_factor"), default=1.0)
+    p.add_argument("--flow-t", type=_leaf("gas_path_faults[].flow_t_factor"), default=1.0)
     p.add_argument("--sweep", action="store_true",
                    help="sweep eta_c_factor and tabulate SFC")
     p.set_defaults(func=cmd_steady, altitude=None, mach=None)
@@ -399,14 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transient)
 
     p = sub.add_parser("genrun", help="machine-only run at fixed shaft speed")
-    p.add_argument("--power-kw", type=_leaf_type("load.power_kw"), default=225.0)
-    p.add_argument("--speed-rpm", type=_generator_speed, default=12000.0)
-    p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--mu", type=_leaf_type("ttsc_faults[].mu"), default=0.0)
-    p.add_argument("--k-rf", type=_leaf_type("ttsc_faults[].k_rf"), default=None)
-    p.add_argument("--fault-time", type=float, default=None)
-    p.add_argument("--decimation", type=_leaf_type("record.decimation", integer=True),
-                   default=2)
+    p.add_argument("--power-kw", type=_leaf("load.power_kw"), default=225.0)
+    # up to the generator speed a joint run reaches at the spool's limit
+    # through the default gearbox
+    machine = sc.WrsgParams()
+    generator_limit = MAX_SPEED_RATIO * 60.0 * machine.f_n / machine.pole_pairs
+    p.add_argument("--speed-rpm", default=12000.0,
+                   type=_number("generator speed (rpm)", (0.0, generator_limit, False, True)))
+    p.add_argument("--duration", default=1.0,
+                   type=_number("duration (s)", (0.0, math.inf, False, False)))
+    p.add_argument("--mu", type=_leaf("ttsc_faults[].mu"), default=0.0)
+    p.add_argument("--k-rf", type=_leaf("ttsc_faults[].k_rf"), default=None)
+    p.add_argument("--fault-time", default=None,
+                   type=_number("fault time (s)", (0.0, math.inf, True, False)))
+    p.add_argument("--decimation", type=_leaf("record.decimation", integer=True), default=2)
     p.add_argument("--json", action="store_true")
     _add_output_flags(p)
     p.set_defaults(func=cmd_genrun)
@@ -414,9 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="full co-simulation of a scenario")
     _add_scenario_flags(p, "joint-fault")
     _add_output_flags(p)
-    p.add_argument("--seed", type=_leaf_type("seed", integer=True), default=None)
-    p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--state-noise", type=_leaf_type("hook.std_rpm"), default=None,
+    p.add_argument("--seed", type=_leaf("seed", integer=True), default=None)
+    p.add_argument("--runs", default=1,
+                   type=_number("runs", (1, math.inf, True, False), integer=True))
+    p.add_argument("--state-noise", type=_leaf("hook.std_rpm"), default=None,
                    help="std (rpm) of the noise added to the spool speed "
                         "after each update (hook.std_rpm)")
     p.add_argument("--merged", action="store_true",

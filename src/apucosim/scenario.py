@@ -146,9 +146,11 @@ RANGES = {
 CHOICES = {"load.kind": LOAD_KINDS}
 
 
-def out_of_range(key, value):
-    """None where value lies within RANGES[key], else that interval as text."""
-    low, high, low_in, high_in = RANGES[key]
+def outside(interval, value):
+    """None where value lies within `interval`, (low, high, low included,
+    high included) as in RANGES, else that interval as text; NaN lies
+    within none."""
+    low, high, low_in, high_in = interval
     if (low <= value if low_in else low < value) and \
             (value <= high if high_in else value < high):
         return None
@@ -200,7 +202,7 @@ def _merge(defaults, given, path, key):
         if isinstance(defaults, int) and not float(given).is_integer():
             raise SchemaError(path, "integer", given)
         value = type(defaults)(given)
-        if key in RANGES and (span := out_of_range(key, value)):
+        if key in RANGES and (span := outside(RANGES[key], value)):
             raise SchemaError(path, f"number within {span}", value)
         return value
     if isinstance(defaults, str):
