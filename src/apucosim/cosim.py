@@ -18,7 +18,9 @@ gives the row's outputs and the next step's first match, then (f) hands
 the new speed back to the machine as a zero-order hold.  Machine events,
 TTSC faults and load steps, act at their times on the fast track, one
 within 1e-9 of a step of a macro boundary on that boundary; gas-path health
-swaps act from the boundary at or before their times.
+swaps act from the boundary at or before their times, where the spool
+update re-solves its first match at the new health (as it does any match
+made at another speed or fuel flow).
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .gasgen import (
     GasGenParams,
     GasGenState,
     HEALTHY,
-    off_design_solve,
     state_update,
 )
 from .gasgen.engine import (MAX_SPEED_RATIO, OUTPUT_CHANNELS, SpeedOutOfRange, output,
@@ -483,8 +484,8 @@ class _MachineTrack:
         self._energy += float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(t)))
         self._last = (t[-1], p[-1])
         self._seg.append((times, i_abc, v_abc))
-        index = np.arange(self._count + 1, self._count + times.size + 1)
-        keep = index % self.decimation == 0
+        # the samples that bring the run's count to a multiple of decimation
+        keep = slice((-self._count - 1) % self.decimation, None, self.decimation)
         self._count += times.size
         i_rec, v_rec = i_abc[keep], v_abc[keep]
         if self.noise.std_vi or self.noise.std_vv:
@@ -639,9 +640,7 @@ def run_joint(setup: JointSetup) -> JointResult:
         # (b) power transfer: the step's mean machine power over eta
         pe_gt = energy / (dt * coupling.eta_gtTsg)
         # (c) health swap at the boundary, then spool update
-        if k in swaps:
-            health = swaps[k]
-            sol = off_design_solve(gg, u, health, N=x.N, guess=sol)
+        health = swaps.get(k, health)
         x, half = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
         if setup.state_noise_rpm:
             n = x.N + rng_state.normal(0.0, setup.state_noise_rpm)
@@ -735,8 +734,8 @@ def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_la
     """Gas-generator-only transient: fuel schedule against a shaft load law,
     health swaps as in run_joint, from the speed of `trim`, the fuel trim's
     cycle match at the health at t = 0. A fuel flow wf_of_t(0) other than
-    the trim's acts from the first sub-step: the first match is re-solved
-    at it, as a health swap re-solves its match."""
+    the trim's acts from the first sub-step, where the spool update
+    re-solves the trim's match at it."""
     n_steps = whole_steps(duration, macro_dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
@@ -744,17 +743,13 @@ def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_la
     health, swaps = health_swaps(health_schedule, macro_dt)
     x, sol = GasGenState(N=trim.N), trim
     u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)
-    if u.wf != trim.wf:
-        sol = off_design_solve(gg, u, health, N=x.N, guess=trim)
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
     units = tuple(unit for _, unit in OUTPUT_CHANNELS) + ("kg/s", "kW")
     ts, rows = [], []
     for k in range(1, n_steps + 1):
         t1 = k * macro_dt
         pe = load_law(x.N)
-        if k in swaps:
-            health = swaps[k]
-            sol = off_design_solve(gg, u, health, N=x.N, guess=sol)
+        health = swaps.get(k, health)
         x, half = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
         u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, guess=half)

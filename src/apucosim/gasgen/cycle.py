@@ -187,10 +187,11 @@ class CycleSolution:
     turbine_pr: float
     # the final cycle evaluation, made at the converged point, whose
     # temperatures start the next match's property inversions, and the
-    # engine and ambient stations (0, 1, 2) it was made with
+    # engine, ambient stations (0, 1, 2) and health it was made with
     final_pass: CyclePass = field(compare=False, repr=False)
     params: GasGenParams = field(compare=False, repr=False)
     ambient: tuple = field(compare=False, repr=False)
+    health: HealthParams = field(compare=False, repr=False)
     # d(residuals)/d(beta, turbine_pr / pr_design), 2x2 as a tuple of row
     # tuples, carried by the solver to the next cycle match started from
     # this solution (None if not built)
@@ -565,7 +566,7 @@ def off_design_solve(params: GasGenParams, u: GasGenInput,
         dx0, dx1 = x[0] - beta0, x[1] - pr0
         sens = ((s00 + dx0 * dp0 / dpdp, s01 + dx0 * dp1 / dpdp),
                 (s10 + dx1 * dp0 / dpdp, s11 + dx1 * dp1 / dpdp))
-    return _solution(params, ambient, N, wf, x, jac, r, c, sens)
+    return _solution(params, ambient, health, N, wf, x, jac, r, c, sens)
 
 
 def trim_fuel(params: GasGenParams, N: float, Pe: float,
@@ -599,7 +600,7 @@ def trim_fuel(params: GasGenParams, N: float, Pe: float,
 
     x, jac = newton_solve(residual, [BETA_DESIGN, 1.0, wf0 / params.wf_design])
     wf = x[2] * params.wf_design
-    return wf, _solution(params, ambient, N, wf, x,
+    return wf, _solution(params, ambient, health, N, wf, x,
                          None if jac is None else (jac[0][:2], jac[1][:2]), r, c, None)
 
 
@@ -608,7 +609,7 @@ def _shaft_power(params, c):
     return c.pw_turb - c.pw_cpr / params.eta_mech - params.accessory_kw
 
 
-def _solution(params, ambient, N, wf, x, jac, r, c, sens) -> CycleSolution:
+def _solution(params, ambient, health, N, wf, x, jac, r, c, sens) -> CycleSolution:
     """The CycleSolution of a match converged at x, from its final cycle
     evaluation, made at x: residuals r and cycle pass c; the norm spans all
     the match's residuals. Raises SurgeCrossed if the point lies past the
@@ -621,4 +622,5 @@ def _solution(params, ambient, N, wf, x, jac, r, c, sens) -> CycleSolution:
         PW_turb=c.pw_turb, PW_cpr=c.pw_cpr, PW_shaft_net=pw_net, SFC=sfc,
         surge_margin=c.surge_margin, newton_residual_norm=max(map(abs, r)),
         N=N, wf=wf, beta=x[0], turbine_pr=x[1] * params.tmap.pr_design,
-        final_pass=c, params=params, ambient=ambient, jacobian=jac, sensitivity=sens)
+        final_pass=c, params=params, ambient=ambient, health=health, jacobian=jac,
+        sensitivity=sens)

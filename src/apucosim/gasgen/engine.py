@@ -7,6 +7,10 @@ external state processing (noise injection, Monte Carlo; the co-simulation
 loop's spool-speed state noise) fits between the two. The matches are chained: `state_update`
 returns its last (half-step) match with the new state, `output` starts from
 it, and the match `output` returns is the next `state_update`'s first.
+`state_update` uses its given match only where it was made at the update's
+speed, fuel flow and health (the same HealthParams object); elsewhere, as
+at a health swap or a fuel step at t = 0, its first sub-step re-solves the
+match from it, as it solves cold where it is given none.
 Each warm match starts where its guess's sensitivity predicts
 (cycle.off_design_solve), so the chain carries that secant through both
 speed and fuel steps. A match carries only this chain state; its station
@@ -118,14 +122,16 @@ def state_update(params: GasGenParams, x: GasGenState, u: GasGenInput,
                  dt: float = MACRO_DT,
                  match: CycleSolution | None = None) -> tuple[GasGenState, CycleSolution]:
     """Advance spool speed over one macro step (two forward sub-steps), the
-    first from `match`, the cycle match at (x, u, health) (None: solve it);
-    returns the new state and the last sub-step's match, the nearest one to
-    start the output match from."""
+    first from `match` where it is the cycle match at (x, u, health), else
+    from a match solved there from `match` (cold where None); returns the
+    new state and the last sub-step's match, the nearest one to start the
+    output match from."""
     n = x.N
     n_max = MAX_SPEED_RATIO * params.design_speed
     sub = dt / _SUBSTEPS
     for k in range(_SUBSTEPS):
-        if k or match is None:
+        if (k or match is None or match.N != n or match.wf != u.wf
+                or match.health is not health):
             match = off_design_solve(params, u, health, N=n, guess=match)
         n = n + _dn_dt(params, match.PW_shaft_net, Pe, n) * sub
         if not 0.0 < n <= n_max:
