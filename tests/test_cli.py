@@ -1006,28 +1006,94 @@ def test_genrun_bounds_admit_their_limits(tmp_path, monkeypatch, flag, value):
               "--no-svg"])
 
 
-# design's sizing flags take their leaves' ranges: refused when the command
-# line is parsed, naming the flag, before any sizing
-@pytest.mark.parametrize("flag, value, bound", [
-    ("--pressure-ratio", "0.5", "(1, inf)"), ("--pressure-ratio", "1", "(1, inf)"),
-    ("--t4", "5000", "[200, 2000]"), ("--t4", "199.9", "[200, 2000]"),
-])
-def test_design_flags_refused_outside_their_leaf_range(capsys, monkeypatch, flag,
-                                                        value, bound):
-    monkeypatch.setattr(cli, "design_point_size", _reach)
-    assert main(["design", flag, value]) == EXIT_USAGE
+# Every numeric flag of design, steady, genrun and joint: (command, flag, the
+# interval its refusal names, values outside it, values on its included
+# bounds or just inside an excluded one). The values outside are those just
+# past each bound, and for every flag nan, +-inf and a non-number (and 1.5
+# for an integer flag). A flag that sets a scenario leaf takes the leaf's
+# interval.
+_FLAG_INTERVALS = [
+    ("design", "--altitude", "[0, 15000]", ["-5e-324", "15000.000000000002", "20000"],
+     ["0", "15000"]),
+    ("design", "--mach", "[0, 1)", ["-5e-324", "1", "1.5"], ["0"]),
+    ("design", "--disa", "(-inf, inf)", [], ["-1e300", "1e300"]),
+    ("design", "--shaft-power", "(0, inf)", ["0"], ["5e-324"]),
+    ("design", "--pressure-ratio", "(1, inf)", ["0.5", "1"], ["1.0000001"]),
+    ("design", "--t4", "[200, 2000]", ["5000", "199.9", "199.99999999999997",
+                                       "2000.0000000000002"], ["200", "2000"]),
+    ("steady", "--altitude", "[0, 15000]", ["-5e-324", "15000.000000000002", "20000"],
+     ["0", "15000"]),
+    ("steady", "--mach", "[0, 1)", ["-5e-324", "1", "1.5"], ["0"]),
+    ("steady", "--disa", "(-inf, inf)", [], ["-1e300", "1e300"]),
+    ("steady", "--power", "[0, inf)", ["-5e-324"], ["0"]),
+    ("steady", "--speed", "(0, 43260]", ["0", "43260.00000000001", "50000"], ["43260"]),
+    *(("steady", flag, "[0.8, 1.2]", ["0.7999999999999999", "1.2000000000000002", "1.5"],
+       ["0.8", "1.2"]) for flag in ("--eta-c", "--flow-c", "--eta-t", "--flow-t")),
+    ("genrun", "--power-kw", "(0, inf)", ["0"], ["5e-324"]),
+    ("genrun", "--speed-rpm", "(0, 14400]", ["0", "14400.000000000002"], ["14400"]),
+    ("genrun", "--duration", "(0, inf)", ["0"], []),
+    ("genrun", "--mu", "[0, 1)", ["-5e-324", "1"], ["0"]),
+    ("genrun", "--k-rf", "[0, 1000000)", ["-5e-324", "1000000"], ["0"]),
+    ("genrun", "--fault-time", "[0, inf)", ["-5e-324"], ["0"]),
+    ("genrun", "--decimation", "the integers in [1, 1000000]", ["0", "1000001"],
+     ["1", "1000000"]),
+    ("joint", "--macro-dt", "(0, inf)", ["0"], []),
+    ("joint", "--seed", "the integers in [0, inf)", ["-1"], ["0"]),
+    ("joint", "--runs", "the integers in [1, inf)", ["0"], ["1"]),
+    ("joint", "--state-noise", "[0, inf)", ["-5e-324"], ["0"]),
+]
+# what each command runs once its flags are parsed, and the flags each takes
+# besides the one under test; a genrun fault's flags take a fault (--mu)
+_RUNNERS = {"design": "design_point_size", "steady": "trim_fuel",
+            "genrun": "run_generator", "joint": "run_joint"}
+_OTHER_FLAGS = {"design": ["--json"], "steady": ["--json"],
+                "genrun": ["--duration", "0.02", "--no-svg"], "joint": ["--no-svg"]}
+_FAULT_FLAGS = {"--k-rf": ["--mu", "0.05", "--fault-time", "0"],
+                "--fault-time": ["--mu", "0.05"]}
+
+
+def _flag_argv(command, flag, value, out):
+    argv = [command] + _OTHER_FLAGS[command] + _FAULT_FLAGS.get(flag, [])
+    if command in ("genrun", "joint"):
+        argv += ["--out", str(out)]
+    return argv + [f"{flag}={value}"]   # "-5e-324" would read as an option
+
+
+def _flag_case_id(command, *rest):
+    # design's cases keep the ids they had when the table held only design
+    return "-".join(rest) if command == "design" else f"{command} {'-'.join(rest)}"
+
+
+_REFUSED = [(command, flag, value, interval)
+            for command, flag, interval, outside, _ in _FLAG_INTERVALS
+            for value in dict.fromkeys(outside + ["nan", "inf", "-inf", "x"]
+                                       + (["1.5"] if "integers" in interval else []))]
+_ACCEPTED = [(command, flag, value) for command, flag, _, _, inside in _FLAG_INTERVALS
+             for value in inside]
+
+
+# a value outside its flag's interval is refused when the command line is
+# parsed, naming the flag and the interval, before anything runs
+@pytest.mark.parametrize("command, flag, value, bound", _REFUSED,
+                         ids=[_flag_case_id(c, f, v, b) for c, f, v, b in _REFUSED])
+def test_design_flags_refused_outside_their_leaf_range(tmp_path, capsys, monkeypatch,
+                                                        command, flag, value, bound):
+    monkeypatch.setattr(cli, _RUNNERS[command], _reach)
+    out = tmp_path / "out"
+    assert main(_flag_argv(command, flag, value, out)) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"argument {flag}" in err and bound in err and "outside" in err
+    assert f"argument {flag}" in err and f"outside {bound}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--pressure-ratio", "1.0000001"), ("--t4", "200"), ("--t4", "2000"),
-])
-def test_design_flags_accept_their_leaf_bounds(monkeypatch, flag, value):
-    # parsed, and the sizing reached
-    monkeypatch.setattr(cli, "design_point_size", _reach)
+@pytest.mark.parametrize("command, flag, value", _ACCEPTED,
+                         ids=[_flag_case_id(*case) for case in _ACCEPTED])
+def test_design_flags_accept_their_leaf_bounds(tmp_path, monkeypatch, command, flag,
+                                               value):
+    # parsed, and the command's run reached
+    monkeypatch.setattr(cli, _RUNNERS[command], _reach)
     with pytest.raises(_Reached):
-        main(["design", "--json", flag, value])
+        main(_flag_argv(command, flag, value, tmp_path / "out"))
 
 
 def test_state_noise_zero_sets_a_zero_width_hook(tmp_path):

@@ -643,8 +643,7 @@ _DEGRADED = {"eta_c_factor": 0.99, "flow_c_factor": 0.97,
 
 
 def _count_matches(monkeypatch):
-    """Every cycle match the loops make, through each name they call it by."""
-    from apucosim import cosim
+    """Every cycle match the loops make, all of them in the engine."""
     from apucosim.gasgen import cycle, engine
     calls = []
     solve = cycle.off_design_solve
@@ -652,8 +651,7 @@ def _count_matches(monkeypatch):
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
-    for module in (cosim, engine):
-        monkeypatch.setattr(module, "off_design_solve", counted)
+    monkeypatch.setattr(engine, "off_design_solve", counted)
     return calls
 
 
@@ -731,14 +729,33 @@ def test_state_noise_keeps_its_draws():
 
 @pytest.mark.parametrize("time_s", [0.0, 0.02])
 def test_transient_first_match_is_at_the_update_fuel_flow(monkeypatch, time_s):
-    # a fuel step at t = 0 acts from the first sub-step: the trim's match,
-    # at the fuel before the step, is re-solved at the stepped fuel flow
+    # a fuel step at t = 0 acts from the first sub-step: the spool update
+    # re-solves the trim's match, at the fuel before the step, at the
+    # stepped fuel flow, and uses every later update's given match as it is
+    from apucosim.gasgen import engine
     from apucosim.scenario import fuel_step_run
-    seen = _record_updates(monkeypatch)
+    solves, used = [], []
+    solve, update = engine.off_design_solve, cosim.state_update
+
+    def solved(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    def updated(params, x, u, health, Pe, dt, match):
+        solves.clear()
+        new, half = update(params, x, u, health, Pe, dt=dt, match=match)
+        # the first sub-step's match: the first solve where the update made
+        # one per sub-step, else the given match
+        first = solves[0] if len(solves) == engine._SUBSTEPS else match
+        used.append((x.N, first.N, u.wf, first.wf, first is not match))
+        return new, half
+    monkeypatch.setattr(engine, "off_design_solve", solved)
+    monkeypatch.setattr(cosim, "state_update", updated)
     fuel_step_run(_mini_scenario(
         {"fuel_step": {"time_s": time_s, "factor": 1.1}}, duration=0.06))()
-    assert len(seen) == 3
-    assert all(x == n and wf == u_wf for x, n, wf, u_wf, _ in seen)
+    assert len(used) == 3
+    assert all(x == n and u_wf == wf for x, n, u_wf, wf, _ in used)
+    assert [resolved for *_, resolved in used] == [time_s == 0.0, False, False]
 
 
 def test_gasgen_output_noise_keeps_its_draws():
@@ -880,7 +897,12 @@ def test_every_caller_takes_whole_steps_alike(tmp_path, monkeypatch, capsys,
             with pytest.raises(ValueError, match="duration must be a positive multiple"):
                 run()
         assert cli.main(genrun) == cli.EXIT_USAGE
-        assert "--duration must be a positive multiple" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # a duration outside (0, inf) is refused when parsed
+        if 0.0 < duration < math.inf:
+            assert "--duration must be a positive multiple" in err
+        else:
+            assert "argument --duration" in err and "outside (0, inf)" in err
         return
     assert parse_scenario(text)["duration"] == duration
     for run in runs:

@@ -712,7 +712,8 @@ def test_cycle_match_computes_in_python_floats(gg_params, monkeypatch):
     _, again = state_update(gg_params, state, u, HEALTHY, Pe=430.0, match=out)
     swap = off_design_solve(gg_params, u, HealthParams(0.99, 0.97, 0.98, 1.04),
                             N=again.N, guess=again)
-    assert len(iterates) == 6
+    # `again` re-solves its first sub-step: `out` was made at 0.96 wf_design
+    assert len(iterates) == 7
     assert all(type(v) is float for values in iterates + residuals for v in values)
     for sol in (trim, cold, half, out, again, swap):
         assert all(type(getattr(sol, name)) is float for name in _SOLUTION_FLOATS)
@@ -721,6 +722,27 @@ def test_cycle_match_computes_in_python_floats(gg_params, monkeypatch):
         for matrix in (sol.jacobian, sol.sensitivity):
             assert matrix is None or all(type(v) is float for row in matrix for v in row)
     assert out.sensitivity is not None and again.jacobian is not None
+
+
+@pytest.mark.parametrize("made_at", ["speed", "fuel flow", "health"])
+def test_state_update_re_solves_a_match_made_elsewhere(gg_params, made_at):
+    # a match made at another speed, fuel flow or health is only the first
+    # sub-step's guess: the update equals one handed the match re-solved at
+    # its own point from it, and differs from one that integrates the stale
+    # match
+    x = GasGenState(N=35600.0)
+    u = GasGenInput(wf=0.95 * gg_params.wf_design)
+    n, v, health = {"speed": (35700.0, u, HEALTHY),
+                    "fuel flow": (x.N, GasGenInput(wf=0.96 * gg_params.wf_design), HEALTHY),
+                    "health": (x.N, u, HealthParams(eta_c_factor=0.99))}[made_at]
+    stale = off_design_solve(gg_params, v, health, N=n)
+    fresh = off_design_solve(gg_params, u, HEALTHY, N=x.N, guess=stale)
+    new, half = state_update(gg_params, x, u, HEALTHY, Pe=430.0, match=stale)
+    assert (new, half) == state_update(gg_params, x, u, HEALTHY, Pe=430.0, match=fresh)
+    sub = engine.MACRO_DT / engine._SUBSTEPS
+    n_stale, n_fresh = (x.N + engine._dn_dt(gg_params, sol.PW_shaft_net, 430.0, x.N) * sub
+                        for sol in (stale, fresh))
+    assert half.N == n_fresh != n_stale
 
 
 def test_fuel_reduction_trends(gg_params):
