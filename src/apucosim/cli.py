@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import scenario as sc
 from .control import AvrState
 from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, MAX_FAST_STEPS, STEP_FRACTION,
@@ -119,8 +117,8 @@ def cmd_steady(args) -> int:
     params, _ = _default_engine()
     if args.sweep:
         print(f"{'eta_c_factor':>12} {'wf kg/s':>10} {'SFC':>8} {'HPCSM %':>8}")
-        for factor in np.linspace(0.96, 1.0, 5):
-            h = replace(health, eta_c_factor=float(factor))
+        for factor in (0.96, 0.97, 0.98, 0.99, 1.0):
+            h = replace(health, eta_c_factor=factor)
             wf, s = trim_fuel(params, args.speed, power, h, altitude=alt,
                               mach=mach, dT_ISA=args.disa)
             print(f"{factor:12.3f} {wf:10.5f} {s.SFC:8.4f} {s.surge_margin:8.3f}")

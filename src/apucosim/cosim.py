@@ -149,9 +149,9 @@ _GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
 # sub-steps per batch of Magnus exponentials: bounds the (batch, 8, 8)
 # temporaries, and so the memory, whatever the segment's length
 MAGNUS_CHUNK = 128
-# the most sub-steps per grid step, a floor on the sub-step as min_step is
-# on the adaptive stepper's step: the estimate falls by 1024^5 ~ 1e15 up to
-# there, so only a tolerance near rounding level needs more
+# the most sub-steps per grid step, so h / MAGNUS_MAX_SUBSTEPS is the smallest
+# sub-step allowed: the estimate falls by 1024^5 ~ 1e15 up to there, so only
+# a tolerance near rounding level needs more
 MAGNUS_MAX_SUBSTEPS = 1024
 
 
@@ -368,11 +368,6 @@ class _MachineTrack:
                  decimation: int, rng):
         if decimation < 1:
             raise ValueError("decimation must be an integer >= 1")
-        if not math.isfinite(stepper.max_step):
-            raise ValueError("max_step must be finite: it is the sample "
-                             "period of healthy machine segments and bounds "
-                             "that of faulted ones, a whole fraction of the "
-                             "electrical period")
         self.params = params
         self.load = load
         # the inductance model of every ElectricalSystem the track builds
@@ -683,7 +678,7 @@ class GeneratorRunResult:
 # the AVR period of run_generator, and the stepper of its machine track
 GENERATOR_CONTROL_DT = 0.02
 GENERATOR_STEPPER = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1e-6,
-                                   initial_step=1e-6, max_step=1e-4)
+                                   max_step=1e-4)
 
 
 def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,

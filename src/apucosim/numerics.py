@@ -10,7 +10,9 @@ step comes from Gaussian elimination with partial pivoting. It solves the
 2- and 3-unknown cycle matches, whose residual code (station values,
 property polynomials and their inversions) would otherwise run on the
 numpy scalars of a numpy iterate: the same bits at several times the cost
-per operation. The stepper and expm work on numpy arrays.
+per operation. The stepper and expm work on numpy arrays. A run's step
+settings are a StepperOptions, the three leaves of its scenario's `stepper`
+block; the reference stepper takes its initial and smallest step per call.
 
 All kernels are pure (state in, state out) and hold no module-level state,
 so independent problems can run on separate threads.
@@ -46,11 +48,11 @@ class NonFiniteResidual(NumericalFailure):
 
 
 class StepUnderflow(NumericalFailure):
-    def __init__(self, t: float, step: float, min_step: float):
+    def __init__(self, t: float, step: float, smallest: float):
         self.t = t
         self.step = step
-        super().__init__(f"required step {step:.3e} below min_step "
-                         f"{min_step:.3e} at t={t:.6g}")
+        super().__init__(f"required step {step:.3e} below the smallest step "
+                         f"allowed, {smallest:.3e}, at t={t:.6g}")
 
 
 class NonFiniteDerivative(NumericalFailure):
@@ -243,21 +245,21 @@ def newton_solve(residual_fn, guess, jacobian=None):
     raise NonConvergence(NEWTON_MAX_ITERATIONS, rn)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepperOptions:
-    relative_tolerance: float = 1e-6
-    absolute_tolerance: float | np.ndarray = 1e-9  # scalar or per-channel vector
-    initial_step: float = 1e-4
-    min_step: float = 1e-13
-    max_step: float = math.inf
+    """A run's step settings, its scenario's `stepper` block: the two error
+    tolerances and the longest machine step."""
+    relative_tolerance: float
+    absolute_tolerance: float
+    max_step: float
 
     def __post_init__(self):
-        if self.relative_tolerance <= 0:
+        if not self.relative_tolerance > 0:
             raise ValueError("relative_tolerance must be positive")
-        if np.any(np.asarray(self.absolute_tolerance) <= 0):
+        if not self.absolute_tolerance > 0:
             raise ValueError("absolute_tolerance must be positive")
-        if not 0 < self.min_step <= self.initial_step <= self.max_step:
-            raise ValueError("need 0 < min_step <= initial_step <= max_step")
+        if not 0 < self.max_step < math.inf:
+            raise ValueError("max_step must be positive and finite")
 
 
 @dataclass
@@ -289,25 +291,26 @@ def _check_finite(f, t):
         raise NonFiniteDerivative(t, bad)
 
 
-def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = None,
-                       observers=(), record=True):
+def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions,
+                       observers=(), record=True, initial_step=1e-4, min_step=1e-13):
     """Adaptive TR-BDF2 integration of the affine system dy/dt = A(t) y + b(t)
     over t_span, where deriv_fn(t) returns (A, b).
 
     Each stage equation is linear in its unknown, so a stage is one linear
     solve with the exact A at the stage time (linearly implicit, no Newton
     iteration). A step is accepted iff every channel satisfies
-    |err_i| <= atol_i + rtol*|y_i|; observers are invoked on each accepted
+    |err_i| <= atol + rtol*|y_i|; observers are invoked on each accepted
     step; the final step is clipped so the end time is exactly t_span[1].
+    The first step is initial_step, and a step the error control cuts below
+    min_step, other than the final one, raises StepUnderflow.
     """
-    opts = opts or StepperOptions()
+    if not 0 < min_step <= initial_step:
+        raise ValueError("need 0 < min_step <= initial_step")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     y = np.array(state0, dtype=float)
     n = y.size
-    atol = np.broadcast_to(np.asarray(opts.absolute_tolerance, dtype=float), (n,))
-    rtol = opts.relative_tolerance
 
     t = t0
     a, b = deriv_fn(t)
@@ -317,7 +320,7 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
     times = [t] if record else None
     states = [y.copy()] if record else None
 
-    h = min(opts.initial_step, opts.max_step, t1 - t0)
+    h = min(initial_step, opts.max_step, t1 - t0)
     accepted = rejected = 0
     eye = np.eye(n)
 
@@ -326,10 +329,10 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions | None = N
         final = h >= 0.9 * remaining
         if final:
             h = remaining      # stretch/clip so the last step lands exactly on t1
-        elif h < opts.min_step:
-            raise StepUnderflow(t, h, opts.min_step)
+        elif h < min_step:
+            raise StepUnderflow(t, h, min_step)
         dh = _D * h
-        wt = atol + rtol * np.abs(y)
+        wt = opts.absolute_tolerance + opts.relative_tolerance * np.abs(y)
         tg = t + _GAMMA * h
         ag, bg = deriv_fn(tg)
         a1, b1 = deriv_fn(t + h)

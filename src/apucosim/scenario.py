@@ -186,10 +186,6 @@ def _merge(defaults, given, path, key):
             raise SchemaError(path, "array", given)
         return [_merge(_LIST_ITEM_DEFAULTS[path], item, f"{path}[{i}]", f"{key}[]")
                 for i, item in enumerate(given)]
-    if isinstance(defaults, bool):
-        if not isinstance(given, bool):
-            raise SchemaError(path, "boolean", given)
-        return given
     if isinstance(defaults, (int, float)):
         if isinstance(given, bool) or not isinstance(given, (int, float)):
             raise SchemaError(path, "number", given)
@@ -211,7 +207,6 @@ def _merge(defaults, given, path, key):
         if key in CHOICES and given not in CHOICES[key]:
             raise SchemaError(path, "one of " + "|".join(CHOICES[key]), given)
         return given
-    raise SchemaError(path, "known type", given)
 
 
 def _validate(doc):
@@ -470,11 +465,9 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
                                 std_vi=noise_doc["std_vi"],
                                 std_vv=noise_doc["std_vv"])
     st = doc["stepper"]
-    stepper = StepperOptions(
-        relative_tolerance=st["relative_tolerance"],
-        absolute_tolerance=st["absolute_tolerance"],
-        initial_step=min(1e-6, st["max_step_s"]), min_step=1e-13,
-        max_step=st["max_step_s"])
+    stepper = StepperOptions(relative_tolerance=st["relative_tolerance"],
+                             absolute_tolerance=st["absolute_tolerance"],
+                             max_step=st["max_step_s"])
     amb = doc["ambient"]
     return JointSetup(
         gg_params=gg_params, machine=machine, load=load,

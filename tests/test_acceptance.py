@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,7 +227,7 @@ def test_criterion_5_healthy_reduction_oracle():
     oracle_affine = oracle.make_affine(v_fd, W_E_DESIGN)
 
     opts = StepperOptions(relative_tolerance=1e-9, absolute_tolerance=1e-12,
-                          initial_step=1e-7, max_step=1e-4)
+                          max_step=1e-4)
     grid = np.linspace(0.0, 0.5, 501)
     ym = y0.copy()
     yo = np.concatenate([y0[:6], [y0[7]]])
@@ -236,12 +235,10 @@ def test_criterion_5_healthy_reduction_oracle():
     max_diff = np.zeros(6)
     max_val = np.zeros(6)
     for a, b in zip(grid, grid[1:]):
-        rm = integrate_adaptive(flux_system(mloop, ym[7], a), ym[:7], (a, b),
-                                replace(opts, initial_step=min(hm, b - a)),
-                                record=False)
-        ro = integrate_adaptive(oracle_affine, yo[:6], (a, b),
-                                replace(opts, initial_step=min(ho, b - a)),
-                                record=False)
+        rm = integrate_adaptive(flux_system(mloop, ym[7], a), ym[:7], (a, b), opts,
+                                record=False, initial_step=min(hm, b - a))
+        ro = integrate_adaptive(oracle_affine, yo[:6], (a, b), opts,
+                                record=False, initial_step=min(ho, b - a))
         ym, hm = np.append(rm.state, ym[7] + W_E_DESIGN * (b - a)), rm.last_step
         yo, ho = np.append(ro.state, yo[6] + W_E_DESIGN * (b - a)), ro.last_step
         max_diff = np.maximum(max_diff, np.abs(ym[:6] - yo[:6]))
@@ -277,12 +274,12 @@ def _faulted_phase_rms(p, fault, v_fd, duration=0.06):
         rec["pl"].append(p_loss)
 
     opts = StepperOptions(relative_tolerance=1e-5,
-                          absolute_tolerance=1e-7,
-                          initial_step=1e-7, max_step=1e-4)
+                          absolute_tolerance=1e-7, max_step=1e-4)
     # the stepper carries the fluxes; theta = theta0 + w_e t in closed form
     integrate_adaptive(flux_system(sysm, y0[7], 0.0), y0[:7], (0.0, duration),
                        opts, observers=[lambda t, lam: obs(t, np.append(
-                           lam, y0[7] + W_E_DESIGN * t))], record=False)
+                           lam, y0[7] + W_E_DESIGN * t))], record=False,
+                       initial_step=1e-7)
     t = np.array(rec["t"])
     w = 1.0 / 400.0
     rms = np.array([rms_window(t, rec[c], w) for c in ("ia", "ib", "ic")])
@@ -299,15 +296,13 @@ def _trajectory_on_grid(p, fault, v_fd, t_end=0.05, n_pts=126):
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E_DESIGN,
                             v_fd, R_225)
     opts = StepperOptions(relative_tolerance=1e-7,
-                          absolute_tolerance=1e-9,
-                          initial_step=1e-8, max_step=1e-4)
+                          absolute_tolerance=1e-9, max_step=1e-4)
     grid = np.linspace(0.0, t_end, n_pts)
     samples = np.empty(n_pts - 1)
     h = 1e-8
     for k, (a, b) in enumerate(zip(grid, grid[1:])):
-        res = integrate_adaptive(flux_system(sysm, y[7], a), y[:7], (a, b),
-                                 replace(opts, initial_step=min(h, b - a)),
-                                 record=False)
+        res = integrate_adaptive(flux_system(sysm, y[7], a), y[:7], (a, b), opts,
+                                 record=False, initial_step=min(h, b - a))
         y, h = np.append(res.state, y[7] + W_E_DESIGN * (b - a)), res.last_step
         samples[k] = sysm.terminal(y)[0][0]
     return samples

@@ -294,12 +294,11 @@ def test_healthy_propagator_matches_tight_stepper(case):
     times, states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
     assert times.size == 201 and times[-1] == 0.02003
     opts = StepperOptions(relative_tolerance=1e-11, absolute_tolerance=1e-14,
-                          initial_step=1e-8, max_step=1e-5)
+                          max_step=1e-5)
     y, ta, h, worst = y0, 0.0, 1e-8, 0.0
     for tb, got in zip(times, states):
-        res = integrate_adaptive(flux_system(sysm, y[7], ta), y[:7], (ta, tb),
-                                 replace(opts, initial_step=min(h, tb - ta)),
-                                 record=False)
+        res = integrate_adaptive(flux_system(sysm, y[7], ta), y[:7], (ta, tb), opts,
+                                 record=False, initial_step=min(h, tb - ta))
         y, ta, h = np.append(res.state, y[7] + w_e * (tb - ta)), tb, res.last_step
         worst = max(worst, float(np.max(np.abs(got - y)) / np.max(np.abs(y[:6]))))
     assert worst < 1e-9

@@ -106,6 +106,16 @@ def test_non_finite_number_rejected_with_its_path(path, value):
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("path", ALL_LEAVES)
+def test_boolean_rejected_with_its_path(path, value):
+    # JSON true and false are no numbers, though Python's bool is an int
+    text = json.dumps(_doc_with({"duration": 1.0}, path, value))
+    with pytest.raises(SchemaError, match=f"expected number, found {value}") as info:
+        parse_scenario(text)
+    assert info.value.path == path
+
+
 UNKNOWN_KEY = "<an unknown key next to the leaf>"
 
 

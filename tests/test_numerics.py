@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -271,9 +272,42 @@ def test_solve_residual_property(seed):
 
 # ---------------------------------------------------------- integrate_adaptive
 
+# tolerances for tests that need no particular ones
+RTOL, ATOL = 1e-6, 1e-9
+
+
+def test_stepper_options_are_three_required_values():
+    assert [f.name for f in fields(StepperOptions)] == [
+        "relative_tolerance", "absolute_tolerance", "max_step"]
+    assert all(f.default is MISSING for f in fields(StepperOptions))
+    # a max_step below the integrator's default first step is a valid setting
+    opts = StepperOptions(relative_tolerance=1e-4, absolute_tolerance=1e-5, max_step=5e-5)
+    assert opts.max_step == 5e-5
+
+
+@pytest.mark.parametrize("field, value", [
+    (name, value) for name in ("relative_tolerance", "absolute_tolerance")
+    for value in (0.0, -1e-6, math.nan)
+] + [("max_step", value) for value in (0.0, -1e-4, math.nan, math.inf)])
+def test_stepper_options_refuse_a_bad_value(field, value):
+    good = {"relative_tolerance": 1e-4, "absolute_tolerance": 1e-5, "max_step": 1e-4}
+    with pytest.raises(ValueError, match=field):
+        StepperOptions(**{**good, field: value})
+
+
+@pytest.mark.parametrize("initial_step, min_step", [(1e-4, 0.0), (1e-6, 1e-5)],
+                         ids=["zero-min-step", "min-step-above-initial"])
+def test_integrate_adaptive_refuses_bad_step_bounds(initial_step, min_step):
+    opts = StepperOptions(relative_tolerance=RTOL, absolute_tolerance=ATOL, max_step=1.0)
+    with pytest.raises(ValueError, match="min_step"):
+        integrate_adaptive(lambda t: (np.zeros((1, 1)), np.zeros(1)), np.array([1.0]),
+                           (0.0, 1.0), opts, initial_step=initial_step, min_step=min_step)
+
+
 def test_constant_solution_exact():
+    opts = StepperOptions(relative_tolerance=RTOL, absolute_tolerance=ATOL, max_step=1.0)
     res = integrate_adaptive(lambda t: (np.zeros((1, 1)), np.zeros(1)),
-                             np.array([5.0]), (0.0, 1.0))
+                             np.array([5.0]), (0.0, 1.0), opts)
     assert res.state[0] == 5.0
     assert res.t == 1.0
 
@@ -281,15 +315,16 @@ def test_constant_solution_exact():
 def test_stiff_exponential():
     rtol = 1e-7
     opts = StepperOptions(relative_tolerance=rtol, absolute_tolerance=1e-30,
-                          initial_step=1e-6)
+                          max_step=0.02)
     res = integrate_adaptive(lambda t: (np.array([[-1000.0]]), np.zeros(1)),
-                             np.array([1.0]), (0.0, 0.02), opts)
+                             np.array([1.0]), (0.0, 0.02), opts, initial_step=1e-6)
     exact = math.exp(-20.0)
     assert abs(res.state[0] - exact) / exact < 10 * rtol
 
 
 def test_cosine_quadrature():
-    opts = StepperOptions(relative_tolerance=1e-8, absolute_tolerance=1e-10)
+    opts = StepperOptions(relative_tolerance=1e-8, absolute_tolerance=1e-10,
+                          max_step=math.pi / 2)
     res = integrate_adaptive(lambda t: (np.zeros((1, 1)), np.array([math.cos(t)])),
                              np.array([0.0]), (0.0, math.pi / 2), opts)
     assert abs(res.state[0] - 1.0) < 1e-7
@@ -299,9 +334,9 @@ def test_tolerance_monotonicity_on_exponential():
     errors = []
     for rtol in (1e-4, 5e-5, 2.5e-5, 1.25e-5, 6.25e-6, 3.125e-6):
         opts = StepperOptions(relative_tolerance=rtol, absolute_tolerance=1e-30,
-                              initial_step=1e-6)
+                              max_step=0.02)
         res = integrate_adaptive(lambda t: (np.array([[-1000.0]]), np.zeros(1)),
-                                 np.array([1.0]), (0.0, 0.02), opts)
+                                 np.array([1.0]), (0.0, 0.02), opts, initial_step=1e-6)
         errors.append(abs(res.state[0] - math.exp(-20.0)))
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse * (1.0 + 1e-12)
@@ -309,28 +344,31 @@ def test_tolerance_monotonicity_on_exponential():
 
 def test_observers_see_every_accepted_step():
     seen = []
+    opts = StepperOptions(relative_tolerance=RTOL, absolute_tolerance=ATOL, max_step=0.1)
     res = integrate_adaptive(lambda t: (-np.eye(1), np.zeros(1)), np.array([1.0]),
-                             (0.0, 0.1), observers=[lambda t, y: seen.append(t)])
+                             (0.0, 0.1), opts, observers=[lambda t, y: seen.append(t)])
     assert len(seen) == res.accepted
     assert seen[-1] == 0.1
     assert all(b > a for a, b in zip(seen, seen[1:]))
 
 
 def test_final_time_exact():
+    opts = StepperOptions(relative_tolerance=RTOL, absolute_tolerance=ATOL, max_step=0.0173)
     res = integrate_adaptive(lambda t: (-np.eye(1), np.zeros(1)), np.array([1.0]),
-                             (0.0, 0.0173))
+                             (0.0, 0.0173), opts)
     assert res.t == 0.0173
     assert res.times[-1] == 0.0173
 
 
 def test_step_underflow():
     opts = StepperOptions(relative_tolerance=1e-10, absolute_tolerance=1e-14,
-                          initial_step=1e-3, min_step=1e-4)
+                          max_step=1.0)
     # highly oscillatory forcing cannot be met with steps >= 1e-4
-    with pytest.raises(StepUnderflow):
+    with pytest.raises(StepUnderflow, match="below the smallest step allowed"):
         integrate_adaptive(lambda t: (np.zeros((1, 1)),
                                       np.array([math.sin(1e7 * t) * 1e7])),
-                           np.array([0.0]), (0.0, 1.0), opts)
+                           np.array([0.0]), (0.0, 1.0), opts,
+                           initial_step=1e-3, min_step=1e-4)
 
 
 # TR-BDF2 coefficients written out from Hosea & Shampine (1996)
@@ -347,9 +385,8 @@ def test_one_step_equals_closed_form_tr_bdf2_update():
     b = rng.normal(size=3)
     y0 = rng.normal(size=3)
     h = 0.05
-    opts = StepperOptions(relative_tolerance=1.0, absolute_tolerance=1.0,
-                          initial_step=h, max_step=h)
-    res = integrate_adaptive(lambda t: (a, b), y0, (0.0, h), opts)
+    opts = StepperOptions(relative_tolerance=1.0, absolute_tolerance=1.0, max_step=h)
+    res = integrate_adaptive(lambda t: (a, b), y0, (0.0, h), opts, initial_step=h)
     assert res.accepted == 1 and res.rejected == 0
 
     m = np.eye(3) - D * h * a
@@ -372,10 +409,10 @@ def test_singular_stage_matrix_raises():
     h = 0.5
     a = 1.0 / (D * h)
     assert 1.0 - (D * h) * a == 0.0
-    opts = StepperOptions(initial_step=h, max_step=h)
+    opts = StepperOptions(relative_tolerance=RTOL, absolute_tolerance=ATOL, max_step=h)
     with pytest.raises(SingularStageMatrix):
         integrate_adaptive(lambda t: (np.array([[a]]), np.zeros(1)),
-                           np.array([1.0]), (0.0, 1.0), opts)
+                           np.array([1.0]), (0.0, 1.0), opts, initial_step=h)
 
 
 def test_newton_non_finite_residual_at_guess():

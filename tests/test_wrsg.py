@@ -313,11 +313,11 @@ def test_fault_breaks_symmetry_and_open_branch_recovers():
             rec["ic"].append(i_abc[2])
 
         opts = StepperOptions(relative_tolerance=1e-5,
-                              absolute_tolerance=1e-7,
-                              initial_step=1e-7, max_step=1e-4)
+                              absolute_tolerance=1e-7, max_step=1e-4)
         integrate_adaptive(flux_system(sysm, y0[7], 0.0), y0[:7], (0.0, 0.05),
                            opts, observers=[lambda t, lam: obs(t, np.append(
-                               lam, y0[7] + W_E * t))], record=False)
+                               lam, y0[7] + W_E * t))], record=False,
+                           initial_step=1e-7)
         t = np.array(rec["t"])
         return np.array([rms_window(t, rec[c], 1 / 400.0)
                          for c in ("ia", "ib", "ic")])
@@ -485,8 +485,9 @@ def test_faulted_segment_truncation_error(mu):
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
     system = flux_system(sysm, y0[7], 0.0)
     opts = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1e-6,
-                          initial_step=1e-6, max_step=1e-4)
-    got = integrate_adaptive(system, y0[:7], (0.0, 0.05), opts, record=False).state
+                          max_step=1e-4)
+    got = integrate_adaptive(system, y0[:7], (0.0, 0.05), opts, record=False,
+                             initial_step=1e-6).state
     want = _rk4(system, y0[:7], 0.0, 0.05, 2e-6)
     assert np.max(np.abs(got - want)) < 1.5e-6 * np.max(np.abs(want))
 
