@@ -222,7 +222,7 @@ def _joint_worker(scn: sc.Scenario) -> dict:
 def _pool_size(runs: int, threads: str | None, cpus: int) -> int:
     """Worker processes for `joint --runs`: the APU_COSIM_THREADS value
     `threads` (unset, empty or 0: one per CPU), at most `cpus` and `runs`."""
-    if threads and not threads.strip().isdigit():
+    if threads and not threads.strip().isdecimal():
         raise ValueError(f"APU_COSIM_THREADS must be an integer >= 0, found {threads!r}")
     return min(int(threads or 0) or cpus, cpus, runs)
 

@@ -1,11 +1,11 @@
 """Design-point sizing: turns a compact design specification into a fully
 calibrated GasGenParams plus the design-point CycleSolution.
 
-Fixed arrangement constants (intake recovery, burner/exhaust losses, the
-5/5/1 % cooling and overboard bleed split, the compressor-exit Mach number
-and the exhaust back-pressure margin) were backed out of the reference
-engine deck once and are kept as defaults; efficiencies anchor the analytic
-maps so the sized engine reproduces its own design point exactly.
+The fixed arrangement (intake recovery, burner/exhaust losses, cooling and
+overboard bleed) is the cycle's; the compressor-exit Mach number and the
+exhaust back-pressure margin were backed out of the same reference engine
+deck. Efficiencies anchor the analytic maps so the sized engine reproduces
+its own design point exactly.
 """
 from __future__ import annotations
 
@@ -15,13 +15,21 @@ from dataclasses import dataclass
 from ..errors import NumericalFailure
 from . import properties as gas
 from .cycle import (
+    BURNER_ETA,
+    BURNER_LOSS,
     CycleSolution,
+    EXHAUST_LOSS,
     FAR_MAX,
     GasGenInput,
     GasGenParams,
     GasState,
     HEALTHY,
+    NGV_COOL_FRAC,
+    NOX_T_REF,
+    NOX_T_SCALE,
+    OVERBOARD_FRAC,
     P_STD,
+    ROTOR_COOL_FRAC,
     T_STD,
     ambient_conditions,
     _mix,
@@ -29,22 +37,10 @@ from .cycle import (
 )
 from .maps import CompressorMap, TurbineMap
 
-INTAKE_RECOVERY = 0.99
-BURNER_LOSS = 0.03
-EXHAUST_LOSS = 0.02
-NGV_COOL_FRAC = 0.05
-ROTOR_COOL_FRAC = 0.05
-OVERBOARD_FRAC = 0.01
-# burner efficiency calibrated against the reference deck's fuel flow; the
-# solve lands marginally above unity with this working-fluid model, so it is
-# clipped at the physical bound (default sizing then gives wf = 0.04842 kg/s)
-BURNER_ETA = 1.0
 # compressor-exit static/total and exhaust total/ambient pressure ratios
 PS3_OVER_P3 = 768.3194 / 802.4929
 P8_OVER_AMBIENT = 104.3644 / 101.325
 DESIGN_SURGE_MARGIN = 23.9856
-NOX_T_REF = 817.6
-NOX_T_SCALE = 194.4
 NOX_DESIGN_SEVERITY = 0.1769
 DEFAULT_INERTIA = 0.12   # kg m^2, free parameter tuned so a 10 % fuel step
                          # settles in 2-4 s; never asserted as ground truth
@@ -89,8 +85,7 @@ class GasGenDesignSpec:
 
 def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSolution]:
     """Size the engine at the spec's design point and verify the fixed point."""
-    st0, st1, st2 = ambient_conditions(spec.altitude, spec.mach, spec.dT_ISA,
-                                       INTAKE_RECOVERY)
+    st0, st1, st2 = ambient_conditions(spec.altitude, spec.mach, spec.dT_ISA)
     theta2 = st2.Tt / T_STD
     delta2 = st2.Pt / P_STD
     w2 = spec.W2_design
@@ -123,7 +118,7 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
                            w_ngv, 0.0, h3)
     t41 = gas.temperature_from_enthalpy(h41, far41)
 
-    # turbine sized from the power balance (eta_mech 1); map efficiency calibrated
+    # turbine sized from the power balance; map efficiency calibrated
     # so the design expansion lands on the fixed exhaust back-pressure margin
     pw_turb = pw_cpr + spec.shaft_power_design + spec.accessory_power
     dh_t = pw_turb / w41
@@ -156,14 +151,10 @@ def design_point_size(spec: GasGenDesignSpec) -> tuple[GasGenParams, CycleSoluti
                       / NOX_DESIGN_SEVERITY) ** 2.5
 
     params = GasGenParams(
-        cmap=cmap, tmap=tmap, intake_recovery=INTAKE_RECOVERY,
-        burner_loss=BURNER_LOSS, burner_eta=BURNER_ETA, exhaust_loss=EXHAUST_LOSS,
-        ngv_cool_frac=NGV_COOL_FRAC, rotor_cool_frac=ROTOR_COOL_FRAC,
-        overboard_frac=OVERBOARD_FRAC, design_speed=spec.design_speed,
+        cmap=cmap, tmap=tmap, design_speed=spec.design_speed,
         ncor_design=spec.design_speed / math.sqrt(theta2),
         fuel_lhv_mj=spec.fuel_LHV, accessory_kw=spec.accessory_power,
-        eta_mech=1.0, inertia=spec.inertia, a3_m2=a3, a8_m2=a8,
-        nox_p_ref=nox_p_ref, nox_t_ref=NOX_T_REF, nox_t_scale=NOX_T_SCALE,
+        inertia=spec.inertia, a3_m2=a3, a8_m2=a8, nox_p_ref=nox_p_ref,
         wf_design=wf, pe_design=spec.shaft_power_design)
 
     u = GasGenInput(wf=wf, altitude=spec.altitude, mach=spec.mach,

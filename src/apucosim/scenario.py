@@ -210,7 +210,10 @@ def _merge(defaults, given, path, key):
 
 
 def _validate(doc):
-    """The rules that relate two or more leaves."""
+    """The rules that relate two or more leaves, and the rule on `name`."""
+    # the name is part of each output file's name
+    if any(c in doc["name"] for c in "/\\\0"):
+        raise SchemaError("name", "a name without /, \\ or NUL", doc["name"])
     if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:
         raise SchemaError("governor.wf_min", "fuel flow below governor.wf_max",
                           doc["governor"]["wf_min"])
@@ -296,9 +299,8 @@ def _refuse_unread(scenario, run):
         elif isinstance(default, dict):
             for key, item in default.items():
                 walk(value[key], item, f"{path}.{key}")
-        elif value != default:
-            raise SchemaError(path, f"the default {default!r}, as the {run} run "
-                              f"does not read {path.partition('.')[0]}", value)
+        else:
+            _keep_default(path, value, default, f"the {run} run does not read {block}")
 
     for block in _UNREAD[run]:
         walk(scenario[block], _DEFAULTS[block], block)
@@ -613,6 +615,9 @@ def emit_svg(series: TimeSeries, channels, path, title: str = "") -> None:
              f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
              f'fill="none" stroke="#333333" stroke-width="1"/>']
     if title:
+        # the title holds a scenario's name, so it is escaped as XML text
+        # (xml.sax.saxutils.escape would import urllib.request, several MB)
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<text x="{_SVG_W // 2}" y="18" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="13">{title}</text>')
     for k in range(5):

@@ -17,8 +17,8 @@ LOAD_KINDS = ("resistive-bank", "cubic-speed-law")
 
 @dataclass(frozen=True)
 class LoadModel:
+    R_phase: float                          # ohm per phase at scale 1
     kind: str = "resistive-bank"            # resistive-bank | cubic-speed-law
-    R_phase: float = 0.70533                # ohm per phase at scale 1
     L_phase: float = 0.0                    # H per phase, in series on every kind
     schedule: tuple = ()                    # ((time_s, scale), ...) on admittance
 

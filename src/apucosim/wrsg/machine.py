@@ -56,7 +56,6 @@ class WrsgParams:
     pole_pairs: int = 2
     eta_sg: float = 0.95          # electrical-to-shaft efficiency
     two_machine_factor: float = 2.0
-    L_0: float | None = None      # zero-sequence inductance, defaults to L_ls
 
     def __post_init__(self):
         for name in ("r_s", "L_ls", "L_md", "L_mq", "r_fd", "L_lf", "r_kd",
@@ -65,10 +64,6 @@ class WrsgParams:
                 raise ValueError(f"{name} must be positive")
         if self.pole_pairs < 1:
             raise ValueError("pole_pairs must be >= 1")
-
-    @property
-    def zero_seq_inductance(self) -> float:
-        return self.L_ls if self.L_0 is None else self.L_0
 
 
 @dataclass(frozen=True)
@@ -135,12 +130,11 @@ def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> Inducta
     lmd, lmq = params.L_md, params.L_mq
     lq = lmq + params.L_ls
     ld = lmd + params.L_ls
-    l0 = params.zero_seq_inductance
     le = extra_stator_inductance
     m = np.array([
         [-(lq + le), 0.0, 0.0, 0.0, 0.0, lmq],
         [0.0, -(ld + le), 0.0, lmd, lmd, 0.0],
-        [0.0, 0.0, -(l0 + le), 0.0, 0.0, 0.0],
+        [0.0, 0.0, -(params.L_ls + le), 0.0, 0.0, 0.0],
         [0.0, -lmd, 0.0, lmd + params.L_lf, lmd, 0.0],
         [0.0, -lmd, 0.0, lmd, lmd + params.L_lkd, 0.0],
         [-lmq, 0.0, 0.0, 0.0, 0.0, lmq + params.L_lkq],

@@ -27,7 +27,7 @@ class ClassicDq0Generator:
         ])
         self.md_inv = np.linalg.inv(md)
         self.mq_inv = np.linalg.inv(mq)
-        self.l0 = params.zero_seq_inductance
+        self.l0 = params.L_ls
 
     def currents(self, y):
         i_q, i_kq = self.mq_inv @ np.array([y[0], y[5]])

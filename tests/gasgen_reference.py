@@ -24,7 +24,8 @@ from apucosim.gasgen import (
     outputs_from_solution,
 )
 from apucosim.gasgen import properties as gas
-from apucosim.gasgen.cycle import P_STD, T_STD, NoSteadyState
+from apucosim.gasgen.cycle import (BURNER_ETA, BURNER_LOSS, EXHAUST_LOSS, P_STD, T_STD,
+                                   NoSteadyState)
 
 
 def mix_streams(a: GasState, b: GasState, Pt: float) -> GasState:
@@ -84,13 +85,13 @@ def compressor_calc(inlet: GasState, N: float, beta: float, params: GasGenParams
 
 def burner_calc(inlet: GasState, wf: float, params: GasGenParams) -> GasState:
     """Heat addition with calibrated efficiency and fixed pressure-loss fraction."""
-    p4 = inlet.Pt * (1.0 - params.burner_loss)
+    p4 = inlet.Pt * (1.0 - BURNER_LOSS)
     if wf == 0.0:
         return GasState(W=inlet.W, Tt=inlet.Tt, Pt=p4, FAR=inlet.FAR)
     w_air = inlet.W / (1.0 + inlet.FAR)
     w4 = inlet.W + wf
     far4 = (inlet.FAR * w_air + wf) / w_air
-    h4 = (inlet.W * inlet.h + params.burner_eta * wf * params.fuel_lhv_mj * 1000.0) / w4
+    h4 = (inlet.W * inlet.h + BURNER_ETA * wf * params.fuel_lhv_mj * 1000.0) / w4
     return GasState(W=w4, Tt=gas.temperature_from_enthalpy(h4, far4), Pt=p4, FAR=far4)
 
 
@@ -119,9 +120,9 @@ def turbine_calc(inlet4: GasState, cool_ngv: GasState, cool_rotor: GasState,
                          PW_turb=st41.W * (st41.h - h5u))
 
 
-def exhaust_calc(inlet: GasState, params: GasGenParams) -> GasState:
+def exhaust_calc(inlet: GasState) -> GasState:
     """Adiabatic exhaust duct with a total-pressure loss fraction."""
-    return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - params.exhaust_loss),
+    return GasState(W=inlet.W, Tt=inlet.Tt, Pt=inlet.Pt * (1.0 - EXHAUST_LOSS),
                     FAR=inlet.FAR)
 
 

@@ -35,6 +35,8 @@ from apucosim.gasgen import (
     design_point_size,
     off_design_solve,
 )
+from apucosim.gasgen.cycle import (BURNER_ETA, NGV_COOL_FRAC, OVERBOARD_FRAC,
+                                   ROTOR_COOL_FRAC)
 from apucosim.gasgen.engine import outputs_from_solution, trim_fuel
 from apucosim.numerics import StepperOptions, integrate_adaptive
 from apucosim.scenario import (
@@ -128,19 +130,19 @@ def test_criterion_2_conservation_sweep(gg_params):
                                                       mach=mach),
                                health, n)
         st = sol.stations
-        w_in = st[2].W * (1.0 - gg_params.overboard_frac) + sol.wf
+        w_in = st[2].W * (1.0 - OVERBOARD_FRAC) + sol.wf
         worst_mass = max(worst_mass, abs(st[8].W - w_in) / st[8].W)
         # node energy balances: burner heat release and the two cooling mixes
         lhv = gg_params.fuel_lhv_mj * 1000.0
-        burner = (st[31].W * st[31].h + gg_params.burner_eta * sol.wf * lhv
+        burner = (st[31].W * st[31].h + BURNER_ETA * sol.wf * lhv
                   - st[4].W * st[4].h)
         worst_energy = max(worst_energy,
                            abs(burner) / (st[4].W * abs(st[4].h)))
-        w_cool = gg_params.ngv_cool_frac * st[2].W
+        w_cool = NGV_COOL_FRAC * st[2].W
         mix41 = st[4].W * st[4].h + w_cool * st[3].h - st[41].W * st[41].h
         worst_energy = max(worst_energy,
                            abs(mix41) / (st[41].W * abs(st[41].h)))
-        w_rot = gg_params.rotor_cool_frac * st[2].W
+        w_rot = ROTOR_COOL_FRAC * st[2].W
         h5u = (st[5].W * st[5].h - w_rot * st[3].h) / st[41].W
         mix5 = st[41].W * (st[41].h - h5u) - sol.PW_turb
         worst_energy = max(worst_energy, abs(mix5) / sol.PW_turb)

@@ -247,6 +247,34 @@ def test_transient_writes_its_four_svgs(tmp_path, capsys):
         assert "<polyline" in (out / f"transient_design_{group}.svg").read_text()
 
 
+def test_transient_svgs_escape_the_scenario_name(tmp_path, capsys):
+    # the name is the SVG title's text, so its markup characters are escaped
+    from xml.dom import minidom
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "a&b<c", "duration": 0.2,
+                             "fuel_step": {"time_s": 0.1, "factor": 1.05}}))
+    out = tmp_path / "out"
+    assert main(["transient", "--scenario", str(p), "--out", str(out)]) == EXIT_OK
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == 4
+    for svg in svgs:
+        title = minidom.parse(str(svg)).getElementsByTagName("text")[0]
+        assert title.firstChild.data.startswith("a&b<c: ")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a\\b", "a\0b"])
+@pytest.mark.parametrize("command", ["transient", "joint"])
+def test_name_that_is_no_file_name_part_is_refused(tmp_path, capsys, command, name):
+    # the name is part of each output file's name, so a path separator or a
+    # NUL is refused at parse time, before any --out directory is made
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": name, "duration": 0.2}))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(p), "--out", str(out)]) == EXIT_USAGE
+    assert "at name: expected a name without /, \\ or NUL" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_genrun_design_load(tmp_path, capsys):
     rc = main(["genrun", "--duration", "0.2", "--out", str(tmp_path),
                "--json", "--no-svg"])
@@ -753,7 +781,7 @@ def test_pool_size_capped_at_cpus_and_runs(runs, threads, cpus, expected):
     assert cli._pool_size(runs, threads, cpus) == expected
 
 
-@pytest.mark.parametrize("threads", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("threads", ["-1", "1.5", "x", "²"])
 def test_pool_size_rejects_non_integer_variable(threads):
     with pytest.raises(ValueError, match="APU_COSIM_THREADS"):
         cli._pool_size(2, threads, 4)

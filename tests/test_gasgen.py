@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from apucosim.gasgen import (
     AltitudeOutOfRange,
     GasGenDesignSpec,
     GasGenInput,
+    GasGenParams,
     GasGenState,
     GasState,
     HEALTHY,
@@ -24,7 +25,13 @@ from apucosim.gasgen import (
 from apucosim.gasgen import properties as gas
 from apucosim.gasgen import cycle, engine
 from apucosim.gasgen.cycle import (
+    BURNER_ETA,
+    NGV_COOL_FRAC,
+    NOX_T_REF,
+    NOX_T_SCALE,
     NoSteadyState,
+    OVERBOARD_FRAC,
+    ROTOR_COOL_FRAC,
     T4OutOfRange,
     static_from_flow,
 )
@@ -291,7 +298,7 @@ def test_burner_outlet_above_the_table_raises_t4_out_of_range(gg_params):
     c = cycle._evaluate_cycle(*args, gg_params.wf_design, HEALTHY)[1]
 
     def excess(wf):
-        h4 = (c.w31 * c.h3 + gg_params.burner_eta * wf * gg_params.fuel_lhv_mj
+        h4 = (c.w31 * c.h3 + BURNER_ETA * wf * gg_params.fuel_lhv_mj
               * 1000.0) / (c.w31 + wf)
         return h4 - gas.enthalpy(gas.T_MAX, wf / c.w31)
 
@@ -430,7 +437,7 @@ def test_cycle_pass_matches_the_component_references(gg_params, design_solution,
     turb = turbine_calc(st4, GasState(W=0.05 * w2, Tt=st3.Tt, Pt=st4.Pt),
                         GasState(W=0.05 * w2, Tt=st3.Tt, Pt=st3.Pt), sol.N,
                         sol.turbine_pr, gg_params, health)
-    st8 = exhaust_calc(turb.st5, gg_params)
+    st8 = exhaust_calc(turb.st5)
     t = c.temperatures
     pairs = [
         (c.w2, w2), (c.p3, st3.Pt), (c.h3, st3.h), (c.pw_cpr, comp.PW_cpr),
@@ -444,9 +451,9 @@ def test_cycle_pass_matches_the_component_references(gg_params, design_solution,
         assert got == pytest.approx(ref, rel=1e-12), k
 
 
-def test_exhaust_rows(gg_params, design_solution):
+def test_exhaust_rows(design_solution):
     st5 = design_solution.stations[5]
-    st8 = exhaust_calc(st5, gg_params)
+    st8 = exhaust_calc(st5)
     assert st8.Pt == pytest.approx(104.3644, rel=5e-3)
     assert st8.Pt / st5.Pt == pytest.approx(0.98, abs=1e-12)
     assert st8.Tt == st5.Tt and st8.W == st5.W
@@ -486,23 +493,28 @@ def test_design_bleed_split(design_solution, gg_params):
 def test_closed_form_design_fuel_flow_matches_the_fixed_point(spec):
     params, sol = design_point_size(spec)
     # the burner inlet the sizing sees: dry air at the compressor exit
-    _, _, st2 = ambient_conditions(spec.altitude, spec.mach, spec.dT_ISA,
-                                   params.intake_recovery)
+    _, _, st2 = ambient_conditions(spec.altitude, spec.mach, spec.dT_ISA)
     h2 = gas.enthalpy(st2.Tt)
     t3s = gas.isentropic_temperature(st2.Tt, spec.pressure_ratio)
     h3 = h2 + (gas.enthalpy(t3s) - h2) / spec.eta_compressor
     w2 = spec.W2_design
-    w31 = (w2 - params.ngv_cool_frac * w2 - params.rotor_cool_frac * w2
-           - params.overboard_frac * w2)
+    w31 = w2 - NGV_COOL_FRAC * w2 - ROTOR_COOL_FRAC * w2 - OVERBOARD_FRAC * w2
     wf = params.wf_design
     assert wf == pytest.approx(design_fuel_flow(w31, h3, spec.T4_design, spec.fuel_LHV,
-                                                params.burner_eta), rel=1e-14)
+                                                BURNER_ETA), rel=1e-14)
     # the burner energy balance at that flow puts station 4 at T4, and so
     # does the design solution
-    h4 = (w31 * h3 + params.burner_eta * wf * spec.fuel_LHV * 1000.0) / (w31 + wf)
+    h4 = (w31 * h3 + BURNER_ETA * wf * spec.fuel_LHV * 1000.0) / (w31 + wf)
     assert gas.temperature_from_enthalpy(h4, wf / w31) == pytest.approx(
         spec.T4_design, rel=1e-12)
     assert sol.stations[4].Tt == pytest.approx(spec.T4_design, rel=1e-12)
+
+
+def test_sized_engine_holds_only_what_its_sizing_computes():
+    # the fixed arrangement is stated once, as the cycle's constants
+    assert [f.name for f in fields(GasGenParams)] == [
+        "cmap", "tmap", "design_speed", "ncor_design", "fuel_lhv_mj", "accessory_kw",
+        "inertia", "a3_m2", "a8_m2", "nox_p_ref", "wf_design", "pe_design"]
 
 
 def test_design_speed_and_power(design_solution):
@@ -539,8 +551,7 @@ def test_off_design_solve_evaluates_cycle_once_per_residual(gg_params, monkeypat
     monkeypatch.setattr(cycle, "_evaluate_cycle", counted_cycle)
     monkeypatch.setattr(cycle, "newton_solve", counted_solve)
     u = GasGenInput(wf=0.9 * gg_params.wf_design)
-    _, _, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA,
-                                   gg_params.intake_recovery)
+    _, _, st2 = ambient_conditions(u.altitude, u.mach, u.dT_ISA)
     cold = off_design_solve(gg_params, u, HEALTHY, N=35000.0)
     # warm: the carried Jacobian from the cold solve at a nearby speed
     warm = off_design_solve(gg_params, u, HEALTHY, N=35020.0, guess=cold)
@@ -794,10 +805,10 @@ def test_mass_and_energy_closure_random_envelope(gg_params):
                                                       mach=mach),
                                health, n)
         st = sol.stations
-        w_in = st[2].W - gg_params.overboard_frac * st[2].W + sol.wf
+        w_in = st[2].W - OVERBOARD_FRAC * st[2].W + sol.wf
         assert abs(st[8].W - w_in) <= 1e-12 * st[8].W
         # burner node energy balance
-        lhs = st[31].W * st[31].h + gg_params.burner_eta * sol.wf * 43124.0
+        lhs = st[31].W * st[31].h + BURNER_ETA * sol.wf * 43124.0
         assert abs(lhs - st[4].W * st[4].h) <= 1e-10 * abs(lhs)
         assert sol.newton_residual_norm < 1e-8
 
@@ -931,7 +942,7 @@ def test_output_projection_reads_the_station_table(gg_params):
         st3 = stations[3]
         assert sol.Ps3 == static_from_flow(st3.Tt, st3.Pt, st3.W, gg_params.a3_m2)[1]
         assert sol.NOx_severity == ((st3.Pt / gg_params.nox_p_ref) ** 0.4 * math.exp(
-            (st3.Tt - gg_params.nox_t_ref) / gg_params.nox_t_scale))
+            (st3.Tt - NOX_T_REF) / NOX_T_SCALE))
     cases = dict(_projection_cases(gg_params))
     assert cases["zero-fuel"].wf == 0.0 and math.isinf(cases["zero-fuel"].SFC)
     assert cases["zero-fuel"].stations[4].Tt == cases["zero-fuel"].stations[3].Tt

@@ -91,7 +91,6 @@ def test_build_L_reference_entries():
 
 def test_zero_sequence_default_and_override():
     assert build_L(WrsgParams()).L[2, 2] == pytest.approx(-19.8e-6)
-    assert build_L(WrsgParams(L_0=5e-5)).L[2, 2] == pytest.approx(-5e-5)
 
 
 # ----------------------------------------------------------- currents mapping
