@@ -151,7 +151,7 @@ def cmd_transient(args) -> int:
                 args.out, f"transient_{scn.name}_{group}.svg"),
                 title=f"{scn.name}: {', '.join(chans)}")
     print(f"transient run complete: {res.slow.n_samples} macro steps; "
-          f"final N = {res.gasgen_state.N:.1f} rpm; files: {files}")
+          f"final N = {res.slow.column('XNHPC')[-1]:.1f} rpm; files: {files}")
     return EXIT_OK
 
 

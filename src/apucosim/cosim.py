@@ -7,20 +7,21 @@ both marched one block of n steps per batched product), with power/speed
 coupling rules, spool-speed state noise, and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
-with the speed held from the last gas-generator update, accumulating its
-shaft power, (b) converts the accumulated energy into the gas-generator
-load, (c) updates the spool state from the cycle match at (N_{k-1},
-wf_{k-1}) and adds the state noise, a normal draw of width state_noise_rpm
-from the run's third seeded stream, (d) runs the regulators, the governor
-on the speed plus its output-noise draw, before (e) the one cycle match at
-(N_k, wf_k), started from the spool update's last (half-step) match, which
-gives the row's outputs and the next step's first match, then (f) hands
-the new speed back to the machine as a zero-order hold.  Machine events,
-TTSC faults and load steps, act at their times on the fast track, one
-within 1e-9 of a step of a macro boundary on that boundary; gas-path health
-swaps act from the boundary at or before their times, where the spool
-update re-solves its first match at the new health (as it does any match
-made at another speed or fuel flow).
+with the speed held from the last gas-generator update and the field
+voltage from the last AVR update, accumulating its shaft power, then runs
+the AVR on the step's phase-voltage rms, (b) converts the accumulated
+energy into the gas-generator load, (c) updates the spool state from the
+cycle match at (N_{k-1}, wf_{k-1}) and adds the state noise, a normal draw
+of width state_noise_rpm from the run's third seeded stream, (d) runs the
+governor on the speed plus its output-noise draw, before (e) the one cycle
+match at (N_k, wf_k), started from the spool update's last (half-step)
+match, which gives the row's outputs and the next step's first match, then
+(f) hands the new speed back to the machine as a zero-order hold.  Machine
+events, TTSC faults and load steps, act at their times on the fast track,
+one within 1e-9 of a step of a macro boundary on that boundary; gas-path
+health swaps act from the boundary at or before their times, where the
+spool update re-solves its first match at the new health (as it does any
+match made at another speed or fuel flow).
 """
 from __future__ import annotations
 
@@ -358,14 +359,15 @@ class FieldVoltageOutOfRange(UsageError):
 
 
 class _MachineTrack:
-    """Owns the electrical state, its steady start, the machine events (TTSC
-    faults and load steps), the macro step's shaft energy, the recorder and
-    the rms buffers; `noise` draws from `rng`, which may be None where all
-    its widths are 0."""
+    """The machine half of a macro step with its AVR: owns the electrical
+    state, its steady start, the machine events (TTSC faults and load
+    steps), the AVR state, the held field voltage V_fd, the macro step's
+    shaft energy and phase-voltage rms, the recorder and the rms buffers;
+    `noise` draws from `rng`, which may be None where all its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
-                 decimation: int, rng):
+                 decimation: int, rng, avr: AvrState, dt: float):
         if decimation < 1:
             raise ValueError("decimation must be an integer >= 1")
         self.params = params
@@ -378,33 +380,40 @@ class _MachineTrack:
         self.stepper = stepper
         self.decimation = decimation
         self.rng = rng
+        self.avr = avr
+        self.dt = dt               # the macro step, the AVR's control period
+        # the AVR's rms window, one electrical period at the rated frequency
+        self.window = 1.0 / params.f_n
         self.fault = HEALTHY_FAULT
         self.scale = 1.0           # the load's admittance scale
         self.state = None          # state array and V_fd: set by start()
+        self.v_rms = None          # per-phase rms of the last step: set by advance()
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
 
-    def start(self, w_e: float, v_set: float, v_fd_max: float):
+    def start(self, w_e: float) -> float:
         """Start at electrical speed w_e from the healthy steady state whose
-        phase rms is v_set, with every event at t <= 0 applied; returns the
-        field voltage and the start's shaft power, kW. A start whose field
-        voltage is not finite or above v_fd_max, the AVR's limit, raises
-        FieldVoltageOutOfRange."""
+        phase rms is the AVR's V_set, with every event at t <= 0 applied,
+        and seed the AVR integral with its field voltage; returns the
+        start's shaft power, kW. A start whose field voltage is not finite
+        or above the AVR's limit V_fd_max raises FieldVoltageOutOfRange."""
         fault_on = self._apply_events(0.0)
         speed_rpm = w_e * 30.0 / (math.pi * self.params.pole_pairs)
         r0, l0 = self.load.resistance(self.scale, speed_rpm), self.load.L_phase
+        v_set, v_fd_max = self.avr.V_set, self.avr.V_fd_max
         self.V_fd = field_voltage_for_terminal(self.params, r0, w_e, v_set, l0)
         if not self.V_fd <= v_fd_max:
             raise FieldVoltageOutOfRange(
                 f"the steady start at {v_set:g} V rms needs a field voltage of "
                 f"{self.V_fd:.6g} V, above the AVR's limit of {v_fd_max:g} V")
+        self.avr = replace(self.avr, integral=self.V_fd)
         st = steady_state(self.params, r0, self.V_fd, w_e, L_load=l0)
         self.state = (seed_fault_flux(st, self.fault, self.params) if fault_on
                       else st).as_array()
         sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0,
                                 model=self.model)
-        return self.V_fd, sys_.terminal(self.state)[4]
+        return sys_.terminal(self.state)[4]
 
     def _apply_events(self, t: float) -> bool:
         """Apply the events at or before t, each setting the fault or the
@@ -419,16 +428,19 @@ class _MachineTrack:
                 self.scale = event
         return self.fault.active and not was_active
 
-    def advance(self, t0: float, t1: float, w_e: float, V_fd: float) -> float:
-        """Integrate the machine over [t0, t1]; returns its shaft energy, kJ,
-        the trapezoid sum of the shaft power over the samples from t0.
+    def advance(self, k: int, w_e: float) -> float:
+        """Macro step k: integrate the machine over [(k - 1) dt, k dt] at the
+        held field voltage, then run the AVR on the per-phase rms over one
+        electrical period, kept as v_rms, giving the next step's V_fd;
+        returns the step's shaft energy, kJ, the trapezoid sum of the shaft
+        power over the samples from (k - 1) dt.
 
-        An event acts at its time, except that one within 1e-9 (t1 - t0)
-        after t0 or after the event before it acts there, and one within
-        that before t1 acts on t1. Where events act a segment on a new
-        system starts, its first power sample taken again, so the trapezoid
-        splits there as at a macro boundary."""
-        self.V_fd = V_fd
+        An event acts at its time, except that one within 1e-9 dt after the
+        step's start or after the event before it acts there, and one within
+        that before the step's end acts on it. Where events act a segment on
+        a new system starts, its first power sample taken again, so the
+        trapezoid splits there as at a macro boundary."""
+        t0, t1 = (k - 1) * self.dt, k * self.dt
         self._seg = []
         noise_w = None
         if self.noise.std_w1 or self.noise.std_w2:
@@ -444,7 +456,7 @@ class _MachineTrack:
                                     self.params).as_array()
             if ta == t1:
                 break
-            sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, V_fd,
+            sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd,
                                     self.load.resistance(self.scale, speed_rpm),
                                     noise_w=noise_w, model=self.model)
             # the step's trapezoid sum goes on from this (time, power) sample
@@ -454,6 +466,10 @@ class _MachineTrack:
             y = self._run(sys_, y, ta, tb)
             ta = tb
         self.state = y
+        # one pass over the C-contiguous (3, n) stack of the phase voltages
+        ts, _, v_abc = self.segment()
+        self.v_rms = rms_window(ts, np.ascontiguousarray(v_abc.T), self.window)
+        self.V_fd, self.avr = avr_step(self.avr, float(np.mean(self.v_rms)), self.dt)
         return self._energy
 
     def _run(self, sys_, y, ta, tb):
@@ -495,12 +511,6 @@ class _MachineTrack:
         """This macro step's samples: times, phase currents, phase voltages."""
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
-    def phase_rms(self, window: float):
-        """Trailing rms of the phase voltages over the last window, in one
-        pass over their C-contiguous (3, n) stack."""
-        ts, _, v_abc = self.segment()
-        return rms_window(ts, np.ascontiguousarray(v_abc.T), window)
-
     def fast_series(self) -> TimeSeries:
         names = tuple(n for n, _ in FAST_CHANNELS)
         units = tuple(u for _, u in FAST_CHANNELS)
@@ -516,10 +526,6 @@ class JointResult:
     fast: TimeSeries
     slow: TimeSeries
     audit: EnergyAudit
-    gasgen_state: GasGenState
-    machine_state: WrsgState
-    governor: GovernorState
-    avr: AvrState
 
 
 def whole_steps(duration: float, dt: float) -> int | None:
@@ -608,30 +614,26 @@ def run_joint(setup: JointSetup) -> JointResult:
     n0 = setup.governor.N_set
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
                           setup.machine_noise, setup.stepper,
-                          setup.decimation, rng_machine)
+                          setup.decimation, rng_machine, setup.avr, dt)
     _, w_e = coupling_speed(n0, coupling, setup.machine.pole_pairs)
-    v_fd0, p0 = track.start(w_e, setup.avr.V_set, setup.avr.V_fd_max)
+    p0 = track.start(w_e)
     health, swaps = health_swaps(setup.health_schedule, setup.macro_dt)
     pe0 = p0 / coupling.eta_gtTsg
     # the trimmed cycle solution is the first macro step's cycle match
     wf0, sol = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
     governor = replace(setup.governor,
                        integral=wf0 - setup.governor.wf_ff, prev_wf=wf0)
-    avr = replace(setup.avr, integral=v_fd0)
     x = GasGenState(N=n0)
     u = GasGenInput(wf=wf0, altitude=alt, mach=mach, dT_ISA=disa)
-    v_fd = v_fd0
-    period = 1.0 / (setup.machine.f_n)
 
     slow_names = tuple(n for n, _ in OUTPUT_CHANNELS) + tuple(n for n, _ in SLOW_EXTRA)
     slow_units = tuple(u for _, u in OUTPUT_CHANNELS) + tuple(u for _, u in SLOW_EXTRA)
     slow_t, slow_rows = [], []
 
     for k in range(1, n_steps + 1):
-        t0, t1 = (k - 1) * dt, k * dt
-        # (a) machine over the macro step with held speed
-        w_sg, w_e = coupling_speed(x.N, coupling, setup.machine.pole_pairs)
-        energy = track.advance(t0, t1, w_e, v_fd)
+        # (a) machine over the macro step with held speed, then its AVR
+        _, w_e = coupling_speed(x.N, coupling, setup.machine.pole_pairs)
+        energy = track.advance(k, w_e)
         # (b) power transfer: the step's mean machine power over eta
         pe_gt = energy / (dt * coupling.eta_gtTsg)
         # (c) health swap at the boundary, then spool update
@@ -642,37 +644,31 @@ def run_joint(setup: JointSetup) -> JointResult:
             if not 0.0 < n <= n_max:
                 raise SpeedOutOfRange(n, n_max)
             x = GasGenState(N=n)
-        # (d) output noise draws and regulators; (e) the match at (N_k, wf_k)
+        # (d) output noise draws and the governor; (e) the match at (N_k, wf_k)
         noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
         wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
         u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
         out, sol = output(gg, x, u, health, guess=half)
-        v_rms = float(np.mean(track.phase_rms(period)))
-        v_fd, avr = avr_step(avr, v_rms, dt)
         # (f) record; the speed handed back next step comes from the new x
         extra = (u.wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
-                 v_rms, v_fd, track.scale,
+                 float(np.mean(track.v_rms)), track.V_fd, track.scale,
                  track.fault.mu, track.fault.k_rf,
                  health.eta_c_factor, health.flow_c_factor,
                  health.eta_t_factor, health.flow_t_factor)
-        slow_t.append(t1)
+        slow_t.append(k * dt)
         slow_rows.append(tuple(v + noise.get(n, 0.0)
                                for v, (n, _) in zip(out, OUTPUT_CHANNELS)) + extra)
 
     slow = TimeSeries(names=slow_names, units=slow_units,
                       time=np.array(slow_t), data=np.array(slow_rows))
     return JointResult(fast=track.fast_series(), slow=slow,
-                       audit=energy_audit(slow, coupling.eta_gtTsg, dt),
-                       gasgen_state=x, machine_state=WrsgState.from_array(track.state),
-                       governor=governor, avr=avr)
+                       audit=energy_audit(slow, coupling.eta_gtTsg, dt))
 
 
 @dataclass
 class GeneratorRunResult:
     fast: TimeSeries
     rms_table: dict
-    machine_state: WrsgState
-    avr: AvrState
 
 
 # the AVR period of run_generator, and the stepper of its machine track
@@ -691,36 +687,30 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
         raise ValueError(f"duration must be a positive multiple of {dt:g} s")
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
-                          GENERATOR_STEPPER, decimation, rng=None)
-    v_fd, _ = track.start(w_e, avr.V_set, avr.V_fd_max)
-    avr = replace(avr, integral=v_fd)
-    period = 1.0 / machine.f_n
+                          GENERATOR_STEPPER, decimation, rng=None, avr=avr, dt=dt)
+    track.start(w_e)
     for k in range(1, n_steps + 1):
-        track.advance((k - 1) * dt, k * dt, w_e, v_fd)
-        v_rms = track.phase_rms(period)
-        v_fd, avr = avr_step(avr, float(np.mean(v_rms)), dt)
+        track.advance(k, w_e)
     # the last step's segment: its voltage rms is the AVR's last input
     ts, i_abc, v_abc = track.segment()
-    i_rms = rms_window(ts, np.ascontiguousarray(i_abc.T), period)
+    v_rms, window = track.v_rms, track.window
+    i_rms = rms_window(ts, np.ascontiguousarray(i_abc.T), window)
     vab, vbc, vca = (v_abc - np.roll(v_abc, -1, axis=1)).T
     rms_table = {
         "Phase A Voltage": v_rms[0], "Phase B Voltage": v_rms[1],
         "Phase C Voltage": v_rms[2],
-        "AB Line Voltage": rms_window(ts, vab, period),
-        "BC Line Voltage": rms_window(ts, vbc, period),
-        "CA Line Voltage": rms_window(ts, vca, period),
+        "AB Line Voltage": rms_window(ts, vab, window),
+        "BC Line Voltage": rms_window(ts, vbc, window),
+        "CA Line Voltage": rms_window(ts, vca, window),
         "Phase A Current": i_rms[0], "Phase B Current": i_rms[1],
         "Phase C Current": i_rms[2],
     }
-    return GeneratorRunResult(fast=track.fast_series(), rms_table=rms_table,
-                              machine_state=WrsgState.from_array(track.state),
-                              avr=avr)
+    return GeneratorRunResult(fast=track.fast_series(), rms_table=rms_table)
 
 
 @dataclass
 class TransientRunResult:
     slow: TimeSeries
-    gasgen_state: GasGenState
 
 
 def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_law,
@@ -752,4 +742,4 @@ def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_la
         rows.append(out + (u.wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),
                       data=np.array(rows))
-    return TransientRunResult(slow=slow, gasgen_state=x)
+    return TransientRunResult(slow=slow)

@@ -209,11 +209,19 @@ def _merge(defaults, given, path, key):
         return given
 
 
+# the longest name, in UTF-8 bytes, whose output files fit a 255-byte file
+# name: the longest a run makes is transient_<name>_manifest.json
+MAX_NAME_BYTES = 255 - len("transient_") - len("_manifest.json")
+
+
 def _validate(doc):
-    """The rules that relate two or more leaves, and the rule on `name`."""
+    """The rules that relate two or more leaves, and the rules on `name`."""
     # the name is part of each output file's name
     if any(c in doc["name"] for c in "/\\\0"):
         raise SchemaError("name", "a name without /, \\ or NUL", doc["name"])
+    if len(doc["name"].encode()) > MAX_NAME_BYTES:
+        raise SchemaError("name", f"a name of at most {MAX_NAME_BYTES} UTF-8 bytes",
+                          doc["name"])
     if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:
         raise SchemaError("governor.wf_min", "fuel flow below governor.wf_max",
                           doc["governor"]["wf_min"])

@@ -275,6 +275,31 @@ def test_name_that_is_no_file_name_part_is_refused(tmp_path, capsys, command, na
     assert not out.exists()
 
 
+def test_name_of_the_longest_file_name_part_runs(tmp_path, capsys):
+    # a name of MAX_NAME_BYTES UTF-8 bytes makes transient_<name>_manifest.json
+    # exactly 255 bytes long, the longest file name a run writes
+    name = "n" * 231
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": name, "duration": 0.2}))
+    out = tmp_path / "out"
+    assert main(["transient", "--scenario", str(p), "--out", str(out)]) == EXIT_OK
+    assert (out / f"transient_{name}_manifest.json").exists()
+    assert len(list(out.glob("*.svg"))) == 4
+
+
+@pytest.mark.parametrize("name", ["n" * 232, "\u00e9" * 116], ids=["ascii", "two-byte"])
+@pytest.mark.parametrize("command", ["transient", "joint"])
+def test_name_too_long_for_a_file_name_is_refused(tmp_path, capsys, command, name):
+    # over 231 UTF-8 bytes, whatever the count of characters, a run's file
+    # names pass 255 bytes: refused at parse time, before --out is made
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": name, "duration": 0.2}))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(p), "--out", str(out)]) == EXIT_USAGE
+    assert "at name: expected a name of at most 231 UTF-8 bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_genrun_design_load(tmp_path, capsys):
     rc = main(["genrun", "--duration", "0.2", "--out", str(tmp_path),
                "--json", "--no-svg"])

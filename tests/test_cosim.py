@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -26,7 +27,7 @@ from apucosim.numerics import (
     expm,
     integrate_adaptive,
 )
-from apucosim.scenario import build_joint_setup, parse_scenario
+from apucosim.scenario import build_joint_setup, parse_scenario, write_csv
 from apucosim.wrsg import (
     ElectricalSystem,
     FaultParams,
@@ -58,10 +59,14 @@ def mini_result():
 
 # ------------------------------------------------------------------- coupling
 
-def _track(fault_schedule=(), load=LoadModel.from_power(225.0)):
-    """A machine track, at 225 kW by default, that records every sample."""
+def _track(fault_schedule=(), load=LoadModel.from_power(225.0), v_fd_max=200.0):
+    """A machine track, at 225 kW by default, that records every sample, on
+    0.02 s macro steps; its AVR has no gains, so the field voltage holds at
+    the start's."""
+    avr = AvrState(K_p=0.0, K_i=0.0, V_fd_max=v_fd_max)
     return cosim._MachineTrack(WrsgParams(), load, fault_schedule, NoiseConfig(),
-                               GENERATOR_STEPPER, decimation=1, rng=None)
+                               GENERATOR_STEPPER, decimation=1, rng=None,
+                               avr=avr, dt=0.02)
 
 
 def _trapezoid(t, p):
@@ -72,8 +77,8 @@ def test_coupling_power_constant():
     # a healthy balanced start draws constant shaft power, so the macro
     # step's energy is that power times the step
     track = _track()
-    v_fd, p0 = track.start(W_E, 230.0, 200.0)
-    assert track.advance(0.0, 0.02, W_E, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
+    p0 = track.start(W_E)
+    assert track.advance(1, W_E) / 0.02 == pytest.approx(p0, rel=1e-12)
 
 
 def test_coupling_power_efficiency():
@@ -105,8 +110,8 @@ def test_coupling_power_ripple_rejection():
     # frequency; over a macro step of whole periods the step's mean power
     # is the samples' mean, whatever the ripple's phase at the ends
     track = _track(((0.0, FaultParams(mu=0.05, k_rf=1.0)),))
-    v_fd, _ = track.start(W_E, 230.0, 200.0)
-    energies = [track.advance(0.02 * k, 0.02 * (k + 1), W_E, v_fd) for k in range(7)]
+    track.start(W_E)
+    energies = [track.advance(k + 1, W_E) for k in range(7)]
     fast = track.fast_series()
     t, p = fast.time, fast.column("P_sg_total")
     # from the fourth step on, once the switch-on transient has settled
@@ -123,15 +128,15 @@ def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
     # advance sums the shaft power by the trapezoid rule from the start's
     # sample over every sample of the step, across a fault switch too
     track = _track(() if t_fault is None else ((t_fault, FaultParams(mu=0.05)),))
-    v_fd, p0 = track.start(W_E, 230.0, 200.0)
-    energy = track.advance(0.0, 0.02, W_E, v_fd)
+    p0 = track.start(W_E)
+    energy = track.advance(1, W_E)
     fast = track.fast_series()
     t = np.append(0.0, fast.time)
     p = np.append(p0, fast.column("P_sg_total"))
     assert t[-1] == 0.02
     assert energy == pytest.approx(_trapezoid(t, p), rel=1e-12)
     # the next step starts from this step's last sample
-    energy = track.advance(0.02, 0.04, W_E, v_fd)
+    energy = track.advance(2, W_E)
     fast = track.fast_series()
     step = fast.time >= 0.02
     assert energy == pytest.approx(
@@ -143,12 +148,12 @@ def test_track_start_is_steady_at_the_run_speed():
     # steady state: its power holds over the first macro step
     track = _track(load=LoadModel.from_power(225.0, kind="cubic-speed-law"))
     w_e = 0.9 * W_E
-    v_fd, p0 = track.start(w_e, 230.0, 200.0)
+    p0 = track.start(w_e)
     # 225 kW scaled by speed^3, drawn through both machines at eta_sg
     p = WrsgParams()
     assert p0 == pytest.approx(0.9 ** 3 * 225.0 * p.two_machine_factor / p.eta_sg,
                                rel=1e-9)
-    assert track.advance(0.0, 0.02, w_e, v_fd) / 0.02 == pytest.approx(p0, rel=1e-12)
+    assert track.advance(1, w_e) / 0.02 == pytest.approx(p0, rel=1e-12)
 
 
 def test_machine_noise_draws_only_the_recorded_voltages(monkeypatch):
@@ -175,12 +180,12 @@ def test_phase_rms_is_the_per_phase_loop(fault):
     # gives each phase's bits, on a healthy step and on one that a fault
     # splits into a healthy and a faulted segment
     track = _track(() if fault is None else ((0.013, fault),))
-    v_fd, _ = track.start(W_E, 230.0, 200.0)
-    track.advance(0.0, 0.02, W_E, v_fd)
+    track.start(W_E)
+    track.advance(1, W_E)
     assert track.fault.active is (fault is not None)
     ts, _, v_abc = track.segment()
     window = 1.0 / 400.0
-    rms = track.phase_rms(window)
+    rms = track.v_rms
     assert rms.shape == (3,)
     assert [rms[k] for k in range(3)] == [rms_window(ts, v_abc[:, k], window)
                                           for k in range(3)]
@@ -259,9 +264,11 @@ def test_track_start_refuses_a_field_voltage_above_the_limit():
     # the limit itself is accepted
     load = LoadModel.from_power(2000.0)
     with pytest.raises(cosim.FieldVoltageOutOfRange, match="310.372 V.* 200 V"):
-        _track(load=load).start(W_E, 230.0, 200.0)
+        _track(load=load).start(W_E)
     needed = field_voltage_for_terminal(WrsgParams(), load.R_phase, W_E, 230.0)
-    assert _track(load=load).start(W_E, 230.0, needed)[0] == needed
+    track = _track(load=load, v_fd_max=needed)
+    track.start(W_E)
+    assert track.V_fd == needed
 
 
 def test_joint_start_takes_the_avr_field_limit():
@@ -391,6 +398,43 @@ def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
     assert after[-1] == 0.02 and after[-1] - after[-2] <= 1e-4
 
 
+def _csv_digest(series, path):
+    write_csv(series, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_joint_run_golden_csvs(tmp_path):
+    # regression lock on a run with every kind of event and noise, whose
+    # AVR moves the field voltage: a load step to 0.6, a gas-path fault, a
+    # TTSC fault inside a macro step and seeded noise on all three streams;
+    # the digests are tied to this platform's libm, as the fuel-step one is
+    res = run_joint(build_joint_setup(_mini_scenario({
+        "load": {"schedule": [{"time_s": 0.1, "scale": 0.6}]},
+        "gas_path_faults": [{"time_s": 0.15, "eta_c_factor": 0.99}],
+        "ttsc_faults": [{"time_s": 0.2113, "mu": 0.05, "k_rf": 1.0}],
+        "noise": {"std_w1": 1, "std_w2": 0.5, "std_vi": 0.5, "std_vv": 1,
+                  "gasgen_output": {"XNHPC": 2, "T4": 1.5}},
+        "hook": {"std_rpm": 3}, "seed": 5}, duration=0.4)))
+    assert np.ptp(res.slow.column("V_fd")) > 10.0
+    assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
+        "8136d366766e7796634b09bd6617b7ec4b0fd7df503ed3902c613f87794d82e1")
+    assert _csv_digest(res.slow, tmp_path / "slow.csv") == (
+        "93ca33ba629562523978023944fe32a8f7286c29795d02963fcdf7185c960ffa")
+
+
+def test_generator_run_golden_outputs(tmp_path):
+    # regression lock on a faulted generator run: the fast track at
+    # decimation 1 and the last step's rms table
+    res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                        speed_rpm=12000.0, duration=0.2, decimation=1,
+                        fault_schedule=((0.1, FaultParams(mu=0.05)),))
+    assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
+        "699444ff308fc635cf6652b437bff73a67bacf84e2a20715178e2d67baa28207")
+    table = json.dumps(res.rms_table, sort_keys=True).encode()
+    assert hashlib.sha256(table).hexdigest() == (
+        "7c887e9382a9254cfe9fbec904a6bdcb89d667e4fa2b0f5397709dd3ddfda756")
+
+
 def test_load_step_acts_at_its_time_inside_a_macro_step():
     # a load step to 0.6 and a health swap, both at 0.03 s, half way through
     # the second macro step: that step draws full load, then 0.6, so its
@@ -423,14 +467,14 @@ def test_event_just_after_the_start_acts_at_the_first_step():
     for t_ev in (1e-12, 1.5e-11):
         track = _track(((t_ev, FaultParams(mu=0.05, k_rf=1.0)),),
                        load=LoadModel.from_power(225.0, schedule=((t_ev, 0.6),)))
-        v_fd, _ = track.start(W_E, 230.0, 200.0)
+        track.start(W_E)
         assert track.scale == 1.0 and not track.fault.active
-        energies.append(track.advance(0.0, 0.02, W_E, v_fd))
+        energies.append(track.advance(1, W_E))
         assert track.scale == 0.6 and track.fault.active
         assert track.fast_series().time[0] > 1e-9
     untouched = _track()
-    v_fd, _ = untouched.start(W_E, 230.0, 200.0)
-    assert energies[0] == energies[1] != untouched.advance(0.0, 0.02, W_E, v_fd)
+    untouched.start(W_E)
+    assert energies[0] == energies[1] != untouched.advance(1, W_E)
 
 
 # ---------------------------------------------- period grid and block march
