@@ -257,6 +257,8 @@ def cmd_joint(args) -> int:
                 ("currents", "fast", ["ia", "ib", "ic"]),
                 ("voltages", "fast", ["va", "vb", "vc"])):
             series = getattr(result, track)
+            if not series.n_samples:
+                continue    # a decimation longer than the run records no fast row
             sc.emit_svg(series, chans,
                         os.path.join(out, f"joint_{scn.name}_{group}.svg"),
                         title=f"{scn.name}: {', '.join(chans)}")

@@ -3,8 +3,10 @@ gas-generator macro step (the exact propagator of the affine flux equations
 on healthy segments, on the uniform max_step grid; a sixth-order Magnus
 integrator on faulted ones, on a grid of n steps per electrical period, at
 most max_step each, so that only one period's propagators are computed;
-both marched one block of n steps per batched product), with power/speed
-coupling rules, spool-speed state noise, and per-step energy bookkeeping.
+both marched one block of n steps per batched product; a segment whose
+system differs from the last one's only in its field voltage marches that
+one's propagators), with power/speed coupling rules, spool-speed state
+noise, and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update and the field
@@ -196,13 +198,15 @@ def _prefix_products(steps):
     return phi
 
 
-def _march(sys_, y, ta, times, prefix, last):
+def _march(sys_, y, ta, times, prefix, last, forcing=1.0):
     """States on `times` from y at ta. The augmented vector z = (the seven
-    fluxes, 1) crosses the full steps one block at a time, prefix[j] being
-    the propagator over j + 1 steps from a block's start, so that a block is
-    one batched product prefix[:b] @ z; `last` takes it over the last step.
-    theta = theta0 + w_e (t - ta)."""
-    z = np.append(y[:7], 1.0)
+    fluxes, forcing) crosses the full steps one block at a time, prefix[j]
+    being the propagator over j + 1 steps from a block's start, so that a
+    block is one batched product prefix[:b] @ z; `last` takes it over the
+    last step. The propagators' forcing columns, linear in b (Van Loan
+    1978), enter only times z's last entry, which their unit last rows
+    keep, so `forcing` scales them. theta = theta0 + w_e (t - ta)."""
+    z = np.append(y[:7], forcing)
     states = np.empty((times.size, 8))
     full = times.size - 1
     for k in range(0, full, max(1, len(prefix))):
@@ -212,6 +216,22 @@ def _march(sys_, y, ta, times, prefix, last):
     states[-1, :7] = (last @ z)[:7]
     states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
     return states
+
+
+def _healthy_propagators(sys_: ElectricalSystem, h: float, size: int, last_h: float):
+    """The powers P^1..P^n of the step propagator P = exp([[A, b], [0, 0]] h)
+    of a healthy segment of `size` grid steps, n as many as a faulted
+    segment's grid puts in one electrical period (at most size - 1), and the
+    propagator of its last step, last_h long."""
+    gen = np.zeros((8, 8))
+    gen[:7, :7] = sys_.basis[0].reshape(7, 7)
+    gen[:7, 7] = sys_.b
+    step = expm(gen * h)
+    # a last step within _grid's rounding allowance of h is a full step
+    last = step if abs(last_h - h) <= 1e-9 * h else expm(gen * last_h)
+    step[6:] = last[6:] = _UNIT_ROWS[6:]
+    block = min(_period_grid(sys_.w_e, h)[1], size - 1)
+    return _prefix_products(np.broadcast_to(step, (block, 8, 8))), last
 
 
 def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float):
@@ -229,15 +249,7 @@ def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float)
         raise ValueError("a shorted stator turn makes the flux equations "
                          "depend on the rotor angle")
     times, t_last = _grid(ta, tb, h)
-    gen = np.zeros((8, 8))
-    gen[:7, :7] = sys_.basis[0].reshape(7, 7)
-    gen[:7, 7] = sys_.b
-    step = expm(gen * h)
-    # a last step within _grid's rounding allowance of h is a full step
-    last = step if abs(tb - t_last - h) <= 1e-9 * h else expm(gen * (tb - t_last))
-    step[6:] = last[6:] = _UNIT_ROWS[6:]
-    block = min(_period_grid(sys_.w_e, h)[1], times.size - 1)
-    powers = _prefix_products(np.broadcast_to(step, (block, 8, 8)))
+    powers, last = _healthy_propagators(sys_, h, times.size, tb - t_last)
     return times, _march(sys_, y, ta, times, powers, last)
 
 
@@ -289,52 +301,58 @@ def _substeps(w_e, ta, tb, max_step, m):
     return times, sub.ravel(), np.repeat(lengths, m)
 
 
+def _error_estimates(diff, y, forcing, rtol: float, atol):
+    """Each sub-step's embedded error estimate |(Omega6 - Omega4) z| over
+    atol + rtol |lam|, channel by channel, z = (the fluxes of y, forcing)."""
+    return np.abs(diff[:, :7] @ np.append(y[:7], forcing)) / (atol + rtol * np.abs(y[:7]))
+
+
+def _substep_count(worst: float) -> int:
+    """The smallest power of two m with worst <= m^5, where that is at most
+    MAGNUS_MAX_SUBSTEPS, else 2 MAGNUS_MAX_SUBSTEPS."""
+    m = 1
+    while worst > m ** 5 and m <= MAGNUS_MAX_SUBSTEPS:
+        m *= 2
+    return m
+
+
+def _substep_plan(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
+                  rtol: float, atol):
+    """magnus_substeps's m, with the differences Omega6 - Omega4 of one
+    sub-step per computed grid step that its estimate is taken from."""
+    _, starts, dt = _substeps(sys_.w_e, ta, tb, h, 1)
+    diff = np.concatenate([
+        _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e, ta,
+                          starts[k:k + MAGNUS_CHUNK], dt[k:k + MAGNUS_CHUNK])[1]
+        for k in range(0, starts.size, MAGNUS_CHUNK)])
+    err = _finite(_error_estimates(diff, y, 1.0, rtol, atol), starts)
+    m = _substep_count(float(np.max(err)))
+    if m > MAGNUS_MAX_SUBSTEPS:
+        raise StepUnderflow(ta, h / m, h / MAGNUS_MAX_SUBSTEPS)
+    return m, diff
+
+
 def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
                     rtol: float, atol) -> int:
     """Sub-steps per grid step for propagate_magnus: the smallest power of two
     m at which every sub-step's embedded error estimate |(Omega6 - Omega4) z|
     meets atol + rtol |lam| channel by channel.
 
-    The estimate is taken once, with one sub-step per computed grid step of
+    The estimate is taken with one sub-step per computed grid step of
     propagate_magnus, and divided by m^5, its order in the step length; z is
     the state at ta. A tolerance that needs more than MAGNUS_MAX_SUBSTEPS
     raises StepUnderflow.
     """
-    _, starts, dt = _substeps(sys_.w_e, ta, tb, h, 1)
-    z = np.append(y[:7], 1.0)
-    scale = atol + rtol * np.abs(y[:7])
-    worst = 0.0
-    for k in range(0, starts.size, MAGNUS_CHUNK):
-        part = slice(k, k + MAGNUS_CHUNK)
-        _, diff = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e,
-                                    ta, starts[part], dt[part])
-        err = _finite(np.abs(diff[:, :7] @ z) / scale, starts[part])
-        worst = max(worst, float(np.max(err)))
-    m = 1
-    while worst > m ** 5:
-        m *= 2
-        if m > MAGNUS_MAX_SUBSTEPS:
-            raise StepUnderflow(ta, h / m, h / MAGNUS_MAX_SUBSTEPS)
-    return m
+    return _substep_plan(sys_, y, ta, tb, h, rtol, atol)[0]
 
 
-def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
-                     rtol: float, atol):
-    """Solution of a segment with a shorted stator turn: (times, states), the
-    start excluded, on a grid locked to the electrical period T_e: steps of
-    T_e / n from ta, with n the fewest per period that are at most h, the
-    last one clipped to end on tb.
-
-    The seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta in
-    closed form, so step j's propagator is step (j mod n)'s, and only the
-    first period's full steps and the last step are computed. Each is cut
-    into magnus_substeps() equal sub-steps, each the exponential of its
-    sixth-order Magnus exponent, taken in batches of MAGNUS_CHUNK sub-steps
-    (of one grid step's when it has more); their product is the step's
-    propagator. The period's prefix products are marched one period per
-    batched product, as in propagate_healthy.
-    """
-    m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
+def _magnus_propagators(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
+                        m: int):
+    """The grid of propagate_magnus, the prefix products of its first
+    period's full-step propagators and its last step's propagator, each
+    step the product of the exponentials of its m sub-steps' Magnus
+    exponents, taken in batches of MAGNUS_CHUNK sub-steps (of one grid
+    step's when it has more)."""
     times, starts, dt = _substeps(sys_.w_e, ta, tb, h, m)
     size = max(1, MAGNUS_CHUNK // m) * m
     steps = []
@@ -350,19 +368,78 @@ def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
         steps.append(e[:, 0])
     steps = np.concatenate(steps)
     steps[:, 7] = _UNIT_ROWS[7]
-    return times, _march(sys_, y, ta, times, _prefix_products(steps[:-1]),
-                         steps[-1])
+    return times, _prefix_products(steps[:-1]), steps[-1]
+
+
+def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
+                     rtol: float, atol):
+    """Solution of a segment with a shorted stator turn: (times, states), the
+    start excluded, on a grid locked to the electrical period T_e: steps of
+    T_e / n from ta, with n the fewest per period that are at most h, the
+    last one clipped to end on tb.
+
+    The seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta in
+    closed form, so step j's propagator is step (j mod n)'s, and only the
+    first period's full steps and the last step are computed. Each is cut
+    into magnus_substeps() equal sub-steps, each the exponential of its
+    sixth-order Magnus exponent; their product is the step's propagator
+    (_magnus_propagators). The period's prefix products are marched one
+    period per batched product, as in propagate_healthy.
+    """
+    m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
+    times, prefix, last = _magnus_propagators(sys_, y, ta, tb, h, m)
+    return times, _march(sys_, y, ta, times, prefix, last)
 
 
 class FieldVoltageOutOfRange(UsageError):
     """A steady start whose field voltage the AVR cannot give."""
 
 
+@dataclass
+class _Propagators:
+    """A segment's propagators as _MachineTrack keeps them for the next
+    segment that differs from it only in V_fd (_reusable)."""
+    system: tuple           # (w_e, R_load, fault, grid steps)
+    last_h: float           # the last step's length
+    V_fd: float             # the field voltage of their forcing columns
+    theta: float            # the start angle
+    prefix: np.ndarray      # over 1..n steps from a block's start
+    last: np.ndarray        # over the last step
+    m: int = 0              # sub-steps per grid step, when faulted
+    diff: np.ndarray | None = None  # Omega6 - Omega4 at m = 1, when faulted
+
+
+def _reusable(kept: _Propagators | None, sys_: ElectricalSystem, y, size: int,
+              last_h: float, h: float, stepper: StepperOptions) -> bool:
+    """Whether the kept propagators serve a segment of `size` grid steps h,
+    the last one last_h long, from y on sys_: whether the two systems differ
+    only in V_fd (the same w_e, R_load and fault, no equation noise, the
+    same grid to _grid's 1e-9 h allowance, and a kept V_fd other than 0 to
+    scale their forcing columns from) and, when faulted, the start
+    angle repeats the kept one's mod 2 pi to 1e-9 of a step's angle and the
+    error estimate re-taken from y and the kept differences, their forcing
+    columns scaled to sys_.V_fd, picks the kept m."""
+    if (kept is None or kept.system != (sys_.w_e, sys_.R_load, sys_.fault, size)
+            or sys_.noise_w.any() or not kept.V_fd
+            or abs(last_h - kept.last_h) > 1e-9 * h):
+        return False
+    if kept.diff is None:
+        return True
+    turn = math.remainder(y[IDX_THETA] - kept.theta, 2.0 * math.pi)
+    if not abs(turn) <= 1e-9 * abs(sys_.w_e) * h:
+        return False
+    worst = float(np.max(_error_estimates(
+        kept.diff, y, sys_.V_fd / kept.V_fd, stepper.relative_tolerance,
+        stepper.absolute_tolerance)))
+    return math.isfinite(worst) and _substep_count(worst) == kept.m
+
+
 class _MachineTrack:
     """The machine half of a macro step with its AVR: owns the electrical
     state, its steady start, the machine events (TTSC faults and load
     steps), the AVR state, the held field voltage V_fd, the macro step's
-    shaft energy and phase-voltage rms, the recorder and the rms buffers;
+    shaft energy and phase-voltage rms, the recorder, the rms buffers and
+    the propagators last built for a healthy and a faulted segment;
     `noise` draws from `rng`, which may be None where all its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
@@ -391,6 +468,8 @@ class _MachineTrack:
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
+        # the propagators last built for a noise-free segment, by fault state
+        self._kept = {False: None, True: None}
 
     def start(self, w_e: float) -> float:
         """Start at electrical speed w_e from the healthy steady state whose
@@ -473,18 +552,38 @@ class _MachineTrack:
         return self._energy
 
     def _run(self, sys_, y, ta, tb):
-        h = self.stepper.max_step
-        if self.fault.active:
-            times, states = propagate_magnus(
-                sys_, y, ta, tb, h, self.stepper.relative_tolerance,
-                self.stepper.absolute_tolerance)
-        else:
-            times, states = propagate_healthy(sys_, y, ta, tb, h)
+        times, prefix, last, forcing = self._propagators(sys_, y, ta, tb)
+        states = _march(sys_, y, ta, times, prefix, last, forcing)
         self._record(sys_, times, states)
         y = states[-1].copy()
         # wrap the electrical angle to keep trig arguments small
         y[IDX_THETA] = math.fmod(y[IDX_THETA], 2.0 * math.pi)
         return y
+
+    def _propagators(self, sys_, y, ta, tb):
+        """The segment's grid, its propagators (propagate_healthy's or
+        propagate_magnus's) and the scale of their forcing columns: the
+        ones kept for this fault state, scaled by V_fd over theirs, where
+        _reusable allows, else new ones, kept if the segment has no
+        equation noise."""
+        faulted, opts = self.fault.active, self.stepper
+        h = _period_grid(sys_.w_e, opts.max_step)[0] if faulted else opts.max_step
+        times, t_last = _grid(ta, tb, h)
+        kept = self._kept[faulted]
+        if _reusable(kept, sys_, y, times.size, tb - t_last, h, opts):
+            return times, kept.prefix, kept.last, sys_.V_fd / kept.V_fd
+        m, diff = 0, None
+        if faulted:
+            m, diff = _substep_plan(sys_, y, ta, tb, opts.max_step,
+                                    opts.relative_tolerance, opts.absolute_tolerance)
+            _, prefix, last = _magnus_propagators(sys_, y, ta, tb, opts.max_step, m)
+        else:
+            prefix, last = _healthy_propagators(sys_, h, times.size, tb - t_last)
+        if not sys_.noise_w.any():
+            self._kept[faulted] = _Propagators(
+                (sys_.w_e, sys_.R_load, sys_.fault, times.size), tb - t_last,
+                sys_.V_fd, y[IDX_THETA], prefix, last, m, diff)
+        return times, prefix, last, 1.0
 
     def _record(self, sys_, times, states):
         """Fast-track pass over one segment's samples: shaft energy, the rms

@@ -219,7 +219,11 @@ def _validate(doc):
     # the name is part of each output file's name
     if any(c in doc["name"] for c in "/\\\0"):
         raise SchemaError("name", "a name without /, \\ or NUL", doc["name"])
-    if len(doc["name"].encode()) > MAX_NAME_BYTES:
+    try:
+        size = len(doc["name"].encode())
+    except UnicodeEncodeError:
+        raise SchemaError("name", "a name encodable as UTF-8", doc["name"]) from None
+    if size > MAX_NAME_BYTES:
         raise SchemaError("name", f"a name of at most {MAX_NAME_BYTES} UTF-8 bytes",
                           doc["name"])
     if doc["governor"]["wf_min"] >= doc["governor"]["wf_max"]:

@@ -300,6 +300,30 @@ def test_name_too_long_for_a_file_name_is_refused(tmp_path, capsys, command, nam
     assert not out.exists()
 
 
+def test_name_not_encodable_as_utf8_is_refused(tmp_path, capsys):
+    # a lone surrogate has no UTF-8 bytes, so it can name no file
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "a\ud800b", "duration": 0.04}))
+    out = tmp_path / "out"
+    assert main(["transient", "--no-svg", "--scenario", str(p),
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "at name: expected a name encodable as UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_joint_without_a_fast_row_writes_the_slow_track_and_its_plots(tmp_path, capsys):
+    # a decimation longer than the run records no fast-track row: there is
+    # no fast CSV and nothing to plot of the phase currents and voltages
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"name": "sparse", "duration": 0.04,
+                             "record": {"decimation": 100000}}))
+    assert main(["joint", "--scenario", str(p), "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "joint_sparse_slow.csv").exists()
+    assert not (tmp_path / "joint_sparse_fast.csv").exists()
+    svgs = sorted(f.name for f in tmp_path.glob("*.svg"))
+    assert len(svgs) == 5 and not any("currents" in f or "voltages" in f for f in svgs)
+
+
 def test_genrun_design_load(tmp_path, capsys):
     rc = main(["genrun", "--duration", "0.2", "--out", str(tmp_path),
                "--json", "--no-svg"])

@@ -429,10 +429,75 @@ def test_generator_run_golden_outputs(tmp_path):
                         speed_rpm=12000.0, duration=0.2, decimation=1,
                         fault_schedule=((0.1, FaultParams(mu=0.05)),))
     assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
-        "699444ff308fc635cf6652b437bff73a67bacf84e2a20715178e2d67baa28207")
+        "b6d00c96f761f627527b139f8e0c3de22dcd9439baaf01a8d98b91b0e7c06cd8")
     table = json.dumps(res.rms_table, sort_keys=True).encode()
     assert hashlib.sha256(table).hexdigest() == (
-        "7c887e9382a9254cfe9fbec904a6bdcb89d667e4fa2b0f5397709dd3ddfda756")
+        "d0db2a0cda8918400b1e3ec6f1a700f4c5f5b99c1aa4ef3e26f9e22060ae120e")
+
+
+def _count_builds(monkeypatch):
+    """The fault state and m of each propagator build the machine track makes."""
+    builds = []
+    healthy, faulted = cosim._healthy_propagators, cosim._magnus_propagators
+
+    def healthy_counted(*args):
+        builds.append(("healthy", 0))
+        return healthy(*args)
+
+    def faulted_counted(sys_, y, ta, tb, h, m):
+        builds.append(("faulted", m))
+        return faulted(sys_, y, ta, tb, h, m)
+
+    monkeypatch.setattr(cosim, "_healthy_propagators", healthy_counted)
+    monkeypatch.setattr(cosim, "_magnus_propagators", faulted_counted)
+    return builds
+
+
+def _faulted_run(rpm):
+    # the fault 13.7 ms into the third of six macro steps, the AVR moving V_fd
+    return run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                         speed_rpm=rpm, duration=0.12, decimation=1,
+                         fault_schedule=((0.0537, FaultParams(mu=0.05, k_rf=1.0)),))
+
+
+def test_whole_periods_per_macro_step_keep_the_step_propagators(monkeypatch):
+    # at 12000 rpm a macro step is 8 periods of 400 Hz: after the first
+    # full step each system differs from the last only in its field voltage
+    builds = _count_builds(monkeypatch)
+    res = _faulted_run(12000.0)
+    # healthy: the first step and the one up to the onset; faulted: the
+    # onset's segment and the first full step
+    assert [kind for kind, _ in builds] == ["healthy"] * 2 + ["faulted"] * 2
+    assert np.ptp(res.fast.column("V_fd")) > 1.0
+    builds.clear()
+    monkeypatch.setattr(cosim, "_reusable", lambda *args: False)
+    fresh = _faulted_run(12000.0)
+    assert [kind for kind, _ in builds] == ["healthy"] * 3 + ["faulted"] * 4
+    assert np.array_equal(res.fast.time, fresh.fast.time)
+    scale = np.max(np.abs(fresh.fast.data), axis=0)
+    assert np.all(np.abs(res.fast.data - fresh.fast.data) <= 1e-12 * scale)
+
+
+def test_a_start_angle_that_does_not_repeat_rebuilds_every_faulted_segment(monkeypatch):
+    # at 11000 rpm a macro step is 7.33 periods: the healthy propagators
+    # hold no angle and are kept, the faulted ones are built each step
+    builds = _count_builds(monkeypatch)
+    _faulted_run(11000.0)
+    assert [kind for kind, _ in builds] == ["healthy"] * 2 + ["faulted"] * 4
+
+
+def test_a_tolerance_that_raises_m_rebuilds_the_kept_period(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    track = _track(fault_schedule=((0.0, FaultParams(mu=0.05, k_rf=1.0)),))
+    track.start(W_E)
+    track.advance(1, W_E)
+    track.advance(2, W_E)
+    assert len(builds) == 1
+    # the re-taken estimate of a tighter tolerance needs more sub-steps
+    track.stepper = replace(track.stepper, absolute_tolerance=1e-9)
+    track.advance(3, W_E)
+    (_, m_kept), (_, m_new) = builds
+    assert (m_kept, m_new) == (4, 8)
 
 
 def test_load_step_acts_at_its_time_inside_a_macro_step():
