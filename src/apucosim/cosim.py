@@ -218,41 +218,6 @@ def _march(sys_, y, ta, times, prefix, last, forcing=1.0):
     return states
 
 
-def _healthy_propagators(sys_: ElectricalSystem, h: float, size: int, last_h: float):
-    """The powers P^1..P^n of the step propagator P = exp([[A, b], [0, 0]] h)
-    of a healthy segment of `size` grid steps, n as many as a faulted
-    segment's grid puts in one electrical period (at most size - 1), and the
-    propagator of its last step, last_h long."""
-    gen = np.zeros((8, 8))
-    gen[:7, :7] = sys_.basis[0].reshape(7, 7)
-    gen[:7, 7] = sys_.b
-    step = expm(gen * h)
-    # a last step within _grid's rounding allowance of h is a full step
-    last = step if abs(last_h - h) <= 1e-9 * h else expm(gen * last_h)
-    step[6:] = last[6:] = _UNIT_ROWS[6:]
-    block = min(_period_grid(sys_.w_e, h)[1], size - 1)
-    return _prefix_products(np.broadcast_to(step, (block, 8, 8))), last
-
-
-def propagate_healthy(sys_: ElectricalSystem, y, ta: float, tb: float, h: float):
-    """Exact solution of a healthy segment on the uniform grid ta + k h, the
-    last step clipped to end on tb: (times, states), the start excluded.
-
-    Speed, field voltage, load and equation noise are held and the fault
-    branch is open, so the seven fluxes obey d lam/dt = A lam + b with A the
-    constant matrix of sys_.basis, whose lam_f row is zero, and every full
-    step is the same product with P = exp([[A, b], [0, 0]] h); the march
-    takes blocks of as many steps as a faulted segment's grid puts in one
-    electrical period, with P^1..P^n; theta = theta0 + w_e t.
-    """
-    if sys_.fault.active:
-        raise ValueError("a shorted stator turn makes the flux equations "
-                         "depend on the rotor angle")
-    times, t_last = _grid(ta, tb, h)
-    powers, last = _healthy_propagators(sys_, h, times.size, tb - t_last)
-    return times, _march(sys_, y, ta, times, powers, last)
-
-
 def _commutator(x, y):
     return x @ y - y @ x
 
@@ -288,19 +253,6 @@ def _finite(x, starts):
     return x
 
 
-def _substeps(w_e, ta, tb, max_step, m):
-    """The grid of a faulted segment, _period_grid's steps from ta with the
-    last one clipped to end on tb, and the starts and lengths of the m equal
-    sub-steps of each step whose propagator is computed: the full steps of
-    the first period, which every later period repeats, and the last step."""
-    h, n = _period_grid(w_e, max_step)
-    times, t_last = _grid(ta, tb, h)
-    starts = np.append(ta + h * np.arange(min(n, times.size - 1)), t_last)
-    lengths = np.append(np.full(starts.size - 1, h), tb - t_last) / m
-    sub = starts[:, None] + lengths[:, None] * np.arange(m)
-    return times, sub.ravel(), np.repeat(lengths, m)
-
-
 def _error_estimates(diff, y, forcing, rtol: float, atol):
     """Each sub-step's embedded error estimate |(Omega6 - Omega4) z| over
     atol + rtol |lam|, channel by channel, z = (the fluxes of y, forcing)."""
@@ -316,89 +268,11 @@ def _substep_count(worst: float) -> int:
     return m
 
 
-def _substep_plan(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
-                  rtol: float, atol):
-    """magnus_substeps's m, with the differences Omega6 - Omega4 of one
-    sub-step per computed grid step that its estimate is taken from."""
-    _, starts, dt = _substeps(sys_.w_e, ta, tb, h, 1)
-    diff = np.concatenate([
-        _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e, ta,
-                          starts[k:k + MAGNUS_CHUNK], dt[k:k + MAGNUS_CHUNK])[1]
-        for k in range(0, starts.size, MAGNUS_CHUNK)])
-    err = _finite(_error_estimates(diff, y, 1.0, rtol, atol), starts)
-    m = _substep_count(float(np.max(err)))
-    if m > MAGNUS_MAX_SUBSTEPS:
-        raise StepUnderflow(ta, h / m, h / MAGNUS_MAX_SUBSTEPS)
-    return m, diff
-
-
-def magnus_substeps(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
-                    rtol: float, atol) -> int:
-    """Sub-steps per grid step for propagate_magnus: the smallest power of two
-    m at which every sub-step's embedded error estimate |(Omega6 - Omega4) z|
-    meets atol + rtol |lam| channel by channel.
-
-    The estimate is taken with one sub-step per computed grid step of
-    propagate_magnus, and divided by m^5, its order in the step length; z is
-    the state at ta. A tolerance that needs more than MAGNUS_MAX_SUBSTEPS
-    raises StepUnderflow.
-    """
-    return _substep_plan(sys_, y, ta, tb, h, rtol, atol)[0]
-
-
-def _magnus_propagators(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
-                        m: int):
-    """The grid of propagate_magnus, the prefix products of its first
-    period's full-step propagators and its last step's propagator, each
-    step the product of the exponentials of its m sub-steps' Magnus
-    exponents, taken in batches of MAGNUS_CHUNK sub-steps (of one grid
-    step's when it has more)."""
-    times, starts, dt = _substeps(sys_.w_e, ta, tb, h, m)
-    size = max(1, MAGNUS_CHUNK // m) * m
-    steps = []
-    for k in range(0, starts.size, size):
-        part = slice(k, k + size)
-        omega, _ = _magnus_exponents(sys_.basis, sys_.b, y[IDX_THETA],
-                                     sys_.w_e, ta, starts[part], dt[part])
-        e = _finite(expm(_finite(omega, starts[part])), starts[part])
-        # each grid step's sub-step exponentials, later ones on the left
-        e = e.reshape(-1, m, 8, 8)
-        while e.shape[1] > 1:
-            e = e[:, 1::2] @ e[:, 0::2]
-        steps.append(e[:, 0])
-    steps = np.concatenate(steps)
-    steps[:, 7] = _UNIT_ROWS[7]
-    return times, _prefix_products(steps[:-1]), steps[-1]
-
-
-def propagate_magnus(sys_: ElectricalSystem, y, ta: float, tb: float, h: float,
-                     rtol: float, atol):
-    """Solution of a segment with a shorted stator turn: (times, states), the
-    start excluded, on a grid locked to the electrical period T_e: steps of
-    T_e / n from ta, with n the fewest per period that are at most h, the
-    last one clipped to end on tb.
-
-    The seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta in
-    closed form, so step j's propagator is step (j mod n)'s, and only the
-    first period's full steps and the last step are computed. Each is cut
-    into magnus_substeps() equal sub-steps, each the exponential of its
-    sixth-order Magnus exponent; their product is the step's propagator
-    (_magnus_propagators). The period's prefix products are marched one
-    period per batched product, as in propagate_healthy.
-    """
-    m = magnus_substeps(sys_, y, ta, tb, h, rtol, atol)
-    times, prefix, last = _magnus_propagators(sys_, y, ta, tb, h, m)
-    return times, _march(sys_, y, ta, times, prefix, last)
-
-
-class FieldVoltageOutOfRange(UsageError):
-    """A steady start whose field voltage the AVR cannot give."""
-
-
 @dataclass
 class _Propagators:
-    """A segment's propagators as _MachineTrack keeps them for the next
-    segment that differs from it only in V_fd (_reusable)."""
+    """A segment's propagators as _build builds them and propagate marches
+    them again for a segment that differs from theirs only in V_fd
+    (_reusable)."""
     system: tuple           # (w_e, R_load, fault, grid steps)
     last_h: float           # the last step's length
     V_fd: float             # the field voltage of their forcing columns
@@ -434,13 +308,109 @@ def _reusable(kept: _Propagators | None, sys_: ElectricalSystem, y, size: int,
     return math.isfinite(worst) and _substep_count(worst) == kept.m
 
 
+def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
+           n, stepper: StepperOptions) -> _Propagators:
+    """The propagators of a segment from y at ta on the grid `times`, whose
+    full steps are h long and n to an electrical period, the last one from
+    t_last: those of the first period's full steps (at most n), as prefix
+    products for _march, and the last step's.
+
+    Healthy, the full steps share P = exp([[A, b], [0, 0]] h), A the
+    constant matrix of sys_.basis, so the prefix products are its powers;
+    the last step reuses P when within _grid's 1e-9 h of h. Faulted, step
+    j's propagator is step (j mod n)'s, and each computed step is the
+    product of the exponentials of the sixth-order Magnus exponents of its
+    m equal sub-steps, in batches of MAGNUS_CHUNK sub-steps (of one grid
+    step's when it has more). m is the smallest power of two at which every
+    sub-step's embedded error estimate |(Omega6 - Omega4) z| meets atol +
+    rtol |lam| channel by channel, z the state at ta: the estimate is taken
+    with one sub-step per computed step, on the same starts and lengths,
+    and divided by m^5, its order in the step length. A tolerance that
+    needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow."""
+    last_h = times[-1] - t_last
+    k = min(n, times.size - 1)
+    m, diff = 0, None
+    if not sys_.fault.active:
+        gen = np.zeros((8, 8))
+        gen[:7, :7] = sys_.basis[0].reshape(7, 7)
+        gen[:7, 7] = sys_.b
+        step = expm(gen * h)
+        last = step if abs(last_h - h) <= 1e-9 * h else expm(gen * last_h)
+        step[6:] = last[6:] = _UNIT_ROWS[6:]
+        prefix = _prefix_products(np.broadcast_to(step, (k, 8, 8)))
+    else:
+        # the exponents' arguments that hold over the segment
+        segment = (sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e, ta)
+        starts = np.append(ta + h * np.arange(k), t_last)
+        lengths = np.append(np.full(k, h), last_h)
+        diff = np.concatenate([
+            _magnus_exponents(*segment, starts[i:i + MAGNUS_CHUNK],
+                              lengths[i:i + MAGNUS_CHUNK])[1]
+            for i in range(0, starts.size, MAGNUS_CHUNK)])
+        err = _finite(_error_estimates(diff, y, 1.0, stepper.relative_tolerance,
+                                       stepper.absolute_tolerance), starts)
+        m = _substep_count(float(np.max(err)))
+        if m > MAGNUS_MAX_SUBSTEPS:
+            raise StepUnderflow(ta, h / m, h / MAGNUS_MAX_SUBSTEPS)
+        dt = lengths / m
+        sub = (starts[:, None] + dt[:, None] * np.arange(m)).ravel()
+        dt = np.repeat(dt, m)
+        size = max(1, MAGNUS_CHUNK // m) * m
+        steps = []
+        for i in range(0, sub.size, size):
+            part = slice(i, i + size)
+            omega, _ = _magnus_exponents(*segment, sub[part], dt[part])
+            e = _finite(expm(_finite(omega, sub[part])), sub[part])
+            # each grid step's sub-step exponentials, later ones on the left
+            e = e.reshape(-1, m, 8, 8)
+            while e.shape[1] > 1:
+                e = e[:, 1::2] @ e[:, 0::2]
+            steps.append(e[:, 0])
+        steps = np.concatenate(steps)
+        steps[:, 7] = _UNIT_ROWS[7]
+        prefix, last = _prefix_products(steps[:-1]), steps[-1]
+    return _Propagators((sys_.w_e, sys_.R_load, sys_.fault, times.size), last_h,
+                        sys_.V_fd, y[IDX_THETA], prefix, last, m, diff)
+
+
+def propagate(sys_: ElectricalSystem, y, ta: float, tb: float,
+              stepper: StepperOptions, kept: _Propagators | None = None):
+    """Solution of a segment from y at ta to tb: (times, states, the
+    propagators it marched), the start excluded.
+
+    Speed, field voltage, load, fault and equation noise are held, so the
+    seven fluxes obey d lam/dt = A(theta(t)) lam + b with theta = theta0 +
+    w_e (t - ta). Healthy, A is constant with a zero lam_f row, and the grid
+    is the uniform ta + k max_step. A shorted stator turn makes A depend on
+    the rotor angle, and the grid is locked to the electrical period T_e:
+    steps of T_e / n from ta, n the fewest per period that are at most
+    max_step. Either grid's last step is clipped to end on tb. The march
+    crosses n steps per batched product; it takes `kept`, its forcing
+    columns scaled by sys_.V_fd / kept.V_fd, where _reusable allows, else
+    the propagators _build builds.
+    """
+    h, n = _period_grid(sys_.w_e, stepper.max_step)
+    if not sys_.fault.active:
+        h = stepper.max_step
+    times, t_last = _grid(ta, tb, h)
+    if _reusable(kept, sys_, y, times.size, tb - t_last, h, stepper):
+        props, forcing = kept, sys_.V_fd / kept.V_fd
+    else:
+        props, forcing = _build(sys_, y, ta, times, t_last, h, n, stepper), 1.0
+    return times, _march(sys_, y, ta, times, props.prefix, props.last, forcing), props
+
+
+class FieldVoltageOutOfRange(UsageError):
+    """A steady start whose field voltage the AVR cannot give."""
+
+
 class _MachineTrack:
     """The machine half of a macro step with its AVR: owns the electrical
     state, its steady start, the machine events (TTSC faults and load
     steps), the AVR state, the held field voltage V_fd, the macro step's
     shaft energy and phase-voltage rms, the recorder, the rms buffers and
-    the propagators last built for a healthy and a faulted segment;
-    `noise` draws from `rng`, which may be None where all its widths are 0."""
+    the propagators of its last noise-free segment; `noise` draws from
+    `rng`, which may be None where all its widths are 0."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
@@ -468,8 +438,7 @@ class _MachineTrack:
         self._times, self._rows = [], []     # recorded fast-track chunks
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
-        # the propagators last built for a noise-free segment, by fault state
-        self._kept = {False: None, True: None}
+        self._kept = None          # the last noise-free segment's propagators
 
     def start(self, w_e: float) -> float:
         """Start at electrical speed w_e from the healthy steady state whose
@@ -552,38 +521,14 @@ class _MachineTrack:
         return self._energy
 
     def _run(self, sys_, y, ta, tb):
-        times, prefix, last, forcing = self._propagators(sys_, y, ta, tb)
-        states = _march(sys_, y, ta, times, prefix, last, forcing)
+        times, states, kept = propagate(sys_, y, ta, tb, self.stepper, self._kept)
+        if not sys_.noise_w.any():
+            self._kept = kept
         self._record(sys_, times, states)
         y = states[-1].copy()
         # wrap the electrical angle to keep trig arguments small
         y[IDX_THETA] = math.fmod(y[IDX_THETA], 2.0 * math.pi)
         return y
-
-    def _propagators(self, sys_, y, ta, tb):
-        """The segment's grid, its propagators (propagate_healthy's or
-        propagate_magnus's) and the scale of their forcing columns: the
-        ones kept for this fault state, scaled by V_fd over theirs, where
-        _reusable allows, else new ones, kept if the segment has no
-        equation noise."""
-        faulted, opts = self.fault.active, self.stepper
-        h = _period_grid(sys_.w_e, opts.max_step)[0] if faulted else opts.max_step
-        times, t_last = _grid(ta, tb, h)
-        kept = self._kept[faulted]
-        if _reusable(kept, sys_, y, times.size, tb - t_last, h, opts):
-            return times, kept.prefix, kept.last, sys_.V_fd / kept.V_fd
-        m, diff = 0, None
-        if faulted:
-            m, diff = _substep_plan(sys_, y, ta, tb, opts.max_step,
-                                    opts.relative_tolerance, opts.absolute_tolerance)
-            _, prefix, last = _magnus_propagators(sys_, y, ta, tb, opts.max_step, m)
-        else:
-            prefix, last = _healthy_propagators(sys_, h, times.size, tb - t_last)
-        if not sys_.noise_w.any():
-            self._kept[faulted] = _Propagators(
-                (sys_.w_e, sys_.R_load, sys_.fault, times.size), tb - t_last,
-                sys_.V_fd, y[IDX_THETA], prefix, last, m, diff)
-        return times, prefix, last, 1.0
 
     def _record(self, sys_, times, states):
         """Fast-track pass over one segment's samples: shaft energy, the rms

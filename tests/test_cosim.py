@@ -13,9 +13,7 @@ from apucosim.cosim import (
     CouplingParams,
     coupling_speed,
     energy_audit,
-    magnus_substeps,
-    propagate_healthy,
-    propagate_magnus,
+    propagate,
     run_generator,
     run_joint,
 )
@@ -298,7 +296,7 @@ def test_healthy_propagator_matches_tight_stepper(case):
         r = load.resistance(1.0, speed_rpm=0.9 * 12000.0)
     sysm = ElectricalSystem(p, load, HEALTHY_FAULT, w_e, v_fd, r, noise_w=noise)
     # 200 full steps and a clipped 3e-5 s last step
-    times, states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
+    times, states, _ = propagate(sysm, y0, 0.0, 0.02003, GENERATOR_STEPPER)
     assert times.size == 201 and times[-1] == 0.02003
     opts = StepperOptions(relative_tolerance=1e-11, absolute_tolerance=1e-14,
                           max_step=1e-5)
@@ -311,7 +309,7 @@ def test_healthy_propagator_matches_tight_stepper(case):
     assert worst < 1e-9
 
 
-def test_healthy_propagator_holds_lam_f_and_refuses_a_fault():
+def test_healthy_propagator_holds_lam_f():
     # a healthy segment after a cleared fault: the basis's lam_f row and its
     # angle-dependent matrices are zero, so lam_f is carried exactly
     p = WrsgParams()
@@ -321,12 +319,13 @@ def test_healthy_propagator_holds_lam_f_and_refuses_a_fault():
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
                             v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
     assert not np.any(sysm.basis[1:]) and not np.any(sysm.basis[0, 42:])
-    states = propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)[1]
+    states = propagate(sysm, y0, 0.0, 0.02003, GENERATOR_STEPPER)[1]
     assert np.all(states[:, 6] == 0.37)
-    faulted = ElectricalSystem(p, LoadModel(R_phase=R_225),
-                               FaultParams(mu=0.05, k_rf=1.0), W_E, v_fd, R_225)
-    with pytest.raises(ValueError):
-        propagate_healthy(faulted, y0, 0.0, 0.02, 1e-4)
+
+
+def _stepper(rtol=1e-5, atol=1e-6, max_step=1e-4):
+    return StepperOptions(relative_tolerance=rtol, absolute_tolerance=atol,
+                          max_step=max_step)
 
 
 def _faulted_system(mu=0.05, w_e=W_E):
@@ -340,48 +339,61 @@ def _faulted_system(mu=0.05, w_e=W_E):
 
 
 def test_magnus_with_constant_a_matches_healthy_propagator():
+    # with A constant the order-6 exponent is the healthy step's dt gen, bit
+    # for bit, and the order-4 one coincides with it, so the estimate is
+    # zero at any tolerance
     p = WrsgParams()
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
                             v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
-    want_t, want = propagate_healthy(sysm, y0, 0.01, 0.03003, 1e-4)
-    # with A constant the order-4 and order-6 exponents coincide, so the
-    # estimate is zero at any tolerance
-    assert magnus_substeps(sysm, y0, 0.01, 0.03003, 1e-4, 1e-12, 1e-12) == 1
-    got_t, got = propagate_magnus(sysm, y0, 0.01, 0.03003, 1e-4, 1e-5, 1e-6)
-    assert np.array_equal(got_t, want_t)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want[:, :6]))
+    gen = np.zeros((8, 8))
+    gen[:7, :7] = sysm.basis[0].reshape(7, 7)
+    gen[:7, 7] = sysm.b
+    starts = 0.01 + 1e-4 * np.arange(200)
+    dt = np.append(np.full(199, 1e-4), 3e-5)
+    omega6, diff = cosim._magnus_exponents(sysm.basis, sysm.b, 0.3, W_E, 0.01,
+                                           starts, dt)
+    assert np.array_equal(omega6, dt[:, None, None] * gen)
+    assert not np.any(diff)
 
 
 def test_magnus_substeps_grow_with_tighter_tolerance():
     sysm, y0 = _faulted_system()
     # from a state 10 ms into the fault, where no flux is zero and a
     # negligible atol leaves rtol to set every channel's tolerance
-    y = propagate_magnus(sysm, y0, 0.0, 0.01, 1e-4, 1e-5, 1e-6)[1][-1]
-    picks = [magnus_substeps(sysm, y, 0.01, 0.03, 1e-4, rtol, 1e-12)
+    y = propagate(sysm, y0, 0.0, 0.01, GENERATOR_STEPPER)[1][-1]
+    picks = [propagate(sysm, y, 0.01, 0.03, _stepper(rtol, 1e-12))[2].m
              for rtol in (1e-3, 1e-5, 1e-7)]
     assert picks[0] < picks[1] < picks[2]
     assert all(m & (m - 1) == 0 for m in picks)        # powers of two
     # run_generator's tolerances at the onset state
-    assert magnus_substeps(sysm, y0, 0.0, 0.02, 1e-4, 1e-5, 1e-6) == 4
+    assert propagate(sysm, y0, 0.0, 0.02, GENERATOR_STEPPER)[2].m == 4
     # a step already small enough needs no sub-steps
-    assert magnus_substeps(sysm, y0, 0.0, 0.002, 1e-6, 1e-5, 1e-6) == 1
+    assert propagate(sysm, y0, 0.0, 0.002, _stepper(max_step=1e-6))[2].m == 1
 
 
 def test_magnus_non_finite_state_raises_with_sim_time():
     sysm, y0 = _faulted_system()
     y0[1] = math.nan
     with pytest.raises(NonFiniteDerivative) as info:
-        propagate_magnus(sysm, y0, 0.25, 0.27, 1e-4, 1e-5, 1e-6)
+        propagate(sysm, y0, 0.25, 0.27, GENERATOR_STEPPER)
     assert info.value.t == 0.25 and info.value.channel == 0
 
 
 def test_magnus_tolerance_below_rounding_level_raises_step_underflow():
-    sysm, y0 = _faulted_system()
-    with pytest.raises(StepUnderflow) as info:
-        magnus_substeps(sysm, y0, 0.25, 0.27, 1e-4, 1e-300, 1e-300)
-    assert info.value.t == 0.25
+    # the error names the sub-step h / 2048 it needs and the smallest one
+    # allowed, h / 1024, for the period-locked grid's step h: 1e-4 s at
+    # 12000 rpm, 9.74e-5 s at 11000 rpm
+    for rpm in (12000.0, 11000.0):
+        w_e = rpm * math.pi / 30.0 * 2
+        sysm, y0 = _faulted_system(w_e=w_e)
+        h = 2.0 * math.pi / w_e / math.ceil(2.0 * math.pi / w_e / 1e-4 - 1e-9)
+        with pytest.raises(StepUnderflow) as info:
+            propagate(sysm, y0, 0.25, 0.27, _stepper(1e-300, 1e-300))
+        assert info.value.t == 0.25
+        assert info.value.step == h / 2048
+        assert f"{h / 2048:.3e}" in str(info.value)
+        assert f"{h / 1024:.3e}" in str(info.value)
 
 
 def test_fault_switch_inside_macro_step_lands_on_the_fast_track():
@@ -423,33 +435,31 @@ def test_joint_run_golden_csvs(tmp_path):
 
 
 def test_generator_run_golden_outputs(tmp_path):
-    # regression lock on a faulted generator run: the fast track at
-    # decimation 1 and the last step's rms table
+    # regression lock on a faulted generator run, its fault branch closed
+    # (k_rf = 1) from 0.1 s: the fast track at decimation 1 and the last
+    # step's rms table
     res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
                         speed_rpm=12000.0, duration=0.2, decimation=1,
-                        fault_schedule=((0.1, FaultParams(mu=0.05)),))
+                        fault_schedule=((0.1, FaultParams(mu=0.05, k_rf=1.0)),))
+    assert np.all(res.fast.column("i_f")[res.fast.time > 0.1] != 0.0)
     assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
-        "b6d00c96f761f627527b139f8e0c3de22dcd9439baaf01a8d98b91b0e7c06cd8")
+        "3deea55db6347486e3d7d150d47405cd5c11b1a7b3cb60391da3333b23555f6e")
     table = json.dumps(res.rms_table, sort_keys=True).encode()
     assert hashlib.sha256(table).hexdigest() == (
-        "d0db2a0cda8918400b1e3ec6f1a700f4c5f5b99c1aa4ef3e26f9e22060ae120e")
+        "8870ccd7005af50799685dd91bf00e069ab0bcef882990e6fad5fb9e398df442")
 
 
 def _count_builds(monkeypatch):
     """The fault state and m of each propagator build the machine track makes."""
     builds = []
-    healthy, faulted = cosim._healthy_propagators, cosim._magnus_propagators
+    build = cosim._build
 
-    def healthy_counted(*args):
-        builds.append(("healthy", 0))
-        return healthy(*args)
+    def counted(sys_, *args):
+        built = build(sys_, *args)
+        builds.append(("faulted" if sys_.fault.active else "healthy", built.m))
+        return built
 
-    def faulted_counted(sys_, y, ta, tb, h, m):
-        builds.append(("faulted", m))
-        return faulted(sys_, y, ta, tb, h, m)
-
-    monkeypatch.setattr(cosim, "_healthy_propagators", healthy_counted)
-    monkeypatch.setattr(cosim, "_magnus_propagators", faulted_counted)
+    monkeypatch.setattr(cosim, "_build", counted)
     return builds
 
 
@@ -498,6 +508,30 @@ def test_a_tolerance_that_raises_m_rebuilds_the_kept_period(monkeypatch):
     track.advance(3, W_E)
     (_, m_kept), (_, m_new) = builds
     assert (m_kept, m_new) == (4, 8)
+
+
+def test_a_cleared_fault_rebuilds_the_healthy_propagators(monkeypatch):
+    # the track keeps only its last segment's propagators, so the healthy
+    # system after a fault cleared by HEALTHY_FAULT is built again, then
+    # kept; the fault acts and clears on macro boundaries
+    def run():
+        return run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                             speed_rpm=12000.0, duration=0.16, decimation=1,
+                             fault_schedule=((0.04, FaultParams(mu=0.05, k_rf=1.0)),
+                                             (0.1, HEALTHY_FAULT)))
+    builds = _count_builds(monkeypatch)
+    res = run()
+    # six steps march again what the step before them built: the healthy
+    # step at the start, the fault's period at the onset, and the healthy
+    # step again after the clear
+    assert builds == [("healthy", 0), ("faulted", 4), ("healthy", 0)]
+    builds.clear()
+    monkeypatch.setattr(cosim, "_reusable", lambda *args: False)
+    fresh = run()
+    assert len(builds) == 8
+    assert np.array_equal(res.fast.time, fresh.fast.time)
+    scale = np.max(np.abs(fresh.fast.data), axis=0)
+    assert np.all(np.abs(res.fast.data - fresh.fast.data) <= 1e-12 * scale)
 
 
 def test_load_step_acts_at_its_time_inside_a_macro_step():
@@ -570,9 +604,9 @@ def test_magnus_period_reuse_matches_step_by_step(span, w_e):
     sysm, y0 = _faulted_system(w_e=w_e)
     ta = 0.01
     tb = ta + span
-    times, states = propagate_magnus(sysm, y0, ta, tb, 1e-4, 1e-5, 1e-6)
+    times, states, built = propagate(sysm, y0, ta, tb, GENERATOR_STEPPER)
     assert times[-1] == tb
-    m = magnus_substeps(sysm, y0, ta, tb, 1e-4, 1e-5, 1e-6)
+    m = built.m
     want = _magnus_step_by_step(sysm, y0, ta, times, m)
     assert np.max(np.abs(states[:, :7] - want)) <= 1e-12 * np.max(np.abs(want[:, :6]))
     assert np.array_equal(states[:, 7], y0[7] + w_e * (times - ta))
@@ -584,7 +618,7 @@ def test_magnus_grid_is_a_whole_fraction_of_the_period(rpm, max_step):
     w_e = rpm * math.pi / 30.0 * 2
     sysm, y0 = _faulted_system(w_e=w_e)
     period = 2.0 * math.pi / w_e
-    times = propagate_magnus(sysm, y0, 0.01, 0.03, max_step, 1e-5, 1e-6)[0]
+    times = propagate(sysm, y0, 0.01, 0.03, _stepper(max_step=max_step))[0]
     steps = np.diff(np.append(0.01, times))
     assert times[-1] == 0.03
     assert np.all(steps <= max_step * (1.0 + 1e-9))
@@ -599,10 +633,9 @@ def test_magnus_grid_is_a_whole_fraction_of_the_period(rpm, max_step):
 @pytest.mark.parametrize("span, computed", [(0.0013, 13), (0.02, 26), (0.1, 26)])
 def test_magnus_computes_one_period_of_exponentials(monkeypatch, span, computed):
     # 400 Hz, 25 steps per period: the exponents of min(n, K - 1) full steps
-    # and of the clipped last step, m sub-steps each, whatever the length
+    # and of the clipped last step, one sub-step each for the estimate, then
+    # m sub-steps each, whatever the length
     sysm, y0 = _faulted_system()
-    m = magnus_substeps(sysm, y0, 0.0, span, 1e-4, 1e-5, 1e-6)
-    assert m == 4
     sizes = []
     inner = cosim._magnus_exponents
 
@@ -611,11 +644,11 @@ def test_magnus_computes_one_period_of_exponentials(monkeypatch, span, computed)
         return inner(basis, b, theta0, w_e, ta, starts, dt)
 
     monkeypatch.setattr(cosim, "_magnus_exponents", counted)
-    monkeypatch.setattr(cosim, "magnus_substeps", lambda *args: m)
-    propagate_magnus(sysm, y0, 0.0, span, 1e-4, 1e-5, 1e-6)
-    assert sum(sizes) == computed * m
+    m = propagate(sysm, y0, 0.0, span, GENERATOR_STEPPER)[2].m
+    assert m == 4
+    assert sum(sizes) == computed * (1 + m)
     if span == 0.02:
-        assert sum(sizes) == 104
+        assert sum(sizes) == 130
 
 
 @pytest.mark.parametrize("span, w_e", [(0.02003, W_E), (0.02, 0.9 * W_E),
@@ -627,7 +660,7 @@ def test_healthy_block_march_matches_step_by_step(span, w_e):
     y0[6] = 0.37
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, w_e,
                             v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
-    times, states = propagate_healthy(sysm, y0, 0.0, span, 1e-4)
+    times, states, _ = propagate(sysm, y0, 0.0, span, GENERATOR_STEPPER)
     gen = np.zeros((8, 8))
     gen[:7, :7] = sysm.basis[0].reshape(7, 7)
     gen[:7, 7] = sysm.b
@@ -656,11 +689,11 @@ def test_healthy_segment_of_whole_steps_takes_one_exponential(monkeypatch):
     for k in range(1, 101):
         t0, t1 = (k - 1) * dt, k * dt
         calls.clear()
-        times = propagate_healthy(sysm, y0, t0, t1, 1e-4)[0]
+        times = propagate(sysm, y0, t0, t1, GENERATOR_STEPPER)[0]
         assert times.size == 200 and times[-1] == t1
         assert len(calls) == 1, k
     calls.clear()
-    propagate_healthy(sysm, y0, 0.0, 0.02003, 1e-4)
+    propagate(sysm, y0, 0.0, 0.02003, GENERATOR_STEPPER)
     assert len(calls) == 2
 
 

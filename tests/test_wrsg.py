@@ -18,7 +18,7 @@ from machine_reference import (
     steady_state_by_hand,
 )
 
-from apucosim.cosim import propagate_magnus
+from apucosim.cosim import GENERATOR_STEPPER, propagate
 from apucosim.numerics import StepperOptions, integrate_adaptive
 from apucosim.wrsg import (
     ElectricalSystem,
@@ -500,7 +500,7 @@ def test_magnus_segment_truncation_error(mu):
     vfd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
     y0 = seed_fault_flux(steady_state(p, R_225, vfd, W_E), fault, p).as_array()
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, vfd, R_225)
-    times, states = propagate_magnus(sysm, y0, 0.0, 0.05, 1e-4, 1e-5, 1e-6)
+    times, states, _ = propagate(sysm, y0, 0.0, 0.05, GENERATOR_STEPPER)
     assert times[-1] == 0.05
     want = _rk4(flux_system(sysm, y0[7], 0.0), y0[:7], 0.0, 0.05, 2e-6)
     got = states[-1, :7]
