@@ -208,8 +208,19 @@ def cmd_genrun(args) -> int:
     return EXIT_OK
 
 
+def _run_joint(scn: sc.Scenario, setup):
+    """run_joint, naming the scenario leaves that set the start's field
+    voltage where the AVR cannot give it."""
+    try:
+        return run_joint(setup)
+    except FieldVoltageOutOfRange as exc:
+        avr, load = scn.doc["avr"], scn.doc["load"]
+        raise UsageError(f"avr.v_fd_max {avr['v_fd_max']:g}, avr.v_set {avr['v_set']:g} "
+                         f"and load.power_kw {load['power_kw']:g}: {exc}") from None
+
+
 def _joint_worker(scn: sc.Scenario) -> dict:
-    result = run_joint(sc.build_joint_setup(scn))
+    result = _run_joint(scn, sc.build_joint_setup(scn))
     slow = result.slow
     return {
         "seed": scn.seed,
@@ -247,7 +258,7 @@ def cmd_joint(args) -> int:
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
     os.makedirs(out, exist_ok=True)
-    result = run_joint(setup)
+    result = _run_joint(scn, setup)
     files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged)
     if svg:
         for group, track, chans in (

@@ -11,22 +11,26 @@ noise, and per-step energy bookkeeping.
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update and the field
 voltage from the last AVR update, accumulating its shaft power, then runs
-the AVR on the step's phase-voltage rms, (b) converts the accumulated
-energy into the gas-generator load, (c) updates the spool state from the
-cycle match at (N_{k-1}, wf_{k-1}) and adds the state noise, a normal draw
-of width state_noise_rpm from the run's third seeded stream, (d) runs the
-governor on the speed plus its output-noise draw, before (e) the one cycle
-match at (N_k, wf_k), started from the spool update's last (half-step)
-match, which gives the row's outputs and the next step's first match, then
-(f) hands the new speed back to the machine as a zero-order hold.  Machine
-events, TTSC faults and load steps, act at their times on the fast track,
-one within 1e-9 of a step of a macro boundary on that boundary; gas-path
-health swaps act from the boundary at or before their times, where the
-spool update re-solves its first match at the new health (as it does any
-match made at another speed or fuel flow).
+the AVR on the step's phase-voltage rms (_MachineTrack.advance), (b)
+converts the accumulated energy into the gas-generator load, (c) applies
+the step's health swap, updates the spool state from the cycle match at
+(N_{k-1}, wf_{k-1}) and adds the state noise, a normal draw of width
+state_noise_rpm from the run's third seeded stream (SpoolTrack.advance),
+(d) runs the governor on the speed plus its output-noise draw, before (e)
+the one cycle match at (N_k, wf_k), started from the spool update's last
+(half-step) match, which gives the row's outputs and the next step's first
+match (SpoolTrack.match), then (f) hands the new speed back to the machine
+as a zero-order hold.  The gas-generator transient runs (c) and (e) on the
+same spool track, with a load law and a fuel schedule in place of (a), (b)
+and (d).  Machine events, TTSC faults and load steps, act at their times on
+the fast track, one within 1e-9 of a step of a macro boundary on that
+boundary; gas-path health swaps act from the boundary at or before their
+times, where the spool update re-solves its first match at the new health
+(as it does any match made at another speed or fuel flow).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -35,7 +39,6 @@ import numpy as np
 from .control import AvrState, GovernorState, avr_step, governor_step
 from .errors import UsageError
 from .gasgen import (
-    CycleSolution,
     GasGenInput,
     GasGenParams,
     GasGenState,
@@ -595,18 +598,51 @@ def too_many_fast_steps(duration: float, max_step: float) -> bool:
     return duration / (STEP_FRACTION * max_step) > MAX_FAST_STEPS
 
 
-def health_swaps(schedule, dt: float):
-    """Health at t = 0 and {macro step k: health from step k on}: a swap at
-    t > 0 acts from the step that starts on the last boundary at or before
+class SpoolTrack:
+    """The gas half of a macro step: owns the engine, its ambient (altitude,
+    mach, dT_ISA), the gas-path health in force, its swaps, the spool state
+    x, the last output match and the spool update's half-step match. A swap
+    at t > 0 acts from the step that starts on the last boundary at or before
     t, found by index with a rounding allowance (0.7 s at 0.02 s steps:
     boundary 35, so step 36, although 35 * 0.02 > 0.7)."""
-    health, swaps = HEALTHY, {}
-    for t_sw, hp in sorted(schedule, key=lambda s: s[0]):
-        if t_sw <= 0.0:
-            health = hp
-        else:
-            swaps[math.floor(t_sw / dt + 1e-9) + 1] = hp
-    return health, swaps
+
+    def __init__(self, params: GasGenParams, ambient, health_schedule, dt: float):
+        self.params, self.ambient, self.dt = params, ambient, dt
+        self.health, self.swaps = HEALTHY, {}
+        for t_sw, hp in sorted(health_schedule, key=lambda s: s[0]):
+            if t_sw <= 0.0:
+                self.health = hp
+            else:
+                self.swaps[math.floor(t_sw / dt + 1e-9) + 1] = hp
+
+    def trim(self, N: float, pe: float) -> float:
+        """Start at N rpm on the fuel trim for pe kW at the health at t = 0,
+        whose match is the first update's; returns the trimmed fuel flow."""
+        wf, self.sol = trim_fuel(self.params, N, pe, self.health, *self.ambient)
+        self.x = GasGenState(N=N)
+        return wf
+
+    def advance(self, k: int, pe: float, wf: float, dn: float = 0.0) -> float:
+        """Macro step k: its health swap, then the spool update at fuel flow
+        wf against pe kW from the last match, plus the state-noise increment
+        dn rpm; returns the new speed. A noised speed outside the update's
+        range (0, MAX_SPEED_RATIO design speed] raises SpeedOutOfRange."""
+        self.health = self.swaps.get(k, self.health)
+        self.x, self.half = state_update(self.params, self.x, GasGenInput(wf, *self.ambient),
+                                         self.health, pe, dt=self.dt, match=self.sol)
+        if dn:
+            n, n_max = self.x.N + dn, MAX_SPEED_RATIO * self.params.design_speed
+            if not 0.0 < n <= n_max:
+                raise SpeedOutOfRange(n, n_max)
+            self.x = GasGenState(N=n)
+        return self.x.N
+
+    def match(self, wf: float) -> tuple:
+        """The output row of the match at the spool speed and fuel flow wf,
+        from the half-step match; it is the next update's first match."""
+        out, self.sol = output(self.params, self.x, GasGenInput(wf, *self.ambient),
+                               self.health, guess=self.half)
+        return out
 
 
 @dataclass
@@ -647,28 +683,18 @@ def run_joint(setup: JointSetup) -> JointResult:
         rng_machine, rng_gg, rng_state = [np.random.default_rng(child) if draw else None
                                           for draw, child in zip(draws, children)]
 
-    gg = setup.gg_params
-    coupling = setup.coupling
-    alt, mach, disa = setup.ambient
-    dt = setup.macro_dt
-    n_max = MAX_SPEED_RATIO * gg.design_speed
+    coupling, dt = setup.coupling, setup.macro_dt
 
     # initial condition: governor setpoint speed, machine in steady state at
     # the trimmed field voltage, fuel trimmed so the engine carries the load
-    n0 = setup.governor.N_set
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
                           setup.machine_noise, setup.stepper,
                           setup.decimation, rng_machine, setup.avr, dt)
-    _, w_e = coupling_speed(n0, coupling, setup.machine.pole_pairs)
+    spool = SpoolTrack(setup.gg_params, setup.ambient, setup.health_schedule, dt)
+    _, w_e = coupling_speed(setup.governor.N_set, coupling, setup.machine.pole_pairs)
     p0 = track.start(w_e)
-    health, swaps = health_swaps(setup.health_schedule, setup.macro_dt)
-    pe0 = p0 / coupling.eta_gtTsg
-    # the trimmed cycle solution is the first macro step's cycle match
-    wf0, sol = trim_fuel(gg, n0, pe0, health, altitude=alt, mach=mach, dT_ISA=disa)
-    governor = replace(setup.governor,
-                       integral=wf0 - setup.governor.wf_ff, prev_wf=wf0)
-    x = GasGenState(N=n0)
-    u = GasGenInput(wf=wf0, altitude=alt, mach=mach, dT_ISA=disa)
+    wf = spool.trim(setup.governor.N_set, p0 / coupling.eta_gtTsg)
+    governor = replace(setup.governor, integral=wf - setup.governor.wf_ff, prev_wf=wf)
 
     slow_names = tuple(n for n, _ in OUTPUT_CHANNELS) + tuple(n for n, _ in SLOW_EXTRA)
     slow_units = tuple(u for _, u in OUTPUT_CHANNELS) + tuple(u for _, u in SLOW_EXTRA)
@@ -676,29 +702,21 @@ def run_joint(setup: JointSetup) -> JointResult:
 
     for k in range(1, n_steps + 1):
         # (a) machine over the macro step with held speed, then its AVR
-        _, w_e = coupling_speed(x.N, coupling, setup.machine.pole_pairs)
+        _, w_e = coupling_speed(spool.x.N, coupling, setup.machine.pole_pairs)
         energy = track.advance(k, w_e)
         # (b) power transfer: the step's mean machine power over eta
         pe_gt = energy / (dt * coupling.eta_gtTsg)
-        # (c) health swap at the boundary, then spool update
-        health = swaps.get(k, health)
-        x, half = state_update(gg, x, u, health, pe_gt, dt=dt, match=sol)
-        if setup.state_noise_rpm:
-            n = x.N + rng_state.normal(0.0, setup.state_noise_rpm)
-            if not 0.0 < n <= n_max:
-                raise SpeedOutOfRange(n, n_max)
-            x = GasGenState(N=n)
+        # (c) health swap at the boundary, spool update and state noise
+        dn = rng_state.normal(0.0, setup.state_noise_rpm) if setup.state_noise_rpm else 0.0
+        speed = spool.advance(k, pe_gt, wf, dn)
         # (d) output noise draws and the governor; (e) the match at (N_k, wf_k)
         noise = {n: rng_gg.normal(0.0, s) for n, s in setup.gasgen_noise.items() if s}
-        wf, governor = governor_step(governor, x.N + noise.get("XNHPC", 0.0), dt)
-        u = GasGenInput(wf=wf, altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, guess=half)
-        # (f) record; the speed handed back next step comes from the new x
-        extra = (u.wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
+        wf, governor = governor_step(governor, speed + noise.get("XNHPC", 0.0), dt)
+        out = spool.match(wf)
+        # (f) record; the speed handed back next step comes from the spool
+        extra = (wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
                  float(np.mean(track.v_rms)), track.V_fd, track.scale,
-                 track.fault.mu, track.fault.k_rf,
-                 health.eta_c_factor, health.flow_c_factor,
-                 health.eta_t_factor, health.flow_t_factor)
+                 track.fault.mu, track.fault.k_rf, *astuple(spool.health))
         slow_t.append(k * dt)
         slow_rows.append(tuple(v + noise.get(n, 0.0)
                                for v, (n, _) in zip(out, OUTPUT_CHANNELS)) + extra)
@@ -757,33 +775,27 @@ class TransientRunResult:
     slow: TimeSeries
 
 
-def run_gasgen_transient(gg: GasGenParams, trim: CycleSolution, wf_of_t, load_law,
-                         health_schedule, duration: float, macro_dt: float,
-                         ambient) -> TransientRunResult:
+def run_gasgen_transient(spool: SpoolTrack, wf_of_t, load_law,
+                         duration: float) -> TransientRunResult:
     """Gas-generator-only transient: fuel schedule against a shaft load law,
-    health swaps as in run_joint, from the speed of `trim`, the fuel trim's
-    cycle match at the health at t = 0. A fuel flow wf_of_t(0) other than
-    the trim's acts from the first sub-step, where the spool update
-    re-solves the trim's match at it."""
-    n_steps = whole_steps(duration, macro_dt)
+    on a copy of the trimmed `spool`, so that each run starts from its trim.
+    A fuel flow wf_of_t(0) other than the trim's acts from the first
+    sub-step, where the spool update re-solves the trim's match at it."""
+    n_steps = whole_steps(duration, spool.dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
-    alt, mach, disa = ambient
-    health, swaps = health_swaps(health_schedule, macro_dt)
-    x, sol = GasGenState(N=trim.N), trim
-    u = GasGenInput(wf=wf_of_t(0.0), altitude=alt, mach=mach, dT_ISA=disa)
+    spool = copy.copy(spool)
     names = tuple(n for n, _ in OUTPUT_CHANNELS) + ("wf", "Pe")
     units = tuple(unit for _, unit in OUTPUT_CHANNELS) + ("kg/s", "kW")
     ts, rows = [], []
+    wf = wf_of_t(0.0)
     for k in range(1, n_steps + 1):
-        t1 = k * macro_dt
-        pe = load_law(x.N)
-        health = swaps.get(k, health)
-        x, half = state_update(gg, x, u, health, pe, dt=macro_dt, match=sol)
-        u = GasGenInput(wf=wf_of_t(t1), altitude=alt, mach=mach, dT_ISA=disa)
-        out, sol = output(gg, x, u, health, guess=half)
+        t1 = k * spool.dt
+        pe = load_law(spool.x.N)
+        spool.advance(k, pe, wf)
+        wf = wf_of_t(t1)
         ts.append(t1)
-        rows.append(out + (u.wf, pe))
+        rows.append(spool.match(wf) + (wf, pe))
     slow = TimeSeries(names=names, units=units, time=np.array(ts),
                       data=np.array(rows))
     return TransientRunResult(slow=slow)

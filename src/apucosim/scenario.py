@@ -413,14 +413,14 @@ def fuel_step_run(scenario: Scenario):
     """A fuel-step replay, checked, sized and trimmed but not started: a
     function of no arguments that runs the gas generator alone against the
     cubic load law anchored at its design point, fuel stepping at the given time."""
-    from .cosim import health_swaps, run_gasgen_transient
-    from .gasgen.engine import trim_fuel
+    from .cosim import SpoolTrack, run_gasgen_transient
 
     _refuse_unread(scenario, "transient")
     doc = scenario.doc
     params, _ = design_point_size(design_spec_from_scenario(scenario))
-    schedule = health_schedule_from_scenario(scenario)
-    health, _ = health_swaps(schedule, doc["macro_dt"])
+    amb = doc["ambient"]
+    spool = SpoolTrack(params, (amb["altitude"], amb["mach"], amb["dT_ISA"]),
+                       health_schedule_from_scenario(scenario), doc["macro_dt"])
     fs = doc["fuel_step"]
     n_design = params.design_speed
     pe_design = params.pe_design
@@ -429,18 +429,13 @@ def fuel_step_run(scenario: Scenario):
         return pe_design * (n / n_design) ** 3
 
     p0 = fs["initial_power_kw"]
-    n0 = n_design * (p0 / pe_design) ** (1.0 / 3.0)
-    amb = doc["ambient"]
-    wf0, trim = trim_fuel(params, n0, p0, health, altitude=amb["altitude"],
-                          mach=amb["mach"], dT_ISA=amb["dT_ISA"])
+    wf0 = spool.trim(n_design * (p0 / pe_design) ** (1.0 / 3.0), p0)
 
     def wf_of_t(t):
         return wf0 * fs["factor"] if t >= fs["time_s"] else wf0
 
-    return functools.partial(
-        run_gasgen_transient, params, trim, wf_of_t, law, schedule,
-        duration=doc["duration"], macro_dt=doc["macro_dt"],
-        ambient=(amb["altitude"], amb["mach"], amb["dT_ISA"]))
+    return functools.partial(run_gasgen_transient, spool, wf_of_t, law,
+                             duration=doc["duration"])
 
 
 def build_joint_setup(scenario: Scenario) -> JointSetup:

@@ -880,6 +880,20 @@ def test_genrun_start_within_the_field_limit_runs(tmp_path, capsys, flag, value)
     assert capsys.readouterr().err == ""
 
 
+# a joint start whose field voltage the AVR cannot give names the scenario
+# leaves that set it, in one run and in a batch
+@pytest.mark.parametrize("flags", [["--no-svg"], ["--runs", "2"]], ids=["run", "batch"])
+def test_joint_start_beyond_the_field_limit_names_its_leaves(tmp_path, capsys, flags):
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04, "avr": {"v_fd_max": 50}}))
+    out = [] if "--runs" in flags else ["--out", str(tmp_path / "out")]
+    assert main(["joint", "--scenario", str(p), *flags, *out]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert ("avr.v_fd_max 50, avr.v_set 230 and load.power_kw 225: the steady "
+            "start at 230 V rms needs a field voltage of 52.8781 V") in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_joint_hook_flag_is_gone(tmp_path, capsys):
     # the hook's one setting is --state-noise; 0 runs no hook
     assert main(["joint", "--hook", "none", "--out", str(tmp_path / "out"),

@@ -915,16 +915,33 @@ def test_gasgen_output_noise_keeps_its_draws():
         assert added == pytest.approx(value, abs=1e-9), ch
 
 
-@pytest.mark.parametrize("t_swap, first_row", [(0.7, 0.72), (0.68, 0.70), (0.69, 0.70)])
-def test_health_swap_boundary_by_step_index(t_swap, first_row):
+def _slow_track(loop, scenario):
+    """The slow track of `scenario` run by run_joint or by fuel_step_run's
+    runner."""
+    from apucosim.scenario import fuel_step_run
+    return (run_joint(build_joint_setup(scenario)) if loop == "joint"
+            else fuel_step_run(scenario)()).slow
+
+
+# the joint run's cases keep the ids they had before the transient's joined
+@pytest.mark.parametrize("loop, t_swap, first_row", [
+    pytest.param(loop, t_swap, first_row,
+                 id=f"{'' if loop == 'joint' else 'transient-'}{t_swap}-{first_row}")
+    for loop in ("joint", "transient")
+    for t_swap, first_row in [(0.7, 0.72), (0.68, 0.70), (0.69, 0.70)]])
+def test_health_swap_boundary_by_step_index(loop, t_swap, first_row):
     # a swap acts from the step that starts on the last boundary at or
-    # before it; 35 * 0.02 = 0.7000000000000001 must not pull 0.7 a step early
-    res = run_joint(build_joint_setup(_mini_scenario(
-        {"gas_path_faults": [dict(time_s=t_swap, **_DEGRADED)]}, duration=0.76)))
-    eta = res.slow.column("eta_c_f")
-    first = res.slow.time[np.argmax(eta == 0.99)]
-    assert first == pytest.approx(first_row, abs=1e-9)
-    assert np.all(eta[res.slow.time < first_row - 1e-9] == 1.0)
+    # before it, in both loops; 35 * 0.02 = 0.7000000000000001 must not pull
+    # 0.7 a step early
+    clean = _slow_track(loop, _mini_scenario(duration=0.76))
+    fault = _slow_track(loop, _mini_scenario(
+        {"gas_path_faults": [dict(time_s=t_swap, **_DEGRADED)]}, duration=0.76))
+    moved = np.any(fault.data != clean.data, axis=1)
+    assert fault.time[np.argmax(moved)] == pytest.approx(first_row, abs=1e-9)
+    assert not moved[fault.time < first_row - 1e-9].any()
+    if loop == "joint":
+        eta = fault.column("eta_c_f")
+        assert np.all((eta == 0.99) == (fault.time > first_row - 1e-9))
 
 
 def test_transient_applies_a_timed_gas_path_fault():
@@ -936,6 +953,18 @@ def test_transient_applies_a_timed_gas_path_fault():
     assert np.array_equal(fault.data[before], clean.data[before])
     row = np.flatnonzero(np.isclose(clean.time, 0.52))[0]
     assert not np.array_equal(fault.data[row], clean.data[row])
+
+
+def test_a_transient_runner_repeats():
+    # each call of one fuel_step_run's runner starts from the trim, not from
+    # where the call before it ended
+    from apucosim.scenario import fuel_step_run
+    run = fuel_step_run(_mini_scenario(
+        {"fuel_step": {"time_s": 0.1, "factor": 1.05},
+         "gas_path_faults": [dict(time_s=0.15, **_DEGRADED)]}, duration=0.2))
+    first, second = run().slow, run().slow
+    assert np.array_equal(first.time, second.time)
+    assert np.array_equal(first.data, second.data)
 
 
 def test_generator_run_with_series_rl_load():
