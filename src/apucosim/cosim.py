@@ -182,13 +182,6 @@ def _period_grid(w_e: float, max_step: float):
     return period / n, n
 
 
-# rows of the augmented propagator whose generator row is zero are exactly
-# unit rows: the last, the constant that carries b, and lam_f's when
-# healthy; the propagators pin them so the exponential's rounding cannot
-# drift those entries, and products of pinned matrices keep them exact
-_UNIT_ROWS = np.eye(8)
-
-
 def _prefix_products(steps):
     """Prefix products Phi_1..Phi_b of the step propagators E_0..E_b-1,
     Phi_j = E_j-1 ... E_0, as a log-depth scan of batched products (Hillis
@@ -339,7 +332,6 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
         gen[:7, 7] = sys_.b
         step = expm(gen * h)
         last = step if abs(last_h - h) <= 1e-9 * h else expm(gen * last_h)
-        step[6:] = last[6:] = _UNIT_ROWS[6:]
         prefix = _prefix_products(np.broadcast_to(step, (k, 8, 8)))
     else:
         # the exponents' arguments that hold over the segment
@@ -370,7 +362,6 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
                 e = e[:, 1::2] @ e[:, 0::2]
             steps.append(e[:, 0])
         steps = np.concatenate(steps)
-        steps[:, 7] = _UNIT_ROWS[7]
         prefix, last = _prefix_products(steps[:-1]), steps[-1]
     return _Propagators((sys_.w_e, sys_.R_load, sys_.fault, times.size), last_h,
                         sys_.V_fd, y[IDX_THETA], prefix, last, m, diff)

@@ -2,7 +2,7 @@
 solves (finite differences, Broyden updates), adaptive linearly implicit ODE
 stepper for affine systems (an independent reference for the machine
 propagators, which run on a fixed grid), matrix exponential of one matrix
-or a stack.
+or a stack from matrix products alone (a Taylor polynomial, no solve).
 
 The quasi-Newton solver computes in Python floats, with no numpy: its
 iterate is a list of floats, its Jacobian a tuple of row tuples, and each
@@ -379,18 +379,17 @@ def integrate_adaptive(deriv_fn, state0, t_span, opts: StepperOptions,
         last_step=h, accepted=accepted, rejected=rejected)
 
 
-# degree-13 Pade coefficients and the 1-norm bound up to which that
-# approximant is accurate to double precision (Higham 2005, Table 2.3)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Taylor coefficients 1/k! of the degree-16 approximant, and the 1-norm up to
+# which e^theta * sum_{k>16} theta^k / k! stays below 2^-53 (largest: 0.787)
+_TAYLOR16 = tuple(1.0 / math.factorial(k) for k in range(17))
+_THETA16 = 0.78
 
 
 def expm(a):
-    """Matrix exponential by scaling and squaring with a degree-13 Pade
-    approximant (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)).
+    """Matrix exponential by scaling and squaring with the degree-16 Taylor
+    polynomial in six matrix products and no solve (Paterson & Stockmeyer
+    1973; Bader, Blanes & Casas 2019): a zero row of `a` gives an exact unit
+    row, and the bytes are the same under OpenBLAS's FMA kernels.
 
     A stack of matrices along leading axes is exponentiated in one pass
     with one common scaling, the one its largest 1-norm needs.
@@ -401,18 +400,16 @@ def expm(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    squarings = max(0, math.ceil(math.log2(norm / _THETA16))) if norm > 0 else 0
     a = a / 2.0 ** squarings
-    b = _PADE13
+    c = _TAYLOR16
     eye = np.eye(a.shape[-1])
     a2 = a @ a
+    a3 = a2 @ a
     a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
+    r = c[16] * a4 + c[15] * a3 + c[14] * a2 + c[13] * a + c[12] * eye
+    for k in (8, 4, 0):
+        r = r @ a4 + c[k + 3] * a3 + c[k + 2] * a2 + c[k + 1] * a + c[k] * eye
     for _ in range(squarings):
         r = r @ r
     return r

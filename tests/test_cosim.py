@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +342,33 @@ def _faulted_system(mu=0.05, w_e=W_E):
                             R_225), y0
 
 
+@pytest.mark.parametrize("faulted", [False, True])
+def test_zero_generator_rows_give_exact_unit_rows(faulted):
+    # the constant's row, and lam_f's when healthy, are zero in the
+    # generator, so the exponentials and the propagators built from them
+    # carry those rows as exact unit rows
+    if faulted:
+        sysm, y0 = _faulted_system()
+        omega, _ = cosim._magnus_exponents(sysm.basis, sysm.b, y0[7], W_E, 0.0,
+                                           2.5e-5 * np.arange(104),
+                                           np.full(104, 2.5e-5))
+        rows = [7]
+    else:
+        p = WrsgParams()
+        v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+        y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+        sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
+                                v_fd, R_225)
+        omega = np.zeros((8, 8))
+        omega[:7, :7] = sysm.basis[0].reshape(7, 7) * 1e-4
+        omega[:7, 7] = sysm.b * 1e-4
+        rows = [6, 7]
+    assert not np.any(omega[..., rows, :])
+    built = propagate(sysm, y0, 0.0, 0.02003, GENERATOR_STEPPER)[2]
+    for e in (expm(omega), built.prefix, built.last):
+        assert np.all(e[..., rows, :] == np.eye(8)[rows])
+
+
 def test_magnus_with_constant_a_matches_healthy_propagator():
     # with A constant the order-6 exponent is the healthy step's dt gen, bit
     # for bit, and the order-4 one coincides with it, so the estimate is
@@ -415,11 +446,11 @@ def _csv_digest(series, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_joint_run_golden_csvs(tmp_path):
-    # regression lock on a run with every kind of event and noise, whose
-    # AVR moves the field voltage: a load step to 0.6, a gas-path fault, a
-    # TTSC fault inside a macro step and seeded noise on all three streams;
-    # the digests are tied to this platform's libm, as the fuel-step one is
+def _joint_golden(tmp_path):
+    """A joint run with every kind of event and noise, whose AVR moves the
+    field voltage: a load step to 0.6, a gas-path fault, a TTSC fault inside
+    a macro step and seeded noise on all three streams; with the digests of
+    its fast and slow tracks."""
     res = run_joint(build_joint_setup(_mini_scenario({
         "load": {"schedule": [{"time_s": 0.1, "scale": 0.6}]},
         "gas_path_faults": [{"time_s": 0.15, "eta_c_factor": 0.99}],
@@ -427,26 +458,88 @@ def test_joint_run_golden_csvs(tmp_path):
         "noise": {"std_w1": 1, "std_w2": 0.5, "std_vi": 0.5, "std_vv": 1,
                   "gasgen_output": {"XNHPC": 2, "T4": 1.5}},
         "hook": {"std_rpm": 3}, "seed": 5}, duration=0.4)))
-    assert np.ptp(res.slow.column("V_fd")) > 10.0
-    assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
-        "8136d366766e7796634b09bd6617b7ec4b0fd7df503ed3902c613f87794d82e1")
-    assert _csv_digest(res.slow, tmp_path / "slow.csv") == (
-        "93ca33ba629562523978023944fe32a8f7286c29795d02963fcdf7185c960ffa")
+    return res, (_csv_digest(res.fast, tmp_path / "fast.csv"),
+                 _csv_digest(res.slow, tmp_path / "slow.csv"))
 
 
-def test_generator_run_golden_outputs(tmp_path):
-    # regression lock on a faulted generator run, its fault branch closed
-    # (k_rf = 1) from 0.1 s: the fast track at decimation 1 and the last
-    # step's rms table
+def _generator_golden(tmp_path):
+    """A faulted generator run, its fault branch closed (k_rf = 1) from
+    0.1 s; with the digests of its fast track at decimation 1 and of the
+    last step's rms table."""
     res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
                         speed_rpm=12000.0, duration=0.2, decimation=1,
                         fault_schedule=((0.1, FaultParams(mu=0.05, k_rf=1.0)),))
-    assert np.all(res.fast.column("i_f")[res.fast.time > 0.1] != 0.0)
-    assert _csv_digest(res.fast, tmp_path / "fast.csv") == (
-        "3deea55db6347486e3d7d150d47405cd5c11b1a7b3cb60391da3333b23555f6e")
     table = json.dumps(res.rms_table, sort_keys=True).encode()
-    assert hashlib.sha256(table).hexdigest() == (
-        "8870ccd7005af50799685dd91bf00e069ab0bcef882990e6fad5fb9e398df442")
+    return res, (_csv_digest(res.fast, tmp_path / "fast.csv"),
+                 hashlib.sha256(table).hexdigest())
+
+
+# the golden digests are tied to this platform's libm, as the fuel-step one
+# is, and to an FMA BLAS kernel: they are the same under OpenBLAS's
+# Haswell, Zen and SkylakeX kernels
+
+def test_joint_run_golden_csvs(tmp_path):
+    res, digests = _joint_golden(tmp_path)
+    assert np.ptp(res.slow.column("V_fd")) > 10.0
+    assert digests == (
+        "b8488783ce98ecbe9b225ff33079a218bce3b4cff23bc058ba7ed26093927429",
+        "13989c030d1380b942dce9ddb471cdb518cfd96fa25714f01bf85dd6eb594684")
+
+
+def test_generator_run_golden_outputs(tmp_path):
+    res, digests = _generator_golden(tmp_path)
+    assert np.all(res.fast.column("i_f")[res.fast.time > 0.1] != 0.0)
+    assert digests == (
+        "79b87ae9c3615b182b9410bffa80a7a0de821284c46afc29ec5a2a0f23d97b9e",
+        "68e85cf204761cf69d1bac7ce971267e38892db91cf7fe52c146c7635fd7acd1")
+
+
+def _fma_kernels():
+    """The OPENBLAS_CORETYPE kernels among Haswell, Zen and SkylakeX that
+    this CPU can run, from the flags of /proc/cpuinfo: Haswell and Zen need
+    AVX2 and FMA, SkylakeX AVX-512F (OpenBLAS 0.3.31 runs Zen on Haswell's
+    kernel). Forcing a kernel the CPU lacks ends the process on an illegal
+    instruction."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = next((set(line.split(":", 1)[1].split()) for line in fh
+                          if line.startswith("flags")), set())
+    except OSError:
+        flags = set()
+    kernels = ["Haswell", "Zen"] if {"avx2", "fma"} <= flags else []
+    return kernels + (["SkylakeX"] if "avx512f" in flags else [])
+
+
+_GOLDEN_CHILD = """
+import pathlib, tempfile
+import test_cosim
+with tempfile.TemporaryDirectory() as d:
+    print(*test_cosim._joint_golden(pathlib.Path(d))[1],
+          *test_cosim._generator_golden(pathlib.Path(d))[1])
+"""
+
+
+def test_machine_bytes_do_not_depend_on_the_blas_kernel():
+    # both golden runs in one child process per kernel; only an OpenBLAS
+    # built with DYNAMIC_ARCH picks its kernel at run time
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH")
+    kernels = _fma_kernels()
+    if len(kernels) < 2:
+        pytest.skip(f"this CPU runs fewer than two of the FMA kernels: {kernels}")
+    path = os.pathsep.join([str(Path(cosim.__file__).parents[1]),
+                            str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    digests = {}
+    for kernel in kernels:
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
+        out = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (kernel, out.stderr)
+        digests[kernel] = out.stdout.split()
+    assert len(digests[kernels[0]]) == 4
+    assert all(d == digests[kernels[0]] for d in digests.values()), digests
 
 
 def _count_builds(monkeypatch):

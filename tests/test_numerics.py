@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from machine_reference import SingularMatrix, solve_dense
 
 from apucosim.numerics import (
-    _PADE13,
-    _THETA13,
+    _THETA16,
     NEWTON_MAX_ITERATIONS,
     NonConvergence,
     SingularJacobian,
@@ -432,7 +431,7 @@ def test_expm_diagonal_and_zero():
 
 
 def test_expm_rotation_needs_squaring():
-    th = 40.0    # 1-norm far above the Pade bound
+    th = 40.0    # 1-norm far above the Taylor polynomial's bound
     r = expm(np.array([[0.0, -th], [th, 0.0]]))
     c, s = math.cos(th), math.sin(th)
     assert np.max(np.abs(r - np.array([[c, -s], [s, c]]))) < 1e-12
@@ -467,15 +466,25 @@ def test_expm_rejects_non_square():
         expm(np.zeros(3))
 
 
-def _expm_2d_reference(a):
-    """The 2-D exponential as it was before stacks were accepted, operation
-    for operation."""
+# degree-13 Pade coefficients and the 1-norm bound up to which that
+# approximant is accurate to double precision (Higham 2005, Table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm_pade_reference(a):
+    """The exponential by scaling and squaring with the degree-13 Pade
+    approximant and one solve (Higham 2005, SIAM J. Matrix Anal. Appl.
+    26(4)), one common scaling for a stack."""
     a = np.array(a, dtype=float)
-    norm = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
+    norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
     squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
     a = a / 2.0 ** squarings
     b = _PADE13
-    eye = np.eye(a.shape[0])
+    eye = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -489,11 +498,52 @@ def _expm_2d_reference(a):
     return r
 
 
+def _assert_matches_pade(a):
+    """expm(a) within 1e-13 of the Pade reference, relative to each
+    matrix's largest entry."""
+    got, want = expm(a), _expm_pade_reference(a)
+    scale = np.max(np.abs(want), axis=(-2, -1))
+    assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= 1e-13 * scale)
+
+
 @pytest.mark.parametrize("n, scale", [(2, 40.0), (7, 0.1), (7, 3.0), (8, 1e-3),
                                       (8, 25.0)])
 def test_expm_2d_bits_unchanged(n, scale):
-    a = np.random.default_rng(n + int(scale * 10)).normal(size=(n, n)) * scale
-    assert np.array_equal(expm(a), _expm_2d_reference(a))
+    # the five 2-D cases that locked the Pade approximant's bits: the Taylor
+    # polynomial agrees with it to rounding
+    _assert_matches_pade(
+        np.random.default_rng(n + int(scale * 10)).normal(size=(n, n)) * scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_expm_stacks_match_pade_over_the_machine_norm_range(seed):
+    # the machine's exponentials have 1-norms of 1.2-6: a stack whose slices
+    # span 1-6, and one as large as a faulted build's batch (26 steps of 4
+    # sub-steps)
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(12, 8, 8))
+    norms = np.max(np.sum(np.abs(stack), axis=-2), axis=-1)
+    _assert_matches_pade(stack * (np.linspace(1.0, 6.0, 12) / norms)[:, None, None])
+    _assert_matches_pade(rng.normal(size=(104, 8, 8)))
+
+
+def test_taylor_bound_holds_at_theta():
+    # e^theta times the series' tail beyond degree 16 stays below 2^-53 at
+    # _THETA16, and exceeds it above the 0.787 the bound allows at most
+    def tail(theta):
+        return math.exp(theta) * math.fsum(theta ** k / math.factorial(k)
+                                           for k in range(17, 60))
+    assert tail(_THETA16) <= 2.0 ** -53 < tail(0.788)
+
+
+def test_expm_calls_no_linear_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expm called np.linalg")
+
+    for name in ("solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    a = np.random.default_rng(3).normal(size=(5, 8, 8)) * 4.0
+    assert np.all(np.isfinite(expm(a)))
 
 
 def test_expm_stack_matches_slice_by_slice():
