@@ -12,6 +12,8 @@ import copy
 import functools
 import json
 import math
+import os
+import shutil
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -522,6 +524,11 @@ def station_report(solution, title: str = "Design point") -> StationReport:
     return StationReport(title=title, rows=rows)
 
 
+# a fork costs a few ms and the copy-on-write faults of a large parent, so
+# each slice a child formats holds at least this many rows
+_SLICE_ROWS = 4096
+
+
 def write_csv(series: TimeSeries, path) -> None:
     """CSV with `time_s,<channel>_<unit>` header; 17 significant digits so a
     read-back reproduces values bit-exactly."""
@@ -529,13 +536,66 @@ def write_csv(series: TimeSeries, path) -> None:
         raise ValueError("refusing to write an empty series")
     header = ",".join(["time_s"] + [f"{n}_{u}" for n, u in
                                     zip(series.names, series.units)])
-    # one Python-float row at a time: formatting numpy scalars one by one is
-    # slow, and a whole-table list would hold every value as an object
     row_format = ",".join(["%.17g"] * (1 + len(series.names))) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(series.time.tolist(), series.data):
-            fh.write(row_format % (t, *row.tolist()))
+    # contiguous slices, one per CPU the process may run on and each of at
+    # least _SLICE_ROWS rows: a forked child formats each slice after the
+    # first and sends it through its own pipe, which the parent copies after
+    # its own slice, so the file holds the bytes of one loop over the rows
+    n = series.n_samples
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    slices = max(1, min(cpus if hasattr(os, "fork") else 1, n // _SLICE_ROWS))
+    bounds = [n * k // slices for k in range(slices + 1)]
+    pipes, pids = [], []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _send_rows(w, pipes, series, start, stop, row_format)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            # the parent's slice one Python-float row at a time: formatting
+            # numpy scalars one by one is slow, and a whole-slice list would
+            # hold every value as an object
+            for t, row in zip(series.time[:bounds[1]].tolist(), series.data):
+                fh.write(row_format % (t, *row.tolist()))
+            fh.flush()
+            for pipe in pipes:
+                shutil.copyfileobj(pipe, fh.buffer)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for status in statuses:
+        if status:
+            raise OSError(f"writing {path}: a child formatting its rows exited "
+                          f"with status {os.waitstatus_to_exitcode(status)}")
+
+
+def _send_rows(fd, pipes, series, start, stop, row_format):
+    """In a forked child: write rows start..stop of `series` to the pipe fd
+    as one bytes object and end the process, with status 0 if all of it was
+    written; the parent's pipe ends in `pipes` are closed first. A fork
+    copies only the calling thread, so the child makes no BLAS call, whose
+    threads it lacks."""
+    status = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        values = np.column_stack((series.time[start:stop], series.data[start:stop]))
+        with open(fd, "wb") as out:
+            out.write((row_format * (stop - start) % tuple(values.ravel().tolist()))
+                      .encode())
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def merged_series(fast: TimeSeries, slow: TimeSeries) -> TimeSeries:
@@ -556,7 +616,6 @@ def merged_series(fast: TimeSeries, slow: TimeSeries) -> TimeSeries:
 def write_run(result, outdir, basename: str, scenario: Scenario | None = None,
               merged: bool = False):
     """Write fast/slow tracks and a manifest tying them together."""
-    import os
     os.makedirs(outdir, exist_ok=True)
     files = {}
     for track in ("fast", "slow"):
@@ -637,9 +696,9 @@ def emit_svg(series: TimeSeries, channels, path, title: str = "") -> None:
     parts.append(f'<text x="{_SVG_W // 2}" y="{_SVG_H - 4}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12">time [s]</text>')
     step = max(1, t.size // 2000)   # cap polyline length for quick-look plots
-    xs = sx(t[::step]).tolist()
+    xs = sx(t[::step])
     for ci, (ch, col) in enumerate(zip(channels, cols)):
-        pts = " ".join("%.2f,%.2f" % p for p in zip(xs, sy(col[::step]).tolist()))
+        pts = _polyline_points(xs, sy(col[::step]))
         color = _COLORS[ci % len(_COLORS)]
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
@@ -650,3 +709,10 @@ def emit_svg(series: TimeSeries, channels, path, title: str = "") -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+def _polyline_points(xs, ys) -> str:
+    """The points "x,y x,y ..." of an SVG polyline at two decimals, all
+    formatted by one %."""
+    pattern = " ".join(["%.2f,%.2f"] * len(xs))
+    return pattern % tuple(np.column_stack((xs, ys)).ravel().tolist())

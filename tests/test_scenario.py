@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
 import re
+import shutil
+import signal
 
 import numpy as np
 import pytest
 
+from apucosim import scenario as sc
 from apucosim.cosim import TimeSeries
 from apucosim.scenario import (
     PRESETS,
@@ -168,16 +172,136 @@ def _write_csv_reference(series, path):
             fh.write(",".join(row) + "\n")
 
 
-def test_csv_bytes_match_reference_writer_on_awkward_values(tmp_path):
-    awkward = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
-               2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
-    data = np.array([awkward, awkward[::-1]]).T
-    series = TimeSeries(names=("a", "b"), units=("V", "A"),
-                        time=np.array(awkward), data=data)
+_AWKWARD = [-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0,
+            2.0 ** 53, 1e16, 0.1, 1.0 / 3.0, math.inf, -math.inf, math.nan]
+
+
+def _assert_same_bytes(series, tmp_path):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     write_csv(series, new)
     _write_csv_reference(series, ref)
     assert new.read_bytes() == ref.read_bytes()
+
+
+def test_csv_bytes_match_reference_writer_on_awkward_values(tmp_path):
+    data = np.array([_AWKWARD, _AWKWARD[::-1]]).T
+    series = TimeSeries(names=("a", "b"), units=("V", "A"),
+                        time=np.array(_AWKWARD), data=data)
+    _assert_same_bytes(series, tmp_path)
+
+
+# a long table is formatted in slices, one per usable CPU, by forked children
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _long_series(rows=3 * sc._SLICE_ROWS + 7):
+    """Values spanning the float range, with awkward ones in the rows on
+    each side of every boundary that 1, 2 or 3 slices put in the table."""
+    rng = np.random.default_rng(40)
+    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
+    for slices in (1, 2, 3):
+        for k in range(slices + 1):
+            for i in range(max(0, rows * k // slices - 1), min(rows, rows * k // slices + 1)):
+                table[i] = [_AWKWARD[(i + j) % len(_AWKWARD)] for j in range(4)]
+    return TimeSeries(names=("a", "b", "c"), units=("V", "A", "-"),
+                      time=table[:, 0], data=table[:, 1:])
+
+
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+def _record_forks(monkeypatch, kill=False):
+    """The pids of the children write_csv forks; with `kill`, each child is
+    killed as soon as it is forked."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sliced_csv_bytes_match_reference_writer(tmp_path, monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    pids = _record_forks(monkeypatch)
+    _assert_same_bytes(_long_series(), tmp_path)
+    assert len(pids) == cpus - 1
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_failed_child_fails_the_write(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 3)
+    pids = _record_forks(monkeypatch, kill=True)
+    with pytest.raises(OSError, match="child formatting its rows exited"):
+        write_csv(_long_series(), tmp_path / "x.csv")
+    assert len(pids) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_failure_in_the_parent_mid_write_leaves_no_child(tmp_path, monkeypatch):
+    # the parent has written its own slice when copying the first pipe
+    # fails, with both children blocked on their full pipes
+    _usable_cpus(monkeypatch, 3)
+    pids = _record_forks(monkeypatch)
+
+    def fail(*args):
+        raise OSError("copy failed")
+
+    monkeypatch.setattr(shutil, "copyfileobj", fail)
+    with pytest.raises(OSError, match="copy failed"):
+        write_csv(_long_series(), tmp_path / "x.csv")
+    assert len(pids) == 2
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_sliced_csv_under_a_running_interval_timer(tmp_path, monkeypatch):
+    # a SIGALRM handler every millisecond, as a benchmark's speed probe
+    # sets one, interrupts the parent's pipe reads and waits
+    _usable_cpus(monkeypatch, 2)
+    ticks = []
+    old = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+    signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+    try:
+        write_csv(_long_series(), tmp_path / "new.csv")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+    assert ticks
+    _write_csv_reference(_long_series(), tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_no_child_left()
+
+
+def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch):
+    # the generator track of a 0.5 s genrun: 2,510 rows
+    _usable_cpus(monkeypatch, 64)
+
+    def fork():
+        raise AssertionError("forked for a 2,510-row table")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    _assert_same_bytes(_long_series(2510), tmp_path)
 
 
 # --------------------------------------------------------------------- report
@@ -242,6 +366,14 @@ def test_svg_polyline_matches_per_point_formatting(tmp_path):
         f"{sc._MARGIN_T + (ymax - yv) / (ymax - ymin) * ih:.2f}"
         for tv, yv in zip(t[::step], y[::step]))
     assert points == ref
+
+
+def test_polyline_points_match_per_point_formatting():
+    xs = np.array(_AWKWARD + [64.005, 1e-3, 2.675])
+    ys = np.array(_AWKWARD[::-1] + [-0.004, -1e-3, 699.995])
+    ref = " ".join("%.2f,%.2f" % p for p in zip(xs.tolist(), ys.tolist()))
+    assert sc._polyline_points(xs, ys) == ref
+    assert all(v in ref for v in ("nan", " inf,", "-inf", "-0.00"))
 
 
 def test_svg_unknown_channel(tmp_path):
