@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ..numerics import _eliminate_2x2
 from .loads import LoadModel
 from .machine import (
     FaultParams,
@@ -171,9 +172,10 @@ def steady_state(params: WrsgParams, R_load: float, V_fd: float,
     L = build_L(params, L_load).L
     i_fd = V_fd / params.r_fd
     r = R_load + params.r_s
-    # r i_q = w lam_d = w (L_dd i_d + L_d,fd i_fd); r i_d = -w lam_q = -w L_qq i_q
-    a = np.array([[r, -w_e * L[1, 1]], [w_e * L[0, 0], r]])
-    i_q, i_d = np.linalg.solve(a, np.array([w_e * L[1, 3] * i_fd, 0.0]))
+    # r i_q = w lam_d = w (L_dd i_d + L_d,fd i_fd); r i_d = -w lam_q = -w L_qq i_q,
+    # solved in floats: a LAPACK solve's last bits depend on the BLAS kernel
+    l_qq, l_dd, l_dfd = float(L[0, 0]), float(L[1, 1]), float(L[1, 3])
+    i_q, i_d = _eliminate_2x2(((r, -w_e * l_dd), (w_e * l_qq, r)), (w_e * l_dfd * i_fd, 0.0))
     lam = L @ np.array([i_q, i_d, 0.0, i_fd, 0.0, 0.0])
     return WrsgState(*lam.tolist(), lam_f=0.0, theta_e=theta0)
 

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from apucosim.numerics import _eliminate_2x2
 from apucosim.wrsg import (ElectricalSystem, FaultParams, InductanceModel, WrsgParams,
                            WrsgState)
 from apucosim.wrsg.machine import IDX_LAM_F, IDX_THETA
@@ -126,10 +127,9 @@ def steady_state_by_hand(params: WrsgParams, R_load: float, V_fd: float,
     lq = p.L_mq + p.L_ls + L_load
     ld = p.L_md + p.L_ls + L_load
     r = R_load + p.r_s
-    # (R) i_q = w lam_d = w (-Ld i_d + Lmd i_fd); (R) i_d = w Lq i_q
-    a = np.array([[r, w_e * ld], [-w_e * lq, r]])
-    b = np.array([w_e * p.L_md * i_fd, 0.0])
-    i_q, i_d = np.linalg.solve(a, b)
+    # (R) i_q = w lam_d = w (-Ld i_d + Lmd i_fd); (R) i_d = w Lq i_q, solved
+    # as steady_state solves it, in floats
+    i_q, i_d = _eliminate_2x2(((r, w_e * ld), (-w_e * lq, r)), (w_e * p.L_md * i_fd, 0.0))
     lam_q = -lq * i_q
     lam_d = -ld * i_d + p.L_md * i_fd
     lam_fd = -p.L_md * i_d + (p.L_md + p.L_lf) * i_fd

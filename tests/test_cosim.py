@@ -482,16 +482,16 @@ def test_joint_run_golden_csvs(tmp_path):
     res, digests = _joint_golden(tmp_path)
     assert np.ptp(res.slow.column("V_fd")) > 10.0
     assert digests == (
-        "b8488783ce98ecbe9b225ff33079a218bce3b4cff23bc058ba7ed26093927429",
-        "13989c030d1380b942dce9ddb471cdb518cfd96fa25714f01bf85dd6eb594684")
+        "ab47fc8c508616a853aa53305a81b6cfb8c96460f2a45b88385488f93ad278ba",
+        "e825f0c727f9a23987f86f93380a6a90f801b795d092a3d5e7675257f30b9de1")
 
 
 def test_generator_run_golden_outputs(tmp_path):
     res, digests = _generator_golden(tmp_path)
     assert np.all(res.fast.column("i_f")[res.fast.time > 0.1] != 0.0)
     assert digests == (
-        "79b87ae9c3615b182b9410bffa80a7a0de821284c46afc29ec5a2a0f23d97b9e",
-        "68e85cf204761cf69d1bac7ce971267e38892db91cf7fe52c146c7635fd7acd1")
+        "4c5bb2cd86c8af4b2b60871f2d3a5d0d35f1ab5121a246945673a6aac6941e86",
+        "13bcaad43a060cb1f13a4aa192783c9701b800d6e52fbffea6081c9f2de94f07")
 
 
 def _fma_kernels():
@@ -510,18 +510,30 @@ def _fma_kernels():
     return kernels + (["SkylakeX"] if "avx512f" in flags else [])
 
 
+def _off_speed_digest(tmp_path):
+    """The fast-track digest of `genrun --speed-rpm 12500 --duration 0.3
+    --mu 0.08 --fault-time 0.1137 --k-rf 2`, whose steady start a LAPACK
+    solve gave other last bits under Haswell than under SkylakeX."""
+    res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                        speed_rpm=12500.0, duration=0.3, decimation=2,
+                        fault_schedule=((0.1137, FaultParams(mu=0.08, k_rf=2.0)),))
+    return _csv_digest(res.fast, tmp_path / "off_speed.csv")
+
+
 _GOLDEN_CHILD = """
 import pathlib, tempfile
 import test_cosim
 with tempfile.TemporaryDirectory() as d:
     print(*test_cosim._joint_golden(pathlib.Path(d))[1],
-          *test_cosim._generator_golden(pathlib.Path(d))[1])
+          *test_cosim._generator_golden(pathlib.Path(d))[1],
+          test_cosim._off_speed_digest(pathlib.Path(d)))
 """
 
 
 def test_machine_bytes_do_not_depend_on_the_blas_kernel():
-    # both golden runs in one child process per kernel; only an OpenBLAS
-    # built with DYNAMIC_ARCH picks its kernel at run time
+    # both golden runs and an off-speed faulted start in one child process
+    # per kernel; only an OpenBLAS built with DYNAMIC_ARCH picks its kernel
+    # at run time
     config = getattr(np.__config__, "CONFIG", {})
     blas = config.get("Build Dependencies", {}).get("blas", {})
     if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
@@ -538,7 +550,7 @@ def test_machine_bytes_do_not_depend_on_the_blas_kernel():
                              capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, (kernel, out.stderr)
         digests[kernel] = out.stdout.split()
-    assert len(digests[kernels[0]]) == 4
+    assert len(digests[kernels[0]]) == 5
     assert all(d == digests[kernels[0]] for d in digests.values()), digests
 
 
