@@ -134,6 +134,12 @@ def energy_audit(slow: TimeSeries, eta_gtTsg: float, macro_dt: float) -> EnergyA
                        transferred=transferred, residual=energy - transferred)
 
 
+# rows of the first fast-track recorder buffers; each later one doubles
+# them, so a run's track is one array, neither a chunk per segment nor a
+# join of such chunks, which would hold the track twice and strew the heap
+# with the chunks' holes
+_RECORD_ROWS = 4096
+
 FAST_CHANNELS = (
     ("ia", "A"), ("ib", "A"), ("ic", "A"),
     ("va", "V"), ("vb", "V"), ("vc", "V"),
@@ -429,7 +435,11 @@ class _MachineTrack:
         self.scale = 1.0           # the load's admittance scale
         self.state = None          # state array and V_fd: set by start()
         self.v_rms = None          # per-phase rms of the last step: set by advance()
-        self._times, self._rows = [], []     # recorded fast-track chunks
+        # the recorded fast track: its times and rows, the first _recorded
+        # of each buffer's, and the count of samples passed to the recorder
+        self._rec_time = np.empty(_RECORD_ROWS)
+        self._rec_data = np.empty((_RECORD_ROWS, len(FAST_CHANNELS)))
+        self._recorded = 0
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
         self._kept = None          # the last noise-free segment's propagators
@@ -540,23 +550,35 @@ class _MachineTrack:
         if self.noise.std_vi or self.noise.std_vv:
             # recorded phase channels carry the measurement-noise model
             v_rec, i_rec = measure(v_rec, i_rec, self.noise, rng=self.rng)
-        self._times.append(times[keep])
-        self._rows.append(np.column_stack([
-            i_rec, v_rec, i_f[keep], i6[keep, 3], p_tot[keep], p_loss[keep],
-            np.full(i_rec.shape[0], self.V_fd)]))
+        a, b = self._recorded, self._recorded + i_rec.shape[0]
+        if b > self._rec_time.size:
+            self._grow_record(b)
+        self._rec_time[a:b] = times[keep]
+        rows = self._rec_data[a:b]
+        rows[:, 0:3], rows[:, 3:6], rows[:, 6] = i_rec, v_rec, i_f[keep]
+        rows[:, 7], rows[:, 8], rows[:, 9] = i6[keep, 3], p_tot[keep], p_loss[keep]
+        rows[:, 10] = self.V_fd
+        self._recorded = b
+
+    def _grow_record(self, rows: int):
+        """Give the recorder buffers of at least `rows` rows, at least twice
+        the present ones, holding the rows recorded so far."""
+        size, n = max(rows, 2 * self._rec_time.size), self._recorded
+        time, data = np.empty(size), np.empty((size, self._rec_data.shape[1]))
+        time[:n], data[:n] = self._rec_time[:n], self._rec_data[:n]
+        self._rec_time, self._rec_data = time, data
 
     def segment(self):
         """This macro step's samples: times, phase currents, phase voltages."""
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
     def fast_series(self) -> TimeSeries:
+        """The track recorded so far, as views of the recorder's buffers."""
         names = tuple(n for n, _ in FAST_CHANNELS)
         units = tuple(u for _, u in FAST_CHANNELS)
-        if self._rows:
-            time, data = np.concatenate(self._times), np.concatenate(self._rows)
-        else:
-            time, data = np.empty(0), np.empty((0, len(names)))
-        return TimeSeries(names=names, units=units, time=time, data=data)
+        n = self._recorded
+        return TimeSeries(names=names, units=units, time=self._rec_time[:n],
+                          data=self._rec_data[:n])
 
 
 @dataclass

@@ -145,6 +145,29 @@ def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
         _trapezoid(fast.time[step], fast.column("P_sg_total")[step]), rel=1e-12)
 
 
+@pytest.mark.parametrize("first_rows", [1, 7])
+def test_recorder_growth_keeps_every_row(monkeypatch, first_rows):
+    # the recorder's buffers grow to a whole segment or double when full: a
+    # track recorded through many growths holds the bytes of one recorded
+    # into a single buffer, and a series taken earlier keeps its rows
+    def record(rows):
+        monkeypatch.setattr(cosim, "_RECORD_ROWS", rows)
+        track = _track(((0.013, FaultParams(mu=0.05)),))
+        track.start(W_E)
+        track.advance(1, W_E)
+        first = track.fast_series()
+        kept = first.data.copy()
+        for k in range(2, 4):
+            track.advance(k, W_E)
+        assert first.data.tobytes() == kept.tobytes()
+        return track.fast_series()
+    fast, ref = record(first_rows), record(100_000)
+    assert fast.data.flags.c_contiguous
+    assert fast.data.shape == ref.data.shape == (fast.time.size, len(cosim.FAST_CHANNELS))
+    assert fast.time.tobytes() == ref.time.tobytes()
+    assert fast.data.tobytes() == ref.data.tobytes()
+
+
 def test_track_start_is_steady_at_the_run_speed():
     # a cubic-speed-law load is sized at the run's speed, so the start is a
     # steady state: its power holds over the first macro step
