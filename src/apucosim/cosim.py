@@ -134,11 +134,12 @@ def energy_audit(slow: TimeSeries, eta_gtTsg: float, macro_dt: float) -> EnergyA
                        transferred=transferred, residual=energy - transferred)
 
 
-# rows of the first fast-track recorder buffers; each later one doubles
+# rows of the first fast-track recorder buffers, small enough for a short
+# run's track to take little more than it needs; each later one doubles
 # them, so a run's track is one array, neither a chunk per segment nor a
 # join of such chunks, which would hold the track twice and strew the heap
 # with the chunks' holes
-_RECORD_ROWS = 4096
+_RECORD_ROWS = 1024
 
 FAST_CHANNELS = (
     ("ia", "A"), ("ib", "A"), ("ic", "A"),
