@@ -141,7 +141,7 @@ def cmd_steady(args) -> int:
 def cmd_transient(args) -> int:
     scn = _scenario_from_args(args)
     run = sc.fuel_step_run(scn)
-    os.makedirs(args.out, exist_ok=True)
+    sc.check_out(args.out)
     res = run()
     files = sc.write_run(res, args.out, f"transient_{scn.name}", scn)
     if args.svg:
@@ -179,11 +179,14 @@ def cmd_genrun(args) -> int:
             raise ValueError(f"--fault-time must lie below --duration, "
                              f"found {t_fault!r}")
         fault_schedule = ((t_fault, FaultParams(mu=args.mu, k_rf=k_rf)),)
-    os.makedirs(args.out, exist_ok=True)
+    sc.check_out(args.out)
+    basename = f"genrun_{args.power_kw:g}kW"
+    rows = args.duration / GENERATOR_STEPPER.max_step / args.decimation
     try:
-        res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
-                            duration=args.duration, fault_schedule=fault_schedule,
-                            decimation=args.decimation)
+        with sc.FastStream(args.out, basename, rows) as stream:
+            res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
+                                duration=args.duration, fault_schedule=fault_schedule,
+                                decimation=args.decimation, sink=stream.sink)
     except FieldVoltageOutOfRange as exc:
         raise UsageError(f"--power-kw {args.power_kw:g} at --speed-rpm "
                          f"{args.speed_rpm:g}: {exc}") from None
@@ -197,7 +200,7 @@ def cmd_genrun(args) -> int:
         for key, val in res.rms_table.items():
             unit = "V" if "Voltage" in key else "A"
             print(f"  {key:<{width}}  {val:10.4f} {unit}")
-    files = sc.write_run(res, args.out, f"genrun_{args.power_kw:g}kW")
+    files = sc.write_run(res, args.out, basename, streamed=stream.written)
     if args.svg and res.fast.n_samples:
         sc.emit_svg(res.fast, ["ia", "ib", "ic"],
                     os.path.join(args.out, "genrun_currents.svg"),
@@ -208,11 +211,11 @@ def cmd_genrun(args) -> int:
     return EXIT_OK
 
 
-def _run_joint(scn: sc.Scenario, setup):
+def _run_joint(scn: sc.Scenario, setup, sink=None):
     """run_joint, naming the scenario leaves that set the start's field
     voltage where the AVR cannot give it."""
     try:
-        return run_joint(setup)
+        return run_joint(setup, sink)
     except FieldVoltageOutOfRange as exc:
         avr, load = scn.doc["avr"], scn.doc["load"]
         raise UsageError(f"avr.v_fd_max {avr['v_fd_max']:g}, avr.v_set {avr['v_set']:g} "
@@ -257,9 +260,12 @@ def cmd_joint(args) -> int:
     out, svg = (OUTPUT_DEFAULTS[k] if v is None else v
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
-    os.makedirs(out, exist_ok=True)
-    result = _run_joint(scn, setup)
-    files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged)
+    sc.check_out(out)
+    rows = setup.duration / setup.stepper.max_step / setup.decimation
+    with sc.FastStream(out, f"joint_{scn.name}", rows) as stream:
+        result = _run_joint(scn, setup, stream.sink)
+    files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
+                         streamed=stream.written)
     if svg:
         for group, track, chans in (
                 ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),

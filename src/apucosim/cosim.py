@@ -444,6 +444,8 @@ class _MachineTrack:
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
         self._kept = None          # the last noise-free segment's propagators
+        # called with each block of newly recorded times and rows, or None
+        self.sink = None
 
     def start(self, w_e: float) -> float:
         """Start at electrical speed w_e from the healthy steady state whose
@@ -537,7 +539,8 @@ class _MachineTrack:
 
     def _record(self, sys_, times, states):
         """Fast-track pass over one segment's samples: shaft energy, the rms
-        buffers and every decimation-th row of the recorded channels."""
+        buffers and every decimation-th row of the recorded channels, which
+        also go to the sink."""
         i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(states)
         t = np.concatenate(([self._last[0]], times))
         p = np.concatenate(([self._last[1]], p_tot))
@@ -560,6 +563,8 @@ class _MachineTrack:
         rows[:, 7], rows[:, 8], rows[:, 9] = i6[keep, 3], p_tot[keep], p_loss[keep]
         rows[:, 10] = self.V_fd
         self._recorded = b
+        if self.sink and b > a:
+            self.sink(self._rec_time[a:b], self._rec_data[a:b])
 
     def _grow_record(self, rows: int):
         """Give the recorder buffers of at least `rows` rows, at least twice
@@ -681,8 +686,10 @@ class JointSetup:
     seed: int
 
 
-def run_joint(setup: JointSetup) -> JointResult:
-    """Run the coupled simulation; deterministic for a fixed setup and seed."""
+def run_joint(setup: JointSetup, sink=None) -> JointResult:
+    """Run the coupled simulation; deterministic for a fixed setup and seed.
+    `sink`, if given, is handed each block of fast-track rows as the machine
+    track records it, from the first macro step on."""
     n_steps = whole_steps(setup.duration, setup.macro_dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
@@ -709,6 +716,7 @@ def run_joint(setup: JointSetup) -> JointResult:
     p0 = track.start(w_e)
     wf = spool.trim(setup.governor.N_set, p0 / coupling.eta_gtTsg)
     governor = replace(setup.governor, integral=wf - setup.governor.wf_ff, prev_wf=wf)
+    track.sink = sink
 
     slow_names = tuple(n for n, _ in OUTPUT_CHANNELS) + tuple(n for n, _ in SLOW_EXTRA)
     slow_units = tuple(u for _, u in OUTPUT_CHANNELS) + tuple(u for _, u in SLOW_EXTRA)
@@ -755,8 +763,9 @@ GENERATOR_STEPPER = StepperOptions(relative_tolerance=1e-5, absolute_tolerance=1
 
 def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
                   speed_rpm: float, duration: float, fault_schedule=(),
-                  decimation: int = 1) -> GeneratorRunResult:
-    """Noise-free machine-only run at fixed shaft speed with the AVR active."""
+                  decimation: int = 1, sink=None) -> GeneratorRunResult:
+    """Noise-free machine-only run at fixed shaft speed with the AVR active;
+    `sink` as run_joint's."""
     dt = GENERATOR_CONTROL_DT
     n_steps = whole_steps(duration, dt)
     if n_steps is None:
@@ -765,6 +774,7 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
                           GENERATOR_STEPPER, decimation, rng=None, avr=avr, dt=dt)
     track.start(w_e)
+    track.sink = sink
     for k in range(1, n_steps + 1):
         track.advance(k, w_e)
     # the last step's segment: its voltage rms is the AVR's last input

@@ -8,19 +8,20 @@ fault, then a stator turn fault).
 """
 from __future__ import annotations
 
+import contextlib
 import copy
+import errno
 import functools
 import json
 import math
 import os
-import shutil
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import (MAX_FAST_STEPS, STEP_FRACTION, CouplingParams, JointSetup, TimeSeries,
-                    too_many_fast_steps, whole_steps)
+from .cosim import (FAST_CHANNELS, MAX_FAST_STEPS, STEP_FRACTION, CouplingParams,
+                    JointSetup, TimeSeries, too_many_fast_steps, whole_steps)
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
@@ -524,9 +525,11 @@ def station_report(solution, title: str = "Design point") -> StationReport:
     return StationReport(title=title, rows=rows)
 
 
-# a fork costs a few ms and the copy-on-write faults of a large parent, so
-# each slice a child formats holds at least this many rows
-_SLICE_ROWS = 4096
+def _csv_formats(names, units) -> tuple:
+    """The header line and the row format of a CSV of time and the channels
+    `names` in `units`."""
+    header = ",".join(["time_s"] + [f"{n}_{u}" for n, u in zip(names, units)])
+    return header + "\n", ",".join(["%.17g"] * (1 + len(names))) + "\n"
 
 
 def write_csv(series: TimeSeries, path) -> None:
@@ -534,65 +537,150 @@ def write_csv(series: TimeSeries, path) -> None:
     read-back reproduces values bit-exactly."""
     if series.n_samples == 0 and not series.names:
         raise ValueError("refusing to write an empty series")
-    header = ",".join(["time_s"] + [f"{n}_{u}" for n, u in
-                                    zip(series.names, series.units)])
-    row_format = ",".join(["%.17g"] * (1 + len(series.names))) + "\n"
-    # contiguous slices, one per CPU the process may run on and each of at
-    # least _SLICE_ROWS rows: a forked child formats each slice after the
-    # first and sends it through its own pipe, which the parent copies after
-    # its own slice, so the file holds the bytes of one loop over the rows
-    n = series.n_samples
+    header, row_format = _csv_formats(series.names, series.units)
+    # one Python-float row at a time: formatting numpy scalars one by one is
+    # slow, and a whole-table list would hold every value as an object
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for t, row in zip(series.time.tolist(), series.data):
+            fh.write(row_format % (t, *row.tolist()))
+
+
+# a run streams its fast track where its healthy grid alone records at least
+# this many rows: a fork costs a few ms and the copy-on-write faults of the
+# parent's pages, so a shorter track is written after the run in one loop
+STREAM_ROWS = 2 * 4096
+# the rows the formatter child reads and formats at a time
+_STREAM_BLOCK_ROWS = 128
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    slices = max(1, min(cpus if hasattr(os, "fork") else 1, n // _SLICE_ROWS))
-    bounds = [n * k // slices for k in range(slices + 1)]
-    pipes, pids = [], []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        return os.cpu_count() or 1
+
+
+def check_out(path) -> list:
+    """Check that the output directory `path` can be made, without making
+    it: raise NotADirectoryError naming it where a file lies at or above it.
+    Returns the directories that os.makedirs(path) would make, innermost
+    first."""
+    missing, p = [], os.path.abspath(path)
+    while not os.path.isdir(p):
+        if os.path.lexists(p):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        missing.append(p)
+        p = os.path.dirname(p)
+    return missing
+
+
+class FastStream:
+    """The fast-track CSV `<outdir>/<basename>_fast.csv` of one run, formatted
+    by a forked child while the run goes on, in write_csv's bytes.
+
+    `sink`, the callable the run hands each block of recorded rows, is None
+    where the run does not stream: below STREAM_ROWS rows on its healthy
+    grid (`rows`: duration / max_step / decimation), on one usable CPU or
+    without os.fork. The first block makes `outdir`, opens the file under a
+    `.part` name and forks the child; the parent sends it every block
+    through a pipe as raw float64 rows, time first. Used as a context
+    manager around the run: on a clean exit the parent reaps the child,
+    raises OSError if it failed and else renames the file and sets
+    `written`; on an exception it kills and reaps the child. A file not
+    written is removed, with the directories the stream made."""
+
+    def __init__(self, outdir, basename: str, rows: float):
+        self.outdir = outdir
+        self.path = os.path.join(outdir, f"{basename}_fast.csv")
+        self.sink = (self._send if rows >= STREAM_ROWS and _usable_cpus() > 1
+                     and hasattr(os, "fork") else None)
+        self.written = False
+        self.pid = None            # the child's, until it is reaped
+        self._pipe = None
+        self._made = None          # the directories made, once started
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        try:
+            if self.pid is not None:
+                if kind is not None:
+                    import signal    # only a failed run kills its child
+                    os.kill(self.pid, signal.SIGKILL)
+                code = self._reap()
+                if kind is None:
+                    if code:
+                        raise self._failure(code)
+                    os.replace(self.path + ".part", self.path)
+                    self.written = True
+        finally:
+            if self._made is not None and not self.written:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(self.path + ".part")
+                for path in self._made:
+                    with contextlib.suppress(OSError):
+                        os.rmdir(path)
+        return False
+
+    def _start(self):
+        self._made = check_out(self.outdir)
+        os.makedirs(self.outdir, exist_ok=True)
+        with open(self.path + ".part", "w", encoding="utf-8") as fh:
             r, w = os.pipe()
-            pipes.append(open(r, "rb"))
+            self._pipe = open(w, "wb")
             try:
-                if (pid := os.fork()) == 0:
-                    _send_rows(w, pipes, series, start, stop, row_format)
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _format_rows(r, w, fh, *_csv_formats(*zip(*FAST_CHANNELS)))
+            except BaseException:
+                self._pipe.close()
+                raise
             finally:
-                os.close(w)
-            pids.append(pid)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            # the parent's slice one Python-float row at a time: formatting
-            # numpy scalars one by one is slow, and a whole-slice list would
-            # hold every value as an object
-            for t, row in zip(series.time[:bounds[1]].tolist(), series.data):
-                fh.write(row_format % (t, *row.tolist()))
-            fh.flush()
-            for pipe in pipes:
-                shutil.copyfileobj(pipe, fh.buffer)
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for status in statuses:
-        if status:
-            raise OSError(f"writing {path}: a child formatting its rows exited "
-                          f"with status {os.waitstatus_to_exitcode(status)}")
+                os.close(r)
+
+    def _send(self, time, data):
+        if self.pid is None:
+            self._start()
+        try:
+            self._pipe.write(np.column_stack((time, data)))
+        except BrokenPipeError:
+            raise self._failure(self._reap()) from None
+
+    def _reap(self) -> int:
+        """Close the pipe and wait for the child: its exit code, or minus
+        the signal that ended it."""
+        pid, self.pid = self.pid, None
+        try:
+            with contextlib.suppress(BrokenPipeError):    # the child is gone
+                self._pipe.close()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        return os.waitstatus_to_exitcode(status)
+
+    def _failure(self, code: int) -> OSError:
+        return OSError(f"writing {self.path}: the child formatting its rows exited "
+                       f"with status {code}")
 
 
-def _send_rows(fd, pipes, series, start, stop, row_format):
-    """In a forked child: write rows start..stop of `series` to the pipe fd
-    as one bytes object and end the process, with status 0 if all of it was
-    written; the parent's pipe ends in `pipes` are closed first. A fork
-    copies only the calling thread, so the child makes no BLAS call, whose
-    threads it lacks."""
+def _format_rows(r, w, fh, header, row_format):
+    """In the forked child: close the pipe's write end w, write `header` to
+    the file `fh`, then the rows read from the pipe's read end r, as many
+    raw float64 values each as `row_format` has fields, and end the process,
+    with status 0 if all of them were written. A fork copies only the
+    calling thread, so the child makes no BLAS call, whose threads it
+    lacks."""
     status = 1
     try:
-        for pipe in pipes:
-            pipe.close()
-        values = np.column_stack((series.time[start:stop], series.data[start:stop]))
-        with open(fd, "wb") as out:
-            out.write((row_format * (stop - start) % tuple(values.ravel().tolist()))
-                      .encode())
+        os.close(w)
+        columns = row_format.count("%")
+        with fh, open(r, "rb") as pipe:
+            fh.write(header)
+            while block := pipe.read(8 * columns * _STREAM_BLOCK_ROWS):
+                values = np.frombuffer(block).tolist()
+                fh.write(row_format * (len(values) // columns) % tuple(values))
         status = 0
     finally:
         os._exit(status)
@@ -614,15 +702,17 @@ def merged_series(fast: TimeSeries, slow: TimeSeries) -> TimeSeries:
 
 
 def write_run(result, outdir, basename: str, scenario: Scenario | None = None,
-              merged: bool = False):
-    """Write fast/slow tracks and a manifest tying them together."""
+              merged: bool = False, streamed: bool = False):
+    """Write fast/slow tracks and a manifest tying them together; where
+    `streamed`, a FastStream has written the fast track's file."""
     os.makedirs(outdir, exist_ok=True)
     files = {}
     for track in ("fast", "slow"):
         series = getattr(result, track, None)
         if series is not None and series.n_samples:
             fname = f"{basename}_{track}.csv"
-            write_csv(series, os.path.join(outdir, fname))
+            if not (streamed and track == "fast"):
+                write_csv(series, os.path.join(outdir, fname))
             files[track] = fname
     if merged and "fast" in files and "slow" in files:
         fname = f"{basename}_merged.csv"

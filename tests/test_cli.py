@@ -864,11 +864,13 @@ def test_genrun_start_beyond_the_field_limit_refused(tmp_path, capsys, flag, val
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["genrun", "--duration", "0.02", "--json", "--no-svg",
-                     "--out", str(tmp_path), flag, value]) == EXIT_USAGE
+                     "--out", str(tmp_path / "out"), flag, value]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"{flag} " in captured.err and "field voltage" in captured.err
     assert "200 V" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+    # the refusal comes before any output, so no --out directory is made
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--power-kw", "1000"), ("--speed-rpm", "14400")])
@@ -892,6 +894,7 @@ def test_joint_start_beyond_the_field_limit_names_its_leaves(tmp_path, capsys, f
     assert ("avr.v_fd_max 50, avr.v_set 230 and load.power_kw 225: the steady "
             "start at 230 V rms needs a field voltage of 52.8781 V") in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_joint_hook_flag_is_gone(tmp_path, capsys):
@@ -972,7 +975,7 @@ def test_scenario_path_that_is_a_directory_is_usage_error(tmp_path, capsys, comm
         "transient-file", "transient-below-a-file"])
 def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, monkeypatch,
                                                     command, runner, below):
-    # the output directory is made before the run, so a bad --out costs no run
+    # --out is checked before the run, so a bad --out costs no run
     from apucosim import cosim
 
     def never(*args, **kwargs):

@@ -3,14 +3,16 @@ import json
 import math
 import os
 import re
-import shutil
 import signal
 
 import numpy as np
 import pytest
 
+from apucosim import cosim
 from apucosim import scenario as sc
-from apucosim.cosim import TimeSeries
+from apucosim.cli import EXIT_NUMERIC, EXIT_OK, main
+from apucosim.control import AvrState
+from apucosim.cosim import GENERATOR_STEPPER, TimeSeries, run_generator
 from apucosim.scenario import (
     PRESETS,
     SchemaError,
@@ -23,7 +25,7 @@ from apucosim.scenario import (
     station_report,
     write_csv,
 )
-from apucosim.wrsg import OPEN_BRANCH_KRF
+from apucosim.wrsg import OPEN_BRANCH_KRF, FaultParams, LoadModel, WrsgParams
 
 
 # -------------------------------------------------------------------- parsing
@@ -190,22 +192,10 @@ def test_csv_bytes_match_reference_writer_on_awkward_values(tmp_path):
     _assert_same_bytes(series, tmp_path)
 
 
-# a long table is formatted in slices, one per usable CPU, by forked children
+# a long fast track is streamed to a forked formatter child while the run
+# goes on
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-
-
-def _long_series(rows=3 * sc._SLICE_ROWS + 7):
-    """Values spanning the float range, with awkward ones in the rows on
-    each side of every boundary that 1, 2 or 3 slices put in the table."""
-    rng = np.random.default_rng(40)
-    table = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-300, 300, (rows, 4))
-    for slices in (1, 2, 3):
-        for k in range(slices + 1):
-            for i in range(max(0, rows * k // slices - 1), min(rows, rows * k // slices + 1)):
-                table[i] = [_AWKWARD[(i + j) % len(_AWKWARD)] for j in range(4)]
-    return TimeSeries(names=("a", "b", "c"), units=("V", "A", "-"),
-                      time=table[:, 0], data=table[:, 1:])
 
 
 def _usable_cpus(monkeypatch, cpus):
@@ -215,7 +205,7 @@ def _usable_cpus(monkeypatch, cpus):
 
 
 def _record_forks(monkeypatch, kill=False):
-    """The pids of the children write_csv forks; with `kill`, each child is
+    """The pids of the children the stream forks; with `kill`, each child is
     killed as soon as it is forked."""
     pids = []
     fork = os.fork
@@ -237,71 +227,147 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _streamed_run(out):
+    """A 1 s generator run with a TTSC fault at 0.5 s that records every
+    sample (10,000 rows on its healthy grid), its fast track handed to a
+    FastStream on `out`: (the stream, the run's result)."""
+    with sc.FastStream(out, "gen", 1.0 / GENERATOR_STEPPER.max_step) as stream:
+        res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
+                            speed_rpm=12000.0, duration=1.0,
+                            fault_schedule=((0.5, FaultParams(mu=0.05, k_rf=1.0)),),
+                            sink=stream.sink)
+    return stream, res
+
+
+def _assert_reference_bytes(series, path, tmp_path):
+    _write_csv_reference(series, tmp_path / "ref.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_sliced_csv_bytes_match_reference_writer(tmp_path, monkeypatch, cpus):
+def test_streamed_csv_bytes_match_reference_writer(tmp_path, monkeypatch, cpus):
+    # the recorder grows from 7 rows through many doublings while each block
+    # goes to the child; on one CPU the track is written after the run
+    monkeypatch.setattr(cosim, "_RECORD_ROWS", 7)
     _usable_cpus(monkeypatch, cpus)
     pids = _record_forks(monkeypatch)
-    _assert_same_bytes(_long_series(), tmp_path)
-    assert len(pids) == cpus - 1
+    out = tmp_path / "out"
+    stream, res = _streamed_run(out)
+    assert len(pids) == int(stream.written) == int(cpus > 1)
+    sc.write_run(res, out, "gen", streamed=stream.written)
+    assert sorted(os.listdir(out)) == ["gen_fast.csv", "gen_manifest.json"]
+    _assert_reference_bytes(res.fast, out / "gen_fast.csv", tmp_path)
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_streamed_awkward_values_match_reference_writer(tmp_path, monkeypatch):
+    # blocks of 7 rows straddle the child's reads of _STREAM_BLOCK_ROWS rows
+    _usable_cpus(monkeypatch, 2)
+    rows = 3 * sc._STREAM_BLOCK_ROWS + 5
+    values = np.resize(np.array(_AWKWARD), (rows, 1 + len(cosim.FAST_CHANNELS)))
+    series = TimeSeries(names=tuple(n for n, _ in cosim.FAST_CHANNELS),
+                        units=tuple(u for _, u in cosim.FAST_CHANNELS),
+                        time=values[:, 0], data=values[:, 1:])
+    with sc.FastStream(tmp_path, "a", sc.STREAM_ROWS) as stream:
+        for a in range(0, rows, 7):
+            stream.sink(series.time[a:a + 7], series.data[a:a + 7])
+    assert stream.written
+    _assert_reference_bytes(series, tmp_path / "a_fast.csv", tmp_path)
     _assert_no_child_left()
 
 
 @needs_fork
 def test_a_failed_child_fails_the_write(tmp_path, monkeypatch):
-    _usable_cpus(monkeypatch, 3)
+    _usable_cpus(monkeypatch, 2)
     pids = _record_forks(monkeypatch, kill=True)
-    with pytest.raises(OSError, match="child formatting its rows exited"):
-        write_csv(_long_series(), tmp_path / "x.csv")
-    assert len(pids) == 2
+    with pytest.raises(OSError, match="child formatting its rows exited with status -9"):
+        _streamed_run(tmp_path / "a" / "b")
+    assert len(pids) == 1
+    assert not (tmp_path / "a").exists()
     _assert_no_child_left()
 
 
 @needs_fork
 def test_a_failure_in_the_parent_mid_write_leaves_no_child(tmp_path, monkeypatch):
-    # the parent has written its own slice when copying the first pipe
-    # fails, with both children blocked on their full pipes
-    _usable_cpus(monkeypatch, 3)
+    # the run fails in its 30th segment, with the child formatting the rows
+    # of the first 29, and both directories the stream made go
+    _usable_cpus(monkeypatch, 2)
     pids = _record_forks(monkeypatch)
+    propagate, calls = cosim.propagate, []
 
-    def fail(*args):
-        raise OSError("copy failed")
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 30:
+            raise RuntimeError("failed mid-run")
+        return propagate(*args)
 
-    monkeypatch.setattr(shutil, "copyfileobj", fail)
-    with pytest.raises(OSError, match="copy failed"):
-        write_csv(_long_series(), tmp_path / "x.csv")
-    assert len(pids) == 2
+    monkeypatch.setattr(cosim, "propagate", failing)
+    with pytest.raises(RuntimeError, match="failed mid-run"):
+        _streamed_run(tmp_path / "a" / "b")
+    assert len(pids) == 1
+    assert not (tmp_path / "a").exists()
     _assert_no_child_left()
 
 
 @needs_fork
-def test_sliced_csv_under_a_running_interval_timer(tmp_path, monkeypatch):
+def test_streamed_csv_under_a_running_interval_timer(tmp_path, monkeypatch):
     # a SIGALRM handler every millisecond, as a benchmark's speed probe
-    # sets one, interrupts the parent's pipe reads and waits
+    # sets one, interrupts the parent's pipe writes and its wait
     _usable_cpus(monkeypatch, 2)
     ticks = []
     old = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
     signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
     try:
-        write_csv(_long_series(), tmp_path / "new.csv")
+        stream, res = _streamed_run(tmp_path)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, old)
-    assert ticks
-    _write_csv_reference(_long_series(), tmp_path / "ref.csv")
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert ticks and stream.written
+    _assert_reference_bytes(res.fast, tmp_path / "gen_fast.csv", tmp_path)
     _assert_no_child_left()
 
 
-def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch):
-    # the generator track of a 0.5 s genrun: 2,510 rows
+def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch, capsys):
+    # a genrun-ttsc-sized run, 0.5 s: 2,500 rows here, 2,510 at other onsets
     _usable_cpus(monkeypatch, 64)
 
     def fork():
-        raise AssertionError("forked for a 2,510-row table")
+        raise AssertionError("forked for a 2,500-row track")
 
     monkeypatch.setattr(os, "fork", fork, raising=False)
-    _assert_same_bytes(_long_series(2510), tmp_path)
+    assert main(["genrun", "--duration", "0.5", "--mu", "0.05", "--fault-time", "0.25",
+                 "--json", "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
+    assert len((tmp_path / "genrun_225kW_fast.csv").read_text().splitlines()) == 1 + 2500
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
+                                                    cpus, existing):
+    # a shed to an open circuit fails the run after its shed (ROADMAP V); at
+    # max_step_s 1e-5 its healthy grid records 10,000 rows, so it streams on
+    # two CPUs, and either way --out is left as it was before the run
+    p = tmp_path / "shed.json"
+    p.write_text(json.dumps({"duration": 0.2, "stepper": {"max_step_s": 1e-5},
+                             "load": {"schedule": [{"time_s": 0.04, "scale": 0}]}}))
+    out = tmp_path / "out" / "run"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "joint_design_fast.csv").write_text("an earlier run's track\n")
+    _usable_cpus(monkeypatch, cpus)
+    pids = _record_forks(monkeypatch)
+    assert main(["joint", "--scenario", str(p), "--no-svg", "--out", str(out)]) == EXIT_NUMERIC
+    assert "numerical failure" in capsys.readouterr().err
+    assert len(pids) == cpus - 1
+    if existing:
+        assert os.listdir(out) == ["joint_design_fast.csv"]
+        assert (out / "joint_design_fast.csv").read_text() == "an earlier run's track\n"
+    else:
+        assert not (tmp_path / "out").exists()
+    _assert_no_child_left()
 
 
 # --------------------------------------------------------------------- report
