@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import copy
 import math
+import mmap
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -140,6 +141,23 @@ def energy_audit(slow: TimeSeries, eta_gtTsg: float, macro_dt: float) -> EnergyA
 # join of such chunks, which would hold the track twice and strew the heap
 # with the chunks' holes
 _RECORD_ROWS = 1024
+
+
+def _record_buffer(*shape) -> np.ndarray:
+    """An uninitialised float array of `shape` for the recorder. One of at
+    least 512 KiB is an anonymous memory map of its own, unmapped when its
+    last view goes. Had malloc mapped it, freeing it would raise glibc's
+    mmap threshold to its size (5.8 MB for the joint-fault track), so that
+    the process's later arrays below that size come from the heap, and one
+    that outgrows the threshold there is copied whole into a mapping: a
+    reader of the 12 MB fast CSV that grows its array, like np.loadtxt,
+    then peaks 4.8 MB higher, or not, as the heap's top happens to lie. A
+    smaller one comes from malloc, so a short run reuses the heap's pages."""
+    size = 8 * math.prod(shape)
+    if size < 1 << 19:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, size)).reshape(shape)
+
 
 FAST_CHANNELS = (
     ("ia", "A"), ("ib", "A"), ("ic", "A"),
@@ -438,8 +456,8 @@ class _MachineTrack:
         self.v_rms = None          # per-phase rms of the last step: set by advance()
         # the recorded fast track: its times and rows, the first _recorded
         # of each buffer's, and the count of samples passed to the recorder
-        self._rec_time = np.empty(_RECORD_ROWS)
-        self._rec_data = np.empty((_RECORD_ROWS, len(FAST_CHANNELS)))
+        self._rec_time = _record_buffer(_RECORD_ROWS)
+        self._rec_data = _record_buffer(_RECORD_ROWS, len(FAST_CHANNELS))
         self._recorded = 0
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
@@ -570,7 +588,7 @@ class _MachineTrack:
         """Give the recorder buffers of at least `rows` rows, at least twice
         the present ones, holding the rows recorded so far."""
         size, n = max(rows, 2 * self._rec_time.size), self._recorded
-        time, data = np.empty(size), np.empty((size, self._rec_data.shape[1]))
+        time, data = _record_buffer(size), _record_buffer(size, self._rec_data.shape[1])
         time[:n], data[:n] = self._rec_time[:n], self._rec_data[:n]
         self._rec_time, self._rec_data = time, data
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -166,6 +167,15 @@ def test_recorder_growth_keeps_every_row(monkeypatch, first_rows):
     assert fast.data.shape == ref.data.shape == (fast.time.size, len(cosim.FAST_CHANNELS))
     assert fast.time.tobytes() == ref.time.tobytes()
     assert fast.data.tobytes() == ref.data.tobytes()
+
+
+def test_a_large_recorder_buffer_is_mapped_apart_from_malloc():
+    # freed through malloc, a mapped buffer would raise glibc's mmap
+    # threshold to its size; a buffer below 512 KiB comes from malloc
+    large, small = cosim._record_buffer(65536, 11), cosim._record_buffer(4096, 11)
+    assert isinstance(large.base.base.obj, mmap.mmap)
+    assert large.flags.writeable and large.flags.c_contiguous
+    assert small.base is None and small.shape == (4096, 11)
 
 
 def test_track_start_is_steady_at_the_run_speed():
