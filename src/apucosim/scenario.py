@@ -564,9 +564,11 @@ def _usable_cpus() -> int:
 
 def check_out(path) -> list:
     """Check that the output directory `path` can be made, without making
-    it: raise NotADirectoryError naming it where a file lies at or above it.
-    Returns the directories that os.makedirs(path) would make, innermost
-    first."""
+    it: raise FileNotFoundError where it is empty, as os.makedirs does, and
+    NotADirectoryError naming it where a file lies at or above it. Returns
+    the directories that os.makedirs(path) would make, innermost first."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     missing, p = [], os.path.abspath(path)
     while not os.path.isdir(p):
         if os.path.lexists(p):

@@ -995,6 +995,26 @@ def test_out_path_at_or_below_a_file_is_usage_error(tmp_path, capsys, monkeypatc
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, runner", [
+    ("joint", "run_joint"), ("genrun", "run_generator"),
+    ("transient", "run_gasgen_transient")])
+def test_empty_out_path_is_usage_error_before_the_run(tmp_path, capsys, monkeypatch,
+                                                      command, runner):
+    # os.makedirs refuses an empty path; --out is checked before the run
+    from apucosim import cosim
+
+    def never(*args, **kwargs):
+        pytest.fail(f"{runner} ran before --out was checked")
+    monkeypatch.setattr(cosim if runner == "run_gasgen_transient" else cli, runner,
+                        never)
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps({"duration": 0.04}))
+    source = ["--duration", "0.04"] if command == "genrun" else ["--scenario", str(p)]
+    assert main([command, *source, "--out", "", "--no-svg"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "No such file or directory: ''" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--state-noise", "nan"), ("--state-noise", "-5"),
     ("--state-noise", "inf"), ("--macro-dt", "nan"),
