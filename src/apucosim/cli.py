@@ -16,8 +16,8 @@ from dataclasses import replace
 
 from . import scenario as sc
 from .control import AvrState
-from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, MAX_FAST_STEPS, STEP_FRACTION,
-                    FieldVoltageOutOfRange, run_generator, run_joint, too_many_fast_steps,
+from .cosim import (GENERATOR_CONTROL_DT, GENERATOR_STEPPER, MAX_FAST_STEPS,
+                    FieldVoltageOutOfRange, fast_sample_bound, run_generator, run_joint,
                     whole_steps)
 from .errors import NumericalFailure, UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
@@ -160,12 +160,6 @@ def cmd_genrun(args) -> int:
         raise ValueError(f"--duration must be a positive multiple of the "
                          f"{GENERATOR_CONTROL_DT:g} s control period, found "
                          f"{args.duration!r}")
-    # the machine steps are bounded as a scenario's are (stepper.max_step_s)
-    if too_many_fast_steps(args.duration, GENERATOR_STEPPER.max_step):
-        step = STEP_FRACTION * GENERATOR_STEPPER.max_step
-        raise ValueError(f"--duration must be at most {step * MAX_FAST_STEPS:g} s, "
-                         f"{MAX_FAST_STEPS:,} machine steps of at least {step:g} s, "
-                         f"found {args.duration!r}")
     machine = sc.WrsgParams()
     load = LoadModel.from_power(args.power_kw)
     fault = {"k_rf": args.k_rf, "fault_time": args.fault_time}
@@ -179,11 +173,18 @@ def cmd_genrun(args) -> int:
             raise ValueError(f"--fault-time must lie below --duration, "
                              f"found {t_fault!r}")
         fault_schedule = ((t_fault, FaultParams(mu=args.mu, k_rf=k_rf)),)
+    # the machine samples are bounded as a scenario's are, at the run's speed
+    w_e = args.speed_rpm * math.pi / 30.0 * machine.pole_pairs
+    samples = fast_sample_bound(args.duration, GENERATOR_CONTROL_DT,
+                                GENERATOR_STEPPER.max_step, w_e, len(fault_schedule))
+    if samples > MAX_FAST_STEPS:
+        raise ValueError(f"--duration must keep the run within {MAX_FAST_STEPS:,} machine "
+                         f"samples at --speed-rpm {args.speed_rpm:g}, found "
+                         f"{args.duration!r} ({samples:,})")
     sc.check_out(args.out)
     basename = f"genrun_{args.power_kw:g}kW"
-    rows = args.duration / GENERATOR_STEPPER.max_step / args.decimation
     try:
-        with sc.FastStream(args.out, basename, rows) as stream:
+        with sc.FastStream(args.out, basename) as stream:
             res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                                 duration=args.duration, fault_schedule=fault_schedule,
                                 decimation=args.decimation, sink=stream.sink)
@@ -261,8 +262,7 @@ def cmd_joint(args) -> int:
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
     sc.check_out(out)
-    rows = setup.duration / setup.stepper.max_step / setup.decimation
-    with sc.FastStream(out, f"joint_{scn.name}", rows) as stream:
+    with sc.FastStream(out, f"joint_{scn.name}") as stream:
         result = _run_joint(scn, setup, stream.sink)
     files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
                          streamed=stream.written)

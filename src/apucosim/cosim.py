@@ -135,30 +135,6 @@ def energy_audit(slow: TimeSeries, eta_gtTsg: float, macro_dt: float) -> EnergyA
                        transferred=transferred, residual=energy - transferred)
 
 
-# rows of the first fast-track recorder buffers, small enough for a short
-# run's track to take little more than it needs; each later one doubles
-# them, so a run's track is one array, neither a chunk per segment nor a
-# join of such chunks, which would hold the track twice and strew the heap
-# with the chunks' holes
-_RECORD_ROWS = 1024
-
-
-def _record_buffer(*shape) -> np.ndarray:
-    """An uninitialised float array of `shape` for the recorder. One of at
-    least 512 KiB is an anonymous memory map of its own, unmapped when its
-    last view goes. Had malloc mapped it, freeing it would raise glibc's
-    mmap threshold to its size (5.8 MB for the joint-fault track), so that
-    the process's later arrays below that size come from the heap, and one
-    that outgrows the threshold there is copied whole into a mapping: a
-    reader of the 12 MB fast CSV that grows its array, like np.loadtxt,
-    then peaks 4.8 MB higher, or not, as the heap's top happens to lie. A
-    smaller one comes from malloc, so a short run reuses the heap's pages."""
-    size = 8 * math.prod(shape)
-    if size < 1 << 19:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, size)).reshape(shape)
-
-
 FAST_CHANNELS = (
     ("ia", "A"), ("ib", "A"), ("ic", "A"),
     ("va", "V"), ("vb", "V"), ("vc", "V"),
@@ -173,6 +149,23 @@ SLOW_EXTRA = (
     ("load_scale", "-"), ("mu", "-"), ("k_rf", "-"),
     ("eta_c_f", "-"), ("flow_c_f", "-"), ("eta_t_f", "-"), ("flow_t_f", "-"),
 )
+
+# a recorder buffer of at least this many rows (768 KiB) is a shared map, which a
+# forked child may format in place: a fork's few ms would cost a shorter track more
+SHARED_ROWS = 8192
+
+
+def _record_buffer(rows: int) -> np.ndarray:
+    """An uninitialised buffer of `rows` rows of time and FAST_CHANNELS, the
+    CSV's columns. One of SHARED_ROWS rows or more is an anonymous shared
+    map: a child forked in the run sees the rows recorded after the fork,
+    and freeing it leaves glibc's mmap threshold as it was, which a reader
+    of the fast CSV growing its array in the heap would otherwise pass. A
+    smaller one comes from malloc, so a short run reuses the heap's pages."""
+    shape = (rows, 1 + len(FAST_CHANNELS))
+    if rows < SHARED_ROWS:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 # three-point Gauss-Legendre nodes on [0, 1]
@@ -429,11 +422,13 @@ class _MachineTrack:
     steps), the AVR state, the held field voltage V_fd, the macro step's
     shaft energy and phase-voltage rms, the recorder, the rms buffers and
     the propagators of its last noise-free segment; `noise` draws from
-    `rng`, which may be None where all its widths are 0."""
+    `rng`, which may be None where all its widths are 0. The run's `duration`
+    and top electrical speed w_e_max size the recorder (fast_sample_bound)."""
 
     def __init__(self, params: WrsgParams, load: LoadModel,
                  fault_schedule, noise: NoiseConfig, stepper: StepperOptions,
-                 decimation: int, rng, avr: AvrState, dt: float):
+                 decimation: int, rng, avr: AvrState, dt: float, duration: float,
+                 w_e_max: float):
         if decimation < 1:
             raise ValueError("decimation must be an integer >= 1")
         self.params = params
@@ -454,15 +449,14 @@ class _MachineTrack:
         self.scale = 1.0           # the load's admittance scale
         self.state = None          # state array and V_fd: set by start()
         self.v_rms = None          # per-phase rms of the last step: set by advance()
-        # the recorded fast track: its times and rows, the first _recorded
-        # of each buffer's, and the count of samples passed to the recorder
-        self._rec_time = _record_buffer(_RECORD_ROWS)
-        self._rec_data = _record_buffer(_RECORD_ROWS, len(FAST_CHANNELS))
+        # the recorder's buffer, its rows recorded and the samples passed to it
+        samples = fast_sample_bound(duration, dt, stepper.max_step, w_e_max, len(self.events))
+        self._rows = _record_buffer(samples // decimation)
         self._recorded = 0
         self._count = 0
         self._seg = []             # this macro step's (times, i_abc, v_abc) chunks
         self._kept = None          # the last noise-free segment's propagators
-        # called with each block of newly recorded times and rows, or None
+        # called with the buffer and _recorded after each block recorded, or None
         self.sink = None
 
     def start(self, w_e: float) -> float:
@@ -557,8 +551,8 @@ class _MachineTrack:
 
     def _record(self, sys_, times, states):
         """Fast-track pass over one segment's samples: shaft energy, the rms
-        buffers and every decimation-th row of the recorded channels, which
-        also go to the sink."""
+        buffers and every decimation-th row of the recorded channels, after
+        which the sink is called."""
         i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(states)
         t = np.concatenate(([self._last[0]], times))
         p = np.concatenate(([self._last[1]], p_tot))
@@ -573,36 +567,23 @@ class _MachineTrack:
             # recorded phase channels carry the measurement-noise model
             v_rec, i_rec = measure(v_rec, i_rec, self.noise, rng=self.rng)
         a, b = self._recorded, self._recorded + i_rec.shape[0]
-        if b > self._rec_time.size:
-            self._grow_record(b)
-        self._rec_time[a:b] = times[keep]
-        rows = self._rec_data[a:b]
-        rows[:, 0:3], rows[:, 3:6], rows[:, 6] = i_rec, v_rec, i_f[keep]
-        rows[:, 7], rows[:, 8], rows[:, 9] = i6[keep, 3], p_tot[keep], p_loss[keep]
-        rows[:, 10] = self.V_fd
+        rows = self._rows[a:b]
+        rows[:, 0], rows[:, 1:4], rows[:, 4:7] = times[keep], i_rec, v_rec
+        rows[:, 7], rows[:, 8], rows[:, 9] = i_f[keep], i6[keep, 3], p_tot[keep]
+        rows[:, 10], rows[:, 11] = p_loss[keep], self.V_fd
         self._recorded = b
         if self.sink and b > a:
-            self.sink(self._rec_time[a:b], self._rec_data[a:b])
-
-    def _grow_record(self, rows: int):
-        """Give the recorder buffers of at least `rows` rows, at least twice
-        the present ones, holding the rows recorded so far."""
-        size, n = max(rows, 2 * self._rec_time.size), self._recorded
-        time, data = _record_buffer(size), _record_buffer(size, self._rec_data.shape[1])
-        time[:n], data[:n] = self._rec_time[:n], self._rec_data[:n]
-        self._rec_time, self._rec_data = time, data
+            self.sink(self._rows, b)
 
     def segment(self):
         """This macro step's samples: times, phase currents, phase voltages."""
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
 
     def fast_series(self) -> TimeSeries:
-        """The track recorded so far, as views of the recorder's buffers."""
-        names = tuple(n for n, _ in FAST_CHANNELS)
-        units = tuple(u for _, u in FAST_CHANNELS)
-        n = self._recorded
-        return TimeSeries(names=names, units=units, time=self._rec_time[:n],
-                          data=self._rec_data[:n])
+        """The track recorded so far, as column views of the buffer."""
+        names, units = zip(*FAST_CHANNELS)
+        rows = self._rows[:self._recorded]
+        return TimeSeries(names=names, units=units, time=rows[:, 0], data=rows[:, 1:])
 
 
 @dataclass
@@ -621,18 +602,27 @@ def whole_steps(duration: float, dt: float) -> int | None:
     return round(n)
 
 
-# the most machine steps a run may take: its arrays grow with them
+# the most machine samples (fast_sample_bound) a run may take
 MAX_FAST_STEPS = 1_000_000
-# a machine step is longer than this fraction of max_step: a faulted segment
-# cuts a period into n >= 10 equal steps (_period_grid), each longer than
-# n / (n + 1) max_step
-STEP_FRACTION = 0.9
 
 
-def too_many_fast_steps(duration: float, max_step: float) -> bool:
-    """Whether a run of `duration` whose machine steps are at most max_step
-    may take more than MAX_FAST_STEPS of them."""
-    return duration / (STEP_FRACTION * max_step) > MAX_FAST_STEPS
+def fast_sample_bound(duration: float, dt: float, max_step: float, w_e_max: float,
+                      events: int):
+    """The most machine samples of a run on macro steps dt with `events`
+    machine events, at electrical speeds up to w_e_max: a faulted grid takes
+    at most one step more per period than max_step does (_period_grid), and
+    each segment, a macro step's or an event's, one more; inf past 2**62."""
+    samples = duration * (1.0 / max_step + w_e_max / (2.0 * math.pi))
+    segments = round(duration / dt) + events
+    return math.ceil(samples) + segments if samples + segments < 2.0 ** 62 else math.inf
+
+
+def joint_w_e_max(design_speed: float, n_set: float, coupling: CouplingParams,
+                  pole_pairs: int) -> float:
+    """The electrical speed no joint run passes: at the spool's limit, or at
+    a setpoint n_set above it, where the first macro step runs."""
+    return coupling_speed(max(MAX_SPEED_RATIO * design_speed, n_set), coupling,
+                          pole_pairs)[1]
 
 
 class SpoolTrack:
@@ -706,8 +696,9 @@ class JointSetup:
 
 def run_joint(setup: JointSetup, sink=None) -> JointResult:
     """Run the coupled simulation; deterministic for a fixed setup and seed.
-    `sink`, if given, is handed each block of fast-track rows as the machine
-    track records it, from the first macro step on."""
+    `sink`, if given, is called with the fast track's buffer and its count
+    of recorded rows after each block the machine track records, from the
+    first macro step on."""
     n_steps = whole_steps(setup.duration, setup.macro_dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
@@ -726,9 +717,11 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
 
     # initial condition: governor setpoint speed, machine in steady state at
     # the trimmed field voltage, fuel trimmed so the engine carries the load
+    w_e_max = joint_w_e_max(setup.gg_params.design_speed, setup.governor.N_set,
+                            coupling, setup.machine.pole_pairs)
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
-                          setup.machine_noise, setup.stepper,
-                          setup.decimation, rng_machine, setup.avr, dt)
+                          setup.machine_noise, setup.stepper, setup.decimation,
+                          rng_machine, setup.avr, dt, setup.duration, w_e_max)
     spool = SpoolTrack(setup.gg_params, setup.ambient, setup.health_schedule, dt)
     _, w_e = coupling_speed(setup.governor.N_set, coupling, setup.machine.pole_pairs)
     p0 = track.start(w_e)
@@ -790,7 +783,8 @@ def run_generator(machine: WrsgParams, load: LoadModel, avr: AvrState,
         raise ValueError(f"duration must be a positive multiple of {dt:g} s")
     w_e = speed_rpm * math.pi / 30.0 * machine.pole_pairs
     track = _MachineTrack(machine, load, fault_schedule, NoiseConfig(),
-                          GENERATOR_STEPPER, decimation, rng=None, avr=avr, dt=dt)
+                          GENERATOR_STEPPER, decimation, rng=None, avr=avr, dt=dt,
+                          duration=duration, w_e_max=w_e)
     track.start(w_e)
     track.sink = sink
     for k in range(1, n_steps + 1):

@@ -20,8 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import (FAST_CHANNELS, MAX_FAST_STEPS, STEP_FRACTION, CouplingParams,
-                    JointSetup, TimeSeries, too_many_fast_steps, whole_steps)
+from .cosim import (FAST_CHANNELS, MAX_FAST_STEPS, SHARED_ROWS, CouplingParams,
+                    JointSetup, TimeSeries, fast_sample_bound, joint_w_e_max,
+                    whole_steps)
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
@@ -273,20 +274,23 @@ def _validate(doc):
         raise SchemaError("ambient.dT_ISA", f"offset putting the {exc.temperature} "
                           f"within [{T_MIN:g}, {T_MAX:g}] K", exc.dT_ISA) from None
     # healthy segments are sampled at max_step and the regulator's rms
-    # window spans one electrical period, so a period needs >= 10 samples;
-    # then every machine step is longer than STEP_FRACTION max_step, and the
-    # step count is bounded with that length
+    # window spans one electrical period, so a period needs >= 10 samples
     limit = 0.1 / doc["machine"]["f_hz"]
     max_step = doc["stepper"]["max_step_s"]
     if not 0.0 < max_step <= limit:
         raise SchemaError("stepper.max_step_s",
                           f"step within (0, {limit:.6g}] s, a tenth of the "
                           "machine period", max_step)
-    if too_many_fast_steps(doc["duration"], max_step):
-        least = doc["duration"] / (STEP_FRACTION * MAX_FAST_STEPS)
+    # the run's samples, bounded as run_joint bounds them
+    w_e_max = joint_w_e_max(doc["gasgen"]["design_speed_rpm"], doc["governor"]["n_set_rpm"],
+                            CouplingParams(omega_gtTsg=doc["coupling"]["speed_ratio"]),
+                            WrsgParams.pole_pairs)
+    samples = fast_sample_bound(doc["duration"], doc["macro_dt"], max_step, w_e_max,
+                                len(doc["ttsc_faults"]) + len(schedule))
+    if samples > MAX_FAST_STEPS:
         raise SchemaError("stepper.max_step_s",
-                          f"step of at least duration / ({STEP_FRACTION:g} * "
-                          f"{MAX_FAST_STEPS:,}) = {least:.6g} s", max_step)
+                          f"step that keeps the run within {MAX_FAST_STEPS:,} machine "
+                          f"samples, where it may take {samples:,}", max_step)
 
 
 def _keep_default(path, value, default, why):
@@ -532,26 +536,26 @@ def _csv_formats(names, units) -> tuple:
     return header + "\n", ",".join(["%.17g"] * (1 + len(names))) + "\n"
 
 
+# the rows formatted per %: a whole table's would hold it all as objects
+_BLOCK_ROWS = 128
+
+
+def _write_rows(fh, row_format, time, data):
+    """Write the rows of `time` and `data` to `fh` in `row_format`, by blocks."""
+    for a in range(0, time.size, _BLOCK_ROWS):
+        block = np.column_stack((time[a:a + _BLOCK_ROWS], data[a:a + _BLOCK_ROWS]))
+        fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_csv(series: TimeSeries, path) -> None:
     """CSV with `time_s,<channel>_<unit>` header; 17 significant digits so a
     read-back reproduces values bit-exactly."""
     if series.n_samples == 0 and not series.names:
         raise ValueError("refusing to write an empty series")
     header, row_format = _csv_formats(series.names, series.units)
-    # one Python-float row at a time: formatting numpy scalars one by one is
-    # slow, and a whole-table list would hold every value as an object
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for t, row in zip(series.time.tolist(), series.data):
-            fh.write(row_format % (t, *row.tolist()))
-
-
-# a run streams its fast track where its healthy grid alone records at least
-# this many rows: a fork costs a few ms and the copy-on-write faults of the
-# parent's pages, so a shorter track is written after the run in one loop
-STREAM_ROWS = 2 * 4096
-# the rows the formatter child reads and formats at a time
-_STREAM_BLOCK_ROWS = 128
+        _write_rows(fh, row_format, series.time, series.data)
 
 
 def _usable_cpus() -> int:
@@ -582,25 +586,24 @@ class FastStream:
     """The fast-track CSV `<outdir>/<basename>_fast.csv` of one run, formatted
     by a forked child while the run goes on, in write_csv's bytes.
 
-    `sink`, the callable the run hands each block of recorded rows, is None
-    where the run does not stream: below STREAM_ROWS rows on its healthy
-    grid (`rows`: duration / max_step / decimation), on one usable CPU or
-    without os.fork. The first block makes `outdir`, opens the file under a
-    `.part` name and forks the child; the parent sends it every block
-    through a pipe as raw float64 rows, time first. Used as a context
-    manager around the run: on a clean exit the parent reaps the child,
-    raises OSError if it failed and else renames the file and sets
-    `written`; on an exception it kills and reaps the child. A file not
-    written is removed, with the directories the stream made."""
+    The run calls `sink` with its recorder's buffer and the count of rows
+    recorded. The first call streams only where the buffer is shared
+    (SHARED_ROWS rows or more), more than one CPU is usable and os.fork
+    exists: it makes `outdir`, opens the file under a `.part` name and forks
+    the child, which formats the buffer in place up to each count sent
+    through a pipe; the recorder only appends. Used as a context manager
+    around the run: on a clean exit the parent reaps the child, raises
+    OSError if it failed and else renames the file and sets `written`; on
+    an exception it kills and reaps the child. A file not written is
+    removed, with the directories the stream made."""
 
-    def __init__(self, outdir, basename: str, rows: float):
+    def __init__(self, outdir, basename: str):
         self.outdir = outdir
         self.path = os.path.join(outdir, f"{basename}_fast.csv")
-        self.sink = (self._send if rows >= STREAM_ROWS and _usable_cpus() > 1
-                     and hasattr(os, "fork") else None)
         self.written = False
         self.pid = None            # the child's, until it is reaped
         self._pipe = None
+        self._streams = None       # decided at the first call of sink
         self._made = None          # the directories made, once started
 
     def __enter__(self):
@@ -627,37 +630,40 @@ class FastStream:
                         os.rmdir(path)
         return False
 
-    def _start(self):
+    def sink(self, buffer, count: int):
+        if self._streams is None:
+            self._streams = (len(buffer) >= SHARED_ROWS and _usable_cpus() > 1
+                             and hasattr(os, "fork"))
+            if self._streams:
+                self._start(buffer)
+        if self._streams:
+            try:
+                self._pipe.write(count.to_bytes(8, "little"))
+            except BrokenPipeError:
+                raise self._failure(self._reap()) from None
+
+    def _start(self, buffer):
         self._made = check_out(self.outdir)
         os.makedirs(self.outdir, exist_ok=True)
         with open(self.path + ".part", "w", encoding="utf-8") as fh:
             r, w = os.pipe()
-            self._pipe = open(w, "wb")
+            self._pipe = open(w, "wb", buffering=0)
             try:
                 self.pid = os.fork()
                 if self.pid == 0:
-                    _format_rows(r, w, fh, *_csv_formats(*zip(*FAST_CHANNELS)))
+                    _format_rows(r, w, fh, buffer)
             except BaseException:
                 self._pipe.close()
                 raise
             finally:
                 os.close(r)
 
-    def _send(self, time, data):
-        if self.pid is None:
-            self._start()
-        try:
-            self._pipe.write(np.column_stack((time, data)))
-        except BrokenPipeError:
-            raise self._failure(self._reap()) from None
-
     def _reap(self) -> int:
         """Close the pipe and wait for the child: its exit code, or minus
         the signal that ended it."""
         pid, self.pid = self.pid, None
         try:
-            with contextlib.suppress(BrokenPipeError):    # the child is gone
-                self._pipe.close()
+            self._pipe.close()
         finally:
             status = os.waitpid(pid, 0)[1]
         return os.waitstatus_to_exitcode(status)
@@ -667,22 +673,21 @@ class FastStream:
                        f"with status {code}")
 
 
-def _format_rows(r, w, fh, header, row_format):
-    """In the forked child: close the pipe's write end w, write `header` to
-    the file `fh`, then the rows read from the pipe's read end r, as many
-    raw float64 values each as `row_format` has fields, and end the process,
-    with status 0 if all of them were written. A fork copies only the
-    calling thread, so the child makes no BLAS call, whose threads it
-    lacks."""
+def _format_rows(r, w, fh, buffer):
+    """In the forked child: close the pipe's write end w, write the header
+    and then the rows of `buffer` up to each count read from r to `fh`, and
+    exit, with status 0 if all were written. A fork copies only the calling
+    thread, so the child makes no BLAS call, whose threads it lacks."""
     status = 1
     try:
         os.close(w)
-        columns = row_format.count("%")
+        header, row_format = _csv_formats(*zip(*FAST_CHANNELS))
+        count = 0
         with fh, open(r, "rb") as pipe:
             fh.write(header)
-            while block := pipe.read(8 * columns * _STREAM_BLOCK_ROWS):
-                values = np.frombuffer(block).tolist()
-                fh.write(row_format * (len(values) // columns) % tuple(values))
+            while sent := pipe.read(8):
+                done, count = count, int.from_bytes(sent, "little")
+                _write_rows(fh, row_format, buffer[done:count, 0], buffer[done:count, 1:])
         status = 0
     finally:
         os._exit(status)

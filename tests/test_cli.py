@@ -704,8 +704,9 @@ def test_genrun_fault_at_time_zero_applies(tmp_path, capsys):
     ("--fault-time", "-0.01", ["--mu", "0.05"]),
     ("--fault-time", "0.1", ["--mu", "0.05"]),
     ("--fault-time", "0.2", ["--mu", "0.05"]),
-    # more than MAX_FAST_STEPS machine steps of 0.9 * 1e-4 s
-    ("--duration", "90.02", []), ("--duration", "1e300", []),
+    # more than MAX_FAST_STEPS machine samples at 12,000 rpm: 95.7 s may
+    # take 1,000,065
+    ("--duration", "95.7", []), ("--duration", "1e300", []),
     # the fault's flags without a fault, and a k_rf that opens its branch
     ("--k-rf", "5", []), ("--fault-time", "0.02", []), ("--k-rf", "5", ["--mu", "0"]),
     ("--k-rf", "1e6", ["--mu", "0.05"]),
@@ -770,16 +771,19 @@ def test_stepper_fields_rejected_at_parse_with_path(tmp_path, capsys, key, value
     assert f"stepper.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("duration, accepted", [(90.0, True), (90.02, False)])
+@pytest.mark.parametrize("duration, accepted", [(94.96, True), (94.98, False)])
 def test_fast_step_bound_judges_genrun_and_a_scenario_alike(tmp_path, capsys, monkeypatch,
                                                              duration, accepted):
     # genrun's machine steps are at most 1e-4 s, as a scenario's with
-    # stepper.max_step_s 1e-4: 90 s is MAX_FAST_STEPS steps of 0.9 * 1e-4 s
+    # stepper.max_step_s 1e-4, and at 14,400 rpm genrun runs at the speed a
+    # joint run's bound takes, the spool's limit through the default
+    # gearbox: 94.96 s may take 999,929 samples, 94.98 s 1,000,140
     from apucosim.cosim import GENERATOR_STEPPER
     from apucosim.scenario import SchemaError, parse_scenario
     assert GENERATOR_STEPPER.max_step == 1e-4
     monkeypatch.setattr(cli, "run_generator", _reach)
-    argv = ["genrun", "--duration", repr(duration), "--out", str(tmp_path), "--no-svg"]
+    argv = ["genrun", "--speed-rpm", "14400", "--duration", repr(duration),
+            "--out", str(tmp_path), "--no-svg"]
     doc = json.dumps({"duration": duration, "stepper": {"max_step_s": 1e-4}})
     if accepted:
         with pytest.raises(_Reached):
@@ -787,23 +791,43 @@ def test_fast_step_bound_judges_genrun_and_a_scenario_alike(tmp_path, capsys, mo
         assert parse_scenario(doc)["duration"] == duration
     else:
         assert main(argv) == EXIT_USAGE
-        assert "--duration must be at most 90 s" in capsys.readouterr().err
+        assert ("--duration must keep the run within 1,000,000 machine samples"
+                in capsys.readouterr().err)
         with pytest.raises(SchemaError, match="at stepper.max_step_s"):
             parse_scenario(doc)
 
 
 def test_fast_step_cap_bound_accepted_at_parse():
+    from apucosim.cosim import CouplingParams, fast_sample_bound, joint_w_e_max
     from apucosim.scenario import MAX_FAST_STEPS, SchemaError, parse_scenario
-    # faulted steps may be as short as 0.9 max_step_s, so the bound is
-    # duration / (0.9 max_step_s) = MAX_FAST_STEPS, met exactly here
-    assert 0.18 / (0.9 * 2e-7) == MAX_FAST_STEPS
-    doc = {"duration": 0.18, "stepper": {"max_step_s": 2e-7}}
-    assert parse_scenario(json.dumps(doc))["stepper"]["max_step_s"] == 2e-7
+    # 0.2 s in 10 macro steps at up to 480 electrical periods a second: the
+    # bound ceil(0.2 (1 / max_step_s + 480)) + 10 is MAX_FAST_STEPS exactly
+    # at this step, and one more at the step one ulp shorter
+    step = 2.0002120224743824e-07
+    w_e_max = joint_w_e_max(36050.0, 36050.0, CouplingParams(), pole_pairs=2)
+    assert w_e_max / (2 * math.pi) == pytest.approx(480.0, rel=1e-15)
+    assert fast_sample_bound(0.2, 0.02, step, w_e_max, 0) == MAX_FAST_STEPS
+    doc = {"duration": 0.2, "stepper": {"max_step_s": step}}
+    assert parse_scenario(json.dumps(doc))["stepper"]["max_step_s"] == step
     # one ulp shorter, and the bound of duration / max_step_s alone, refused
-    for duration, step in ((0.18, math.nextafter(2e-7, 0.0)), (1.0, 1e-6)):
+    for duration, step in ((0.2, math.nextafter(step, 0.0)), (1.0, 1e-6)):
         doc = {"duration": duration, "stepper": {"max_step_s": step}}
         with pytest.raises(SchemaError, match="stepper.max_step_s"):
             parse_scenario(json.dumps(doc))
+
+
+def test_a_run_past_the_sample_bound_at_a_high_gear_is_refused(tmp_path, capsys):
+    # at coupling.speed_ratio 0.01 the generator turns at 100 times the
+    # spool's speed, and a faulted grid steps at 144,200 periods a second at
+    # the spool's limit: 80 s may take 12,340,001 samples, where the cap of
+    # duration / (0.9 max_step_s) alone admitted it
+    p = tmp_path / "gear.json"
+    p.write_text(json.dumps({"duration": 80, "coupling": {"speed_ratio": 0.01},
+                             "ttsc_faults": [{"time_s": 1, "mu": 0.05, "k_rf": 1}]}))
+    out = tmp_path / "out"
+    assert main(["joint", "--scenario", str(p), "--no-svg", "--out", str(out)]) == EXIT_USAGE
+    assert "stepper.max_step_s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
@@ -1110,10 +1134,11 @@ def test_refused_scenario_makes_no_out_directory(tmp_path, capsys, command, pres
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--duration", "90"),
+@pytest.mark.parametrize("flag, value", [("--duration", "95.68"),
                                          ("--decimation", "1000000")])
 def test_genrun_bounds_admit_their_limits(tmp_path, monkeypatch, flag, value):
-    # 90 s is MAX_FAST_STEPS machine steps of 0.9 * 1e-4 s
+    # 95.68 s at 12,000 rpm may take 999,857 machine samples, within
+    # MAX_FAST_STEPS
     monkeypatch.setattr(cli, "run_generator", _reach)
     with pytest.raises(_Reached):
         main(["genrun", "--duration", "0.02", flag, value, "--out", str(tmp_path),

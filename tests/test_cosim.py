@@ -62,14 +62,15 @@ def mini_result():
 
 # ------------------------------------------------------------------- coupling
 
-def _track(fault_schedule=(), load=LoadModel.from_power(225.0), v_fd_max=200.0):
-    """A machine track, at 225 kW by default, that records every sample, on
-    0.02 s macro steps; its AVR has no gains, so the field voltage holds at
-    the start's."""
+def _track(fault_schedule=(), load=LoadModel.from_power(225.0), v_fd_max=200.0,
+           steps=7):
+    """A machine track, at 225 kW by default, that records every sample of
+    up to `steps` 0.02 s macro steps at speeds up to W_E; its AVR has no
+    gains, so the field voltage holds at the start's."""
     avr = AvrState(K_p=0.0, K_i=0.0, V_fd_max=v_fd_max)
     return cosim._MachineTrack(WrsgParams(), load, fault_schedule, NoiseConfig(),
-                               GENERATOR_STEPPER, decimation=1, rng=None,
-                               avr=avr, dt=0.02)
+                               GENERATOR_STEPPER, decimation=1, rng=None, avr=avr,
+                               dt=0.02, duration=0.02 * steps, w_e_max=W_E)
 
 
 def _trapezoid(t, p):
@@ -146,36 +147,79 @@ def test_track_energy_is_the_trapezoid_of_its_samples(t_fault):
         _trapezoid(fast.time[step], fast.column("P_sg_total")[step]), rel=1e-12)
 
 
-@pytest.mark.parametrize("first_rows", [1, 7])
-def test_recorder_growth_keeps_every_row(monkeypatch, first_rows):
-    # the recorder's buffers grow to a whole segment or double when full: a
-    # track recorded through many growths holds the bytes of one recorded
-    # into a single buffer, and a series taken earlier keeps its rows
-    def record(rows):
-        monkeypatch.setattr(cosim, "_RECORD_ROWS", rows)
-        track = _track(((0.013, FaultParams(mu=0.05)),))
-        track.start(W_E)
-        track.advance(1, W_E)
-        first = track.fast_series()
-        kept = first.data.copy()
-        for k in range(2, 4):
-            track.advance(k, W_E)
-        assert first.data.tobytes() == kept.tobytes()
-        return track.fast_series()
-    fast, ref = record(first_rows), record(100_000)
-    assert fast.data.flags.c_contiguous
-    assert fast.data.shape == ref.data.shape == (fast.time.size, len(cosim.FAST_CHANNELS))
-    assert fast.time.tobytes() == ref.time.tobytes()
-    assert fast.data.tobytes() == ref.data.tobytes()
+def _event_time(rng, dt, steps):
+    """A time within a run of `steps` macro steps dt: on a macro boundary,
+    within or just past the 1e-9 dt that puts an event on it, or anywhere."""
+    k = int(rng.integers(0, steps))
+    return max(0.0, k * dt + rng.choice([0.0, -1e-12, 1e-12, 0.5e-9 * dt, -0.5e-9 * dt,
+                                         2e-9 * dt, -2e-9 * dt, rng.uniform(0.0, dt)]))
+
+
+def _bound_case(seed, monkeypatch):
+    """A short faulted run with a load step, drawn from `seed`, at decimation
+    1-7: for an odd seed a joint run at a gear ratio of 0.05-3 and max_step
+    3e-5 to 2.5e-4 s, else a generator run at 4,000-14,400 rpm whose
+    patched max_step is just above a whole fraction of the period, so that
+    its faulted grid takes a step more per period. Returns a callable that
+    runs it."""
+    rng = np.random.default_rng(seed)
+    decimation, steps = int(rng.integers(1, 8)), int(rng.integers(2, 6))
+    fault = (_event_time(rng, 0.02, steps), rng.uniform(0.02, 0.3))
+    load = (_event_time(rng, 0.02, steps), rng.uniform(0.5, 1.0))
+    if seed % 2:
+        doc = {"duration": 0.02 * steps, "coupling": {"speed_ratio": rng.uniform(0.05, 3.0)},
+               "stepper": {"max_step_s": rng.uniform(3e-5, 2.5e-4)},
+               "record": {"decimation": decimation},
+               "ttsc_faults": [{"time_s": fault[0], "mu": fault[1], "k_rf": 1.0}],
+               "load": {"schedule": [{"time_s": load[0], "scale": load[1]}]}}
+        return lambda: run_joint(build_joint_setup(parse_scenario(json.dumps(doc))))
+    rpm = rng.uniform(4000.0, 14400.0)
+    period = 60.0 / (rpm * WrsgParams().pole_pairs)
+    max_step = period / (math.ceil(period / 2.5e-4) + rng.uniform(1e-6, 0.05))
+    monkeypatch.setattr(cosim, "GENERATOR_STEPPER",
+                        replace(GENERATOR_STEPPER, max_step=max_step))
+    return lambda: run_generator(
+        WrsgParams(), LoadModel.from_power(225.0, schedule=(load,)), AvrState(),
+        speed_rpm=rpm, duration=0.02 * steps, decimation=decimation,
+        fault_schedule=((fault[0], FaultParams(mu=fault[1], k_rf=1.0)),))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_run_records_within_the_rows_it_reserves(monkeypatch, seed):
+    # the recorder reserves its rows once, from fast_sample_bound: no run,
+    # whatever its speed, grid, events and decimation, takes more samples
+    run = _bound_case(seed, monkeypatch)
+    tracks, bounds = [], []
+    track_class, bound = cosim._MachineTrack, cosim.fast_sample_bound
+
+    class Kept(track_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracks.append(self)
+
+    def kept_bound(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(cosim, "_MachineTrack", Kept)
+    monkeypatch.setattr(cosim, "fast_sample_bound", kept_bound)
+    res = run()
+    (track,), (samples,) = tracks, bounds
+    assert 0 < track._count <= samples
+    assert track._rows.shape == (samples // track.decimation, 1 + len(cosim.FAST_CHANNELS))
+    assert res.fast.n_samples == track._count // track.decimation
 
 
 def test_a_large_recorder_buffer_is_mapped_apart_from_malloc():
-    # freed through malloc, a mapped buffer would raise glibc's mmap
-    # threshold to its size; a buffer below 512 KiB comes from malloc
-    large, small = cosim._record_buffer(65536, 11), cosim._record_buffer(4096, 11)
+    # a buffer of SHARED_ROWS rows or more is a shared map of its own, which
+    # a forked child reads in place and which, freed through malloc, would
+    # raise glibc's mmap threshold to its size; a smaller one comes from malloc
+    rows, columns = cosim.SHARED_ROWS, 1 + len(cosim.FAST_CHANNELS)
+    large, small = cosim._record_buffer(rows), cosim._record_buffer(rows - 1)
     assert isinstance(large.base.base.obj, mmap.mmap)
+    assert large.shape == (rows, columns) and 8 * large.size == 768 * 1024
     assert large.flags.writeable and large.flags.c_contiguous
-    assert small.base is None and small.shape == (4096, 11)
+    assert small.base is None and small.shape == (rows - 1, columns)
 
 
 def test_track_start_is_steady_at_the_run_speed():

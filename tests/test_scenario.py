@@ -12,7 +12,7 @@ from apucosim import cosim
 from apucosim import scenario as sc
 from apucosim.cli import EXIT_NUMERIC, EXIT_OK, main
 from apucosim.control import AvrState
-from apucosim.cosim import GENERATOR_STEPPER, TimeSeries, run_generator
+from apucosim.cosim import TimeSeries, run_generator
 from apucosim.scenario import (
     PRESETS,
     SchemaError,
@@ -229,9 +229,9 @@ def _assert_no_child_left():
 
 def _streamed_run(out):
     """A 1 s generator run with a TTSC fault at 0.5 s that records every
-    sample (10,000 rows on its healthy grid), its fast track handed to a
-    FastStream on `out`: (the stream, the run's result)."""
-    with sc.FastStream(out, "gen", 1.0 / GENERATOR_STEPPER.max_step) as stream:
+    sample (10,000 rows in a shared buffer of 10,451), its fast track handed
+    to a FastStream on `out`: (the stream, the run's result)."""
+    with sc.FastStream(out, "gen") as stream:
         res = run_generator(WrsgParams(), LoadModel.from_power(225.0), AvrState(),
                             speed_rpm=12000.0, duration=1.0,
                             fault_schedule=((0.5, FaultParams(mu=0.05, k_rf=1.0)),),
@@ -247,9 +247,9 @@ def _assert_reference_bytes(series, path, tmp_path):
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_streamed_csv_bytes_match_reference_writer(tmp_path, monkeypatch, cpus):
-    # the recorder grows from 7 rows through many doublings while each block
-    # goes to the child; on one CPU the track is written after the run
-    monkeypatch.setattr(cosim, "_RECORD_ROWS", 7)
+    # the child formats the shared buffer in place up to each count the
+    # parent sends, one per segment; on one CPU the track is written after
+    # the run
     _usable_cpus(monkeypatch, cpus)
     pids = _record_forks(monkeypatch)
     out = tmp_path / "out"
@@ -263,16 +263,18 @@ def test_streamed_csv_bytes_match_reference_writer(tmp_path, monkeypatch, cpus):
 
 @needs_fork
 def test_streamed_awkward_values_match_reference_writer(tmp_path, monkeypatch):
-    # blocks of 7 rows straddle the child's reads of _STREAM_BLOCK_ROWS rows
+    # counts 7 rows apart straddle the formatter's blocks of _BLOCK_ROWS rows
     _usable_cpus(monkeypatch, 2)
-    rows = 3 * sc._STREAM_BLOCK_ROWS + 5
-    values = np.resize(np.array(_AWKWARD), (rows, 1 + len(cosim.FAST_CHANNELS)))
+    rows = 3 * sc._BLOCK_ROWS + 5
+    buffer = cosim._record_buffer(cosim.SHARED_ROWS)
+    values = buffer[:rows]
+    values[:] = np.resize(np.array(_AWKWARD), values.shape)
     series = TimeSeries(names=tuple(n for n, _ in cosim.FAST_CHANNELS),
                         units=tuple(u for _, u in cosim.FAST_CHANNELS),
                         time=values[:, 0], data=values[:, 1:])
-    with sc.FastStream(tmp_path, "a", sc.STREAM_ROWS) as stream:
+    with sc.FastStream(tmp_path, "a") as stream:
         for a in range(0, rows, 7):
-            stream.sink(series.time[a:a + 7], series.data[a:a + 7])
+            stream.sink(buffer, min(a + 7, rows))
     assert stream.written
     _assert_reference_bytes(series, tmp_path / "a_fast.csv", tmp_path)
     _assert_no_child_left()
@@ -348,8 +350,9 @@ def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch, capsys
 def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
                                                     cpus, existing):
     # a shed to an open circuit fails the run after its shed (ROADMAP V); at
-    # max_step_s 1e-5 its healthy grid records 10,000 rows, so it streams on
-    # two CPUs, and either way --out is left as it was before the run
+    # max_step_s 1e-5 its recorder reserves 10,053 rows, a shared buffer, so
+    # it streams on two CPUs, and either way --out is left as it was before
+    # the run
     p = tmp_path / "shed.json"
     p.write_text(json.dumps({"duration": 0.2, "stepper": {"max_step_s": 1e-5},
                              "load": {"schedule": [{"time_s": 0.04, "scale": 0}]}}))
@@ -541,12 +544,16 @@ RANGE_CASES = [
         "machine.f_hz", "machine.v_phase_rms", "machine.two_machine_factor",
         "load.power_kw", "fuel_step.initial_power_kw", "fuel_step.factor",
         "governor.n_set_rpm", "governor.rate_limit", "avr.v_set", "avr.v_fd_max",
-        "coupling.speed_ratio", "stepper.relative_tolerance",
+        "stepper.relative_tolerance",
         "stepper.absolute_tolerance", "gasgen.shaft_power_kw", "gasgen.lhv_mj_per_kg",
         "gasgen.design_speed_rpm", "gasgen.eta_compressor", "gasgen.w2_kg_per_s",
         "gasgen.inertia_kg_m2")],
     ({}, "duration", 0.0, 0.02),
-    ({"duration": 1.0}, "macro_dt", 0.0, 2.0 ** -20),
+    # a macro step takes at least one machine sample, and at a gear ratio
+    # near 0 the generator turns past any count of them: both are bounded by
+    # the run's samples (stepper.max_step_s) as well as at their own leaves
+    ({"duration": 0.5}, "macro_dt", 0.0, 2.0 ** -20),
+    ({"duration": 0.02}, "coupling.speed_ratio", 0.0, 1e-4),
     ({"governor": {"wf_min": 0.0}}, "governor.wf_max", 0.0, TINY),
     *[({}, leaf, -TINY, 0.0) for leaf in (
         "noise.std_w1", "noise.std_w2", "noise.std_vi", "noise.std_vv",
