@@ -183,15 +183,25 @@ def cmd_genrun(args) -> int:
                          f"{args.duration!r} ({samples:,})")
     sc.check_out(args.out)
     basename = f"genrun_{args.power_kw:g}kW"
-    try:
-        with sc.FastStream(args.out, basename) as stream:
+    title = f"Generator point: {args.power_kw:g}kW"
+    # plots are drawn while a streamed fast track is formatted, the manifest once it is done
+    with sc.FastStream(args.out, basename) as stream:
+        try:
             res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
                                 duration=args.duration, fault_schedule=fault_schedule,
                                 decimation=args.decimation, sink=stream.sink)
-    except FieldVoltageOutOfRange as exc:
-        raise UsageError(f"--power-kw {args.power_kw:g} at --speed-rpm "
-                         f"{args.speed_rpm:g}: {exc}") from None
-    title = f"Generator point: {args.power_kw:g}kW"
+        except FieldVoltageOutOfRange as exc:
+            raise UsageError(f"--power-kw {args.power_kw:g} at --speed-rpm "
+                             f"{args.speed_rpm:g}: {exc}") from None
+        if args.svg and res.fast.n_samples:
+            os.makedirs(args.out, exist_ok=True)
+            sc.emit_svg(res.fast, ["ia", "ib", "ic"],
+                        os.path.join(args.out, "genrun_currents.svg"),
+                        title=f"{title}: phase currents")
+            sc.emit_svg(res.fast, ["va", "vb", "vc"],
+                        os.path.join(args.out, "genrun_voltages.svg"),
+                        title=f"{title}: phase voltages")
+    sc.write_run(res, args.out, basename, streamed=stream.written)
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
                          indent=2, sort_keys=True))
@@ -201,14 +211,6 @@ def cmd_genrun(args) -> int:
         for key, val in res.rms_table.items():
             unit = "V" if "Voltage" in key else "A"
             print(f"  {key:<{width}}  {val:10.4f} {unit}")
-    files = sc.write_run(res, args.out, basename, streamed=stream.written)
-    if args.svg and res.fast.n_samples:
-        sc.emit_svg(res.fast, ["ia", "ib", "ic"],
-                    os.path.join(args.out, "genrun_currents.svg"),
-                    title=f"{title}: phase currents")
-        sc.emit_svg(res.fast, ["va", "vb", "vc"],
-                    os.path.join(args.out, "genrun_voltages.svg"),
-                    title=f"{title}: phase voltages")
     return EXIT_OK
 
 
@@ -262,23 +264,25 @@ def cmd_joint(args) -> int:
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
     sc.check_out(out)
+    # plots are drawn while a streamed fast track is formatted, the manifest once it is done
     with sc.FastStream(out, f"joint_{scn.name}") as stream:
         result = _run_joint(scn, setup, stream.sink)
+        if svg:
+            os.makedirs(out, exist_ok=True)
+            for group, track, chans in (
+                    ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),
+                    ("t3p3", "slow", ["T3"]), ("t4", "slow", ["T4"]),
+                    ("surge", "slow", ["HPCSM"]),
+                    ("currents", "fast", ["ia", "ib", "ic"]),
+                    ("voltages", "fast", ["va", "vb", "vc"])):
+                series = getattr(result, track)
+                if not series.n_samples:
+                    continue    # a decimation longer than the run records no fast row
+                sc.emit_svg(series, chans,
+                            os.path.join(out, f"joint_{scn.name}_{group}.svg"),
+                            title=f"{scn.name}: {', '.join(chans)}")
     files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
                          streamed=stream.written)
-    if svg:
-        for group, track, chans in (
-                ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),
-                ("t3p3", "slow", ["T3"]), ("t4", "slow", ["T4"]),
-                ("surge", "slow", ["HPCSM"]),
-                ("currents", "fast", ["ia", "ib", "ic"]),
-                ("voltages", "fast", ["va", "vb", "vc"])):
-            series = getattr(result, track)
-            if not series.n_samples:
-                continue    # a decimation longer than the run records no fast row
-            sc.emit_svg(series, chans,
-                        os.path.join(out, f"joint_{scn.name}_{group}.svg"),
-                        title=f"{scn.name}: {', '.join(chans)}")
     audit = result.audit
     print(f"joint run complete: {result.slow.n_samples} macro steps, "
           f"{result.fast.n_samples} fast samples; files: {files}")

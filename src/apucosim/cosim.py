@@ -150,22 +150,16 @@ SLOW_EXTRA = (
     ("eta_c_f", "-"), ("flow_c_f", "-"), ("eta_t_f", "-"), ("flow_t_f", "-"),
 )
 
-# a recorder buffer of at least this many rows (768 KiB) is a shared map, which a
-# forked child may format in place: a fork's few ms would cost a shorter track more
-SHARED_ROWS = 8192
-
 
 def _record_buffer(rows: int) -> np.ndarray:
-    """An uninitialised buffer of `rows` rows of time and FAST_CHANNELS, the
-    CSV's columns. One of SHARED_ROWS rows or more is an anonymous shared
-    map: a child forked in the run sees the rows recorded after the fork,
-    and freeing it leaves glibc's mmap threshold as it was, which a reader
-    of the fast CSV growing its array in the heap would otherwise pass. A
-    smaller one comes from malloc, so a short run reuses the heap's pages."""
+    """A buffer of `rows` rows of time and FAST_CHANNELS, the CSV's columns,
+    in an anonymous shared map: a child forked in the run sees the rows
+    recorded after the fork, and freeing it leaves glibc's mmap threshold as
+    it was, which a reader of the fast CSV growing its array in the heap
+    would otherwise pass. A map has at least one byte, so 0 rows map one."""
     shape = (rows, 1 + len(FAST_CHANNELS))
-    if rows < SHARED_ROWS:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), count=size).reshape(shape)
 
 
 # three-point Gauss-Legendre nodes on [0, 1]
@@ -617,12 +611,11 @@ def fast_sample_bound(duration: float, dt: float, max_step: float, w_e_max: floa
     return math.ceil(samples) + segments if samples + segments < 2.0 ** 62 else math.inf
 
 
-def joint_w_e_max(design_speed: float, n_set: float, coupling: CouplingParams,
+def joint_w_e_max(design_speed: float, coupling: CouplingParams,
                   pole_pairs: int) -> float:
-    """The electrical speed no joint run passes: at the spool's limit, or at
-    a setpoint n_set above it, where the first macro step runs."""
-    return coupling_speed(max(MAX_SPEED_RATIO * design_speed, n_set), coupling,
-                          pole_pairs)[1]
+    """The electrical speed no joint run passes: at the spool's limit, which
+    holds its governor setpoint too (run_joint)."""
+    return coupling_speed(MAX_SPEED_RATIO * design_speed, coupling, pole_pairs)[1]
 
 
 class SpoolTrack:
@@ -702,6 +695,12 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
     n_steps = whole_steps(setup.duration, setup.macro_dt)
     if n_steps is None:
         raise ValueError("duration must be a positive multiple of macro_dt")
+    # the first macro step runs at the setpoint, which the recorder's bound
+    # (joint_w_e_max) takes to lie within the spool's range
+    n_max = MAX_SPEED_RATIO * setup.gg_params.design_speed
+    if setup.governor.N_set > n_max:
+        raise ValueError(f"governor setpoint {setup.governor.N_set:g} rpm above "
+                         f"the spool's limit of {n_max:g} rpm")
 
     # a generator for each stream that draws, each from its own spawned
     # child, so that a noise-free run makes none
@@ -717,8 +716,7 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
 
     # initial condition: governor setpoint speed, machine in steady state at
     # the trimmed field voltage, fuel trimmed so the engine carries the load
-    w_e_max = joint_w_e_max(setup.gg_params.design_speed, setup.governor.N_set,
-                            coupling, setup.machine.pole_pairs)
+    w_e_max = joint_w_e_max(setup.gg_params.design_speed, coupling, setup.machine.pole_pairs)
     track = _MachineTrack(setup.machine, setup.load, setup.fault_schedule,
                           setup.machine_noise, setup.stepper, setup.decimation,
                           rng_machine, setup.avr, dt, setup.duration, w_e_max)

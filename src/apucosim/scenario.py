@@ -20,14 +20,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .control import AvrState, GovernorState
-from .cosim import (FAST_CHANNELS, MAX_FAST_STEPS, SHARED_ROWS, CouplingParams,
-                    JointSetup, TimeSeries, fast_sample_bound, joint_w_e_max,
-                    whole_steps)
+from .cosim import (FAST_CHANNELS, MAX_FAST_STEPS, CouplingParams, JointSetup,
+                    TimeSeries, fast_sample_bound, joint_w_e_max, whole_steps)
 from .errors import UsageError
 from .gasgen import GasGenDesignSpec, HealthParams, design_point_size
 from .gasgen.cycle import (ALTITUDE_RANGE_M, HEALTH_FACTOR_RANGE,
                            AmbientTemperatureOutOfRange, ambient_conditions)
-from .gasgen.engine import OUTPUT_CHANNELS, OUTPUT_TABLE, outputs_from_solution
+from .gasgen.engine import (MAX_SPEED_RATIO, OUTPUT_CHANNELS, OUTPUT_TABLE,
+                            outputs_from_solution)
 from .gasgen.properties import T_MAX, T_MIN
 from .numerics import StepperOptions
 from .wrsg import OPEN_BRANCH_KRF, FaultParams, LoadModel, NoiseConfig, WrsgParams
@@ -282,7 +282,7 @@ def _validate(doc):
                           f"step within (0, {limit:.6g}] s, a tenth of the "
                           "machine period", max_step)
     # the run's samples, bounded as run_joint bounds them
-    w_e_max = joint_w_e_max(doc["gasgen"]["design_speed_rpm"], doc["governor"]["n_set_rpm"],
+    w_e_max = joint_w_e_max(doc["gasgen"]["design_speed_rpm"],
                             CouplingParams(omega_gtTsg=doc["coupling"]["speed_ratio"]),
                             WrsgParams.pole_pairs)
     samples = fast_sample_bound(doc["duration"], doc["macro_dt"], max_step, w_e_max,
@@ -456,6 +456,13 @@ def build_joint_setup(scenario: Scenario) -> JointSetup:
     if doc["macro_dt"] + 1e-12 < least:
         raise SchemaError("macro_dt", f"step >= {least:.6g} s, one machine "
                           "period plus stepper.max_step_s", doc["macro_dt"])
+    # the first macro step runs at the setpoint, and no spool update passes
+    # the spool's limit
+    n_max = MAX_SPEED_RATIO * doc["gasgen"]["design_speed_rpm"]
+    if doc["governor"]["n_set_rpm"] > n_max:
+        raise SchemaError("governor.n_set_rpm", f"speed within (0, {n_max:.15g}] rpm, "
+                          f"{MAX_SPEED_RATIO:g} times gasgen.design_speed_rpm",
+                          doc["governor"]["n_set_rpm"])
     gg_params, _ = design_point_size(design_spec_from_scenario(scenario))
     machine = machine_params_from_scenario(scenario)
     load_doc = doc["load"]
@@ -584,18 +591,18 @@ def check_out(path) -> list:
 
 class FastStream:
     """The fast-track CSV `<outdir>/<basename>_fast.csv` of one run, formatted
-    by a forked child while the run goes on, in write_csv's bytes.
+    by a forked child while the run and its plots go on, in write_csv's bytes.
 
-    The run calls `sink` with its recorder's buffer and the count of rows
-    recorded. The first call streams only where the buffer is shared
-    (SHARED_ROWS rows or more), more than one CPU is usable and os.fork
-    exists: it makes `outdir`, opens the file under a `.part` name and forks
-    the child, which formats the buffer in place up to each count sent
-    through a pipe; the recorder only appends. Used as a context manager
-    around the run: on a clean exit the parent reaps the child, raises
-    OSError if it failed and else renames the file and sets `written`; on
-    an exception it kills and reaps the child. A file not written is
-    removed, with the directories the stream made."""
+    The run calls `sink` with its recorder's buffer, a shared map, and the
+    count of rows recorded. The first call streams only where more than one
+    CPU is usable and os.fork exists: it makes `outdir`, opens the file
+    under a `.part` name and forks the child, which formats the buffer in
+    place up to each count sent through a pipe; the recorder only appends.
+    Used as a context manager around the run and the plots drawn from it:
+    on a clean exit the parent reaps the child, raises OSError if it failed
+    and else renames the file and sets `written`; on an exception it kills
+    and reaps the child. A file not written is removed, with the
+    directories the stream made where they are empty."""
 
     def __init__(self, outdir, basename: str):
         self.outdir = outdir
@@ -632,8 +639,7 @@ class FastStream:
 
     def sink(self, buffer, count: int):
         if self._streams is None:
-            self._streams = (len(buffer) >= SHARED_ROWS and _usable_cpus() > 1
-                             and hasattr(os, "fork"))
+            self._streams = _usable_cpus() > 1 and hasattr(os, "fork")
             if self._streams:
                 self._start(buffer)
         if self._streams:

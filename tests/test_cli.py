@@ -804,7 +804,7 @@ def test_fast_step_cap_bound_accepted_at_parse():
     # bound ceil(0.2 (1 / max_step_s + 480)) + 10 is MAX_FAST_STEPS exactly
     # at this step, and one more at the step one ulp shorter
     step = 2.0002120224743824e-07
-    w_e_max = joint_w_e_max(36050.0, 36050.0, CouplingParams(), pole_pairs=2)
+    w_e_max = joint_w_e_max(36050.0, CouplingParams(), pole_pairs=2)
     assert w_e_max / (2 * math.pi) == pytest.approx(480.0, rel=1e-15)
     assert fast_sample_bound(0.2, 0.02, step, w_e_max, 0) == MAX_FAST_STEPS
     doc = {"duration": 0.2, "stepper": {"max_step_s": step}}
@@ -828,6 +828,22 @@ def test_a_run_past_the_sample_bound_at_a_high_gear_is_refused(tmp_path, capsys)
     assert main(["joint", "--scenario", str(p), "--no-svg", "--out", str(out)]) == EXIT_USAGE
     assert "stepper.max_step_s" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_set, code", [(45000.0, EXIT_USAGE), (43260.0, EXIT_OK)])
+def test_a_governor_setpoint_past_the_spools_limit_is_refused(tmp_path, capsys, n_set,
+                                                              code):
+    # the first macro step runs at the setpoint, so one above the spool's
+    # limit, 1.2 times gasgen.design_speed_rpm, is refused before the run,
+    # naming the leaf and the limit, with no --out left; one on it runs
+    p = tmp_path / "gov.json"
+    p.write_text(json.dumps({"duration": 0.04, "governor": {"n_set_rpm": n_set}}))
+    out = tmp_path / "out"
+    assert main(["joint", "--scenario", str(p), "--no-svg", "--out", str(out)]) == code
+    assert out.exists() == (code == EXIT_OK)
+    if code == EXIT_USAGE:
+        assert ("at governor.n_set_rpm: expected speed within (0, 43260] rpm, 1.2 times "
+                "gasgen.design_speed_rpm, found 45000.0") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])

@@ -211,15 +211,18 @@ def test_a_run_records_within_the_rows_it_reserves(monkeypatch, seed):
 
 
 def test_a_large_recorder_buffer_is_mapped_apart_from_malloc():
-    # a buffer of SHARED_ROWS rows or more is a shared map of its own, which
-    # a forked child reads in place and which, freed through malloc, would
-    # raise glibc's mmap threshold to its size; a smaller one comes from malloc
-    rows, columns = cosim.SHARED_ROWS, 1 + len(cosim.FAST_CHANNELS)
-    large, small = cosim._record_buffer(rows), cosim._record_buffer(rows - 1)
-    assert isinstance(large.base.base.obj, mmap.mmap)
-    assert large.shape == (rows, columns) and 8 * large.size == 768 * 1024
-    assert large.flags.writeable and large.flags.c_contiguous
-    assert small.base is None and small.shape == (rows - 1, columns)
+    # every recorder buffer, a short run's as a long one's, is a shared map
+    # of its own, which a forked child reads in place and which, freed
+    # through malloc, would raise glibc's mmap threshold to its size; one of
+    # 0 rows, a decimation longer than the run, maps one row's worth
+    columns = 1 + len(cosim.FAST_CHANNELS)
+    for rows in (1, 2500, 8191, 8192, 63181):
+        buffer = cosim._record_buffer(rows)
+        assert isinstance(buffer.base.base.obj, mmap.mmap)
+        assert len(buffer.base.base.obj) == 8 * rows * columns
+        assert buffer.shape == (rows, columns)
+        assert buffer.flags.writeable and buffer.flags.c_contiguous
+    assert cosim._record_buffer(0).shape == (0, columns)
 
 
 def test_track_start_is_steady_at_the_run_speed():
@@ -355,6 +358,16 @@ def test_joint_start_takes_the_avr_field_limit():
     with pytest.raises(cosim.FieldVoltageOutOfRange, match="52.878.* 50 V"):
         run_joint(build_joint_setup(_mini_scenario({"avr": {"v_fd_max": 50.0}},
                                                    duration=0.04)))
+
+
+def test_joint_refuses_a_setpoint_past_the_spools_limit():
+    # the recorder is sized for speeds up to the spool's limit, and the first
+    # macro step runs at the setpoint
+    setup = build_joint_setup(_mini_scenario(duration=0.04))
+    setup = replace(setup, governor=replace(setup.governor, N_set=45000.0))
+    with pytest.raises(ValueError, match="setpoint 45000 rpm above the spool's limit "
+                                         "of 43260 rpm"):
+        run_joint(setup)
 
 
 @pytest.mark.parametrize("case", ["load-step", "equation-noise", "series-RL",

@@ -10,7 +10,7 @@ import pytest
 
 from apucosim import cosim
 from apucosim import scenario as sc
-from apucosim.cli import EXIT_NUMERIC, EXIT_OK, main
+from apucosim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from apucosim.control import AvrState
 from apucosim.cosim import TimeSeries, run_generator
 from apucosim.scenario import (
@@ -192,8 +192,8 @@ def test_csv_bytes_match_reference_writer_on_awkward_values(tmp_path):
     _assert_same_bytes(series, tmp_path)
 
 
-# a long fast track is streamed to a forked formatter child while the run
-# goes on
+# on more than one CPU the fast track is streamed to a forked formatter
+# child while the run and its plots go on
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
@@ -266,7 +266,7 @@ def test_streamed_awkward_values_match_reference_writer(tmp_path, monkeypatch):
     # counts 7 rows apart straddle the formatter's blocks of _BLOCK_ROWS rows
     _usable_cpus(monkeypatch, 2)
     rows = 3 * sc._BLOCK_ROWS + 5
-    buffer = cosim._record_buffer(cosim.SHARED_ROWS)
+    buffer = cosim._record_buffer(rows)
     values = buffer[:rows]
     values[:] = np.resize(np.array(_AWKWARD), values.shape)
     series = TimeSeries(names=tuple(n for n, _ in cosim.FAST_CHANNELS),
@@ -331,17 +331,92 @@ def test_streamed_csv_under_a_running_interval_timer(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
-def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch, capsys):
-    # a genrun-ttsc-sized run, 0.5 s: 2,500 rows here, 2,510 at other onsets
-    _usable_cpus(monkeypatch, 64)
+_TTSC_RUN = ["genrun", "--duration", "0.5", "--mu", "0.05", "--fault-time", "0.25"]
 
-    def fork():
-        raise AssertionError("forked for a 2,500-row track")
 
-    monkeypatch.setattr(os, "fork", fork, raising=False)
-    assert main(["genrun", "--duration", "0.5", "--mu", "0.05", "--fault-time", "0.25",
-                 "--json", "--no-svg", "--out", str(tmp_path)]) == EXIT_OK
-    assert len((tmp_path / "genrun_225kW_fast.csv").read_text().splitlines()) == 1 + 2500
+@needs_fork
+def test_a_short_faulted_genrun_forks_one_child_on_two_cpus_and_none_on_one(
+        tmp_path, monkeypatch, capsys):
+    # a genrun-ttsc-sized run, 0.5 s with 2,500 rows, its plots on: on two
+    # CPUs one child formats the track while the parent draws the plots, on
+    # one the parent writes it after them; stdout and every file are the same
+    pids = _record_forks(monkeypatch)
+    written = {}
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        assert main(_TTSC_RUN + ["--json", "--out", str(out)]) == EXIT_OK
+        assert len(pids) == cpus - 1
+        _assert_no_child_left()
+        written[cpus] = (capsys.readouterr().out,
+                         {f.name: f.read_bytes() for f in out.iterdir()})
+    assert written[1] == written[2]
+    files = written[2][1]
+    assert sorted(files) == ["genrun_225kW_fast.csv", "genrun_225kW_manifest.json",
+                             "genrun_currents.svg", "genrun_voltages.svg"]
+    assert len(files["genrun_225kW_fast.csv"].splitlines()) == 1 + 2500
+
+
+def _record_kills(monkeypatch):
+    """The (pid, signal) of each os.kill call."""
+    kills = []
+    kill = os.kill
+
+    def recorded(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "kill", recorded)
+    return kills
+
+
+@needs_fork
+def test_a_plot_failing_after_a_streamed_run_kills_the_child(tmp_path, monkeypatch,
+                                                             capsys):
+    # the second plot fails while the child formats the track: the child is
+    # killed and reaped, and neither its .part file nor a manifest is left
+    _usable_cpus(monkeypatch, 2)
+    pids, kills = _record_forks(monkeypatch), _record_kills(monkeypatch)
+    emit, plots = sc.emit_svg, []
+
+    def failing(*args, **kwargs):
+        plots.append(1)
+        if len(plots) == 2:
+            raise OSError("no space left for the plot")
+        emit(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "emit_svg", failing)
+    out = tmp_path / "out"
+    assert main(_TTSC_RUN + ["--out", str(out)]) == EXIT_USAGE
+    assert "no space left for the plot" in capsys.readouterr().err
+    assert len(pids) == 1 and kills == [(pids[0], signal.SIGKILL)]
+    assert os.listdir(out) == ["genrun_currents.svg"]
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_a_child_killed_while_the_plots_are_drawn_fails_the_run(tmp_path, monkeypatch,
+                                                                capsys):
+    # the child is still formatting while the parent draws: the parent reaps
+    # it after the plots, and its failure exits 1 naming the file, with no
+    # fast CSV, .part file or manifest left
+    _usable_cpus(monkeypatch, 2)
+    pids = _record_forks(monkeypatch)
+    emit = sc.emit_svg
+
+    def killing(*args, **kwargs):
+        os.kill(pids[0], signal.SIGKILL)
+        emit(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "emit_svg", killing)
+    out = tmp_path / "out"
+    assert main(_TTSC_RUN + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"writing {out / 'genrun_225kW_fast.csv'}: the child formatting its rows " \
+           "exited with status -9" in err
+    assert len(pids) == 1
+    assert sorted(os.listdir(out)) == ["genrun_currents.svg", "genrun_voltages.svg"]
+    _assert_no_child_left()
 
 
 @needs_fork
@@ -349,10 +424,9 @@ def test_a_short_table_is_formatted_without_a_fork(tmp_path, monkeypatch, capsys
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
 def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
                                                     cpus, existing):
-    # a shed to an open circuit fails the run after its shed (ROADMAP V); at
-    # max_step_s 1e-5 its recorder reserves 10,053 rows, a shared buffer, so
-    # it streams on two CPUs, and either way --out is left as it was before
-    # the run
+    # a shed to an open circuit fails the run after its shed (ROADMAP V); it
+    # streams on two CPUs, and either way --out is left as it was before the
+    # run
     p = tmp_path / "shed.json"
     p.write_text(json.dumps({"duration": 0.2, "stepper": {"max_step_s": 1e-5},
                              "load": {"schedule": [{"time_s": 0.04, "scale": 0}]}}))
