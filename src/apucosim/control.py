@@ -7,7 +7,7 @@ the output is saturated and the error would push it further out).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def governor_step(state: GovernorState, N_meas: float, dt: float) -> tuple[float
         step = state.rate_limit * dt
         wf = min(max(wf, state.prev_wf - step), state.prev_wf + step)
         wf = min(max(wf, state.wf_min), state.wf_max)
-    return wf, replace(state, integral=integral, prev_wf=wf)
+    return wf, GovernorState(state.N_set, state.K_p, state.K_i, state.wf_ff, state.wf_min,
+                             state.wf_max, state.rate_limit, integral, wf)
 
 
 @dataclass(frozen=True)
@@ -59,4 +60,4 @@ def avr_step(state: AvrState, V_rms_meas: float, dt: float) -> tuple[float, AvrS
     v_fd = min(max(v_raw, 0.0), state.V_fd_max)
     if v_fd != v_raw and (v_raw - v_fd) * e > 0:
         integral = state.integral          # anti-windup: freeze the integral
-    return v_fd, replace(state, integral=integral)
+    return v_fd, AvrState(state.V_set, state.K_p, state.K_i, state.V_fd_max, integral)

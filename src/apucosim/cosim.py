@@ -227,28 +227,58 @@ def _march(sys_, y, ta, times, prefix, last, forcing=1.0):
 
 
 def _commutator(x, y):
-    return x @ y - y @ x
+    """x y - y x, in a new array."""
+    c = x @ y
+    c -= y @ x
+    return c
 
 
 def _magnus_exponents(basis, b, theta0, w_e, ta, starts, dt):
     """Order-6 Magnus exponents of the augmented generator [[A, b], [0, 0]]
     over the sub-steps [starts, starts + dt], from A at each one's three
     Gauss-Legendre nodes, and their differences from the order-4 exponents
-    of the same nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470)."""
+    of the same nodes (Blanes, Casas, Oteo & Ros 2009, Phys. Rep. 470).
+
+    A at the nodes is taken sub-step by sub-step, then laid out node-major,
+    so that each node's stack is contiguous; the terms are then updated in
+    place, each operation the one the formulas in the comments make, in
+    their order."""
     t = starts[:, None] + dt[:, None] * _GAUSS_NODES
     a = harmonic_weights(theta0 + w_e * (t - ta)) @ basis
-    gen = np.zeros(t.shape + (8, 8))
-    gen[..., :7, :7] = a.reshape(t.shape + (7, 7))
+    gen = np.zeros((3, starts.size, 8, 8))
+    gen[..., :7, :7] = np.swapaxes(a.reshape(starts.size, 3, 7, 7), 0, 1)
     gen[..., :7, 7] = b
+    g0, g1, g2 = gen
     d = dt[:, None, None]
-    a1 = d * gen[:, 1]
-    a2 = (math.sqrt(15.0) / 3.0) * d * (gen[:, 2] - gen[:, 0])
-    a3 = (10.0 / 3.0) * d * (gen[:, 2] - 2.0 * gen[:, 1] + gen[:, 0])
+    # a1 = d g1; a2 = (sqrt(15) / 3) d (g2 - g0); a3 = (10 / 3) d (g2 - 2 g1 + g0)
+    a1 = d * g1
+    a2 = g2 - g0
+    a2 *= (math.sqrt(15.0) / 3.0) * d
+    g1 *= 2.0
+    np.subtract(g2, g1, out=g2)
+    g2 += g0
+    g2 *= (10.0 / 3.0) * d
+    a3 = g2
+    # c1 = [a1, a2]; c2 = [a1, 2 a3 + c1] / -60
     c1 = _commutator(a1, a2)
-    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    high = _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-    # the order-4 exponent is a1 + a3/12 - c1/12
-    return a1 + a3 / 12.0 + high, high + c1 / 12.0
+    x = np.multiply(a3, 2.0, out=g1)
+    x += c1
+    c2 = _commutator(a1, x)
+    c2 /= -60.0
+    # high = [-20 a1 - a3 + c1, a2 + c2] / 240
+    u = np.multiply(a1, -20.0, out=g0)
+    u -= a3
+    u += c1
+    c2 += a2
+    high = _commutator(u, c2)
+    high /= 240.0
+    # the order-4 exponent is a1 + a3/12 - c1/12: (a1 + a3/12 + high, high + c1/12)
+    a3 /= 12.0
+    a3 += a1
+    a3 += high
+    c1 /= 12.0
+    c1 += high
+    return a3, c1
 
 
 def _finite(x, starts):
@@ -350,10 +380,11 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
         segment = (sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e, ta)
         starts = np.append(ta + h * np.arange(k), t_last)
         lengths = np.append(np.full(k, h), last_h)
-        diff = np.concatenate([
-            _magnus_exponents(*segment, starts[i:i + MAGNUS_CHUNK],
-                              lengths[i:i + MAGNUS_CHUNK])[1]
-            for i in range(0, starts.size, MAGNUS_CHUNK)])
+        # one sub-step per computed step, in the chunks that m = 1 takes
+        estimate = [_magnus_exponents(*segment, starts[i:i + MAGNUS_CHUNK],
+                                      lengths[i:i + MAGNUS_CHUNK])
+                    for i in range(0, starts.size, MAGNUS_CHUNK)]
+        diff = np.concatenate([d for _, d in estimate])
         err = _finite(_error_estimates(diff, y, 1.0, stepper.relative_tolerance,
                                        stepper.absolute_tolerance), starts)
         m = _substep_count(float(np.max(err)))
@@ -364,9 +395,10 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
         dt = np.repeat(dt, m)
         size = max(1, MAGNUS_CHUNK // m) * m
         steps = []
-        for i in range(0, sub.size, size):
+        for j, i in enumerate(range(0, sub.size, size)):
             part = slice(i, i + size)
-            omega, _ = _magnus_exponents(*segment, sub[part], dt[part])
+            omega = (estimate[j][0] if m == 1
+                     else _magnus_exponents(*segment, sub[part], dt[part])[0])
             e = _finite(expm(_finite(omega, sub[part])), sub[part])
             # each grid step's sub-step exponentials, later ones on the left
             e = e.reshape(-1, m, 8, 8)
@@ -443,6 +475,7 @@ class _MachineTrack:
         self.scale = 1.0           # the load's admittance scale
         self.state = None          # state array and V_fd: set by start()
         self.v_rms = None          # per-phase rms of the last step: set by advance()
+        self.v_mean = None         # their mean, the AVR's input: set by advance()
         # the recorder's buffer, its rows recorded and the samples passed to it
         samples = fast_sample_bound(duration, dt, stepper.max_step, w_e_max, len(self.events))
         self._rows = _record_buffer(samples // decimation)
@@ -500,7 +533,8 @@ class _MachineTrack:
         step's start or after the event before it acts there, and one within
         that before the step's end acts on it. Where events act a segment on
         a new system starts, its first power sample taken again, so the
-        trapezoid splits there as at a macro boundary."""
+        trapezoid splits there as at a macro boundary: each segment's start
+        state is evaluated with its samples, in one terminal call."""
         t0, t1 = (k - 1) * self.dt, k * self.dt
         self._seg = []
         noise_w = None
@@ -520,41 +554,41 @@ class _MachineTrack:
             sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd,
                                     self.load.resistance(self.scale, speed_rpm),
                                     noise_w=noise_w, model=self.model)
-            # the step's trapezoid sum goes on from this (time, power) sample
-            self._last = (ta, float(sys_.terminal(y)[4]))
             tb = self.events[0][0] if self.events else t1
             tb = tb if tb < t1 - tol else t1
             y = self._run(sys_, y, ta, tb)
             ta = tb
         self.state = y
-        # one pass over the C-contiguous (3, n) stack of the phase voltages
-        ts, _, v_abc = self.segment()
+        # one pass over the C-contiguous (3, n) stack of the window's phase voltages
+        ts, v_abc = self._window()
         self.v_rms = rms_window(ts, np.ascontiguousarray(v_abc.T), self.window)
-        self.V_fd, self.avr = avr_step(self.avr, float(np.mean(self.v_rms)), self.dt)
+        v_a, v_b, v_c = self.v_rms.tolist()
+        self.v_mean = (v_a + v_b + v_c) / 3.0      # np.mean's sum and division
+        self.V_fd, self.avr = avr_step(self.avr, self.v_mean, self.dt)
         return self._energy
 
     def _run(self, sys_, y, ta, tb):
         times, states, kept = propagate(sys_, y, ta, tb, self.stepper, self._kept)
         if not sys_.noise_w.any():
             self._kept = kept
-        self._record(sys_, times, states)
+        self._record(sys_, y, ta, times, states)
         y = states[-1].copy()
         # wrap the electrical angle to keep trig arguments small
         y[IDX_THETA] = math.fmod(y[IDX_THETA], 2.0 * math.pi)
         return y
 
-    def _record(self, sys_, times, states):
-        """Fast-track pass over one segment's samples: shaft energy, the rms
-        buffers and every decimation-th row of the recorded channels, after
-        which the sink is called."""
-        i_abc, v_abc, i_f, i6, p_tot, p_loss = sys_.terminal(states)
-        t = np.concatenate(([self._last[0]], times))
-        p = np.concatenate(([self._last[1]], p_tot))
+    def _record(self, sys_, y, ta, times, states):
+        """Fast-track pass over one segment from y at ta: its shaft energy,
+        the trapezoid sum over the start and the samples, the rms buffers
+        and every decimation-th row of the recorded channels, after which
+        the sink is called."""
+        i_abc, v_abc, i_f, i6, p, p_loss = sys_.terminal(np.concatenate((y[None], states)))
+        t = np.append(ta, times)
         self._energy += float(np.sum(0.5 * (p[1:] + p[:-1]) * np.diff(t)))
-        self._last = (t[-1], p[-1])
-        self._seg.append((times, i_abc, v_abc))
-        # the samples that bring the run's count to a multiple of decimation
-        keep = slice((-self._count - 1) % self.decimation, None, self.decimation)
+        self._seg.append((times, i_abc[1:], v_abc[1:]))
+        # the samples that bring the run's count to a multiple of decimation,
+        # past the start's row
+        keep = slice(1 + (-self._count - 1) % self.decimation, None, self.decimation)
         self._count += times.size
         i_rec, v_rec = i_abc[keep], v_abc[keep]
         if self.noise.std_vi or self.noise.std_vv:
@@ -562,8 +596,8 @@ class _MachineTrack:
             v_rec, i_rec = measure(v_rec, i_rec, self.noise, rng=self.rng)
         a, b = self._recorded, self._recorded + i_rec.shape[0]
         rows = self._rows[a:b]
-        rows[:, 0], rows[:, 1:4], rows[:, 4:7] = times[keep], i_rec, v_rec
-        rows[:, 7], rows[:, 8], rows[:, 9] = i_f[keep], i6[keep, 3], p_tot[keep]
+        rows[:, 0], rows[:, 1:4], rows[:, 4:7] = t[keep], i_rec, v_rec
+        rows[:, 7], rows[:, 8], rows[:, 9] = i_f[keep], i6[keep, 3], p[keep]
         rows[:, 10], rows[:, 11] = p_loss[keep], self.V_fd
         self._recorded = b
         if self.sink and b > a:
@@ -572,6 +606,20 @@ class _MachineTrack:
     def segment(self):
         """This macro step's samples: times, phase currents, phase voltages."""
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
+
+    def _window(self):
+        """This macro step's times and phase voltages from its last sample
+        at or before the AVR's window start on, or from its first where none
+        is: the samples rms_window reads of the whole step's."""
+        start, parts = self._seg[-1][0][-1] - self.window, []
+        for times, _, v_abc in reversed(self._seg):
+            k = max(int(np.searchsorted(times, start, side="right")) - 1, 0)
+            parts.append((times[k:], v_abc[k:]))
+            if times[k] <= start:
+                break
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(p[::-1]) for p in zip(*parts))
 
     def fast_series(self) -> TimeSeries:
         """The track recorded so far, as column views of the buffer."""
@@ -745,9 +793,11 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
         wf, governor = governor_step(governor, speed + noise.get("XNHPC", 0.0), dt)
         out = spool.match(wf)
         # (f) record; the speed handed back next step comes from the spool
+        health = spool.health
         extra = (wf, pe_gt, energy, energy - pe_gt * dt * coupling.eta_gtTsg,
-                 float(np.mean(track.v_rms)), track.V_fd, track.scale,
-                 track.fault.mu, track.fault.k_rf, *astuple(spool.health))
+                 track.v_mean, track.V_fd, track.scale, track.fault.mu, track.fault.k_rf,
+                 health.eta_c_factor, health.flow_c_factor, health.eta_t_factor,
+                 health.flow_t_factor)
         slow_t.append(k * dt)
         slow_rows.append(tuple(v + noise.get(n, 0.0)
                                for v, (n, _) in zip(out, OUTPUT_CHANNELS)) + extra)

@@ -392,7 +392,10 @@ def expm(a):
     row, and the bytes are the same under OpenBLAS's FMA kernels.
 
     A stack of matrices along leading axes is exponentiated in one pass
-    with one common scaling, the one its largest 1-norm needs.
+    with one common scaling, the one its largest 1-norm needs. The
+    polynomial r a4 + c3 a3 + c2 a2 + c1 a + c0 I is summed left to right
+    into two buffers taken in turn, each c I added as a whole matrix, so
+    that a signed zero rounds as in the expression.
     """
     a = np.array(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -401,15 +404,22 @@ def expm(a):
         raise ValueError("matrix contains non-finite entries")
     norm = float(np.max(np.sum(np.abs(a), axis=-2))) if a.size else 0.0
     squarings = max(0, math.ceil(math.log2(norm / _THETA16))) if norm > 0 else 0
-    a = a / 2.0 ** squarings
+    a /= 2.0 ** squarings
     c = _TAYLOR16
     eye = np.eye(a.shape[-1])
     a2 = a @ a
     a3 = a2 @ a
     a4 = a2 @ a2
-    r = c[16] * a4 + c[15] * a3 + c[14] * a2 + c[13] * a + c[12] * eye
-    for k in (8, 4, 0):
-        r = r @ a4 + c[k + 3] * a3 + c[k + 2] * a2 + c[k + 1] * a + c[k] * eye
+    r, s, term = c[16] * a4, np.empty_like(a), np.empty_like(a)
+    for k in (12, 8, 4, 0):
+        if k < 12:
+            np.matmul(r, a4, out=s)
+            r, s = s, r
+        r += np.multiply(c[k + 3], a3, out=term)
+        r += np.multiply(c[k + 2], a2, out=term)
+        r += np.multiply(c[k + 1], a, out=term)
+        r += c[k] * eye
     for _ in range(squarings):
-        r = r @ r
+        np.matmul(r, r, out=s)
+        r, s = s, r
     return r

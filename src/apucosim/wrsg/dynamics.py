@@ -56,13 +56,19 @@ def mech_power(v_abc, i_abc, i_f, fault: FaultParams, params: WrsgParams):
     fault-branch extra loss, kW; row-wise over leading axes of the inputs.
 
     P_total = 2 (v.i + i_f^2 r_f + (i_a - i_f)^2 r_saf - i_a^2 r_saf) / eta_sg
+
+    Without an active fault i_f is 0 (currents_fast), so the fault terms
+    are exact zeros and are left out.
     """
     v_abc = np.asarray(v_abc, dtype=float)
     i_abc = np.asarray(i_abc, dtype=float)
+    p_elec = np.sum(v_abc * i_abc, axis=-1)
+    if not fault.active:
+        return (params.two_machine_factor * p_elec / params.eta_sg * 1e-3,
+                np.zeros_like(p_elec))
     r_f = fault.r_f(params.r_s)
     r_saf = fault.r_sa_f(params.r_s)
     i_a = i_abc[..., 0]
-    p_elec = np.sum(v_abc * i_abc, axis=-1)
     p_fault = i_f * i_f * r_f + (i_a - i_f) ** 2 * r_saf - i_a * i_a * r_saf
     p_total = params.two_machine_factor * (p_elec + p_fault) / params.eta_sg
     p_loss = params.two_machine_factor * p_fault / params.eta_sg
@@ -86,9 +92,9 @@ def flux_basis(p: WrsgParams, model: InductanceModel, fault: FaultParams,
     trigonometric polynomial of degree 2 in theta.
     """
     basis = np.zeros((5, 7, 7))
-    r6 = np.array([R_load + p.r_s] * 3 + [-p.r_fd, -p.r_kd, -p.r_kq])
     a = basis[0, :6, :6]
-    a[:] = r6[:, None] * model.L_inv
+    np.multiply(R_load + p.r_s, model.L_inv[:3], out=a[:3])
+    a[3:] = model.rotor_rows
     a[0, 1] -= w_e
     a[1, 0] += w_e
     b = np.append(np.array([0.0, 0.0, 0.0, V_fd, 0.0, 0.0]) + noise_w, 0.0)

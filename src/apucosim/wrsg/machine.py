@@ -115,10 +115,13 @@ class WrsgState:
 
 @dataclass(frozen=True)
 class InductanceModel:
-    """The 6x6 flux-current matrix and its inverse."""
+    """The 6x6 flux-current matrix and its inverse, and the rotor rows of
+    the flux equations, -(r_fd, r_kd, r_kq) times L^-1's, which no segment
+    changes."""
     L: np.ndarray
     L_inv: np.ndarray
     L_ls: float
+    rotor_rows: np.ndarray
 
 
 def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> InductanceModel:
@@ -142,7 +145,10 @@ def build_L(params: WrsgParams, extra_stator_inductance: float = 0.0) -> Inducta
     det = np.linalg.det(m)
     if abs(det) < 1e-40:
         raise SingularSystem("inductance matrix is singular")
-    return InductanceModel(L=m, L_inv=np.linalg.inv(m), L_ls=params.L_ls)
+    L_inv = np.linalg.inv(m)
+    r_rotor = np.array([-params.r_fd, -params.r_kd, -params.r_kq])
+    return InductanceModel(L=m, L_inv=L_inv, L_ls=params.L_ls,
+                           rotor_rows=r_rotor[:, None] * L_inv[3:])
 
 
 def fault_current_from_state(y, fault: FaultParams, model: InductanceModel):

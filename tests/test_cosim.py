@@ -584,6 +584,43 @@ def test_generator_run_golden_outputs(tmp_path):
         "13bcaad43a060cb1f13a4aa192783c9701b800d6e52fbffea6081c9f2de94f07")
 
 
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("fault, w_e, r_load, l_phase", [
+    (HEALTHY_FAULT, W_E, R_225, 0.0),
+    (HEALTHY_FAULT, 0.7 * W_E, 2.0 * R_225, 5e-5),
+    (FaultParams(mu=0.05, k_rf=1.0), W_E, R_225, 0.0),
+    (FaultParams(mu=0.2, k_rf=0.1), 0.9 * W_E, 0.5 * R_225, 2e-5),
+    (FaultParams(mu=0.01, k_rf=30.0), 1.2 * W_E, 3.0 * R_225, 0.0),
+    (FaultParams(mu=0.5, k_rf=0.0), 0.3 * W_E, R_225, 0.0),
+], ids=["healthy", "healthy-RL", "mu0.05", "mu0.2-RL", "mu0.01", "mu0.5-short"])
+def test_kernels_match_their_reference_bits(fault, w_e, r_load, l_phase):
+    # the in-place Magnus and expm kernels make the reference formulas'
+    # operations in their order: every bit and every zero's sign agree, on
+    # 1 to 128 sub-steps of healthy and faulted generators
+    import kernel_reference as ref
+    rng = np.random.default_rng(44)
+    sysm = ElectricalSystem(WrsgParams(), LoadModel(R_phase=r_load, L_phase=l_phase), fault,
+                            w_e, 61.3, r_load, noise_w=rng.normal(0.0, 0.5, 6))
+    for n in (1, 2, 3, 5, 8, 25, 64, 100, 127, 128):
+        h = 1e-4 / rng.choice([1, 2, 4, 64])
+        ta = rng.uniform(0.0, 1.0)
+        starts = ta + h * np.arange(n)
+        dt = np.full(n, h)
+        dt[-1] *= rng.uniform(0.1, 1.0)
+        args = (sysm.basis, sysm.b, rng.uniform(-math.pi, math.pi), w_e, ta, starts, dt)
+        got, want = cosim._magnus_exponents(*args), ref.magnus_exponents(*args)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), n
+        assert _same_bits(expm(want[0]), ref.expm(want[0])), n
+        # a stack whose norm takes squarings
+        assert _same_bits(expm(5e3 * want[0]), ref.expm(5e3 * want[0])), n
+    for a in (rng.normal(0.0, 3.0, (8, 8)), rng.normal(0.0, 1.0, (3, 3)), np.zeros((8, 8)),
+              -np.zeros((3, 3)), rng.normal(0.0, 40.0, (4, 7, 7))):
+        assert _same_bits(expm(a), ref.expm(a)), a.shape
+
+
 def _fma_kernels():
     """The OPENBLAS_CORETYPE kernels among Haswell, Zen and SkylakeX that
     this CPU can run, from the flags of /proc/cpuinfo: Haswell and Zen need
