@@ -3,7 +3,8 @@ gas-generator macro step (the exact propagator of the affine flux equations
 on healthy segments, on the uniform max_step grid; a sixth-order Magnus
 integrator on faulted ones, on a grid of n steps per electrical period, at
 most max_step each, so that only one period's propagators are computed;
-both marched one block of n steps per batched product; a segment whose
+both marched in blocks, of one step healthy and of n faulted, whose starts
+are reached by doubling and whose states are one batched product; a segment whose
 system differs from the last one's only in its field voltage marches that
 one's propagators), with power/speed coupling rules, spool-speed state
 noise, and per-step energy bookkeeping.
@@ -208,19 +209,36 @@ def _prefix_products(steps):
 
 def _march(sys_, y, ta, times, prefix, last, forcing=1.0):
     """States on `times` from y at ta. The augmented vector z = (the seven
-    fluxes, forcing) crosses the full steps one block at a time, prefix[j]
-    being the propagator over j + 1 steps from a block's start, so that a
-    block is one batched product prefix[:b] @ z; `last` takes it over the
-    last step. The propagators' forcing columns, linear in b (Van Loan
-    1978), enter only times z's last entry, which their unit last rows
-    keep, so `forcing` scales them. theta = theta0 + w_e (t - ta)."""
-    z = np.append(y[:7], forcing)
-    states = np.empty((times.size, 8))
+    fluxes, forcing) crosses the full steps in blocks of b = len(prefix)
+    steps, prefix[j] being the propagator over j + 1 steps from a block's
+    start: the block starts z_0, B z_0, B^2 z_0, ..., B = prefix[-1], are
+    reached by doubling, B^(2^i) taking the first 2^i of them to the next
+    2^i, and then one batched product of prefix with them gives every full
+    step's state; `last` takes the last one over the last step. The
+    propagators' forcing columns, linear in b (Van Loan 1978), enter only
+    times z's last entry, which their unit last rows keep, so `forcing`
+    scales them. theta = theta0 + w_e (t - ta)."""
     full = times.size - 1
-    for k in range(0, full, max(1, len(prefix))):
-        block = prefix[:full - k] @ z
-        states[k:k + len(block), :7] = block[:, :7]
-        z = block[-1]
+    states = np.empty((times.size, 8))
+    z = np.append(y[:7], forcing)
+    if full:
+        blocks = -(-full // len(prefix))
+        # the block starts as columns: a product with an 8 x 8 propagator on
+        # the left has the same bits under every FMA kernel of OpenBLAS,
+        # whatever the columns' count, unlike one on the right
+        starts = np.empty((8, blocks))
+        starts[:, 0] = z
+        found, power = 1, prefix[-1]
+        while found < blocks:
+            more = min(found, blocks - found)
+            starts[:, found:found + more] = power @ starts[:, :more]
+            found += more
+            if found < blocks:
+                power = power @ power
+        # (b, 8, blocks): step j + 1 of block i goes to row i b + j
+        filled = (prefix @ starts).transpose(2, 0, 1).reshape(-1, 8)
+        states[:full, :7] = filled[:full, :7]
+        z = filled[full - 1]
     states[-1, :7] = (last @ z)[:7]
     states[:, IDX_THETA] = y[IDX_THETA] + sys_.w_e * (times - ta)
     return states
@@ -315,7 +333,7 @@ class _Propagators:
     last_h: float           # the last step's length
     V_fd: float             # the field voltage of their forcing columns
     theta: float            # the start angle
-    prefix: np.ndarray      # over 1..n steps from a block's start
+    prefix: np.ndarray      # over 1..b steps from a block's start: b = 1 healthy, n faulted
     last: np.ndarray        # over the last step
     m: int = 0              # sub-steps per grid step, when faulted
     diff: np.ndarray | None = None  # Omega6 - Omega4 at m = 1, when faulted
@@ -350,14 +368,14 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
            n, stepper: StepperOptions) -> _Propagators:
     """The propagators of a segment from y at ta on the grid `times`, whose
     full steps are h long and n to an electrical period, the last one from
-    t_last: those of the first period's full steps (at most n), as prefix
-    products for _march, and the last step's.
+    t_last: those of _march's blocks, as prefix products, and the last
+    step's.
 
     Healthy, the full steps share P = exp([[A, b], [0, 0]] h), A the
-    constant matrix of sys_.basis, so the prefix products are its powers;
-    the last step reuses P when within _grid's 1e-9 h of h. Faulted, step
-    j's propagator is step (j mod n)'s, and each computed step is the
-    product of the exponentials of the sixth-order Magnus exponents of its
+    constant matrix of sys_.basis, so a block is the one step P; the last
+    step reuses P when within _grid's 1e-9 h of h. Faulted, a block is the
+    first period's full steps (at most n), step j's propagator is step
+    (j mod n)'s, and each computed step is the product of the exponentials of the sixth-order Magnus exponents of its
     m equal sub-steps, in batches of MAGNUS_CHUNK sub-steps (of one grid
     step's when it has more). m is the smallest power of two at which every
     sub-step's embedded error estimate |(Omega6 - Omega4) z| meets atol +
@@ -374,7 +392,7 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
         gen[:7, 7] = sys_.b
         step = expm(gen * h)
         last = step if abs(last_h - h) <= 1e-9 * h else expm(gen * last_h)
-        prefix = _prefix_products(np.broadcast_to(step, (k, 8, 8)))
+        prefix = step[None]
     else:
         # the exponents' arguments that hold over the segment
         segment = (sys_.basis, sys_.b, y[IDX_THETA], sys_.w_e, ta)

@@ -572,16 +572,16 @@ def test_joint_run_golden_csvs(tmp_path):
     res, digests = _joint_golden(tmp_path)
     assert np.ptp(res.slow.column("V_fd")) > 10.0
     assert digests == (
-        "ab47fc8c508616a853aa53305a81b6cfb8c96460f2a45b88385488f93ad278ba",
-        "e825f0c727f9a23987f86f93380a6a90f801b795d092a3d5e7675257f30b9de1")
+        "a3818cbd575eecce7d2716aaaadfdbb2e2f44032e1f7de5ad4834eebcdfa9f7b",
+        "93d9c18d257af77f0109b9a3d0e85f1be08533483e5d632f83a69b82679757f5")
 
 
 def test_generator_run_golden_outputs(tmp_path):
     res, digests = _generator_golden(tmp_path)
     assert np.all(res.fast.column("i_f")[res.fast.time > 0.1] != 0.0)
     assert digests == (
-        "4c5bb2cd86c8af4b2b60871f2d3a5d0d35f1ab5121a246945673a6aac6941e86",
-        "13bcaad43a060cb1f13a4aa192783c9701b800d6e52fbffea6081c9f2de94f07")
+        "5fad6a94b03220be9871b61db2d23bba0813ddad06bc4bcc386dc51b567ee5a5",
+        "dbd674875d37515b433703d4758b3023ba518fcf350f507b6e21edddfc259b7d")
 
 
 def _same_bits(got, want):
