@@ -184,7 +184,8 @@ def cmd_genrun(args) -> int:
     sc.check_out(args.out)
     basename = f"genrun_{args.power_kw:g}kW"
     title = f"Generator point: {args.power_kw:g}kW"
-    # plots are drawn while a streamed fast track is formatted, the manifest once it is done
+    # plots are drawn while a streamed fast track is formatted, the manifest
+    # once it is done; a failure leaves --out as it was
     with sc.FastStream(args.out, basename) as stream:
         try:
             res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
@@ -201,7 +202,8 @@ def cmd_genrun(args) -> int:
             sc.emit_svg(res.fast, ["va", "vb", "vc"],
                         os.path.join(args.out, "genrun_voltages.svg"),
                         title=f"{title}: phase voltages")
-    sc.write_run(res, args.out, basename, streamed=stream.written)
+        stream.close()
+        sc.write_run(res, args.out, basename, streamed=stream.written)
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
                          indent=2, sort_keys=True))
@@ -264,7 +266,8 @@ def cmd_joint(args) -> int:
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
     sc.check_out(out)
-    # plots are drawn while a streamed fast track is formatted, the manifest once it is done
+    # plots are drawn while a streamed fast track is formatted, the manifest
+    # once it is done; a failure leaves --out as it was
     with sc.FastStream(out, f"joint_{scn.name}") as stream:
         result = _run_joint(scn, setup, stream.sink)
         if svg:
@@ -281,8 +284,9 @@ def cmd_joint(args) -> int:
                 sc.emit_svg(series, chans,
                             os.path.join(out, f"joint_{scn.name}_{group}.svg"),
                             title=f"{scn.name}: {', '.join(chans)}")
-    files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
-                         streamed=stream.written)
+        stream.close()
+        files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
+                             streamed=stream.written)
     audit = result.audit
     print(f"joint run complete: {result.slow.n_samples} macro steps, "
           f"{result.fast.n_samples} fast samples; files: {files}")

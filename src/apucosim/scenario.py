@@ -598,11 +598,15 @@ class FastStream:
     CPU is usable and os.fork exists: it makes `outdir`, opens the file
     under a `.part` name and forks the child, which formats the buffer in
     place up to each count sent through a pipe; the recorder only appends.
-    Used as a context manager around the run and the plots drawn from it:
-    on a clean exit the parent reaps the child, raises OSError if it failed
-    and else renames the file and sets `written`; on an exception it kills
-    and reaps the child. A file not written is removed, with the
-    directories the stream made where they are empty."""
+    `close` reaps the child, raises OSError if it failed and else renames
+    the file and sets `written`.
+
+    Used as a context manager around the run and every output written from
+    it, which leaves `outdir` as it found it where the scope fails: it kills
+    and reaps a child still running, removes each file that was not in
+    `outdir` when the scope began (a file that was there stays, written
+    over or not), and then the directories that `outdir` needed, where they
+    are empty. A scope that ends without a failure closes the stream."""
 
     def __init__(self, outdir, basename: str):
         self.outdir = outdir
@@ -611,31 +615,50 @@ class FastStream:
         self.pid = None            # the child's, until it is reaped
         self._pipe = None
         self._streams = None       # decided at the first call of sink
-        self._made = None          # the directories made, once started
+        self._made = None          # the directories outdir needs, innermost first
+        self._before = None        # the names in outdir when the scope began
 
     def __enter__(self):
+        self._made = check_out(self.outdir)
+        self._before = set() if self._made else set(os.listdir(self.outdir))
         return self
 
     def __exit__(self, kind, *_):
-        try:
-            if self.pid is not None:
-                if kind is not None:
-                    import signal    # only a failed run kills its child
-                    os.kill(self.pid, signal.SIGKILL)
-                code = self._reap()
-                if kind is None:
-                    if code:
-                        raise self._failure(code)
-                    os.replace(self.path + ".part", self.path)
-                    self.written = True
-        finally:
-            if self._made is not None and not self.written:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(self.path + ".part")
-                for path in self._made:
-                    with contextlib.suppress(OSError):
-                        os.rmdir(path)
+        if kind is None:
+            try:
+                self.close()
+            except BaseException:
+                self._undo()
+                raise
+        else:
+            self._undo()
         return False
+
+    def _undo(self):
+        """Kill and reap a child still running, then remove the files new
+        in outdir and the directories made for it."""
+        if self.pid is not None:
+            import signal    # only a failed scope kills its child
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            for name in set(os.listdir(self.outdir)) - self._before:
+                path = os.path.join(self.outdir, name)
+                if not os.path.isdir(path):
+                    os.remove(path)
+        for path in self._made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
+
+    def close(self):
+        """Reap a streaming child and rename its file; once the child exited
+        cleanly `written` is set. A child that failed raises OSError."""
+        if self.pid is not None:
+            code = self._reap()
+            if code:
+                raise self._failure(code)
+            os.replace(self.path + ".part", self.path)
+            self.written = True
 
     def sink(self, buffer, count: int):
         if self._streams is None:
@@ -649,7 +672,6 @@ class FastStream:
                 raise self._failure(self._reap()) from None
 
     def _start(self, buffer):
-        self._made = check_out(self.outdir)
         os.makedirs(self.outdir, exist_ok=True)
         with open(self.path + ".part", "w", encoding="utf-8") as fh:
             r, w = os.pipe()

@@ -374,7 +374,8 @@ def _record_kills(monkeypatch):
 def test_a_plot_failing_after_a_streamed_run_kills_the_child(tmp_path, monkeypatch,
                                                              capsys):
     # the second plot fails while the child formats the track: the child is
-    # killed and reaped, and neither its .part file nor a manifest is left
+    # killed and reaped, and --out, which the stream made, is gone with the
+    # first plot and the .part file
     _usable_cpus(monkeypatch, 2)
     pids, kills = _record_forks(monkeypatch), _record_kills(monkeypatch)
     emit, plots = sc.emit_svg, []
@@ -390,7 +391,7 @@ def test_a_plot_failing_after_a_streamed_run_kills_the_child(tmp_path, monkeypat
     assert main(_TTSC_RUN + ["--out", str(out)]) == EXIT_USAGE
     assert "no space left for the plot" in capsys.readouterr().err
     assert len(pids) == 1 and kills == [(pids[0], signal.SIGKILL)]
-    assert os.listdir(out) == ["genrun_currents.svg"]
+    assert not out.exists()
     _assert_no_child_left()
 
 
@@ -398,8 +399,8 @@ def test_a_plot_failing_after_a_streamed_run_kills_the_child(tmp_path, monkeypat
 def test_a_child_killed_while_the_plots_are_drawn_fails_the_run(tmp_path, monkeypatch,
                                                                 capsys):
     # the child is still formatting while the parent draws: the parent reaps
-    # it after the plots, and its failure exits 1 naming the file, with no
-    # fast CSV, .part file or manifest left
+    # it after the plots, and its failure exits 1 naming the file, with --out
+    # gone, the plots drawn and the .part file with it
     _usable_cpus(monkeypatch, 2)
     pids = _record_forks(monkeypatch)
     emit = sc.emit_svg
@@ -415,33 +416,67 @@ def test_a_child_killed_while_the_plots_are_drawn_fails_the_run(tmp_path, monkey
     assert f"writing {out / 'genrun_225kW_fast.csv'}: the child formatting its rows " \
            "exited with status -9" in err
     assert len(pids) == 1
-    assert sorted(os.listdir(out)) == ["genrun_currents.svg", "genrun_voltages.svg"]
+    assert not out.exists()
     _assert_no_child_left()
 
 
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("failing", ["run", "plot", "write"])
 def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
-                                                    cpus, existing):
-    # a shed to an open circuit fails the run after its shed (ROADMAP V); it
-    # streams on two CPUs, and either way --out is left as it was before the
-    # run
+                                                    cpus, existing, failing):
+    # a shed to an open circuit fails the run after its shed (ROADMAP V), or
+    # the run succeeds and its third plot fails, or every file is written
+    # and the call fails after write_run; it streams on two CPUs, and each
+    # way --out is left as it was before the run
     p = tmp_path / "shed.json"
+    schedule = [{"time_s": 0.04, "scale": 0}] if failing == "run" else []
     p.write_text(json.dumps({"duration": 0.2, "stepper": {"max_step_s": 1e-5},
-                             "load": {"schedule": [{"time_s": 0.04, "scale": 0}]}}))
+                             "load": {"schedule": schedule}}))
     out = tmp_path / "out" / "run"
     if existing:
         out.mkdir(parents=True)
         (out / "joint_design_fast.csv").write_text("an earlier run's track\n")
     _usable_cpus(monkeypatch, cpus)
     pids = _record_forks(monkeypatch)
-    assert main(["joint", "--scenario", str(p), "--no-svg", "--out", str(out)]) == EXIT_NUMERIC
-    assert "numerical failure" in capsys.readouterr().err
+    emit, plots = sc.emit_svg, []
+
+    def failing_third(*args, **kwargs):
+        plots.append(1)
+        if len(plots) == 3:
+            # the two plots drawn so far are in --out
+            assert len(list(out.glob("*.svg"))) == 2
+            raise OSError("no space left for the plot")
+        emit(*args, **kwargs)
+
+    write_run = sc.write_run
+
+    def failing_after(*args, **kwargs):
+        files = write_run(*args, **kwargs)
+        assert {"fast", "slow"} <= set(files)
+        raise OSError("failed after the manifest")
+
+    argv = ["joint", "--scenario", str(p), "--out", str(out)]
+    if failing == "run":
+        assert main(argv + ["--no-svg"]) == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+    elif failing == "plot":
+        monkeypatch.setattr(sc, "emit_svg", failing_third)
+        assert main(argv) == EXIT_USAGE
+        assert "no space left for the plot" in capsys.readouterr().err
+        assert len(plots) == 3
+    else:
+        monkeypatch.setattr(sc, "write_run", failing_after)
+        assert main(argv + ["--no-svg"]) == EXIT_USAGE
+        assert "failed after the manifest" in capsys.readouterr().err
     assert len(pids) == cpus - 1
     if existing:
+        # a file that was there is never removed; written over before the
+        # failure, it keeps the new track
         assert os.listdir(out) == ["joint_design_fast.csv"]
-        assert (out / "joint_design_fast.csv").read_text() == "an earlier run's track\n"
+        track = (out / "joint_design_fast.csv").read_text()
+        assert (track == "an earlier run's track\n") == (failing != "write")
     else:
         assert not (tmp_path / "out").exists()
     _assert_no_child_left()
