@@ -525,7 +525,7 @@ class _MachineTrack:
                       else st).as_array()
         sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0,
                                 model=self.model)
-        return sys_.terminal(self.state)[4]
+        return float(sys_.terminal(self.state[None])[4][0])
 
     def _apply_events(self, t: float) -> bool:
         """Apply the events at or before t, each setting the fault or the

@@ -109,6 +109,35 @@ def test_coupling_power_efficiency():
             assert pe * 0.02 * 0.98 == pytest.approx(want, rel=1e-12)
 
 
+def test_each_segment_takes_one_terminal_call_with_its_start(monkeypatch):
+    # a load step inside the third of five macro steps and a TTSC fault on
+    # the fifth's boundary: six segments, each evaluated with its start
+    # state in one call on a stack, after the steady start's one-row stack
+    shapes, starts = [], []
+    terminal, propagate = ElectricalSystem.terminal, cosim.propagate
+
+    def counted_terminal(self, y):
+        shapes.append(np.shape(y))
+        return terminal(self, y)
+
+    def counted_propagate(sys_, y, ta, tb, *args):
+        starts.append(ta)
+        return propagate(sys_, y, ta, tb, *args)
+
+    monkeypatch.setattr(ElectricalSystem, "terminal", counted_terminal)
+    monkeypatch.setattr(cosim, "propagate", counted_propagate)
+    res = run_joint(build_joint_setup(_mini_scenario({
+        "record": {"decimation": 1},
+        "load": {"schedule": [{"time_s": 0.0537, "scale": 0.6}]},
+        "ttsc_faults": [{"time_s": 0.08, "mu": 0.05, "k_rf": 1.0}]}, duration=0.1)))
+    assert starts == pytest.approx([0.0, 0.02, 0.04, 0.0537, 0.06, 0.08], abs=1e-15)
+    assert shapes[0] == (1, 8)
+    samples = np.diff(np.searchsorted(res.fast.time, starts[1:] + [0.1], side="right"),
+                      prepend=0)
+    assert shapes[1:] == [(1 + n, 8) for n in samples]
+    assert res.slow.column("mu")[-1] == 0.05
+
+
 def test_coupling_power_ripple_rejection():
     # a shorted turn makes the shaft power ripple at twice the electrical
     # frequency; over a macro step of whole periods the step's mean power
