@@ -4,10 +4,10 @@ on healthy segments, on the uniform max_step grid; a sixth-order Magnus
 integrator on faulted ones, on a grid of n steps per electrical period, at
 most max_step each, so that only one period's propagators are computed;
 both marched in blocks, of one step healthy and of n faulted, whose starts
-are reached by doubling and whose states are one batched product; a segment whose
-system differs from the last one's only in its field voltage marches that
-one's propagators), with power/speed coupling rules, spool-speed state
-noise, and per-step energy bookkeeping.
+are reached by doubling and whose states are one batched product; a
+segment whose system differs from the last one's only in its field
+voltage marches that one's propagators), with power/speed coupling rules,
+spool-speed state noise, and per-step energy bookkeeping.
 
 Per macro step k the loop (a) integrates the machine over [t_{k-1}, t_k]
 with the speed held from the last gas-generator update and the field
