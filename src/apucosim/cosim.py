@@ -577,9 +577,13 @@ class _MachineTrack:
             y = self._run(sys_, y, ta, tb)
             ta = tb
         self.state = y
-        # one pass over the C-contiguous (3, n) stack of the window's phase voltages
-        ts, v_abc = self._window()
-        self.v_rms = rms_window(ts, np.ascontiguousarray(v_abc.T), self.window)
+        # the AVR's rms reads the samples from the last at or before its
+        # window's start on, which the last segment holds unless an event
+        # fell in the window, as one C-contiguous (3, n) stack
+        start = self._seg[-1][0][-1] - self.window
+        ts, _, v_abc = self._seg[-1] if self._seg[-1][0][0] <= start else self.segment()
+        k = max(int(np.searchsorted(ts, start, side="right")) - 1, 0)
+        self.v_rms = rms_window(ts[k:], np.ascontiguousarray(v_abc[k:].T), self.window)
         v_a, v_b, v_c = self.v_rms.tolist()
         self.v_mean = (v_a + v_b + v_c) / 3.0      # np.mean's sum and division
         self.V_fd, self.avr = avr_step(self.avr, self.v_mean, self.dt)
@@ -624,20 +628,6 @@ class _MachineTrack:
     def segment(self):
         """This macro step's samples: times, phase currents, phase voltages."""
         return tuple(np.concatenate(parts) for parts in zip(*self._seg))
-
-    def _window(self):
-        """This macro step's times and phase voltages from its last sample
-        at or before the AVR's window start on, or from its first where none
-        is: the samples rms_window reads of the whole step's."""
-        start, parts = self._seg[-1][0][-1] - self.window, []
-        for times, _, v_abc in reversed(self._seg):
-            k = max(int(np.searchsorted(times, start, side="right")) - 1, 0)
-            parts.append((times[k:], v_abc[k:]))
-            if times[k] <= start:
-                break
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(p[::-1]) for p in zip(*parts))
 
     def fast_series(self) -> TimeSeries:
         """The track recorded so far, as column views of the buffer."""
