@@ -422,8 +422,11 @@ def test_a_child_killed_while_the_plots_are_drawn_fails_the_run(tmp_path, monkey
 
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
-@pytest.mark.parametrize("failing", ["run", "plot", "write"])
+@pytest.mark.parametrize("existing, failing", [
+    (False, "run"), (True, "run"), (False, "plot"), (True, "plot"),
+    (False, "write"), (True, "write")],
+    ids=["new-out", "existing-out", "new-out-plot", "existing-out-plot",
+         "new-out-write", "existing-out-write"])
 def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsys,
                                                     cpus, existing, failing):
     # a shed to an open circuit fails the run after its shed (ROADMAP V), or
