@@ -333,7 +333,7 @@ class _Propagators:
     last_h: float           # the last step's length
     V_fd: float             # the field voltage of their forcing columns
     theta: float            # the start angle
-    prefix: np.ndarray      # over 1..b steps from a block's start: b = 1 healthy, n faulted
+    prefix: np.ndarray      # over 1..b steps from a block's start (b: 1 healthy, n faulted)
     last: np.ndarray        # over the last step
     m: int = 0              # sub-steps per grid step, when faulted
     diff: np.ndarray | None = None  # Omega6 - Omega4 at m = 1, when faulted
@@ -375,14 +375,15 @@ def _build(sys_: ElectricalSystem, y, ta: float, times, t_last: float, h: float,
     constant matrix of sys_.basis, so a block is the one step P; the last
     step reuses P when within _grid's 1e-9 h of h. Faulted, a block is the
     first period's full steps (at most n), step j's propagator is step
-    (j mod n)'s, and each computed step is the product of the exponentials of the sixth-order Magnus exponents of its
-    m equal sub-steps, in batches of MAGNUS_CHUNK sub-steps (of one grid
-    step's when it has more). m is the smallest power of two at which every
-    sub-step's embedded error estimate |(Omega6 - Omega4) z| meets atol +
-    rtol |lam| channel by channel, z the state at ta: the estimate is taken
-    with one sub-step per computed step, on the same starts and lengths,
-    and divided by m^5, its order in the step length. A tolerance that
-    needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow."""
+    (j mod n)'s, and each computed step is the product of the exponentials
+    of the sixth-order Magnus exponents of its m equal sub-steps, in
+    batches of MAGNUS_CHUNK sub-steps (of one grid step's when it has
+    more). m is the smallest power of two at which every sub-step's embedded
+    error estimate |(Omega6 - Omega4) z| meets atol + rtol |lam| channel by
+    channel, z the state at ta: the estimate is taken with one sub-step per
+    computed step, on the same starts and lengths, and divided by m^5, its
+    order in the step length; at m = 1 its exponents are the steps' own. A
+    tolerance that needs more than MAGNUS_MAX_SUBSTEPS raises StepUnderflow."""
     last_h = times[-1] - t_last
     k = min(n, times.size - 1)
     m, diff = 0, None
