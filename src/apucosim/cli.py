@@ -141,15 +141,12 @@ def cmd_steady(args) -> int:
 def cmd_transient(args) -> int:
     scn = _scenario_from_args(args)
     run = sc.fuel_step_run(scn)
-    sc.check_out(args.out)
-    res = run()
-    files = sc.write_run(res, args.out, f"transient_{scn.name}", scn)
-    if args.svg:
-        for group, chans in (("speed", ["XNHPC"]), ("t4", ["T4"]),
-                             ("surge", ["HPCSM"]), ("p3", ["P3"])):
-            sc.emit_svg(res.slow, chans, os.path.join(
-                args.out, f"transient_{scn.name}_{group}.svg"),
-                title=f"{scn.name}: {', '.join(chans)}")
+    basename = f"transient_{scn.name}"
+    plots = [(f"{basename}_{group}.svg", "slow", chans, f"{scn.name}: {', '.join(chans)}")
+             for group, chans in (("speed", ["XNHPC"]), ("t4", ["T4"]),
+                                  ("surge", ["HPCSM"]), ("p3", ["P3"]))]
+    res, files = sc.write_outputs(args.out, basename, lambda _sink: run(),
+                                  plots if args.svg else (), scn)
     print(f"transient run complete: {res.slow.n_samples} macro steps; "
           f"final N = {res.slow.column('XNHPC')[-1]:.1f} rpm; files: {files}")
     return EXIT_OK
@@ -181,29 +178,21 @@ def cmd_genrun(args) -> int:
         raise ValueError(f"--duration must keep the run within {MAX_FAST_STEPS:,} machine "
                          f"samples at --speed-rpm {args.speed_rpm:g}, found "
                          f"{args.duration!r} ({samples:,})")
-    sc.check_out(args.out)
-    basename = f"genrun_{args.power_kw:g}kW"
     title = f"Generator point: {args.power_kw:g}kW"
-    # plots are drawn while a streamed fast track is formatted, the manifest
-    # once it is done; a failure leaves --out as it was
-    with sc.FastStream(args.out, basename) as stream:
+
+    def run(sink):
         try:
-            res = run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
-                                duration=args.duration, fault_schedule=fault_schedule,
-                                decimation=args.decimation, sink=stream.sink)
+            return run_generator(machine, load, AvrState(), speed_rpm=args.speed_rpm,
+                                 duration=args.duration, fault_schedule=fault_schedule,
+                                 decimation=args.decimation, sink=sink)
         except FieldVoltageOutOfRange as exc:
             raise UsageError(f"--power-kw {args.power_kw:g} at --speed-rpm "
                              f"{args.speed_rpm:g}: {exc}") from None
-        if args.svg and res.fast.n_samples:
-            os.makedirs(args.out, exist_ok=True)
-            sc.emit_svg(res.fast, ["ia", "ib", "ic"],
-                        os.path.join(args.out, "genrun_currents.svg"),
-                        title=f"{title}: phase currents")
-            sc.emit_svg(res.fast, ["va", "vb", "vc"],
-                        os.path.join(args.out, "genrun_voltages.svg"),
-                        title=f"{title}: phase voltages")
-        stream.close()
-        sc.write_run(res, args.out, basename, streamed=stream.written)
+
+    plots = [("genrun_currents.svg", "fast", ["ia", "ib", "ic"], f"{title}: phase currents"),
+             ("genrun_voltages.svg", "fast", ["va", "vb", "vc"], f"{title}: phase voltages")]
+    res, _ = sc.write_outputs(args.out, f"genrun_{args.power_kw:g}kW", run,
+                              plots if args.svg else ())
     if args.json:
         print(json.dumps({"title": title, "rms": res.rms_table},
                          indent=2, sort_keys=True))
@@ -265,28 +254,16 @@ def cmd_joint(args) -> int:
     out, svg = (OUTPUT_DEFAULTS[k] if v is None else v
                 for k, v in (("out", args.out), ("svg", args.svg)))
     setup = sc.build_joint_setup(scn)
-    sc.check_out(out)
-    # plots are drawn while a streamed fast track is formatted, the manifest
-    # once it is done; a failure leaves --out as it was
-    with sc.FastStream(out, f"joint_{scn.name}") as stream:
-        result = _run_joint(scn, setup, stream.sink)
-        if svg:
-            os.makedirs(out, exist_ok=True)
-            for group, track, chans in (
-                    ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),
-                    ("t3p3", "slow", ["T3"]), ("t4", "slow", ["T4"]),
-                    ("surge", "slow", ["HPCSM"]),
-                    ("currents", "fast", ["ia", "ib", "ic"]),
-                    ("voltages", "fast", ["va", "vb", "vc"])):
-                series = getattr(result, track)
-                if not series.n_samples:
-                    continue    # a decimation longer than the run records no fast row
-                sc.emit_svg(series, chans,
-                            os.path.join(out, f"joint_{scn.name}_{group}.svg"),
-                            title=f"{scn.name}: {', '.join(chans)}")
-        stream.close()
-        files = sc.write_run(result, out, f"joint_{scn.name}", scn, merged=args.merged,
-                             streamed=stream.written)
+    basename = f"joint_{scn.name}"
+    plots = [(f"{basename}_{group}.svg", track, chans, f"{scn.name}: {', '.join(chans)}")
+             for group, track, chans in (
+                 ("speed", "slow", ["XNHPC"]), ("power", "slow", ["Pe_gt"]),
+                 ("t3p3", "slow", ["T3"]), ("t4", "slow", ["T4"]),
+                 ("surge", "slow", ["HPCSM"]),
+                 ("currents", "fast", ["ia", "ib", "ic"]),
+                 ("voltages", "fast", ["va", "vb", "vc"]))]
+    result, files = sc.write_outputs(out, basename, functools.partial(_run_joint, scn, setup),
+                                     plots if svg else (), scn, merged=args.merged)
     audit = result.audit
     print(f"joint run complete: {result.slow.n_samples} macro steps, "
           f"{result.fast.n_samples} fast samples; files: {files}")

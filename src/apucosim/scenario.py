@@ -573,22 +573,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_out(path) -> list:
-    """Check that the output directory `path` can be made, without making
-    it: raise FileNotFoundError where it is empty, as os.makedirs does, and
-    NotADirectoryError naming it where a file lies at or above it. Returns
-    the directories that os.makedirs(path) would make, innermost first."""
-    if not path:
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    missing, p = [], os.path.abspath(path)
-    while not os.path.isdir(p):
-        if os.path.lexists(p):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
-        missing.append(p)
-        p = os.path.dirname(p)
-    return missing
-
-
 class FastStream:
     """The fast-track CSV `<outdir>/<basename>_fast.csv` of one run, formatted
     by a forked child while the run and its plots go on, in write_csv's bytes.
@@ -619,7 +603,18 @@ class FastStream:
         self._before = None        # the names in outdir when the scope began
 
     def __enter__(self):
-        self._made = check_out(self.outdir)
+        """Check that `outdir` can be made, without making it: raise
+        FileNotFoundError where it is empty, as os.makedirs does, and
+        NotADirectoryError naming it where a file lies at or above it."""
+        if not self.outdir:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), self.outdir)
+        self._made, p = [], os.path.abspath(self.outdir)
+        while not os.path.isdir(p):
+            if os.path.lexists(p):
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                         self.outdir)
+            self._made.append(p)
+            p = os.path.dirname(p)
         self._before = set() if self._made else set(os.listdir(self.outdir))
         return self
 
@@ -764,6 +759,28 @@ def write_run(result, outdir, basename: str, scenario: Scenario | None = None,
     with open(mpath, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return files
+
+
+def write_outputs(outdir, basename: str, run, plots, scenario: Scenario | None = None,
+                  merged: bool = False):
+    """Run and write every output of one run to `outdir`: (result, files).
+
+    `run(sink)` runs with a FastStream's sink and returns the result. Each
+    plot, (file name, track, channels, title), is drawn where its track has
+    rows, while a streamed fast track is formatted; then the stream is
+    closed and write_run writes the CSVs and, last, the manifest. A failure
+    at any step leaves `outdir` as it found it."""
+    with FastStream(outdir, basename) as stream:
+        result = run(stream.sink)
+        os.makedirs(outdir, exist_ok=True)
+        for name, track, channels, title in plots:
+            series = getattr(result, track)
+            if series.n_samples:    # a decimation longer than the run records no fast row
+                emit_svg(series, channels, os.path.join(outdir, name), title=title)
+        stream.close()
+        files = write_run(result, outdir, basename, scenario, merged=merged,
+                          streamed=stream.written)
+    return result, files
 
 
 # ------------------------------------------------------------------ SVG plots

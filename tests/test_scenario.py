@@ -485,6 +485,76 @@ def test_a_run_failing_mid_run_leaves_out_as_it_was(tmp_path, monkeypatch, capsy
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("failing", ["plot", "write"])
+def test_a_transient_failing_after_its_run_leaves_out_as_it_was(tmp_path, monkeypatch,
+                                                                capsys, existing, failing):
+    # the fuel-step replay succeeds and its second plot fails, or its plots
+    # and every file are written and the call fails after write_run; each
+    # way --out is left as it was before the call, as a joint run leaves it
+    out = tmp_path / "out" / "run"
+    if existing:
+        out.mkdir(parents=True)
+        (out / "transient_fuel-step_slow.csv").write_text("an earlier run's track\n")
+    emit, plots = sc.emit_svg, []
+
+    def failing_second(*args, **kwargs):
+        plots.append(1)
+        if len(plots) == 2:
+            # the plot drawn so far is in --out
+            assert [f.name for f in out.glob("*.svg")] == ["transient_fuel-step_speed.svg"]
+            raise OSError("no space left for the plot")
+        emit(*args, **kwargs)
+
+    write_run, drawn = sc.write_run, []
+
+    def failing_after(*args, **kwargs):
+        files = write_run(*args, **kwargs)
+        assert files == {"slow": "transient_fuel-step_slow.csv"}
+        drawn.append(len(list(out.glob("*.svg"))))
+        raise OSError("failed after the manifest")
+
+    argv = ["transient", "--preset", "fuel-step", "--out", str(out)]
+    if failing == "plot":
+        monkeypatch.setattr(sc, "emit_svg", failing_second)
+        assert main(argv) == EXIT_USAGE
+        assert "no space left for the plot" in capsys.readouterr().err
+        assert len(plots) == 2
+    else:
+        monkeypatch.setattr(sc, "write_run", failing_after)
+        assert main(argv) == EXIT_USAGE
+        assert "failed after the manifest" in capsys.readouterr().err
+    if existing:
+        # a file that was there is never removed; written over before the
+        # failure, it keeps the new track
+        assert os.listdir(out) == ["transient_fuel-step_slow.csv"]
+        track = (out / "transient_fuel-step_slow.csv").read_text()
+        assert (track == "an earlier run's track\n") == (failing != "write")
+    else:
+        assert not (tmp_path / "out").exists()
+    # the plots are drawn before the CSV and the manifest
+    assert drawn == ([4] if failing == "write" else [])
+
+
+def test_a_joint_breaching_its_energy_audit_exits_2_with_every_file(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the run finished and its files are the evidence of the breach, so the
+    # audit's exit 2 keeps the complete --out
+    monkeypatch.setattr(cosim.EnergyAudit, "max_relative_residual", 1.0)
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps({"duration": 0.2}))
+    out = tmp_path / "out"
+    assert main(["joint", "--scenario", str(p), "--out", str(out)]) == EXIT_NUMERIC
+    assert "energy audit breached tolerance" in capsys.readouterr().err
+    manifest = json.loads((out / "joint_design_manifest.json").read_text())
+    assert manifest["files"] == {"fast": "joint_design_fast.csv",
+                                 "slow": "joint_design_slow.csv"}
+    plots = [f"joint_design_{group}.svg" for group in
+             ("speed", "power", "t3p3", "t4", "surge", "currents", "voltages")]
+    assert sorted(os.listdir(out)) == sorted(
+        ["joint_design_manifest.json", *manifest["files"].values(), *plots])
+
+
 # --------------------------------------------------------------------- report
 
 def test_station_report_design(design_solution):
