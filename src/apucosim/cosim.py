@@ -57,7 +57,6 @@ from .wrsg import (
     LoadModel,
     NoiseConfig,
     WrsgParams,
-    WrsgState,
     field_voltage_for_terminal,
     measure,
     rms_window,
@@ -81,11 +80,9 @@ class CouplingParams:
 
 
 def coupling_speed(w_gt_rpm: float, coupling: CouplingParams,
-                   pole_pairs: int = 2) -> tuple[float, float]:
-    """Generator shaft speed (rpm) and electrical speed (rad/s)."""
-    w_sg = w_gt_rpm / coupling.omega_gtTsg
-    w_e = w_sg * math.pi / 30.0 * pole_pairs
-    return w_sg, w_e
+                   pole_pairs: int = 2) -> float:
+    """Generator electrical speed (rad/s) at gas-generator speed w_gt_rpm."""
+    return w_gt_rpm / coupling.omega_gtTsg * math.pi / 30.0 * pole_pairs
 
 
 @dataclass
@@ -522,8 +519,7 @@ class _MachineTrack:
                 f"{self.V_fd:.6g} V, above the AVR's limit of {v_fd_max:g} V")
         self.avr = replace(self.avr, integral=self.V_fd)
         st = steady_state(self.params, r0, self.V_fd, w_e, L_load=l0)
-        self.state = (seed_fault_flux(st, self.fault, self.params) if fault_on
-                      else st).as_array()
+        self.state = seed_fault_flux(st, self.fault) if fault_on else st
         sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd, r0,
                                 model=self.model)
         return float(sys_.terminal(self.state[None])[4][0])
@@ -566,8 +562,7 @@ class _MachineTrack:
         y, ta, self._energy = self.state, t0, 0.0
         while True:
             if self._apply_events(ta + tol):
-                y = seed_fault_flux(WrsgState.from_array(y), self.fault,
-                                    self.params).as_array()
+                y = seed_fault_flux(y, self.fault)
             if ta == t1:
                 break
             sys_ = ElectricalSystem(self.params, self.load, self.fault, w_e, self.V_fd,
@@ -672,7 +667,7 @@ def joint_w_e_max(design_speed: float, coupling: CouplingParams,
                   pole_pairs: int) -> float:
     """The electrical speed no joint run passes: at the spool's limit, which
     holds its governor setpoint too (run_joint)."""
-    return coupling_speed(MAX_SPEED_RATIO * design_speed, coupling, pole_pairs)[1]
+    return coupling_speed(MAX_SPEED_RATIO * design_speed, coupling, pole_pairs)
 
 
 class SpoolTrack:
@@ -778,7 +773,7 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
                           setup.machine_noise, setup.stepper, setup.decimation,
                           rng_machine, setup.avr, dt, setup.duration, w_e_max)
     spool = SpoolTrack(setup.gg_params, setup.ambient, setup.health_schedule, dt)
-    _, w_e = coupling_speed(setup.governor.N_set, coupling, setup.machine.pole_pairs)
+    w_e = coupling_speed(setup.governor.N_set, coupling, setup.machine.pole_pairs)
     p0 = track.start(w_e)
     wf = spool.trim(setup.governor.N_set, p0 / coupling.eta_gtTsg)
     governor = replace(setup.governor, integral=wf - setup.governor.wf_ff, prev_wf=wf)
@@ -790,7 +785,7 @@ def run_joint(setup: JointSetup, sink=None) -> JointResult:
 
     for k in range(1, n_steps + 1):
         # (a) machine over the macro step with held speed, then its AVR
-        _, w_e = coupling_speed(spool.x.N, coupling, setup.machine.pole_pairs)
+        w_e = coupling_speed(spool.x.N, coupling, setup.machine.pole_pairs)
         energy = track.advance(k, w_e)
         # (b) power transfer: the step's mean machine power over eta
         pe_gt = energy / (dt * coupling.eta_gtTsg)

@@ -347,16 +347,14 @@ def parse_scenario(text: str) -> Scenario:
         given = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("<document>", "well-formed JSON", str(exc)) from None
+    except RecursionError:
+        raise SchemaError("<document>", "JSON nested within the parser's depth limit",
+                          "a deeper nesting") from None
     if not isinstance(given, dict):
         raise SchemaError("<document>", "object", given)
     doc = _merge(_DEFAULTS, given, "", "")
     _validate(doc)
     return Scenario(doc=doc)
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical JSON with all defaults filled; parse round-trips equal."""
-    return json.dumps(scenario.doc, indent=2, sort_keys=True)
 
 
 PRESETS = {

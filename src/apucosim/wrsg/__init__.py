@@ -13,7 +13,6 @@ from .machine import (
     InductanceModel,
     SingularSystem,
     WrsgParams,
-    WrsgState,
     build_L,
     currents_fast,
 )

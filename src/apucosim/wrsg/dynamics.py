@@ -20,10 +20,13 @@ from .loads import LoadModel
 from .machine import (
     FaultParams,
     HEALTHY_FAULT,
+    IDX_LAM_0,
+    IDX_LAM_D,
+    IDX_LAM_F,
+    IDX_LAM_Q,
     IDX_THETA,
     InductanceModel,
     WrsgParams,
-    WrsgState,
     build_L,
     currents_fast,
 )
@@ -141,9 +144,6 @@ class ElectricalSystem:
         self.basis, self.b = flux_basis(params, self.model, fault, w_e, V_fd,
                                         R_load, self.noise_w)
 
-    def currents(self, y):
-        return currents_fast(y, self.fault, self.model)
-
     def terminal(self, y):
         """Phase currents/voltages, fault current and powers at a state."""
         y = np.asarray(y, dtype=float)
@@ -170,11 +170,11 @@ class ElectricalSystem:
 
 
 def steady_state(params: WrsgParams, R_load: float, V_fd: float,
-                 w_e: float, theta0: float = 0.0, L_load: float = 0.0) -> WrsgState:
+                 w_e: float, theta0: float = 0.0, L_load: float = 0.0) -> np.ndarray:
     """Healthy balanced steady state at constant speed and field voltage,
     with the load's series inductance L_load in the stator fluxes: the
     fluxes are L i of build_L's L, for the currents where the dampers and
-    the zero sequence carry none."""
+    the zero sequence carry none; lam_f is 0 and theta_e theta0."""
     L = build_L(params, L_load).L
     i_fd = V_fd / params.r_fd
     r = R_load + params.r_s
@@ -183,7 +183,7 @@ def steady_state(params: WrsgParams, R_load: float, V_fd: float,
     l_qq, l_dd, l_dfd = float(L[0, 0]), float(L[1, 1]), float(L[1, 3])
     i_q, i_d = _eliminate_2x2(((r, -w_e * l_dd), (w_e * l_qq, r)), (w_e * l_dfd * i_fd, 0.0))
     lam = L @ np.array([i_q, i_d, 0.0, i_fd, 0.0, 0.0])
-    return WrsgState(*lam.tolist(), lam_f=0.0, theta_e=theta0)
+    return np.append(lam, (0.0, theta0))
 
 
 def field_voltage_for_terminal(params: WrsgParams, R_load: float, w_e: float,
@@ -196,17 +196,18 @@ def field_voltage_for_terminal(params: WrsgParams, R_load: float, w_e: float,
     probe = 10.0
     st = steady_state(params, R_load, probe, w_e, L_load=L_load)
     model = build_L(params, L_load)
-    i6, _ = currents_fast(st.as_array(), HEALTHY_FAULT, model)
+    i6, _ = currents_fast(st, HEALTHY_FAULT, model)
     v_amp = math.hypot(R_load, w_e * L_load) * math.hypot(i6[0], i6[1])
     v_rms = v_amp / math.sqrt(2.0)
     return probe * v_phase_rms / v_rms
 
 
-def seed_fault_flux(state: WrsgState, fault: FaultParams,
-                    params: WrsgParams) -> WrsgState:
-    """Continuity at fault switch-on: sub-winding flux takes its proportional
-    share of the phase-a linkage so i_f starts at exactly zero."""
-    lam_a = (math.cos(state.theta_e) * state.lam_q
-             + math.sin(state.theta_e) * state.lam_d + state.lam_0)
-    return WrsgState(state.lam_q, state.lam_d, state.lam_0, state.lam_fd,
-                     state.lam_kd, state.lam_kq, fault.mu * lam_a, state.theta_e)
+def seed_fault_flux(y, fault: FaultParams) -> np.ndarray:
+    """Continuity at fault switch-on: a copy of state y whose sub-winding
+    flux takes its proportional share of the phase-a linkage, so i_f starts
+    at exactly zero."""
+    theta = y[IDX_THETA]
+    lam_a = math.cos(theta) * y[IDX_LAM_Q] + math.sin(theta) * y[IDX_LAM_D] + y[IDX_LAM_0]
+    y = np.array(y, dtype=float)
+    y[IDX_LAM_F] = fault.mu * lam_a
+    return y

@@ -3,9 +3,10 @@ with an injectable stator turn-to-turn short-circuit branch.
 
 Generator sign convention: stator current flows out of the machine, so
 stator self-inductance terms enter the flux-current map with negative sign.
-State vector (8): [lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f, theta_e]
-where lam_f is the flux linkage of the shorted sub-winding and theta_e the
-electrical rotor angle.
+The state is one float array of 8, indexed by the IDX_* slots:
+[lam_q, lam_d, lam_0, lam_fd, lam_kd, lam_kq, lam_f, theta_e], where lam_f
+is the flux linkage of the shorted sub-winding and theta_e the electrical
+rotor angle.
 
 The shorted fraction mu of phase a carries (i_a - i_f); its flux linkage is
 the proportional share of the phase-a linkage plus the sub-winding leakage
@@ -91,26 +92,6 @@ class FaultParams:
 
 
 HEALTHY_FAULT = FaultParams()
-
-
-@dataclass(frozen=True)
-class WrsgState:
-    lam_q: float = 0.0
-    lam_d: float = 0.0
-    lam_0: float = 0.0
-    lam_fd: float = 0.0
-    lam_kd: float = 0.0
-    lam_kq: float = 0.0
-    lam_f: float = 0.0
-    theta_e: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam_q, self.lam_d, self.lam_0, self.lam_fd,
-                         self.lam_kd, self.lam_kq, self.lam_f, self.theta_e])
-
-    @staticmethod
-    def from_array(y) -> "WrsgState":
-        return WrsgState(*[float(v) for v in y])
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from apucosim.numerics import _eliminate_2x2
-from apucosim.wrsg import (ElectricalSystem, FaultParams, InductanceModel, WrsgParams,
-                           WrsgState)
+from apucosim.wrsg import ElectricalSystem, FaultParams, InductanceModel, WrsgParams
 from apucosim.wrsg.machine import IDX_LAM_F, IDX_THETA
 
 _TWO_THIRDS = 2.0 / 3.0
@@ -88,7 +87,7 @@ def solve_dense(matrix, rhs):
     return x
 
 
-def currents_from_flux(state: WrsgState, fault: FaultParams,
+def currents_from_flux(y: np.ndarray, fault: FaultParams,
                        model: InductanceModel) -> np.ndarray:
     """Solve the 7x7 linear system for (i_q, i_d, i_0, i_fd, i_kd, i_kq, i_f).
 
@@ -96,7 +95,6 @@ def currents_from_flux(state: WrsgState, fault: FaultParams,
     the sub-winding flux closure.  With the branch open the system decouples
     and i_f = 0.
     """
-    y = state.as_array()
     lam6 = y[:6]
     if not fault.active:
         i6 = model.L_inv @ lam6
@@ -119,7 +117,7 @@ def currents_from_flux(state: WrsgState, fault: FaultParams,
 
 def steady_state_by_hand(params: WrsgParams, R_load: float, V_fd: float,
                          w_e: float, theta0: float = 0.0,
-                         L_load: float = 0.0) -> WrsgState:
+                         L_load: float = 0.0) -> np.ndarray:
     """Healthy balanced steady state with the load's series inductance
     L_load in the stator self inductances, each flux written out."""
     p = params
@@ -135,9 +133,7 @@ def steady_state_by_hand(params: WrsgParams, R_load: float, V_fd: float,
     lam_fd = -p.L_md * i_d + (p.L_md + p.L_lf) * i_fd
     lam_kd = -p.L_md * i_d + p.L_md * i_fd
     lam_kq = -p.L_mq * i_q
-    return WrsgState(lam_q=float(lam_q), lam_d=float(lam_d), lam_0=0.0,
-                     lam_fd=float(lam_fd), lam_kd=float(lam_kd),
-                     lam_kq=float(lam_kq), lam_f=0.0, theta_e=theta0)
+    return np.array([lam_q, lam_d, 0.0, lam_fd, lam_kd, lam_kq, 0.0, theta0])
 
 
 def derivatives(sys_: ElectricalSystem, t, y):
@@ -180,14 +176,14 @@ def derivatives(sys_: ElectricalSystem, t, y):
     return dy
 
 
-def machine_derivatives(state: WrsgState, V_fd: float, w_r: float,
+def machine_derivatives(y: np.ndarray, V_fd: float, w_r: float,
                         fault: FaultParams, load, params, t: float = 0.0,
                         noise_w=None) -> np.ndarray:
     """Flux-linkage derivatives for a frozen (speed, field, load) condition,
     the load at full scale."""
     sys = ElectricalSystem(params, load, fault, w_r, V_fd,
                            load.resistance(1.0), noise_w=noise_w)
-    return derivatives(sys, t, state.as_array())
+    return derivatives(sys, t, y)
 
 
 def flux_system(sys_: ElectricalSystem, theta0: float, t0: float):

@@ -371,6 +371,18 @@ def test_bad_scenario_is_usage_error(tmp_path):
                  str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["transient", "joint"])
+def test_a_document_nested_past_the_parser_limit_is_refused(tmp_path, capsys, command):
+    # a nesting the JSON parser cannot recurse through is a schema error at
+    # the document, with no traceback and before any --out directory is made
+    p = tmp_path / "scn.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(p), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: at <document>: expected JSON nested")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags, parses", [
     ([], 1), (["--seed", "3", "--state-noise", "2", "--macro-dt", "0.02"], 2),
 ], ids=["document", "overrides"])

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dq0_oracle import ClassicDq0Generator
 from machine_reference import flux_system
 from apucosim import cosim
 from apucosim.cosim import (
@@ -330,15 +331,15 @@ def test_machine_track_builds_its_inductance_model_once(monkeypatch):
 
 
 def test_coupling_speed_reference_ratio():
-    w_sg, w_e = coupling_speed(36050.0, CouplingParams(), pole_pairs=2)
-    assert w_sg == pytest.approx(12000.0, rel=1e-12)
+    w_e = coupling_speed(36050.0, CouplingParams(), pole_pairs=2)
+    assert w_e * 30.0 / (math.pi * 2) == pytest.approx(12000.0, rel=1e-12)
     assert w_e / (2 * math.pi) == pytest.approx(400.0, rel=1e-12)
 
 
 def test_coupling_speed_identity_and_zero():
     c = CouplingParams(omega_gtTsg=1.0)
-    assert coupling_speed(5000.0, c)[0] == 5000.0
-    assert coupling_speed(0.0, c)[0] == 0.0
+    assert coupling_speed(5000.0, c, pole_pairs=1) == 5000.0 * math.pi / 30.0
+    assert coupling_speed(0.0, c) == 0.0
 
 
 # ------------------------------------------------------------------ run_joint
@@ -404,7 +405,7 @@ def test_joint_refuses_a_setpoint_past_the_spools_limit():
 def test_healthy_propagator_matches_tight_stepper(case):
     p = WrsgParams()
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3)
     w_e, r, load, noise = W_E, R_225, LoadModel(R_phase=R_225), None
     if case == "load-step":
         r = 3.0 * 230.0 ** 2 / 150e3
@@ -437,13 +438,55 @@ def test_healthy_propagator_holds_lam_f():
     # angle-dependent matrices are zero, so lam_f is carried exactly
     p = WrsgParams()
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3)
     y0[6] = 0.37
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
                             v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
     assert not np.any(sysm.basis[1:]) and not np.any(sysm.basis[0, 42:])
     states = propagate(sysm, y0, 0.0, 0.02003, GENERATOR_STEPPER)[1]
     assert np.all(states[:, 6] == 0.37)
+
+
+def test_healthy_propagator_matches_the_dq0_oracle_exactly():
+    # criterion 5's load step, 225 -> 150 kW over 0.5 s at its tolerances,
+    # through the shipped propagator: every flux agrees with the classic
+    # dq0 model's exact solution, lam* + V exp(D t) V^-1 (lam0 - lam*)
+    p = WrsgParams()
+    r_to = 3.0 * 230.0 ** 2 / 150e3
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    y0 = steady_state(p, R_225, v_fd, W_E)
+    sysm = ElectricalSystem(p, LoadModel(R_phase=r_to), HEALTHY_FAULT, W_E, v_fd, r_to)
+    times, states, _ = propagate(sysm, y0, 0.0, 0.5, _stepper(1e-9, 1e-12))
+    a, b = ClassicDq0Generator(p, r_to).make_affine(v_fd, W_E)(0.0)
+    lam_ss = np.linalg.solve(a, -b)
+    d, v = np.linalg.eig(a)
+    c = np.linalg.solve(v, y0[:6] - lam_ss)
+    want = lam_ss + ((v * np.exp(np.outer(times, d))[:, None, :]) @ c).real
+    gap = np.max(np.abs(states[:, :6] - want), axis=0)
+    assert np.all(gap <= 1e-11 * np.max(np.abs(want), axis=0))
+
+
+def test_open_branch_limit_through_the_propagator():
+    # criterion 6's open-branch sweep under the generator's stepper: the sup
+    # gap of the phase-a current to the healthy run, on the shared 1e-4 s
+    # grid, falls strictly with k_rf and vanishes
+    p = WrsgParams()
+    v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
+    st = steady_state(p, R_225, v_fd, W_E)
+
+    def phase_a(fault):
+        sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), fault, W_E, v_fd, R_225)
+        y0 = seed_fault_flux(st, fault) if fault.active else st
+        times, states, _ = propagate(sysm, y0, 0.0, 0.05, GENERATOR_STEPPER)
+        return times, sysm.terminal(states)[0][:, 0]
+
+    grid, healthy = phase_a(HEALTHY_FAULT)
+    gaps = []
+    for k_rf in (1e2, 1e3, 1e4):
+        times, i_a = phase_a(FaultParams(mu=0.05, k_rf=k_rf))
+        assert np.allclose(times, grid, rtol=0.0, atol=1e-12)
+        gaps.append(float(np.max(np.abs(i_a - healthy)) / np.max(np.abs(healthy))))
+    assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 5e-4
 
 
 def _stepper(rtol=1e-5, atol=1e-6, max_step=1e-4):
@@ -455,8 +498,7 @@ def _faulted_system(mu=0.05, w_e=W_E):
     p = WrsgParams()
     fault = FaultParams(mu=mu, k_rf=1.0)
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = seed_fault_flux(steady_state(p, R_225, v_fd, W_E, theta0=0.3),
-                         fault, p).as_array()
+    y0 = seed_fault_flux(steady_state(p, R_225, v_fd, W_E, theta0=0.3), fault)
     return ElectricalSystem(p, LoadModel(R_phase=R_225), fault, w_e, v_fd,
                             R_225), y0
 
@@ -475,7 +517,7 @@ def test_zero_generator_rows_give_exact_unit_rows(faulted):
     else:
         p = WrsgParams()
         v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-        y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+        y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3)
         sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E,
                                 v_fd, R_225)
         omega = np.zeros((8, 8))
@@ -917,7 +959,7 @@ def test_magnus_computes_one_period_of_exponentials(monkeypatch, span, computed)
 def test_healthy_block_march_matches_step_by_step(span, w_e):
     p = WrsgParams()
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3).as_array()
+    y0 = steady_state(p, R_225, v_fd, W_E, theta0=0.3)
     y0[6] = 0.37
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, w_e,
                             v_fd, R_225, noise_w=[0.5, -0.3, 0.2, 0.1, -0.2, 0.05])
@@ -942,7 +984,7 @@ def test_healthy_segment_of_whole_steps_takes_one_exponential(monkeypatch):
     # allowance it is the full step, whose exponential is reused
     p = WrsgParams()
     v_fd = field_voltage_for_terminal(p, R_225, W_E, 230.0)
-    y0 = steady_state(p, R_225, v_fd, W_E).as_array()
+    y0 = steady_state(p, R_225, v_fd, W_E)
     sysm = ElectricalSystem(p, LoadModel(R_phase=R_225), HEALTHY_FAULT, W_E, v_fd, R_225)
     calls = []
     monkeypatch.setattr(cosim, "expm", lambda a: calls.append(1) or expm(a))
